@@ -48,7 +48,7 @@ print("covers((1,0,0), (0,0,1)) =", covers((1, 0, 0), (0, 0, 1)))
 # %% [markdown]
 # The full order has redundant pairs, e.g. (1,0,0) < (1,1,1) follows
 # from (1,0,0) < (1,1,0) < (1,1,1). `hasse_edges` keeps only the
-# immediate steps, which is all the optimizer ever needs.
+# immediate steps, which imply all the others.
 
 # %%
 edges = hasse_edges(table.slices.keys())

@@ -96,10 +96,6 @@ def _fit_payload(name: str, train: Dataset, prior_value: float | None, args) -> 
             lambda_reg=args.lambda_reg,
             use_prior=use_prior,
             prior_weight=args.prior_weight,
-            max_iters=args.max_iters if args.max_iters is not None else 5000,
-            step0=args.step0,
-            tol=args.tol if args.tol is not None else 1e-8,
-            seed=args.seed,
         )
         prior = Prior(prior_value) if use_prior else None
         model = fit(train, prior, config)
@@ -113,10 +109,16 @@ def _fit_payload(name: str, train: Dataset, prior_value: float | None, args) -> 
         model = ds_fit(
             convert_abstain(train),
             init,
-            max_iters=args.max_iters if args.max_iters is not None else 100,
-            tol=args.tol if args.tol is not None else 1e-6,
+            max_iters=args.max_iters,
+            tol=args.tol,
             smoothing=args.smoothing,
         )
+        if not model.diagnostics["converged"]:
+            print(
+                f"warning: ds: EM stopped at its iteration cap "
+                f"({model.diagnostics['iterations']}) before converging",
+                file=sys.stderr,
+            )
         payload = {"model_type": "ds"}
         payload.update(model.to_json_dict())
         return payload
@@ -430,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="where to write the model JSON")
     p_fit.add_argument("--lambda-reg", type=float, default=1.0)
     p_fit.add_argument("--prior-weight", type=float, default=1.0)
-    p_fit.add_argument("--max-iters", type=int, default=None)
-    p_fit.add_argument("--step0", type=float, default=0.5)
-    p_fit.add_argument("--tol", type=float, default=None)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--max-iters", type=int, default=100,
+                       help="Dawid-Skene EM iteration cap")
+    p_fit.add_argument("--tol", type=float, default=1e-6,
+                       help="Dawid-Skene EM stopping tolerance")
     p_fit.add_argument("--smoothing", type=float, default=1.0)
     p_fit.add_argument("--eps-clip", type=float, default=1e-4)
     p_fit.add_argument("--dump-edges", default=None,
@@ -470,10 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic spec JSON; adds a Bayes-oracle row")
     p_cmp.add_argument("--lambda-reg", type=float, default=1.0)
     p_cmp.add_argument("--prior-weight", type=float, default=1.0)
-    p_cmp.add_argument("--max-iters", type=int, default=None)
-    p_cmp.add_argument("--step0", type=float, default=0.5)
-    p_cmp.add_argument("--tol", type=float, default=None)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--max-iters", type=int, default=100,
+                       help="Dawid-Skene EM iteration cap")
+    p_cmp.add_argument("--tol", type=float, default=1e-6,
+                       help="Dawid-Skene EM stopping tolerance")
     p_cmp.add_argument("--smoothing", type=float, default=1.0)
     p_cmp.add_argument("--eps-clip", type=float, default=1e-4)
     p_cmp.add_argument("--out", default=None)
@@ -513,6 +515,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (DatasetFormatError, UndefinedMetricError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}; try a smaller dataset", file=sys.stderr)
         return 1
 
 

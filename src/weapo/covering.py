@@ -56,6 +56,9 @@ def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
         Edges ``low -> high`` such that ``high`` covers ``low`` and no
         third observed vector sits strictly between them. Sorted by
         ``(low, high)`` so the output is deterministic.
+
+    Raises ``ValueError`` on mixed lengths or at 2**24 or more distinct
+    vectors, where the path counts would no longer be exact in float32.
     """
     unique = sorted({tuple(int(b) for b in v) for v in vectors})
     if len(unique) <= 1:
@@ -65,15 +68,22 @@ def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
         raise ValueError(f"vote vectors have mixed lengths: {sorted(lengths)}")
     u = np.array(unique, dtype=np.int8)
     k = len(unique)
-    # dom[a, b]: vector a strictly dominates vector b. Row-chunked to keep
-    # memory at O(K*M) even when many distinct vectors are observed.
+    # Entry (a, b) of the float32 product below counts the 2-step paths
+    # a -> c -> b, at most K, and float32 holds every integer below 2**24.
+    if k >= 2**24:
+        raise ValueError(f"too many distinct vote vectors for the covering order ({k})")
+    # dom[a, b]: vector a strictly dominates vector b, built one row at a
+    # time so the comparisons need O(K*M) scratch. The result is dense:
+    # about 9*K^2 bytes in all (dom, its float32 copy and the product),
+    # and the BLAS product takes O(K^3) time.
     dom = np.zeros((k, k), dtype=bool)
     for a in range(k):
         ge = (u[a] >= u).all(axis=1)
         gt = (u[a] > u).any(axis=1)
         dom[a] = ge & gt
     # An edge survives the transitive reduction unless a 2-step path exists.
-    two_step = (dom.astype(np.int64) @ dom.astype(np.int64)) > 0
+    f = dom.astype(np.float32)
+    two_step = (f @ f) > 0
     keep = dom & ~two_step
     edges = [
         HasseEdge(low=unique[b], high=unique[a]) for a, b in zip(*np.nonzero(keep))

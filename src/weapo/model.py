@@ -1,55 +1,46 @@
 """Positive-only label model: simplex-weighted vote aggregation.
 
 The scorer is ``f(v) = v . theta`` with ``theta`` on the probability
-simplex, fitted by projected subgradient descent on a convex objective:
-a squared-norm regularizer, hinge penalties on the covering-order
-constraints, and (optionally) an absolute deviation between the mean
-score and the known positive prior. With ``theta`` on the simplex every
-covering constraint holds by construction, so the hinge penalties act as
-a guard rail rather than an active force.
+simplex. Its convex objective has a squared-norm regularizer, hinge
+penalties on the covering-order constraints, and (optionally) an absolute
+deviation between the mean score and the known positive prior. Each
+covering constraint compares ``u_low . theta`` with ``u_high . theta``,
+where ``u_low - u_high`` lies in ``{0, -1}^M``; with ``theta >= 0`` every
+one holds by construction, so the hinge term is identically zero. What
+remains depends on the data only through the mean vote vector ``a``, and
+``fit`` minimizes it exactly by a 1-D search over the dual variable of
+the prior term.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
 
-from .covering import ConstraintMatrix, constraint_matrix, hasse_edges
+from .covering import ConstraintMatrix
 from .data import Dataset, Prior, build_slices, coverage_mask
 
 
 @dataclass(frozen=True)
 class WeapoConfig:
-    """Solver and objective settings.
+    """Objective settings.
 
     ``lambda_reg`` scales the squared-norm regularizer, ``prior_weight``
     the absolute prior-deviation term (used only when ``use_prior``).
-    ``step0`` is the base step size of the ``step0 / sqrt(t)`` schedule.
-    The solver stops at ``max_iters`` or once the best objective improves
-    by less than ``tol`` over a 50-iteration window.
     """
 
     lambda_reg: float = 1.0
     use_prior: bool = True
     prior_weight: float = 1.0
-    max_iters: int = 5000
-    step0: float = 0.5
-    tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be non-negative")
-        if self.prior_weight < 0:
-            raise ValueError("prior_weight must be non-negative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be non-negative")
+        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
+            raise ValueError("lambda_reg must be finite and non-negative")
+        if not (math.isfinite(self.prior_weight) and self.prior_weight >= 0):
+            raise ValueError("prior_weight must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +70,11 @@ class WeapoModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "WeapoModel":
+        """Inverse of ``to_json_dict``; unknown config keys are rejected."""
+        known = {f.name for f in fields(WeapoConfig)}
+        unknown = sorted(set(payload["config"]) - known)
+        if unknown:
+            raise ValueError(f"unknown weapo config key {unknown[0]!r} in model payload")
         return cls(
             theta=np.array(payload["theta"], dtype=np.float64),
             config=WeapoConfig(**payload["config"]),
@@ -163,28 +159,59 @@ def objective(
     return total, {"reg": reg, "hinge": hinge, "prior": prior_dev}
 
 
-def _reduced_problem(dataset: Dataset):
-    """Collapse the dataset to unique covered vote vectors.
+def _dual_search(a: np.ndarray, p: float, lam: float, w: float) -> tuple[np.ndarray, int]:
+    """Exact minimizer of ``lam*|theta|^2 + w*|a.theta - p|`` on the simplex.
 
-    Returns the slice table, Hasse edges, the (K, M) matrix of unique
-    vectors, the (d, M) matrix of low-minus-high vector differences, and
-    the mean vote vector over all N records (the gradient of the mean
-    score in theta).
+    Requires ``w > 0``. Writing ``w*|r|`` as the maximum of ``mu*r`` over
+    ``|mu| <= w`` gives, for each dual value ``mu``, the minimizer
+    ``theta(mu) = project_simplex(-mu*a/(2*lam))``, and ``a.theta(mu)``
+    does not increase as ``mu`` grows. The optimum is ``theta(+w)`` when
+    ``a.theta(+w) >= p``, ``theta(-w)`` when ``a.theta(-w) <= p``, and
+    otherwise ``theta(mu)`` at the root of ``a.theta(mu) = p``. The root
+    is bisected until no float lies between the bracket ends, and the end
+    with the lower objective is kept. Returns theta and the number of
+    projections made.
+
+    ``lam == 0`` returns the minimum-norm minimizer, the ``lam -> 0+``
+    limit. When ``p`` lies outside ``[min a, max a]`` that is the uniform
+    weight on the entries of ``a`` nearest ``p``. Otherwise it is the
+    minimizer of ``|theta|^2 + w'*|a.theta - p|`` for any ``w'`` above the
+    dual value of the constraint ``a.theta = p``. That dual value is below
+    ``2 / gap`` in size, where ``gap`` is the smallest spacing between
+    distinct entries of ``a``: beyond it ``theta(mu)`` sits on the face of
+    the smallest (or largest) entries, whose mean score misses ``p``.
     """
-    slices = build_slices(dataset)
-    if not slices.slices:
-        raise ValueError("dataset has no covered records")
-    edges = hasse_edges(slices.slices.keys())
-    u_index = {v: i for i, v in enumerate(slices.slices.keys())}
-    u = np.array(list(slices.slices.keys()), dtype=np.float64)
-    if edges:
-        low = np.array([u_index[e.low] for e in edges], dtype=np.intp)
-        high = np.array([u_index[e.high] for e in edges], dtype=np.intp)
-        diff = u[low] - u[high]
-    else:
-        diff = np.zeros((0, dataset.num_lfs), dtype=np.float64)
-    mean_votes = dataset.votes_matrix.astype(np.float64).mean(axis=0)
-    return slices, edges, u, diff, mean_votes
+    if lam == 0.0:
+        if p <= a.min() or p >= a.max():
+            face = a == (a.min() if p <= a.min() else a.max())
+            return face / face.sum(), 0
+        lam, w = 1.0, 4.0 / float(np.diff(np.unique(a)).min())
+
+    def theta_at(mu: float) -> np.ndarray:
+        return project_simplex((-mu / (2.0 * lam)) * a)
+
+    def value(th: np.ndarray) -> float:
+        return lam * float(th @ th) + w * abs(float(a @ th) - p)
+
+    theta_hi = theta_at(w)
+    if float(a @ theta_hi) >= p:
+        return theta_hi, 1
+    theta_lo = theta_at(-w)
+    if float(a @ theta_lo) <= p:
+        return theta_lo, 2
+    lo, hi = -w, w
+    projections = 2
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        theta_mid = theta_at(mid)
+        projections += 1
+        if float(a @ theta_mid) >= p:
+            lo, theta_lo = mid, theta_mid
+        else:
+            hi, theta_hi = mid, theta_mid
+    if value(theta_hi) < value(theta_lo):
+        return theta_hi, projections
+    return theta_lo, projections
 
 
 def fit(
@@ -192,7 +219,7 @@ def fit(
     prior: Prior | None = None,
     config: WeapoConfig | None = None,
 ) -> WeapoModel:
-    """Fit aggregation weights by projected subgradient descent.
+    """Fit aggregation weights exactly by a 1-D dual search.
 
     Parameters
     ----------
@@ -205,75 +232,46 @@ def fit(
     Returns
     -------
     WeapoModel
-        The best iterate found. ``diagnostics`` carries the final
-        objective with its per-term breakdown, the iteration count, a
-        convergence flag, and the non-increasing best-objective history.
+        The exact minimizer. ``diagnostics`` carries the objective with
+        its per-term breakdown, the number of simplex projections made
+        (``iterations``), ``converged`` (always true), and the number of
+        distinct covered vote vectors (``num_slices``).
 
     Notes
     -----
-    Deterministic: identical inputs produce bitwise-identical theta. The
-    iteration starts at the uniform vector, steps along the negative
-    subgradient with step size ``step0 / sqrt(t)``, projects back onto
-    the simplex, and reports the iterate with the lowest objective seen.
+    Deterministic: identical inputs produce bitwise-identical theta. On
+    the simplex the hinge term is identically zero, so the objective
+    reduces to ``lam*|theta|^2 + w*|a.theta - p|`` with ``a`` the mean
+    vote vector over all records, which ``_dual_search`` minimizes. Without
+    the prior term (``use_prior`` off or ``prior_weight == 0``) the
+    minimizer is the uniform vector.
     """
     cfg = config if config is not None else WeapoConfig()
     if cfg.use_prior and prior is None:
         raise ValueError("config.use_prior is set but no prior was given")
-    slices, edges, _, diff, mean_votes = _reduced_problem(dataset)
+    slices = build_slices(dataset)
+    if not slices.slices:
+        raise ValueError("dataset has no covered records")
     m = dataset.num_lfs
-
-    def reduced_objective(th: np.ndarray) -> float:
-        total = cfg.lambda_reg * float(th @ th)
-        if diff.shape[0]:
-            total += float(np.maximum(diff @ th, 0.0).sum())
-        if cfg.use_prior:
-            total += cfg.prior_weight * abs(float(mean_votes @ th) - prior.p_plus)
-        return total
-
-    theta = np.full(m, 1.0 / m, dtype=np.float64)
-    best_theta = theta.copy()
-    best_value = reduced_objective(theta)
-    history = [best_value]
-    window = 50
-    converged = False
-    iterations = 0
-    for t in range(1, cfg.max_iters + 1):
-        iterations = t
-        grad = 2.0 * cfg.lambda_reg * theta
-        if diff.shape[0]:
-            active = diff @ theta > 0.0
-            if active.any():
-                grad = grad + diff[active].sum(axis=0)
-        if cfg.use_prior:
-            residual = float(mean_votes @ theta) - prior.p_plus
-            if residual > 0.0:
-                grad = grad + cfg.prior_weight * mean_votes
-            elif residual < 0.0:
-                grad = grad - cfg.prior_weight * mean_votes
-        theta = project_simplex(theta - (cfg.step0 / np.sqrt(t)) * grad)
-        value = reduced_objective(theta)
-        if value < best_value:
-            best_value = value
-            best_theta = theta.copy()
-        history.append(best_value)
-        if t >= window and history[-window - 1] - best_value < cfg.tol:
-            converged = True
-            break
-
-    constraints = constraint_matrix(slices, edges)
-    total, terms = objective(best_theta, constraints, dataset, prior, cfg)
+    mean_votes = dataset.votes_matrix.astype(np.float64).mean(axis=0)
+    if cfg.use_prior and cfg.prior_weight > 0.0:
+        theta, projections = _dual_search(
+            mean_votes, prior.p_plus, cfg.lambda_reg, cfg.prior_weight
+        )
+    else:
+        theta, projections = np.full(m, 1.0 / m, dtype=np.float64), 0
+    reg = cfg.lambda_reg * float(theta @ theta)
+    prior_dev = abs(float(mean_votes @ theta) - prior.p_plus) if cfg.use_prior else 0.0
     diagnostics: dict[str, Any] = {
-        "objective": total,
-        "reg": terms["reg"],
-        "hinge": terms["hinge"],
-        "prior": terms["prior"],
-        "iterations": iterations,
-        "converged": converged,
-        "num_edges": len(edges),
+        "objective": reg + cfg.prior_weight * prior_dev,
+        "reg": reg,
+        "hinge": 0.0,
+        "prior": prior_dev,
+        "iterations": projections,
+        "converged": True,
         "num_slices": len(slices.slices),
-        "objective_history": history,
     }
-    return WeapoModel(theta=best_theta, config=cfg, diagnostics=diagnostics)
+    return WeapoModel(theta=theta, config=cfg, diagnostics=diagnostics)
 
 
 def fit_supervised(dataset: Dataset, config: WeapoConfig | None = None) -> WeapoModel:
@@ -282,7 +280,8 @@ def fit_supervised(dataset: Dataset, config: WeapoConfig | None = None) -> Weapo
     Minimizes the mean squared error between covered-record scores and
     gold targets mapped to {0, 1}, over the probability simplex, by
     projected gradient descent with a fixed ``1/L`` step. Serves as the
-    fully supervised skyline for the same model class.
+    fully supervised skyline for the same model class. Stops once the
+    gradient mapping norm is at most 1e-6 or after 5000 steps.
     """
     cfg = config if config is not None else WeapoConfig()
     mask = coverage_mask(dataset).astype(bool)
@@ -303,7 +302,7 @@ def fit_supervised(dataset: Dataset, config: WeapoConfig | None = None) -> Weapo
     theta = np.full(m, 1.0 / m, dtype=np.float64)
     grad_map_norm = np.inf
     iterations = 0
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, 5001):
         iterations = t
         grad = gram @ theta - linear
         theta_next = project_simplex(theta - step * grad)

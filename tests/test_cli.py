@@ -179,6 +179,16 @@ class TestFitCommand:
         assert payload["model_type"] == "ds"
         assert np.array(payload["confusion"]).shape == (3, 2, 2)
 
+    def test_ds_warns_once_at_iteration_cap(self, informative_files, tmp_path, capsys):
+        base = ["fit", informative_files["train"], "--model", "ds", "--quiet"]
+        assert main(base + ["--out", str(tmp_path / "full.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(base + ["--out", str(tmp_path / "cap.json"), "--max-iters", "1"]) == 0
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("warning: ds:")
+        assert "iteration cap" in err_lines[0]
+
     def test_weapo_without_prior_is_usage_error(self, informative_files, tmp_path, capsys):
         code = main(
             ["fit", informative_files["train"], "--model", "weapo",
@@ -269,6 +279,21 @@ class TestEvalCommand:
         assert main(["eval", model, test, "--quiet"]) == 1
         assert "labeling functions" in capsys.readouterr().err
 
+    def test_model_file_with_unknown_config_key(self, tmp_path, capsys):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        model = tmp_path / "old.json"
+        model.write_text(json.dumps({
+            "model_type": "weapo",
+            "theta": [0.5, 0.5],
+            "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0,
+                       "max_iters": 5000},
+        }))
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'max_iters'" in err
+        assert "Traceback" not in err
+
     def test_missing_gold(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)])
@@ -320,6 +345,20 @@ class TestEndCommand:
         config = read_json(out)["config"]
         assert config["alpha"] == 0.5
         assert config["gamma"] == 0.3
+
+    def test_out_of_memory_is_clean_error(self, feature_files, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.7 GiB")
+
+        monkeypatch.setattr("weapo.cli.fit_krr", exhausted)
+        code = main(
+            ["end", feature_files["model"], feature_files["train"],
+             feature_files["test"], "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
 
     def test_train_without_features(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
@@ -392,6 +431,18 @@ class TestCompareCommand:
         assert "M >= 3" in rows["fs"]["error"]
         assert rows["fs"]["roc_auc"] is None
         assert rows["mv"]["error"] is None
+
+    def test_ds_warns_once_at_iteration_cap(self, informative_files, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", informative_files["train"], informative_files["test"],
+             "--models", "ds,mv", "--max-iters", "1", "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("warning: ds:")
+        assert all(row["error"] is None for row in read_json(out)["rows"])
 
     def test_empty_model_list_is_usage_error(self, informative_files, capsys):
         code = main(
