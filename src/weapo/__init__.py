@@ -33,8 +33,10 @@ from .data import (
     Prior,
     Record,
     SliceTable,
+    VotePatterns,
     VoteVector,
     build_slices,
+    compress_votes,
     coverage_mask,
     load_dataset,
     save_dataset,
@@ -87,10 +89,12 @@ __all__ = [
     "SyntheticSpec",
     "TargetPolicy",
     "UndefinedMetricError",
+    "VotePatterns",
     "VoteVector",
     "WeapoConfig",
     "WeapoModel",
     "build_slices",
+    "compress_votes",
     "constraint_matrix",
     "convert_abstain",
     "coverage_mask",

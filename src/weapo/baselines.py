@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.special import expit, xlog1py, xlogy
 
-from .data import Dataset, Prior
+from .data import Dataset, Prior, compress_votes
 
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
@@ -39,8 +39,9 @@ def mv_score(votes: Sequence[int]) -> float:
 
 
 def mv_scores(dataset: Dataset) -> np.ndarray:
-    """Majority-vote scores for every record."""
-    return dataset.votes_matrix.astype(np.float64).mean(axis=1)
+    """Majority-vote scores for every record, computed once per vote pattern."""
+    pats = dataset.patterns
+    return pats.rows.astype(np.float64).mean(axis=1)[pats.inverse]
 
 
 def _check_signed(signed: np.ndarray) -> np.ndarray:
@@ -84,26 +85,49 @@ class DSModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "DSModel":
+        """Inverse of ``to_json_dict``. Rejects a class prior outside
+        (0, 1) and confusions that are not (M, 2, 2) with entries in [0, 1]."""
+        prior, confusion = _payload_arrays(payload, "ds", "class_prior", "confusion")
+        if not 0.0 < prior < 1.0:
+            raise ValueError(f"ds class_prior must lie strictly in (0, 1), got {prior!r}")
+        if confusion.ndim != 3 or confusion.shape[0] == 0 or confusion.shape[1:] != (2, 2):
+            raise ValueError(f"ds confusion must have shape (M, 2, 2), got {confusion.shape}")
+        if not ((confusion >= 0.0) & (confusion <= 1.0)).all():
+            raise ValueError("ds confusion entries must lie in [0, 1]")
         return cls(
-            class_prior=float(payload["class_prior"]),
-            confusion=np.array(payload["confusion"], dtype=np.float64),
+            class_prior=prior,
+            confusion=confusion,
             diagnostics=dict(payload.get("diagnostics", {})),
         )
 
 
+def _payload_arrays(
+    payload: dict[str, Any], kind: str, prior_key: str, array_key: str
+) -> tuple[float, np.ndarray]:
+    """The class prior and the parameter array of a serialized model."""
+    try:
+        return float(payload[prior_key]), np.array(payload[array_key], dtype=np.float64)
+    except KeyError as missing:
+        raise ValueError(f"{kind} model payload lacks key {missing}") from None
+    except TypeError as err:
+        raise ValueError(f"malformed {kind} model payload ({err})") from None
+
+
 def _ds_objective(
     v01: np.ndarray,
+    weights: np.ndarray,
     pi: float,
     pos_fire: np.ndarray,
     neg_fire: np.ndarray,
     smoothing: float,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Penalized EM objective plus the per-record class log-scores.
+    """Penalized EM objective plus the per-pattern class log-scores.
 
-    The data term is summed with ``math.fsum`` so the recorded history is
-    monotone down to rounding of the final digit rather than of the
-    accumulated sum. ``xlogy``-style products keep zero-count terms at
-    exactly zero even when a rate sits on the boundary.
+    ``v01`` holds the distinct vote patterns and ``weights`` their record
+    counts. The data term is summed with ``math.fsum`` so the recorded
+    history is monotone down to rounding of the final digit rather than
+    of the accumulated sum. ``xlogy``-style products keep zero-count
+    terms at exactly zero even when a rate sits on the boundary.
     """
     lp = (
         math.log(pi)
@@ -115,7 +139,7 @@ def _ds_objective(
         + xlogy(v01, neg_fire).sum(axis=1)
         + xlog1py(1.0 - v01, -neg_fire).sum(axis=1)
     )
-    data_term = math.fsum(np.logaddexp(lp, ln))
+    data_term = math.fsum(weights * np.logaddexp(lp, ln))
     penalty = 0.0
     if smoothing > 0.0:
         penalty = smoothing * (
@@ -156,6 +180,8 @@ def ds_fit(
 
     Notes
     -----
+    Records with the same votes share one responsibility, so EM runs
+    over the K distinct vote patterns, each weighted by its record count.
     Without ``init_confusion``, responsibilities start at the mean of the
     per-record positive-vote fraction and the prior, and the first
     parameter estimate is one M-step from there. After convergence the
@@ -166,17 +192,21 @@ def ds_fit(
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     n, m = signed.shape
-    v01 = (signed > 0).astype(np.float64)
+    pats = compress_votes(signed)
+    v01 = pats.rows.astype(np.float64)
+    weights = pats.counts.astype(np.float64)
 
     def m_step(resp: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         # Exact ratios of counts stay in [0, 1]; the clip only removes
         # one-ulp float overshoot that would poison the log terms.
-        total_pos = resp.sum()
+        pos_weight = weights * resp
+        total_pos = pos_weight.sum()
         pos_fire = np.clip(
-            (v01.T @ resp + smoothing) / (total_pos + 2.0 * smoothing), 0.0, 1.0
+            (v01.T @ pos_weight + smoothing) / (total_pos + 2.0 * smoothing), 0.0, 1.0
         )
         neg_fire = np.clip(
-            (v01.T @ (1.0 - resp) + smoothing) / ((n - total_pos) + 2.0 * smoothing),
+            (v01.T @ (weights * (1.0 - resp)) + smoothing)
+            / ((n - total_pos) + 2.0 * smoothing),
             0.0,
             1.0,
         )
@@ -194,7 +224,10 @@ def ds_fit(
         resp0 = 0.5 * v01.mean(axis=1) + 0.5 * init_prior.p_plus
         pi, pos_fire, neg_fire = m_step(resp0)
 
-    objective, data_ll, lp, ln = _ds_objective(v01, pi, pos_fire, neg_fire, smoothing)
+    def objective_at(pi, pos_fire, neg_fire):
+        return _ds_objective(v01, weights, pi, pos_fire, neg_fire, smoothing)
+
+    objective, data_ll, lp, ln = objective_at(pi, pos_fire, neg_fire)
     history = [objective]
     converged = False
     iterations = 0
@@ -202,7 +235,7 @@ def ds_fit(
         iterations = t
         resp = expit(lp - ln)
         pi, pos_fire, neg_fire = m_step(resp)
-        objective, data_ll, lp, ln = _ds_objective(v01, pi, pos_fire, neg_fire, smoothing)
+        objective, data_ll, lp, ln = objective_at(pi, pos_fire, neg_fire)
         history.append(objective)
         if history[-1] - history[-2] < tol:
             converged = True
@@ -211,12 +244,12 @@ def ds_fit(
     # Canonicalize label switching: class +1 is the one whose
     # posterior-weighted mean signed vote is larger.
     resp = expit(lp - ln)
-    mean_signed = signed.astype(np.float64).mean(axis=1)
-    weight_pos = resp.sum()
+    mean_signed = (2.0 * v01 - 1.0).mean(axis=1)
+    weight_pos = float(weights @ resp)
     weight_neg = n - weight_pos
     if weight_pos > 0.0 and weight_neg > 0.0:
-        side_pos = float(resp @ mean_signed) / weight_pos
-        side_neg = float((1.0 - resp) @ mean_signed) / weight_neg
+        side_pos = float((weights * resp) @ mean_signed) / weight_pos
+        side_neg = float((weights * (1.0 - resp)) @ mean_signed) / weight_neg
         if side_pos < side_neg:
             pi = 1.0 - pi
             pos_fire, neg_fire = neg_fire.copy(), pos_fire.copy()
@@ -236,8 +269,8 @@ def ds_fit(
     return DSModel(class_prior=float(pi), confusion=confusion, diagnostics=diagnostics)
 
 
-def _ds_log_scores(model: DSModel, signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v01 = (signed > 0).astype(np.float64)
+def _ds_log_scores(model: DSModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v01 = rows.astype(np.float64)
     conf = model.confusion
     lp = (
         math.log(model.class_prior)
@@ -259,11 +292,12 @@ def ds_posteriors(model: DSModel, signed_votes: SignedVotes) -> np.ndarray:
         raise ValueError(
             f"votes have {signed.shape[1]} columns, model expects {model.num_lfs}"
         )
-    lp, ln = _ds_log_scores(model, signed)
+    pats = compress_votes(signed)
+    lp, ln = _ds_log_scores(model, pats.rows)
     impossible = np.isneginf(lp) & np.isneginf(ln)
     if impossible.any():
         raise ValueError("vote vector has zero probability under the model")
-    return expit(lp - ln)
+    return expit(lp - ln)[pats.inverse]
 
 
 def ds_posterior(model: DSModel, signed_votes: Sequence[int]) -> float:
@@ -290,10 +324,16 @@ class FSModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "FSModel":
-        return cls(
-            accuracies=np.array(payload["accuracies"], dtype=np.float64),
-            class_prior=float(payload["class_prior"]),
-        )
+        """Inverse of ``to_json_dict``. Rejects accuracies outside [0, 1)
+        and a class prior outside (0, 1)."""
+        prior, accuracies = _payload_arrays(payload, "fs", "class_prior", "accuracies")
+        if not 0.0 < prior < 1.0:
+            raise ValueError(f"fs class_prior must lie strictly in (0, 1), got {prior!r}")
+        if accuracies.ndim != 1 or accuracies.size == 0:
+            raise ValueError("fs accuracies must be a non-empty list of numbers")
+        if not ((accuracies >= 0.0) & (accuracies < 1.0)).all():
+            raise ValueError("fs accuracies must lie in [0, 1)")
+        return cls(accuracies=accuracies, class_prior=prior)
 
 
 def fs_fit_from_moments(
@@ -351,17 +391,18 @@ def fs_fit(signed_votes: SignedVotes, prior: Prior, eps_clip: float = 1e-4) -> F
 def fs_posteriors(model: FSModel, signed_votes: SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) treating functions as conditionally independent
     symmetric channels with accuracy (1 + a_j) / 2."""
-    signed = _check_signed(signed_votes).astype(np.float64)
+    signed = _check_signed(signed_votes)
     if signed.shape[1] != model.num_lfs:
         raise ValueError(
             f"votes have {signed.shape[1]} columns, model expects {model.num_lfs}"
         )
-    av = signed * model.accuracies
+    pats = compress_votes(signed)
+    av = (2.0 * pats.rows - 1.0) * model.accuracies
     logit = (
         math.log(model.class_prior) - math.log1p(-model.class_prior)
         + (np.log1p(av) - np.log1p(-av)).sum(axis=1)
     )
-    return expit(logit)
+    return expit(logit)[pats.inverse]
 
 
 def fs_posterior(model: FSModel, signed_votes: Sequence[int]) -> float:

@@ -132,6 +132,14 @@ def _fit_payload(name: str, train: Dataset, prior_value: float | None, args) -> 
     raise CliUsageError(f"unknown model {name!r}")
 
 
+def _read_model(path: str) -> dict[str, Any]:
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model file holds one JSON object")
+    return payload
+
+
 def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
     """Scores for every record of ``dataset`` under a serialized model."""
     kind = payload.get("model_type")
@@ -140,10 +148,10 @@ def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
         scores, _ = predict_dataset(model, dataset)
         return scores
     if kind == "mv":
-        if payload["num_lfs"] != dataset.num_lfs:
+        if payload.get("num_lfs") != dataset.num_lfs:
             raise ValueError(
                 f"dataset has {dataset.num_lfs} labeling functions, "
-                f"model expects {payload['num_lfs']}"
+                f"model expects {payload.get('num_lfs')}"
             )
         return mv_scores(dataset)
     if kind == "ds":
@@ -188,8 +196,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_model(args.model)
     test = load_dataset(args.test)
     gold = _require_gold(test, args.test)
     scores = _model_scores(payload, test)
@@ -223,8 +230,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_end(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_model(args.model)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
     if train.features_matrix is None:
@@ -407,7 +413,7 @@ def cmd_synth(args) -> int:
     _emit(run_payload, args.out + ".run.json")
     if not args.quiet:
         covered = int(coverage_mask(dataset).sum())
-        positives = sum(1 for r in dataset.records if r.gold == 1)
+        positives = int((dataset.gold == 1).sum())
         _print_table(
             ["n", "num_lfs", "covered", "positives", "out"],
             [[str(len(dataset)), str(dataset.num_lfs), str(covered),

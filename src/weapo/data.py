@@ -1,22 +1,34 @@
-"""Dataset container, slice construction, and JSON Lines persistence.
+"""Columnar dataset, vote-pattern compression, and JSON Lines persistence.
 
-Records carry binary labeling-function votes (1 = fire positive, 0 =
-abstain), optional dense features, and an optional gold label in {-1, +1}.
-A *slice* groups the covered records that share an exact vote vector.
+A dataset holds its records as columns: a tuple of ids, an (N, M) int8
+matrix of labeling-function votes (1 = fire positive, 0 = abstain),
+optional (N, F) float features, and (N,) gold labels in {-1, +1} with 0
+marking a record that has none. ``Record`` and ``Dataset.from_records``
+build a dataset by hand; nothing in the package iterates over records.
+
+Because every function either fires or abstains, each label model sees a
+record only through its vote row. ``Dataset.patterns`` compresses the
+rows once into the K distinct patterns, their counts and a per-record
+inverse; models compute one value per pattern and gather it back with
+the inverse. A *slice* groups the covered records that share a pattern.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence
 
 import numpy as np
 
 VoteVector = tuple[int, ...]
 """Vote bits of one record, in labeling-function index order."""
+
+_RECORD_KEYS = frozenset(("id", "votes", "features", "label"))
+_META_KEYS = frozenset(("num_lfs", "lf_names"))
 
 
 class DatasetFormatError(ValueError):
@@ -25,7 +37,7 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Record:
-    """One data point: an id, vote bits, optional features and gold label."""
+    """One hand-built data point for ``Dataset.from_records``."""
 
     id: str
     votes: VoteVector
@@ -44,67 +56,118 @@ class Prior:
             raise ValueError(f"p_plus must lie strictly in (0, 1), got {self.p_plus}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class VotePatterns:
+    """The distinct rows of a vote matrix, in first-occurrence order.
+
+    ``rows`` is (K, M) int8 over {0, 1}, ``counts[k]`` is the number of
+    records whose votes equal ``rows[k]``, and ``rows[inverse]`` rebuilds
+    the (N, M) matrix.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+
+def compress_votes(votes: np.ndarray) -> VotePatterns:
+    """Compress an (N, M) matrix whose entries are positive where a vote fired.
+
+    Each row is packed to bits and keyed as one fixed-width byte string,
+    so the distinct rows come from a 1-D sort instead of a row-wise one.
+    """
+    bits = np.asarray(votes) > 0
+    packed = np.packbits(bits, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return VotePatterns(
+        rows=bits[first[order]].astype(np.int8),
+        counts=counts[order],
+        inverse=rank[inverse],
+    )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of records with a fixed labeling-function count.
+    """Immutable columnar dataset with a fixed labeling-function count.
 
     Parameters
     ----------
-    records : tuple of Record
-        The data points, in file/application order.
-    num_lfs : int
-        Number of labeling functions M; every record must carry M vote bits.
+    ids : sequence of str
+        Record ids, unique, in file/application order.
+    votes_matrix : (N, M) array over {0, 1}
+        One row of vote bits per record; M is the labeling-function count.
+    features_matrix : (N, F) array, optional
+        Finite dense features, present for every record or for none.
+    gold : (N,) array over {-1, 0, +1}, optional
+        Gold labels, 0 where a record has none; omitted means no labels.
     lf_names : tuple of str, optional
         Human-readable labeling-function names, length M when present.
 
     Notes
     -----
     Validation happens at construction: vote values outside {0, 1}, gold
-    outside {-1, +1}, duplicate ids, or inconsistent vote/feature widths
-    all raise ``DatasetFormatError``.
+    outside {-1, +1}, duplicate ids, or inconsistent widths all raise
+    ``DatasetFormatError``. The arrays are stored read-only, so the cached
+    pattern compression stays valid.
     """
 
-    records: tuple[Record, ...]
-    num_lfs: int
+    ids: tuple[str, ...]
+    votes_matrix: np.ndarray
+    features_matrix: np.ndarray | None = None
+    gold: np.ndarray | None = None
     lf_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.num_lfs < 1:
+        ids = tuple(self.ids)
+        votes = np.asarray(self.votes_matrix)
+        if votes.ndim != 2:
+            raise DatasetFormatError("votes_matrix must be an (N, M) array")
+        if votes.shape[1] < 1:
             raise DatasetFormatError("num_lfs must be at least 1")
-        if self.lf_names is not None and len(self.lf_names) != self.num_lfs:
-            raise DatasetFormatError(
-                f"{len(self.lf_names)} lf_names for {self.num_lfs} labeling functions"
-            )
-        seen: set[str] = set()
-        has_features = bool(self.records) and self.records[0].features is not None
-        feature_dim: int | None = None
-        for rec in self.records:
-            if rec.id in seen:
-                raise DatasetFormatError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            if len(rec.votes) != self.num_lfs:
-                raise DatasetFormatError(
-                    f"record {rec.id!r} has {len(rec.votes)} votes, expected {self.num_lfs}"
-                )
-            if any(v not in (0, 1) for v in rec.votes):
-                raise DatasetFormatError(f"record {rec.id!r} has a vote outside {{0, 1}}")
-            if rec.gold is not None and rec.gold not in (-1, 1):
-                raise DatasetFormatError(f"record {rec.id!r} has gold outside {{-1, +1}}")
-            if (rec.features is not None) != has_features:
-                raise DatasetFormatError(
-                    f"record {rec.id!r} disagrees with the rest of the dataset "
-                    "on feature presence"
-                )
-            if rec.features is not None:
-                if feature_dim is None:
-                    feature_dim = len(rec.features)
-                elif len(rec.features) != feature_dim:
-                    raise DatasetFormatError(
-                        f"record {rec.id!r} has {len(rec.features)} features, "
-                        f"expected {feature_dim}"
-                    )
-                if not all(math.isfinite(x) for x in rec.features):
-                    raise DatasetFormatError(f"record {rec.id!r} has non-finite features")
+        n, m = votes.shape
+        if len(ids) != n:
+            raise DatasetFormatError(f"{len(ids)} ids for {n} vote rows")
+        if self.lf_names is not None and len(self.lf_names) != m:
+            raise DatasetFormatError(f"{len(self.lf_names)} lf_names for {m} labeling functions")
+        bad = ~((votes == 0) | (votes == 1)).all(axis=1)
+        if bad.any():
+            raise DatasetFormatError(f"record {ids[bad.argmax()]!r} has a vote outside {{0, 1}}")
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            duplicate = next(i for i in ids if i in seen or seen.add(i))
+            raise DatasetFormatError(f"duplicate record id {duplicate!r}")
+        gold = np.zeros(n, dtype=np.int8) if self.gold is None else np.asarray(self.gold)
+        if gold.shape != (n,):
+            raise DatasetFormatError(f"gold must have shape ({n},), got {gold.shape}")
+        bad = (gold != -1) & (gold != 0) & (gold != 1)
+        if bad.any():
+            raise DatasetFormatError(f"record {ids[bad.argmax()]!r} has gold outside {{-1, +1}}")
+        features = self.features_matrix
+        if features is not None:
+            features = np.array(features, dtype=np.float64)
+            if features.ndim != 2 or features.shape[0] != n:
+                raise DatasetFormatError(f"features must have shape ({n}, F)")
+            bad = ~np.isfinite(features).all(axis=1)
+            if bad.any():
+                raise DatasetFormatError(f"record {ids[bad.argmax()]!r} has non-finite features")
+            features = _frozen(features)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "votes_matrix", _frozen(votes.astype(np.int8)))
+        object.__setattr__(self, "features_matrix", features)
+        object.__setattr__(self, "gold", _frozen(gold.astype(np.int8)))
+        if self.lf_names is not None:
+            object.__setattr__(self, "lf_names", tuple(self.lf_names))
 
     @classmethod
     def from_records(
@@ -116,37 +179,81 @@ class Dataset:
         recs = tuple(records)
         if not recs:
             raise DatasetFormatError("cannot infer num_lfs from an empty record list")
-        names = tuple(lf_names) if lf_names is not None else None
-        return cls(records=recs, num_lfs=len(recs[0].votes), lf_names=names)
+        m = len(recs[0].votes)
+        has_features = recs[0].features is not None
+        feature_dim = len(recs[0].features) if has_features else 0
+        for rec in recs:
+            if len(rec.votes) != m:
+                raise DatasetFormatError(
+                    f"record {rec.id!r} has {len(rec.votes)} votes, expected {m}"
+                )
+            if (rec.features is not None) != has_features:
+                raise DatasetFormatError(
+                    f"record {rec.id!r} disagrees with the rest of the dataset "
+                    "on feature presence"
+                )
+            if has_features and len(rec.features) != feature_dim:
+                raise DatasetFormatError(
+                    f"record {rec.id!r} has {len(rec.features)} features, "
+                    f"expected {feature_dim}"
+                )
+            if rec.gold not in (None, -1, 1):
+                raise DatasetFormatError(f"record {rec.id!r} has gold outside {{-1, +1}}")
+        return cls(
+            ids=tuple(rec.id for rec in recs),
+            votes_matrix=np.array([rec.votes for rec in recs]).reshape(len(recs), m),
+            features_matrix=(
+                np.array([rec.features for rec in recs], dtype=np.float64).reshape(
+                    len(recs), feature_dim
+                )
+                if has_features
+                else None
+            ),
+            gold=np.array([rec.gold or 0 for rec in recs], dtype=np.int8),
+            lf_names=tuple(lf_names) if lf_names is not None else None,
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    @cached_property
-    def votes_matrix(self) -> np.ndarray:
-        """(N, M) int8 array of vote bits, one row per record."""
-        if not self.records:
-            return np.zeros((0, self.num_lfs), dtype=np.int8)
-        return np.array([r.votes for r in self.records], dtype=np.int8)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        if (self.features_matrix is None) != (other.features_matrix is None):
+            return False
+        return (
+            self.ids == other.ids
+            and self.lf_names == other.lf_names
+            and np.array_equal(self.votes_matrix, other.votes_matrix)
+            and np.array_equal(self.gold, other.gold)
+            and (
+                self.features_matrix is None
+                or np.array_equal(self.features_matrix, other.features_matrix)
+            )
+        )
 
-    @cached_property
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def num_lfs(self) -> int:
+        return int(self.votes_matrix.shape[1])
+
+    @property
     def label_matrix(self) -> np.ndarray:
         """(M, N) transposed view: one row per labeling function."""
         return self.votes_matrix.T
 
-    @cached_property
-    def features_matrix(self) -> np.ndarray | None:
-        """(N, F) float array of features, or None when absent."""
-        if not self.records or self.records[0].features is None:
+    @property
+    def gold_array(self) -> np.ndarray | None:
+        """(N,) int8 gold labels, or None unless every record has one."""
+        if len(self) == 0 or not self.gold.all():
             return None
-        return np.array([r.features for r in self.records], dtype=np.float64)
+        return self.gold
 
     @cached_property
-    def gold_array(self) -> np.ndarray | None:
-        """(N,) int8 array of gold labels, or None unless every record has one."""
-        if not self.records or any(r.gold is None for r in self.records):
-            return None
-        return np.array([r.gold for r in self.records], dtype=np.int8)
+    def patterns(self) -> VotePatterns:
+        """The distinct vote rows, computed once per dataset."""
+        return compress_votes(self.votes_matrix)
 
 
 @dataclass(frozen=True)
@@ -176,33 +283,34 @@ def build_slices(dataset: Dataset) -> SliceTable:
         Slice keys appear in first-occurrence order; member index lists
         follow dataset record order.
     """
-    slices: dict[VoteVector, list[int]] = {}
-    uncovered: list[int] = []
-    for i, rec in enumerate(dataset.records):
-        if any(rec.votes):
-            slices.setdefault(rec.votes, []).append(i)
+    pats = dataset.patterns
+    members = np.split(np.argsort(pats.inverse, kind="stable"), np.cumsum(pats.counts)[:-1])
+    slices: dict[VoteVector, tuple[int, ...]] = {}
+    uncovered: tuple[int, ...] = ()
+    for row, group in zip(pats.rows.tolist(), members):
+        if any(row):
+            slices[tuple(row)] = tuple(group.tolist())
         else:
-            uncovered.append(i)
-    return SliceTable(
-        slices={v: tuple(members) for v, members in slices.items()},
-        uncovered=tuple(uncovered),
-        num_records=len(dataset.records),
-    )
+            uncovered = tuple(group.tolist())
+    return SliceTable(slices=slices, uncovered=uncovered, num_records=len(dataset))
 
 
 def coverage_mask(dataset: Dataset) -> np.ndarray:
     """Binary (N,) mask: 1 where at least one labeling function fired."""
-    if not dataset.records:
-        return np.zeros(0, dtype=np.int8)
-    return (dataset.votes_matrix.any(axis=1)).astype(np.int8)
+    return dataset.votes_matrix.any(axis=1).astype(np.int8)
 
 
 def _parse_meta(obj: dict, lineno: int) -> tuple[int | None, tuple[str, ...] | None]:
     meta = obj["meta"]
+    if len(obj) != 1:
+        raise DatasetFormatError(f"line {lineno}: the meta line holds only the meta key")
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"line {lineno}: meta must be an object")
+    if not meta.keys() <= _META_KEYS:
+        unknown = sorted(meta.keys() - _META_KEYS)[0]
+        raise DatasetFormatError(f"line {lineno}: unknown meta key {unknown!r}")
     num_lfs = meta.get("num_lfs")
-    if num_lfs is not None and (not isinstance(num_lfs, int) or num_lfs < 1):
+    if num_lfs is not None and (type(num_lfs) is not int or num_lfs < 1):
         raise DatasetFormatError(f"line {lineno}: meta num_lfs must be a positive integer")
     names = meta.get("lf_names")
     if names is not None:
@@ -212,27 +320,71 @@ def _parse_meta(obj: dict, lineno: int) -> tuple[int | None, tuple[str, ...] | N
     return num_lfs, names
 
 
-def _parse_record(obj: dict, lineno: int) -> Record:
-    try:
-        rid = obj["id"]
-        votes = obj["votes"]
-    except KeyError as missing:
-        raise DatasetFormatError(f"line {lineno}: missing key {missing}") from None
-    if not isinstance(rid, str):
-        raise DatasetFormatError(f"line {lineno}: id must be a string")
-    if not isinstance(votes, list) or any(v not in (0, 1) for v in votes):
-        raise DatasetFormatError(f"line {lineno}: votes must be a list of 0/1 values")
-    features = obj.get("features")
-    if features is not None:
-        if not isinstance(features, list) or not all(
-            isinstance(x, (int, float)) and math.isfinite(x) for x in features
-        ):
-            raise DatasetFormatError(f"line {lineno}: features must be a list of finite numbers")
-        features = tuple(float(x) for x in features)
-    gold = obj.get("label")
-    if gold is not None and gold not in (-1, 1):
-        raise DatasetFormatError(f"line {lineno}: label must be -1 or 1")
-    return Record(id=rid, votes=tuple(int(v) for v in votes), features=features, gold=gold)
+class _Columns:
+    """Record objects of one file, checked column by column.
+
+    Each check runs over a whole column; only when it fails does a loop
+    look for the first offending record, whose line number it reports.
+    """
+
+    def __init__(self, objs: list[dict], linenos: list[int]) -> None:
+        self.objs = objs
+        self.linenos = linenos
+
+    def fail(self, index: int, message: str) -> None:
+        raise DatasetFormatError(f"line {self.linenos[index]}: {message}")
+
+    def required(self, key: str, kind: type, message: str) -> list:
+        values = [obj.get(key) for obj in self.objs]
+        if not set(map(type, values)) <= {kind}:
+            i = next(i for i, v in enumerate(values) if type(v) is not kind)
+            self.fail(i, f"missing key {key!r}" if key not in self.objs[i] else message)
+        return values
+
+    def optional(self, key: str) -> tuple[np.ndarray, list]:
+        present = np.array([key in obj for obj in self.objs], dtype=bool)
+        return present, [obj[key] for obj in self.objs if key in obj]
+
+    def matrix(
+        self,
+        rows: list,
+        where: np.ndarray,
+        width: int | None,
+        kinds: set[type],
+        dtype: type,
+        noun: str,
+    ) -> np.ndarray:
+        """Stack lists of numbers into an array, or name the first bad line.
+
+        ``where`` marks the records the rows belong to; ``width`` is the
+        required row length (the first row's when None).
+        """
+        index = np.flatnonzero(where)
+        message = f"{noun} must be a list of " + (
+            "0/1 integers" if kinds == {int} else "finite numbers"
+        )
+        if not set(map(type, rows)) <= {list}:
+            self.fail(index[next(i for i, r in enumerate(rows) if type(r) is not list)], message)
+        if width is None:
+            width = len(rows[0]) if rows else 0
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        if (lengths != width).any():
+            i = int((lengths != width).argmax())
+            self.fail(index[i], f"record has {lengths[i]} {noun}, expected {width}")
+        if not set(map(type, chain.from_iterable(rows))) <= kinds:
+            self.fail(
+                index[next(i for i, r in enumerate(rows) if not set(map(type, r)) <= kinds)],
+                message,
+            )
+        try:
+            return np.array(rows, dtype=dtype).reshape(len(rows), width)
+        except OverflowError:
+            for i, row in enumerate(rows):
+                try:
+                    np.array(row, dtype=dtype)
+                except OverflowError:
+                    self.fail(index[i], message)
+            raise
 
 
 def load_dataset(path: str) -> Dataset:
@@ -240,47 +392,90 @@ def load_dataset(path: str) -> Dataset:
 
     The first line may be a meta object ``{"meta": {"num_lfs": M,
     "lf_names": [...]}}``; every other line is one record object with keys
-    ``id``, ``votes``, and optionally ``features`` and ``label``.
+    ``id`` (a string), ``votes`` (a list of the integers 0 and 1), and
+    optionally ``features`` (a list of finite numbers, on every record or
+    on none) and ``label`` (the integer -1 or 1). Any other key, a JSON
+    ``true``/``false`` or ``null`` where a number belongs, and a
+    non-integer label are errors.
 
     Raises
     ------
     DatasetFormatError
-        On malformed JSON (with the offending line number), inconsistent
-        vote or feature widths, duplicate ids, or out-of-range values.
+        On malformed JSON, unknown keys, wrong JSON types, inconsistent
+        vote or feature widths, or out-of-range values, each with the
+        offending line number; on duplicate ids with the id.
     """
-    records: list[Record] = []
+    objs: list[dict] = []
+    linenos: list[int] = []
     declared_m: int | None = None
     lf_names: tuple[str, ...] | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({err.msg})") from None
-            if not isinstance(obj, dict):
+            if type(obj) is not dict:
                 raise DatasetFormatError(f"line {lineno}: expected a JSON object")
-            if "meta" in obj:
+            if not obj.keys() <= _RECORD_KEYS:
+                if "meta" not in obj:
+                    unknown = sorted(obj.keys() - _RECORD_KEYS)[0]
+                    raise DatasetFormatError(f"line {lineno}: unknown record key {unknown!r}")
                 if lineno != 1:
                     raise DatasetFormatError(f"line {lineno}: meta only allowed on line 1")
                 declared_m, lf_names = _parse_meta(obj, lineno)
                 continue
-            rec = _parse_record(obj, lineno)
-            if declared_m is None:
-                declared_m = len(rec.votes)
-            elif len(rec.votes) != declared_m:
-                raise DatasetFormatError(
-                    f"line {lineno}: record has {len(rec.votes)} votes, expected {declared_m}"
-                )
-            records.append(rec)
-    if declared_m is None:
+            objs.append(obj)
+            linenos.append(lineno)
+    if declared_m is None and not objs:
         raise DatasetFormatError(f"{path}: no records and no meta line")
+    cols = _Columns(objs, linenos)
+    n = len(objs)
+    everyone = np.ones(n, dtype=bool)
+    ids = cols.required("id", str, "id must be a string")
+    vote_rows = cols.required("votes", list, "votes must be a list of 0/1 integers")
+    votes = cols.matrix(vote_rows, everyone, declared_m, {int}, np.int8, "votes")
+    bad = ~((votes == 0) | (votes == 1)).all(axis=1)
+    if bad.any():
+        cols.fail(int(bad.argmax()), "votes must be a list of 0/1 integers")
+    labelled, labels = cols.optional("label")
+    gold = np.zeros(n, dtype=np.int8)
+    if labels:
+        where = np.flatnonzero(labelled)
+        if not set(map(type, labels)) <= {int}:
+            cols.fail(where[next(i for i, g in enumerate(labels) if type(g) is not int)],
+                      "label must be the integer -1 or 1")
+        bad = [g not in (-1, 1) for g in labels]
+        if any(bad):
+            cols.fail(where[bad.index(True)], "label must be the integer -1 or 1")
+        gold[labelled] = labels
+    featured, feature_rows = cols.optional("features")
+    features = None
+    if feature_rows:
+        if not featured.all():
+            cols.fail(int((featured != featured[0]).argmax()),
+                      "record disagrees with the rest of the dataset on feature presence")
+        features = cols.matrix(feature_rows, featured, None, {int, float}, np.float64,
+                               "features")
+        bad = ~np.isfinite(features).all(axis=1)
+        if bad.any():
+            cols.fail(int(bad.argmax()), "features must be a list of finite numbers")
     try:
-        return Dataset(records=tuple(records), num_lfs=declared_m, lf_names=lf_names)
+        return Dataset(
+            ids=tuple(ids),
+            votes_matrix=votes,
+            features_matrix=features,
+            gold=gold,
+            lf_names=lf_names,
+        )
     except DatasetFormatError as err:
         raise DatasetFormatError(f"{path}: {err}") from None
+
+
+def _json_list(values: Sequence) -> str:
+    return "[" + ",".join(map(repr, values)) + "]"
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -288,17 +483,27 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
     Output is canonical (fixed key order, compact separators, shortest
     round-tripping float repr), so saving the same dataset twice produces
-    byte-identical files.
+    byte-identical files. The text of each distinct vote row is built
+    once and shared by every record carrying it.
     """
+    pats = dataset.patterns
+    vote_text = [',"votes":' + _json_list(row) for row in pats.rows.tolist()]
+    features = (
+        [',"features":' + _json_list(row) for row in dataset.features_matrix.tolist()]
+        if dataset.features_matrix is not None
+        else None
+    )
+    label_text = {-1: ',"label":-1', 0: "", 1: ',"label":1'}
+    meta: dict = {"num_lfs": dataset.num_lfs}
+    if dataset.lf_names is not None:
+        meta["lf_names"] = list(dataset.lf_names)
     with open(path, "w", encoding="utf-8") as fh:
-        meta: dict = {"num_lfs": dataset.num_lfs}
-        if dataset.lf_names is not None:
-            meta["lf_names"] = list(dataset.lf_names)
         fh.write(json.dumps({"meta": meta}, separators=(",", ":")) + "\n")
-        for rec in dataset.records:
-            row: dict = {"id": rec.id, "votes": list(rec.votes)}
-            if rec.features is not None:
-                row["features"] = list(rec.features)
-            if rec.gold is not None:
-                row["label"] = rec.gold
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        for i, (rid, k, g) in enumerate(
+            zip(dataset.ids, pats.inverse.tolist(), dataset.gold.tolist())
+        ):
+            fh.write(
+                '{"id":' + encode_basestring_ascii(rid) + vote_text[k]
+                + (features[i] if features is not None else "")
+                + label_text[g] + "}\n"
+            )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class UndefinedMetricError(ValueError):
@@ -73,7 +72,10 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise UndefinedMetricError(
             f"ROC-AUC needs both classes (n_pos={n_pos}, n_neg={n_neg})"
         )
-    ranks = rankdata(scores, method="average")
+    # Tie-averaged ranks: a block of c tied scores ending at rank r gets
+    # r - (c - 1) / 2. Every rank is a half-integer, so the sum is exact.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -70,14 +70,32 @@ class WeapoModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "WeapoModel":
-        """Inverse of ``to_json_dict``; unknown config keys are rejected."""
+        """Inverse of ``to_json_dict``.
+
+        Rejects unknown config keys and a theta that is not a point of the
+        probability simplex: not a non-empty flat list, not finite, with a
+        negative entry, or summing to 1 only up to more than 1e-9.
+        """
+        try:
+            theta = np.array(payload["theta"], dtype=np.float64)
+            config = dict(payload["config"])
+        except KeyError as missing:
+            raise ValueError(f"weapo model payload lacks key {missing}") from None
+        except TypeError as err:
+            raise ValueError(f"malformed weapo model payload ({err})") from None
         known = {f.name for f in fields(WeapoConfig)}
-        unknown = sorted(set(payload["config"]) - known)
+        unknown = sorted(set(config) - known)
         if unknown:
             raise ValueError(f"unknown weapo config key {unknown[0]!r} in model payload")
+        if theta.ndim != 1 or theta.size == 0:
+            raise ValueError("weapo theta must be a non-empty list of numbers")
+        if not np.isfinite(theta).all() or (theta < 0.0).any():
+            raise ValueError("weapo theta entries must be finite and non-negative")
+        if abs(float(theta.sum()) - 1.0) > 1e-9:
+            raise ValueError(f"weapo theta must sum to 1, got {float(theta.sum())!r}")
         return cls(
-            theta=np.array(payload["theta"], dtype=np.float64),
-            config=WeapoConfig(**payload["config"]),
+            theta=theta,
+            config=WeapoConfig(**config),
             diagnostics=dict(payload.get("diagnostics", {})),
         )
 
@@ -113,14 +131,17 @@ def score(model: WeapoModel, votes: Sequence[int]) -> float:
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Scores for every record plus the coverage mask.
 
-    Uncovered records score exactly 0 since all their vote bits are 0.
+    Each distinct vote row is scored once and the scores are gathered
+    back to the records. Uncovered records score exactly 0 since all
+    their vote bits are 0.
     """
     if dataset.num_lfs != model.num_lfs:
         raise ValueError(
             f"dataset has {dataset.num_lfs} labeling functions, model expects {model.num_lfs}"
         )
-    scores = dataset.votes_matrix.astype(np.float64) @ model.theta
-    return scores, coverage_mask(dataset)
+    pats = dataset.patterns
+    scores = pats.rows.astype(np.float64) @ model.theta
+    return scores[pats.inverse], coverage_mask(dataset)
 
 
 def objective(
@@ -287,11 +308,11 @@ def fit_supervised(dataset: Dataset, config: WeapoConfig | None = None) -> Weapo
     mask = coverage_mask(dataset).astype(bool)
     if not mask.any():
         raise ValueError("dataset has no covered records")
-    missing = [r.id for r, m in zip(dataset.records, mask) if m and r.gold is None]
-    if missing:
-        raise ValueError(f"covered record {missing[0]!r} has no gold label")
+    missing = mask & (dataset.gold == 0)
+    if missing.any():
+        raise ValueError(f"covered record {dataset.ids[missing.argmax()]!r} has no gold label")
     votes = dataset.votes_matrix[mask].astype(np.float64)
-    gold = np.array([r.gold for r, m in zip(dataset.records, mask) if m], dtype=np.float64)
+    gold = dataset.gold[mask].astype(np.float64)
     targets = (gold + 1.0) / 2.0
     n = votes.shape[0]
     gram = (2.0 / n) * (votes.T @ votes)

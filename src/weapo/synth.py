@@ -6,17 +6,25 @@ false-positive rates; optional features come from one of two Gaussians
 with a shared isotropic scale. Because the generating law is known
 exactly, Bayes-optimal posteriors and population vote moments are
 available in closed form for use as oracles.
+
+Generation is columnar: records are drawn in fixed-size blocks, each
+from its own spawned Philox stream, so a run costs one stream set-up per
+block rather than per record. The oracle scores a dataset once per
+distinct vote pattern and gathers the values back to the records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Record, VoteVector
+from .data import Dataset, VoteVector
+
+BLOCK_SIZE = 4096
+"""Records drawn from each spawned random stream in ``generate``."""
 
 
 @dataclass(frozen=True)
@@ -120,47 +128,51 @@ class SyntheticSpec:
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw a dataset from the generating law.
 
-    Every record gets its own counter-based random stream (Philox keyed
-    through ``SeedSequence(seed).spawn``), so generation is reproducible
-    bit-for-bit, order-independent, and parallelizable per record. Gold
-    labels are always attached; features only when the spec asks.
+    Records are drawn in blocks of ``BLOCK_SIZE``. Each block gets its
+    own counter-based random stream (Philox keyed through
+    ``SeedSequence(seed).spawn``) and draws, in this order, the labels,
+    the votes and the features of all its records at once. Generation is
+    therefore reproducible bit for bit, and any block can be drawn on its
+    own. Gold labels are always attached; features only when the spec
+    asks.
     """
     tpr = np.array(spec.tpr, dtype=np.float64)
     fpr = np.array(spec.fpr, dtype=np.float64)
     m = spec.num_lfs
     feature_spec = spec.feature_spec
+    votes = np.empty((spec.n, m), dtype=np.int8)
+    gold = np.empty(spec.n, dtype=np.int8)
+    features = None
     if feature_spec is not None:
-        mu_pos = np.array(feature_spec.mu_pos, dtype=np.float64)
-        mu_neg = np.array(feature_spec.mu_neg, dtype=np.float64)
-    width = len(str(max(spec.n - 1, 0)))
-    records = []
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.n)
-    for i, stream in enumerate(streams):
+        mu = np.array([feature_spec.mu_neg, feature_spec.mu_pos], dtype=np.float64)
+        features = np.empty((spec.n, feature_spec.dim), dtype=np.float64)
+    num_blocks = -(-spec.n // BLOCK_SIZE)
+    for b, stream in enumerate(np.random.SeedSequence(spec.seed).spawn(num_blocks)):
         rng = np.random.Generator(np.random.Philox(stream))
-        y = 1 if rng.random() < spec.p_plus else -1
-        rates = tpr if y == 1 else fpr
-        votes = tuple(int(b) for b in rng.random(m) < rates)
-        features = None
-        if feature_spec is not None:
-            mu = mu_pos if y == 1 else mu_neg
-            draw = mu + feature_spec.sigma * rng.standard_normal(feature_spec.dim)
-            features = tuple(float(x) for x in draw)
-        records.append(
-            Record(id=f"r{i:0{width}d}", votes=votes, features=features, gold=y)
-        )
-    return Dataset(records=tuple(records), num_lfs=m)
+        block = slice(b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, spec.n))
+        size = block.stop - block.start
+        positive = rng.random(size) < spec.p_plus
+        gold[block] = np.where(positive, 1, -1)
+        votes[block] = rng.random((size, m)) < np.where(positive[:, None], tpr, fpr)
+        if features is not None:
+            noise = rng.standard_normal((size, feature_spec.dim))
+            features[block] = mu[positive.astype(np.intp)] + feature_spec.sigma * noise
+    width = len(str(max(spec.n - 1, 0)))
+    ids = tuple(f"r{i:0{width}d}" for i in range(spec.n))
+    return Dataset(ids=ids, votes_matrix=votes, features_matrix=features, gold=gold)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OracleTable:
     """Closed-form Bayes posteriors P(y = +1 | votes) for a spec.
 
-    Evaluated lazily per vote vector with caching; ``as_dict`` walks all
-    2^M vectors and is only sensible for small M.
+    ``posterior`` evaluates one vote vector; ``scores`` and ``as_dict``
+    evaluate many at once with the same products in the same order, so
+    every path gives bitwise the same value for the same vector.
+    ``as_dict`` walks all 2^M vectors and is only sensible for small M.
     """
 
     spec: SyntheticSpec
-    _cache: dict[VoteVector, float] = field(default_factory=dict)
 
     def posterior(self, votes: VoteVector) -> float:
         votes = tuple(int(v) for v in votes)
@@ -168,9 +180,6 @@ class OracleTable:
             raise ValueError(
                 f"vote vector has length {len(votes)}, spec has {self.spec.num_lfs}"
             )
-        cached = self._cache.get(votes)
-        if cached is not None:
-            return cached
         like_pos = 1.0
         like_neg = 1.0
         for v, t, f in zip(votes, self.spec.tpr, self.spec.fpr):
@@ -180,9 +189,21 @@ class OracleTable:
         denominator = numerator + (1.0 - self.spec.p_plus) * like_neg
         if denominator == 0.0:
             raise ValueError(f"vote vector {votes} has zero probability under the spec")
-        value = numerator / denominator
-        self._cache[votes] = value
-        return value
+        return numerator / denominator
+
+    def _posteriors(self, rows: np.ndarray) -> np.ndarray:
+        """``posterior`` of every row of a (K, M) 0/1 array."""
+        like_pos = np.ones(rows.shape[0])
+        like_neg = np.ones(rows.shape[0])
+        for column, t, f in zip(rows.T.astype(bool), self.spec.tpr, self.spec.fpr):
+            like_pos *= np.where(column, t, 1.0 - t)
+            like_neg *= np.where(column, f, 1.0 - f)
+        numerator = self.spec.p_plus * like_pos
+        denominator = numerator + (1.0 - self.spec.p_plus) * like_neg
+        if (denominator == 0.0).any():
+            votes = tuple(rows[int((denominator == 0.0).argmax())].tolist())
+            raise ValueError(f"vote vector {votes} has zero probability under the spec")
+        return numerator / denominator
 
     def scores(self, dataset: Dataset) -> np.ndarray:
         """Oracle posterior for every record of a compatible dataset."""
@@ -191,18 +212,16 @@ class OracleTable:
                 f"dataset has {dataset.num_lfs} labeling functions, "
                 f"spec has {self.spec.num_lfs}"
             )
-        return np.array([self.posterior(r.votes) for r in dataset.records])
+        pats = dataset.patterns
+        return self._posteriors(pats.rows)[pats.inverse]
 
     def as_dict(self) -> dict[VoteVector, float]:
         """Posterior for every one of the 2^M possible vote vectors."""
         m = self.spec.num_lfs
         if m > 20:
             raise ValueError("full table only supported for M <= 20")
-        table = {}
-        for bits in range(2**m):
-            votes = tuple((bits >> j) & 1 for j in range(m))
-            table[votes] = self.posterior(votes)
-        return table
+        rows = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+        return dict(zip(map(tuple, rows.tolist()), self._posteriors(rows).tolist()))
 
 
 def oracle_posteriors(spec: SyntheticSpec) -> OracleTable:

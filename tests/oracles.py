@@ -8,6 +8,7 @@ than tautology.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -151,3 +152,84 @@ def min_on_2simplex_line(fun, steps):
             best_value = value
             best_theta = theta
     return best_theta, best_value
+
+
+def dawid_skene_per_row(signed, p_init, max_iters=100, tol=1e-6, smoothing=1.0):
+    """Dawid-Skene EM over every row, one record at a time.
+
+    Follows the model the package fits (abstain-as-negative naive Bayes
+    with add-``smoothing`` counts, start from a blend of each record's
+    positive-vote fraction and the prior, stop when the penalized
+    objective rises by less than ``tol``, then canonicalize the classes)
+    with scalar loops and ``math`` only. Returns the class prior,
+    ``pos_fire[j] = P(vote_j = +1 | y = +1)``, ``neg_fire[j] = P(vote_j =
+    +1 | y = -1)`` and the number of iterations.
+    """
+    rows = [[1 if v > 0 else 0 for v in row] for row in np.asarray(signed).tolist()]
+    n, m = len(rows), len(rows[0])
+
+    def m_step(resp):
+        total = sum(resp)
+        pos = [
+            min(max((sum(r * row[j] for r, row in zip(resp, rows)) + smoothing)
+                    / (total + 2 * smoothing), 0.0), 1.0)
+            for j in range(m)
+        ]
+        neg = [
+            min(max((sum((1 - r) * row[j] for r, row in zip(resp, rows)) + smoothing)
+                    / (n - total + 2 * smoothing), 0.0), 1.0)
+            for j in range(m)
+        ]
+        pi = min(max((total + smoothing) / (n + 2 * smoothing), 0.0), 1.0)
+        return pi, pos, neg
+
+    def log_term(v, rate):
+        if v:
+            return math.log(rate) if rate > 0 else -math.inf
+        return math.log1p(-rate) if rate < 1 else -math.inf
+
+    def scores(pi, pos, neg):
+        lps, lns = [], []
+        for row in rows:
+            lps.append(math.log(pi) + sum(log_term(v, t) for v, t in zip(row, pos)))
+            lns.append(math.log1p(-pi) + sum(log_term(v, f) for v, f in zip(row, neg)))
+        return lps, lns
+
+    def objective(pi, pos, neg):
+        lps, lns = scores(pi, pos, neg)
+        data = math.fsum(
+            max(a, b) + math.log1p(math.exp(-abs(a - b))) for a, b in zip(lps, lns)
+        )
+        penalty = 0.0
+        if smoothing > 0:
+            penalty = smoothing * (
+                math.log(pi) + math.log1p(-pi)
+                + sum(math.log(t) + math.log1p(-t) for t in pos)
+                + sum(math.log(f) + math.log1p(-f) for f in neg)
+            )
+        return data + penalty, lps, lns
+
+    def responsibilities(lps, lns):
+        return [1.0 / (1.0 + math.exp(b - a)) for a, b in zip(lps, lns)]
+
+    pi, pos, neg = m_step([0.5 * sum(row) / m + 0.5 * p_init for row in rows])
+    value, lps, lns = objective(pi, pos, neg)
+    iterations = 0
+    for t in range(1, max_iters + 1):
+        iterations = t
+        pi, pos, neg = m_step(responsibilities(lps, lns))
+        new_value, lps, lns = objective(pi, pos, neg)
+        improved = new_value - value
+        value = new_value
+        if improved < tol:
+            break
+    resp = responsibilities(lps, lns)
+    mean_signed = [sum(2 * v - 1 for v in row) / m for row in rows]
+    w_pos = sum(resp)
+    w_neg = n - w_pos
+    if w_pos > 0 and w_neg > 0:
+        side_pos = sum(r * s for r, s in zip(resp, mean_signed)) / w_pos
+        side_neg = sum((1 - r) * s for r, s in zip(resp, mean_signed)) / w_neg
+        if side_pos < side_neg:
+            pi, pos, neg = 1.0 - pi, neg, pos
+    return pi, pos, neg, iterations

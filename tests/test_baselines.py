@@ -24,6 +24,8 @@ from weapo import (
     mv_scores,
 )
 
+from oracles import dawid_skene_per_row
+
 
 def make_dataset(vote_rows):
     return Dataset.from_records(
@@ -204,6 +206,62 @@ class TestDawidSkene:
         assert back.class_prior == model.class_prior
         assert (back.confusion == model.confusion).all()
 
+    def test_invalid_payloads_rejected(self):
+        good = ds_fit(np.random.default_rng(5).choice([-1, 1], size=(50, 3)), Prior(0.5))
+        payload = good.to_json_dict()
+        bad_cases = [
+            ({"class_prior": 0.0}, "class_prior"),
+            ({"class_prior": 1.0}, "class_prior"),
+            ({"class_prior": float("nan")}, "class_prior"),
+            ({"confusion": [[0.5, 0.5], [0.5, 0.5]]}, r"\(M, 2, 2\)"),
+            ({"confusion": [[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]]}, r"\(M, 2, 2\)"),
+            ({"confusion": []}, r"\(M, 2, 2\)"),
+            ({"confusion": [[[1.2, -0.2], [0.5, 0.5]]]}, r"\[0, 1\]"),
+            ({"confusion": [[[float("nan"), 0.5], [0.5, 0.5]]]}, r"\[0, 1\]"),
+        ]
+        for change, message in bad_cases:
+            with pytest.raises(ValueError, match=message):
+                DSModel.from_json_dict({**payload, **change})
+        with pytest.raises(ValueError, match="lacks key 'confusion'"):
+            DSModel.from_json_dict({"class_prior": 0.5})
+
+
+class TestDawidSkeneOverPatterns:
+    def test_matches_per_row_reference_em(self):
+        """EM over weighted patterns equals EM over every row, duplicates
+        included: same iteration count, parameters within 1e-12."""
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            k = int(rng.integers(2, 10))
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(5, 150))
+            base = rng.choice([-1, 1], size=(k, m))
+            signed = base[rng.integers(0, k, size=n)]
+            p = float(rng.uniform(0.2, 0.8))
+            smoothing = (1.0, 0.5, 2.0)[trial % 3]
+            model = ds_fit(signed, Prior(p), smoothing=smoothing)
+            pi, pos, neg, iterations = dawid_skene_per_row(signed, p, smoothing=smoothing)
+            assert model.diagnostics["iterations"] == iterations
+            assert abs(model.class_prior - pi) <= 1e-12
+            assert np.abs(model.confusion[:, 1, 1] - pos).max() <= 1e-12
+            assert np.abs(model.confusion[:, 0, 1] - neg).max() <= 1e-12
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(32)
+        signed = rng.choice([-1, 1], size=(300, 4))
+        model = ds_fit(signed, Prior(0.4))
+        shuffled = ds_fit(signed[rng.permutation(300)], Prior(0.4))
+        np.testing.assert_allclose(shuffled.confusion, model.confusion, rtol=0, atol=1e-12)
+        assert shuffled.diagnostics["iterations"] == model.diagnostics["iterations"]
+
+    def test_posteriors_gathered_per_record(self):
+        rng = np.random.default_rng(33)
+        signed = rng.choice([-1, 1], size=(200, 3))
+        model = ds_fit(signed, Prior(0.5))
+        batch = ds_posteriors(model, signed)
+        singles = [ds_posterior(model, row) for row in signed]
+        assert batch.tolist() == singles
+
 
 class TestTripletMethod:
     def test_worked_example(self):
@@ -290,3 +348,18 @@ class TestTripletMethod:
         back = FSModel.from_json_dict(model.to_json_dict())
         assert (back.accuracies == model.accuracies).all()
         assert back.class_prior == model.class_prior
+
+    def test_invalid_payloads_rejected(self):
+        payload = FSModel(accuracies=np.array([0.25, 0.5, 0.75]), class_prior=0.4).to_json_dict()
+        bad_cases = [
+            ({"accuracies": [0.5, 1.0, 0.5]}, r"\[0, 1\)"),
+            ({"accuracies": [0.5, -0.1, 0.5]}, r"\[0, 1\)"),
+            ({"accuracies": [0.5, float("inf"), 0.5]}, r"\[0, 1\)"),
+            ({"accuracies": []}, "non-empty"),
+            ({"accuracies": [[0.5]]}, "non-empty"),
+            ({"class_prior": 0.0}, "class_prior"),
+            ({"class_prior": 1.5}, "class_prior"),
+        ]
+        for change, message in bad_cases:
+            with pytest.raises(ValueError, match=message):
+                FSModel.from_json_dict({**payload, **change})

@@ -1,6 +1,11 @@
 """End-to-end CLI behavior: files in, files out, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +306,47 @@ class TestEvalCommand:
         assert main(["eval", model, test, "--quiet"]) == 1
         assert "gold label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"model_type": "weapo", "theta": [0.9, 0.9],
+              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+             "sum to 1"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5, 0.0],
+              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+             "labeling functions"),
+            ({"model_type": "ds", "class_prior": 0.5,
+              "confusion": [[[0.5, 0.5], [2.0, -1.0]], [[0.5, 0.5], [0.5, 0.5]]]},
+             r"\[0, 1\]"),
+            ({"model_type": "fs", "class_prior": 1.0, "accuracies": [0.5, 0.5]},
+             "class_prior"),
+            ([0.5, 0.5], "one JSON object"),
+        ],
+        ids=["weapo", "weapo-width", "ds", "fs", "not-an-object"],
+    )
+    def test_invalid_model_payload(self, tmp_path, capsys, payload, message):
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert re.search(message, err)
+
+    def test_non_strict_dataset_is_data_error(self, tmp_path, capsys):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
+        model = self.fit_mv(tmp_path, train)
+        for line, message in (
+            ('{"id":"b","votes":[true,0],"label":1}', "votes must be"),
+            ('{"id":"b","votes":[1,0],"label":1.0}', "label must be"),
+            ('{"id":"b","votes":[1,0],"label":1,"lable":1}', "unknown record key 'lable'"),
+        ):
+            test = tmp_path / "test.jsonl"
+            test.write_text('{"id":"a","votes":[1,1],"label":-1}\n' + line + "\n")
+            assert main(["eval", model, str(test), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 2: ") and message in err
+
 
 class TestEndCommand:
     @pytest.fixture
@@ -469,6 +515,16 @@ class TestCompareCommand:
 
 
 class TestTopLevel:
+    def test_import_leaves_out_scipy_stats(self):
+        """scipy.stats costs most of a second to import; the CLI needs none of it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, weapo.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("weapo ")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weapo import (
     Dataset,
@@ -11,6 +13,7 @@ from weapo import (
     Prior,
     Record,
     build_slices,
+    compress_votes,
     coverage_mask,
     load_dataset,
     save_dataset,
@@ -37,9 +40,8 @@ class TestValidation:
 
     def test_vote_width_mismatch_rejected(self):
         with pytest.raises(DatasetFormatError, match="expected 2"):
-            Dataset(
-                records=(Record(id="a", votes=(1, 0)), Record(id="b", votes=(1,))),
-                num_lfs=2,
+            Dataset.from_records(
+                (Record(id="a", votes=(1, 0)), Record(id="b", votes=(1,)))
             )
 
     def test_vote_value_rejected(self):
@@ -103,6 +105,59 @@ class TestMatrices:
         assert ds.gold_array is None
 
 
+class TestColumns:
+    def test_equality_compares_arrays(self):
+        a = Dataset.from_records(
+            [Record(id="a", votes=(1, 0), features=(0.5,), gold=1),
+             Record(id="b", votes=(0, 1), features=(1.5,))]
+        )
+        same = Dataset(
+            ids=("a", "b"),
+            votes_matrix=np.array([[1, 0], [0, 1]]),
+            features_matrix=np.array([[0.5], [1.5]]),
+            gold=np.array([1, 0]),
+        )
+        assert a == same and not a != same
+        for other in (
+            Dataset(ids=("a", "c"), votes_matrix=a.votes_matrix,
+                    features_matrix=a.features_matrix, gold=a.gold),
+            Dataset(ids=a.ids, votes_matrix=[[1, 1], [0, 1]],
+                    features_matrix=a.features_matrix, gold=a.gold),
+            Dataset(ids=a.ids, votes_matrix=a.votes_matrix,
+                    features_matrix=[[0.5], [2.5]], gold=a.gold),
+            Dataset(ids=a.ids, votes_matrix=a.votes_matrix, gold=a.gold),
+            Dataset(ids=a.ids, votes_matrix=a.votes_matrix,
+                    features_matrix=a.features_matrix, gold=[1, -1]),
+            Dataset(ids=a.ids, votes_matrix=a.votes_matrix,
+                    features_matrix=a.features_matrix, gold=a.gold, lf_names=("x", "y")),
+        ):
+            assert a != other
+
+    def test_arrays_are_read_only(self):
+        ds = make_dataset([(1, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            ds.votes_matrix[0, 0] = 0
+
+    def test_compression_rebuilds_votes_in_first_occurrence_order(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            m = int(rng.integers(1, 20))
+            votes = (rng.random((int(rng.integers(1, 12)), m)) < 0.4).astype(np.int8)
+            votes = votes[rng.integers(0, len(votes), size=n)]
+            pats = compress_votes(votes)
+            np.testing.assert_array_equal(pats.rows[pats.inverse], votes)
+            np.testing.assert_array_equal(pats.counts, np.bincount(pats.inverse))
+            firsts = [int(np.flatnonzero(pats.inverse == k)[0]) for k in range(len(pats.rows))]
+            assert firsts == sorted(firsts)
+            assert len({tuple(r) for r in pats.rows.tolist()}) == len(pats.rows)
+
+    def test_signed_votes_compress_by_sign(self):
+        pats = compress_votes(np.array([[1, -1], [-1, -1], [1, -1]]))
+        np.testing.assert_array_equal(pats.rows, [[1, 0], [0, 0]])
+        np.testing.assert_array_equal(pats.inverse, [0, 1, 0])
+
+
 class TestSlices:
     def test_grouping_and_uncovered(self):
         ds = make_dataset([(1, 0), (0, 0), (1, 0), (1, 1)])
@@ -129,6 +184,19 @@ class TestSlices:
                 seen.extend(members)
             assert sorted(seen) == list(range(n))
 
+    def test_first_occurrence_order_matches_dict_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            rows = [tuple(r) for r in (rng.random((60, 3)) < 0.4).astype(int).tolist()]
+            expected: dict = {}
+            for i, row in enumerate(rows):
+                if any(row):
+                    expected.setdefault(row, []).append(i)
+            table = build_slices(make_dataset(rows))
+            assert list(table.slices) == list(expected)
+            assert table.slices == {k: tuple(v) for k, v in expected.items()}
+            assert table.uncovered == tuple(i for i, row in enumerate(rows) if not any(row))
+
     def test_coverage_mask_values(self):
         ds = make_dataset([(1, 0), (0, 0), (1, 1)])
         np.testing.assert_array_equal(coverage_mask(ds), [1, 0, 1])
@@ -146,7 +214,7 @@ class TestPersistence:
         )
         ds = load_dataset(str(path))
         assert len(ds) == 2
-        assert ds.records[1].gold == -1
+        np.testing.assert_array_equal(ds.gold, [0, -1])
 
     def test_meta_line_sets_names(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -192,6 +260,75 @@ class TestPersistence:
         save_dataset(ds, str(path))
         assert load_dataset(str(path)) == ds
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id":"b","votes":[true,0]}', "votes must be a list of 0/1 integers"),
+            ('{"id":"b","votes":[1,0],"label":true}', "label must be the integer -1 or 1"),
+            ('{"id":"b","votes":[1,0],"label":1.0}', "label must be the integer -1 or 1"),
+            ('{"id":"b","votes":[1,0],"label":null}', "label must be the integer -1 or 1"),
+            ('{"id":"b","votes":[1,0],"lable":1}', "unknown record key 'lable'"),
+            ('{"id":"b","votes":[1.0,0]}', "votes must be a list of 0/1 integers"),
+            ('{"id":"b","votes":[1,300]}', "votes must be a list of 0/1 integers"),
+            ('{"id":"b","votes":"10"}', "votes must be a list of 0/1 integers"),
+            ('{"id":7,"votes":[1,0]}', "id must be a string"),
+            ('{"votes":[1,0]}', "missing key 'id'"),
+            ('{"id":"b"}', "missing key 'votes'"),
+            ('{"id":"b","votes":[1,0],"features":[1.0]}',
+             "record disagrees with the rest of the dataset on feature presence"),
+        ],
+        ids=["bool-vote", "bool-label", "float-label", "null-label", "unknown-key",
+             "float-vote", "big-vote", "string-votes", "int-id", "no-id", "no-votes",
+             "features-on-one"],
+    )
+    def test_strict_record_contract(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","votes":[1,0],"label":1}\n' + line + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^line 2: {message}"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id":"b","votes":[1,0],"features":[true]}', "features must be a list of finite numbers"),
+            ('{"id":"b","votes":[1,0],"features":[NaN]}', "features must be a list of finite numbers"),
+            ('{"id":"b","votes":[1,0],"features":[1,2]}', "record has 2 features, expected 1"),
+            ('{"id":"b","votes":[1,0],"features":null}', "features must be a list of finite numbers"),
+        ],
+        ids=["bool", "nan", "width", "null"],
+    )
+    def test_strict_feature_contract(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","votes":[1,0],"features":[0.5]}\n' + line + "\n")
+        with pytest.raises(DatasetFormatError, match=f"^line 2: {message}"):
+            load_dataset(str(path))
+
+    def test_strict_meta_contract(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        for meta, message in (
+            ('{"meta":{"num_lfs":2,"names":["a","b"]}}', "unknown meta key 'names'"),
+            ('{"meta":{"num_lfs":true}}', "meta num_lfs must be a positive integer"),
+            ('{"meta":{"num_lfs":2},"id":"x"}', "the meta line holds only the meta key"),
+        ):
+            path.write_text(meta + '\n{"id":"r","votes":[1,0]}\n')
+            with pytest.raises(DatasetFormatError, match=f"^line 1: {message}"):
+                load_dataset(str(path))
+
+    def test_duplicate_id_names_the_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","votes":[1]}\n{"id":"a","votes":[0]}\n')
+        with pytest.raises(DatasetFormatError, match="duplicate record id 'a'"):
+            load_dataset(str(path))
+
+    def test_meta_only_file_is_empty_dataset(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"meta":{"num_lfs":3}}\n')
+        ds = load_dataset(str(path))
+        assert len(ds) == 0 and ds.num_lfs == 3 and ds.gold_array is None
+        copy = tmp_path / "copy.jsonl"
+        save_dataset(ds, str(copy))
+        assert copy.read_bytes() == path.read_bytes()
+
     def test_save_is_byte_stable(self, tmp_path):
         ds = make_dataset([(1, 0), (0, 1)])
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -204,3 +341,51 @@ class TestPersistence:
         save_dataset(make_dataset([(1, 0)]), str(path))
         first = json.loads(path.read_text().splitlines()[0])
         assert first == {"meta": {"num_lfs": 2}}
+
+
+_ids = st.lists(
+    st.text(st.characters(codec="utf-8"), max_size=6), min_size=1, max_size=25, unique=True
+)
+
+
+@st.composite
+def datasets(draw):
+    ids = draw(_ids)
+    n = len(ids)
+    m = draw(st.integers(1, 10))
+    votes = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    gold = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    features = None
+    if draw(st.booleans()):
+        f = draw(st.integers(0, 3))
+        features = draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=f, max_size=f),
+            min_size=n, max_size=n,
+        ))
+    names = None
+    if draw(st.booleans()):
+        names = draw(st.lists(st.text(max_size=4), min_size=m, max_size=m))
+    return Dataset(
+        ids=ids,
+        votes_matrix=np.array(votes).reshape(n, m),
+        features_matrix=None if features is None else np.array(features).reshape(n, -1),
+        gold=np.array(gold),
+        lf_names=names,
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(datasets())
+def test_load_save_load_round_trip(tmp_path, ds):
+    """Saving, loading and saving again gives the same bytes and arrays."""
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_dataset(ds, str(first))
+    loaded = load_dataset(str(first))
+    save_dataset(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert loaded == ds
+    np.testing.assert_array_equal(loaded.votes_matrix, ds.votes_matrix)
+    np.testing.assert_array_equal(loaded.gold, ds.gold)
+    if ds.features_matrix is not None:
+        np.testing.assert_array_equal(loaded.features_matrix, ds.features_matrix)

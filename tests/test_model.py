@@ -342,3 +342,21 @@ class TestSerialization:
         payload["config"]["step0"] = 0.5
         with pytest.raises(ValueError, match="'step0'"):
             WeapoModel.from_json_dict(payload)
+
+    def test_theta_off_the_simplex_rejected(self):
+        payload = WeapoModel(theta=np.array([0.25, 0.75]), config=WeapoConfig()).to_json_dict()
+        assert WeapoModel.from_json_dict(payload).theta.tolist() == [0.25, 0.75]
+        bad_cases = [
+            ([], "non-empty"),
+            ([[0.5, 0.5]], "non-empty"),
+            ([0.5, float("nan")], "finite and non-negative"),
+            ([1.5, -0.5], "finite and non-negative"),
+            ([0.5, 0.5 + 2e-9], "sum to 1"),
+            ([0.2, 0.2], "sum to 1"),
+        ]
+        for theta, message in bad_cases:
+            with pytest.raises(ValueError, match=message):
+                WeapoModel.from_json_dict({**payload, "theta": theta})
+        WeapoModel.from_json_dict({**payload, "theta": [0.5, 0.5 + 5e-10]})
+        with pytest.raises(ValueError, match="lacks key 'theta'"):
+            WeapoModel.from_json_dict({"config": payload["config"]})

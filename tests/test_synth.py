@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weapo import (
+    Dataset,
     FeatureSpec,
     Prior,
     SyntheticSpec,
@@ -21,6 +22,11 @@ from weapo import (
     roc_auc,
     save_dataset,
 )
+from weapo.synth import BLOCK_SIZE
+
+
+def make_dataset(vote_rows):
+    return Dataset(ids=[f"r{i}" for i in range(len(vote_rows))], votes_matrix=vote_rows)
 
 
 def spec_3lf(**overrides):
@@ -38,7 +44,7 @@ class TestGenerate:
         a = generate(spec)
         b = generate(spec)
         assert a == b
-        assert [r.features for r in a.records] == [r.features for r in b.records]
+        np.testing.assert_array_equal(a.features_matrix, b.features_matrix)
 
     def test_different_seeds_differ(self):
         assert generate(spec_3lf(seed=0)) != generate(spec_3lf(seed=1))
@@ -46,11 +52,11 @@ class TestGenerate:
     def test_record_shape(self):
         spec = spec_3lf(n=25)
         ds = generate(spec)
-        assert len(ds.records) == 25
+        assert len(ds) == 25
         assert ds.num_lfs == 3
-        assert ds.records[0].id == "r00"
-        assert all(r.gold in (-1, 1) for r in ds.records)
-        assert all(r.features is None for r in ds.records)
+        assert ds.ids[0] == "r00"
+        assert np.isin(ds.gold, (-1, 1)).all()
+        assert ds.features_matrix is None
 
     def test_feature_dimension(self):
         spec = spec_3lf(
@@ -64,9 +70,8 @@ class TestGenerate:
         """tpr = 1 and fpr = 0 make every vote equal the gold label bit."""
         spec = SyntheticSpec(p_plus=0.5, tpr=(1.0, 1.0), fpr=(0.0, 0.0), n=300, seed=2)
         ds = generate(spec)
-        for r in ds.records:
-            expected = (1, 1) if r.gold == 1 else (0, 0)
-            assert r.votes == expected
+        expected = np.repeat((ds.gold == 1)[:, None], 2, axis=1)
+        np.testing.assert_array_equal(ds.votes_matrix, expected)
 
     def test_class_frequency_within_three_sigma(self):
         p, n = 0.3, 5000
@@ -75,12 +80,22 @@ class TestGenerate:
             spec = SyntheticSpec(
                 p_plus=p, tpr=(0.8, 0.7), fpr=(0.2, 0.1), n=n, seed=seed
             )
-            frac = np.mean([r.gold == 1 for r in generate(spec).records])
+            frac = np.mean(generate(spec).gold == 1)
             assert abs(frac - p) <= bound
 
     def test_empty_dataset_allowed(self):
         ds = generate(spec_3lf(n=0))
-        assert len(ds.records) == 0
+        assert len(ds) == 0
+
+    def test_whole_blocks_do_not_depend_on_n(self):
+        """Each block draws from its own stream, so the complete blocks of a
+        short run reappear unchanged in a longer one."""
+        block = BLOCK_SIZE
+        short = generate(spec_3lf(n=block + 10, seed=7))
+        long = generate(spec_3lf(n=3 * block, seed=7))
+        np.testing.assert_array_equal(short.votes_matrix[:block], long.votes_matrix[:block])
+        np.testing.assert_array_equal(short.gold[:block], long.gold[:block])
+        assert not np.array_equal(long.votes_matrix[:block], long.votes_matrix[block:2 * block])
 
     def test_saved_file_is_stable(self, tmp_path):
         spec = spec_3lf(n=50)
@@ -149,7 +164,29 @@ class TestOracleTable:
         oracle = oracle_posteriors(spec)
         scores = oracle.scores(ds)
         assert scores.shape == (40,)
-        assert scores[0] == oracle.posterior(ds.records[0].votes)
+        assert scores[0] == oracle.posterior(ds.votes_matrix[0])
+
+    def test_scores_equal_posterior_bitwise_on_every_record(self):
+        rng = np.random.default_rng(8)
+        for m, n in ((3, 300), (8, 2000), (16, 2000)):
+            tpr = tuple(rng.uniform(0.3, 1.0, size=m))
+            fpr = tuple(rng.uniform(0.0, 0.4, size=m))
+            spec = SyntheticSpec(p_plus=0.3, tpr=tpr, fpr=fpr, n=n, seed=m)
+            ds = generate(spec)
+            oracle = oracle_posteriors(spec)
+            scores = oracle.scores(ds)
+            assert scores.tolist() == [oracle.posterior(v) for v in ds.votes_matrix]
+
+    def test_scores_reject_zero_probability_vector(self):
+        spec = SyntheticSpec(p_plus=0.5, tpr=(1.0, 0.5), fpr=(1.0, 0.5), n=5, seed=0)
+        ds = make_dataset([(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match=r"vote vector \(0, 1\) has zero probability"):
+            oracle_posteriors(spec).scores(ds)
+
+    def test_full_table_equals_posterior_bitwise(self):
+        oracle = oracle_posteriors(spec_3lf(tpr=(0.9, 0.35, 0.7), fpr=(0.1, 0.2, 0.45)))
+        for votes, value in oracle.as_dict().items():
+            assert value == oracle.posterior(votes)
 
     def test_monotone_when_functions_are_informative(self):
         oracle = oracle_posteriors(spec_3lf())
