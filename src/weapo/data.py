@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -331,7 +331,7 @@ class _Columns:
         self.objs = objs
         self.linenos = linenos
 
-    def fail(self, index: int, message: str) -> None:
+    def fail(self, index: int, message: str) -> NoReturn:
         raise DatasetFormatError(f"line {self.linenos[index]}: {message}")
 
     def required(self, key: str, kind: type, message: str) -> list:
@@ -346,36 +346,26 @@ class _Columns:
         return present, [obj[key] for obj in self.objs if key in obj]
 
     def matrix(
-        self,
-        rows: list,
-        where: np.ndarray,
-        width: int | None,
-        kinds: set[type],
-        dtype: type,
-        noun: str,
+        self, rows: list, width: int | None, kinds: set[type], dtype: type, noun: str
     ) -> np.ndarray:
-        """Stack lists of numbers into an array, or name the first bad line.
-
-        ``where`` marks the records the rows belong to; ``width`` is the
-        required row length (the first row's when None).
+        """Stack one list of numbers per record into an array, or name the
+        first bad line. ``width`` is the required row length (the first
+        row's when None).
         """
-        index = np.flatnonzero(where)
         message = f"{noun} must be a list of " + (
             "0/1 integers" if kinds == {int} else "finite numbers"
         )
         if not set(map(type, rows)) <= {list}:
-            self.fail(index[next(i for i, r in enumerate(rows) if type(r) is not list)], message)
+            self.fail(next(i for i, r in enumerate(rows) if type(r) is not list), message)
         if width is None:
             width = len(rows[0]) if rows else 0
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         if (lengths != width).any():
             i = int((lengths != width).argmax())
-            self.fail(index[i], f"record has {lengths[i]} {noun}, expected {width}")
+            self.fail(i, f"record has {lengths[i]} {noun}, expected {width}")
         if not set(map(type, chain.from_iterable(rows))) <= kinds:
-            self.fail(
-                index[next(i for i, r in enumerate(rows) if not set(map(type, r)) <= kinds)],
-                message,
-            )
+            bad = next(i for i, r in enumerate(rows) if not set(map(type, r)) <= kinds)
+            self.fail(bad, message)
         try:
             return np.array(rows, dtype=dtype).reshape(len(rows), width)
         except OverflowError:
@@ -383,7 +373,7 @@ class _Columns:
                 try:
                     np.array(row, dtype=dtype)
                 except OverflowError:
-                    self.fail(index[i], message)
+                    self.fail(i, message)
             raise
 
 
@@ -433,10 +423,9 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetFormatError(f"{path}: no records and no meta line")
     cols = _Columns(objs, linenos)
     n = len(objs)
-    everyone = np.ones(n, dtype=bool)
     ids = cols.required("id", str, "id must be a string")
     vote_rows = cols.required("votes", list, "votes must be a list of 0/1 integers")
-    votes = cols.matrix(vote_rows, everyone, declared_m, {int}, np.int8, "votes")
+    votes = cols.matrix(vote_rows, declared_m, {int}, np.int8, "votes")
     bad = ~((votes == 0) | (votes == 1)).all(axis=1)
     if bad.any():
         cols.fail(int(bad.argmax()), "votes must be a list of 0/1 integers")
@@ -457,8 +446,7 @@ def load_dataset(path: str) -> Dataset:
         if not featured.all():
             cols.fail(int((featured != featured[0]).argmax()),
                       "record disagrees with the rest of the dataset on feature presence")
-        features = cols.matrix(feature_rows, featured, None, {int, float}, np.float64,
-                               "features")
+        features = cols.matrix(feature_rows, None, {int, float}, np.float64, "features")
         bad = ~np.isfinite(features).all(axis=1)
         if bad.any():
             cols.fail(int(bad.argmax()), "features must be a list of finite numbers")
