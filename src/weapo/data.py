@@ -138,6 +138,8 @@ class Dataset:
         n, m = votes.shape
         if len(ids) != n:
             raise DatasetFormatError(f"{len(ids)} ids for {n} vote rows")
+        if not all(isinstance(i, str) for i in ids):
+            raise DatasetFormatError("record ids must be strings")
         if self.lf_names is not None and len(self.lf_names) != m:
             raise DatasetFormatError(f"{len(self.lf_names)} lf_names for {m} labeling functions")
         bad = ~((votes == 0) | (votes == 1)).all(axis=1)

@@ -44,6 +44,10 @@ class TestValidation:
                 (Record(id="a", votes=(1, 0)), Record(id="b", votes=(1,)))
             )
 
+    def test_non_string_id_rejected(self):
+        with pytest.raises(DatasetFormatError, match="ids must be strings"):
+            Dataset.from_records([Record(id=5, votes=(1,))])
+
     def test_vote_value_rejected(self):
         with pytest.raises(DatasetFormatError, match=r"vote outside \{0, 1\}"):
             Dataset.from_records([Record(id="a", votes=(1, 2))])
