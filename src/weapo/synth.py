@@ -162,7 +162,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     return Dataset(ids=ids, votes_matrix=votes, features_matrix=features, gold=gold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleTable:
     """Closed-form Bayes posteriors P(y = +1 | votes) for a spec.
 
