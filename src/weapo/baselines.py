@@ -6,6 +6,11 @@ Majority vote scores by the fraction of firing functions; Dawid-Skene
 fits per-function confusion matrices by EM under a naive-Bayes model;
 the triplet method recovers mean accuracies E[vote * y] from second
 moments in closed form.
+
+Dawid-Skene and the triplet method share one naive-Bayes scorer: each
+function fires at one rate given y = +1 and another given y = -1. The
+triplet model is the symmetric channel with rates (1 + a_j) / 2 and
+(1 - a_j) / 2.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.special import expit, xlog1py, xlogy
 
 from .data import Dataset, Prior, compress_votes
 
@@ -86,7 +90,8 @@ class DSModel:
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "DSModel":
         """Inverse of ``to_json_dict``. Rejects a class prior outside
-        (0, 1) and confusions that are not (M, 2, 2) with entries in [0, 1]."""
+        (0, 1) and confusions that are not (M, 2, 2) with entries in [0, 1]
+        and rows over the vote index summing to 1 within 1e-9."""
         prior, confusion = _payload_arrays(payload, "ds", "class_prior", "confusion")
         if not 0.0 < prior < 1.0:
             raise ValueError(f"ds class_prior must lie strictly in (0, 1), got {prior!r}")
@@ -94,6 +99,8 @@ class DSModel:
             raise ValueError(f"ds confusion must have shape (M, 2, 2), got {confusion.shape}")
         if not ((confusion >= 0.0) & (confusion <= 1.0)).all():
             raise ValueError("ds confusion entries must lie in [0, 1]")
+        if not (np.abs(confusion.sum(axis=2) - 1.0) <= 1e-9).all():
+            raise ValueError("ds confusion rows must sum to 1 within 1e-9")
         return cls(
             class_prior=prior,
             confusion=confusion,
@@ -113,42 +120,27 @@ def _payload_arrays(
         raise ValueError(f"malformed {kind} model payload ({err})") from None
 
 
-def _ds_objective(
-    v01: np.ndarray,
-    weights: np.ndarray,
-    pi: float,
-    pos_fire: np.ndarray,
-    neg_fire: np.ndarray,
-    smoothing: float,
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Penalized EM objective plus the per-pattern class log-scores.
+def _class_log_likelihoods(
+    rows: np.ndarray, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``log P(v, y = +1)`` and ``log P(v, y = -1)`` for each 0/1 pattern row.
 
-    ``v01`` holds the distinct vote patterns and ``weights`` their record
-    counts. The data term is summed with ``math.fsum`` so the recorded
-    history is monotone down to rounding of the final digit rather than
-    of the accumulated sum. ``xlogy``-style products keep zero-count
-    terms at exactly zero even when a rate sits on the boundary.
+    A function fires at rate ``pos_fire[j]`` given y = +1 and
+    ``neg_fire[j]`` given y = -1. A rate of exactly 0 or 1 makes the
+    patterns it rules out score ``-inf`` rather than NaN.
     """
-    lp = (
-        math.log(pi)
-        + xlogy(v01, pos_fire).sum(axis=1)
-        + xlog1py(1.0 - v01, -pos_fire).sum(axis=1)
-    )
-    ln = (
-        math.log1p(-pi)
-        + xlogy(v01, neg_fire).sum(axis=1)
-        + xlog1py(1.0 - v01, -neg_fire).sum(axis=1)
-    )
-    data_term = math.fsum(weights * np.logaddexp(lp, ln))
-    penalty = 0.0
-    if smoothing > 0.0:
-        penalty = smoothing * (
-            math.log(pi)
-            + math.log1p(-pi)
-            + float(np.log(pos_fire).sum() + np.log1p(-pos_fire).sum())
-            + float(np.log(neg_fire).sum() + np.log1p(-neg_fire).sum())
-        )
-    return data_term + penalty, data_term, lp, ln
+    fired = rows.astype(bool)
+    with np.errstate(divide="ignore"):
+        lp = np.where(fired, np.log(pos_fire), np.log1p(-pos_fire)).sum(axis=1)
+        ln = np.where(fired, np.log(neg_fire), np.log1p(-neg_fire)).sum(axis=1)
+    return math.log(pi) + lp, math.log1p(-pi) + ln
+
+
+def _posterior(lp: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """P(y = +1 | v), the logistic of ``lp - ln``; it saturates to exactly
+    0.0 where ``exp`` overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(ln - lp))
 
 
 def ds_fit(
@@ -225,7 +217,20 @@ def ds_fit(
         pi, pos_fire, neg_fire = m_step(resp0)
 
     def objective_at(pi, pos_fire, neg_fire):
-        return _ds_objective(v01, weights, pi, pos_fire, neg_fire, smoothing)
+        # Penalized objective plus the per-pattern class log-likelihoods.
+        # math.fsum keeps the recorded history monotone down to rounding
+        # of the final digit rather than of the accumulated sum.
+        lp, ln = _class_log_likelihoods(v01, pi, pos_fire, neg_fire)
+        data_term = math.fsum(weights * np.logaddexp(lp, ln))
+        penalty = 0.0
+        if smoothing > 0.0:
+            penalty = smoothing * (
+                math.log(pi)
+                + math.log1p(-pi)
+                + float(np.log(pos_fire).sum() + np.log1p(-pos_fire).sum())
+                + float(np.log(neg_fire).sum() + np.log1p(-neg_fire).sum())
+            )
+        return data_term + penalty, data_term, lp, ln
 
     objective, data_ll, lp, ln = objective_at(pi, pos_fire, neg_fire)
     history = [objective]
@@ -233,7 +238,7 @@ def ds_fit(
     iterations = 0
     for t in range(1, max_iters + 1):
         iterations = t
-        resp = expit(lp - ln)
+        resp = _posterior(lp, ln)
         pi, pos_fire, neg_fire = m_step(resp)
         objective, data_ll, lp, ln = objective_at(pi, pos_fire, neg_fire)
         history.append(objective)
@@ -243,7 +248,7 @@ def ds_fit(
 
     # Canonicalize label switching: class +1 is the one whose
     # posterior-weighted mean signed vote is larger.
-    resp = expit(lp - ln)
+    resp = _posterior(lp, ln)
     mean_signed = (2.0 * v01 - 1.0).mean(axis=1)
     weight_pos = float(weights @ resp)
     weight_neg = n - weight_pos
@@ -269,35 +274,28 @@ def ds_fit(
     return DSModel(class_prior=float(pi), confusion=confusion, diagnostics=diagnostics)
 
 
-def _ds_log_scores(model: DSModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v01 = rows.astype(np.float64)
-    conf = model.confusion
-    lp = (
-        math.log(model.class_prior)
-        + xlogy(v01, conf[:, 1, 1]).sum(axis=1)
-        + xlogy(1.0 - v01, conf[:, 1, 0]).sum(axis=1)
-    )
-    ln = (
-        math.log1p(-model.class_prior)
-        + xlogy(v01, conf[:, 0, 1]).sum(axis=1)
-        + xlogy(1.0 - v01, conf[:, 0, 0]).sum(axis=1)
-    )
-    return lp, ln
+def _naive_bayes_posteriors(
+    signed_votes: SignedVotes, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
+) -> np.ndarray:
+    """P(y = +1 | votes) for every record, computed once per vote pattern."""
+    signed = _check_signed(signed_votes)
+    if signed.shape[1] != pos_fire.shape[0]:
+        raise ValueError(
+            f"votes have {signed.shape[1]} columns, model expects {pos_fire.shape[0]}"
+        )
+    pats = compress_votes(signed)
+    lp, ln = _class_log_likelihoods(pats.rows, pi, pos_fire, neg_fire)
+    if (np.isneginf(lp) & np.isneginf(ln)).any():
+        raise ValueError("vote vector has zero probability under the model")
+    return _posterior(lp, ln)[pats.inverse]
 
 
 def ds_posteriors(model: DSModel, signed_votes: SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) for every record under the fitted naive-Bayes model."""
-    signed = _check_signed(signed_votes)
-    if signed.shape[1] != model.num_lfs:
-        raise ValueError(
-            f"votes have {signed.shape[1]} columns, model expects {model.num_lfs}"
-        )
-    pats = compress_votes(signed)
-    lp, ln = _ds_log_scores(model, pats.rows)
-    impossible = np.isneginf(lp) & np.isneginf(ln)
-    if impossible.any():
-        raise ValueError("vote vector has zero probability under the model")
-    return expit(lp - ln)[pats.inverse]
+    conf = model.confusion
+    return _naive_bayes_posteriors(
+        signed_votes, model.class_prior, conf[:, 1, 1], conf[:, 0, 1]
+    )
 
 
 def ds_posterior(model: DSModel, signed_votes: Sequence[int]) -> float:
@@ -391,18 +389,10 @@ def fs_fit(signed_votes: SignedVotes, prior: Prior, eps_clip: float = 1e-4) -> F
 def fs_posteriors(model: FSModel, signed_votes: SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) treating functions as conditionally independent
     symmetric channels with accuracy (1 + a_j) / 2."""
-    signed = _check_signed(signed_votes)
-    if signed.shape[1] != model.num_lfs:
-        raise ValueError(
-            f"votes have {signed.shape[1]} columns, model expects {model.num_lfs}"
-        )
-    pats = compress_votes(signed)
-    av = (2.0 * pats.rows - 1.0) * model.accuracies
-    logit = (
-        math.log(model.class_prior) - math.log1p(-model.class_prior)
-        + (np.log1p(av) - np.log1p(-av)).sum(axis=1)
+    a = model.accuracies
+    return _naive_bayes_posteriors(
+        signed_votes, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0
     )
-    return expit(logit)[pats.inverse]
 
 
 def fs_posterior(model: FSModel, signed_votes: Sequence[int]) -> float:

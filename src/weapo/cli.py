@@ -34,9 +34,10 @@ from .data import (
     build_slices,
     coverage_mask,
     load_dataset,
+    save_dataset,
 )
 from .endmodel import TargetPolicy, default_gamma, fit_krr, make_targets, predict_krr
-from .metrics import UndefinedMetricError, evaluate_label_model
+from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
 from .model import WeapoConfig, WeapoModel, fit, predict_dataset
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
@@ -252,10 +253,9 @@ def cmd_end(args) -> int:
     gamma = args.gamma if args.gamma is not None else default_gamma(train.features_matrix)
     krr = fit_krr(train.features_matrix, targets, gamma=gamma, alpha=args.alpha)
     predictions = predict_krr(krr, test.features_matrix)
-    from .metrics import pr_auc as _pr, roc_auc as _roc  # evaluated on all records
-
-    roc = _roc(predictions, gold)
-    pr = _pr(predictions, gold)
+    # The end model is evaluated on every test record, covered or not.
+    roc = roc_auc(predictions, gold)
+    pr = pr_auc(predictions, gold)
     out_payload = {
         "command": "end",
         "version": __version__,
@@ -306,27 +306,17 @@ def cmd_compare(args) -> int:
     test = load_dataset(args.test)
     gold = _require_gold(test, args.test)
     mask = coverage_mask(test)
+
+    def scores_of(name: str) -> np.ndarray:
+        if name == "oracle":
+            return oracle_posteriors(SyntheticSpec.load(args.oracle)).scores(test)
+        return _model_scores(_fit_payload(name, train, args.prior, args), test)
+
     rows: list[dict[str, Any]] = []
-    for name in names:
+    for name in names + (["oracle"] if args.oracle is not None else []):
         row: dict[str, Any] = {"model": name}
         try:
-            payload = _fit_payload(name, train, args.prior, args)
-            scores = _model_scores(payload, test)
-            result = evaluate_label_model(scores, mask, gold)
-            row.update(result.to_json_dict())
-            row["error"] = None
-        except (ValueError, UndefinedMetricError) as err:
-            row.update(
-                {"roc_auc": None, "pr_auc": None, "n_pos": None, "n_neg": None,
-                 "n_evaluated": None, "error": str(err)}
-            )
-        rows.append(row)
-    if args.oracle is not None:
-        row = {"model": "oracle"}
-        try:
-            spec = SyntheticSpec.load(args.oracle)
-            oracle_scores = oracle_posteriors(spec).scores(test)
-            result = evaluate_label_model(oracle_scores, mask, gold)
+            result = evaluate_label_model(scores_of(name), mask, gold)
             row.update(result.to_json_dict())
             row["error"] = None
         except (ValueError, UndefinedMetricError) as err:
@@ -400,8 +390,6 @@ def _resolve_spec(args) -> SyntheticSpec:
 def cmd_synth(args) -> int:
     spec = _resolve_spec(args)
     dataset = generate(spec)
-    from .data import save_dataset
-
     save_dataset(dataset, args.out)
     oracle_path = args.out + ".oracle.json"
     spec.save(oracle_path)
@@ -430,20 +418,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"weapo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a label model on a training dataset")
+    # Fitting flags shared by fit and compare.
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--lambda-reg", type=float, default=1.0)
+    fitting.add_argument("--prior-weight", type=float, default=1.0)
+    fitting.add_argument("--max-iters", type=int, default=100,
+                         help="Dawid-Skene EM iteration cap")
+    fitting.add_argument("--tol", type=float, default=1e-6,
+                         help="Dawid-Skene EM stopping tolerance")
+    fitting.add_argument("--smoothing", type=float, default=1.0)
+    fitting.add_argument("--eps-clip", type=float, default=1e-4)
+
+    p_fit = sub.add_parser("fit", parents=[fitting],
+                           help="fit a label model on a training dataset")
     p_fit.add_argument("train", help="training dataset (JSONL)")
     p_fit.add_argument("--model", required=True, choices=MODEL_NAMES)
     p_fit.add_argument("--prior", type=float, default=None,
                        help="positive-class prior (required for weapo and fs)")
     p_fit.add_argument("--out", required=True, help="where to write the model JSON")
-    p_fit.add_argument("--lambda-reg", type=float, default=1.0)
-    p_fit.add_argument("--prior-weight", type=float, default=1.0)
-    p_fit.add_argument("--max-iters", type=int, default=100,
-                       help="Dawid-Skene EM iteration cap")
-    p_fit.add_argument("--tol", type=float, default=1e-6,
-                       help="Dawid-Skene EM stopping tolerance")
-    p_fit.add_argument("--smoothing", type=float, default=1.0)
-    p_fit.add_argument("--eps-clip", type=float, default=1e-4)
     p_fit.add_argument("--dump-edges", default=None,
                        help="also write the covering-order edges as JSON")
     p_fit.add_argument("--quiet", action="store_true")
@@ -468,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_end.add_argument("--quiet", action="store_true")
     p_end.set_defaults(func=cmd_end)
 
-    p_cmp = sub.add_parser("compare", help="fit several models and tabulate test metrics")
+    p_cmp = sub.add_parser("compare", parents=[fitting],
+                           help="fit several models and tabulate test metrics")
     p_cmp.add_argument("train")
     p_cmp.add_argument("test")
     p_cmp.add_argument("--models", required=True,
@@ -476,14 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--prior", type=float, default=None)
     p_cmp.add_argument("--oracle", default=None,
                        help="synthetic spec JSON; adds a Bayes-oracle row")
-    p_cmp.add_argument("--lambda-reg", type=float, default=1.0)
-    p_cmp.add_argument("--prior-weight", type=float, default=1.0)
-    p_cmp.add_argument("--max-iters", type=int, default=100,
-                       help="Dawid-Skene EM iteration cap")
-    p_cmp.add_argument("--tol", type=float, default=1e-6,
-                       help="Dawid-Skene EM stopping tolerance")
-    p_cmp.add_argument("--smoothing", type=float, default=1.0)
-    p_cmp.add_argument("--eps-clip", type=float, default=1e-4)
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument("--quiet", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)

@@ -94,23 +94,13 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise UndefinedMetricError("PR-AUC needs at least one positive")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    n = s.size
-    ap = 0.0
-    recall_prev = 0.0
-    cum_pos = 0
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and s[j] == s[i]:
-            j += 1
-        cum_pos += int((y[i:j] == 1).sum())
-        recall = cum_pos / total_pos
-        precision = cum_pos / j
-        ap += (recall - recall_prev) * precision
-        recall_prev = recall
-        i = j
-    return ap
+    # ends[b] is one past the last record of tied block b.
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+    cum_pos = np.cumsum(labels[order] == 1)[ends - 1]
+    recall = cum_pos / total_pos
+    precision = cum_pos / ends
+    # cumsum adds the block terms in order, as a running sum would.
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def evaluate_label_model(

@@ -115,6 +115,39 @@ def average_precision_rank_walk(scores, labels):
     return ap
 
 
+def average_precision_tie_blocks(scores, labels):
+    """Average precision with atomic tied blocks, walking one record at a time.
+
+    Sorts by descending score (stable), then scans forward to the end of
+    each run of equal scores and adds precision * recall-increment once
+    per run, with a running float sum. Valid with or without ties.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    total_pos = int((labels == 1).sum())
+    if total_pos == 0:
+        raise ValueError("need at least one positive")
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    n = s.size
+    ap = 0.0
+    recall_prev = 0.0
+    cum_pos = 0
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and s[j] == s[i]:
+            j += 1
+        cum_pos += int((y[i:j] == 1).sum())
+        recall = cum_pos / total_pos
+        precision = cum_pos / j
+        ap += (recall - recall_prev) * precision
+        recall_prev = recall
+        i = j
+    return ap
+
+
 def simplex_grid(m, steps):
     """All grid points on the (m-1)-simplex with coordinates k/steps."""
     points = []

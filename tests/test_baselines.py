@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weapo import (
     DSModel,
@@ -10,11 +12,13 @@ from weapo import (
     Prior,
     Record,
     SyntheticSpec,
+    WeapoConfig,
     convert_abstain,
     covers,
     ds_fit,
     ds_posterior,
     ds_posteriors,
+    fit,
     fs_fit,
     fs_fit_from_moments,
     fs_posterior,
@@ -22,6 +26,7 @@ from weapo import (
     generate,
     mv_score,
     mv_scores,
+    predict_dataset,
 )
 
 from oracles import dawid_skene_per_row
@@ -186,6 +191,33 @@ class TestDawidSkene:
         with pytest.raises(ValueError, match="zero probability"):
             ds_posterior(model, [-1])
 
+    def test_boundary_rates_give_exact_posteriors(self):
+        """A fire rate of exactly 0 or 1 rules patterns out: the posterior
+        is then exactly 0.0 or 1.0, never NaN."""
+        # Function 0 always fires given y = +1; function 1 never fires
+        # given y = -1.
+        conf = np.array([[[0.6, 0.4], [0.0, 1.0]], [[1.0, 0.0], [0.3, 0.7]]])
+        model = DSModel(class_prior=0.4, confusion=conf)
+        post = ds_posteriors(model, np.array([[-1, -1], [1, 1], [1, -1]]))
+        assert post[0] == 0.0
+        assert post[1] == 1.0
+        assert 0.0 < post[2] < 1.0
+        # A rate of 0 given y = +1 rules out y = +1 whenever it fires.
+        never = DSModel(class_prior=0.5, confusion=np.array([[[0.5, 0.5], [1.0, 0.0]]]))
+        assert ds_posterior(never, [1]) == 0.0
+        assert ds_posterior(never, [-1]) == pytest.approx(2 / 3, abs=1e-15)
+
+    def test_unsmoothed_fit_on_separable_votes_stays_finite(self):
+        """Without smoothing EM drives rates onto 0 and 1; responsibilities
+        and posteriors stay numbers in [0, 1]."""
+        signed = np.array([[1, 1, -1]] * 30 + [[-1, -1, -1]] * 20 + [[-1, 1, 1]] * 10)
+        model = ds_fit(signed, Prior(0.5), smoothing=0.0)
+        assert np.isin(model.confusion[:, :, 1], (0.0, 1.0)).any()
+        assert np.isfinite(model.diagnostics["objective_history"]).all()
+        post = ds_posteriors(model, signed)
+        assert not np.isnan(post).any()
+        assert ((post >= 0.0) & (post <= 1.0)).all()
+
     def test_width_mismatch_rejected(self):
         model = DSModel(class_prior=0.5, confusion=np.full((2, 2, 2), 0.5))
         with pytest.raises(ValueError, match="columns"):
@@ -218,6 +250,8 @@ class TestDawidSkene:
             ({"confusion": []}, r"\(M, 2, 2\)"),
             ({"confusion": [[[1.2, -0.2], [0.5, 0.5]]]}, r"\[0, 1\]"),
             ({"confusion": [[[float("nan"), 0.5], [0.5, 0.5]]]}, r"\[0, 1\]"),
+            ({"confusion": [[[0.5, 0.6], [0.5, 0.5]]]}, "sum to 1"),
+            ({"confusion": [[[0.5, 0.5], [0.3, 0.3]]]}, "sum to 1"),
         ]
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):
@@ -318,6 +352,12 @@ class TestTripletMethod:
         assert fs_posterior(model, [1]) == pytest.approx(0.9, abs=1e-12)
         assert fs_posterior(model, [-1]) == pytest.approx(0.1, abs=1e-12)
 
+    def test_extreme_log_odds_saturate(self):
+        """Log-odds far beyond the float range of exp give exactly 0 or 1."""
+        model = FSModel(accuracies=np.full(100, 0.9999), class_prior=0.5)
+        post = fs_posteriors(model, np.array([[-1] * 100, [1] * 100]))
+        assert post.tolist() == [0.0, 1.0]
+
     def test_zero_accuracies_return_prior(self):
         model = FSModel(accuracies=np.zeros(3), class_prior=0.37)
         for votes in ([1, 1, 1], [-1, 1, -1]):
@@ -363,3 +403,40 @@ class TestTripletMethod:
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):
                 FSModel.from_json_dict({**payload, **change})
+
+
+@st.composite
+def dominance_cases(draw):
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(1, 6))
+    votes = np.array(
+        draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    ).reshape(n, m)
+    unit = st.floats(0.01, 0.99)
+    accuracies = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=m, max_size=m))
+    return votes, draw(unit), draw(st.sampled_from((0.0, 0.1, 1.0))), draw(unit), accuracies
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominance_cases())
+def test_dominating_pattern_never_scores_lower(case):
+    """If record i's votes fire wherever record k's do, i scores at least
+    as high as k under fitted weapo, majority vote and any triplet model
+    (its accuracies are non-negative). Dawid-Skene is left out: a
+    worse-than-random function rightly lowers the posterior when it fires."""
+    votes, p, lam, fs_prior, accuracies = case
+    dataset = make_dataset(votes.tolist())
+    dominates = (votes[:, None, :] >= votes[None, :, :]).all(axis=2)
+    scores = {
+        "mv": mv_scores(dataset),
+        "fs": fs_posteriors(
+            FSModel(accuracies=np.array(accuracies), class_prior=fs_prior),
+            convert_abstain(dataset),
+        ),
+    }
+    if votes.any():
+        model = fit(dataset, Prior(p), WeapoConfig(lambda_reg=lam))
+        scores["weapo"] = predict_dataset(model, dataset)[0]
+    for name, values in scores.items():
+        assert (values[:, None] >= values[None, :])[dominates].all(), name

@@ -318,11 +318,14 @@ class TestEvalCommand:
             ({"model_type": "ds", "class_prior": 0.5,
               "confusion": [[[0.5, 0.5], [2.0, -1.0]], [[0.5, 0.5], [0.5, 0.5]]]},
              r"\[0, 1\]"),
+            ({"model_type": "ds", "class_prior": 0.5,
+              "confusion": [[[0.5, 0.5], [0.2, 0.9]], [[0.5, 0.5], [0.5, 0.5]]]},
+             "sum to 1"),
             ({"model_type": "fs", "class_prior": 1.0, "accuracies": [0.5, 0.5]},
              "class_prior"),
             ([0.5, 0.5], "one JSON object"),
         ],
-        ids=["weapo", "weapo-width", "ds", "fs", "not-an-object"],
+        ids=["weapo", "weapo-width", "ds", "ds-rows", "fs", "not-an-object"],
     )
     def test_invalid_model_payload(self, tmp_path, capsys, payload, message):
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
@@ -516,14 +519,18 @@ class TestCompareCommand:
 
 class TestTopLevel:
     def test_import_leaves_out_scipy_stats(self):
-        """scipy.stats costs most of a second to import; the CLI needs none of it."""
+        """scipy.stats and scipy.special cost most of a second to import;
+        the CLI needs neither."""
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, weapo.cli; print('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, weapo.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, check=True,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
