@@ -43,7 +43,6 @@ from .data import (
 )
 from .endmodel import (
     KRRModel,
-    TargetPolicy,
     default_gamma,
     fit_krr,
     make_targets,
@@ -87,7 +86,6 @@ __all__ = [
     "SignedVotes",
     "SliceTable",
     "SyntheticSpec",
-    "TargetPolicy",
     "UndefinedMetricError",
     "VotePatterns",
     "VoteVector",

@@ -36,7 +36,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .endmodel import TargetPolicy, default_gamma, fit_krr, make_targets, predict_krr
+from .endmodel import default_gamma, fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
 from .model import WeapoConfig, WeapoModel, fit, predict_dataset
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
@@ -240,11 +240,7 @@ def cmd_end(args) -> int:
         raise ValueError(f"{args.test}: end model needs features on every record")
     gold = _require_gold(test, args.test)
     label_scores = _model_scores(payload, train)
-    targets = make_targets(
-        label_scores,
-        coverage_mask(train),
-        TargetPolicy(uncovered_target=args.uncovered_target),
-    )
+    targets = make_targets(label_scores, coverage_mask(train), args.uncovered_target)
     if np.ptp(targets) == 0.0:
         raise ValueError(
             "all training targets are identical (is any record covered?); "
@@ -304,16 +300,19 @@ def cmd_compare(args) -> int:
         )
     train = load_dataset(args.train)
     test = load_dataset(args.test)
+    oracle = None
+    if args.oracle is not None:
+        oracle = oracle_posteriors(SyntheticSpec.load(args.oracle))
     gold = _require_gold(test, args.test)
     mask = coverage_mask(test)
 
     def scores_of(name: str) -> np.ndarray:
         if name == "oracle":
-            return oracle_posteriors(SyntheticSpec.load(args.oracle)).scores(test)
+            return oracle.scores(test)
         return _model_scores(_fit_payload(name, train, args.prior, args), test)
 
     rows: list[dict[str, Any]] = []
-    for name in names + (["oracle"] if args.oracle is not None else []):
+    for name in names + (["oracle"] if oracle is not None else []):
         row: dict[str, Any] = {"model": name}
         try:
             result = evaluate_label_model(scores_of(name), mask, gold)

@@ -16,6 +16,7 @@ distinct vote pattern and gathers the values back to the records.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,8 +41,10 @@ class FeatureSpec:
             raise ValueError("mu_pos and mu_neg must have the same dimension")
         if len(self.mu_pos) == 0:
             raise ValueError("feature dimension must be at least 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not all(math.isfinite(x) for x in self.mu_pos + self.mu_neg):
+            raise ValueError("mu_pos and mu_neg entries must be finite")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -74,6 +77,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def num_lfs(self) -> int:
@@ -96,21 +101,32 @@ class SyntheticSpec:
         return payload
 
     @classmethod
-    def from_json_dict(cls, payload: dict[str, Any]) -> "SyntheticSpec":
+    def from_json_dict(cls, payload: Any) -> "SyntheticSpec":
+        """Inverse of ``to_json_dict``, and strict about it.
+
+        The payload is an object with exactly the keys ``p_plus``, ``tpr``,
+        ``fpr``, ``n`` and ``seed``, plus an optional ``feature_spec``
+        object with exactly ``mu_pos``, ``mu_neg`` and ``sigma``. Rates,
+        means and sigma are JSON numbers; ``n`` and ``seed`` are JSON
+        integers. Anything else raises ``ValueError`` naming the key.
+        """
+        required = ("p_plus", "tpr", "fpr", "n", "seed")
+        _check_keys(payload, "spec", required, optional=("feature_spec",))
         feature_spec = None
-        if payload.get("feature_spec") is not None:
+        if "feature_spec" in payload:
             fs = payload["feature_spec"]
+            _check_keys(fs, "feature_spec", ("mu_pos", "mu_neg", "sigma"))
             feature_spec = FeatureSpec(
-                mu_pos=tuple(float(x) for x in fs["mu_pos"]),
-                mu_neg=tuple(float(x) for x in fs["mu_neg"]),
-                sigma=float(fs["sigma"]),
+                mu_pos=_numbers(fs["mu_pos"], "mu_pos"),
+                mu_neg=_numbers(fs["mu_neg"], "mu_neg"),
+                sigma=_number(fs["sigma"], "sigma"),
             )
         return cls(
-            p_plus=float(payload["p_plus"]),
-            tpr=tuple(float(x) for x in payload["tpr"]),
-            fpr=tuple(float(x) for x in payload["fpr"]),
-            n=int(payload["n"]),
-            seed=int(payload["seed"]),
+            p_plus=_number(payload["p_plus"], "p_plus"),
+            tpr=_numbers(payload["tpr"], "tpr"),
+            fpr=_numbers(payload["fpr"], "fpr"),
+            n=_integer(payload["n"], "n"),
+            seed=_integer(payload["seed"], "seed"),
             feature_spec=feature_spec,
         )
 
@@ -122,7 +138,54 @@ class SyntheticSpec:
     @classmethod
     def load(cls, path: str) -> "SyntheticSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+
+
+def _check_keys(
+    payload: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{where} lacks key {key!r}")
+    for key in payload:
+        if key not in required + optional:
+            raise ValueError(f"unknown {where} key {key!r}")
+
+
+def _as_float(value: Any) -> float | None:
+    """A JSON number as a float; None for anything else, booleans and
+    integers beyond the float range included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _number(value: Any, key: str) -> float:
+    number = _as_float(value)
+    if number is None:
+        raise ValueError(f"key {key!r} must be a number, got {value!r}")
+    return number
+
+
+def _numbers(value: Any, key: str) -> tuple[float, ...]:
+    numbers = [_as_float(x) for x in value] if isinstance(value, list) else [None]
+    if None in numbers:
+        raise ValueError(f"key {key!r} must be a list of numbers, got {value!r}")
+    return tuple(numbers)
+
+
+def _integer(value: Any, key: str) -> int:
+    if not (isinstance(value, int) and not isinstance(value, bool)):
+        raise ValueError(f"key {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def generate(spec: SyntheticSpec) -> Dataset:

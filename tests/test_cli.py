@@ -150,6 +150,34 @@ class TestSynthCommand:
         assert out.read_bytes() == reference.read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "seed": 0}',
+                         "lacks key 'n'", id="missing-n"),
+            pytest.param('[0.5, [0.9], [0.1], 10, 0]', "must be a JSON object", id="list"),
+            pytest.param('{"p_plus": 0.5,', "Expecting", id="invalid-json"),
+            pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10.7, "seed": 0}',
+                         "'n'", id="float-n"),
+            pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": true}',
+                         "'seed'", id="bool-seed"),
+            pytest.param(
+                '{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": 0, "m": 1}',
+                "unknown spec key 'm'", id="unknown-key",
+            ),
+        ],
+    )
+    def test_malformed_spec_file_is_data_error(self, tmp_path, capsys, text, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text + "\n")
+        out = tmp_path / "x.jsonl"
+        assert main(["synth", "--out", str(out), "--spec", str(spec_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestFitCommand:
     def test_weapo_model_file_is_feasible(self, informative_files, tmp_path):
         model_path = tmp_path / "model.json"
@@ -395,6 +423,18 @@ class TestEndCommand:
         assert config["alpha"] == 0.5
         assert config["gamma"] == 0.3
 
+    @pytest.mark.parametrize(
+        "flags", [["--gamma", "nan"], ["--alpha", "inf"], ["--uncovered-target", "nan"]]
+    )
+    def test_non_finite_flags_are_data_errors(self, feature_files, capsys, flags):
+        code = main(
+            ["end", feature_files["model"], feature_files["train"],
+             feature_files["test"], *flags, "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
     def test_out_of_memory_is_clean_error(self, feature_files, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.7 GiB")
@@ -493,6 +533,38 @@ class TestCompareCommand:
         assert err_lines[0].startswith("warning: ds:")
         assert all(row["error"] is None for row in read_json(out)["rows"])
 
+    def test_malformed_oracle_spec_fails_before_fitting(
+        self, informative_files, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "oracle.json"
+        spec_path.write_text(
+            '{"p_plus": 0.5, "tpr": [0.8, 0.7, 0.6], "fpr": [0.2, 0.15, 0.1], "seed": 0}\n'
+        )
+        out = tmp_path / "cmp.json"
+        # With --max-iters 1, a ds fit would print a warning line first.
+        code = main(
+            ["compare", informative_files["train"], informative_files["test"],
+             "--models", "ds,mv", "--max-iters", "1", "--oracle", str(spec_path),
+             "--out", str(out), "--quiet"]
+        )
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [f"error: {spec_path}: spec lacks key 'n'"]
+        assert not out.exists()
+
+    def test_oracle_of_other_width_reported_inline(self, informative_files, tmp_path):
+        spec_path = tmp_path / "oracle.json"
+        SyntheticSpec(p_plus=0.5, tpr=(0.9, 0.8), fpr=(0.1, 0.2), n=10).save(str(spec_path))
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", informative_files["train"], informative_files["test"],
+             "--models", "mv", "--oracle", str(spec_path), "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        rows = {r["model"]: r for r in read_json(out)["rows"]}
+        assert rows["mv"]["error"] is None
+        assert "labeling functions" in rows["oracle"]["error"]
+
     def test_empty_model_list_is_usage_error(self, informative_files, capsys):
         code = main(
             ["compare", informative_files["train"], informative_files["test"],
@@ -519,18 +591,24 @@ class TestCompareCommand:
 
 class TestTopLevel:
     def test_import_leaves_out_scipy_stats(self):
-        """scipy.stats and scipy.special cost most of a second to import;
-        the CLI needs neither."""
+        """weapo depends on numpy only: neither ``import weapo`` nor
+        ``import weapo.cli`` may load scipy or any of its submodules."""
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
-            "import sys, weapo.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import weapo\n"
+            "print(scipy_modules())\n"
+            "import weapo.cli\n"
+            "print(scipy_modules())\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, check=True,
         )
-        assert result.stdout.strip() == "False False"
+        assert result.stdout.splitlines() == ["[]", "[]"]
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -7,10 +7,8 @@ import pytest
 
 from weapo import (
     FeatureSpec,
-    KRRModel,
     Prior,
     SyntheticSpec,
-    TargetPolicy,
     default_gamma,
     evaluate_label_model,
     fit,
@@ -32,9 +30,7 @@ class TestMakeTargets:
         np.testing.assert_array_equal(targets, [0.9, 0.0, 0.7])
 
     def test_policy_constant(self):
-        targets = make_targets(
-            np.array([0.9, 0.4]), np.array([0, 0]), TargetPolicy(uncovered_target=0.5)
-        )
+        targets = make_targets(np.array([0.9, 0.4]), np.array([0, 0]), uncovered_target=0.5)
         np.testing.assert_array_equal(targets, [0.5, 0.5])
 
     def test_input_is_not_mutated(self):
@@ -150,13 +146,34 @@ class TestFitKrr:
         with pytest.raises(ValueError, match="width"):
             predict_krr(model, np.zeros((1, 3)))
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(9)
-        model = fit_krr(rng.normal(size=(10, 2)), rng.normal(size=10), gamma=0.9)
-        back = KRRModel.from_json_dict(model.to_json_dict())
-        assert (back.support == model.support).all()
-        assert (back.coefficients == model.coefficients).all()
-        assert back.gamma == model.gamma and back.alpha == model.alpha
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"targets": [0.0, np.nan, 1.0]}, id="nan-target"),
+            pytest.param({"targets": [0.0, np.inf, 1.0]}, id="inf-target"),
+            pytest.param({"targets": [0.0, -np.inf, 1.0]}, id="minus-inf-target"),
+            pytest.param({"features": [[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]},
+                         id="nan-feature"),
+            pytest.param({"features": [[0.0, 1.0], [np.inf, 2.0], [3.0, 4.0]]},
+                         id="inf-feature"),
+            pytest.param({"gamma": np.nan}, id="nan-gamma"),
+            pytest.param({"gamma": np.inf}, id="inf-gamma"),
+            pytest.param({"alpha": np.nan}, id="nan-alpha"),
+            pytest.param({"alpha": np.inf}, id="inf-alpha"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, change):
+        """np.linalg.solve returns NaN coefficients for these instead of
+        raising, so fit_krr must reject them before the solve."""
+        args = {
+            "features": [[0.0, 1.0], [1.0, 2.0], [3.0, 4.0]],
+            "targets": [0.0, 0.5, 1.0],
+            "gamma": 1.0,
+            "alpha": 0.1,
+            **change,
+        }
+        with pytest.raises(ValueError, match="finite"):
+            fit_krr(**args)
 
 
 class TestPipeline:

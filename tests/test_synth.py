@@ -240,6 +240,10 @@ class TestPopulationMoments:
         np.testing.assert_allclose(empirical, population_moments(spec), atol=0.05)
 
 
+VALID_SPEC_PAYLOAD = {"p_plus": 0.5, "tpr": [0.9, 0.8], "fpr": [0.1, 0.2], "n": 10, "seed": 0}
+FEATURES = {"mu_pos": [1.0], "mu_neg": [0.0], "sigma": 1.0}
+
+
 class TestSpecPersistence:
     def test_round_trip_without_features(self, tmp_path):
         spec = spec_3lf(n=17, seed=9)
@@ -264,10 +268,73 @@ class TestSpecPersistence:
             SyntheticSpec(p_plus=0.5, tpr=(1.5,), fpr=(0.5,), n=1)
         with pytest.raises(ValueError, match="n must"):
             SyntheticSpec(p_plus=0.5, tpr=(0.5,), fpr=(0.5,), n=-1)
+        with pytest.raises(ValueError, match="seed must"):
+            SyntheticSpec(p_plus=0.5, tpr=(0.5,), fpr=(0.5,), n=1, seed=-1)
         with pytest.raises(ValueError, match="dimension"):
             FeatureSpec(mu_pos=(1.0,), mu_neg=(1.0, 2.0), sigma=1.0)
         with pytest.raises(ValueError, match="sigma"):
             FeatureSpec(mu_pos=(1.0,), mu_neg=(0.0,), sigma=0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            FeatureSpec(mu_pos=(1.0,), mu_neg=(0.0,), sigma=float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            FeatureSpec(mu_pos=(float("nan"),), mu_neg=(0.0,), sigma=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            FeatureSpec(mu_pos=(1.0,), mu_neg=(float("-inf"),), sigma=1.0)
+
+    def test_json_integers_load_as_rates(self):
+        spec = SyntheticSpec.from_json_dict(
+            {"p_plus": 0.5, "tpr": [1, 0.5], "fpr": [0, 0.5], "n": 3, "seed": 0,
+             "feature_spec": {"mu_pos": [1], "mu_neg": [0], "sigma": 2}}
+        )
+        assert spec.tpr == (1.0, 0.5) and spec.fpr == (0.0, 0.5)
+        assert spec.feature_spec == FeatureSpec(mu_pos=(1.0,), mu_neg=(0.0,), sigma=2.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"extra": 1}, "unknown spec key 'extra'"),
+            ({"n": 10.7}, "'n' must be an integer"),
+            ({"n": 10.0}, "'n' must be an integer"),
+            ({"n": True}, "'n' must be an integer"),
+            ({"n": "10"}, "'n' must be an integer"),
+            ({"seed": True}, "'seed' must be an integer"),
+            ({"seed": 1.0}, "'seed' must be an integer"),
+            ({"p_plus": True}, "'p_plus' must be a number"),
+            ({"p_plus": "0.5"}, "'p_plus' must be a number"),
+            ({"tpr": [0.9, False]}, "'tpr' must be a list of numbers"),
+            ({"tpr": 0.9}, "'tpr' must be a list"),
+            ({"p_plus": 10**400}, "'p_plus' must be a number"),
+            ({"tpr": [0.5, -(10**400)]}, "'tpr' must be a list of numbers"),
+            ({"fpr": [None, 0.1]}, "'fpr' must be a list of numbers"),
+            ({"feature_spec": None}, "feature_spec must be a JSON object"),
+            ({"feature_spec": [1.0]}, "feature_spec must be a JSON object"),
+            ({"feature_spec": {"mu_pos": [1.0], "mu_neg": [0.0]}}, "lacks key 'sigma'"),
+            ({"feature_spec": {**FEATURES, "dim": 1}}, "unknown feature_spec key 'dim'"),
+            ({"feature_spec": {**FEATURES, "sigma": True}}, "'sigma' must be a number"),
+            ({"feature_spec": {**FEATURES, "mu_pos": ["1"]}}, "'mu_pos' must be a list"),
+            ({"feature_spec": {**FEATURES, "mu_neg": {}}}, "'mu_neg' must be a list"),
+        ],
+    )
+    def test_strict_payload(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec.from_json_dict({**VALID_SPEC_PAYLOAD, **change})
+
+    @pytest.mark.parametrize("key", sorted(VALID_SPEC_PAYLOAD))
+    def test_missing_key_rejected(self, key):
+        payload = {k: v for k, v in VALID_SPEC_PAYLOAD.items() if k != key}
+        with pytest.raises(ValueError, match=f"spec lacks key '{key}'"):
+            SyntheticSpec.from_json_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[], "spec", 3, None])
+    def test_non_object_payload_rejected(self, payload):
+        with pytest.raises(ValueError, match="spec must be a JSON object"):
+            SyntheticSpec.from_json_dict(payload)
+
+    def test_load_error_names_the_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "seed": 0}\n')
+        with pytest.raises(ValueError, match=r"spec\.json: spec lacks key 'n'"):
+            SyntheticSpec.load(str(path))
 
 
 class TestModelsOnSyntheticData:
