@@ -266,3 +266,20 @@ def dawid_skene_per_row(signed, p_init, max_iters=100, tol=1e-6, smoothing=1.0):
         if side_pos < side_neg:
             pi, pos, neg = 1.0 - pi, neg, pos
     return pi, pos, neg, iterations
+
+
+def rbf_kernel_three_temporaries(x, y, gamma):
+    """The RBF kernel as a plain expression: squared distances, then the
+    scaled copy, then its exponential, each a new array."""
+    sq = (
+        (x * x).sum(axis=1)[:, None]
+        + (y * y).sum(axis=1)[None, :]
+        - 2.0 * (x @ y.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def ridge_system_with_identity(kernel, alpha):
+    """``kernel + alpha * I`` with the identity spelled out."""
+    return kernel + alpha * np.eye(kernel.shape[0])

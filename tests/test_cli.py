@@ -449,6 +449,18 @@ class TestEndCommand:
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
 
+    def test_fit_over_memory_budget_is_clean_error(self, feature_files, capsys, monkeypatch):
+        monkeypatch.setattr("weapo.endmodel._available_memory_bytes", lambda: 1 << 20)
+        code = main(
+            ["end", feature_files["model"], feature_files["train"],
+             feature_files["test"], "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the exact kernel fit on N = 600 training records")
+        assert "GiB" in err
+        assert "Traceback" not in err
+
     def test_train_without_features(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
         test = write_dataset(

@@ -1,10 +1,13 @@
 """Kernel ridge end model: targets, solver contracts, and the pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import weapo.endmodel
+from oracles import rbf_kernel_three_temporaries, ridge_system_with_identity
 from weapo import (
     FeatureSpec,
     Prior,
@@ -20,6 +23,7 @@ from weapo import (
     rbf_kernel,
     roc_auc,
 )
+from weapo.endmodel import MEMORY_BUDGET_FRACTION, PREDICT_CHUNK_ROWS
 
 
 class TestMakeTargets:
@@ -60,6 +64,18 @@ class TestRbfKernel:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="widths differ"):
             rbf_kernel(np.zeros((2, 3)), np.zeros((2, 2)), 1.0)
+
+    @pytest.mark.parametrize("same", [True, False], ids=["x-is-y", "distinct"])
+    def test_in_place_build_matches_three_temporaries_bitwise(self, same):
+        """``x is y`` takes numpy's symmetric product; both paths must
+        round exactly as the plain expression does."""
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(301, 4))
+        y = x if same else rng.normal(size=(177, 4))
+        kernel = rbf_kernel(x, y, 0.37)
+        np.testing.assert_array_equal(
+            kernel, rbf_kernel_three_temporaries(x, y, 0.37), strict=True
+        )
 
 
 class TestDefaultGamma:
@@ -141,6 +157,28 @@ class TestFitKrr:
         with pytest.raises(ValueError, match="gamma"):
             fit_krr(np.ones((2, 2)), np.zeros(2), gamma=-2.0)
 
+    def test_system_matches_identity_oracle_bitwise(self, monkeypatch):
+        """The ridge added to the diagonal in place gives exactly the
+        system ``kernel + alpha * I``, and the solve sees that system."""
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(120, 3))
+        t = rng.normal(size=120)
+        seen = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            seen.append(a.copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        model = fit_krr(x, t, gamma=0.6, alpha=0.25)
+        expected = ridge_system_with_identity(
+            rbf_kernel_three_temporaries(x, x, 0.6), 0.25
+        )
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], expected, strict=True)
+        np.testing.assert_array_equal(model.coefficients, solve(expected, t), strict=True)
+
     def test_predict_width_mismatch(self):
         model = fit_krr(np.zeros((2, 2)), np.zeros(2), gamma=1.0)
         with pytest.raises(ValueError, match="width"):
@@ -174,6 +212,128 @@ class TestFitKrr:
         }
         with pytest.raises(ValueError, match="finite"):
             fit_krr(**args)
+
+
+class TestChunkedPrediction:
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(30, 3))
+        return fit_krr(x, rng.normal(size=30), gamma=0.5, alpha=0.2)
+
+    @staticmethod
+    def expansion(model, features):
+        return (
+            rbf_kernel_three_temporaries(features, model.support, model.gamma)
+            @ model.coefficients
+        )
+
+    @pytest.mark.parametrize(
+        "n_test", [0, 1, PREDICT_CHUNK_ROWS - 1, PREDICT_CHUNK_ROWS]
+    )
+    def test_one_block_equals_unchunked_bitwise(self, model, n_test):
+        test = np.random.default_rng(n_test).normal(size=(n_test, 3))
+        predictions = predict_krr(model, test)
+        assert predictions.shape == (n_test,)
+        np.testing.assert_array_equal(predictions, self.expansion(model, test), strict=True)
+
+    @pytest.mark.parametrize(
+        "n_test", [PREDICT_CHUNK_ROWS + 1, 2 * PREDICT_CHUNK_ROWS + 3]
+    )
+    def test_blocks_equal_unchunked(self, model, n_test):
+        """Every block is scored bitwise as it would be on its own. Across
+        one unchunked product, BLAS may round a row's dot product
+        differently depending on where the row falls in its thread
+        partition, so there the bound is the dot-product rounding error,
+        2 * N_train * eps * sum |k_ij c_j|."""
+        test = np.random.default_rng(n_test).normal(size=(n_test, 3))
+        predictions = predict_krr(model, test)
+        assert predictions.shape == (n_test,)
+        for start in range(0, n_test, PREDICT_CHUNK_ROWS):
+            block = test[start:start + PREDICT_CHUNK_ROWS]
+            np.testing.assert_array_equal(
+                predictions[start:start + PREDICT_CHUNK_ROWS],
+                self.expansion(model, block),
+                strict=True,
+            )
+        kernel = rbf_kernel_three_temporaries(test, model.support, model.gamma)
+        bound = 2 * len(model.coefficients) * np.finfo(np.float64).eps * (
+            np.abs(kernel) @ np.abs(model.coefficients)
+        )
+        assert (np.abs(predictions - kernel @ model.coefficients) <= bound).all()
+
+
+class TestMemory:
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fit_holds_two_dense_arrays(self):
+        """The kernel system plus the copy the solve factors; building the
+        kernel out of place would hold three N x N arrays."""
+        n = 1000
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.5, alpha=1.0))
+        assert peak < 2.2 * n * n * 8
+
+    def test_prediction_never_holds_the_full_kernel(self):
+        n_train, n_test = 300, 8 * PREDICT_CHUNK_ROWS
+        rng = np.random.default_rng(13)
+        model = fit_krr(rng.normal(size=(n_train, 3)), rng.normal(size=n_train),
+                        gamma=0.5, alpha=1.0)
+        test = rng.normal(size=(n_test, 3))
+        peak = self.traced_peak(lambda: predict_krr(model, test))
+        assert peak < n_test * n_train * 8
+
+
+class TestMemoryBudget:
+    def test_fit_over_budget_is_refused(self, monkeypatch):
+        n = 50
+        monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: 16 * n * n)
+        with pytest.raises(ValueError, match=r"N = 50 .* GiB .* GiB of memory available"):
+            fit_krr(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
+
+    def test_fit_within_budget_runs(self, monkeypatch):
+        n = 50
+        available = int(16 * n * n / MEMORY_BUDGET_FRACTION) + 1
+        monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: available)
+        model = fit_krr(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
+        assert model.coefficients.shape == (n,)
+
+    def test_check_skipped_without_a_reading(self, monkeypatch):
+        monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: None)
+        model = fit_krr(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), gamma=1.0)
+        assert np.isfinite(model.coefficients).all()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("MemTotal:  8000 kB\nMemAvailable:   2048 kB\n", 2048 * 1024),
+            ("MemTotal:  8000 kB\nMemFree:   2048 kB\n", None),
+            ("MemAvailable: lots\n", None),
+        ],
+        ids=["present", "missing", "garbled"],
+    )
+    def test_reads_mem_available(self, monkeypatch, tmp_path, text, expected):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text(text)
+        monkeypatch.setattr(weapo.endmodel, "open", lambda path: meminfo.open(),
+                            raising=False)
+        assert weapo.endmodel._available_memory_bytes() == expected
+
+    def test_unreadable_meminfo_gives_none(self, monkeypatch):
+        def unreadable(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(weapo.endmodel, "open", unreadable, raising=False)
+        assert weapo.endmodel._available_memory_bytes() is None
 
 
 class TestPipeline:
