@@ -26,16 +26,22 @@ from .baselines import (
     mv_score,
     mv_scores,
 )
-from .covering import ConstraintMatrix, HasseEdge, constraint_matrix, covers, hasse_edges
+from .covering import (
+    ConstraintMatrix,
+    HasseEdge,
+    SliceTable,
+    build_slices,
+    constraint_matrix,
+    covers,
+    hasse_edges,
+)
 from .data import (
     Dataset,
     DatasetFormatError,
     Prior,
     Record,
-    SliceTable,
     VotePatterns,
     VoteVector,
-    build_slices,
     compress_votes,
     coverage_mask,
     load_dataset,

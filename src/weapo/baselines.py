@@ -5,7 +5,10 @@ baseline here first maps abstains to negative votes: 0 -> -1, 1 -> +1.
 Majority vote scores by the fraction of firing functions; Dawid-Skene
 fits per-function confusion matrices by EM under a naive-Bayes model;
 the triplet method recovers mean accuracies E[vote * y] from second
-moments in closed form.
+moments in closed form. Each sees a record only through its vote
+pattern, so the fitting and posterior functions take a ``Dataset``,
+whose cached ``patterns`` they read, or a signed (N, M) array, which
+they check and compress.
 
 Dawid-Skene and the triplet method share one naive-Bayes scorer: each
 function fires at one rate given y = +1 and another given y = -1. The
@@ -17,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Sequence
 
 import numpy as np
 
-from .data import Dataset, Prior, compress_votes
+from .data import Dataset, Prior, VotePatterns, compress_votes
 
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
@@ -48,13 +52,18 @@ def mv_scores(dataset: Dataset) -> np.ndarray:
     return pats.rows.astype(np.float64).mean(axis=1)[pats.inverse]
 
 
-def _check_signed(signed: np.ndarray) -> np.ndarray:
-    signed = np.asarray(signed)
+def _patterns(votes: Dataset | SignedVotes) -> VotePatterns:
+    """The cached patterns of a dataset, or those of a checked signed array."""
+    if isinstance(votes, Dataset):
+        if len(votes) == 0:
+            raise ValueError("dataset has no records")
+        return votes.patterns
+    signed = np.asarray(votes)
     if signed.ndim != 2 or signed.shape[0] == 0 or signed.shape[1] == 0:
         raise ValueError("signed votes must be a non-empty (N, M) array")
     if not np.isin(signed, (-1, 1)).all():
         raise ValueError("signed votes must take values in {-1, +1}")
-    return signed
+    return compress_votes(signed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +153,7 @@ def _posterior(lp: np.ndarray, ln: np.ndarray) -> np.ndarray:
 
 
 def ds_fit(
-    signed_votes: SignedVotes,
+    votes: Dataset | SignedVotes,
     init_prior: Prior,
     max_iters: int = 100,
     tol: float = 1e-6,
@@ -155,17 +164,19 @@ def ds_fit(
 
     Parameters
     ----------
-    signed_votes : (N, M) array over {-1, +1}
+    votes : Dataset or (N, M) array over {-1, +1}
     init_prior : Prior
         Initial class prior; EM updates it along with the confusions.
     max_iters, tol : int, float
         EM stops when the objective improves by less than ``tol`` or
-        after ``max_iters`` iterations.
+        after ``max_iters`` iterations. ``max_iters`` must be an integer
+        of at least 1 and ``tol`` finite and non-negative.
     smoothing : float
         Add-``smoothing`` Laplace counts in every re-estimation, which
         makes the fit the MAP under Beta(1 + smoothing, 1 + smoothing)
-        priors. The recorded objective history includes the matching
-        log-prior terms and is therefore non-decreasing.
+        priors; it must be finite and non-negative. The recorded
+        objective history includes the matching log-prior terms and is
+        therefore non-decreasing.
     init_confusion : (M, 2, 2) array, optional
         Start EM from explicit confusion matrices instead of the
         majority-vote initialization.
@@ -180,11 +191,14 @@ def ds_fit(
     classes are canonicalized so the one with the larger
     posterior-weighted mean signed vote is +1.
     """
-    signed = _check_signed(signed_votes)
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
-    n, m = signed.shape
-    pats = compress_votes(signed)
+    pats = _patterns(votes)
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and non-negative, got {smoothing!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    n, m = len(pats.inverse), pats.rows.shape[1]
     v01 = pats.rows.astype(np.float64)
     weights = pats.counts.astype(np.float64)
 
@@ -275,27 +289,24 @@ def ds_fit(
 
 
 def _naive_bayes_posteriors(
-    signed_votes: SignedVotes, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
+    votes: Dataset | SignedVotes, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
 ) -> np.ndarray:
     """P(y = +1 | votes) for every record, computed once per vote pattern."""
-    signed = _check_signed(signed_votes)
-    if signed.shape[1] != pos_fire.shape[0]:
+    pats = _patterns(votes)
+    if pats.rows.shape[1] != pos_fire.shape[0]:
         raise ValueError(
-            f"votes have {signed.shape[1]} columns, model expects {pos_fire.shape[0]}"
+            f"votes have {pats.rows.shape[1]} columns, model expects {pos_fire.shape[0]}"
         )
-    pats = compress_votes(signed)
     lp, ln = _class_log_likelihoods(pats.rows, pi, pos_fire, neg_fire)
     if (np.isneginf(lp) & np.isneginf(ln)).any():
         raise ValueError("vote vector has zero probability under the model")
     return _posterior(lp, ln)[pats.inverse]
 
 
-def ds_posteriors(model: DSModel, signed_votes: SignedVotes) -> np.ndarray:
+def ds_posteriors(model: DSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) for every record under the fitted naive-Bayes model."""
     conf = model.confusion
-    return _naive_bayes_posteriors(
-        signed_votes, model.class_prior, conf[:, 1, 1], conf[:, 0, 1]
-    )
+    return _naive_bayes_posteriors(votes, model.class_prior, conf[:, 1, 1], conf[:, 0, 1])
 
 
 def ds_posterior(model: DSModel, signed_votes: Sequence[int]) -> float:
@@ -351,9 +362,12 @@ def fs_fit_from_moments(
     Raises
     ------
     ValueError
-        If fewer than three functions are present, or some function has
-        no admissible triplet.
+        If ``eps_clip`` is not finite or lies outside [0, 1), fewer than
+        three functions are present, or some function has no admissible
+        triplet.
     """
+    if not (math.isfinite(eps_clip) and 0.0 <= eps_clip < 1.0):
+        raise ValueError(f"eps_clip must be finite and in [0, 1), got {eps_clip!r}")
     moments = np.asarray(moments, dtype=np.float64)
     if moments.ndim != 2 or moments.shape[0] != moments.shape[1]:
         raise ValueError("moments must be a square matrix")
@@ -378,21 +392,20 @@ def fs_fit_from_moments(
     return FSModel(accuracies=accuracies, class_prior=prior.p_plus)
 
 
-def fs_fit(signed_votes: SignedVotes, prior: Prior, eps_clip: float = 1e-4) -> FSModel:
+def fs_fit(votes: Dataset | SignedVotes, prior: Prior, eps_clip: float = 1e-4) -> FSModel:
     """Triplet-method fit from data: empirical moments, then recovery."""
-    signed = _check_signed(signed_votes).astype(np.float64)
-    n = signed.shape[0]
-    moments = (signed.T @ signed) / n
+    pats = _patterns(votes)
+    # Over count-weighted patterns; every sum is an integer, so exact.
+    signed = 2.0 * pats.rows - 1.0
+    moments = ((signed.T * pats.counts) @ signed) / len(pats.inverse)
     return fs_fit_from_moments(moments, prior, eps_clip=eps_clip)
 
 
-def fs_posteriors(model: FSModel, signed_votes: SignedVotes) -> np.ndarray:
+def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) treating functions as conditionally independent
     symmetric channels with accuracy (1 + a_j) / 2."""
     a = model.accuracies
-    return _naive_bayes_posteriors(
-        signed_votes, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0
-    )
+    return _naive_bayes_posteriors(votes, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0)
 
 
 def fs_posterior(model: FSModel, signed_votes: Sequence[int]) -> float:

@@ -19,23 +19,14 @@ from . import __version__
 from .baselines import (
     DSModel,
     FSModel,
-    convert_abstain,
     ds_fit,
     ds_posteriors,
     fs_fit,
     fs_posteriors,
     mv_scores,
 )
-from .covering import hasse_edges
-from .data import (
-    Dataset,
-    DatasetFormatError,
-    Prior,
-    build_slices,
-    coverage_mask,
-    load_dataset,
-    save_dataset,
-)
+from .covering import build_slices, hasse_edges
+from .data import Dataset, DatasetFormatError, Prior, coverage_mask, load_dataset, save_dataset
 from .endmodel import default_gamma, fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
 from .model import WeapoConfig, WeapoModel, fit, predict_dataset
@@ -71,7 +62,7 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 
 def _emit(payload: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -108,11 +99,7 @@ def _fit_payload(name: str, train: Dataset, prior_value: float | None, args) -> 
     if name == "ds":
         init = Prior(prior_value) if prior_value is not None else Prior(0.5)
         model = ds_fit(
-            convert_abstain(train),
-            init,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            smoothing=args.smoothing,
+            train, init, max_iters=args.max_iters, tol=args.tol, smoothing=args.smoothing
         )
         if not model.diagnostics["converged"]:
             print(
@@ -126,7 +113,7 @@ def _fit_payload(name: str, train: Dataset, prior_value: float | None, args) -> 
     if name == "fs":
         if prior_value is None:
             raise CliUsageError("--prior is required for model 'fs'")
-        model = fs_fit(convert_abstain(train), Prior(prior_value), eps_clip=args.eps_clip)
+        model = fs_fit(train, Prior(prior_value), eps_clip=args.eps_clip)
         payload = {"model_type": "fs"}
         payload.update(model.to_json_dict())
         return payload
@@ -156,9 +143,9 @@ def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
             )
         return mv_scores(dataset)
     if kind == "ds":
-        return ds_posteriors(DSModel.from_json_dict(payload), convert_abstain(dataset))
+        return ds_posteriors(DSModel.from_json_dict(payload), dataset)
     if kind == "fs":
-        return fs_posteriors(FSModel.from_json_dict(payload), convert_abstain(dataset))
+        return fs_posteriors(FSModel.from_json_dict(payload), dataset)
     raise ValueError(f"unknown model_type {kind!r} in model file")
 
 
@@ -173,10 +160,10 @@ def cmd_fit(args) -> int:
         "prior": args.prior,
         "out": args.out,
     }
-    _emit(payload, args.out)
+    # The edges are computed first, so a refused covering order leaves
+    # no model file behind.
     if args.dump_edges is not None:
         slices = build_slices(train)
-        edges = hasse_edges(slices.slices.keys())
         edge_rows = [
             {
                 "low": list(e.low),
@@ -184,8 +171,10 @@ def cmd_fit(args) -> int:
                 "d_low_size": len(slices.slices[e.low]),
                 "d_high_size": len(slices.slices[e.high]),
             }
-            for e in edges
+            for e in hasse_edges(slices.slices.keys())
         ]
+    _emit(payload, args.out)
+    if args.dump_edges is not None:
         with open(args.dump_edges, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(edge_rows, indent=2))
             fh.write("\n")

@@ -1,11 +1,13 @@
-"""Covering order over vote vectors and the slice-mean constraint matrix.
+"""Covering order over vote vectors, slices and the slice-mean constraint matrix.
 
 Vote vector ``v2`` covers ``v1`` when ``v2`` fires everywhere ``v1`` does
 and strictly more somewhere: under positive-only voting, the extra
-positive evidence can only raise the chance of the positive class. The
-Hasse diagram is the transitive reduction of that relation restricted to
+positive evidence can only raise the chance of the positive class. A
+*slice* groups the covered records that share a vote vector. The Hasse
+diagram is the transitive reduction of the covering order restricted to
 the observed vectors; each edge yields one linear constraint comparing
-slice mean scores.
+slice mean scores. ``hasse_edges`` refuses more than
+``MAX_HASSE_PATTERNS`` distinct vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,50 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import SliceTable, VoteVector
+from .data import Dataset, VoteVector
+
+# hasse_edges holds about 9 * K**2 bytes of dense arrays for K distinct
+# vectors: about 0.6 GB at this limit.
+MAX_HASSE_PATTERNS = 2**13
+
+
+@dataclass(frozen=True)
+class SliceTable:
+    """Covered records grouped by exact vote vector.
+
+    ``slices`` maps each observed non-zero vote vector to the indices of
+    records carrying it, in dataset order; ``uncovered`` lists the indices
+    of all-abstain records. Together they partition ``range(num_records)``.
+    """
+
+    slices: dict[VoteVector, tuple[int, ...]]
+    uncovered: tuple[int, ...]
+    num_records: int
+
+
+def build_slices(dataset: Dataset) -> SliceTable:
+    """Group covered records by vote vector.
+
+    Parameters
+    ----------
+    dataset : Dataset
+
+    Returns
+    -------
+    SliceTable
+        Slice keys appear in first-occurrence order; member index lists
+        follow dataset record order.
+    """
+    pats = dataset.patterns
+    members = np.split(np.argsort(pats.inverse, kind="stable"), np.cumsum(pats.counts)[:-1])
+    slices: dict[VoteVector, tuple[int, ...]] = {}
+    uncovered: tuple[int, ...] = ()
+    for row, group in zip(pats.rows.tolist(), members):
+        if any(row):
+            slices[tuple(row)] = tuple(group.tolist())
+        else:
+            uncovered = tuple(group.tolist())
+    return SliceTable(slices=slices, uncovered=uncovered, num_records=len(dataset))
 
 
 @dataclass(frozen=True)
@@ -57,8 +102,8 @@ def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
         third observed vector sits strictly between them. Sorted by
         ``(low, high)`` so the output is deterministic.
 
-    Raises ``ValueError`` on mixed lengths or at 2**24 or more distinct
-    vectors, where the path counts would no longer be exact in float32.
+    Raises ``ValueError`` on mixed lengths or at more than
+    ``MAX_HASSE_PATTERNS`` distinct vectors.
     """
     unique = sorted({tuple(int(b) for b in v) for v in vectors})
     if len(unique) <= 1:
@@ -68,10 +113,14 @@ def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
         raise ValueError(f"vote vectors have mixed lengths: {sorted(lengths)}")
     u = np.array(unique, dtype=np.int8)
     k = len(unique)
+    if k > MAX_HASSE_PATTERNS:
+        raise ValueError(
+            f"the covering order of K = {k} distinct vote vectors exceeds the "
+            f"limit of {MAX_HASSE_PATTERNS}"
+        )
     # Entry (a, b) of the float32 product below counts the 2-step paths
-    # a -> c -> b, at most K, and float32 holds every integer below 2**24.
-    if k >= 2**24:
-        raise ValueError(f"too many distinct vote vectors for the covering order ({k})")
+    # a -> c -> b, at most K, and float32 holds every integer below 2**24,
+    # far above the limit.
     # dom[a, b]: vector a strictly dominates vector b, built one row at a
     # time so the comparisons need O(K*M) scratch. The result is dense:
     # about 9*K^2 bytes in all (dom, its float32 copy and the product),

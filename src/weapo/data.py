@@ -10,7 +10,7 @@ Because every function either fires or abstains, each label model sees a
 record only through its vote row. ``Dataset.patterns`` compresses the
 rows once into the K distinct patterns, their counts and a per-record
 inverse; models compute one value per pattern and gather it back with
-the inverse. A *slice* groups the covered records that share a pattern.
+the inverse.
 """
 
 from __future__ import annotations
@@ -256,45 +256,6 @@ class Dataset:
     def patterns(self) -> VotePatterns:
         """The distinct vote rows, computed once per dataset."""
         return compress_votes(self.votes_matrix)
-
-
-@dataclass(frozen=True)
-class SliceTable:
-    """Covered records grouped by exact vote vector.
-
-    ``slices`` maps each observed non-zero vote vector to the indices of
-    records carrying it, in dataset order; ``uncovered`` lists the indices
-    of all-abstain records. Together they partition ``range(num_records)``.
-    """
-
-    slices: dict[VoteVector, tuple[int, ...]]
-    uncovered: tuple[int, ...]
-    num_records: int
-
-
-def build_slices(dataset: Dataset) -> SliceTable:
-    """Group covered records by vote vector.
-
-    Parameters
-    ----------
-    dataset : Dataset
-
-    Returns
-    -------
-    SliceTable
-        Slice keys appear in first-occurrence order; member index lists
-        follow dataset record order.
-    """
-    pats = dataset.patterns
-    members = np.split(np.argsort(pats.inverse, kind="stable"), np.cumsum(pats.counts)[:-1])
-    slices: dict[VoteVector, tuple[int, ...]] = {}
-    uncovered: tuple[int, ...] = ()
-    for row, group in zip(pats.rows.tolist(), members):
-        if any(row):
-            slices[tuple(row)] = tuple(group.tolist())
-        else:
-            uncovered = tuple(group.tolist())
-    return SliceTable(slices=slices, uncovered=uncovered, num_records=len(dataset))
 
 
 def coverage_mask(dataset: Dataset) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .covering import ConstraintMatrix
-from .data import Dataset, Prior, build_slices, coverage_mask
+from .data import Dataset, Prior, coverage_mask
 
 
 @dataclass(frozen=True)
@@ -265,16 +265,18 @@ def fit(
     reduces to ``lam*|theta|^2 + w*|a.theta - p|`` with ``a`` the mean
     vote vector over all records, which ``_dual_search`` minimizes. Without
     the prior term (``use_prior`` off or ``prior_weight == 0``) the
-    minimizer is the uniform vector.
+    minimizer is the uniform vector. ``a`` is the count-weighted mean of
+    the rows of ``dataset.patterns``; ``num_slices`` counts its non-zero rows.
     """
     cfg = config if config is not None else WeapoConfig()
     if cfg.use_prior and prior is None:
         raise ValueError("config.use_prior is set but no prior was given")
-    slices = build_slices(dataset)
-    if not slices.slices:
+    pats = dataset.patterns
+    num_slices = int(pats.rows.any(axis=1).sum())
+    if num_slices == 0:
         raise ValueError("dataset has no covered records")
     m = dataset.num_lfs
-    mean_votes = dataset.votes_matrix.astype(np.float64).mean(axis=0)
+    mean_votes = (pats.counts @ pats.rows) / len(dataset)
     if cfg.use_prior and cfg.prior_weight > 0.0:
         theta, projections = _dual_search(
             mean_votes, prior.p_plus, cfg.lambda_reg, cfg.prior_weight
@@ -290,7 +292,7 @@ def fit(
         "prior": prior_dev,
         "iterations": projections,
         "converged": True,
-        "num_slices": len(slices.slices),
+        "num_slices": num_slices,
     }
     return WeapoModel(theta=theta, config=cfg, diagnostics=diagnostics)
 

@@ -283,3 +283,9 @@ def rbf_kernel_three_temporaries(x, y, gamma):
 def ridge_system_with_identity(kernel, alpha):
     """``kernel + alpha * I`` with the identity spelled out."""
     return kernel + alpha * np.eye(kernel.shape[0])
+
+
+def signed_second_moments(signed):
+    """Triplet-method moments over every record: ``S^T S / N`` in float64."""
+    s = np.asarray(signed, dtype=np.float64)
+    return (s.T @ s) / s.shape[0]

@@ -29,7 +29,7 @@ from weapo import (
     predict_dataset,
 )
 
-from oracles import dawid_skene_per_row
+from oracles import dawid_skene_per_row, signed_second_moments
 
 
 def make_dataset(vote_rows):
@@ -220,16 +220,30 @@ class TestDawidSkene:
 
     def test_width_mismatch_rejected(self):
         model = DSModel(class_prior=0.5, confusion=np.full((2, 2, 2), 0.5))
-        with pytest.raises(ValueError, match="columns"):
-            ds_posteriors(model, np.array([[1, -1, 1]]))
+        for votes in (np.array([[1, -1, 1]]), make_dataset([(1, 0, 1)])):
+            with pytest.raises(ValueError, match="columns"):
+                ds_posteriors(model, votes)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
             ds_fit(np.array([[0, 1]]), Prior(0.5))
-        with pytest.raises(ValueError, match="smoothing"):
-            ds_fit(np.array([[1, -1]]), Prior(0.5), smoothing=-1.0)
         with pytest.raises(ValueError, match="init_confusion"):
             ds_fit(np.array([[1, -1]]), Prior(0.5), init_confusion=np.full((3, 2, 2), 0.5))
+        bad_settings = [
+            ({"smoothing": -1.0}, "smoothing"),
+            ({"smoothing": float("nan")}, "smoothing"),
+            ({"smoothing": float("inf")}, "smoothing"),
+            ({"tol": -1e-6}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": float("inf")}, "tol"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"max_iters": -3}, "max_iters"),
+            ({"max_iters": 2.5}, "max_iters"),
+            ({"max_iters": True}, "max_iters"),
+        ]
+        for settings_, name in bad_settings:
+            with pytest.raises(ValueError, match=name):
+                ds_fit(np.array([[1, -1]]), Prior(0.5), **settings_)
 
     def test_json_round_trip(self):
         signed = np.random.default_rng(5).choice([-1, 1], size=(50, 3))
@@ -325,6 +339,17 @@ class TestTripletMethod:
         with pytest.raises(ValueError, match="M >= 3"):
             fs_fit_from_moments(np.eye(2), Prior(0.5))
 
+    def test_bad_inputs_rejected(self):
+        moments = product_moments([0.8, 0.6, 0.5])
+        signed = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
+        for eps_clip in (float("nan"), float("inf"), -1e-4, 1.0, 2.0):
+            with pytest.raises(ValueError, match="eps_clip"):
+                fs_fit_from_moments(moments, Prior(0.5), eps_clip=eps_clip)
+            with pytest.raises(ValueError, match="eps_clip"):
+                fs_fit(signed, Prior(0.5), eps_clip=eps_clip)
+        with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
+            fs_fit(np.array([[0, 1, 1]]), Prior(0.5))
+
     def test_no_admissible_triplet_rejected(self):
         with pytest.raises(ValueError, match="no admissible triplet"):
             fs_fit_from_moments(np.eye(3), Prior(0.5))
@@ -380,8 +405,9 @@ class TestTripletMethod:
 
     def test_width_mismatch_rejected(self):
         model = FSModel(accuracies=np.array([0.7, 0.4]), class_prior=0.3)
-        with pytest.raises(ValueError, match="columns"):
-            fs_posteriors(model, np.array([[1, -1, 1]]))
+        for votes in (np.array([[1, -1, 1]]), make_dataset([(1, 0, 1)])):
+            with pytest.raises(ValueError, match="columns"):
+                fs_posteriors(model, votes)
 
     def test_json_round_trip(self):
         model = FSModel(accuracies=np.array([0.25, 0.5, 0.75]), class_prior=0.4)
@@ -403,6 +429,70 @@ class TestTripletMethod:
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):
                 FSModel.from_json_dict({**payload, **change})
+
+
+def _outcome(fn, *args):
+    """The bytes of a call's array (or FS accuracies), or the message of
+    the ValueError it raised."""
+    try:
+        result = fn(*args)
+    except ValueError as err:
+        return str(err)
+    return getattr(result, "accuracies", result).tobytes()
+
+
+def _datasets_with_duplicate_rows():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        k = int(rng.integers(1, 12))
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(2, 200))
+        base = rng.integers(0, 2, size=(k, m))
+        yield make_dataset(base[rng.integers(0, k, size=n)].tolist())
+    for seed in (1, 2):
+        yield generate(
+            SyntheticSpec(p_plus=0.3, tpr=(0.8, 0.6, 0.7, 0.5), fpr=(0.1, 0.2, 0.05, 0.3),
+                          n=3000, seed=seed)
+        )
+
+
+class TestDatasetRoute:
+    """Each baseline reads a ``Dataset``'s cached patterns and gives the
+    bitwise result of the signed-array route."""
+
+    def test_dataset_and_signed_routes_bitwise_equal(self):
+        for dataset in _datasets_with_duplicate_rows():
+            signed = convert_abstain(dataset)
+            by_data = ds_fit(dataset, Prior(0.4))
+            by_array = ds_fit(signed, Prior(0.4))
+            assert by_data.class_prior == by_array.class_prior
+            assert by_data.confusion.tobytes() == by_array.confusion.tobytes()
+            assert by_data.diagnostics == by_array.diagnostics
+            fs_model = FSModel(np.full(dataset.num_lfs, 0.5), 0.3)
+            for fn, model in ((ds_posteriors, by_data), (fs_posteriors, fs_model)):
+                assert _outcome(fn, model, dataset) == _outcome(fn, model, signed)
+            assert _outcome(fs_fit, dataset, Prior(0.4)) == _outcome(fs_fit, signed, Prior(0.4))
+
+    def test_pattern_moments_equal_per_record_moments(self):
+        for dataset in _datasets_with_duplicate_rows():
+            if dataset.num_lfs < 3:
+                continue
+            moments = signed_second_moments(convert_abstain(dataset))
+            assert _outcome(fs_fit, dataset, Prior(0.4)) == _outcome(
+                fs_fit_from_moments, moments, Prior(0.4)
+            )
+
+    def test_zero_record_dataset_rejected(self):
+        empty = Dataset(ids=(), votes_matrix=np.zeros((0, 3), dtype=np.int8))
+        calls = [
+            lambda: ds_fit(empty, Prior(0.5)),
+            lambda: ds_posteriors(DSModel(0.5, np.full((3, 2, 2), 0.5)), empty),
+            lambda: fs_fit(empty, Prior(0.5)),
+            lambda: fs_posteriors(FSModel(np.full(3, 0.5), 0.5), empty),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="no records"):
+                call()
 
 
 @st.composite

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weapo
 from weapo import Dataset, Record, SyntheticSpec, generate, save_dataset
 from weapo.cli import main
 
@@ -252,6 +253,68 @@ class TestFitCommand:
         assert edges == [
             {"low": [1, 0], "high": [1, 1], "d_low_size": 1, "d_high_size": 2}
         ]
+
+    def test_dump_edges_over_pattern_limit_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(weapo.covering, "MAX_HASSE_PATTERNS", 1)
+        train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (1, 1), (0, 1)])
+        model_path, edges_path = tmp_path / "m.json", tmp_path / "edges.json"
+        code = main(
+            ["fit", train, "--model", "mv", "--out", str(model_path),
+             "--dump-edges", str(edges_path), "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "K = 3" in err and "limit of 1" in err
+        assert "Traceback" not in err
+        assert not model_path.exists() and not edges_path.exists()
+
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("ds", ["--smoothing", "nan"]),
+            ("ds", ["--smoothing", "inf"]),
+            ("ds", ["--tol", "nan"]),
+            ("ds", ["--max-iters", "-3"]),
+            ("fs", ["--eps-clip", "nan"]),
+        ],
+    )
+    def test_bad_fitting_values_write_no_file(
+        self, informative_files, tmp_path, capsys, model, flags
+    ):
+        model_path = tmp_path / "m.json"
+        code = main(
+            ["fit", informative_files["train"], "--model", model, "--prior", "0.5",
+             "--out", str(model_path), "--quiet", *flags]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0][2:].replace("-", "_") in err
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
+    def test_non_finite_payload_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "weapo.cli._fit_payload", lambda *args: {"model_type": "mv", "x": float("nan")}
+        )
+        train = write_dataset(tmp_path / "t.jsonl", [(1, 0)])
+        model_path = tmp_path / "m.json"
+        code = main(["fit", train, "--model", "mv", "--out", str(model_path), "--quiet"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("model", ["ds", "fs"])
+    def test_meta_only_file_is_data_error(self, tmp_path, capsys, model):
+        train = tmp_path / "empty.jsonl"
+        train.write_text('{"meta":{"num_lfs":3}}\n')
+        code = main(
+            ["fit", str(train), "--model", model, "--prior", "0.5",
+             "--out", str(tmp_path / "m.json"), "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no records" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_train_file(self, tmp_path, capsys):
         code = main(
@@ -514,6 +577,24 @@ class TestCompareCommand:
         oracle_roc = rows[-1]["roc_auc"]
         for row in rows[:-1]:
             assert oracle_roc >= row["roc_auc"] - 0.02
+
+    def test_each_file_is_compressed_once(self, informative_files, tmp_path, monkeypatch):
+        calls = []
+        original = weapo.data.compress_votes
+
+        def counting(votes):
+            calls.append(np.shape(votes))
+            return original(votes)
+
+        monkeypatch.setattr(weapo.data, "compress_votes", counting)
+        monkeypatch.setattr(weapo.baselines, "compress_votes", counting)
+        code = main(
+            ["compare", informative_files["train"], informative_files["test"],
+             "--models", "weapo,weapo-noprior,mv,ds,fs", "--prior", "0.5",
+             "--oracle", informative_files["oracle"], "--quiet"]
+        )
+        assert code == 0
+        assert len(calls) == 2
 
     def test_failing_model_reported_inline(self, tmp_path):
         train = write_dataset(

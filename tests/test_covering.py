@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import weapo
 from weapo import (
     Dataset,
     HasseEdge,
@@ -88,6 +89,17 @@ class TestHasseEdges:
             closure = closure_of_edges({(e.low, e.high) for e in edges}, vecs)
             assert closure == covering_pairs_brute(vecs)
 
+    def test_pattern_limit(self, monkeypatch):
+        """K at the limit is reduced; one more is refused with K and the
+        limit named. The limit keeps the path counts exact in float32."""
+        assert weapo.covering.MAX_HASSE_PATTERNS < 2**24
+        monkeypatch.setattr(weapo.covering, "MAX_HASSE_PATTERNS", 3)
+        assert hasse_edges([(1, 0), (1, 1), (0, 1), (1, 0)]) == [
+            HasseEdge(low=(0, 1), high=(1, 1)), HasseEdge(low=(1, 0), high=(1, 1))
+        ]
+        with pytest.raises(ValueError, match=r"K = 4 .*limit of 3"):
+            hasse_edges([(1, 0), (1, 1), (0, 1), (0, 0)])
+
 
 class TestConstraintMatrix:
     def test_row_coefficients_by_hand(self):
@@ -138,3 +150,11 @@ class TestConstraintMatrix:
             weights = rng.random(3)
             scores = ds.votes_matrix.astype(float) @ weights
             assert (cm.apply(scores) <= 1e-12).all()
+
+
+def test_slices_live_in_the_covering_module():
+    for module in (weapo.data, weapo.model):
+        assert not hasattr(module, "build_slices")
+        assert not hasattr(module, "SliceTable")
+    assert weapo.build_slices is weapo.covering.build_slices
+    assert weapo.SliceTable is weapo.covering.SliceTable

@@ -19,6 +19,7 @@ from weapo import (
     project_simplex,
     score,
 )
+from weapo.model import _dual_search
 
 from oracles import min_on_2simplex_line, min_on_simplex_grid
 
@@ -240,6 +241,27 @@ class TestFit:
     def test_no_covered_records_rejected(self):
         with pytest.raises(ValueError, match="covered"):
             fit(make_dataset([(0, 0), (0, 0)]), Prior(0.5))
+        empty = Dataset(ids=(), votes_matrix=np.zeros((0, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="covered"):
+            fit(empty, Prior(0.5))
+
+    def test_pattern_mean_equals_per_record_mean(self):
+        """theta is bitwise the dual search over the per-record mean vote
+        vector, and num_slices counts the slices of the covering module."""
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            k, m, n = int(rng.integers(1, 10)), int(rng.integers(1, 7)), int(rng.integers(2, 300))
+            base = rng.integers(0, 2, size=(k, m))
+            base[0, 0] = 1
+            ds = make_dataset(base[rng.integers(0, k, size=n)].tolist())
+            if not ds.votes_matrix.any():
+                continue
+            p = float(rng.uniform(0.05, 0.95))
+            model = fit(ds, Prior(p))
+            mean_votes = ds.votes_matrix.astype(np.float64).mean(axis=0)
+            theta, _ = _dual_search(mean_votes, p, 1.0, 1.0)
+            assert model.theta.tobytes() == theta.tobytes()
+            assert model.diagnostics["num_slices"] == len(build_slices(ds).slices)
 
     def test_use_prior_without_value_rejected(self):
         with pytest.raises(ValueError, match="prior"):
