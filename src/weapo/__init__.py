@@ -17,13 +17,10 @@ from .baselines import (
     SignedVotes,
     convert_abstain,
     ds_fit,
-    ds_posterior,
     ds_posteriors,
     fs_fit,
     fs_fit_from_moments,
-    fs_posterior,
     fs_posteriors,
-    mv_score,
     mv_scores,
 )
 from .covering import (
@@ -64,7 +61,6 @@ from .model import (
     objective,
     predict_dataset,
     project_simplex,
-    score,
 )
 from .synth import (
     FeatureSpec,
@@ -105,7 +101,6 @@ __all__ = [
     "covers",
     "default_gamma",
     "ds_fit",
-    "ds_posterior",
     "ds_posteriors",
     "evaluate_label_model",
     "fit",
@@ -113,13 +108,11 @@ __all__ = [
     "fit_supervised",
     "fs_fit",
     "fs_fit_from_moments",
-    "fs_posterior",
     "fs_posteriors",
     "generate",
     "hasse_edges",
     "load_dataset",
     "make_targets",
-    "mv_score",
     "mv_scores",
     "objective",
     "oracle_posteriors",
@@ -131,5 +124,4 @@ __all__ = [
     "rbf_kernel",
     "roc_auc",
     "save_dataset",
-    "score",
 ]

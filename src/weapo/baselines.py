@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -30,20 +30,14 @@ from .data import Dataset, Prior, VotePatterns, compress_votes
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
 
+# The triplet method's default clip: the smallest denominator moment it
+# admits, and the margin it keeps below accuracy 1.
+FS_EPS_CLIP = 1e-4
+
 
 def convert_abstain(dataset: Dataset) -> SignedVotes:
     """Map vote bits to signed votes, treating abstain as negative."""
     return (2 * dataset.votes_matrix.astype(np.int8) - 1).astype(np.int8)
-
-
-def mv_score(votes: Sequence[int]) -> float:
-    """Majority-vote score: the fraction of labeling functions that fired."""
-    v = np.asarray(votes)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("votes must be a non-empty 1-D sequence")
-    if not np.isin(v, (0, 1)).all():
-        raise ValueError("votes must be 0/1 bits")
-    return float(v.mean())
 
 
 def mv_scores(dataset: Dataset) -> np.ndarray:
@@ -309,11 +303,6 @@ def ds_posteriors(model: DSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     return _naive_bayes_posteriors(votes, model.class_prior, conf[:, 1, 1], conf[:, 0, 1])
 
 
-def ds_posterior(model: DSModel, signed_votes: Sequence[int]) -> float:
-    """Posterior for a single signed vote vector."""
-    return float(ds_posteriors(model, np.asarray(signed_votes).reshape(1, -1))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class FSModel:
     """Triplet-method estimates of mean accuracies a_j = E[vote_j * y]."""
@@ -348,7 +337,7 @@ class FSModel:
 def fs_fit_from_moments(
     moments: np.ndarray,
     prior: Prior,
-    eps_clip: float = 1e-4,
+    eps_clip: float = FS_EPS_CLIP,
 ) -> FSModel:
     """Recover mean accuracies from a second-moment matrix.
 
@@ -392,7 +381,9 @@ def fs_fit_from_moments(
     return FSModel(accuracies=accuracies, class_prior=prior.p_plus)
 
 
-def fs_fit(votes: Dataset | SignedVotes, prior: Prior, eps_clip: float = 1e-4) -> FSModel:
+def fs_fit(
+    votes: Dataset | SignedVotes, prior: Prior, eps_clip: float = FS_EPS_CLIP
+) -> FSModel:
     """Triplet-method fit from data: empirical moments, then recovery."""
     pats = _patterns(votes)
     # Over count-weighted patterns; every sum is an integer, so exact.
@@ -407,7 +398,3 @@ def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     a = model.accuracies
     return _naive_bayes_posteriors(votes, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0)
 
-
-def fs_posterior(model: FSModel, signed_votes: Sequence[int]) -> float:
-    """Posterior for a single signed vote vector."""
-    return float(fs_posteriors(model, np.asarray(signed_votes).reshape(1, -1))[0])

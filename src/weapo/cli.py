@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -25,9 +26,9 @@ from .baselines import (
     fs_posteriors,
     mv_scores,
 )
-from .covering import build_slices, hasse_edges
+from .covering import hasse_edges
 from .data import Dataset, DatasetFormatError, Prior, coverage_mask, load_dataset, save_dataset
-from .endmodel import default_gamma, fit_krr, make_targets, predict_krr
+from .endmodel import fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
 from .model import WeapoConfig, WeapoModel, fit, predict_dataset
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
@@ -78,46 +79,49 @@ def _require_gold(dataset: Dataset, path: str) -> np.ndarray:
     return gold
 
 
-def _fit_payload(name: str, train: Dataset, prior_value: float | None, args) -> dict[str, Any]:
-    """Fit one named label model and return its serializable payload."""
-    if name in ("weapo", "weapo-noprior"):
-        use_prior = name == "weapo"
-        if use_prior and prior_value is None:
-            raise CliUsageError(f"--prior is required for model {name!r}")
-        config = WeapoConfig(
-            lambda_reg=args.lambda_reg,
-            use_prior=use_prior,
-            prior_weight=args.prior_weight,
-        )
-        prior = Prior(prior_value) if use_prior else None
-        model = fit(train, prior, config)
-        payload = {"model_type": "weapo"}
-        payload.update(model.to_json_dict())
-        return payload
+def _given(args, *names: str) -> dict[str, Any]:
+    """The flags among ``names`` that were given, as keyword arguments; a
+    flag left out is not passed on, so the library default applies."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
+    """Check the model names, the prior requirement and the fitting flags
+    before any file is read; return the settings ``_fit_payload`` uses."""
+    for name in names:
+        if name not in MODEL_NAMES:
+            raise CliUsageError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
+    needs_prior = sorted({"weapo", "fs"} & set(names))
+    if needs_prior and args.prior is None:
+        raise CliUsageError(f"--prior is required for model(s): {', '.join(needs_prior)}")
+    return {
+        "prior": None if args.prior is None else Prior(args.prior),
+        "weapo": WeapoConfig(**_given(args, "lambda_reg", "prior_weight")),
+        "ds": _given(args, "max_iters", "tol", "smoothing"),
+        "fs": _given(args, "eps_clip"),
+    }
+
+
+def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[str, Any]:
+    """Fit one named label model with settings from ``_fit_settings`` and
+    return its serializable payload."""
+    prior = settings["prior"]
     if name == "mv":
         return {"model_type": "mv", "num_lfs": train.num_lfs}
     if name == "ds":
-        init = Prior(prior_value) if prior_value is not None else Prior(0.5)
-        model = ds_fit(
-            train, init, max_iters=args.max_iters, tol=args.tol, smoothing=args.smoothing
-        )
+        model = ds_fit(train, prior if prior is not None else Prior(0.5), **settings["ds"])
         if not model.diagnostics["converged"]:
             print(
                 f"warning: ds: EM stopped at its iteration cap "
                 f"({model.diagnostics['iterations']}) before converging",
                 file=sys.stderr,
             )
-        payload = {"model_type": "ds"}
-        payload.update(model.to_json_dict())
-        return payload
-    if name == "fs":
-        if prior_value is None:
-            raise CliUsageError("--prior is required for model 'fs'")
-        model = fs_fit(train, Prior(prior_value), eps_clip=args.eps_clip)
-        payload = {"model_type": "fs"}
-        payload.update(model.to_json_dict())
-        return payload
-    raise CliUsageError(f"unknown model {name!r}")
+    elif name == "fs":
+        model = fs_fit(train, prior, **settings["fs"])
+    else:
+        model = fit(train, prior, replace(settings["weapo"], use_prior=name == "weapo"))
+        name = "weapo"
+    return {"model_type": name, **model.to_json_dict()}
 
 
 def _read_model(path: str) -> dict[str, Any]:
@@ -150,8 +154,9 @@ def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
+    settings = _fit_settings([args.model], args)
     train = load_dataset(args.train)
-    payload = _fit_payload(args.model, train, args.prior, args)
+    payload = _fit_payload(args.model, train, settings)
     payload["version"] = __version__
     payload["run"] = {
         "command": "fit",
@@ -163,15 +168,13 @@ def cmd_fit(args) -> int:
     # The edges are computed first, so a refused covering order leaves
     # no model file behind.
     if args.dump_edges is not None:
-        slices = build_slices(train)
+        # A slice's size is the record count of its non-zero vote pattern.
+        rows, counts = train.patterns.rows.tolist(), train.patterns.counts.tolist()
+        sizes = {tuple(row): count for row, count in zip(rows, counts) if any(row)}
         edge_rows = [
-            {
-                "low": list(e.low),
-                "high": list(e.high),
-                "d_low_size": len(slices.slices[e.low]),
-                "d_high_size": len(slices.slices[e.high]),
-            }
-            for e in hasse_edges(slices.slices.keys())
+            {"low": list(e.low), "high": list(e.high),
+             "d_low_size": sizes[e.low], "d_high_size": sizes[e.high]}
+            for e in hasse_edges(sizes)
         ]
     _emit(payload, args.out)
     if args.dump_edges is not None:
@@ -235,8 +238,7 @@ def cmd_end(args) -> int:
             "all training targets are identical (is any record covered?); "
             "the end model would be a constant"
         )
-    gamma = args.gamma if args.gamma is not None else default_gamma(train.features_matrix)
-    krr = fit_krr(train.features_matrix, targets, gamma=gamma, alpha=args.alpha)
+    krr = fit_krr(train.features_matrix, targets, gamma=args.gamma, **_given(args, "alpha"))
     predictions = predict_krr(krr, test.features_matrix)
     # The end model is evaluated on every test record, covered or not.
     roc = roc_auc(predictions, gold)
@@ -248,8 +250,8 @@ def cmd_end(args) -> int:
             "model": args.model,
             "train": args.train,
             "test": args.test,
-            "gamma": gamma,
-            "alpha": args.alpha,
+            "gamma": krr.gamma,
+            "alpha": krr.alpha,
             "uncovered_target": args.uncovered_target,
             "out": args.out,
         },
@@ -277,16 +279,7 @@ def cmd_compare(args) -> int:
     names = [m for m in (args.models.split(",") if args.models else []) if m]
     if not names:
         raise CliUsageError("--models must name at least one model")
-    for name in names:
-        if name not in MODEL_NAMES:
-            raise CliUsageError(
-                f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
-            )
-    needs_prior = {"weapo", "fs"} & set(names)
-    if needs_prior and args.prior is None:
-        raise CliUsageError(
-            f"--prior is required for model(s): {', '.join(sorted(needs_prior))}"
-        )
+    settings = _fit_settings(names, args)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
     oracle = None
@@ -298,7 +291,7 @@ def cmd_compare(args) -> int:
     def scores_of(name: str) -> np.ndarray:
         if name == "oracle":
             return oracle.scores(test)
-        return _model_scores(_fit_payload(name, train, args.prior, args), test)
+        return _model_scores(_fit_payload(name, train, settings), test)
 
     rows: list[dict[str, Any]] = []
     for name in names + (["oracle"] if oracle is not None else []):
@@ -406,16 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"weapo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Fitting flags shared by fit and compare.
+    # Fitting flags shared by fit and compare. None means "not given": the
+    # flag is not passed on, and the library's own default applies.
     fitting = argparse.ArgumentParser(add_help=False)
-    fitting.add_argument("--lambda-reg", type=float, default=1.0)
-    fitting.add_argument("--prior-weight", type=float, default=1.0)
-    fitting.add_argument("--max-iters", type=int, default=100,
+    fitting.add_argument("--lambda-reg", type=float, default=None)
+    fitting.add_argument("--prior-weight", type=float, default=None)
+    fitting.add_argument("--max-iters", type=int, default=None,
                          help="Dawid-Skene EM iteration cap")
-    fitting.add_argument("--tol", type=float, default=1e-6,
+    fitting.add_argument("--tol", type=float, default=None,
                          help="Dawid-Skene EM stopping tolerance")
-    fitting.add_argument("--smoothing", type=float, default=1.0)
-    fitting.add_argument("--eps-clip", type=float, default=1e-4)
+    fitting.add_argument("--smoothing", type=float, default=None)
+    fitting.add_argument("--eps-clip", type=float, default=None)
 
     p_fit = sub.add_parser("fit", parents=[fitting],
                            help="fit a label model on a training dataset")
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_end.add_argument("test", help="test dataset with features and gold labels")
     p_end.add_argument("--gamma", type=float, default=None,
                        help="RBF bandwidth (default: 1 / (F * var))")
-    p_end.add_argument("--alpha", type=float, default=1.0, help="ridge strength")
+    p_end.add_argument("--alpha", type=float, default=None, help="ridge strength")
     p_end.add_argument("--uncovered-target", type=float, default=0.0)
     p_end.add_argument("--out", default=None)
     p_end.add_argument("--quiet", action="store_true")

@@ -241,11 +241,6 @@ class Dataset:
         return int(self.votes_matrix.shape[1])
 
     @property
-    def label_matrix(self) -> np.ndarray:
-        """(M, N) transposed view: one row per labeling function."""
-        return self.votes_matrix.T
-
-    @property
     def gold_array(self) -> np.ndarray | None:
         """(N,) int8 gold labels, or None unless every record has one."""
         if len(self) == 0 or not self.gold.all():

@@ -119,15 +119,6 @@ def project_simplex(weights: Sequence[float]) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
-def score(model: WeapoModel, votes: Sequence[int]) -> float:
-    """Score one vote vector: the theta-weighted sum of its fired bits."""
-    if len(votes) != model.num_lfs:
-        raise ValueError(
-            f"vote vector has length {len(votes)}, model expects {model.num_lfs}"
-        )
-    return float(np.dot(np.asarray(votes, dtype=np.float64), model.theta))
-
-
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Scores for every record plus the coverage mask.
 

@@ -16,15 +16,12 @@ from weapo import (
     convert_abstain,
     covers,
     ds_fit,
-    ds_posterior,
     ds_posteriors,
     fit,
     fs_fit,
     fs_fit_from_moments,
-    fs_posterior,
     fs_posteriors,
     generate,
-    mv_score,
     mv_scores,
     predict_dataset,
 )
@@ -59,15 +56,9 @@ class TestConvertAbstain:
 
 class TestMajorityVote:
     def test_fraction_of_firing(self):
-        assert mv_score((1, 0, 0)) == pytest.approx(1 / 3)
-        assert mv_score((1, 1)) == 1.0
-        assert mv_score((0,)) == 0.0
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            mv_score(())
-        with pytest.raises(ValueError):
-            mv_score((2, 0))
+        assert mv_scores(make_dataset([(1, 0, 0)]))[0] == pytest.approx(1 / 3)
+        assert mv_scores(make_dataset([(1, 1)])).tolist() == [1.0]
+        assert mv_scores(make_dataset([(0,)])).tolist() == [0.0]
 
     def test_scores_match_per_record(self):
         ds = make_dataset([(1, 0), (1, 1), (0, 0)])
@@ -80,7 +71,8 @@ class TestMajorityVote:
             v1 = tuple(int(b) for b in rng.integers(0, 2, m))
             v2 = tuple(min(1, b + int(rng.random() < 0.5)) for b in v1)
             if covers(v2, v1):
-                assert mv_score(v2) > mv_score(v1)
+                low, high = mv_scores(make_dataset([v1, v2]))
+                assert high > low
 
 
 class TestDawidSkene:
@@ -90,23 +82,20 @@ class TestDawidSkene:
             class_prior=0.5,
             confusion=np.array([[[0.8, 0.2], [0.1, 0.9]]]),
         )
-        assert ds_posterior(model, [1]) == pytest.approx(0.45 / 0.55, abs=1e-12)
-        assert ds_posterior(model, [-1]) == pytest.approx(0.05 / 0.45, abs=1e-12)
+        post = ds_posteriors(model, np.array([[1], [-1]]))
+        np.testing.assert_allclose(post, [0.45 / 0.55, 0.05 / 0.45], rtol=0, atol=1e-12)
 
     def test_uninformative_confusion_returns_prior(self):
         model = DSModel(class_prior=0.3, confusion=np.full((3, 2, 2), 0.5))
-        for votes in ([1, 1, 1], [-1, -1, -1], [1, -1, 1]):
-            assert ds_posterior(model, votes) == pytest.approx(0.3, abs=1e-12)
+        post = ds_posteriors(model, np.array([[1, 1, 1], [-1, -1, -1], [1, -1, 1]]))
+        np.testing.assert_allclose(post, 0.3, rtol=0, atol=1e-12)
 
     def test_symmetric_model_mirrors_posteriors(self):
         conf = np.array([[[0.9, 0.1], [0.1, 0.9]], [[0.7, 0.3], [0.3, 0.7]]])
         model = DSModel(class_prior=0.5, confusion=conf)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = rng.choice([-1, 1], size=2)
-            assert ds_posterior(model, v) + ds_posterior(model, -v) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        v = np.random.default_rng(2).choice([-1, 1], size=(20, 2))
+        total = ds_posteriors(model, v) + ds_posteriors(model, -v)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
     def test_constant_function_unsmoothed_is_exact(self):
         """A function that always fires carries no signal: EM drives its
@@ -115,14 +104,14 @@ class TestDawidSkene:
         model = ds_fit(signed, Prior(0.65), smoothing=0.0)
         assert model.confusion[0, 1, 1] == 1.0
         assert model.confusion[0, 0, 1] == 1.0
-        assert ds_posterior(model, [1]) == pytest.approx(
+        assert ds_posteriors(model, np.array([[1]]))[0] == pytest.approx(
             model.class_prior, abs=1e-12
         )
 
     def test_constant_function_smoothed_stays_near_prior(self):
         signed = np.ones((1000, 1), dtype=np.int8)
         model = ds_fit(signed, Prior(0.65))
-        assert abs(ds_posterior(model, [1]) - model.class_prior) <= 1e-3
+        assert abs(ds_posteriors(model, np.array([[1]]))[0] - model.class_prior) <= 1e-3
         assert model.confusion[0, 1, 1] >= 0.99
         assert model.confusion[0, 0, 1] >= 0.99
 
@@ -189,7 +178,7 @@ class TestDawidSkene:
             class_prior=0.5, confusion=np.array([[[0.0, 1.0], [0.0, 1.0]]])
         )
         with pytest.raises(ValueError, match="zero probability"):
-            ds_posterior(model, [-1])
+            ds_posteriors(model, np.array([[-1]]))
 
     def test_boundary_rates_give_exact_posteriors(self):
         """A fire rate of exactly 0 or 1 rules patterns out: the posterior
@@ -204,8 +193,9 @@ class TestDawidSkene:
         assert 0.0 < post[2] < 1.0
         # A rate of 0 given y = +1 rules out y = +1 whenever it fires.
         never = DSModel(class_prior=0.5, confusion=np.array([[[0.5, 0.5], [1.0, 0.0]]]))
-        assert ds_posterior(never, [1]) == 0.0
-        assert ds_posterior(never, [-1]) == pytest.approx(2 / 3, abs=1e-15)
+        post = ds_posteriors(never, np.array([[1], [-1]]))
+        assert post[0] == 0.0
+        assert post[1] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_unsmoothed_fit_on_separable_votes_stays_finite(self):
         """Without smoothing EM drives rates onto 0 and 1; responsibilities
@@ -307,7 +297,7 @@ class TestDawidSkeneOverPatterns:
         signed = rng.choice([-1, 1], size=(200, 3))
         model = ds_fit(signed, Prior(0.5))
         batch = ds_posteriors(model, signed)
-        singles = [ds_posterior(model, row) for row in signed]
+        singles = [ds_posteriors(model, row[None])[0] for row in signed]
         assert batch.tolist() == singles
 
 
@@ -374,8 +364,8 @@ class TestTripletMethod:
     def test_single_channel_posterior_by_hand(self):
         """a = 0.8 at prior 1/2 gives odds 1.8 : 0.2, so 0.9 on a fire."""
         model = FSModel(accuracies=np.array([0.8]), class_prior=0.5)
-        assert fs_posterior(model, [1]) == pytest.approx(0.9, abs=1e-12)
-        assert fs_posterior(model, [-1]) == pytest.approx(0.1, abs=1e-12)
+        post = fs_posteriors(model, np.array([[1], [-1]]))
+        np.testing.assert_allclose(post, [0.9, 0.1], rtol=0, atol=1e-12)
 
     def test_extreme_log_odds_saturate(self):
         """Log-odds far beyond the float range of exp give exactly 0 or 1."""
@@ -385,22 +375,20 @@ class TestTripletMethod:
 
     def test_zero_accuracies_return_prior(self):
         model = FSModel(accuracies=np.zeros(3), class_prior=0.37)
-        for votes in ([1, 1, 1], [-1, 1, -1]):
-            assert fs_posterior(model, votes) == pytest.approx(0.37, abs=1e-12)
+        post = fs_posteriors(model, np.array([[1, 1, 1], [-1, 1, -1]]))
+        np.testing.assert_allclose(post, 0.37, rtol=0, atol=1e-12)
 
     def test_negation_symmetry_at_even_prior(self):
         model = FSModel(accuracies=np.array([0.7, 0.4, 0.2]), class_prior=0.5)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            v = rng.choice([-1, 1], size=3)
-            total = fs_posterior(model, v) + fs_posterior(model, -v)
-            assert total == pytest.approx(1.0, abs=1e-12)
+        v = np.random.default_rng(7).choice([-1, 1], size=(20, 3))
+        total = fs_posteriors(model, v) + fs_posteriors(model, -v)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
     def test_posteriors_vectorized_matches_scalar(self):
         model = FSModel(accuracies=np.array([0.7, 0.4, 0.2]), class_prior=0.3)
         signed = np.random.default_rng(8).choice([-1, 1], size=(40, 3))
         batch = fs_posteriors(model, signed)
-        singles = [fs_posterior(model, row) for row in signed]
+        singles = [fs_posteriors(model, row[None])[0] for row in signed]
         np.testing.assert_allclose(batch, singles, atol=1e-15)
 
     def test_width_mismatch_rejected(self):

@@ -98,10 +98,6 @@ class TestMatrices:
         ds = make_dataset([(1, 0), (0, 1), (1, 1)])
         np.testing.assert_array_equal(ds.votes_matrix, [[1, 0], [0, 1], [1, 1]])
 
-    def test_label_matrix_is_transpose(self):
-        ds = make_dataset([(1, 0), (0, 1), (1, 1)])
-        np.testing.assert_array_equal(ds.label_matrix, ds.votes_matrix.T)
-
     def test_gold_array_none_when_partial(self):
         ds = Dataset.from_records(
             [Record(id="a", votes=(1,), gold=1), Record(id="b", votes=(0,))]

@@ -17,7 +17,6 @@ from weapo import (
     objective,
     predict_dataset,
     project_simplex,
-    score,
 )
 from weapo.model import _dual_search
 
@@ -81,18 +80,20 @@ class TestProjectSimplex:
 class TestScore:
     def test_half_weight(self):
         model = WeapoModel(theta=np.array([0.5, 0.5]), config=WeapoConfig())
-        assert score(model, (1, 0)) == 0.5
+        scores, _ = predict_dataset(model, make_dataset([(1, 0)]))
+        assert scores.tolist() == [0.5]
 
     def test_all_zero_and_all_one(self):
         theta = np.array([0.2, 0.3, 0.5])
         model = WeapoModel(theta=theta, config=WeapoConfig())
-        assert score(model, (0, 0, 0)) == 0.0
-        assert score(model, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        scores, _ = predict_dataset(model, make_dataset([(0, 0, 0), (1, 1, 1)]))
+        assert scores[0] == 0.0
+        assert scores[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
-        model = WeapoModel(theta=np.array([1.0]), config=WeapoConfig())
-        with pytest.raises(ValueError, match="length"):
-            score(model, (1, 0))
+        model = WeapoModel(theta=np.array([0.5, 0.25, 0.25]), config=WeapoConfig())
+        with pytest.raises(ValueError, match="labeling functions"):
+            predict_dataset(model, make_dataset([(1, 0)]))
 
 
 class TestObjective:
