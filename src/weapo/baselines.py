@@ -13,7 +13,13 @@ they check and compress.
 Dawid-Skene and the triplet method share one naive-Bayes scorer: each
 function fires at one rate given y = +1 and another given y = -1. The
 triplet model is the symmetric channel with rates (1 + a_j) / 2 and
-(1 - a_j) / 2.
+(1 - a_j) / 2. Each model has one scoring path, over all records; a
+single vote vector is scored as a one-row array.
+
+The defaults of the fitting settings live in the fit signatures alone
+(the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
+checks in ``check_ds_settings`` and
+``check_fs_settings``, which the fits and the CLI both call.
 """
 
 from __future__ import annotations
@@ -25,7 +31,15 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Prior, VotePatterns, compress_votes
+from .data import (
+    Dataset,
+    Prior,
+    VotePatterns,
+    check_payload_keys,
+    compress_votes,
+    payload_numbers,
+    payload_object,
+)
 
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
@@ -92,12 +106,12 @@ class DSModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "DSModel":
-        """Inverse of ``to_json_dict``. Rejects a class prior outside
-        (0, 1) and confusions that are not (M, 2, 2) with entries in [0, 1]
-        and rows over the vote index summing to 1 within 1e-9."""
-        prior, confusion = _payload_arrays(payload, "ds", "class_prior", "confusion")
-        if not 0.0 < prior < 1.0:
-            raise ValueError(f"ds class_prior must lie strictly in (0, 1), got {prior!r}")
+        """Inverse of ``to_json_dict``. Rejects a key other than
+        ``class_prior``, ``confusion`` and ``diagnostics``, a value that is
+        not a JSON number, a class prior outside (0, 1), and confusions
+        that are not (M, 2, 2) with entries in [0, 1] and rows over the
+        vote index summing to 1 within 1e-9."""
+        prior, confusion = _read_payload(payload, "ds", "confusion", ("diagnostics",))
         if confusion.ndim != 3 or confusion.shape[0] == 0 or confusion.shape[1:] != (2, 2):
             raise ValueError(f"ds confusion must have shape (M, 2, 2), got {confusion.shape}")
         if not ((confusion >= 0.0) & (confusion <= 1.0)).all():
@@ -107,20 +121,22 @@ class DSModel:
         return cls(
             class_prior=prior,
             confusion=confusion,
-            diagnostics=dict(payload.get("diagnostics", {})),
+            diagnostics=payload_object(payload, "ds", "diagnostics"),
         )
 
 
-def _payload_arrays(
-    payload: dict[str, Any], kind: str, prior_key: str, array_key: str
+def _read_payload(
+    payload: dict[str, Any], kind: str, array_key: str, optional: tuple[str, ...] = ()
 ) -> tuple[float, np.ndarray]:
-    """The class prior and the parameter array of a serialized model."""
-    try:
-        return float(payload[prior_key]), np.array(payload[array_key], dtype=np.float64)
-    except KeyError as missing:
-        raise ValueError(f"{kind} model payload lacks key {missing}") from None
-    except TypeError as err:
-        raise ValueError(f"malformed {kind} model payload ({err})") from None
+    """The class prior, checked to lie in (0, 1), and the parameter array
+    of a serialized model."""
+    check_payload_keys(payload, f"{kind} model payload", ("class_prior", array_key), optional)
+    prior = payload_numbers(payload, kind, "class_prior")
+    if not (prior.ndim == 0 and 0.0 < prior < 1.0):
+        raise ValueError(
+            f"{kind} class_prior must lie strictly in (0, 1), got {payload['class_prior']!r}"
+        )
+    return float(prior), payload_numbers(payload, kind, array_key)
 
 
 def _class_log_likelihoods(
@@ -144,6 +160,21 @@ def _posterior(lp: np.ndarray, ln: np.ndarray) -> np.ndarray:
     0.0 where ``exp`` overflows."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(ln - lp))
+
+
+def check_ds_settings(
+    max_iters: int | None = None, tol: float | None = None, smoothing: float | None = None
+) -> None:
+    """Raise ``ValueError`` naming a ``ds_fit`` setting out of range; a
+    setting left as None is not checked."""
+    if smoothing is not None and not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and non-negative, got {smoothing!r}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    if max_iters is not None and (
+        isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1
+    ):
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
 
 
 def ds_fit(
@@ -186,12 +217,7 @@ def ds_fit(
     posterior-weighted mean signed vote is +1.
     """
     pats = _patterns(votes)
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValueError(f"smoothing must be finite and non-negative, got {smoothing!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    check_ds_settings(max_iters, tol, smoothing)
     n, m = len(pats.inverse), pats.rows.shape[1]
     v01 = pats.rows.astype(np.float64)
     weights = pats.counts.astype(np.float64)
@@ -322,16 +348,21 @@ class FSModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "FSModel":
-        """Inverse of ``to_json_dict``. Rejects accuracies outside [0, 1)
-        and a class prior outside (0, 1)."""
-        prior, accuracies = _payload_arrays(payload, "fs", "class_prior", "accuracies")
-        if not 0.0 < prior < 1.0:
-            raise ValueError(f"fs class_prior must lie strictly in (0, 1), got {prior!r}")
+        """Inverse of ``to_json_dict``. Rejects a key other than
+        ``accuracies`` and ``class_prior``, a value that is not a JSON
+        number, accuracies outside [0, 1) and a class prior outside (0, 1)."""
+        prior, accuracies = _read_payload(payload, "fs", "accuracies")
         if accuracies.ndim != 1 or accuracies.size == 0:
             raise ValueError("fs accuracies must be a non-empty list of numbers")
         if not ((accuracies >= 0.0) & (accuracies < 1.0)).all():
             raise ValueError("fs accuracies must lie in [0, 1)")
         return cls(accuracies=accuracies, class_prior=prior)
+
+
+def check_fs_settings(eps_clip: float | None = None) -> None:
+    """Raise ``ValueError`` for an ``eps_clip`` out of range; None is not checked."""
+    if eps_clip is not None and not (math.isfinite(eps_clip) and 0.0 <= eps_clip < 1.0):
+        raise ValueError(f"eps_clip must be finite and in [0, 1), got {eps_clip!r}")
 
 
 def fs_fit_from_moments(
@@ -355,8 +386,7 @@ def fs_fit_from_moments(
         three functions are present, or some function has no admissible
         triplet.
     """
-    if not (math.isfinite(eps_clip) and 0.0 <= eps_clip < 1.0):
-        raise ValueError(f"eps_clip must be finite and in [0, 1), got {eps_clip!r}")
+    check_fs_settings(eps_clip)
     moments = np.asarray(moments, dtype=np.float64)
     if moments.ndim != 2 or moments.shape[0] != moments.shape[1]:
         raise ValueError("moments must be a square matrix")

@@ -4,6 +4,13 @@ Every command prints a small human-readable table (suppressed by
 ``--quiet``) and emits a machine-readable JSON payload carrying the
 resolved configuration and the library version. Exit codes: 0 on
 success, 1 on data or model errors, 2 on usage errors.
+
+The CLI restates no library default: a flag that sets a library value
+defaults to None and is passed on only when given. ``fit`` and
+``compare`` check the model names, the prior requirement, ``--prior``
+and every fitting flag given in ``_fit_settings``, before any file is
+read. A model file holds the model's own payload plus the keys in
+``ENVELOPE_KEYS``; the model classes check the payload.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from . import __version__
 from .baselines import (
     DSModel,
     FSModel,
+    check_ds_settings,
+    check_fs_settings,
     ds_fit,
     ds_posteriors,
     fs_fit,
@@ -27,13 +36,23 @@ from .baselines import (
     mv_scores,
 )
 from .covering import hasse_edges
-from .data import Dataset, DatasetFormatError, Prior, coverage_mask, load_dataset, save_dataset
+from .data import (
+    Dataset,
+    DatasetFormatError,
+    Prior,
+    check_payload_keys,
+    coverage_mask,
+    load_dataset,
+    save_dataset,
+)
 from .endmodel import fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
 from .model import WeapoConfig, WeapoModel, fit, predict_dataset
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
 MODEL_NAMES = ("weapo", "weapo-noprior", "mv", "ds", "fs")
+# Keys a model file holds besides the model's own payload.
+ENVELOPE_KEYS = ("model_type", "version", "run")
 
 
 class CliUsageError(Exception):
@@ -86,14 +105,17 @@ def _given(args, *names: str) -> dict[str, Any]:
 
 
 def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
-    """Check the model names, the prior requirement and the fitting flags
-    before any file is read; return the settings ``_fit_payload`` uses."""
+    """Check the model names, the prior requirement and every fitting flag
+    given, whichever models are named, before any file is read; return the
+    settings ``_fit_payload`` uses."""
     for name in names:
         if name not in MODEL_NAMES:
             raise CliUsageError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
     needs_prior = sorted({"weapo", "fs"} & set(names))
     if needs_prior and args.prior is None:
         raise CliUsageError(f"--prior is required for model(s): {', '.join(needs_prior)}")
+    check_ds_settings(args.max_iters, args.tol, args.smoothing)
+    check_fs_settings(args.eps_clip)
     return {
         "prior": None if args.prior is None else Prior(args.prior),
         "weapo": WeapoConfig(**_given(args, "lambda_reg", "prior_weight")),
@@ -135,21 +157,24 @@ def _read_model(path: str) -> dict[str, Any]:
 def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
     """Scores for every record of ``dataset`` under a serialized model."""
     kind = payload.get("model_type")
+    body = {key: value for key, value in payload.items() if key not in ENVELOPE_KEYS}
     if kind == "weapo":
-        model = WeapoModel.from_json_dict(payload)
-        scores, _ = predict_dataset(model, dataset)
+        scores, _ = predict_dataset(WeapoModel.from_json_dict(body), dataset)
         return scores
     if kind == "mv":
-        if payload.get("num_lfs") != dataset.num_lfs:
+        check_payload_keys(body, "mv model payload", ("num_lfs",))
+        num_lfs = body["num_lfs"]
+        if type(num_lfs) is not int or num_lfs < 1:
+            raise ValueError(f"mv num_lfs must be an integer of at least 1, got {num_lfs!r}")
+        if num_lfs != dataset.num_lfs:
             raise ValueError(
-                f"dataset has {dataset.num_lfs} labeling functions, "
-                f"model expects {payload.get('num_lfs')}"
+                f"dataset has {dataset.num_lfs} labeling functions, model expects {num_lfs}"
             )
         return mv_scores(dataset)
     if kind == "ds":
-        return ds_posteriors(DSModel.from_json_dict(payload), dataset)
+        return ds_posteriors(DSModel.from_json_dict(body), dataset)
     if kind == "fs":
-        return fs_posteriors(FSModel.from_json_dict(payload), dataset)
+        return fs_posteriors(FSModel.from_json_dict(body), dataset)
     raise ValueError(f"unknown model_type {kind!r} in model file")
 
 

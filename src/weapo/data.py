@@ -11,6 +11,10 @@ record only through its vote row. ``Dataset.patterns`` compresses the
 rows once into the K distinct patterns, their counts and a per-record
 inverse; models compute one value per pattern and gather it back with
 the inverse.
+
+The readers of serialized models share the checks ``check_payload_keys``,
+``payload_numbers`` and ``payload_object``: no missing or unknown key,
+JSON numbers where numbers belong, and JSON objects where objects do.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NoReturn, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -251,6 +255,48 @@ class Dataset:
     def patterns(self) -> VotePatterns:
         """The distinct vote rows, computed once per dataset."""
         return compress_votes(self.votes_matrix)
+
+
+def check_payload_keys(
+    payload: dict[str, Any], where: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> None:
+    """Raise ``ValueError`` naming the first ``required`` key that
+    ``payload`` (described as ``where``) lacks, or the first key it has
+    outside ``required`` and ``optional``."""
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"{where} lacks key {missing[0]!r}")
+    unknown = sorted(payload.keys() - {*required, *optional})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _json_numbers(value: Any) -> bool:
+    """True for a JSON number or nested lists of them; a bool is not one."""
+    if type(value) is list:
+        return all(map(_json_numbers, value))
+    return type(value) in (int, float)
+
+
+def payload_numbers(payload: dict[str, Any], kind: str, key: str) -> np.ndarray:
+    """``payload[key]`` as a float64 array. It must be a JSON number or
+    nested lists of them of equal length; a string, bool or null anywhere
+    in it is an error that names the key."""
+    value = payload[key]
+    if _json_numbers(value):
+        try:
+            return np.array(value, dtype=np.float64)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{kind} {key} must hold only JSON numbers, in lists of equal length")
+
+
+def payload_object(payload: dict[str, Any], kind: str, key: str) -> dict[str, Any]:
+    """A copy of the JSON object ``payload[key]``, empty when the key is absent."""
+    value = payload.get(key, {})
+    if type(value) is not dict:
+        raise ValueError(f"{kind} {key} must be a JSON object")
+    return dict(value)
 
 
 def coverage_mask(dataset: Dataset) -> np.ndarray:

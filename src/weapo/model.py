@@ -16,12 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Real
 from typing import Any, Sequence
 
 import numpy as np
 
 from .covering import ConstraintMatrix
-from .data import Dataset, Prior, coverage_mask
+from .data import (
+    Dataset,
+    Prior,
+    check_payload_keys,
+    coverage_mask,
+    payload_numbers,
+    payload_object,
+)
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,9 @@ class WeapoConfig:
     """Objective settings.
 
     ``lambda_reg`` scales the squared-norm regularizer, ``prior_weight``
-    the absolute prior-deviation term (used only when ``use_prior``).
+    the absolute prior-deviation term (used only when ``use_prior``). Both
+    must be finite, non-negative real numbers and ``use_prior`` a bool;
+    a bool is not accepted as a number.
     """
 
     lambda_reg: float = 1.0
@@ -37,10 +47,14 @@ class WeapoConfig:
     prior_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
-            raise ValueError("lambda_reg must be finite and non-negative")
-        if not (math.isfinite(self.prior_weight) and self.prior_weight >= 0):
-            raise ValueError("prior_weight must be finite and non-negative")
+        for name in ("lambda_reg", "prior_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not isinstance(self.use_prior, bool):
+            raise ValueError(f"use_prior must be true or false, got {self.use_prior!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,21 +86,16 @@ class WeapoModel:
     def from_json_dict(cls, payload: dict[str, Any]) -> "WeapoModel":
         """Inverse of ``to_json_dict``.
 
-        Rejects unknown config keys and a theta that is not a point of the
-        probability simplex: not a non-empty flat list, not finite, with a
-        negative entry, or summing to 1 only up to more than 1e-9.
+        Rejects a key other than ``theta``, ``config`` and ``diagnostics``,
+        unknown config keys, a theta entry that is not a JSON number, and a
+        theta that is not a point of the probability simplex: not a
+        non-empty flat list, not finite, with a negative entry, or summing
+        to 1 only up to more than 1e-9.
         """
-        try:
-            theta = np.array(payload["theta"], dtype=np.float64)
-            config = dict(payload["config"])
-        except KeyError as missing:
-            raise ValueError(f"weapo model payload lacks key {missing}") from None
-        except TypeError as err:
-            raise ValueError(f"malformed weapo model payload ({err})") from None
-        known = {f.name for f in fields(WeapoConfig)}
-        unknown = sorted(set(config) - known)
-        if unknown:
-            raise ValueError(f"unknown weapo config key {unknown[0]!r} in model payload")
+        check_payload_keys(payload, "weapo model payload", ("theta", "config"), ("diagnostics",))
+        theta = payload_numbers(payload, "weapo", "theta")
+        config = payload_object(payload, "weapo", "config")
+        check_payload_keys(config, "weapo config", (), [f.name for f in fields(WeapoConfig)])
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("weapo theta must be a non-empty list of numbers")
         if not np.isfinite(theta).all() or (theta < 0.0).any():
@@ -96,7 +105,7 @@ class WeapoModel:
         return cls(
             theta=theta,
             config=WeapoConfig(**config),
-            diagnostics=dict(payload.get("diagnostics", {})),
+            diagnostics=payload_object(payload, "weapo", "diagnostics"),
         )
 
 

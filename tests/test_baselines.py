@@ -256,6 +256,14 @@ class TestDawidSkene:
             ({"confusion": [[[float("nan"), 0.5], [0.5, 0.5]]]}, r"\[0, 1\]"),
             ({"confusion": [[[0.5, 0.6], [0.5, 0.5]]]}, "sum to 1"),
             ({"confusion": [[[0.5, 0.5], [0.3, 0.3]]]}, "sum to 1"),
+            ({"class_prior": "0.5"}, "class_prior"),
+            ({"class_prior": None}, "class_prior"),
+            ({"class_prior": [0.5]}, "class_prior"),
+            ({"confusion": [[["0.5", 0.5], [0.5, 0.5]]]}, "confusion"),
+            ({"confusion": [[[True, False], [0.5, 0.5]]]}, "confusion"),
+            ({"confusion": [[[0.5, 0.5], [0.5]]]}, "confusion"),
+            ({"diagnostics": [1, 2]}, "diagnostics"),
+            ({"model_type": "ds"}, "'model_type'"),
         ]
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):
@@ -413,6 +421,11 @@ class TestTripletMethod:
             ({"accuracies": [[0.5]]}, "non-empty"),
             ({"class_prior": 0.0}, "class_prior"),
             ({"class_prior": 1.5}, "class_prior"),
+            ({"class_prior": True}, "class_prior"),
+            ({"accuracies": "0.5"}, "accuracies"),
+            ({"accuracies": ["0.25", 0.5, 0.75]}, "accuracies"),
+            ({"accuracies": [0.25, None, 0.75]}, "accuracies"),
+            ({"diagnostics": {}}, "'diagnostics'"),
         ]
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):

@@ -11,8 +11,18 @@ import numpy as np
 import pytest
 
 import weapo
-from weapo import Dataset, Record, SyntheticSpec, generate, save_dataset
-from weapo.cli import main
+from weapo import (
+    Dataset,
+    Record,
+    SyntheticSpec,
+    build_slices,
+    default_gamma,
+    generate,
+    hasse_edges,
+    load_dataset,
+    save_dataset,
+)
+from weapo.cli import build_parser, main
 
 
 def write_dataset(path, vote_rows, gold=None, features=None):
@@ -231,6 +241,28 @@ class TestFitCommand:
         assert code == 2
         assert "--prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["weapo", "fs"])
+    def test_missing_prior_is_reported_before_the_train_file(self, tmp_path, capsys, model):
+        code = main(
+            ["fit", str(tmp_path / "nope.jsonl"), "--model", model,
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 2
+        assert "--prior" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["mv", "weapo-noprior"])
+    def test_out_of_range_prior_refused_by_every_model(self, tmp_path, capsys, model):
+        train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (1, 1)])
+        model_path = tmp_path / "m.json"
+        code = main(
+            ["fit", train, "--model", model, "--prior", "1.5", "--out", str(model_path),
+             "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "p_plus" in err
+        assert not model_path.exists()
+
     def test_fs_needs_three_functions(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "two.jsonl", [(1, 0), (0, 1), (1, 1)])
         code = main(
@@ -254,6 +286,26 @@ class TestFitCommand:
             {"low": [1, 0], "high": [1, 1], "d_low_size": 1, "d_high_size": 2}
         ]
 
+    def test_dump_edges_match_the_slice_table_route(self, tmp_path):
+        """Slice sizes read from the vote patterns give the same file as
+        grouping record indices with build_slices."""
+        rng = np.random.default_rng(9)
+        rows = [tuple(r) for r in (rng.random((300, 5)) < 0.3).astype(int).tolist()]
+        train = write_dataset(tmp_path / "t.jsonl", rows)
+        edges_path = tmp_path / "edges.json"
+        assert main(
+            ["fit", train, "--model", "mv", "--out", str(tmp_path / "m.json"),
+             "--dump-edges", str(edges_path), "--quiet"]
+        ) == 0
+        slices = build_slices(load_dataset(train)).slices
+        expected = [
+            {"low": list(e.low), "high": list(e.high),
+             "d_low_size": len(slices[e.low]), "d_high_size": len(slices[e.high])}
+            for e in hasse_edges(slices.keys())
+        ]
+        assert edges_path.read_text() == json.dumps(expected, indent=2) + "\n"
+        assert not hasattr(weapo.cli, "build_slices")
+
     def test_dump_edges_over_pattern_limit_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(weapo.covering, "MAX_HASSE_PATTERNS", 1)
         train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (1, 1), (0, 1)])
@@ -276,6 +328,8 @@ class TestFitCommand:
             ("ds", ["--tol", "nan"]),
             ("ds", ["--max-iters", "-3"]),
             ("fs", ["--eps-clip", "nan"]),
+            ("mv", ["--smoothing", "nan"]),
+            ("mv", ["--lambda-reg", "-1"]),
         ],
     )
     def test_bad_fitting_values_write_no_file(
@@ -415,8 +469,41 @@ class TestEvalCommand:
             ({"model_type": "fs", "class_prior": 1.0, "accuracies": [0.5, 0.5]},
              "class_prior"),
             ([0.5, 0.5], "one JSON object"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5],
+              "config": {"lambda_reg": "abc", "use_prior": True, "prior_weight": 1.0}},
+             "lambda_reg"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5],
+              "config": {"lambda_reg": None, "use_prior": True, "prior_weight": 1.0}},
+             "lambda_reg"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5],
+              "config": {"lambda_reg": 1.0, "use_prior": "yes", "prior_weight": 1.0}},
+             "use_prior"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5],
+              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": True}},
+             "prior_weight"),
+            ({"model_type": "weapo", "theta": ["0.5", "0.5"],
+              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+             "theta"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5],
+              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0},
+              "diagnostics": [1, 2]},
+             "diagnostics"),
+            ({"model_type": "ds", "class_prior": 0.5,
+              "confusion": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]],
+              "diagnostics": [1, 2]},
+             "diagnostics"),
+            ({"model_type": "ds", "class_prior": "0.5",
+              "confusion": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]},
+             "class_prior"),
+            ({"model_type": "fs", "class_prior": 0.5, "accuracies": ["0.5", "0.5"]},
+             "accuracies"),
+            ({"model_type": "mv", "num_lfs": 2.0}, "num_lfs"),
+            ({"model_type": "mv", "num_lfs": 2, "lf_count": 2}, "'lf_count'"),
         ],
-        ids=["weapo", "weapo-width", "ds", "ds-rows", "fs", "not-an-object"],
+        ids=["weapo", "weapo-width", "ds", "ds-rows", "fs", "not-an-object",
+             "lambda-reg-string", "lambda-reg-null", "use-prior-string", "prior-weight-bool",
+             "theta-strings", "weapo-diagnostics-list", "ds-diagnostics-list",
+             "ds-prior-string", "fs-accuracies-strings", "mv-float-num-lfs", "unknown-key"],
     )
     def test_invalid_model_payload(self, tmp_path, capsys, payload, message):
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
@@ -426,6 +513,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert re.search(message, err)
+
+    @pytest.mark.parametrize("model", ["weapo", "weapo-noprior", "mv", "ds", "fs"])
+    def test_fitted_model_files_read_back(self, informative_files, tmp_path, capsys, model):
+        model_path = str(tmp_path / "model.json")
+        prior = ["--prior", "0.5"] if model in ("weapo", "fs") else []
+        assert main(
+            ["fit", informative_files["train"], "--model", model, "--out", model_path,
+             "--quiet", *prior]
+        ) == 0
+        assert main(["eval", model_path, informative_files["test"], "--quiet"]) == 0
+        # The same file with one key too many is refused.
+        payload = read_json(model_path)
+        payload["extra"] = 1
+        Path(model_path).write_text(json.dumps(payload))
+        assert main(["eval", model_path, informative_files["test"], "--quiet"]) == 1
+        assert "'extra'" in capsys.readouterr().err
 
     def test_non_strict_dataset_is_data_error(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
@@ -485,6 +588,25 @@ class TestEndCommand:
         config = read_json(out)["config"]
         assert config["alpha"] == 0.5
         assert config["gamma"] == 0.3
+
+    def test_library_defaults_reported(self, feature_files, tmp_path):
+        """Without --gamma and --alpha, end reports the values fit_krr
+        chose, and giving them explicitly reproduces the same run."""
+        base = ["end", feature_files["model"], feature_files["train"],
+                feature_files["test"], "--quiet"]
+        assert main(base + ["--out", str(tmp_path / "default.json")]) == 0
+        default = read_json(tmp_path / "default.json")
+        features = load_dataset(feature_files["train"]).features_matrix
+        assert default["config"]["gamma"] == default_gamma(features)
+        assert default["config"]["alpha"] == 1.0
+        explicit_flags = ["--gamma", repr(default["config"]["gamma"]), "--alpha", "1.0"]
+        out = str(tmp_path / "explicit.json")
+        assert main(base + explicit_flags + ["--out", out]) == 0
+        explicit = read_json(out)
+        assert explicit["config"]["gamma"] == default["config"]["gamma"]
+        assert explicit["config"]["alpha"] == default["config"]["alpha"]
+        assert explicit["result"] == default["result"]
+        assert not hasattr(weapo.cli, "default_gamma")
 
     @pytest.mark.parametrize(
         "flags", [["--gamma", "nan"], ["--alpha", "inf"], ["--uncovered-target", "nan"]]
@@ -673,6 +795,30 @@ class TestCompareCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "models, flags, message",
+        [
+            ("ds,mv", ["--smoothing", "nan"], "smoothing"),
+            ("weapo,mv", ["--prior", "1.5"], "p_plus"),
+            ("weapo,mv", ["--prior", "0.5", "--lambda-reg", "-1"], "lambda_reg"),
+            ("fs,mv", ["--prior", "0.5", "--eps-clip", "2"], "eps_clip"),
+            ("mv", ["--max-iters", "0"], "max_iters"),
+        ],
+    )
+    def test_bad_fitting_value_reported_before_reading(
+        self, tmp_path, capsys, models, flags, message
+    ):
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope-test.jsonl"),
+             "--models", models, *flags, "--out", str(out), "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "nope" not in err
+        assert not out.exists()
+
     def test_prior_required_when_weapo_requested(self, informative_files, capsys):
         code = main(
             ["compare", informative_files["train"], informative_files["test"],
@@ -702,6 +848,23 @@ class TestTopLevel:
             capture_output=True, text=True, check=True,
         )
         assert result.stdout.splitlines() == ["[]", "[]"]
+
+    def test_single_vector_scorers_are_gone(self):
+        for name in ("score", "mv_score", "ds_posterior", "fs_posterior"):
+            assert not hasattr(weapo, name)
+        assert not hasattr(Dataset, "label_matrix")
+
+    def test_library_settings_default_to_none(self):
+        """The CLI restates no library default: a flag left out is None
+        and is not passed on."""
+        parser = build_parser()
+        fitting = ("lambda_reg", "prior_weight", "max_iters", "tol", "smoothing", "eps_clip")
+        for argv in (["fit", "t.jsonl", "--model", "mv", "--out", "m.json"],
+                     ["compare", "t.jsonl", "u.jsonl", "--models", "mv"]):
+            args = parser.parse_args(argv)
+            assert [getattr(args, name) for name in fitting] == [None] * len(fitting)
+        args = parser.parse_args(["end", "m.json", "t.jsonl", "u.jsonl"])
+        assert args.alpha is None and args.gamma is None
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

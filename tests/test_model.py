@@ -359,6 +359,37 @@ class TestSerialization:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WeapoConfig(lambda_reg=-1.0)
+        bad_cases = [
+            ({"lambda_reg": "abc"}, "lambda_reg"),
+            ({"lambda_reg": None}, "lambda_reg"),
+            ({"lambda_reg": True}, "lambda_reg"),
+            ({"prior_weight": True}, "prior_weight"),
+            ({"use_prior": "yes"}, "use_prior"),
+            ({"use_prior": 1}, "use_prior"),
+        ]
+        for change, message in bad_cases:
+            with pytest.raises(ValueError, match=message):
+                WeapoConfig(**change)
+        assert WeapoConfig(lambda_reg=2, prior_weight=np.float64(0.5)).lambda_reg == 2
+
+    def test_malformed_payload_rejected(self):
+        """Values must be JSON numbers, objects must be objects, and no
+        key outside the model's own is accepted."""
+        payload = WeapoModel(theta=np.array([0.25, 0.75]), config=WeapoConfig()).to_json_dict()
+        bad_cases = [
+            ({"theta": ["0.25", "0.75"]}, "theta"),
+            ({"theta": [0.25, None]}, "theta"),
+            ({"theta": [True, False]}, "theta"),
+            ({"config": {"lambda_reg": "abc"}}, "lambda_reg"),
+            ({"config": {"use_prior": "yes"}}, "use_prior"),
+            ({"config": {"prior_weight": True}}, "prior_weight"),
+            ({"config": [1.0, True, 1.0]}, "config"),
+            ({"diagnostics": [1, 2]}, "diagnostics"),
+            ({"model_type": "weapo"}, "'model_type'"),
+        ]
+        for change, message in bad_cases:
+            with pytest.raises(ValueError, match=message):
+                WeapoModel.from_json_dict({**payload, **change})
 
     def test_unknown_config_key_rejected(self):
         payload = WeapoModel(theta=np.array([1.0]), config=WeapoConfig()).to_json_dict()
