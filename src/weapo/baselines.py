@@ -18,8 +18,8 @@ single vote vector is scored as a one-row array.
 
 The defaults of the fitting settings live in the fit signatures alone
 (the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
-checks in ``check_ds_settings`` and
-``check_fs_settings``, which the fits and the CLI both call.
+checks in ``check_ds_settings`` and ``check_fs_settings``, which the
+fits and the CLI both call.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .data import (
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
 
-# The triplet method's default clip: the smallest denominator moment it
-# admits, and the margin it keeps below accuracy 1.
+# The triplet method's default clip: it discards denominator moments of at
+# most this size and keeps estimates this far below accuracy 1.
 FS_EPS_CLIP = 1e-4
 
 
@@ -427,4 +427,3 @@ def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     symmetric channels with accuracy (1 + a_j) / 2."""
     a = model.accuracies
     return _naive_bayes_posteriors(votes, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0)
-

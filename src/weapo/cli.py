@@ -511,7 +511,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliUsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, UndefinedMetricError, ValueError, OSError) as err:
+    # json raises RecursionError on input nested deeper than the stack.
+    except (DatasetFormatError, UndefinedMetricError, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

@@ -272,10 +272,16 @@ def check_payload_keys(
 
 
 def _json_numbers(value: Any) -> bool:
-    """True for a JSON number or nested lists of them; a bool is not one."""
-    if type(value) is list:
-        return all(map(_json_numbers, value))
-    return type(value) in (int, float)
+    """True for a JSON number or nested lists of them; a bool is not one.
+    Walks the lists with a stack, so any nesting depth JSON allows is fine."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            return False
+    return True
 
 
 def payload_numbers(payload: dict[str, Any], kind: str, key: str) -> np.ndarray:

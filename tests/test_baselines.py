@@ -413,6 +413,9 @@ class TestTripletMethod:
 
     def test_invalid_payloads_rejected(self):
         payload = FSModel(accuracies=np.array([0.25, 0.5, 0.75]), class_prior=0.4).to_json_dict()
+        deep = 0.5
+        for _ in range(5000):
+            deep = [deep]
         bad_cases = [
             ({"accuracies": [0.5, 1.0, 0.5]}, r"\[0, 1\)"),
             ({"accuracies": [0.5, -0.1, 0.5]}, r"\[0, 1\)"),
@@ -425,6 +428,7 @@ class TestTripletMethod:
             ({"accuracies": "0.5"}, "accuracies"),
             ({"accuracies": ["0.25", 0.5, 0.75]}, "accuracies"),
             ({"accuracies": [0.25, None, 0.75]}, "accuracies"),
+            ({"accuracies": deep}, "accuracies"),
             ({"diagnostics": {}}, "'diagnostics'"),
         ]
         for change, message in bad_cases:

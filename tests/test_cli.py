@@ -530,6 +530,18 @@ class TestEvalCommand:
         assert main(["eval", model_path, informative_files["test"], "--quiet"]) == 1
         assert "'extra'" in capsys.readouterr().err
 
+    def test_deeply_nested_model_file_is_data_error(self, tmp_path, capsys):
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        model = tmp_path / "model.json"
+        depth = 100_000
+        model.write_text(
+            '{"model_type": "fs", "class_prior": 0.5, "accuracies": '
+            + "[" * depth + "0.5" + "]" * depth + "}"
+        )
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_non_strict_dataset_is_data_error(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
         model = self.fit_mv(tmp_path, train)
