@@ -1,18 +1,18 @@
 """Feature-space end model trained on label-model scores.
 
-Kernel ridge regression with an RBF kernel, solved exactly by a dense LU
-solve. Training targets come from the label model: covered records keep
-their scores, uncovered records take one constant (default 0, i.e.
-treated as negative). The end model generalizes past coverage because it
-scores features, not votes.
+Kernel ridge regression with an RBF kernel, solved exactly by a blocked
+Cholesky factorization. Training targets come from the label model:
+covered records keep their scores, uncovered records take one constant
+(default 0, i.e. treated as negative). The end model generalizes past
+coverage because it scores features, not votes.
 
-Memory: the fit holds two dense N x N float64 arrays, 16 * N**2 bytes
-(576 MB at N = 6000): the kernel system, built in place, and the copy
-that ``np.linalg.solve`` factors. Before allocating them, ``fit_krr``
-refuses a fit that needs more than ``MEMORY_BUDGET_FRACTION`` of the
-memory the operating system reports available. Prediction scores the
-test rows in blocks of ``PREDICT_CHUNK_ROWS``, so it never holds an
-N_test x N_train kernel.
+Memory: the fit holds one dense N x N float64 array, 8 * N**2 bytes
+(288 MB at N = 6000), plus temporaries of ``BLOCK_ROWS`` rows or columns.
+The kernel system is built in it by row blocks and factored in place.
+Before allocating it, ``fit_krr`` refuses a fit that needs more than
+``MEMORY_BUDGET_FRACTION`` of the memory the operating system reports
+available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
+so it never holds an N_test x N_train kernel.
 """
 
 from __future__ import annotations
@@ -24,9 +24,14 @@ import numpy as np
 # A dense fit may use at most this fraction of the available memory; the
 # rest is left to the interpreter, the datasets and other processes.
 MEMORY_BUDGET_FRACTION = 0.8
-# Test rows scored per block in predict_krr. Building a block's kernel
-# holds two PREDICT_CHUNK_ROWS x N_train float64 arrays.
-PREDICT_CHUNK_ROWS = 1024
+# Rows (or columns) per block in the kernel build, the factorization, the
+# triangular solves and predict_krr. Each block temporary is at most
+# BLOCK_ROWS x N float64.
+BLOCK_ROWS = 256
+# The fit's block temporaries, in units of N x BLOCK_ROWS float64 arrays,
+# where most of them are alive: the kernel build and the residual check
+# each hold two.
+BLOCK_TEMPORARIES = 2
 
 
 def make_targets(
@@ -97,13 +102,81 @@ def _available_memory_bytes() -> int | None:
     return None
 
 
+def _blocks(n: int) -> list[slice]:
+    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+
+
+def fit_bytes(n: int) -> int:
+    """Bytes an exact fit on ``n`` records holds: the N x N system plus
+    ``BLOCK_TEMPORARIES`` arrays of N x ``BLOCK_ROWS``."""
+    return 8 * n * (n + BLOCK_TEMPORARIES * min(n, BLOCK_ROWS))
+
+
+def _ridge_system(features: np.ndarray, gamma: float, alpha: float) -> np.ndarray:
+    """``K + alpha * I`` in one new array, built ``BLOCK_ROWS`` rows at a
+    time so that no second N x N array is alive."""
+    n = features.shape[0]
+    system = np.empty((n, n))
+    for rows in _blocks(n):
+        system[rows] = rbf_kernel(features[rows], features, gamma)
+    system.flat[:: n + 1] += alpha
+    return system
+
+
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of the symmetric positive-definite
+    ``a`` with its Cholesky factor L, left-looking by blocks of
+    ``BLOCK_ROWS`` columns. The strict upper triangle is only read.
+
+    Raises ``np.linalg.LinAlgError`` when a diagonal block is not
+    positive definite.
+    """
+    n = a.shape[0]
+    for cols in _blocks(n):
+        done = a[cols, : cols.start]  # this block's rows of L, left of it
+        factor = np.linalg.cholesky(a[cols, cols] - done @ done.T)
+        np.copyto(a[cols, cols], factor, where=np.tri(len(factor), dtype=bool))
+        if cols.stop < n:
+            panel = a[cols.stop :, cols]
+            panel -= a[cols.stop :, : cols.start] @ done.T
+            # panel <- panel @ factor^-T, as a b x b solve.
+            panel[...] = np.linalg.solve(factor, panel.T).T
+
+
+def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs, with L in the lower triangle of ``a``, by
+    blocked forward and back substitution."""
+    x = rhs.copy()
+    blocks = _blocks(a.shape[0])
+    for rows in blocks:
+        x[rows] = np.linalg.solve(
+            np.tril(a[rows, rows]), x[rows] - a[rows, : rows.start] @ x[: rows.start]
+        )
+    for rows in reversed(blocks):
+        x[rows] = np.linalg.solve(
+            np.tril(a[rows, rows]).T, x[rows] - a[rows.stop :, rows].T @ x[rows.stop :]
+        )
+    return x
+
+
+def _symmetric_product(a: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S @ x for the symmetric S whose strict upper triangle is that of
+    ``a`` and whose diagonal is ``diagonal``; ``a`` is read by row blocks."""
+    product = diagonal * x
+    for rows in _blocks(a.shape[0]):
+        upper = np.triu(a[rows, rows.start :], 1)
+        product[rows] += upper @ x[rows.start :]
+        product[rows.start :] += upper.T @ x[rows]
+    return product
+
+
 def fit_krr(
     features: np.ndarray,
     targets: np.ndarray,
     gamma: float | None = None,
     alpha: float = 1.0,
 ) -> KRRModel:
-    """Solve (K + alpha * I) c = targets with a dense LU solve.
+    """Solve (K + alpha * I) c = targets by a blocked Cholesky factorization.
 
     Parameters
     ----------
@@ -118,22 +191,24 @@ def fit_krr(
 
     Notes
     -----
-    The fit holds two dense N x N float64 arrays, 16 * N**2 bytes (576 MB
-    at N = 6000): the system ``K + alpha * I``, built in place, and the
-    copy that ``np.linalg.solve`` factors. Before allocating them, the fit
-    compares that size with ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable``
-    in ``/proc/meminfo`` and raises ``ValueError`` naming N, the GiB
-    needed and the GiB available when it does not fit. The check is
-    skipped where that file cannot be read, and it does not see a cgroup
-    memory limit, so a container may still be killed below it.
+    The fit holds one dense N x N float64 array, 8 * N**2 bytes (288 MB
+    at N = 6000), plus ``BLOCK_TEMPORARIES`` arrays of N x ``BLOCK_ROWS``
+    (``fit_bytes``). Before allocating it, the fit compares that size
+    with ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in
+    ``/proc/meminfo`` and raises ``ValueError`` naming N, the GiB needed
+    and the GiB available when it does not fit. The check is skipped
+    where that file cannot be read, and it does not see a cgroup memory
+    limit, so a container may still be killed below it.
 
-    The system is symmetric positive semi-definite, so a Cholesky
-    factorization would do, but numpy has no triangular solve to apply
-    one. ``np.linalg.solve`` (LU with partial pivoting) is exact too, at
-    about twice the flops, and keeps the package numpy-only. It does not
-    check its input for NaN or inf, so non-finite features, targets,
-    ``gamma`` or ``alpha`` are rejected here. The solve is verified: the
-    residual norm must not exceed ``1e-8 * (1 + ||targets||)``.
+    The system ``K + alpha * I`` is built by row blocks. A left-looking
+    blocked Cholesky factorization (about N**3 / 3 flops) overwrites its
+    lower triangle with the factor L; the strict upper triangle and a
+    saved copy of the diagonal keep the system itself. A diagonal block
+    that is not positive definite means the system is singular. numpy's
+    factorization and solves do not check their input for NaN or inf, so
+    non-finite features, targets, ``gamma`` or ``alpha`` are rejected
+    here. The solve is verified against the kept system: the residual
+    norm must not exceed ``1e-8 * (1 + ||targets||)``.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
@@ -150,23 +225,26 @@ def fit_krr(
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be finite and positive")
     n = features.shape[0]
-    needed, available = 16 * n * n, _available_memory_bytes()
+    needed, available = fit_bytes(n), _available_memory_bytes()
     if available is not None and needed > MEMORY_BUDGET_FRACTION * available:
         raise ValueError(
             f"the exact kernel fit on N = {n} training records needs "
-            f"{needed / 2**30:.2f} GiB (two N x N float64 arrays), more than "
+            f"{needed / 2**30:.2f} GiB (one N x N float64 array), more than "
             f"{MEMORY_BUDGET_FRACTION:.0%} of the {available / 2**30:.2f} GiB "
             "of memory available; train on fewer records"
         )
-    system = rbf_kernel(features, features, gamma)
-    system.flat[:: n + 1] += alpha
+    system = _ridge_system(features, gamma, alpha)
+    diagonal = system.diagonal().copy()
     try:
-        coefficients = np.linalg.solve(system, targets)
+        _cholesky_in_place(system)
+        coefficients = _cholesky_solve(system, targets)
     except np.linalg.LinAlgError:
         raise ValueError(
             "kernel system is singular; alpha = 0 requires distinct points"
         ) from None
-    residual = float(np.linalg.norm(system @ coefficients - targets))
+    residual = float(
+        np.linalg.norm(_symmetric_product(system, diagonal, coefficients) - targets)
+    )
     # Written so that a NaN residual fails too.
     if not residual <= 1e-8 * (1.0 + float(np.linalg.norm(targets))):
         raise ValueError(
@@ -182,8 +260,8 @@ def fit_krr(
 
 
 def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
-    """Kernel expansion over the support points, ``PREDICT_CHUNK_ROWS``
-    test rows at a time."""
+    """Kernel expansion over the support points, ``BLOCK_ROWS`` test rows
+    at a time."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[1] != model.support.shape[1]:
         raise ValueError(
@@ -191,11 +269,10 @@ def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
             f"model expects {model.support.shape[1]}"
         )
     predictions = np.empty(features.shape[0])
-    for start in range(0, features.shape[0], PREDICT_CHUNK_ROWS):
-        stop = start + PREDICT_CHUNK_ROWS
+    for rows in _blocks(features.shape[0]):
         # One expression, so each block's kernel is freed before the next.
-        predictions[start:stop] = (
-            rbf_kernel(features[start:stop], model.support, model.gamma)
+        predictions[rows] = (
+            rbf_kernel(features[rows], model.support, model.gamma)
             @ model.coefficients
         )
     return predictions

@@ -285,6 +285,12 @@ def ridge_system_with_identity(kernel, alpha):
     return kernel + alpha * np.eye(kernel.shape[0])
 
 
+def krr_coefficients_lu(kernel, alpha, targets):
+    """Kernel ridge coefficients by one dense LU solve of
+    ``kernel + alpha * I``."""
+    return np.linalg.solve(ridge_system_with_identity(kernel, alpha), targets)
+
+
 def signed_second_moments(signed):
     """Triplet-method moments over every record: ``S^T S / N`` in float64."""
     s = np.asarray(signed, dtype=np.float64)

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 import weapo.endmodel
-from oracles import rbf_kernel_three_temporaries, ridge_system_with_identity
+from oracles import (
+    krr_coefficients_lu,
+    rbf_kernel_three_temporaries,
+    ridge_system_with_identity,
+)
 from weapo import (
     FeatureSpec,
     Prior,
@@ -23,7 +27,7 @@ from weapo import (
     rbf_kernel,
     roc_auc,
 )
-from weapo.endmodel import MEMORY_BUDGET_FRACTION, PREDICT_CHUNK_ROWS
+from weapo.endmodel import BLOCK_ROWS, MEMORY_BUDGET_FRACTION, fit_bytes
 
 
 class TestMakeTargets:
@@ -158,26 +162,60 @@ class TestFitKrr:
             fit_krr(np.ones((2, 2)), np.zeros(2), gamma=-2.0)
 
     def test_system_matches_identity_oracle_bitwise(self, monkeypatch):
-        """The ridge added to the diagonal in place gives exactly the
-        system ``kernel + alpha * I``, and the solve sees that system."""
+        """The system is built by row blocks and the ridge added to its
+        diagonal in place: each row block is exactly the plain kernel of
+        those rows with alpha on the diagonal, and the factorization sees
+        that system."""
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(120, 3))
-        t = rng.normal(size=120)
+        x = rng.normal(size=(2 * BLOCK_ROWS + 37, 3))
+        t = rng.normal(size=len(x))
         seen = []
-        solve = np.linalg.solve
+        factor = weapo.endmodel._cholesky_in_place
 
-        def recording_solve(a, b):
+        def recording_factor(a):
             seen.append(a.copy())
-            return solve(a, b)
+            factor(a)
 
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        model = fit_krr(x, t, gamma=0.6, alpha=0.25)
-        expected = ridge_system_with_identity(
-            rbf_kernel_three_temporaries(x, x, 0.6), 0.25
-        )
+        monkeypatch.setattr(weapo.endmodel, "_cholesky_in_place", recording_factor)
+        fit_krr(x, t, gamma=0.6, alpha=0.25)
+        blocks = [
+            rbf_kernel_three_temporaries(x[start:start + BLOCK_ROWS], x, 0.6)
+            for start in range(0, len(x), BLOCK_ROWS)
+        ]
         assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], expected, strict=True)
-        np.testing.assert_array_equal(model.coefficients, solve(expected, t), strict=True)
+        np.testing.assert_array_equal(
+            seen[0], ridge_system_with_identity(np.vstack(blocks), 0.25), strict=True
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29], ids=lambda n: f"n{n}")
+    def test_coefficients_match_lu_oracle(self, monkeypatch, n):
+        """With 8-wide blocks the factorization and both substitutions run
+        over many blocks, and partial last blocks, from N = 1 up. Both
+        solves are backward stable, and the eigenvalues of K + alpha * I lie
+        in [alpha, N + alpha], so the two coefficient vectors agree to
+        4 * N * eps * (1 + N / alpha) relative to their size."""
+        monkeypatch.setattr(weapo.endmodel, "BLOCK_ROWS", 8)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        alpha = 0.05
+        model = fit_krr(x, t, gamma=0.4, alpha=alpha)
+        expected = krr_coefficients_lu(rbf_kernel_three_temporaries(x, x, 0.4), alpha, t)
+        bound = 4 * n * np.finfo(np.float64).eps * (1 + n / alpha)
+        error = np.abs(model.coefficients - expected).max()
+        assert error <= bound * np.abs(expected).max()
+
+    def test_near_duplicates_rejected_at_zero_ridge(self):
+        """Points 1e-6 to 1e-10 apart make K singular to working precision;
+        the fit refuses them whether the factorization breaks down or the
+        residual check catches the damage."""
+        rng = np.random.default_rng(14)
+        base = rng.normal(size=(40, 2))
+        t = rng.normal(size=80)
+        for gap in (1e-6, 1e-8, 1e-10):
+            x = np.vstack([base, base + gap])
+            with pytest.raises(ValueError, match="singular"):
+                fit_krr(x, t, gamma=1.0, alpha=0.0)
 
     def test_predict_width_mismatch(self):
         model = fit_krr(np.zeros((2, 2)), np.zeros(2), gamma=1.0)
@@ -229,7 +267,7 @@ class TestChunkedPrediction:
         )
 
     @pytest.mark.parametrize(
-        "n_test", [0, 1, PREDICT_CHUNK_ROWS - 1, PREDICT_CHUNK_ROWS]
+        "n_test", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS]
     )
     def test_one_block_equals_unchunked_bitwise(self, model, n_test):
         test = np.random.default_rng(n_test).normal(size=(n_test, 3))
@@ -238,7 +276,7 @@ class TestChunkedPrediction:
         np.testing.assert_array_equal(predictions, self.expansion(model, test), strict=True)
 
     @pytest.mark.parametrize(
-        "n_test", [PREDICT_CHUNK_ROWS + 1, 2 * PREDICT_CHUNK_ROWS + 3]
+        "n_test", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
     )
     def test_blocks_equal_unchunked(self, model, n_test):
         """Every block is scored bitwise as it would be on its own. Across
@@ -249,10 +287,10 @@ class TestChunkedPrediction:
         test = np.random.default_rng(n_test).normal(size=(n_test, 3))
         predictions = predict_krr(model, test)
         assert predictions.shape == (n_test,)
-        for start in range(0, n_test, PREDICT_CHUNK_ROWS):
-            block = test[start:start + PREDICT_CHUNK_ROWS]
+        for start in range(0, n_test, BLOCK_ROWS):
+            block = test[start:start + BLOCK_ROWS]
             np.testing.assert_array_equal(
-                predictions[start:start + PREDICT_CHUNK_ROWS],
+                predictions[start:start + BLOCK_ROWS],
                 self.expansion(model, block),
                 strict=True,
             )
@@ -273,18 +311,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_fit_holds_two_dense_arrays(self):
-        """The kernel system plus the copy the solve factors; building the
-        kernel out of place would hold three N x N arrays."""
-        n = 1000
+    def test_fit_holds_one_dense_array(self):
+        """The kernel system, factored in place, plus block temporaries of
+        N x BLOCK_ROWS; a solve that copies the system, or a kernel built
+        in one call, would hold two N x N arrays. The memory budget
+        ``fit_bytes`` prices this peak, up to a megabyte of vectors."""
+        n = 2000
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
         peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.5, alpha=1.0))
-        assert peak < 2.2 * n * n * 8
+        assert peak < 1.4 * n * n * 8
+        assert peak < fit_bytes(n) + 2**20
 
     def test_prediction_never_holds_the_full_kernel(self):
-        n_train, n_test = 300, 8 * PREDICT_CHUNK_ROWS
+        n_train, n_test = 300, 8 * BLOCK_ROWS
         rng = np.random.default_rng(13)
         model = fit_krr(rng.normal(size=(n_train, 3)), rng.normal(size=n_train),
                         gamma=0.5, alpha=1.0)
@@ -297,12 +338,14 @@ class TestMemoryBudget:
     def test_fit_over_budget_is_refused(self, monkeypatch):
         n = 50
         monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: 16 * n * n)
-        with pytest.raises(ValueError, match=r"N = 50 .* GiB .* GiB of memory available"):
+        with pytest.raises(
+            ValueError, match=r"N = 50 .* GiB \(one N x N float64 array\).* GiB of memory available"
+        ):
             fit_krr(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
 
     def test_fit_within_budget_runs(self, monkeypatch):
         n = 50
-        available = int(16 * n * n / MEMORY_BUDGET_FRACTION) + 1
+        available = int(fit_bytes(n) / MEMORY_BUDGET_FRACTION) + 1
         monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: available)
         model = fit_krr(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
         assert model.coefficients.shape == (n,)
