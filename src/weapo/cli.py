@@ -148,7 +148,11 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
 
 def _read_model(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        # json raises RecursionError on input nested deeper than the stack.
+        except (json.JSONDecodeError, RecursionError) as err:
+            raise ValueError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file holds one JSON object")
     return payload
@@ -511,7 +515,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliUsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    # json raises RecursionError on input nested deeper than the stack.
+    # The JSON readers report nesting deeper than the stack with the file
+    # or line; RecursionError from anywhere else is still a clean error.
     except (DatasetFormatError, UndefinedMetricError, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -417,6 +417,9 @@ def load_dataset(path: str) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({err.msg})") from None
+            # json raises RecursionError on input nested deeper than the stack.
+            except RecursionError as err:
+                raise DatasetFormatError(f"line {lineno}: invalid JSON ({err})") from None
             if type(obj) is not dict:
                 raise DatasetFormatError(f"line {lineno}: expected a JSON object")
             if not obj.keys() <= _RECORD_KEYS:

@@ -140,7 +140,8 @@ class SyntheticSpec:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return cls.from_json_dict(json.load(fh))
-            except ValueError as err:
+            # json raises RecursionError on input nested deeper than the stack.
+            except (ValueError, RecursionError) as err:
                 raise ValueError(f"{path}: {err}") from None
 
 

@@ -168,6 +168,8 @@ class TestSynthCommand:
                          "lacks key 'n'", id="missing-n"),
             pytest.param('[0.5, [0.9], [0.1], 10, 0]', "must be a JSON object", id="list"),
             pytest.param('{"p_plus": 0.5,', "Expecting", id="invalid-json"),
+            pytest.param('{"p_plus": 0.5, "tpr": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                         "maximum recursion depth", id="nested-too-deep"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10.7, "seed": 0}',
                          "'n'", id="float-n"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": true}',
@@ -540,7 +542,34 @@ class TestEvalCommand:
         )
         assert main(["eval", str(model), test, "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith(f"error: {model}: invalid JSON (maximum recursion depth")
+        assert "Traceback" not in err
+
+    def test_truncated_model_file_names_the_file(self, tmp_path, capsys):
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        model = tmp_path / "model.json"
+        model.write_text('{"model_type": ')
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: invalid JSON (Expecting value: line 1")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_dataset_line_names_the_line(self, tmp_path, capsys):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        test = tmp_path / "test.jsonl"
+        depth = 100_000
+        test.write_text(
+            '{"id":"a","votes":[1,1],"label":-1}\n'
+            '{"id":"b","votes":' + "[" * depth + "1" + "]" * depth + ',"label":1}\n'
+        )
+        out = tmp_path / "cmp.json"
+        assert main(
+            ["compare", train, str(test), "--models", "mv", "--out", str(out), "--quiet"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: invalid JSON (maximum recursion depth")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_non_strict_dataset_is_data_error(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
