@@ -180,7 +180,7 @@ def check_ds_settings(
 def ds_fit(
     votes: Dataset | SignedVotes,
     init_prior: Prior,
-    max_iters: int = 100,
+    max_iters: int = 1000,
     tol: float = 1e-6,
     smoothing: float = 1.0,
     init_confusion: np.ndarray | None = None,

@@ -187,7 +187,7 @@ def min_on_2simplex_line(fun, steps):
     return best_theta, best_value
 
 
-def dawid_skene_per_row(signed, p_init, max_iters=100, tol=1e-6, smoothing=1.0):
+def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0):
     """Dawid-Skene EM over every row, one record at a time.
 
     Follows the model the package fits (abstain-as-negative naive Bayes
