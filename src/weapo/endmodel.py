@@ -28,10 +28,6 @@ MEMORY_BUDGET_FRACTION = 0.8
 # triangular solves and predict_krr. Each block temporary is at most
 # BLOCK_ROWS x N float64.
 BLOCK_ROWS = 256
-# The fit's block temporaries, in units of N x BLOCK_ROWS float64 arrays,
-# where most of them are alive: the kernel build and the residual check
-# each hold two.
-BLOCK_TEMPORARIES = 2
 
 
 def make_targets(
@@ -108,8 +104,9 @@ def _blocks(n: int) -> list[slice]:
 
 def fit_bytes(n: int) -> int:
     """Bytes an exact fit on ``n`` records holds: the N x N system plus
-    ``BLOCK_TEMPORARIES`` arrays of N x ``BLOCK_ROWS``."""
-    return 8 * n * (n + BLOCK_TEMPORARIES * min(n, BLOCK_ROWS))
+    two N x ``BLOCK_ROWS`` block temporaries, as many as the kernel build
+    and the residual check each hold at once."""
+    return 8 * n * (n + 2 * min(n, BLOCK_ROWS))
 
 
 def _ridge_system(features: np.ndarray, gamma: float, alpha: float) -> np.ndarray:
@@ -192,7 +189,7 @@ def fit_krr(
     Notes
     -----
     The fit holds one dense N x N float64 array, 8 * N**2 bytes (288 MB
-    at N = 6000), plus ``BLOCK_TEMPORARIES`` arrays of N x ``BLOCK_ROWS``
+    at N = 6000), plus two N x ``BLOCK_ROWS`` block temporaries
     (``fit_bytes``). Before allocating it, the fit compares that size
     with ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in
     ``/proc/meminfo`` and raises ``ValueError`` naming N, the GiB needed
