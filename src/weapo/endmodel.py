@@ -99,6 +99,7 @@ def _available_memory_bytes() -> int | None:
 
 
 def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``BLOCK_ROWS`` that cover ``range(n)``."""
     return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
 
 
