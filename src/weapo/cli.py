@@ -43,6 +43,7 @@ from .data import (
     check_payload_keys,
     coverage_mask,
     load_dataset,
+    not_utf8,
     save_dataset,
 )
 from .endmodel import fit_krr, make_targets, predict_krr
@@ -153,6 +154,8 @@ def _read_model(path: str) -> dict[str, Any]:
         # json raises RecursionError on input nested deeper than the stack.
         except (json.JSONDecodeError, RecursionError) as err:
             raise ValueError(f"{path}: invalid JSON ({err})") from None
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {not_utf8(err)}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file holds one JSON object")
     return payload

@@ -15,10 +15,13 @@ the inverse.
 The readers of serialized models share the checks ``check_payload_keys``,
 ``payload_numbers`` and ``payload_object``: no missing or unknown key,
 JSON numbers where numbers belong, and JSON objects where objects do.
+They and ``load_dataset`` report a file that is not UTF-8 with
+``not_utf8``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -305,29 +308,90 @@ def payload_object(payload: dict[str, Any], kind: str, key: str) -> dict[str, An
     return dict(value)
 
 
+def not_utf8(err: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8 text, for the reader to
+    prefix with the path. It names the bad byte but not its position,
+    which ``err`` counts from the start of a decoded chunk."""
+    return f"not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})"
+
+
 def coverage_mask(dataset: Dataset) -> np.ndarray:
     """Binary (N,) mask: 1 where at least one labeling function fired."""
     return dataset.votes_matrix.any(axis=1).astype(np.int8)
 
 
-def _parse_meta(obj: dict, lineno: int) -> tuple[int | None, tuple[str, ...] | None]:
+def _parse_meta(obj: dict) -> tuple[int | None, tuple[str, ...] | None]:
+    """The declared ``num_lfs`` and ``lf_names`` of the meta object on line 1."""
     meta = obj["meta"]
     if len(obj) != 1:
-        raise DatasetFormatError(f"line {lineno}: the meta line holds only the meta key")
+        raise DatasetFormatError("line 1: the meta line holds only the meta key")
     if not isinstance(meta, dict):
-        raise DatasetFormatError(f"line {lineno}: meta must be an object")
+        raise DatasetFormatError("line 1: meta must be an object")
     if not meta.keys() <= _META_KEYS:
         unknown = sorted(meta.keys() - _META_KEYS)[0]
-        raise DatasetFormatError(f"line {lineno}: unknown meta key {unknown!r}")
+        raise DatasetFormatError(f"line 1: unknown meta key {unknown!r}")
     num_lfs = meta.get("num_lfs")
     if num_lfs is not None and (type(num_lfs) is not int or num_lfs < 1):
-        raise DatasetFormatError(f"line {lineno}: meta num_lfs must be a positive integer")
+        raise DatasetFormatError("line 1: meta num_lfs must be a positive integer")
     names = meta.get("lf_names")
     if names is not None:
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-            raise DatasetFormatError(f"line {lineno}: meta lf_names must be a list of strings")
+            raise DatasetFormatError("line 1: meta lf_names must be a list of strings")
         names = tuple(names)
     return num_lfs, names
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+# What may follow a line's JSON value for the value to be the whole line.
+_LINE_ENDS = ("\n", "")
+
+
+def _loads(line: str, lineno: int) -> Any:
+    """``json.loads(line)``, with its errors reported against ``lineno``."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as err:
+        raise DatasetFormatError(f"line {lineno}: invalid JSON ({err.msg})") from None
+    # json raises RecursionError on input nested deeper than the stack, and
+    # ValueError on an integer with more digits than int() converts.
+    except (RecursionError, ValueError) as err:
+        raise DatasetFormatError(f"line {lineno}: invalid JSON ({err})") from None
+
+
+def _read_values(lines: Iterable[str]) -> tuple[list, list[int]]:
+    """The JSON value of every non-blank line, and the numbers of the blank lines.
+
+    Each line costs one ``raw_decode``, whose value is taken when only the
+    line end follows it. Any other line (blank, whitespace around the
+    value, two values, a BOM, invalid JSON or nesting deeper than the
+    stack) goes through ``json.loads``, which returns the line's value or
+    raises the error that names the line. The cyclic garbage collector is
+    paused meanwhile: the values are trees of new dicts and lists without
+    cycles, and collecting while they are made only re-scans them.
+    """
+    values: list = []
+    append = values.append
+    blank_lines: list[int] = []
+    decode = _raw_decode
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                value, end = decode(line)
+                if line[end:] in _LINE_ENDS:
+                    append(value)
+                    continue
+            except (ValueError, RecursionError):
+                pass
+            if line.isspace():
+                blank_lines.append(lineno)
+            else:
+                append(_loads(line, lineno))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return values, blank_lines
 
 
 class _Columns:
@@ -335,14 +399,34 @@ class _Columns:
 
     Each check runs over a whole column; only when it fails does a loop
     look for the first offending record, whose line number it reports.
+    ``objs[i]`` sits on the i-th non-blank line from ``first_line`` on.
     """
 
-    def __init__(self, objs: list[dict], linenos: list[int]) -> None:
+    def __init__(self, objs: list, first_line: int, blank_lines: list[int]) -> None:
         self.objs = objs
-        self.linenos = linenos
+        self.first_line = first_line
+        self.blank_lines = blank_lines
 
     def fail(self, index: int, message: str) -> NoReturn:
-        raise DatasetFormatError(f"line {self.linenos[index]}: {message}")
+        lineno = self.first_line + index
+        # Blank lines are ascending and none precedes first_line.
+        for blank in self.blank_lines:
+            if blank <= lineno:
+                lineno += 1
+        raise DatasetFormatError(f"line {lineno}: {message}")
+
+    def check_shape(self) -> None:
+        """Every record is a JSON object whose keys are record keys."""
+        objs = self.objs
+        if set(map(type, objs)) <= {dict} and set().union(*objs) <= _RECORD_KEYS:
+            return
+        for i, obj in enumerate(objs):
+            if type(obj) is not dict:
+                self.fail(i, "expected a JSON object")
+            if not obj.keys() <= _RECORD_KEYS:
+                if "meta" in obj:
+                    self.fail(i, "meta only allowed on line 1")
+                self.fail(i, f"unknown record key {sorted(obj.keys() - _RECORD_KEYS)[0]!r}")
 
     def required(self, key: str, kind: type, message: str) -> list:
         values = [obj.get(key) for obj in self.objs]
@@ -377,65 +461,36 @@ class _Columns:
             bad = next(i for i, r in enumerate(rows) if not set(map(type, r)) <= kinds)
             self.fail(bad, message)
         try:
-            return np.array(rows, dtype=dtype).reshape(len(rows), width)
+            flat = np.fromiter(chain.from_iterable(rows), dtype, count=len(rows) * width)
         except OverflowError:
             for i, row in enumerate(rows):
                 try:
-                    np.array(row, dtype=dtype)
+                    np.fromiter(row, dtype, count=width)
                 except OverflowError:
                     self.fail(i, message)
             raise
+        return flat.reshape(len(rows), width)
 
 
-def load_dataset(path: str) -> Dataset:
-    """Read a dataset from a JSON Lines file.
-
-    The first line may be a meta object ``{"meta": {"num_lfs": M,
-    "lf_names": [...]}}``; every other line is one record object with keys
-    ``id`` (a string), ``votes`` (a list of the integers 0 and 1), and
-    optionally ``features`` (a list of finite numbers, on every record or
-    on none) and ``label`` (the integer -1 or 1). Any other key, a JSON
-    ``true``/``false`` or ``null`` where a number belongs, and a
-    non-integer label are errors.
-
-    Raises
-    ------
-    DatasetFormatError
-        On malformed JSON, unknown keys, wrong JSON types, inconsistent
-        vote or feature widths, or out-of-range values, each with the
-        offending line number; on duplicate ids with the id.
-    """
-    objs: list[dict] = []
-    linenos: list[int] = []
+def _dataset_from_values(values: list, blank_lines: list[int]) -> Dataset:
+    """Check the values of a file's non-blank lines and build the dataset."""
     declared_m: int | None = None
     lf_names: tuple[str, ...] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON ({err.msg})") from None
-            # json raises RecursionError on input nested deeper than the stack.
-            except RecursionError as err:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON ({err})") from None
-            if type(obj) is not dict:
-                raise DatasetFormatError(f"line {lineno}: expected a JSON object")
-            if not obj.keys() <= _RECORD_KEYS:
-                if "meta" not in obj:
-                    unknown = sorted(obj.keys() - _RECORD_KEYS)[0]
-                    raise DatasetFormatError(f"line {lineno}: unknown record key {unknown!r}")
-                if lineno != 1:
-                    raise DatasetFormatError(f"line {lineno}: meta only allowed on line 1")
-                declared_m, lf_names = _parse_meta(obj, lineno)
-                continue
-            objs.append(obj)
-            linenos.append(lineno)
-    if declared_m is None and not objs:
-        raise DatasetFormatError(f"{path}: no records and no meta line")
-    cols = _Columns(objs, linenos)
-    n = len(objs)
+    first_line = 1
+    if (
+        values
+        and blank_lines[:1] != [1]
+        and type(values[0]) is dict
+        and "meta" in values[0]
+    ):
+        declared_m, lf_names = _parse_meta(values[0])
+        del values[0]
+        first_line = 2
+    if declared_m is None and not values:
+        raise DatasetFormatError("no records and no meta line")
+    cols = _Columns(values, first_line, blank_lines)
+    cols.check_shape()
+    n = len(values)
     ids = cols.required("id", str, "id must be a string")
     vote_rows = cols.required("votes", list, "votes must be a list of 0/1 integers")
     votes = cols.matrix(vote_rows, declared_m, {int}, np.int8, "votes")
@@ -449,9 +504,9 @@ def load_dataset(path: str) -> Dataset:
         if not set(map(type, labels)) <= {int}:
             cols.fail(where[next(i for i, g in enumerate(labels) if type(g) is not int)],
                       "label must be the integer -1 or 1")
-        bad = [g not in (-1, 1) for g in labels]
-        if any(bad):
-            cols.fail(where[bad.index(True)], "label must be the integer -1 or 1")
+        if not set(labels) <= {-1, 1}:
+            cols.fail(where[next(i for i, g in enumerate(labels) if g not in (-1, 1))],
+                      "label must be the integer -1 or 1")
         gold[labelled] = labels
     featured, feature_rows = cols.optional("features")
     features = None
@@ -463,16 +518,48 @@ def load_dataset(path: str) -> Dataset:
         bad = ~np.isfinite(features).all(axis=1)
         if bad.any():
             cols.fail(int(bad.argmax()), "features must be a list of finite numbers")
+    return Dataset(
+        ids=tuple(ids),
+        votes_matrix=votes,
+        features_matrix=features,
+        gold=gold,
+        lf_names=lf_names,
+    )
+
+
+def load_dataset(path: str) -> Dataset:
+    """Read a dataset from a JSON Lines file.
+
+    The first line may be a meta object ``{"meta": {"num_lfs": M,
+    "lf_names": [...]}}``; every other non-blank line is one record object
+    with keys ``id`` (a string), ``votes`` (a list of the integers 0 and
+    1), and optionally ``features`` (a list of finite numbers, on every
+    record or on none) and ``label`` (the integer -1 or 1). Any other key,
+    a JSON ``true``/``false`` or ``null`` where a number belongs, and a
+    non-integer label are errors. Blank lines and whitespace around a
+    line's object are allowed.
+
+    Raises
+    ------
+    DatasetFormatError
+        With a message that starts with ``path``. Errors are found in this
+        order, each with the number of the first offending line. While the
+        file is read: invalid JSON, or bytes that are not UTF-8 (named
+        without a line), whichever comes first. Then the meta line and the
+        shape of each record (not an object, an unknown key, a meta object
+        after line 1). Then one column at a time: ``id``, ``votes``,
+        ``label``, ``features``. Last, errors of the whole file:
+        ``lf_names`` of the wrong length, or a duplicate id, named by the
+        id.
+    """
     try:
-        return Dataset(
-            ids=tuple(ids),
-            votes_matrix=votes,
-            features_matrix=features,
-            gold=gold,
-            lf_names=lf_names,
-        )
+        with open(path, "r", encoding="utf-8") as fh:
+            values, blank_lines = _read_values(fh)
+        return _dataset_from_values(values, blank_lines)
     except DatasetFormatError as err:
         raise DatasetFormatError(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(f"{path}: {not_utf8(err)}") from None
 
 
 def _json_list(values: Sequence) -> str:

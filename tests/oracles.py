@@ -3,15 +3,20 @@
 Everything here is deliberately written the slow, obvious way: nested
 loops, explicit rank walks, dense grid searches. Nothing is shared with
 the package under test, so agreement between the two is evidence rather
-than tautology.
+than tautology; the reference loader shares only the ``Dataset`` it
+returns and its constructor's checks.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from itertools import combinations
+from itertools import chain, combinations
+from typing import NoReturn
 
 import numpy as np
+
+from weapo import Dataset, DatasetFormatError
 
 
 def covering_pairs_brute(vectors):
@@ -295,3 +300,177 @@ def signed_second_moments(signed):
     """Triplet-method moments over every record: ``S^T S / N`` in float64."""
     s = np.asarray(signed, dtype=np.float64)
     return (s.T @ s) / s.shape[0]
+
+
+_PER_LINE_RECORD_KEYS = frozenset(("id", "votes", "features", "label"))
+_PER_LINE_META_KEYS = frozenset(("num_lfs", "lf_names"))
+
+
+def _per_line_meta(obj: dict, lineno: int) -> tuple[int | None, tuple[str, ...] | None]:
+    meta = obj["meta"]
+    if len(obj) != 1:
+        raise DatasetFormatError(f"line {lineno}: the meta line holds only the meta key")
+    if not isinstance(meta, dict):
+        raise DatasetFormatError(f"line {lineno}: meta must be an object")
+    if not meta.keys() <= _PER_LINE_META_KEYS:
+        unknown = sorted(meta.keys() - _PER_LINE_META_KEYS)[0]
+        raise DatasetFormatError(f"line {lineno}: unknown meta key {unknown!r}")
+    num_lfs = meta.get("num_lfs")
+    if num_lfs is not None and (type(num_lfs) is not int or num_lfs < 1):
+        raise DatasetFormatError(f"line {lineno}: meta num_lfs must be a positive integer")
+    names = meta.get("lf_names")
+    if names is not None:
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise DatasetFormatError(f"line {lineno}: meta lf_names must be a list of strings")
+        names = tuple(names)
+    return num_lfs, names
+
+
+class _PerLineColumns:
+    """Record objects of one file, checked column by column.
+
+    Each check runs over a whole column; only when it fails does a loop
+    look for the first offending record, whose line number it reports.
+    """
+
+    def __init__(self, objs: list[dict], linenos: list[int]) -> None:
+        self.objs = objs
+        self.linenos = linenos
+
+    def fail(self, index: int, message: str) -> NoReturn:
+        raise DatasetFormatError(f"line {self.linenos[index]}: {message}")
+
+    def required(self, key: str, kind: type, message: str) -> list:
+        values = [obj.get(key) for obj in self.objs]
+        if not set(map(type, values)) <= {kind}:
+            i = next(i for i, v in enumerate(values) if type(v) is not kind)
+            self.fail(i, f"missing key {key!r}" if key not in self.objs[i] else message)
+        return values
+
+    def optional(self, key: str) -> tuple[np.ndarray, list]:
+        present = np.array([key in obj for obj in self.objs], dtype=bool)
+        return present, [obj[key] for obj in self.objs if key in obj]
+
+    def matrix(
+        self, rows: list, width: int | None, kinds: set[type], dtype: type, noun: str
+    ) -> np.ndarray:
+        """Stack one list of numbers per record into an array, or name the
+        first bad line. ``width`` is the required row length (the first
+        row's when None).
+        """
+        message = f"{noun} must be a list of " + (
+            "0/1 integers" if kinds == {int} else "finite numbers"
+        )
+        if not set(map(type, rows)) <= {list}:
+            self.fail(next(i for i, r in enumerate(rows) if type(r) is not list), message)
+        if width is None:
+            width = len(rows[0]) if rows else 0
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        if (lengths != width).any():
+            i = int((lengths != width).argmax())
+            self.fail(i, f"record has {lengths[i]} {noun}, expected {width}")
+        if not set(map(type, chain.from_iterable(rows))) <= kinds:
+            bad = next(i for i, r in enumerate(rows) if not set(map(type, r)) <= kinds)
+            self.fail(bad, message)
+        try:
+            return np.array(rows, dtype=dtype).reshape(len(rows), width)
+        except OverflowError:
+            for i, row in enumerate(rows):
+                try:
+                    np.array(row, dtype=dtype)
+                except OverflowError:
+                    self.fail(i, message)
+            raise
+
+
+def load_dataset_per_line(path: str) -> Dataset:
+    """Read a dataset from a JSON Lines file, one ``json.loads`` per line.
+
+    The loader of ``weapo.data`` as it was before it parsed each line with
+    ``raw_decode`` and checked record shapes by column, kept verbatim. Its
+    errors name the line but not the file, except those of the
+    ``Dataset`` constructor, the one piece it shares with the package.
+
+    The first line may be a meta object ``{"meta": {"num_lfs": M,
+    "lf_names": [...]}}``; every other line is one record object with keys
+    ``id`` (a string), ``votes`` (a list of the integers 0 and 1), and
+    optionally ``features`` (a list of finite numbers, on every record or
+    on none) and ``label`` (the integer -1 or 1). Any other key, a JSON
+    ``true``/``false`` or ``null`` where a number belongs, and a
+    non-integer label are errors.
+
+    Raises
+    ------
+    DatasetFormatError
+        On malformed JSON, unknown keys, wrong JSON types, inconsistent
+        vote or feature widths, or out-of-range values, each with the
+        offending line number; on duplicate ids with the id.
+    """
+    objs: list[dict] = []
+    linenos: list[int] = []
+    declared_m: int | None = None
+    lf_names: tuple[str, ...] | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DatasetFormatError(f"line {lineno}: invalid JSON ({err.msg})") from None
+            # json raises RecursionError on input nested deeper than the stack.
+            except RecursionError as err:
+                raise DatasetFormatError(f"line {lineno}: invalid JSON ({err})") from None
+            if type(obj) is not dict:
+                raise DatasetFormatError(f"line {lineno}: expected a JSON object")
+            if not obj.keys() <= _PER_LINE_RECORD_KEYS:
+                if "meta" not in obj:
+                    unknown = sorted(obj.keys() - _PER_LINE_RECORD_KEYS)[0]
+                    raise DatasetFormatError(f"line {lineno}: unknown record key {unknown!r}")
+                if lineno != 1:
+                    raise DatasetFormatError(f"line {lineno}: meta only allowed on line 1")
+                declared_m, lf_names = _per_line_meta(obj, lineno)
+                continue
+            objs.append(obj)
+            linenos.append(lineno)
+    if declared_m is None and not objs:
+        raise DatasetFormatError(f"{path}: no records and no meta line")
+    cols = _PerLineColumns(objs, linenos)
+    n = len(objs)
+    ids = cols.required("id", str, "id must be a string")
+    vote_rows = cols.required("votes", list, "votes must be a list of 0/1 integers")
+    votes = cols.matrix(vote_rows, declared_m, {int}, np.int8, "votes")
+    bad = ~((votes == 0) | (votes == 1)).all(axis=1)
+    if bad.any():
+        cols.fail(int(bad.argmax()), "votes must be a list of 0/1 integers")
+    labelled, labels = cols.optional("label")
+    gold = np.zeros(n, dtype=np.int8)
+    if labels:
+        where = np.flatnonzero(labelled)
+        if not set(map(type, labels)) <= {int}:
+            cols.fail(where[next(i for i, g in enumerate(labels) if type(g) is not int)],
+                      "label must be the integer -1 or 1")
+        bad = [g not in (-1, 1) for g in labels]
+        if any(bad):
+            cols.fail(where[bad.index(True)], "label must be the integer -1 or 1")
+        gold[labelled] = labels
+    featured, feature_rows = cols.optional("features")
+    features = None
+    if feature_rows:
+        if not featured.all():
+            cols.fail(int((featured != featured[0]).argmax()),
+                      "record disagrees with the rest of the dataset on feature presence")
+        features = cols.matrix(feature_rows, None, {int, float}, np.float64, "features")
+        bad = ~np.isfinite(features).all(axis=1)
+        if bad.any():
+            cols.fail(int(bad.argmax()), "features must be a list of finite numbers")
+    try:
+        return Dataset(
+            ids=tuple(ids),
+            votes_matrix=votes,
+            features_matrix=features,
+            gold=gold,
+            lf_names=lf_names,
+        )
+    except DatasetFormatError as err:
+        raise DatasetFormatError(f"{path}: {err}") from None

@@ -567,7 +567,7 @@ class TestEvalCommand:
             ["compare", train, str(test), "--models", "mv", "--out", str(out), "--quiet"]
         ) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2: invalid JSON (maximum recursion depth")
+        assert err.startswith(f"error: {test}: line 2: invalid JSON (maximum recursion depth")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -583,7 +583,32 @@ class TestEvalCommand:
             test.write_text('{"id":"a","votes":[1,1],"label":-1}\n' + line + "\n")
             assert main(["eval", model, str(test), "--quiet"]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: line 2: ") and message in err
+            assert err.startswith(f"error: {test}: line 2: ") and message in err
+
+    def test_compare_error_names_the_bad_file(self, tmp_path, capsys):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        test = tmp_path / "test.jsonl"
+        test.write_text('{"id":"a","votes":[1,1],"label":-1}\n{"id":"b","votes":[1,0],"lable":1}\n')
+        assert main(["compare", train, str(test), "--models", "mv", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {test}: line 2: unknown record key 'lable'\n"
+
+    def test_non_utf8_dataset_names_the_file(self, tmp_path, capsys):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        test = tmp_path / "test.jsonl"
+        test.write_bytes(b'{"id":"a","votes":[1,1],"label":-1}\n{"id":"b\xff","votes":[1,0]}\n')
+        assert main(["compare", train, str(test), "--models", "mv", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {test}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    def test_non_utf8_model_file_names_the_file(self, tmp_path, capsys):
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"model_type": "mv", "num_lfs": 2, "run": "\xc3"}')
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: not UTF-8 text (byte 0xc3: ")
+        assert "Traceback" not in err
 
 
 class TestEndCommand:

@@ -1,6 +1,8 @@
 """Dataset construction, slicing, and JSONL round-trips."""
 
+import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from weapo import (
     load_dataset,
     save_dataset,
 )
+from oracles import load_dataset_per_line
 
 
 def make_dataset(vote_rows, **kwargs):
@@ -284,7 +287,7 @@ class TestPersistence:
     def test_strict_record_contract(self, tmp_path, line, message):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id":"a","votes":[1,0],"label":1}\n' + line + "\n")
-        with pytest.raises(DatasetFormatError, match=f"^line 2: {message}"):
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: line 2: {message}"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize(
@@ -302,7 +305,7 @@ class TestPersistence:
         path.write_text(
             '{"id":"a","votes":[1,0],"features":[0.5]}\n{"id":"b","votes":[1,0],' + line + "}\n"
         )
-        with pytest.raises(DatasetFormatError, match=f"^line 2: {message}"):
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: line 2: {message}"):
             load_dataset(str(path))
 
     def test_strict_meta_contract(self, tmp_path):
@@ -313,7 +316,9 @@ class TestPersistence:
             ('{"meta":{"num_lfs":2},"id":"x"}', "the meta line holds only the meta key"),
         ):
             path.write_text(meta + '\n{"id":"r","votes":[1,0]}\n')
-            with pytest.raises(DatasetFormatError, match=f"^line 1: {message}"):
+            with pytest.raises(
+                DatasetFormatError, match=f"^{re.escape(str(path))}: line 1: {message}"
+            ):
                 load_dataset(str(path))
 
     def test_duplicate_id_names_the_file(self, tmp_path):
@@ -393,3 +398,150 @@ def test_load_save_load_round_trip(tmp_path, ds):
     np.testing.assert_array_equal(loaded.gold, ds.gold)
     if ds.features_matrix is not None:
         np.testing.assert_array_equal(loaded.features_matrix, ds.features_matrix)
+
+
+_layout_spaces = st.sampled_from(("", " ", "\t", " \t ", "\t\t"))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(datasets(), st.data())
+def test_layout_variants_load_as_per_line_oracle(tmp_path, ds, data):
+    """CRLF line ends, blank lines, whitespace around a record, reordered
+    keys and no final newline load to the same dataset as one json.loads
+    per line does."""
+    saved = tmp_path / "saved.jsonl"
+    save_dataset(ds, str(saved))
+    lines = saved.read_text(encoding="utf-8").splitlines()
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if lineno > 1:
+            # Blank lines may not precede the meta line, which must be line 1.
+            out.extend(data.draw(st.lists(_layout_spaces, max_size=2)))
+            obj = json.loads(line)
+            keys = data.draw(st.permutations(list(obj)))
+            separators = data.draw(st.sampled_from(((",", ":"), (", ", ": "))))
+            line = json.dumps({key: obj[key] for key in keys}, separators=separators)
+        out.append(data.draw(_layout_spaces) + line + data.draw(_layout_spaces))
+    ends = [data.draw(st.sampled_from(("\n", "\r\n"))) for _ in out]
+    if data.draw(st.booleans()):
+        ends[-1] = ""
+    path = tmp_path / "layout.jsonl"
+    path.write_bytes("".join(map(str.__add__, out, ends)).encode("utf-8"))
+    loaded = load_dataset(str(path))
+    assert loaded == load_dataset_per_line(str(path))
+    assert loaded == ds
+
+
+class TestAgainstPerLineOracle:
+    """Each file holds one fault; the loader reports it on the same line,
+    with the per-line oracle's message after the file's path."""
+
+    GOOD = (
+        '{"meta":{"num_lfs":2}}',
+        '{"id":"a","votes":[1,0],"label":1}',
+        '{"id":"b","votes":[0,1],"label":-1}',
+        '{"id":"c","votes":[1,1]}',
+    )
+
+    @pytest.mark.parametrize(
+        "lineno, line",
+        [
+            (3, '{"id":"b","votes":[0,1]}{"id":"x","votes":[0,1]}'),
+            (3, '{"id":"b","votes":[0,1]} {"id":"x","votes":[0,1]}'),
+            (3, '{"id":"b","votes":[0,'),
+            (1, '\ufeff{"meta":{"num_lfs":2}}'),
+            (2, '{"meta":{"num_lfs":2}}'),
+            (3, '{"id":"b","votes":' + "[" * 100_000 + "1" + "]" * 100_000 + "}"),
+            (4, '{"id":"c","votes":[1,true]}'),
+            (4, '[1, 1]'),
+            (4, 'null'),
+            (2, '{"id":"a","votes":[1,0],"label":2}'),
+            (3, '{"id":"b","votes":[0,1],"features":[0.5]}'),
+        ],
+        ids=["two-objects", "two-objects-spaced", "truncated", "bom", "meta-on-line-2",
+             "nested-1e5", "bool-vote", "not-an-object", "null", "label-2", "features-on-one"],
+    )
+    def test_same_line_same_message(self, tmp_path, lineno, line):
+        lines = list(self.GOOD)
+        if lineno == 2 and line.startswith('{"meta"'):
+            lines.insert(1, line)
+        else:
+            lines[lineno - 1] = line
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as expected:
+            load_dataset_per_line(str(path))
+        assert str(expected.value).startswith(f"line {lineno}: ")
+        with pytest.raises(DatasetFormatError) as got:
+            load_dataset(str(path))
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"meta":{"num_lfs":2}}\n\n{"id":"a","votes":[1,0]}\n \t\n\n'
+            '{"id":"b","votes":[0,1],"lable":1}\n'
+        )
+        with pytest.raises(DatasetFormatError) as expected:
+            load_dataset_per_line(str(path))
+        with pytest.raises(DatasetFormatError, match="line 6: unknown record key") as got:
+            load_dataset(str(path))
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    def test_meta_after_a_blank_first_line_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('\n{"meta":{"num_lfs":1}}\n{"id":"a","votes":[1]}\n')
+        with pytest.raises(DatasetFormatError) as expected:
+            load_dataset_per_line(str(path))
+        with pytest.raises(DatasetFormatError, match="line 2: meta only allowed on line 1") as got:
+            load_dataset(str(path))
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    def test_integer_too_long_to_convert_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","votes":[1]}\n{"id":"b","votes":[' + "1" * 5000 + "]}\n")
+        with pytest.raises(DatasetFormatError, match=r"d\.jsonl: line 2: invalid JSON \(Exceeds"):
+            load_dataset(str(path))
+
+    def test_json_errors_come_before_record_shape(self, tmp_path):
+        """The documented order: invalid JSON on any line is reported
+        before an unknown key on an earlier line."""
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id":"a","votes":[1]}\n{"id":"b","votes":[1],"lable":1}\n'
+            '{"id":"c","votes":[1]}\n{"id":"d","votes":[0]}\nnot json\n'
+        )
+        with pytest.raises(DatasetFormatError, match=r": line 5: invalid JSON"):
+            load_dataset(str(path))
+
+
+class TestGarbageCollectorState:
+    """Loading pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"id":"a","votes":[1,0]}\n', None),
+            ('{"id":"a","votes":[1,0]}\nnot json\n', "line 2: invalid JSON"),
+            ('{"id":"a","votes":[1,0]}\n{"id":"b","votes":[1,0],"lable":1}\n',
+             "line 2: unknown record key"),
+        ],
+        ids=["loads", "bad-json", "bad-key"],
+    )
+    def test_state_restored(self, tmp_path, enabled, text, error):
+        path = tmp_path / "d.jsonl"
+        path.write_text(text)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if error is None:
+                assert len(load_dataset(str(path))) == 1
+            else:
+                with pytest.raises(DatasetFormatError, match=error):
+                    load_dataset(str(path))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
