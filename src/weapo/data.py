@@ -487,6 +487,8 @@ def _dataset_from_values(values: list, blank_lines: list[int]) -> Dataset:
         del values[0]
         first_line = 2
     if declared_m is None and not values:
+        if first_line == 2:
+            raise DatasetFormatError("line 1: the meta line lacks num_lfs and no records follow")
         raise DatasetFormatError("no records and no meta line")
     cols = _Columns(values, first_line, blank_lines)
     cols.check_shape()

@@ -8,8 +8,11 @@ coverage because it scores features, not votes.
 
 Memory: the fit holds one dense N x N float64 array, 8 * N**2 bytes
 (288 MB at N = 6000), plus temporaries of ``BLOCK_ROWS`` rows or columns.
-The kernel system is built in it by row blocks and factored in place.
-Before allocating it, ``fit_krr`` refuses a fit that needs more than
+Only the upper triangle of the symmetric kernel system is built in it, by
+row blocks. The factorization reads the system from that triangle and
+writes the Cholesky factor L below it, so the strict upper triangle and a
+saved diagonal keep the system for the residual check. Before allocating
+it, ``fit_krr`` refuses a fit that needs more than
 ``MEMORY_BUDGET_FRACTION`` of the memory the operating system reports
 available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
 so it never holds an N_test x N_train kernel.
@@ -105,26 +108,43 @@ def _blocks(n: int) -> list[slice]:
 
 def fit_bytes(n: int) -> int:
     """Bytes an exact fit on ``n`` records holds: the N x N system plus
-    two N x ``BLOCK_ROWS`` block temporaries, as many as the kernel build
-    and the residual check each hold at once."""
+    two N x ``BLOCK_ROWS`` block temporaries, the most that the kernel
+    build, each panel step of the factorization and the residual check
+    hold at once."""
     return 8 * n * (n + 2 * min(n, BLOCK_ROWS))
 
 
 def _ridge_system(features: np.ndarray, gamma: float, alpha: float) -> np.ndarray:
-    """``K + alpha * I`` in one new array, built ``BLOCK_ROWS`` rows at a
-    time so that no second N x N array is alive."""
+    """The upper triangle of ``K + alpha * I`` in one new array, built
+    ``BLOCK_ROWS`` rows at a time so that no second N x N array is alive.
+
+    Each row block is written from its own first column on: its diagonal
+    block in full and the strict upper triangle right of it. The entries
+    below the diagonal blocks are left unwritten; ``_cholesky_in_place``
+    writes them before it reads them.
+    """
     n = features.shape[0]
     system = np.empty((n, n))
     for rows in _blocks(n):
-        system[rows] = rbf_kernel(features[rows], features, gamma)
+        system[rows, rows.start :] = rbf_kernel(
+            features[rows], features[rows.start :], gamma
+        )
     system.flat[:: n + 1] += alpha
     return system
 
 
 def _cholesky_in_place(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of the symmetric positive-definite
-    ``a`` with its Cholesky factor L, left-looking by blocks of
-    ``BLOCK_ROWS`` columns. The strict upper triangle is only read.
+    """Write the Cholesky factor L of the symmetric positive-definite
+    system whose upper triangle is that of ``a`` into the lower triangle
+    of ``a``, left-looking by blocks of ``BLOCK_ROWS`` columns.
+
+    The system is read from the diagonal blocks and the strict upper
+    triangle only, which are left as they are; each entry below the
+    diagonal blocks is written before it is read. For each block of b
+    columns, the panel of the R rows below it is formed transposed, as a
+    b x R array from the upper triangle, and turned into L by one b x b
+    inverse of the block's factor and one GEMM. The step holds at most
+    two b x R temporaries.
 
     Raises ``np.linalg.LinAlgError`` when a diagonal block is not
     positive definite.
@@ -135,10 +155,14 @@ def _cholesky_in_place(a: np.ndarray) -> None:
         factor = np.linalg.cholesky(a[cols, cols] - done @ done.T)
         np.copyto(a[cols, cols], factor, where=np.tri(len(factor), dtype=bool))
         if cols.stop < n:
-            panel = a[cols.stop :, cols]
-            panel -= a[cols.stop :, : cols.start] @ done.T
-            # panel <- panel @ factor^-T, as a b x b solve.
-            panel[...] = np.linalg.solve(factor, panel.T).T
+            # The panel below the block, transposed: the system's values
+            # right of the block, less the product of the rows of L done.
+            panel_t = done @ a[cols.stop :, : cols.start].T
+            np.subtract(a[cols, cols.stop :], panel_t, out=panel_t)
+            # L below the block is panel @ factor^-T: one b x b inverse,
+            # then one GEMM over all the rows below.
+            inverse = np.linalg.solve(factor, np.eye(len(factor)))
+            a[cols.stop :, cols] = (inverse @ panel_t).T
 
 
 def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -198,15 +222,17 @@ def fit_krr(
     where that file cannot be read, and it does not see a cgroup memory
     limit, so a container may still be killed below it.
 
-    The system ``K + alpha * I`` is built by row blocks. A left-looking
-    blocked Cholesky factorization (about N**3 / 3 flops) overwrites its
-    lower triangle with the factor L; the strict upper triangle and a
-    saved copy of the diagonal keep the system itself. A diagonal block
-    that is not positive definite means the system is singular. numpy's
-    factorization and solves do not check their input for NaN or inf, so
-    non-finite features, targets, ``gamma`` or ``alpha`` are rejected
-    here. The solve is verified against the kept system: the residual
-    norm must not exceed ``1e-8 * (1 + ||targets||)``.
+    The upper triangle of the system ``K + alpha * I`` is built by row
+    blocks. A left-looking blocked Cholesky factorization (about N**3 / 3
+    flops) reads the system from it and writes the factor L below it,
+    each panel by one inverse of a small diagonal factor and one GEMM; the
+    strict upper triangle and a saved copy of the diagonal keep the
+    system itself. A diagonal block that is not positive definite means
+    the system is singular. numpy's factorization and solves do not check
+    their input for NaN or inf, so non-finite features, targets, ``gamma``
+    or ``alpha`` are rejected here. The solve is verified against the
+    kept system: the residual norm must not exceed
+    ``1e-8 * (1 + ||targets||)``.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
@@ -266,6 +292,9 @@ def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
             f"features have width {features.shape[1]}, "
             f"model expects {model.support.shape[1]}"
         )
+    # As in fit_krr: a NaN or inf would pass through as a NaN score.
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     predictions = np.empty(features.shape[0])
     for rows in _blocks(features.shape[0]):
         # One expression, so each block's kernel is freed before the next.

@@ -372,6 +372,18 @@ class TestFitCommand:
         assert err.startswith("error:") and "no records" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_meta_line_without_num_lfs_is_named(self, tmp_path, capsys):
+        """A meta line alone fixes no vote width; the message names the
+        missing key rather than claiming there is no meta line."""
+        data = tmp_path / "metaonly.jsonl"
+        data.write_text('{"meta":{"lf_names":["a"]}}\n')
+        code = main(["compare", str(data), str(data), "--models", "mv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{data}: line 1: the meta line lacks num_lfs and no records follow" in err
+        assert "Traceback" not in err
+
     def test_missing_train_file(self, tmp_path, capsys):
         code = main(
             ["fit", str(tmp_path / "nope.jsonl"), "--model", "mv",

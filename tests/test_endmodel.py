@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,11 +162,18 @@ class TestFitKrr:
         with pytest.raises(ValueError, match="gamma"):
             fit_krr(np.ones((2, 2)), np.zeros(2), gamma=-2.0)
 
+    @staticmethod
+    def built_entries(n, block_rows):
+        """Where the system is built: each diagonal block in full and the
+        strict upper triangle, i.e. row i from the start of its block on."""
+        rows, cols = np.indices((n, n))
+        return cols >= rows // block_rows * block_rows
+
     def test_system_matches_identity_oracle_bitwise(self, monkeypatch):
-        """The system is built by row blocks and the ridge added to its
-        diagonal in place: each row block is exactly the plain kernel of
-        those rows with alpha on the diagonal, and the factorization sees
-        that system."""
+        """The system is built by row blocks, right of each block's start,
+        and the ridge added to its diagonal in place: every entry built is
+        exactly the plain kernel of those rows and columns with alpha on
+        the diagonal, and the factorization sees it."""
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2 * BLOCK_ROWS + 37, 3))
         t = rng.normal(size=len(x))
@@ -178,14 +186,52 @@ class TestFitKrr:
 
         monkeypatch.setattr(weapo.endmodel, "_cholesky_in_place", recording_factor)
         fit_krr(x, t, gamma=0.6, alpha=0.25)
-        blocks = [
-            rbf_kernel_three_temporaries(x[start:start + BLOCK_ROWS], x, 0.6)
-            for start in range(0, len(x), BLOCK_ROWS)
-        ]
+        kernel = np.zeros((len(x), len(x)))
+        for start in range(0, len(x), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            kernel[rows, start:] = rbf_kernel_three_temporaries(x[rows], x[start:], 0.6)
+        built = self.built_entries(len(x), BLOCK_ROWS)
         assert len(seen) == 1
         np.testing.assert_array_equal(
-            seen[0], ridge_system_with_identity(np.vstack(blocks), 0.25), strict=True
+            seen[0][built], ridge_system_with_identity(kernel, 0.25)[built], strict=True
         )
+
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 8], ids=lambda b: f"b{b}")
+    def test_entries_not_built_are_never_read(self, monkeypatch, block_rows):
+        """The factorization reads the system from the built upper
+        triangle and writes L below it before reading there: NaN and
+        +-inf in every entry not built change no coefficient bit and warn
+        nothing, and L is the Cholesky factor of the full system."""
+        monkeypatch.setattr(weapo.endmodel, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(15)
+        n = 2 * BLOCK_ROWS + 37
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        clean = fit_krr(x, t, gamma=0.6, alpha=0.25)
+
+        build = weapo.endmodel._ridge_system
+        factor = weapo.endmodel._cholesky_in_place
+        systems, factors = [], []
+
+        def poisoned_build(features, gamma, alpha):
+            system = build(features, gamma, alpha)
+            unbuilt = ~self.built_entries(n, block_rows)
+            system[unbuilt] = rng.choice([np.nan, np.inf, -np.inf], size=unbuilt.sum())
+            systems.append(np.triu(system) + np.triu(system, 1).T)
+            return system
+
+        def recording_factor(a):
+            factor(a)
+            factors.append(np.tril(a))
+
+        monkeypatch.setattr(weapo.endmodel, "_ridge_system", poisoned_build)
+        monkeypatch.setattr(weapo.endmodel, "_cholesky_in_place", recording_factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            poisoned = fit_krr(x, t, gamma=0.6, alpha=0.25)
+        np.testing.assert_array_equal(poisoned.coefficients, clean.coefficients, strict=True)
+        expected = np.linalg.cholesky(systems[0])
+        assert np.abs(factors[0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29], ids=lambda n: f"n{n}")
     def test_coefficients_match_lu_oracle(self, monkeypatch, n):
@@ -221,6 +267,14 @@ class TestFitKrr:
         model = fit_krr(np.zeros((2, 2)), np.zeros(2), gamma=1.0)
         with pytest.raises(ValueError, match="width"):
             predict_krr(model, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_predict_non_finite_features_rejected(self, value):
+        """The kernel of a NaN or inf row is NaN, so the score would be a
+        silent NaN with a RuntimeWarning."""
+        model = fit_krr(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), gamma=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            predict_krr(model, np.array([[0.5], [value]]))
 
     @pytest.mark.parametrize(
         "change",
