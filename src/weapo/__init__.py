@@ -58,7 +58,6 @@ from .model import (
     WeapoModel,
     fit,
     fit_supervised,
-    objective,
     predict_dataset,
     project_simplex,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "load_dataset",
     "make_targets",
     "mv_scores",
-    "objective",
     "oracle_posteriors",
     "population_moments",
     "pr_auc",

@@ -31,15 +31,8 @@ from typing import Any
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    Prior,
-    VotePatterns,
-    check_payload_keys,
-    compress_votes,
-    payload_numbers,
-    payload_object,
-)
+from .data import Dataset, Prior, VotePatterns, compress_votes
+from .payload import check_keys, json_object, numbers
 
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
@@ -121,7 +114,7 @@ class DSModel:
         return cls(
             class_prior=prior,
             confusion=confusion,
-            diagnostics=payload_object(payload, "ds", "diagnostics"),
+            diagnostics=json_object(payload, "diagnostics"),
         )
 
 
@@ -130,13 +123,13 @@ def _read_payload(
 ) -> tuple[float, np.ndarray]:
     """The class prior, checked to lie in (0, 1), and the parameter array
     of a serialized model."""
-    check_payload_keys(payload, f"{kind} model payload", ("class_prior", array_key), optional)
-    prior = payload_numbers(payload, kind, "class_prior")
-    if not (prior.ndim == 0 and 0.0 < prior < 1.0):
+    check_keys(payload, f"{kind} model payload", ("class_prior", array_key), optional)
+    prior = float(numbers(payload, "class_prior", ndim=0))
+    if not 0.0 < prior < 1.0:
         raise ValueError(
             f"{kind} class_prior must lie strictly in (0, 1), got {payload['class_prior']!r}"
         )
-    return float(prior), payload_numbers(payload, kind, array_key)
+    return prior, numbers(payload, array_key)
 
 
 def _class_log_likelihoods(

@@ -36,19 +36,11 @@ from .baselines import (
     mv_scores,
 )
 from .covering import hasse_edges
-from .data import (
-    Dataset,
-    DatasetFormatError,
-    Prior,
-    check_payload_keys,
-    coverage_mask,
-    load_dataset,
-    not_utf8,
-    save_dataset,
-)
+from .data import Dataset, DatasetFormatError, Prior, coverage_mask, load_dataset, save_dataset
 from .endmodel import fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
 from .model import WeapoConfig, WeapoModel, fit, predict_dataset
+from .payload import check_keys, integer, read_json
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
 MODEL_NAMES = ("weapo", "weapo-noprior", "mv", "ds", "fs")
@@ -148,14 +140,7 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
 
 
 def _read_model(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        # json raises RecursionError on input nested deeper than the stack.
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise ValueError(f"{path}: invalid JSON ({err})") from None
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: {not_utf8(err)}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file holds one JSON object")
     return payload
@@ -169,10 +154,8 @@ def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
         scores, _ = predict_dataset(WeapoModel.from_json_dict(body), dataset)
         return scores
     if kind == "mv":
-        check_payload_keys(body, "mv model payload", ("num_lfs",))
-        num_lfs = body["num_lfs"]
-        if type(num_lfs) is not int or num_lfs < 1:
-            raise ValueError(f"mv num_lfs must be an integer of at least 1, got {num_lfs!r}")
+        check_keys(body, "mv model payload", ("num_lfs",))
+        num_lfs = integer(body, "num_lfs", minimum=1)
         if num_lfs != dataset.num_lfs:
             raise ValueError(
                 f"dataset has {dataset.num_lfs} labeling functions, model expects {num_lfs}"
@@ -367,37 +350,39 @@ def cmd_compare(args) -> int:
 
 
 def _resolve_spec(args) -> SyntheticSpec:
+    """The spec from ``--spec`` or the inline flags. A fault of the spec
+    file is a data error; a bad flag or flag value is a usage error."""
     inline = [args.n, args.p_plus, args.tpr, args.fpr]
+    feature_flags = [args.mu_pos, args.mu_neg, args.sigma]
     if args.spec is not None:
-        if any(v is not None for v in inline):
+        if any(v is not None for v in inline + feature_flags):
             raise CliUsageError("--spec cannot be combined with inline generator flags")
         spec = SyntheticSpec.load(args.spec)
-        if args.seed is not None:
-            spec = SyntheticSpec.from_json_dict({**spec.to_json_dict(), "seed": args.seed})
-        return spec
-    if any(v is None for v in [args.n, args.p_plus, args.tpr, args.fpr]):
+    elif any(v is None for v in inline):
         raise CliUsageError("either --spec or all of --n/--p-plus/--tpr/--fpr are required")
-    if args.n < 1:
+    elif args.n < 1:
         raise CliUsageError("--n must be at least 1")
-    feature_flags = [args.mu_pos, args.mu_neg, args.sigma]
-    feature_spec = None
-    if any(v is not None for v in feature_flags):
-        if any(v is None for v in feature_flags):
-            raise CliUsageError("--mu-pos, --mu-neg, and --sigma must be given together")
-        feature_spec = FeatureSpec(
-            mu_pos=tuple(args.mu_pos), mu_neg=tuple(args.mu_neg), sigma=args.sigma
-        )
+    elif any(v is None for v in feature_flags) and any(v is not None for v in feature_flags):
+        raise CliUsageError("--mu-pos, --mu-neg, and --sigma must be given together")
     try:
-        return SyntheticSpec(
-            p_plus=args.p_plus,
-            tpr=tuple(args.tpr),
-            fpr=tuple(args.fpr),
-            n=args.n,
-            seed=args.seed if args.seed is not None else 0,
-            feature_spec=feature_spec,
-        )
+        if args.spec is None:
+            feature_spec = None
+            if args.sigma is not None:
+                feature_spec = FeatureSpec(
+                    mu_pos=tuple(args.mu_pos), mu_neg=tuple(args.mu_neg), sigma=args.sigma
+                )
+            spec = SyntheticSpec(
+                p_plus=args.p_plus,
+                tpr=tuple(args.tpr),
+                fpr=tuple(args.fpr),
+                n=args.n,
+                feature_spec=feature_spec,
+            )
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
     except ValueError as err:
         raise CliUsageError(str(err)) from None
+    return spec
 
 
 def cmd_synth(args) -> int:
@@ -531,3 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -146,8 +146,8 @@ class ConstraintMatrix:
     """Sparse slice-mean difference operator, one row per Hasse edge.
 
     Row ``r`` represents ``mean(f over D_low) - mean(f over D_high)`` for
-    edge ``low -> high``; feasible scorers satisfy ``apply(f) <= 0``. The
-    dense materialization carries ``+1/|D_low|`` on the low slice members
+    edge ``low -> high``; feasible scorers satisfy ``apply(f) <= 0``. As a
+    dense matrix it carries ``+1/|D_low|`` on the low slice members
     and ``-1/|D_high|`` on the high slice members, so each row sums to
     zero.
     """
@@ -176,17 +176,6 @@ class ConstraintMatrix:
         for r in range(self.num_rows):
             out[r] = scores[self.low_members[r]].mean() - scores[self.high_members[r]].mean()
         return out
-
-    def row(self, r: int) -> np.ndarray:
-        """Dense length-N coefficient vector for one row."""
-        dense = np.zeros(self.num_records, dtype=np.float64)
-        dense[self.low_members[r]] = 1.0 / len(self.low_members[r])
-        dense[self.high_members[r]] = -1.0 / len(self.high_members[r])
-        return dense
-
-    def toarray(self) -> np.ndarray:
-        """Dense (num_rows, N) coefficient matrix."""
-        return np.array([self.row(r) for r in range(self.num_rows)], dtype=np.float64)
 
 
 def constraint_matrix(slices: SliceTable, edges: Sequence[HasseEdge]) -> ConstraintMatrix:

@@ -12,11 +12,7 @@ rows once into the K distinct patterns, their counts and a per-record
 inverse; models compute one value per pattern and gather it back with
 the inverse.
 
-The readers of serialized models share the checks ``check_payload_keys``,
-``payload_numbers`` and ``payload_object``: no missing or unknown key,
-JSON numbers where numbers belong, and JSON objects where objects do.
-They and ``load_dataset`` report a file that is not UTF-8 with
-``not_utf8``.
+``load_dataset`` and ``save_dataset`` read and write JSON Lines files.
 """
 
 from __future__ import annotations
@@ -30,6 +26,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NoReturn, Sequence
 
 import numpy as np
+
+from .payload import not_utf8
 
 VoteVector = tuple[int, ...]
 """Vote bits of one record, in labeling-function index order."""
@@ -258,61 +256,6 @@ class Dataset:
     def patterns(self) -> VotePatterns:
         """The distinct vote rows, computed once per dataset."""
         return compress_votes(self.votes_matrix)
-
-
-def check_payload_keys(
-    payload: dict[str, Any], where: str, required: Sequence[str], optional: Sequence[str] = ()
-) -> None:
-    """Raise ``ValueError`` naming the first ``required`` key that
-    ``payload`` (described as ``where``) lacks, or the first key it has
-    outside ``required`` and ``optional``."""
-    missing = [key for key in required if key not in payload]
-    if missing:
-        raise ValueError(f"{where} lacks key {missing[0]!r}")
-    unknown = sorted(payload.keys() - {*required, *optional})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _json_numbers(value: Any) -> bool:
-    """True for a JSON number or nested lists of them; a bool is not one.
-    Walks the lists with a stack, so any nesting depth JSON allows is fine."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if type(item) is list:
-            stack.extend(item)
-        elif type(item) not in (int, float):
-            return False
-    return True
-
-
-def payload_numbers(payload: dict[str, Any], kind: str, key: str) -> np.ndarray:
-    """``payload[key]`` as a float64 array. It must be a JSON number or
-    nested lists of them of equal length; a string, bool or null anywhere
-    in it is an error that names the key."""
-    value = payload[key]
-    if _json_numbers(value):
-        try:
-            return np.array(value, dtype=np.float64)
-        except (ValueError, OverflowError):
-            pass
-    raise ValueError(f"{kind} {key} must hold only JSON numbers, in lists of equal length")
-
-
-def payload_object(payload: dict[str, Any], kind: str, key: str) -> dict[str, Any]:
-    """A copy of the JSON object ``payload[key]``, empty when the key is absent."""
-    value = payload.get(key, {})
-    if type(value) is not dict:
-        raise ValueError(f"{kind} {key} must be a JSON object")
-    return dict(value)
-
-
-def not_utf8(err: UnicodeDecodeError) -> str:
-    """The message for a file that is not UTF-8 text, for the reader to
-    prefix with the path. It names the bad byte but not its position,
-    which ``err`` counts from the start of a decoded chunk."""
-    return f"not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})"
 
 
 def coverage_mask(dataset: Dataset) -> np.ndarray:

@@ -21,15 +21,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .covering import ConstraintMatrix
-from .data import (
-    Dataset,
-    Prior,
-    check_payload_keys,
-    coverage_mask,
-    payload_numbers,
-    payload_object,
-)
+from .data import Dataset, Prior, coverage_mask
+from .payload import check_keys, json_object, numbers
 
 
 @dataclass(frozen=True)
@@ -92,10 +85,9 @@ class WeapoModel:
         non-empty flat list, not finite, with a negative entry, or summing
         to 1 only up to more than 1e-9.
         """
-        check_payload_keys(payload, "weapo model payload", ("theta", "config"), ("diagnostics",))
-        theta = payload_numbers(payload, "weapo", "theta")
-        config = payload_object(payload, "weapo", "config")
-        check_payload_keys(config, "weapo config", (), [f.name for f in fields(WeapoConfig)])
+        check_keys(payload, "weapo model payload", ("theta", "config"), ("diagnostics",))
+        theta = numbers(payload, "theta")
+        check_keys(payload["config"], "weapo config", (), [f.name for f in fields(WeapoConfig)])
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("weapo theta must be a non-empty list of numbers")
         if not np.isfinite(theta).all() or (theta < 0.0).any():
@@ -104,8 +96,8 @@ class WeapoModel:
             raise ValueError(f"weapo theta must sum to 1, got {float(theta.sum())!r}")
         return cls(
             theta=theta,
-            config=WeapoConfig(**config),
-            diagnostics=payload_object(payload, "weapo", "diagnostics"),
+            config=WeapoConfig(**payload["config"]),
+            diagnostics=json_object(payload, "diagnostics"),
         )
 
 
@@ -142,42 +134,6 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
     pats = dataset.patterns
     scores = pats.rows.astype(np.float64) @ model.theta
     return scores[pats.inverse], coverage_mask(dataset)
-
-
-def objective(
-    theta: np.ndarray,
-    constraints: ConstraintMatrix,
-    dataset: Dataset,
-    prior: Prior | None = None,
-    config: WeapoConfig | None = None,
-) -> tuple[float, dict[str, float]]:
-    """Evaluate the full objective and its per-term breakdown.
-
-    Returns ``(total, terms)`` with ``terms`` holding the regularizer,
-    the summed hinge penalties, and the raw prior deviation (0 when the
-    prior term is disabled). ``total`` is ``reg + hinge +
-    prior_weight * prior``.
-    """
-    cfg = config if config is not None else WeapoConfig()
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (dataset.num_lfs,):
-        raise ValueError(
-            f"theta must have shape ({dataset.num_lfs},), got {theta.shape}"
-        )
-    if cfg.use_prior and prior is None:
-        raise ValueError("config.use_prior is set but no prior was given")
-    f = dataset.votes_matrix.astype(np.float64) @ theta
-    reg = cfg.lambda_reg * float(theta @ theta)
-    if constraints.num_rows:
-        hinge = float(np.maximum(constraints.apply(f), 0.0).sum())
-    else:
-        hinge = 0.0
-    if cfg.use_prior:
-        prior_dev = abs(float(f.mean()) - prior.p_plus)
-    else:
-        prior_dev = 0.0
-    total = reg + hinge + cfg.prior_weight * prior_dev
-    return total, {"reg": reg, "hinge": hinge, "prior": prior_dev}
 
 
 def _dual_search(a: np.ndarray, p: float, lam: float, w: float) -> tuple[np.ndarray, int]:

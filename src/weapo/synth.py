@@ -11,6 +11,9 @@ Generation is columnar: records are drawn in fixed-size blocks, each
 from its own spawned Philox stream, so a run costs one stream set-up per
 block rather than per record. The oracle scores a dataset once per
 distinct vote pattern and gathers the values back to the records.
+
+A spec file is read with ``payload.read_json`` and checked with the
+shared checks of ``payload``, the same as a model file.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from .data import Dataset, VoteVector
+from .payload import check_keys, integer, numbers, read_json
 
 BLOCK_SIZE = 4096
 """Records drawn from each spawned random stream in ``generate``."""
@@ -111,22 +115,22 @@ class SyntheticSpec:
         integers. Anything else raises ``ValueError`` naming the key.
         """
         required = ("p_plus", "tpr", "fpr", "n", "seed")
-        _check_keys(payload, "spec", required, optional=("feature_spec",))
+        check_keys(payload, "spec", required, optional=("feature_spec",))
         feature_spec = None
         if "feature_spec" in payload:
             fs = payload["feature_spec"]
-            _check_keys(fs, "feature_spec", ("mu_pos", "mu_neg", "sigma"))
+            check_keys(fs, "feature_spec", ("mu_pos", "mu_neg", "sigma"))
             feature_spec = FeatureSpec(
-                mu_pos=_numbers(fs["mu_pos"], "mu_pos"),
-                mu_neg=_numbers(fs["mu_neg"], "mu_neg"),
-                sigma=_number(fs["sigma"], "sigma"),
+                mu_pos=tuple(numbers(fs, "mu_pos", ndim=1).tolist()),
+                mu_neg=tuple(numbers(fs, "mu_neg", ndim=1).tolist()),
+                sigma=float(numbers(fs, "sigma", ndim=0)),
             )
         return cls(
-            p_plus=_number(payload["p_plus"], "p_plus"),
-            tpr=_numbers(payload["tpr"], "tpr"),
-            fpr=_numbers(payload["fpr"], "fpr"),
-            n=_integer(payload["n"], "n"),
-            seed=_integer(payload["seed"], "seed"),
+            p_plus=float(numbers(payload, "p_plus", ndim=0)),
+            tpr=tuple(numbers(payload, "tpr", ndim=1).tolist()),
+            fpr=tuple(numbers(payload, "fpr", ndim=1).tolist()),
+            n=integer(payload, "n"),
+            seed=integer(payload, "seed"),
             feature_spec=feature_spec,
         )
 
@@ -137,56 +141,12 @@ class SyntheticSpec:
 
     @classmethod
     def load(cls, path: str) -> "SyntheticSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            # json raises RecursionError on input nested deeper than the stack.
-            except (ValueError, RecursionError) as err:
-                raise ValueError(f"{path}: {err}") from None
-
-
-def _check_keys(
-    payload: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> None:
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    for key in required:
-        if key not in payload:
-            raise ValueError(f"{where} lacks key {key!r}")
-    for key in payload:
-        if key not in required + optional:
-            raise ValueError(f"unknown {where} key {key!r}")
-
-
-def _as_float(value: Any) -> float | None:
-    """A JSON number as a float; None for anything else, booleans and
-    integers beyond the float range included."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return None
-
-
-def _number(value: Any, key: str) -> float:
-    number = _as_float(value)
-    if number is None:
-        raise ValueError(f"key {key!r} must be a number, got {value!r}")
-    return number
-
-
-def _numbers(value: Any, key: str) -> tuple[float, ...]:
-    numbers = [_as_float(x) for x in value] if isinstance(value, list) else [None]
-    if None in numbers:
-        raise ValueError(f"key {key!r} must be a list of numbers, got {value!r}")
-    return tuple(numbers)
-
-
-def _integer(value: Any, key: str) -> int:
-    if not (isinstance(value, int) and not isinstance(value, bool)):
-        raise ValueError(f"key {key!r} must be an integer, got {value!r}")
-    return value
+        """Read a spec file; every error message starts with ``path``."""
+        payload = read_json(path)
+        try:
+            return cls.from_json_dict(payload)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -230,33 +190,25 @@ def generate(spec: SyntheticSpec) -> Dataset:
 class OracleTable:
     """Closed-form Bayes posteriors P(y = +1 | votes) for a spec.
 
-    ``posterior`` evaluates one vote vector; ``scores`` and ``as_dict``
-    evaluate many at once with the same products in the same order, so
-    every path gives bitwise the same value for the same vector.
-    ``as_dict`` walks all 2^M vectors and is only sensible for small M.
+    ``posterior`` evaluates one vote vector, ``scores`` every record of a
+    dataset and ``as_dict`` all 2^M vectors (only sensible for small M).
+    All three score through ``_posteriors``, so they give bitwise the same
+    value for the same vector.
     """
 
     spec: SyntheticSpec
 
     def posterior(self, votes: VoteVector) -> float:
-        votes = tuple(int(v) for v in votes)
-        if len(votes) != self.spec.num_lfs:
+        """The posterior of one vote vector, scored as a one-row array."""
+        row = np.asarray(votes).reshape(1, -1)
+        if row.shape[1] != self.spec.num_lfs:
             raise ValueError(
-                f"vote vector has length {len(votes)}, spec has {self.spec.num_lfs}"
+                f"vote vector has length {row.shape[1]}, spec has {self.spec.num_lfs}"
             )
-        like_pos = 1.0
-        like_neg = 1.0
-        for v, t, f in zip(votes, self.spec.tpr, self.spec.fpr):
-            like_pos *= t if v else 1.0 - t
-            like_neg *= f if v else 1.0 - f
-        numerator = self.spec.p_plus * like_pos
-        denominator = numerator + (1.0 - self.spec.p_plus) * like_neg
-        if denominator == 0.0:
-            raise ValueError(f"vote vector {votes} has zero probability under the spec")
-        return numerator / denominator
+        return float(self._posteriors(row)[0])
 
     def _posteriors(self, rows: np.ndarray) -> np.ndarray:
-        """``posterior`` of every row of a (K, M) 0/1 array."""
+        """The posterior of every row of a (K, M) 0/1 array."""
         like_pos = np.ones(rows.shape[0])
         like_neg = np.ones(rows.shape[0])
         for column, t, f in zip(rows.T.astype(bool), self.spec.tpr, self.spec.fpr):

@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way: nested
 loops, explicit rank walks, dense grid searches. Nothing is shared with
 the package under test, so agreement between the two is evidence rather
 than tautology; the reference loader shares only the ``Dataset`` it
-returns and its constructor's checks.
+returns and its constructor's checks, and ``objective`` sums hinge
+penalties through the package's ``ConstraintMatrix.apply``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from weapo import Dataset, DatasetFormatError
+from weapo import ConstraintMatrix, Dataset, DatasetFormatError, Prior, WeapoConfig
 
 
 def covering_pairs_brute(vectors):
@@ -190,6 +191,44 @@ def min_on_2simplex_line(fun, steps):
             best_value = value
             best_theta = theta
     return best_theta, best_value
+
+
+def objective(
+    theta: np.ndarray,
+    constraints: ConstraintMatrix,
+    dataset: Dataset,
+    prior: Prior | None = None,
+    config: WeapoConfig | None = None,
+) -> tuple[float, dict[str, float]]:
+    """Evaluate the full weapo objective and its per-term breakdown, with
+    the hinge penalties summed over every covering constraint of
+    ``constraints`` and the scores of every record.
+
+    Returns ``(total, terms)`` with ``terms`` holding the regularizer,
+    the summed hinge penalties, and the raw prior deviation (0 when the
+    prior term is disabled). ``total`` is ``reg + hinge +
+    prior_weight * prior``.
+    """
+    cfg = config if config is not None else WeapoConfig()
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (dataset.num_lfs,):
+        raise ValueError(
+            f"theta must have shape ({dataset.num_lfs},), got {theta.shape}"
+        )
+    if cfg.use_prior and prior is None:
+        raise ValueError("config.use_prior is set but no prior was given")
+    f = dataset.votes_matrix.astype(np.float64) @ theta
+    reg = cfg.lambda_reg * float(theta @ theta)
+    if constraints.num_rows:
+        hinge = float(np.maximum(constraints.apply(f), 0.0).sum())
+    else:
+        hinge = 0.0
+    if cfg.use_prior:
+        prior_dev = abs(float(f.mean()) - prior.p_plus)
+    else:
+        prior_dev = 0.0
+    total = reg + hinge + cfg.prior_weight * prior_dev
+    return total, {"reg": reg, "hinge": hinge, "prior": prior_dev}
 
 
 def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0):

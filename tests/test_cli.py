@@ -122,11 +122,11 @@ class TestSynthCommand:
         SyntheticSpec(p_plus=0.5, tpr=(0.9,), fpr=(0.1,), n=10, seed=0).save(
             str(spec_path)
         )
-        code = main(
-            ["synth", "--out", str(tmp_path / "x.jsonl"),
-             "--spec", str(spec_path), "--n", "10"]
-        )
-        assert code == 2
+        for flag in (["--n", "10"], ["--sigma", "1"]):
+            code = main(
+                ["synth", "--out", str(tmp_path / "x.jsonl"), "--spec", str(spec_path), *flag]
+            )
+            assert code == 2
 
     def test_inline_flags_must_be_complete(self, tmp_path, capsys):
         code = main(
@@ -144,10 +144,16 @@ class TestSynthCommand:
         )
         assert code == 2
 
-    def test_spec_file_with_seed_override(self, tmp_path):
+    def test_spec_file_with_seed_override(self, tmp_path, capsys):
         spec = SyntheticSpec(p_plus=0.4, tpr=(0.8, 0.6), fpr=(0.1, 0.2), n=40, seed=0)
         spec_path = tmp_path / "spec.json"
         spec.save(str(spec_path))
+        bad = tmp_path / "bad.jsonl"
+        assert main(
+            ["synth", "--out", str(bad), "--spec", str(spec_path), "--seed", "-1", "--quiet"]
+        ) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not bad.exists()
         out = tmp_path / "gen.jsonl"
         assert main(
             ["synth", "--out", str(out), "--spec", str(spec_path),
@@ -162,12 +168,36 @@ class TestSynthCommand:
 
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--tpr", "1.5"], "tpr entries must lie in [0, 1]", id="tpr"),
+            pytest.param(["--seed", "-1"], "seed must be non-negative", id="seed"),
+            pytest.param(["--mu-pos", "1", "--mu-neg", "1,2", "--sigma", "1"],
+                         "mu_pos and mu_neg must have the same dimension", id="mu-width"),
+            pytest.param(["--mu-pos", "1", "--mu-neg", "1", "--sigma", "nan"],
+                         "sigma must be finite and positive", id="sigma-nan"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags, message):
+        inline = {"--n": "10", "--p-plus": "0.5", "--tpr": "0.9", "--fpr": "0.1"}
+        inline.update(zip(flags[::2], flags[1::2]))
+        out = tmp_path / "x.jsonl"
+        argv = ["synth", "--out", str(out), *(part for kv in inline.items() for part in kv)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "seed": 0}',
                          "lacks key 'n'", id="missing-n"),
             pytest.param('[0.5, [0.9], [0.1], 10, 0]', "must be a JSON object", id="list"),
-            pytest.param('{"p_plus": 0.5,', "Expecting", id="invalid-json"),
+            pytest.param('{"p_plus": 0.5,', "invalid JSON (Expecting", id="invalid-json"),
+            pytest.param('\xff{"p_plus": 0.5}', "not UTF-8 text (byte 0xff: invalid start byte)",
+                         id="not-utf8"),
+            pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": ' + "1" * 5000 + "}",
+                         "invalid JSON (Exceeds the limit (4300 digits)", id="integer-too-long"),
             pytest.param('{"p_plus": 0.5, "tpr": ' + "[" * 100_000 + "]" * 100_000 + "}",
                          "maximum recursion depth", id="nested-too-deep"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10.7, "seed": 0}',
@@ -182,12 +212,14 @@ class TestSynthCommand:
     )
     def test_malformed_spec_file_is_data_error(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(text + "\n")
+        # Latin-1 writes each character below 256 as that one byte, so a
+        # case can hold a byte that is not UTF-8.
+        spec_path.write_bytes(text.encode("latin-1") + b"\n")
         out = tmp_path / "x.jsonl"
         assert main(["synth", "--out", str(out), "--spec", str(spec_path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec_path}: ") and message in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "position" not in err
         assert not out.exists()
 
 
@@ -513,16 +545,20 @@ class TestEvalCommand:
              "accuracies"),
             ({"model_type": "mv", "num_lfs": 2.0}, "num_lfs"),
             ({"model_type": "mv", "num_lfs": 2, "lf_count": 2}, "'lf_count'"),
+            ('{"model_type": "mv", "num_lfs": ' + "1" * 5000 + "}",
+             r"model\.json: invalid JSON \(Exceeds the limit \(4300 digits\)"),
         ],
         ids=["weapo", "weapo-width", "ds", "ds-rows", "fs", "not-an-object",
              "lambda-reg-string", "lambda-reg-null", "use-prior-string", "prior-weight-bool",
              "theta-strings", "weapo-diagnostics-list", "ds-diagnostics-list",
-             "ds-prior-string", "fs-accuracies-strings", "mv-float-num-lfs", "unknown-key"],
+             "ds-prior-string", "fs-accuracies-strings", "mv-float-num-lfs", "unknown-key",
+             "integer-too-long"],
     )
     def test_invalid_model_payload(self, tmp_path, capsys, payload, message):
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload))
+        # A string is the file's text, for what json.dumps cannot write.
+        model.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main(["eval", str(model), test, "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -830,20 +866,23 @@ class TestCompareCommand:
         self, informative_files, tmp_path, capsys
     ):
         spec_path = tmp_path / "oracle.json"
-        spec_path.write_text(
-            '{"p_plus": 0.5, "tpr": [0.8, 0.7, 0.6], "fpr": [0.2, 0.15, 0.1], "seed": 0}\n'
-        )
         out = tmp_path / "cmp.json"
-        # With --max-iters 1, a ds fit would print a warning line first.
-        code = main(
-            ["compare", informative_files["train"], informative_files["test"],
-             "--models", "ds,mv", "--max-iters", "1", "--oracle", str(spec_path),
-             "--out", str(out), "--quiet"]
-        )
-        assert code == 1
-        err_lines = capsys.readouterr().err.splitlines()
-        assert err_lines == [f"error: {spec_path}: spec lacks key 'n'"]
-        assert not out.exists()
+        for text, message in (
+            (b'{"p_plus": 0.5, "tpr": [0.8, 0.7, 0.6], "fpr": [0.2, 0.15, 0.1], "seed": 0}\n',
+             "spec lacks key 'n'"),
+            (b'{"p_plus": 0.5\xff}\n', "not UTF-8 text (byte 0xff: invalid start byte)"),
+        ):
+            spec_path.write_bytes(text)
+            # With --max-iters 1, a ds fit would print a warning line first.
+            code = main(
+                ["compare", informative_files["train"], informative_files["test"],
+                 "--models", "ds,mv", "--max-iters", "1", "--oracle", str(spec_path),
+                 "--out", str(out), "--quiet"]
+            )
+            assert code == 1
+            err_lines = capsys.readouterr().err.splitlines()
+            assert err_lines == [f"error: {spec_path}: {message}"]
+            assert not out.exists()
 
     def test_oracle_of_other_width_reported_inline(self, informative_files, tmp_path):
         spec_path = tmp_path / "oracle.json"
@@ -947,6 +986,19 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("weapo ")
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        """``python -m weapo.cli`` runs the CLI: it prints the version and
+        refuses a bad flag value with exit code 2."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        command = [sys.executable, "-m", "weapo.cli"]
+        result = subprocess.run(command + ["--version"], env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, f"weapo {weapo.__version__}\n")
+        out = tmp_path / "x.jsonl"
+        result = subprocess.run(command + ["synth", "--out", str(out), "--n", "ten"], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 2 and "invalid int value: 'ten'" in result.stderr
+        assert not out.exists()
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2

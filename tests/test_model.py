@@ -14,13 +14,12 @@ from weapo import (
     fit,
     fit_supervised,
     hasse_edges,
-    objective,
     predict_dataset,
     project_simplex,
 )
 from weapo.model import _dual_search
 
-from oracles import min_on_2simplex_line, min_on_simplex_grid
+from oracles import min_on_2simplex_line, min_on_simplex_grid, objective
 
 
 def make_dataset(vote_rows):
