@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -85,6 +85,8 @@ def _emit(payload: dict[str, Any], out: str | None) -> None:
 
 
 def _require_gold(dataset: Dataset, path: str) -> np.ndarray:
+    if len(dataset) == 0:
+        raise ValueError(f"{path}: the file has no records to evaluate on")
     gold = dataset.gold_array
     if gold is None:
         raise ValueError(f"{path}: every record needs a gold label for evaluation")
@@ -139,33 +141,46 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     return {"model_type": name, **model.to_json_dict()}
 
 
-def _read_model(path: str) -> dict[str, Any]:
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a model file holds one JSON object")
-    return payload
-
-
-def _model_scores(payload: dict[str, Any], dataset: Dataset) -> np.ndarray:
-    """Scores for every record of ``dataset`` under a serialized model."""
+def _scorer(payload: dict[str, Any]) -> Callable[[Dataset], np.ndarray]:
+    """The function that scores every record of a dataset under a
+    serialized model. A fault of the payload raises ``ValueError`` here; a
+    dataset of the wrong width raises it when scored."""
     kind = payload.get("model_type")
     body = {key: value for key, value in payload.items() if key not in ENVELOPE_KEYS}
     if kind == "weapo":
-        scores, _ = predict_dataset(WeapoModel.from_json_dict(body), dataset)
-        return scores
+        weapo = WeapoModel.from_json_dict(body)
+        return lambda dataset: predict_dataset(weapo, dataset)[0]
     if kind == "mv":
         check_keys(body, "mv model payload", ("num_lfs",))
         num_lfs = integer(body, "num_lfs", minimum=1)
-        if num_lfs != dataset.num_lfs:
-            raise ValueError(
-                f"dataset has {dataset.num_lfs} labeling functions, model expects {num_lfs}"
-            )
-        return mv_scores(dataset)
+
+        def mv(dataset: Dataset) -> np.ndarray:
+            if num_lfs != dataset.num_lfs:
+                raise ValueError(
+                    f"dataset has {dataset.num_lfs} labeling functions, model expects {num_lfs}"
+                )
+            return mv_scores(dataset)
+
+        return mv
     if kind == "ds":
-        return ds_posteriors(DSModel.from_json_dict(body), dataset)
+        ds = DSModel.from_json_dict(body)
+        return lambda dataset: ds_posteriors(ds, dataset)
     if kind == "fs":
-        return fs_posteriors(FSModel.from_json_dict(body), dataset)
+        fs = FSModel.from_json_dict(body)
+        return lambda dataset: fs_posteriors(fs, dataset)
     raise ValueError(f"unknown model_type {kind!r} in model file")
+
+
+def _read_model(path: str) -> tuple[dict[str, Any], Callable[[Dataset], np.ndarray]]:
+    """The payload of a model file and its scorer; every fault of the file
+    raises ``ValueError`` naming ``path``."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model file holds one JSON object")
+    try:
+        return payload, _scorer(payload)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def cmd_fit(args) -> int:
@@ -204,10 +219,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    payload = _read_model(args.model)
+    payload, score = _read_model(args.model)
     test = load_dataset(args.test)
     gold = _require_gold(test, args.test)
-    scores = _model_scores(payload, test)
+    scores = score(test)
     result = evaluate_label_model(scores, coverage_mask(test), gold)
     out_payload = {
         "command": "eval",
@@ -238,7 +253,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_end(args) -> int:
-    payload = _read_model(args.model)
+    payload, score = _read_model(args.model)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
     if train.features_matrix is None:
@@ -246,7 +261,7 @@ def cmd_end(args) -> int:
     if test.features_matrix is None:
         raise ValueError(f"{args.test}: end model needs features on every record")
     gold = _require_gold(test, args.test)
-    label_scores = _model_scores(payload, train)
+    label_scores = score(train)
     targets = make_targets(label_scores, coverage_mask(train), args.uncovered_target)
     if np.ptp(targets) == 0.0:
         raise ValueError(
@@ -306,7 +321,7 @@ def cmd_compare(args) -> int:
     def scores_of(name: str) -> np.ndarray:
         if name == "oracle":
             return oracle.scores(test)
-        return _model_scores(_fit_payload(name, train, settings), test)
+        return _scorer(_fit_payload(name, train, settings))(test)
 
     rows: list[dict[str, Any]] = []
     for name in names + (["oracle"] if oracle is not None else []):
@@ -358,6 +373,8 @@ def _resolve_spec(args) -> SyntheticSpec:
         if any(v is not None for v in inline + feature_flags):
             raise CliUsageError("--spec cannot be combined with inline generator flags")
         spec = SyntheticSpec.load(args.spec)
+        if spec.n < 1:
+            raise ValueError(f"{args.spec}: key 'n' must be an integer of at least 1")
     elif any(v is None for v in inline):
         raise CliUsageError("either --spec or all of --n/--p-plus/--tpr/--fpr are required")
     elif args.n < 1:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -308,32 +309,24 @@ def _read_values(lines: Iterable[str]) -> tuple[list, list[int]]:
     line end follows it. Any other line (blank, whitespace around the
     value, two values, a BOM, invalid JSON or nesting deeper than the
     stack) goes through ``json.loads``, which returns the line's value or
-    raises the error that names the line. The cyclic garbage collector is
-    paused meanwhile: the values are trees of new dicts and lists without
-    cycles, and collecting while they are made only re-scans them.
+    raises the error that names the line.
     """
     values: list = []
     append = values.append
     blank_lines: list[int] = []
     decode = _raw_decode
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                value, end = decode(line)
-                if line[end:] in _LINE_ENDS:
-                    append(value)
-                    continue
-            except (ValueError, RecursionError):
-                pass
-            if line.isspace():
-                blank_lines.append(lineno)
-            else:
-                append(_loads(line, lineno))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            value, end = decode(line)
+            if line[end:] in _LINE_ENDS:
+                append(value)
+                continue
+        except (ValueError, RecursionError):
+            pass
+        if line.isspace():
+            blank_lines.append(lineno)
+        else:
+            append(_loads(line, lineno))
     return values, blank_lines
 
 
@@ -472,6 +465,101 @@ def _dataset_from_values(values: list, blank_lines: list[int]) -> Dataset:
     )
 
 
+# A feature number as ``repr(float)`` writes it: JSON number syntax with a
+# fraction or an exponent, so json parses it with ``float()`` too. The
+# integer form is left to json, which reads ``-0`` as +0.0.
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+# The first record of a canonical body, any widths; group 1 holds its
+# features.
+_FIRST_RECORD = re.compile(
+    r'\{"id":"[^"\\\x00-\x1f]*","votes":\[[01](?:,[01])*\]'
+    rf'(?:,"features":\[((?:{_FLOAT}(?:,{_FLOAT})*)?)\])?(?:,"label":-?1)?\}}\n'
+)
+_GOLD_OF_LABEL = {None: 0, "1": 1, "-1": -1}
+"""Gold of a record by its label text; None where it has no label."""
+
+
+def _record_pattern(num_lfs: int, num_features: int | None) -> re.Pattern:
+    """One whole canonical record line with ``num_lfs`` votes and
+    ``num_features`` features (None: no features key). The groups are the
+    id, the votes, the features when present, and the label, as text."""
+    features = ""
+    if num_features is not None:
+        row = "" if num_features == 0 else f"{_FLOAT}(?:,{_FLOAT}){{{num_features - 1}}}"
+        features = rf',"features":\[({row})\]'
+    return re.compile(
+        r'\{"id":"([^"\\\x00-\x1f]*)","votes":\[([01](?:,[01])'
+        rf'{{{num_lfs - 1}}})\]{features}(?:,"label":(-?1))?\}}\n'
+    )
+
+
+def _canonical_dataset(path: str) -> Dataset | None:
+    """The dataset of a file in the canonical layout, or None for any other.
+
+    The canonical layout is what ``save_dataset`` writes: a meta line with
+    ``num_lfs``, then one line per record with compact separators, keys in
+    the order ``id``, ``votes``, ``features``, ``label``, an id without
+    escapes or control characters, votes of single 0/1 digits, features in
+    float form with the same width on every line, and a newline after
+    every line. One regex pass splits the body into text columns, and the
+    ``Dataset`` constructor is the only check of their values. Any fault
+    returns None instead of raising, so the JSON reader reports it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    meta_end = text.find("\n")
+    if meta_end < 0:
+        return None
+    try:
+        meta = json.loads(text[:meta_end])
+        if type(meta) is not dict or "meta" not in meta:
+            return None
+        num_lfs, lf_names = _parse_meta(meta)
+    except (ValueError, RecursionError):
+        return None
+    if num_lfs is None:
+        return None
+    num_features = None
+    if meta_end + 1 < len(text):
+        # A file in another layout costs this one failed match.
+        first = _FIRST_RECORD.match(text, meta_end + 1)
+        if first is None:
+            return None
+        if first[1] is not None:
+            num_features = first[1].count(",") + 1 if first[1] else 0
+    pattern = _record_pattern(num_lfs, num_features)
+    # split gives the text before the first record, each record's groups,
+    # and the text between records and after the last: the records tile
+    # the body when the first is the meta line and the others are empty.
+    parts = pattern.split(text)
+    step = pattern.groups + 1
+    if len(parts[0]) != meta_end + 1 or any(parts[step::step]):
+        return None
+    ids, vote_text, labels = parts[1::step], parts[2::step], parts[step - 1::step]
+    n = len(ids)
+    digits = np.frombuffer(",".join(vote_text).encode("ascii"), dtype=np.uint8)[::2]
+    features = None
+    if num_features == 0:
+        features = np.empty((n, 0))
+    elif num_features is not None:
+        numbers = ",".join(parts[3::step]).split(",")
+        features = np.fromiter(map(float, numbers), np.float64, count=n * num_features)
+        features = features.reshape(n, num_features)
+    try:
+        return Dataset(
+            ids=ids,
+            votes_matrix=(digits - ord("0")).reshape(n, num_lfs),
+            features_matrix=features,
+            gold=np.fromiter(map(_GOLD_OF_LABEL.__getitem__, labels), np.int8, count=n),
+            lf_names=lf_names,
+        )
+    except DatasetFormatError:
+        return None
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a dataset from a JSON Lines file.
 
@@ -483,6 +571,14 @@ def load_dataset(path: str) -> Dataset:
     a JSON ``true``/``false`` or ``null`` where a number belongs, and a
     non-integer label are errors. Blank lines and whitespace around a
     line's object are allowed.
+
+    A file in the canonical layout ``save_dataset`` writes is read in one
+    regex pass over its text (see ``_canonical_dataset``). Every other
+    file, and every faulty one, is read again by the JSON reader: one
+    ``raw_decode`` per line, then checks column by column. Both give the
+    same dataset, and only the JSON reader raises. The cyclic garbage
+    collector is paused while either runs: they make many new containers
+    and no cycles, so a collection would only re-scan them.
 
     Raises
     ------
@@ -497,14 +593,22 @@ def load_dataset(path: str) -> Dataset:
         ``lf_names`` of the wrong length, or a duplicate id, named by the
         id.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            values, blank_lines = _read_values(fh)
-        return _dataset_from_values(values, blank_lines)
+        dataset = _canonical_dataset(path)
+        if dataset is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                values, blank_lines = _read_values(fh)
+            dataset = _dataset_from_values(values, blank_lines)
+        return dataset
     except DatasetFormatError as err:
         raise DatasetFormatError(f"{path}: {err}") from None
     except UnicodeDecodeError as err:
         raise DatasetFormatError(f"{path}: {not_utf8(err)}") from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _json_list(values: Sequence) -> str:

@@ -202,6 +202,8 @@ class TestSynthCommand:
                          "maximum recursion depth", id="nested-too-deep"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10.7, "seed": 0}',
                          "'n'", id="float-n"),
+            pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 0, "seed": 0}',
+                         "key 'n' must be an integer of at least 1", id="zero-n"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": true}',
                          "'seed'", id="bool-seed"),
             pytest.param(
@@ -649,6 +651,44 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err == f"error: {test}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"model_type": "weapo", "theta": [0.9, 0.9],
+              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+             "weapo theta must sum to 1, got 1.8"),
+            ({"model_type": "mv", "num_lfs": 0}, "key 'num_lfs' must be an integer of at least 1"),
+            ({"model_type": "nb"}, "unknown model_type 'nb' in model file"),
+        ],
+        ids=["weapo-theta", "mv-num-lfs", "unknown-type"],
+    )
+    def test_payload_error_names_the_model_file(self, tmp_path, capsys, payload, message):
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(payload))
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
+    def test_payload_error_comes_before_the_test_file(self, tmp_path, capsys):
+        """The model file is checked in full before any dataset is read."""
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"model_type": "mv", "num_lfs": 2, "extra": 1}))
+        missing = tmp_path / "missing.jsonl"
+        assert main(["eval", str(model), str(missing), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {model}: unknown mv model payload key 'extra'\n"
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_test_file_without_records_is_named(self, tmp_path, capsys, command):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
+        test = tmp_path / "empty.jsonl"
+        test.write_text('{"meta":{"num_lfs":2}}\n')
+        if command == "eval":
+            argv = ["eval", self.fit_mv(tmp_path, train), str(test), "--quiet"]
+        else:
+            argv = ["compare", train, str(test), "--models", "mv", "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {test}: the file has no records to evaluate on\n"
+
     def test_non_utf8_model_file_names_the_file(self, tmp_path, capsys):
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
         model = tmp_path / "model.json"
@@ -680,6 +720,21 @@ class TestEndCommand:
         ) == 0
         paths["model"] = str(model)
         return paths
+
+    def test_payload_error_names_the_model_file(self, feature_files, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({
+            "model_type": "weapo", "theta": [0.9, 0.9, 0.9],
+            "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0},
+        }))
+        out = tmp_path / "end.json"
+        assert main(
+            ["end", str(model), feature_files["train"], feature_files["test"],
+             "--out", str(out), "--quiet"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: weapo theta must sum to 1, got {0.9 + 0.9 + 0.9!r}\n"
+        assert not out.exists()
 
     def test_end_model_beats_chance_on_all_records(self, feature_files, tmp_path):
         out = tmp_path / "end.json"

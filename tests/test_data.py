@@ -3,12 +3,14 @@
 import gc
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from weapo import data
 from weapo import (
     Dataset,
     DatasetFormatError,
@@ -355,21 +357,23 @@ _ids = st.lists(
 )
 
 
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @st.composite
-def datasets(draw):
-    ids = draw(_ids)
+def datasets(draw, ids=_ids, numbers=_finite_floats):
+    ids = draw(ids)
     n = len(ids)
     m = draw(st.integers(1, 10))
     votes = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
                           min_size=n, max_size=n))
     gold = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
     features = None
-    if draw(st.booleans()):
+    # A file without records cannot say whether its records have features.
+    if n and draw(st.booleans()):
         f = draw(st.integers(0, 3))
-        features = draw(st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=f, max_size=f),
-            min_size=n, max_size=n,
-        ))
+        features = draw(st.lists(st.lists(numbers, min_size=f, max_size=f),
+                                 min_size=n, max_size=n))
     names = None
     if draw(st.booleans()):
         names = draw(st.lists(st.text(max_size=4), min_size=m, max_size=m))
@@ -545,3 +549,122 @@ class TestGarbageCollectorState:
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if was_enabled else gc.disable()
+
+
+# Ids that save_dataset writes without escapes: printable ASCII but the
+# quote and the backslash.
+_canonical_ids = st.lists(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'),
+            max_size=6),
+    min_size=0, max_size=25, unique=True,
+)
+_edge_floats = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+     -1.7976931348623157e308, 1e22, 1e16, 123456789.0)
+)
+
+
+def _same_dataset(got, expected):
+    """Equal datasets whose features agree bit for bit, so -0.0 is not +0.0."""
+    assert got == expected
+    if expected.features_matrix is not None:
+        assert got.features_matrix.tobytes() == expected.features_matrix.tobytes()
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(datasets(ids=_canonical_ids, numbers=st.one_of(_finite_floats, _edge_floats)))
+def test_canonical_files_skip_the_json_reader(tmp_path, ds):
+    """A file as save_dataset writes it, ids without escapes, loads in one
+    regex pass to the per-line oracle's dataset."""
+    path = tmp_path / "canonical.jsonl"
+    save_dataset(ds, str(path))
+    with mock.patch.object(data, "_read_values", wraps=data._read_values) as json_reader:
+        loaded = load_dataset(str(path))
+    assert not json_reader.called
+    expected = load_dataset_per_line(str(path))
+    _same_dataset(loaded, expected)
+    _same_dataset(loaded, ds)
+
+
+class TestCanonicalLayoutEdits:
+    """One edit to a canonical file: the loader gives the per-line
+    oracle's dataset, or its message after the file's path."""
+
+    LINES = (
+        '{"meta":{"num_lfs":2}}',
+        '{"id":"a","votes":[1,0],"features":[0.5,-1.25],"label":1}',
+        '{"id":"b","votes":[0,1],"features":[2.0,1e-05],"label":-1}',
+        '{"id":"c","votes":[1,1],"features":[-0.0,3.5]}',
+    )
+
+    @pytest.mark.parametrize(
+        "lineno, old, new, canonical",
+        [
+            (None, None, None, True),
+            (2, '"votes":', '"votes": ', False),
+            (3, '"id":"b","votes":[0,1]', '"votes":[0,1],"id":"b"', False),
+            (2, "0.5", "-0", False),
+            (3, "2.0", "1E5", True),
+            (3, "2.0", "1e999", False),
+            (2, '"a"', '"\\u00e9"', False),
+            (4, '"c"', '"\\\\c"', False),
+            (3, "[0,1]", "[0,2]", False),
+            (3, "[0,1]", "[0,1,1]", False),
+            (2, "[0.5,-1.25]", "[0.5]", False),
+            (4, "[-0.0,3.5]", "[-0.0,3.5,7.0]", False),
+            (3, '"b"', '"a"', False),
+            (1, "2", "3", False),
+            (2, ',"label":1', ',"label":0', False),
+            (2, ',"label":1', ',"label":1.0', False),
+        ],
+        ids=["none", "space", "swapped-keys", "minus-zero-integer", "upper-exponent",
+             "overflow", "escaped-id", "escaped-backslash", "vote-2", "vote-width",
+             "short-features", "long-features", "duplicate-id", "num-lfs", "label-0",
+             "label-float"],
+    )
+    def test_edit_loads_as_oracle(self, tmp_path, lineno, old, new, canonical):
+        lines = list(self.LINES)
+        if lineno is not None:
+            assert old in lines[lineno - 1]
+            lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        self.check(tmp_path, ("\n".join(lines) + "\n").encode("utf-8"), canonical)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda text: text[:-1],
+            lambda text: "\ufeff" + text,
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\n\n", 2),
+            lambda text: text.replace("[0.5,-1.25]", "[0.5]").replace("3.5]", "3.5,7.0]"),
+            lambda text: text.split("\n", 1)[1],
+            lambda text: text.replace('{"meta":{"num_lfs":2}}', '{"meta":{"lf_names":["x","y"]}}'),
+            lambda text: text.replace('{"num_lfs":2}', '{"num_lfs":2,"lf_names":["x"]}'),
+        ],
+        ids=["no-final-newline", "bom", "crlf", "blank-line", "ragged-features", "no-meta",
+             "meta-without-num-lfs", "lf-names-length"],
+    )
+    def test_file_edit_loads_as_oracle(self, tmp_path, transform):
+        text = "\n".join(self.LINES) + "\n"
+        # CRLF ends read back as "\n", so such a file stays canonical.
+        canonical = transform(text).replace("\r\n", "\n") == text
+        self.check(tmp_path, transform(text).encode("utf-8"), canonical)
+
+    def check(self, tmp_path, content, canonical):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(content)
+        try:
+            expected = load_dataset_per_line(str(path))
+        except DatasetFormatError as err:
+            # The oracle names the file only in errors of the constructor.
+            message = str(err) if str(err).startswith(f"{path}: ") else f"{path}: {err}"
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(str(path))
+            assert str(got.value) == message
+            return
+        with mock.patch.object(data, "_read_values", wraps=data._read_values) as json_reader:
+            loaded = load_dataset(str(path))
+        _same_dataset(loaded, expected)
+        assert json_reader.called is not canonical
