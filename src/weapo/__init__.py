@@ -7,14 +7,16 @@ respects that order, ships classical baselines adapted to the
 abstain-as-negative convention, evaluates on the covered subset, trains
 a feature-space end model on the resulting soft labels, and generates
 seeded synthetic benchmarks with closed-form Bayes oracles.
+
+The top level holds the names the README, the demos and the acceptance
+tests use; every other public name is imported from its module, e.g.
+``weapo.endmodel.rbf_kernel``.
 """
 
 __version__ = "0.1.0"
 
 from .baselines import (
     DSModel,
-    FSModel,
-    SignedVotes,
     convert_abstain,
     ds_fit,
     ds_posteriors,
@@ -23,47 +25,21 @@ from .baselines import (
     fs_posteriors,
     mv_scores,
 )
-from .covering import (
-    ConstraintMatrix,
-    HasseEdge,
-    SliceTable,
-    build_slices,
-    constraint_matrix,
-    covers,
-    hasse_edges,
-)
+from .covering import SliceTable, build_slices, constraint_matrix, covers, hasse_edges
 from .data import (
     Dataset,
     DatasetFormatError,
     Prior,
     Record,
-    VotePatterns,
-    VoteVector,
-    compress_votes,
     coverage_mask,
     load_dataset,
     save_dataset,
 )
-from .endmodel import (
-    KRRModel,
-    default_gamma,
-    fit_krr,
-    make_targets,
-    predict_krr,
-    rbf_kernel,
-)
-from .metrics import EvalResult, UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
-from .model import (
-    WeapoConfig,
-    WeapoModel,
-    fit,
-    fit_supervised,
-    predict_dataset,
-    project_simplex,
-)
+from .endmodel import fit_krr, make_targets, predict_krr
+from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
+from .model import WeapoConfig, fit, fit_supervised, predict_dataset
 from .synth import (
     FeatureSpec,
-    OracleTable,
     SyntheticSpec,
     generate,
     oracle_posteriors,
@@ -72,33 +48,21 @@ from .synth import (
 
 __all__ = [
     "__version__",
-    "ConstraintMatrix",
     "Dataset",
     "DatasetFormatError",
     "DSModel",
-    "EvalResult",
     "FeatureSpec",
-    "FSModel",
-    "HasseEdge",
-    "KRRModel",
-    "OracleTable",
     "Prior",
     "Record",
-    "SignedVotes",
     "SliceTable",
     "SyntheticSpec",
     "UndefinedMetricError",
-    "VotePatterns",
-    "VoteVector",
     "WeapoConfig",
-    "WeapoModel",
     "build_slices",
-    "compress_votes",
     "constraint_matrix",
     "convert_abstain",
     "coverage_mask",
     "covers",
-    "default_gamma",
     "ds_fit",
     "ds_posteriors",
     "evaluate_label_model",
@@ -118,8 +82,6 @@ __all__ = [
     "pr_auc",
     "predict_dataset",
     "predict_krr",
-    "project_simplex",
-    "rbf_kernel",
     "roc_auc",
     "save_dataset",
 ]

@@ -176,7 +176,6 @@ def ds_fit(
     max_iters: int = 1000,
     tol: float = 1e-6,
     smoothing: float = 1.0,
-    init_confusion: np.ndarray | None = None,
 ) -> DSModel:
     """Fit the Dawid-Skene model by EM.
 
@@ -195,16 +194,13 @@ def ds_fit(
         priors; it must be finite and non-negative. The recorded
         objective history includes the matching log-prior terms and is
         therefore non-decreasing.
-    init_confusion : (M, 2, 2) array, optional
-        Start EM from explicit confusion matrices instead of the
-        majority-vote initialization.
 
     Notes
     -----
     Records with the same votes share one responsibility, so EM runs
     over the K distinct vote patterns, each weighted by its record count.
-    Without ``init_confusion``, responsibilities start at the mean of the
-    per-record positive-vote fraction and the prior, and the first
+    EM starts from majority vote: responsibilities start at the mean of
+    the per-record positive-vote fraction and the prior, and the first
     parameter estimate is one M-step from there. After convergence the
     classes are canonicalized so the one with the larger
     posterior-weighted mean signed vote is +1.
@@ -232,16 +228,8 @@ def ds_fit(
         pi = min(max((total_pos + smoothing) / (n + 2.0 * smoothing), 0.0), 1.0)
         return float(pi), pos_fire, neg_fire
 
-    if init_confusion is not None:
-        init_confusion = np.asarray(init_confusion, dtype=np.float64)
-        if init_confusion.shape != (m, 2, 2):
-            raise ValueError(f"init_confusion must have shape ({m}, 2, 2)")
-        pi = init_prior.p_plus
-        pos_fire = init_confusion[:, 1, 1].copy()
-        neg_fire = init_confusion[:, 0, 1].copy()
-    else:
-        resp0 = 0.5 * v01.mean(axis=1) + 0.5 * init_prior.p_plus
-        pi, pos_fire, neg_fire = m_step(resp0)
+    resp0 = 0.5 * v01.mean(axis=1) + 0.5 * init_prior.p_plus
+    pi, pos_fire, neg_fire = m_step(resp0)
 
     def objective_at(pi, pos_fire, neg_fire):
         # Penalized objective plus the per-pattern class log-likelihoods.

@@ -10,7 +10,9 @@ defaults to None and is passed on only when given. ``fit`` and
 ``compare`` check the model names, the prior requirement, ``--prior``
 and every fitting flag given in ``_fit_settings``, before any file is
 read. A model file holds the model's own payload plus the keys in
-``ENVELOPE_KEYS``; the model classes check the payload.
+``ENVELOPE_KEYS``; the model classes check the payload. ``eval``, ``end``
+and ``compare`` check that their files agree on the number of labeling
+functions, and ``end`` on the feature width, before any fit or scoring.
 """
 
 from __future__ import annotations
@@ -141,46 +143,50 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     return {"model_type": name, **model.to_json_dict()}
 
 
-def _scorer(payload: dict[str, Any]) -> Callable[[Dataset], np.ndarray]:
-    """The function that scores every record of a dataset under a
-    serialized model. A fault of the payload raises ``ValueError`` here; a
-    dataset of the wrong width raises it when scored."""
+Scorer = Callable[[Dataset], np.ndarray]
+
+
+def _scorer(payload: dict[str, Any]) -> tuple[int, Scorer]:
+    """The number of labeling functions of a serialized model and the
+    function that scores every record of a dataset of that width. A fault
+    of the payload raises ``ValueError``."""
     kind = payload.get("model_type")
     body = {key: value for key, value in payload.items() if key not in ENVELOPE_KEYS}
     if kind == "weapo":
         weapo = WeapoModel.from_json_dict(body)
-        return lambda dataset: predict_dataset(weapo, dataset)[0]
+        return weapo.num_lfs, lambda dataset: predict_dataset(weapo, dataset)[0]
     if kind == "mv":
         check_keys(body, "mv model payload", ("num_lfs",))
-        num_lfs = integer(body, "num_lfs", minimum=1)
-
-        def mv(dataset: Dataset) -> np.ndarray:
-            if num_lfs != dataset.num_lfs:
-                raise ValueError(
-                    f"dataset has {dataset.num_lfs} labeling functions, model expects {num_lfs}"
-                )
-            return mv_scores(dataset)
-
-        return mv
+        return integer(body, "num_lfs", minimum=1), mv_scores
     if kind == "ds":
         ds = DSModel.from_json_dict(body)
-        return lambda dataset: ds_posteriors(ds, dataset)
+        return ds.num_lfs, lambda dataset: ds_posteriors(ds, dataset)
     if kind == "fs":
         fs = FSModel.from_json_dict(body)
-        return lambda dataset: fs_posteriors(fs, dataset)
+        return fs.num_lfs, lambda dataset: fs_posteriors(fs, dataset)
     raise ValueError(f"unknown model_type {kind!r} in model file")
 
 
-def _read_model(path: str) -> tuple[dict[str, Any], Callable[[Dataset], np.ndarray]]:
-    """The payload of a model file and its scorer; every fault of the file
-    raises ``ValueError`` naming ``path``."""
+def _read_model(path: str) -> tuple[dict[str, Any], int, Scorer]:
+    """The payload of a model file, its number of labeling functions and
+    its scorer; every fault of the file raises ``ValueError`` naming
+    ``path``."""
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file holds one JSON object")
     try:
-        return payload, _scorer(payload)
+        return payload, *_scorer(payload)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def _same_width(unit: str, *files: tuple[str, int]) -> None:
+    """Raise ``ValueError`` naming the first file and the first other file
+    whose count of ``unit`` differs from it."""
+    (first, width), *others = files
+    for path, other in others:
+        if other != width:
+            raise ValueError(f"{first} has {width} {unit}, {path} has {other}")
 
 
 def cmd_fit(args) -> int:
@@ -219,8 +225,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    payload, score = _read_model(args.model)
+    payload, num_lfs, score = _read_model(args.model)
     test = load_dataset(args.test)
+    _same_width("labeling functions", (args.model, num_lfs), (args.test, test.num_lfs))
     gold = _require_gold(test, args.test)
     scores = score(test)
     result = evaluate_label_model(scores, coverage_mask(test), gold)
@@ -253,13 +260,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_end(args) -> int:
-    payload, score = _read_model(args.model)
+    payload, num_lfs, score = _read_model(args.model)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
-    if train.features_matrix is None:
-        raise ValueError(f"{args.train}: end model needs features on every record")
-    if test.features_matrix is None:
-        raise ValueError(f"{args.test}: end model needs features on every record")
+    _same_width(
+        "labeling functions",
+        (args.model, num_lfs), (args.train, train.num_lfs), (args.test, test.num_lfs),
+    )
+    for path, dataset in ((args.train, train), (args.test, test)):
+        if dataset.features_matrix is None or dataset.features_matrix.shape[1] == 0:
+            raise ValueError(f"{path}: end model needs at least one feature on every record")
+    _same_width(
+        "features per record",
+        (args.train, train.features_matrix.shape[1]), (args.test, test.features_matrix.shape[1]),
+    )
     gold = _require_gold(test, args.test)
     label_scores = score(train)
     targets = make_targets(label_scores, coverage_mask(train), args.uncovered_target)
@@ -312,16 +326,20 @@ def cmd_compare(args) -> int:
     settings = _fit_settings(names, args)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
+    widths = [(args.train, train.num_lfs), (args.test, test.num_lfs)]
     oracle = None
     if args.oracle is not None:
-        oracle = oracle_posteriors(SyntheticSpec.load(args.oracle))
+        spec = SyntheticSpec.load(args.oracle)
+        widths.append((args.oracle, spec.num_lfs))
+        oracle = oracle_posteriors(spec)
+    _same_width("labeling functions", *widths)
     gold = _require_gold(test, args.test)
     mask = coverage_mask(test)
 
     def scores_of(name: str) -> np.ndarray:
         if name == "oracle":
             return oracle.scores(test)
-        return _scorer(_fit_payload(name, train, settings))(test)
+        return _scorer(_fit_payload(name, train, settings))[1](test)
 
     rows: list[dict[str, Any]] = []
     for name in names + (["oracle"] if oracle is not None else []):

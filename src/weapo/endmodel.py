@@ -240,6 +240,8 @@ def fit_krr(
         raise ValueError("features and targets must have matching first dimension")
     if features.shape[0] == 0:
         raise ValueError("cannot fit on an empty training set")
+    if features.shape[1] == 0:
+        raise ValueError("features must have at least one column")
     if not (np.isfinite(features).all() and np.isfinite(targets).all()):
         raise ValueError("features and targets must be finite")
     if not (np.isfinite(alpha) and alpha >= 0.0):

@@ -190,10 +190,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
 class OracleTable:
     """Closed-form Bayes posteriors P(y = +1 | votes) for a spec.
 
-    ``posterior`` evaluates one vote vector, ``scores`` every record of a
-    dataset and ``as_dict`` all 2^M vectors (only sensible for small M).
-    All three score through ``_posteriors``, so they give bitwise the same
-    value for the same vector.
+    ``posterior`` evaluates one vote vector and ``scores`` every record of
+    a dataset. Both score through ``_posteriors``, so they give bitwise the
+    same value for the same vector.
     """
 
     spec: SyntheticSpec
@@ -230,14 +229,6 @@ class OracleTable:
             )
         pats = dataset.patterns
         return self._posteriors(pats.rows)[pats.inverse]
-
-    def as_dict(self) -> dict[VoteVector, float]:
-        """Posterior for every one of the 2^M possible vote vectors."""
-        m = self.spec.num_lfs
-        if m > 20:
-            raise ValueError("full table only supported for M <= 20")
-        rows = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-        return dict(zip(map(tuple, rows.tolist()), self._posteriors(rows).tolist()))
 
 
 def oracle_posteriors(spec: SyntheticSpec) -> OracleTable:

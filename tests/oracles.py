@@ -17,7 +17,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from weapo import ConstraintMatrix, Dataset, DatasetFormatError, Prior, WeapoConfig
+from weapo import Dataset, DatasetFormatError, Prior, WeapoConfig
+from weapo.covering import ConstraintMatrix
 
 
 def covering_pairs_brute(vectors):

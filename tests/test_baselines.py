@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from weapo import (
     DSModel,
     Dataset,
-    FSModel,
     Prior,
     Record,
     SyntheticSpec,
@@ -25,6 +24,7 @@ from weapo import (
     mv_scores,
     predict_dataset,
 )
+from weapo.baselines import FSModel
 
 from oracles import dawid_skene_per_row, signed_second_moments
 
@@ -124,21 +124,6 @@ class TestDawidSkene:
         np.testing.assert_allclose(model.confusion[:, 1, 1], spec.tpr, atol=0.05)
         np.testing.assert_allclose(model.confusion[:, 0, 1], spec.fpr, atol=0.05)
 
-    def test_init_at_truth_barely_moves(self):
-        spec = SyntheticSpec(
-            p_plus=0.5, tpr=(0.9, 0.8, 0.7), fpr=(0.1, 0.2, 0.3), n=40000, seed=5
-        )
-        truth = np.empty((3, 2, 2))
-        truth[:, 1, 1] = spec.tpr
-        truth[:, 1, 0] = 1.0 - np.asarray(spec.tpr)
-        truth[:, 0, 1] = spec.fpr
-        truth[:, 0, 0] = 1.0 - np.asarray(spec.fpr)
-        model = ds_fit(
-            convert_abstain(generate(spec)), Prior(0.5), init_confusion=truth
-        )
-        assert np.abs(model.confusion - truth).max() <= 0.02
-        assert abs(model.class_prior - 0.5) <= 0.02
-
     def test_objective_history_non_decreasing(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -149,22 +134,21 @@ class TestDawidSkene:
             hist = np.array(model.diagnostics["objective_history"])
             assert (np.diff(hist) >= -1e-10).all()
 
-    def test_label_switched_init_is_canonicalized(self):
-        """Starting EM from mirrored confusions converges to the mirrored
-        fixed point; canonicalization flips it back to the true one."""
-        spec = SyntheticSpec(
-            p_plus=0.5, tpr=(0.9, 0.8, 0.7), fpr=(0.1, 0.2, 0.3), n=10000, seed=5
-        )
-        switched = np.empty((3, 2, 2))
-        switched[:, 1, 1] = spec.fpr
-        switched[:, 1, 0] = 1.0 - np.asarray(spec.fpr)
-        switched[:, 0, 1] = spec.tpr
-        switched[:, 0, 0] = 1.0 - np.asarray(spec.tpr)
-        model = ds_fit(
-            convert_abstain(generate(spec)), Prior(0.5), init_confusion=switched
-        )
-        np.testing.assert_allclose(model.confusion[:, 1, 1], spec.tpr, atol=0.05)
-        np.testing.assert_allclose(model.confusion[:, 0, 1], spec.fpr, atol=0.05)
+    def test_label_switched_fit_is_canonicalized(self):
+        """With one function firing mostly on negatives, EM from majority
+        vote ends on some seeds with class +1 the class that votes less;
+        canonicalization flips it, so class +1 always has the larger
+        posterior-weighted mean signed vote."""
+        for seed in range(8):
+            spec = SyntheticSpec(
+                p_plus=0.3, tpr=(0.7, 0.3), fpr=(0.1, 0.9), n=200, seed=seed
+            )
+            signed = convert_abstain(generate(spec))
+            resp = ds_posteriors(ds_fit(signed, Prior(0.1)), signed)
+            mean_signed = signed.mean(axis=1)
+            side_pos = resp @ mean_signed / resp.sum()
+            side_neg = (1.0 - resp) @ mean_signed / (1.0 - resp).sum()
+            assert side_pos >= side_neg
 
     def test_posteriors_stay_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -217,8 +201,6 @@ class TestDawidSkene:
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
             ds_fit(np.array([[0, 1]]), Prior(0.5))
-        with pytest.raises(ValueError, match="init_confusion"):
-            ds_fit(np.array([[1, -1]]), Prior(0.5), init_confusion=np.full((3, 2, 2), 0.5))
         bad_settings = [
             ({"smoothing": -1.0}, "smoothing"),
             ({"smoothing": float("nan")}, "smoothing"),

@@ -16,13 +16,13 @@ from weapo import (
     Record,
     SyntheticSpec,
     build_slices,
-    default_gamma,
     generate,
     hasse_edges,
     load_dataset,
     save_dataset,
 )
 from weapo.cli import build_parser, main
+from weapo.endmodel import default_gamma
 
 
 def write_dataset(path, vote_rows, gold=None, features=None):
@@ -477,6 +477,25 @@ class TestEvalCommand:
         assert main(["eval", model, test, "--quiet"]) == 1
         assert "labeling functions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"model_type": "weapo", "theta": [0.5, 0.25, 0.25],
+             "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+            {"model_type": "mv", "num_lfs": 3},
+            {"model_type": "ds", "class_prior": 0.5, "confusion": [[[0.5, 0.5]] * 2] * 3},
+            {"model_type": "fs", "class_prior": 0.5, "accuracies": [0.5, 0.5, 0.5]},
+        ],
+        ids=["weapo", "mv", "ds", "fs"],
+    )
+    def test_width_mismatch_names_both_files(self, tmp_path, capsys, payload):
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (0, 1)], gold=[1, -1])
+        model = tmp_path / "m3.json"
+        model.write_text(json.dumps(payload))
+        assert main(["eval", str(model), test, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model} has 3 labeling functions, {test} has 2\n"
+
     def test_model_file_with_unknown_config_key(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
@@ -827,6 +846,45 @@ class TestEndCommand:
         assert main(["end", str(model), train, test, "--quiet"]) == 1
         assert "features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["model-train", "train-test", "features"])
+    def test_width_mismatch_names_both_files(self, tmp_path, capsys, case):
+        """The model, train and test files are checked against each other
+        before any scoring or fit."""
+        wide, narrow = [(1, 1, 0), (0, 0, 1)], [(1, 1), (0, 1)]
+        two, one = [(0.0, 1.0), (1.0, 0.0)], [(0.0,), (1.0,)]
+        train_votes, test_votes, test_features, expected = {
+            "model-train": (narrow, wide, two, "{model} has 3 labeling functions, {train} has 2"),
+            "train-test": (wide, narrow, two, "{model} has 3 labeling functions, {test} has 2"),
+            "features": (wide, wide, one, "{train} has 2 features per record, {test} has 1"),
+        }[case]
+        model = tmp_path / "m3.json"
+        model.write_text(json.dumps({"model_type": "mv", "num_lfs": 3}))
+        train = write_dataset(tmp_path / "train.jsonl", train_votes, features=two)
+        test = write_dataset(
+            tmp_path / "test.jsonl", test_votes, gold=[1, -1], features=test_features
+        )
+        out = tmp_path / "end.json"
+        assert main(["end", str(model), train, test, "--out", str(out), "--quiet"]) == 1
+        message = expected.format(model=model, train=train, test=test)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_features_without_columns_name_the_file(self, tmp_path, capsys, split):
+        paths = {}
+        for name, gold in (("train", None), ("test", [1, -1])):
+            width = 0 if name == split else 1
+            paths[name] = write_dataset(
+                tmp_path / f"{name}.jsonl", [(1, 0), (1, 1)], gold=gold,
+                features=[(0.0,) * width, (1.0,) * width],
+            )
+        model = tmp_path / "mv.json"
+        model.write_text(json.dumps({"model_type": "mv", "num_lfs": 2}))
+        assert main(["end", str(model), paths["train"], paths["test"], "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[split]}: end model needs at least one feature on every record\n"
+        )
+
     def test_constant_targets_rejected(self, tmp_path, capsys):
         train = write_dataset(
             tmp_path / "train.jsonl",
@@ -939,7 +997,7 @@ class TestCompareCommand:
             assert err_lines == [f"error: {spec_path}: {message}"]
             assert not out.exists()
 
-    def test_oracle_of_other_width_reported_inline(self, informative_files, tmp_path):
+    def test_oracle_of_other_width_is_refused(self, informative_files, tmp_path, capsys):
         spec_path = tmp_path / "oracle.json"
         SyntheticSpec(p_plus=0.5, tpr=(0.9, 0.8), fpr=(0.1, 0.2), n=10).save(str(spec_path))
         out = tmp_path / "cmp.json"
@@ -947,10 +1005,29 @@ class TestCompareCommand:
             ["compare", informative_files["train"], informative_files["test"],
              "--models", "mv", "--oracle", str(spec_path), "--out", str(out), "--quiet"]
         )
-        assert code == 0
-        rows = {r["model"]: r for r in read_json(out)["rows"]}
-        assert rows["mv"]["error"] is None
-        assert "labeling functions" in rows["oracle"]["error"]
+        assert code == 1
+        train = informative_files["train"]
+        assert capsys.readouterr().err == (
+            f"error: {train} has 3 labeling functions, {spec_path} has 2\n"
+        )
+        assert not out.exists()
+
+    def test_width_mismatch_names_both_files(self, informative_files, tmp_path, capsys):
+        """Train and test of different widths stop compare before any fit,
+        instead of giving one error row per model."""
+        narrow = write_dataset(tmp_path / "narrow.jsonl", [(1, 0), (0, 1)], gold=[1, -1])
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", informative_files["train"], narrow, "--models", "weapo,mv,ds,fs",
+             "--prior", "0.3", "--oracle", informative_files["oracle"], "--out", str(out),
+             "--quiet"]
+        )
+        assert code == 1
+        train = informative_files["train"]
+        assert capsys.readouterr().err == (
+            f"error: {train} has 3 labeling functions, {narrow} has 2\n"
+        )
+        assert not out.exists()
 
     def test_empty_model_list_is_usage_error(self, informative_files, capsys):
         code = main(

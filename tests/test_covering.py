@@ -6,13 +6,13 @@ import pytest
 import weapo
 from weapo import (
     Dataset,
-    HasseEdge,
     Record,
     build_slices,
     constraint_matrix,
     covers,
     hasse_edges,
 )
+from weapo.covering import HasseEdge
 
 from oracles import closure_of_edges, covering_pairs_brute
 

@@ -17,11 +17,11 @@ from weapo import (
     Prior,
     Record,
     build_slices,
-    compress_votes,
     coverage_mask,
     load_dataset,
     save_dataset,
 )
+from weapo.data import compress_votes
 from oracles import load_dataset_per_line
 
 

@@ -17,7 +17,6 @@ from weapo import (
     FeatureSpec,
     Prior,
     SyntheticSpec,
-    default_gamma,
     evaluate_label_model,
     fit,
     fit_krr,
@@ -25,10 +24,15 @@ from weapo import (
     make_targets,
     predict_dataset,
     predict_krr,
-    rbf_kernel,
     roc_auc,
 )
-from weapo.endmodel import BLOCK_ROWS, MEMORY_BUDGET_FRACTION, fit_bytes
+from weapo.endmodel import (
+    BLOCK_ROWS,
+    MEMORY_BUDGET_FRACTION,
+    default_gamma,
+    fit_bytes,
+    rbf_kernel,
+)
 
 
 class TestMakeTargets:
@@ -161,6 +165,13 @@ class TestFitKrr:
             fit_krr(np.zeros((2, 2)), np.zeros(2), alpha=-1.0)
         with pytest.raises(ValueError, match="gamma"):
             fit_krr(np.ones((2, 2)), np.zeros(2), gamma=-2.0)
+
+    @pytest.mark.parametrize("gamma", [None, 0.5])
+    def test_features_without_columns_rejected(self, gamma):
+        """Zero-width features carry no distance; they are refused before
+        the default bandwidth divides by their variance."""
+        with pytest.raises(ValueError, match="at least one column"):
+            fit_krr(np.empty((3, 0)), np.array([0.0, 0.5, 1.0]), gamma=gamma)
 
     @staticmethod
     def built_entries(n, block_rows):

@@ -8,16 +8,14 @@ from weapo import (
     Prior,
     Record,
     WeapoConfig,
-    WeapoModel,
     build_slices,
     constraint_matrix,
     fit,
     fit_supervised,
     hasse_edges,
     predict_dataset,
-    project_simplex,
 )
-from weapo.model import _dual_search
+from weapo.model import WeapoModel, _dual_search, project_simplex
 
 from oracles import min_on_2simplex_line, min_on_simplex_grid, objective
 

@@ -1,0 +1,74 @@
+"""The names ``weapo`` exports and the README code that uses them."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import weapo
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = {
+    "__version__",
+    "DatasetFormatError",
+    "UndefinedMetricError",
+    "Dataset",
+    "DSModel",
+    "FeatureSpec",
+    "Prior",
+    "Record",
+    "SliceTable",
+    "SyntheticSpec",
+    "WeapoConfig",
+    "build_slices",
+    "constraint_matrix",
+    "convert_abstain",
+    "coverage_mask",
+    "covers",
+    "ds_fit",
+    "ds_posteriors",
+    "evaluate_label_model",
+    "fit",
+    "fit_krr",
+    "fit_supervised",
+    "fs_fit",
+    "fs_fit_from_moments",
+    "fs_posteriors",
+    "generate",
+    "hasse_edges",
+    "load_dataset",
+    "make_targets",
+    "mv_scores",
+    "oracle_posteriors",
+    "population_moments",
+    "pr_auc",
+    "predict_dataset",
+    "predict_krr",
+    "roc_auc",
+    "save_dataset",
+}
+
+
+def test_all_is_the_documented_surface():
+    assert len(weapo.__all__) == len(PUBLIC_NAMES) == 37
+    assert set(weapo.__all__) == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from weapo import *", namespace)
+    assert PUBLIC_NAMES <= namespace.keys()
+
+
+def readme_python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert readme_python_blocks()
+
+
+@pytest.mark.parametrize("index", range(len(readme_python_blocks())))
+def test_readme_python_block_runs(index):
+    exec(compile(readme_python_blocks()[index], f"README.md block {index}", "exec"), {})
