@@ -10,11 +10,13 @@ pattern, so the fitting and posterior functions take a ``Dataset``,
 whose cached ``patterns`` they read, or a signed (N, M) array, which
 they check and compress.
 
-Dawid-Skene and the triplet method share one naive-Bayes scorer: each
-function fires at one rate given y = +1 and another given y = -1. The
-triplet model is the symmetric channel with rates (1 + a_j) / 2 and
-(1 - a_j) / 2. Each model has one scoring path, over all records; a
-single vote vector is scored as a one-row array.
+Dawid-Skene, the triplet method and the Bayes oracle of ``synth`` share
+one naive-Bayes scorer: each function fires at one rate given y = +1 and
+another given y = -1. The triplet model is the symmetric channel with
+rates (1 + a_j) / 2 and (1 - a_j) / 2; the oracle uses the generating
+law's ``tpr`` and ``fpr``. The scorer checks the width and names a vote
+vector of zero probability. Each model has one scoring path, over all
+records; a single vote vector is scored as a one-row array.
 
 The defaults of the fitting settings live in the fit signatures alone
 (the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
@@ -299,8 +301,10 @@ def _naive_bayes_posteriors(
             f"votes have {pats.rows.shape[1]} columns, model expects {pos_fire.shape[0]}"
         )
     lp, ln = _class_log_likelihoods(pats.rows, pi, pos_fire, neg_fire)
-    if (np.isneginf(lp) & np.isneginf(ln)).any():
-        raise ValueError("vote vector has zero probability under the model")
+    impossible = np.isneginf(lp) & np.isneginf(ln)
+    if impossible.any():
+        votes = tuple(pats.rows[int(impossible.argmax())].tolist())
+        raise ValueError(f"vote vector {votes} has zero probability under the model")
     return _posterior(lp, ln)[pats.inverse]
 
 

@@ -9,10 +9,12 @@ The CLI restates no library default: a flag that sets a library value
 defaults to None and is passed on only when given. ``fit`` and
 ``compare`` check the model names, the prior requirement, ``--prior``
 and every fitting flag given in ``_fit_settings``, before any file is
-read. A model file holds the model's own payload plus the keys in
-``ENVELOPE_KEYS``; the model classes check the payload. ``eval``, ``end``
-and ``compare`` check that their files agree on the number of labeling
-functions, and ``end`` on the feature width, before any fit or scoring.
+read. A model named twice, or a flag that no named model reads, is a
+usage error, not silently ignored. A model file holds the model's own
+payload plus the keys in ``ENVELOPE_KEYS``; the model classes check the
+payload. ``eval``, ``end`` and ``compare`` check that their files agree
+on the number of labeling functions, and ``end`` on the feature width,
+before any fit or scoring.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ from .payload import check_keys, integer, read_json
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
 MODEL_NAMES = ("weapo", "weapo-noprior", "mv", "ds", "fs")
+# The models that read each fitting flag; a flag given to none of them is
+# refused rather than ignored.
+_FLAG_READERS = {
+    "lambda_reg": ("weapo", "weapo-noprior"),
+    "prior_weight": ("weapo", "weapo-noprior"),
+    "max_iters": ("ds",),
+    "tol": ("ds",),
+    "smoothing": ("ds",),
+    "eps_clip": ("fs",),
+    "prior": ("weapo", "ds", "fs"),
+}
 # Keys a model file holds besides the model's own payload.
 ENVELOPE_KEYS = ("model_type", "version", "run")
 
@@ -102,23 +115,34 @@ def _given(args, *names: str) -> dict[str, Any]:
 
 
 def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
-    """Check the model names, the prior requirement and every fitting flag
-    given, whichever models are named, before any file is read; return the
-    settings ``_fit_payload`` uses."""
+    """Check the model names, the prior requirement, every fitting flag
+    given, whichever models are named, and then that some named model
+    reads each flag given, before any file is read; return the settings
+    ``_fit_payload`` uses."""
     for name in names:
         if name not in MODEL_NAMES:
             raise CliUsageError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise CliUsageError(f"--models names {', '.join(twice)} more than once")
     needs_prior = sorted({"weapo", "fs"} & set(names))
     if needs_prior and args.prior is None:
         raise CliUsageError(f"--prior is required for model(s): {', '.join(needs_prior)}")
     check_ds_settings(args.max_iters, args.tol, args.smoothing)
     check_fs_settings(args.eps_clip)
-    return {
+    settings = {
         "prior": None if args.prior is None else Prior(args.prior),
         "weapo": WeapoConfig(**_given(args, "lambda_reg", "prior_weight")),
         "ds": _given(args, "max_iters", "tol", "smoothing"),
         "fs": _given(args, "eps_clip"),
     }
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag) is not None and not set(readers) & set(names):
+            raise CliUsageError(
+                f"--{flag.replace('_', '-')} applies only to {', '.join(readers)}; "
+                "no model named reads it"
+            )
+    return settings
 
 
 def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[str, Any]:

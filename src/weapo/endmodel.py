@@ -20,6 +20,7 @@ so it never holds an N_test x N_train kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,18 +75,39 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     np.subtract(sq, cross, out=sq)
     del cross
     np.maximum(sq, 0.0, out=sq)
-    np.multiply(sq, -gamma, out=sq)
+    # A product beyond the float range saturates to -inf, a kernel value of 0.
+    with np.errstate(over="ignore"):
+        np.multiply(sq, -gamma, out=sq)
     np.exp(sq, out=sq)
     return sq
 
 
 def default_gamma(features: np.ndarray) -> float:
-    """Median-free bandwidth heuristic: 1 / (F * var(features))."""
+    """Median-free bandwidth heuristic: 1 / (F * var(features)).
+
+    The variance is taken of the features scaled by a power of two, which
+    is exact, so that the squares it sums cannot overflow."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    var = float(features.var())
+    _, exponent = np.frexp(np.abs(features).max())
+    var = float(np.ldexp(np.ldexp(features, -exponent).var(), 2 * exponent))
     if var <= 0.0:
         return 1.0
     return 1.0 / (features.shape[1] * var)
+
+
+def _check_magnitude(features: np.ndarray) -> None:
+    """Refuse features whose squared distances could overflow float64.
+
+    ``rbf_kernel`` forms ``|x|^2 + |y|^2 - 2 x.y``; with every entry at
+    most ``sqrt(max / (4 F))`` in magnitude, each term and the squared
+    distance stay finite."""
+    limit = math.sqrt(np.finfo(np.float64).max / (4 * features.shape[1]))
+    largest = float(np.abs(features).max(initial=0.0))
+    if largest > limit:
+        raise ValueError(
+            f"features must be at most {limit:.3g} in magnitude, or their squared "
+            f"distances overflow float64; got {largest:.3g}"
+        )
 
 
 def _available_memory_bytes() -> int | None:
@@ -208,8 +230,9 @@ def fit_krr(
         RBF bandwidth; defaults to ``1 / (F * var(features))``.
     alpha : float
         Ridge strength. ``alpha = 0`` requests exact interpolation and
-        fails with a clear error when the kernel matrix is singular
-        (duplicate points).
+        fails with a clear error when the kernel matrix is numerically
+        singular (duplicate points, or points close at the kernel's
+        scale).
 
     Notes
     -----
@@ -230,8 +253,9 @@ def fit_krr(
     system itself. A diagonal block that is not positive definite means
     the system is singular. numpy's factorization and solves do not check
     their input for NaN or inf, so non-finite features, targets, ``gamma``
-    or ``alpha`` are rejected here. The solve is verified against the
-    kept system: the residual norm must not exceed
+    or ``alpha`` are rejected here, and so are features large enough
+    for their squared distances to overflow. The solve is verified
+    against the kept system: the residual norm must not exceed
     ``1e-8 * (1 + ||targets||)``.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -244,10 +268,16 @@ def fit_krr(
         raise ValueError("features must have at least one column")
     if not (np.isfinite(features).all() and np.isfinite(targets).all()):
         raise ValueError("features and targets must be finite")
+    _check_magnitude(features)
     if not (np.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and non-negative")
     if gamma is None:
         gamma = default_gamma(features)
+        if not np.isfinite(gamma):
+            raise ValueError(
+                "the default gamma, 1 / (F * var(features)), overflows because the "
+                "feature variance is too small; give gamma"
+            )
     if not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be finite and positive")
     n = features.shape[0]
@@ -261,13 +291,12 @@ def fit_krr(
         )
     system = _ridge_system(features, gamma, alpha)
     diagonal = system.diagonal().copy()
+    remedy = "use alpha > 0" if alpha == 0.0 else "use a larger alpha"
     try:
         _cholesky_in_place(system)
         coefficients = _cholesky_solve(system, targets)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            "kernel system is singular; alpha = 0 requires distinct points"
-        ) from None
+        raise ValueError(f"the kernel system is numerically singular; {remedy}") from None
     residual = float(
         np.linalg.norm(_symmetric_product(system, diagonal, coefficients) - targets)
     )
@@ -275,7 +304,7 @@ def fit_krr(
     if not residual <= 1e-8 * (1.0 + float(np.linalg.norm(targets))):
         raise ValueError(
             f"kernel solve residual {residual:.3e} too large; "
-            "the system is numerically singular"
+            f"the system is numerically singular; {remedy}"
         )
     return KRRModel(
         support=features.copy(),
@@ -297,6 +326,7 @@ def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
     # As in fit_krr: a NaN or inf would pass through as a NaN score.
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
+    _check_magnitude(features)
     predictions = np.empty(features.shape[0])
     for rows in _blocks(features.shape[0]):
         # One expression, so each block's kernel is freed before the next.

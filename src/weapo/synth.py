@@ -5,12 +5,14 @@ conditionally independently given the label, with per-function true- and
 false-positive rates; optional features come from one of two Gaussians
 with a shared isotropic scale. Because the generating law is known
 exactly, Bayes-optimal posteriors and population vote moments are
-available in closed form for use as oracles.
+available in closed form for use as oracles. The Bayes oracle is the
+naive-Bayes posterior under the generating law, so it scores through the
+one naive-Bayes scorer of ``baselines`` that Dawid-Skene and the triplet
+method share, once per distinct vote pattern.
 
 Generation is columnar: records are drawn in fixed-size blocks, each
 from its own spawned Philox stream, so a run costs one stream set-up per
-block rather than per record. The oracle scores a dataset once per
-distinct vote pattern and gathers the values back to the records.
+block rather than per record.
 
 A spec file is read with ``payload.read_json`` and checked with the
 shared checks of ``payload``, the same as a model file.
@@ -25,6 +27,7 @@ from typing import Any
 
 import numpy as np
 
+from .baselines import _naive_bayes_posteriors
 from .data import Dataset, VoteVector
 from .payload import check_keys, integer, numbers, read_json
 
@@ -190,45 +193,35 @@ def generate(spec: SyntheticSpec) -> Dataset:
 class OracleTable:
     """Closed-form Bayes posteriors P(y = +1 | votes) for a spec.
 
-    ``posterior`` evaluates one vote vector and ``scores`` every record of
-    a dataset. Both score through ``_posteriors``, so they give bitwise the
-    same value for the same vector.
+    The generating law is a naive-Bayes model with prior ``p_plus`` and
+    fire rates ``tpr`` and ``fpr``, so ``posterior`` and ``scores`` score
+    through the naive-Bayes scorer that Dawid-Skene and the triplet method
+    share; it checks the width and names a vote vector of zero
+    probability. ``posterior`` scores one vector as a one-row array.
     """
 
     spec: SyntheticSpec
 
     def posterior(self, votes: VoteVector) -> float:
-        """The posterior of one vote vector, scored as a one-row array."""
+        """The posterior of one 0/1 vote vector."""
         row = np.asarray(votes).reshape(1, -1)
         if row.shape[1] != self.spec.num_lfs:
             raise ValueError(
                 f"vote vector has length {row.shape[1]}, spec has {self.spec.num_lfs}"
             )
-        return float(self._posteriors(row)[0])
-
-    def _posteriors(self, rows: np.ndarray) -> np.ndarray:
-        """The posterior of every row of a (K, M) 0/1 array."""
-        like_pos = np.ones(rows.shape[0])
-        like_neg = np.ones(rows.shape[0])
-        for column, t, f in zip(rows.T.astype(bool), self.spec.tpr, self.spec.fpr):
-            like_pos *= np.where(column, t, 1.0 - t)
-            like_neg *= np.where(column, f, 1.0 - f)
-        numerator = self.spec.p_plus * like_pos
-        denominator = numerator + (1.0 - self.spec.p_plus) * like_neg
-        if (denominator == 0.0).any():
-            votes = tuple(rows[int((denominator == 0.0).argmax())].tolist())
-            raise ValueError(f"vote vector {votes} has zero probability under the spec")
-        return numerator / denominator
+        if not np.isin(row, (0, 1)).all():
+            votes = tuple(row[0].tolist())
+            raise ValueError(f"vote vector {votes} holds a value other than 0 or 1")
+        return float(self._score(2 * row - 1)[0])
 
     def scores(self, dataset: Dataset) -> np.ndarray:
         """Oracle posterior for every record of a compatible dataset."""
-        if dataset.num_lfs != self.spec.num_lfs:
-            raise ValueError(
-                f"dataset has {dataset.num_lfs} labeling functions, "
-                f"spec has {self.spec.num_lfs}"
-            )
-        pats = dataset.patterns
-        return self._posteriors(pats.rows)[pats.inverse]
+        return self._score(dataset)
+
+    def _score(self, votes: Dataset | np.ndarray) -> np.ndarray:
+        """Posteriors of a dataset or of a signed (N, M) array."""
+        tpr, fpr = np.array(self.spec.tpr), np.array(self.spec.fpr)
+        return _naive_bayes_posteriors(votes, self.spec.p_plus, tpr, fpr)
 
 
 def oracle_posteriors(spec: SyntheticSpec) -> OracleTable:

@@ -164,6 +164,14 @@ class TestDawidSkene:
         with pytest.raises(ValueError, match="zero probability"):
             ds_posteriors(model, np.array([[-1]]))
 
+    def test_zero_probability_error_names_the_vector(self):
+        """Function 0 always fires given y = +1 and function 1 never fires
+        given y = -1, so the pattern (0, 1) is impossible under either class."""
+        conf = np.array([[[0.6, 0.4], [0.0, 1.0]], [[1.0, 0.0], [0.3, 0.7]]])
+        model = DSModel(class_prior=0.4, confusion=conf)
+        with pytest.raises(ValueError, match=r"vote vector \(0, 1\) has zero probability"):
+            ds_posteriors(model, np.array([[1, 1], [-1, 1]]))
+
     def test_boundary_rates_give_exact_posteriors(self):
         """A fire rate of exactly 0 or 1 rules patterns out: the posterior
         is then exactly 0.0 or 1.0, never NaN."""
@@ -356,6 +364,13 @@ class TestTripletMethod:
         model = FSModel(accuracies=np.array([0.8]), class_prior=0.5)
         post = fs_posteriors(model, np.array([[1], [-1]]))
         np.testing.assert_allclose(post, [0.9, 0.1], rtol=0, atol=1e-12)
+
+    def test_zero_probability_error_names_the_vector(self):
+        """Accuracy 1 makes a function fire always given y = +1 and never
+        given y = -1, so two such functions never split."""
+        model = FSModel(accuracies=np.array([1.0, 1.0, 0.5]), class_prior=0.5)
+        with pytest.raises(ValueError, match=r"vote vector \(1, 0, 1\) has zero probability"):
+            fs_posteriors(model, np.array([[1, 1, -1], [1, -1, 1]]))
 
     def test_extreme_log_odds_saturate(self):
         """Log-odds far beyond the float range of exp give exactly 0 or 1."""

@@ -382,6 +382,35 @@ class TestFitCommand:
         assert "Traceback" not in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize(
+        "model, flags",
+        [
+            ("mv", ["--max-iters", "5"]),
+            ("mv", ["--lambda-reg", "3"]),
+            ("mv", ["--eps-clip", "0.5"]),
+            ("mv", ["--prior", "0.3"]),
+            ("weapo-noprior", ["--prior", "0.3"]),
+            ("weapo-noprior", ["--smoothing", "2"]),
+            ("ds", ["--prior-weight", "2"]),
+            ("ds", ["--eps-clip", "0.5"]),
+            ("fs", ["--prior", "0.5", "--tol", "1e-3"]),
+            ("weapo", ["--prior", "0.5", "--max-iters", "5"]),
+        ],
+    )
+    def test_flag_no_named_model_reads_is_usage_error(self, tmp_path, capsys, model, flags):
+        """A fitting flag the model ignores is refused before the train
+        file is read, rather than left out of the model file unnoticed."""
+        model_path = tmp_path / "m.json"
+        code = main(
+            ["fit", str(tmp_path / "nope.jsonl"), "--model", model,
+             "--out", str(model_path), "--quiet", *flags]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[-2]} applies only to")
+        assert "nope" not in err
+        assert not model_path.exists()
+
     def test_non_finite_payload_writes_no_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             "weapo.cli._fit_payload", lambda *args: {"model_type": "mv", "x": float("nan")}
@@ -755,6 +784,36 @@ class TestEndCommand:
         assert err == f"error: {model}: weapo theta must sum to 1, got {0.9 + 0.9 + 0.9!r}\n"
         assert not out.exists()
 
+    def test_features_whose_distances_overflow_are_data_errors(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        votes = [(1, 0), (0, 1), (1, 1), (0, 0)] * 5
+        gold = [1, -1] * 10
+        features = rng.normal(size=(20, 2)) * 1e200
+        train = write_dataset(tmp_path / "train.jsonl", votes, gold, features)
+        model = tmp_path / "m.json"
+        assert main(["fit", train, "--model", "mv", "--out", str(model), "--quiet"]) == 0
+        assert main(["end", str(model), train, train, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: features must be at most 4.74e+153 in magnitude")
+        assert err.count("\n") == 1
+
+    def test_huge_gamma_saturates_without_a_warning(self, feature_files, tmp_path):
+        out = tmp_path / "end.json"
+        assert main(
+            ["end", feature_files["model"], feature_files["train"], feature_files["test"],
+             "--gamma", "1e308", "--out", str(out), "--quiet"]
+        ) == 0
+        assert read_json(out)["config"]["gamma"] == 1e308
+
+    def test_singular_system_suggests_a_ridge(self, feature_files, capsys):
+        assert main(
+            ["end", feature_files["model"], feature_files["train"], feature_files["test"],
+             "--alpha", "0", "--quiet"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "numerically singular; use alpha > 0" in err
+        assert "distinct" not in err
+
     def test_end_model_beats_chance_on_all_records(self, feature_files, tmp_path):
         out = tmp_path / "end.json"
         code = main(
@@ -1066,6 +1125,35 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "nope" not in err
+        assert not out.exists()
+
+    def test_flag_no_named_model_reads_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope-test.jsonl"),
+             "--models", "mv,ds", "--eps-clip", "0.5", "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --eps-clip applies only to fs;")
+        assert not out.exists()
+
+    def test_flag_read_by_one_named_model_is_accepted(self, informative_files, tmp_path):
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", informative_files["train"], informative_files["test"],
+             "--models", "mv,ds", "--max-iters", "5", "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        assert [row["model"] for row in read_json(out)["rows"]] == ["mv", "ds"]
+
+    def test_model_named_twice_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope-test.jsonl"),
+             "--models", "mv,ds,mv", "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --models names mv more than once\n"
         assert not out.exists()
 
     def test_prior_required_when_weapo_requested(self, informative_files, capsys):

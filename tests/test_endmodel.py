@@ -317,6 +317,56 @@ class TestFitKrr:
             fit_krr(**args)
 
 
+class TestExtremeNumbers:
+    """Numbers at the ends of the float64 range fail with a clean message
+    or saturate; none leaks a numpy RuntimeWarning (pytest turns those
+    into errors)."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e200], ids=["spread", "offset"])
+    def test_fit_refuses_features_whose_distances_overflow(self, shift):
+        x = np.random.default_rng(3).normal(size=(30, 2)) * 1e200 + shift
+        with pytest.raises(ValueError, match="at most .* in magnitude.*overflow float64"):
+            fit_krr(x, np.linspace(0.0, 1.0, 30))
+
+    def test_predict_refuses_features_whose_distances_overflow(self):
+        model = fit_krr(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), gamma=1.0)
+        with pytest.raises(ValueError, match="at most .* in magnitude.*overflow float64"):
+            predict_krr(model, np.array([[0.5], [1e200]]))
+
+    def test_features_at_the_limit_are_accepted(self):
+        limit = math.sqrt(np.finfo(np.float64).max / 4)
+        x = np.array([[-limit], [limit]])
+        model = fit_krr(x, np.array([0.0, 1.0]), gamma=1.0, alpha=0.0)
+        np.testing.assert_array_equal(predict_krr(model, x), [0.0, 1.0])
+
+    def test_default_gamma_of_huge_features_is_finite(self):
+        """The squares var sums would overflow, though the variance does not."""
+        x = np.random.default_rng(4).uniform(-4e153, 4e153, size=(1000, 1))
+        gamma = default_gamma(x)
+        assert 0.0 < gamma < math.inf
+        assert gamma == pytest.approx(1.0 / float((x / 1e153).var()) * 1e-306, rel=1e-12)
+
+    def test_default_gamma_of_tiny_variance_is_refused(self):
+        x = np.random.default_rng(5).normal(size=(20, 2)) * 1e-160
+        with pytest.raises(ValueError, match="default gamma.*overflows.*give gamma"):
+            fit_krr(x, np.linspace(0.0, 1.0, 20))
+
+    def test_huge_gamma_saturates_the_kernel_to_zero(self):
+        x = np.array([[0.0], [1.0], [3.0]])
+        kernel = rbf_kernel(x, x, 1e308)
+        np.testing.assert_array_equal(kernel, np.eye(3))
+        model = fit_krr(x, np.array([0.0, 1.0, 0.5]), gamma=1e308, alpha=0.0)
+        np.testing.assert_array_equal(model.coefficients, [0.0, 1.0, 0.5])
+
+    def test_singular_message_suggests_a_ridge(self):
+        """300 distinct Gaussian points make K singular to working precision
+        at the default gamma; the message must not blame duplicates."""
+        x = np.random.default_rng(6).normal(size=(300, 2))
+        with pytest.raises(ValueError, match="numerically singular; use alpha > 0") as err:
+            fit_krr(x, np.random.default_rng(7).normal(size=300), alpha=0.0)
+        assert "distinct" not in str(err.value)
+
+
 class TestChunkedPrediction:
     @pytest.fixture
     def model(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weapo import (
+    DSModel,
     Dataset,
     FeatureSpec,
     Prior,
@@ -142,6 +143,11 @@ class TestOracleTable:
         with pytest.raises(ValueError, match="length"):
             oracle.posterior((1, 0))
 
+    def test_non_binary_vote_rejected(self):
+        oracle = oracle_posteriors(spec_3lf())
+        with pytest.raises(ValueError, match=r"vote vector \(2, 0, 1\) holds a value other"):
+            oracle.posterior((2, 0, 1))
+
     def test_full_table_size_and_consistency(self):
         spec = spec_3lf()
         oracle = oracle_posteriors(spec)
@@ -184,6 +190,24 @@ class TestOracleTable:
         ds = make_dataset([(1, 0), (0, 1)])
         with pytest.raises(ValueError, match=r"vote vector \(0, 1\) has zero probability"):
             oracle_posteriors(spec).scores(ds)
+
+    def test_scores_equal_ds_posteriors_at_the_true_rates_bitwise(self):
+        """The oracle is the Dawid-Skene model at the generating law's
+        prior and rates, so it scores bit for bit the same."""
+        rng = np.random.default_rng(15)
+        for m in (3, 8, 16):
+            tpr = rng.uniform(0.3, 1.0, size=m)
+            fpr = rng.uniform(0.0, 0.4, size=m)
+            spec = SyntheticSpec(
+                p_plus=0.3, tpr=tuple(tpr), fpr=tuple(fpr), n=4000, seed=m
+            )
+            confusion = np.stack(
+                [np.stack([1.0 - fpr, fpr], axis=1), np.stack([1.0 - tpr, tpr], axis=1)],
+                axis=1,
+            )
+            ds = generate(spec)
+            expected = ds_posteriors(DSModel(class_prior=0.3, confusion=confusion), ds)
+            assert oracle_posteriors(spec).scores(ds).tolist() == expected.tolist()
 
     def test_monotone_when_functions_are_informative(self):
         oracle = oracle_posteriors(spec_3lf())
