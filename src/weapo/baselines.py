@@ -15,8 +15,9 @@ one naive-Bayes scorer: each function fires at one rate given y = +1 and
 another given y = -1. The triplet model is the symmetric channel with
 rates (1 + a_j) / 2 and (1 - a_j) / 2; the oracle uses the generating
 law's ``tpr`` and ``fpr``. The scorer checks the width and names a vote
-vector of zero probability. Each model has one scoring path, over all
-records; a single vote vector is scored as a one-row array.
+vector of zero probability. Each model scores each vote pattern once
+(``_mv_patterns``, ``_ds_patterns``, ``_fs_patterns``); the public
+functions gather those scores to every record.
 
 The defaults of the fitting settings live in the fit signatures alone
 (the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
@@ -49,10 +50,14 @@ def convert_abstain(dataset: Dataset) -> SignedVotes:
     return (2 * dataset.votes_matrix.astype(np.int8) - 1).astype(np.int8)
 
 
+def _mv_patterns(patterns: VotePatterns) -> np.ndarray:
+    """The majority-vote score of each vote pattern: its fraction of firing."""
+    return patterns.rows.astype(np.float64).mean(axis=1)
+
+
 def mv_scores(dataset: Dataset) -> np.ndarray:
     """Majority-vote scores for every record, computed once per vote pattern."""
-    pats = dataset.patterns
-    return pats.rows.astype(np.float64).mean(axis=1)[pats.inverse]
+    return _mv_patterns(dataset.patterns)[dataset.patterns.inverse]
 
 
 def _patterns(votes: Dataset | SignedVotes) -> VotePatterns:
@@ -292,10 +297,9 @@ def ds_fit(
 
 
 def _naive_bayes_posteriors(
-    votes: Dataset | SignedVotes, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
+    pats: VotePatterns, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
 ) -> np.ndarray:
-    """P(y = +1 | votes) for every record, computed once per vote pattern."""
-    pats = _patterns(votes)
+    """P(y = +1 | v) for each vote pattern v of ``pats``."""
     if pats.rows.shape[1] != pos_fire.shape[0]:
         raise ValueError(
             f"votes have {pats.rows.shape[1]} columns, model expects {pos_fire.shape[0]}"
@@ -305,13 +309,19 @@ def _naive_bayes_posteriors(
     if impossible.any():
         votes = tuple(pats.rows[int(impossible.argmax())].tolist())
         raise ValueError(f"vote vector {votes} has zero probability under the model")
-    return _posterior(lp, ln)[pats.inverse]
+    return _posterior(lp, ln)
+
+
+def _ds_patterns(model: DSModel, patterns: VotePatterns) -> np.ndarray:
+    """P(y = +1 | v) for each vote pattern v under the fitted naive-Bayes model."""
+    conf = model.confusion
+    return _naive_bayes_posteriors(patterns, model.class_prior, conf[:, 1, 1], conf[:, 0, 1])
 
 
 def ds_posteriors(model: DSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) for every record under the fitted naive-Bayes model."""
-    conf = model.confusion
-    return _naive_bayes_posteriors(votes, model.class_prior, conf[:, 1, 1], conf[:, 0, 1])
+    pats = _patterns(votes)
+    return _ds_patterns(model, pats)[pats.inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,8 +417,13 @@ def fs_fit(
     return fs_fit_from_moments(moments, prior, eps_clip=eps_clip)
 
 
-def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
-    """P(y = +1 | votes) treating functions as conditionally independent
-    symmetric channels with accuracy (1 + a_j) / 2."""
+def _fs_patterns(model: FSModel, patterns: VotePatterns) -> np.ndarray:
+    """P(y = +1 | v) for each vote pattern v, each function a channel of accuracy (1 + a_j) / 2."""
     a = model.accuracies
-    return _naive_bayes_posteriors(votes, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0)
+    return _naive_bayes_posteriors(patterns, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0)
+
+
+def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
+    """``_fs_patterns`` for every record."""
+    pats = _patterns(votes)
+    return _fs_patterns(model, pats)[pats.inverse]

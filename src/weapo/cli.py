@@ -31,19 +31,20 @@ from . import __version__
 from .baselines import (
     DSModel,
     FSModel,
+    _ds_patterns,
+    _fs_patterns,
+    _mv_patterns,
     check_ds_settings,
     check_fs_settings,
     ds_fit,
-    ds_posteriors,
     fs_fit,
-    fs_posteriors,
-    mv_scores,
 )
 from .covering import hasse_edges
-from .data import Dataset, DatasetFormatError, Prior, coverage_mask, load_dataset, save_dataset
-from .endmodel import fit_krr, make_targets, predict_krr
-from .metrics import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
-from .model import WeapoConfig, WeapoModel, fit, predict_dataset
+from .data import Dataset, DatasetFormatError, Prior, VotePatterns, coverage_mask
+from .data import load_dataset, save_dataset
+from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
+from .metrics import UndefinedMetricError, evaluate_patterns, pr_auc, roc_auc
+from .model import WeapoConfig, WeapoModel, _pattern_scores, fit
 from .payload import check_keys, integer, read_json
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
@@ -167,27 +168,27 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     return {"model_type": name, **model.to_json_dict()}
 
 
-Scorer = Callable[[Dataset], np.ndarray]
+Scorer = Callable[[VotePatterns], np.ndarray]
 
 
 def _scorer(payload: dict[str, Any]) -> tuple[int, Scorer]:
     """The number of labeling functions of a serialized model and the
-    function that scores every record of a dataset of that width. A fault
-    of the payload raises ``ValueError``."""
+    function that scores each vote pattern of a dataset of that width. A
+    fault of the payload raises ``ValueError``."""
     kind = payload.get("model_type")
     body = {key: value for key, value in payload.items() if key not in ENVELOPE_KEYS}
     if kind == "weapo":
         weapo = WeapoModel.from_json_dict(body)
-        return weapo.num_lfs, lambda dataset: predict_dataset(weapo, dataset)[0]
+        return weapo.num_lfs, lambda patterns: _pattern_scores(weapo, patterns)
     if kind == "mv":
         check_keys(body, "mv model payload", ("num_lfs",))
-        return integer(body, "num_lfs", minimum=1), mv_scores
+        return integer(body, "num_lfs", minimum=1), _mv_patterns
     if kind == "ds":
         ds = DSModel.from_json_dict(body)
-        return ds.num_lfs, lambda dataset: ds_posteriors(ds, dataset)
+        return ds.num_lfs, lambda patterns: _ds_patterns(ds, patterns)
     if kind == "fs":
         fs = FSModel.from_json_dict(body)
-        return fs.num_lfs, lambda dataset: fs_posteriors(fs, dataset)
+        return fs.num_lfs, lambda patterns: _fs_patterns(fs, patterns)
     raise ValueError(f"unknown model_type {kind!r} in model file")
 
 
@@ -253,8 +254,7 @@ def cmd_eval(args) -> int:
     test = load_dataset(args.test)
     _same_width("labeling functions", (args.model, num_lfs), (args.test, test.num_lfs))
     gold = _require_gold(test, args.test)
-    scores = score(test)
-    result = evaluate_label_model(scores, coverage_mask(test), gold)
+    result = evaluate_patterns(score(test.patterns), test.patterns, gold)
     out_payload = {
         "command": "eval",
         "version": __version__,
@@ -284,6 +284,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_end(args) -> int:
+    check_krr_settings(args.gamma, args.alpha)
     payload, num_lfs, score = _read_model(args.model)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
@@ -299,15 +300,22 @@ def cmd_end(args) -> int:
         (args.train, train.features_matrix.shape[1]), (args.test, test.features_matrix.shape[1]),
     )
     gold = _require_gold(test, args.test)
-    label_scores = score(train)
+    label_scores = score(train.patterns)[train.patterns.inverse]
     targets = make_targets(label_scores, coverage_mask(train), args.uncovered_target)
     if np.ptp(targets) == 0.0:
         raise ValueError(
             "all training targets are identical (is any record covered?); "
             "the end model would be a constant"
         )
-    krr = fit_krr(train.features_matrix, targets, gamma=args.gamma, **_given(args, "alpha"))
-    predictions = predict_krr(krr, test.features_matrix)
+    # The end model's errors name the file whose features they concern.
+    try:
+        krr = fit_krr(train.features_matrix, targets, gamma=args.gamma, **_given(args, "alpha"))
+    except ValueError as err:
+        raise ValueError(f"{args.train}: {err}") from None
+    try:
+        predictions = predict_krr(krr, test.features_matrix)
+    except ValueError as err:
+        raise ValueError(f"{args.test}: {err}") from None
     # The end model is evaluated on every test record, covered or not.
     roc = roc_auc(predictions, gold)
     pr = pr_auc(predictions, gold)
@@ -358,18 +366,17 @@ def cmd_compare(args) -> int:
         oracle = oracle_posteriors(spec)
     _same_width("labeling functions", *widths)
     gold = _require_gold(test, args.test)
-    mask = coverage_mask(test)
 
-    def scores_of(name: str) -> np.ndarray:
+    def scorer(name: str) -> Scorer:
         if name == "oracle":
-            return oracle.scores(test)
-        return _scorer(_fit_payload(name, train, settings))[1](test)
+            return oracle._score
+        return _scorer(_fit_payload(name, train, settings))[1]
 
     rows: list[dict[str, Any]] = []
     for name in names + (["oracle"] if oracle is not None else []):
         row: dict[str, Any] = {"model": name}
         try:
-            result = evaluate_label_model(scores_of(name), mask, gold)
+            result = evaluate_patterns(scorer(name)(test.patterns), test.patterns, gold)
             row.update(result.to_json_dict())
             row["error"] = None
         except (ValueError, UndefinedMetricError) as err:

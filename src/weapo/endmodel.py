@@ -45,6 +45,8 @@ def make_targets(
     coverage = np.asarray(coverage)
     if scores.shape != coverage.shape or scores.ndim != 1:
         raise ValueError("scores and coverage must be aligned 1-D arrays")
+    if not math.isfinite(uncovered_target):
+        raise ValueError("uncovered_target must be finite")
     targets = scores.copy()
     targets[~coverage.astype(bool)] = uncovered_target
     return targets
@@ -61,11 +63,20 @@ class KRRModel:
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * squared distance) for every row pair."""
+    """exp(-gamma * squared distance) for every row pair. Refuses
+    non-finite features and features whose squared distances overflow,
+    as ``fit_krr`` does."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"feature widths differ ({x.shape[1]} vs {y.shape[1]})")
+    _check_features(x)
+    _check_features(y)
+    return _kernel(x, y, gamma)
+
+
+def _kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """``rbf_kernel`` of checked 2-D float64 features, without the checks."""
     # Built in place: at most this array and one cross-product array of
     # the same shape are alive at once. ``x @ y.T`` stays one call so that
     # numpy uses the symmetric BLAS product when ``x is y``.
@@ -86,8 +97,15 @@ def default_gamma(features: np.ndarray) -> float:
     """Median-free bandwidth heuristic: 1 / (F * var(features)).
 
     The variance is taken of the features scaled by a power of two, which
-    is exact, so that the squares it sums cannot overflow."""
+    is exact, so that the squares it sums cannot overflow. Refuses the
+    features ``rbf_kernel`` refuses."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    _check_features(features)
+    return _default_gamma(features)
+
+
+def _default_gamma(features: np.ndarray) -> float:
+    """``default_gamma`` of checked 2-D float64 features, without the checks."""
     _, exponent = np.frexp(np.abs(features).max())
     var = float(np.ldexp(np.ldexp(features, -exponent).var(), 2 * exponent))
     if var <= 0.0:
@@ -95,19 +113,31 @@ def default_gamma(features: np.ndarray) -> float:
     return 1.0 / (features.shape[1] * var)
 
 
-def _check_magnitude(features: np.ndarray) -> None:
-    """Refuse features whose squared distances could overflow float64.
+def _check_features(features: np.ndarray) -> None:
+    """Refuse non-finite features and features whose squared distances
+    could overflow float64.
 
     ``rbf_kernel`` forms ``|x|^2 + |y|^2 - 2 x.y``; with every entry at
     most ``sqrt(max / (4 F))`` in magnitude, each term and the squared
     distance stay finite."""
-    limit = math.sqrt(np.finfo(np.float64).max / (4 * features.shape[1]))
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+    limit = math.sqrt(np.finfo(np.float64).max / (4 * max(features.shape[1], 1)))
     largest = float(np.abs(features).max(initial=0.0))
     if largest > limit:
         raise ValueError(
             f"features must be at most {limit:.3g} in magnitude, or their squared "
             f"distances overflow float64; got {largest:.3g}"
         )
+
+
+def check_krr_settings(gamma: float | None = None, alpha: float | None = None) -> None:
+    """Raise ``ValueError`` for a ``gamma`` or ``alpha`` of ``fit_krr`` out
+    of range; a setting left as None is not checked."""
+    if alpha is not None and not (np.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError("alpha must be finite and non-negative")
+    if gamma is not None and not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValueError("gamma must be finite and positive")
 
 
 def _available_memory_bytes() -> int | None:
@@ -148,7 +178,7 @@ def _ridge_system(features: np.ndarray, gamma: float, alpha: float) -> np.ndarra
     n = features.shape[0]
     system = np.empty((n, n))
     for rows in _blocks(n):
-        system[rows, rows.start :] = rbf_kernel(
+        system[rows, rows.start :] = _kernel(
             features[rows], features[rows.start :], gamma
         )
     system.flat[:: n + 1] += alpha
@@ -266,20 +296,17 @@ def fit_krr(
         raise ValueError("cannot fit on an empty training set")
     if features.shape[1] == 0:
         raise ValueError("features must have at least one column")
-    if not (np.isfinite(features).all() and np.isfinite(targets).all()):
-        raise ValueError("features and targets must be finite")
-    _check_magnitude(features)
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError("alpha must be finite and non-negative")
+    _check_features(features)
+    if not np.isfinite(targets).all():
+        raise ValueError("targets must be finite")
+    check_krr_settings(gamma, alpha)
     if gamma is None:
-        gamma = default_gamma(features)
+        gamma = _default_gamma(features)
         if not np.isfinite(gamma):
             raise ValueError(
                 "the default gamma, 1 / (F * var(features)), overflows because the "
                 "feature variance is too small; give gamma"
             )
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be finite and positive")
     n = features.shape[0]
     needed, available = fit_bytes(n), _available_memory_bytes()
     if available is not None and needed > MEMORY_BUDGET_FRACTION * available:
@@ -324,14 +351,12 @@ def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
             f"model expects {model.support.shape[1]}"
         )
     # As in fit_krr: a NaN or inf would pass through as a NaN score.
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
-    _check_magnitude(features)
+    _check_features(features)
     predictions = np.empty(features.shape[0])
     for rows in _blocks(features.shape[0]):
         # One expression, so each block's kernel is freed before the next.
         predictions[rows] = (
-            rbf_kernel(features[rows], model.support, model.gamma)
+            _kernel(features[rows], model.support, model.gamma)
             @ model.coefficients
         )
     return predictions

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .data import Dataset, Prior, coverage_mask
+from .data import Dataset, Prior, VotePatterns, coverage_mask
 from .payload import check_keys, json_object, numbers
 
 
@@ -120,6 +120,11 @@ def project_simplex(weights: Sequence[float]) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
+def _pattern_scores(model: WeapoModel, patterns: VotePatterns) -> np.ndarray:
+    """The score ``v . theta`` of each vote pattern v."""
+    return patterns.rows.astype(np.float64) @ model.theta
+
+
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Scores for every record plus the coverage mask.
 
@@ -132,8 +137,7 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
             f"dataset has {dataset.num_lfs} labeling functions, model expects {model.num_lfs}"
         )
     pats = dataset.patterns
-    scores = pats.rows.astype(np.float64) @ model.theta
-    return scores[pats.inverse], coverage_mask(dataset)
+    return _pattern_scores(model, pats)[pats.inverse], coverage_mask(dataset)
 
 
 def _dual_search(a: np.ndarray, p: float, lam: float, w: float) -> tuple[np.ndarray, int]:

@@ -27,8 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import _naive_bayes_posteriors
-from .data import Dataset, VoteVector
+from .baselines import _naive_bayes_posteriors, _patterns
+from .data import Dataset, VotePatterns, VoteVector, compress_votes
 from .payload import check_keys, integer, numbers, read_json
 
 BLOCK_SIZE = 4096
@@ -212,16 +212,17 @@ class OracleTable:
         if not np.isin(row, (0, 1)).all():
             votes = tuple(row[0].tolist())
             raise ValueError(f"vote vector {votes} holds a value other than 0 or 1")
-        return float(self._score(2 * row - 1)[0])
+        return float(self._score(compress_votes(row))[0])
 
     def scores(self, dataset: Dataset) -> np.ndarray:
         """Oracle posterior for every record of a compatible dataset."""
-        return self._score(dataset)
+        pats = _patterns(dataset)
+        return self._score(pats)[pats.inverse]
 
-    def _score(self, votes: Dataset | np.ndarray) -> np.ndarray:
-        """Posteriors of a dataset or of a signed (N, M) array."""
+    def _score(self, patterns: VotePatterns) -> np.ndarray:
+        """The posterior of each vote pattern."""
         tpr, fpr = np.array(self.spec.tpr), np.array(self.spec.fpr)
-        return _naive_bayes_posteriors(votes, self.spec.p_plus, tpr, fpr)
+        return _naive_bayes_posteriors(patterns, self.spec.p_plus, tpr, fpr)
 
 
 def oracle_posteriors(spec: SyntheticSpec) -> OracleTable:

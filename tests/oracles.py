@@ -342,6 +342,26 @@ def signed_second_moments(signed):
     return (s.T @ s) / s.shape[0]
 
 
+def compress_votes_void(votes):
+    """Vote-pattern compression keyed by one void byte string per row.
+
+    Each row is packed to bits and viewed as a fixed-width ``np.void``
+    key; ``np.unique`` on those keys (a stable sort, so ``first`` holds
+    first occurrences) gives the distinct rows, which are then put in
+    first-occurrence order. Returns ``(rows, counts, inverse)``.
+    """
+    bits = np.asarray(votes) > 0
+    packed = np.packbits(bits, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return bits[first[order]].astype(np.int8), counts[order], rank[inverse]
+
+
 _PER_LINE_RECORD_KEYS = frozenset(("id", "votes", "features", "label"))
 _PER_LINE_META_KEYS = frozenset(("num_lfs", "lf_names"))
 

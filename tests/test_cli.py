@@ -22,6 +22,7 @@ from weapo import (
     save_dataset,
 )
 from weapo.cli import build_parser, main
+from weapo.metrics import UndefinedMetricError, evaluate_label_model
 from weapo.endmodel import default_gamma
 
 
@@ -794,8 +795,30 @@ class TestEndCommand:
         assert main(["fit", train, "--model", "mv", "--out", str(model), "--quiet"]) == 0
         assert main(["end", str(model), train, train, "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: features must be at most 4.74e+153 in magnitude")
+        assert err.startswith(f"error: {train}: features must be at most 4.74e+153 in magnitude")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_end_model_error_names_the_file(self, tmp_path, capsys, split):
+        """A feature of 1e200 in only one file: the fit refuses the train
+        file and the prediction the test file, and each error names it."""
+        votes, gold = [(1, 0), (0, 1), (1, 1), (0, 0)] * 5, [1, -1] * 10
+        features = np.random.default_rng(3).normal(size=(20, 2))
+        paths = {}
+        for name in ("train", "test"):
+            values = features.copy()
+            if name == split:
+                values[7, 1] = 1e200
+            paths[name] = write_dataset(tmp_path / f"{name}.jsonl", votes, gold, values)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"model_type": "mv", "num_lfs": 2}))
+        out = tmp_path / "end.json"
+        argv = ["end", str(model), paths["train"], paths["test"], "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[split]}: features must be at most 4.74e+153")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_huge_gamma_saturates_without_a_warning(self, feature_files, tmp_path):
         out = tmp_path / "end.json"
@@ -867,6 +890,18 @@ class TestEndCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "nan"], "gamma must be finite and positive"),
+        (["--gamma", "0"], "gamma must be finite and positive"),
+        (["--alpha", "-1"], "alpha must be finite and non-negative"),
+    ])
+    def test_bad_setting_reported_before_reading(self, tmp_path, capsys, flags, message):
+        """No file is read, so the message names none: the files here do
+        not exist."""
+        missing = [str(tmp_path / name) for name in ("m.json", "train.jsonl", "test.jsonl")]
+        assert main(["end", *missing, *flags, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_out_of_memory_is_clean_error(self, feature_files, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.7 GiB")
@@ -889,7 +924,9 @@ class TestEndCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: the exact kernel fit on N = 600 training records")
+        assert err.startswith(
+            f"error: {feature_files['train']}: the exact kernel fit on N = 600 training records"
+        )
         assert "GiB" in err
         assert "Traceback" not in err
 
@@ -1021,6 +1058,25 @@ class TestCompareCommand:
         assert "M >= 3" in rows["fs"]["error"]
         assert rows["fs"]["roc_auc"] is None
         assert rows["mv"]["error"] is None
+
+    @pytest.mark.parametrize("case", ["no-covered", "single-class"])
+    def test_undefined_metrics_reported_per_row(self, informative_files, tmp_path, case):
+        """Every model's row carries the error ``evaluate_label_model``
+        raises on the records' own scores, and no metric."""
+        votes = [(0, 0, 0)] * 4 if case == "no-covered" else [(1, 0, 0), (0, 1, 1), (0, 0, 0)] * 2
+        gold = [1, 1, -1, 1, 1, -1][: len(votes)]
+        test = write_dataset(tmp_path / "test.jsonl", votes, gold=gold)
+        with pytest.raises(UndefinedMetricError) as expected:
+            evaluate_label_model(np.zeros(len(gold)), np.array(votes).any(axis=1), gold)
+        out = tmp_path / "cmp.json"
+        code = main(["compare", informative_files["train"], test, "--models",
+                     "weapo,weapo-noprior,mv,ds,fs", "--prior", "0.5", "--out", str(out),
+                     "--quiet"])
+        assert code == 0
+        for row in read_json(out)["rows"]:
+            assert row == {"model": row["model"], "roc_auc": None, "pr_auc": None,
+                           "n_pos": None, "n_neg": None, "n_evaluated": None,
+                           "error": str(expected.value)}
 
     def test_ds_warns_once_at_iteration_cap(self, informative_files, tmp_path, capsys):
         out = tmp_path / "cmp.json"

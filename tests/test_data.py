@@ -22,7 +22,7 @@ from weapo import (
     save_dataset,
 )
 from weapo.data import compress_votes
-from oracles import load_dataset_per_line
+from oracles import compress_votes_void, load_dataset_per_line
 
 
 def make_dataset(vote_rows, **kwargs):
@@ -161,6 +161,31 @@ class TestColumns:
         pats = compress_votes(np.array([[1, -1], [-1, -1], [1, -1]]))
         np.testing.assert_array_equal(pats.rows, [[1, 0], [0, 0]])
         np.testing.assert_array_equal(pats.inverse, [0, 1, 0])
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 64, 65, 100])
+    @pytest.mark.parametrize("signed", [False, True], ids=["01", "signed"])
+    def test_integer_keys_match_void_keys_bitwise(self, m, signed):
+        """Integer words of every width, one or several per row, give the
+        void-key compression's rows, counts and inverse, dtypes included:
+        on duplicate-heavy votes, on all-distinct rows and on no rows."""
+        rng = np.random.default_rng(m)
+        few = (rng.random((int(rng.integers(1, 30)), m)) < 0.3).astype(np.int8)
+        cases = [
+            few[rng.integers(0, len(few), size=2000)],
+            (rng.random((300, m)) < 0.5).astype(np.int8),
+            np.zeros((0, m), dtype=np.int8),
+        ]
+        # Rows that differ only in their last vote, past every word boundary.
+        ends = np.zeros((40, m), dtype=np.int8)
+        ends[::2, -1] = 1
+        cases.append(ends)
+        for votes in cases:
+            if signed:
+                votes = 2 * votes - 1
+            pats = compress_votes(votes)
+            for got, want in zip((pats.rows, pats.counts, pats.inverse),
+                                 compress_votes_void(votes)):
+                np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestSlices:

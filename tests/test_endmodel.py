@@ -55,6 +55,12 @@ class TestMakeTargets:
         with pytest.raises(ValueError, match="aligned"):
             make_targets(np.zeros(3), np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, value):
+        """A bad policy value is named, not blamed on the training data."""
+        with pytest.raises(ValueError, match="uncovered_target must be finite"):
+            make_targets(np.zeros(2), np.zeros(2), uncovered_target=value)
+
 
 class TestRbfKernel:
     def test_unit_diagonal(self):
@@ -357,6 +363,42 @@ class TestExtremeNumbers:
         np.testing.assert_array_equal(kernel, np.eye(3))
         model = fit_krr(x, np.array([0.0, 1.0, 0.5]), gamma=1e308, alpha=0.0)
         np.testing.assert_array_equal(model.coefficients, [0.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize("case", ["spread", "equal-rows", "y-only"])
+    def test_kernel_refuses_features_whose_distances_overflow(self, case):
+        """Called directly, as fit_krr's caller would, with fit_krr's message
+        and no RuntimeWarning; two equal rows near 1e200 once gave NaN."""
+        x = {"spread": [[1e200], [-1e200]], "equal-rows": [[1e200], [1e200]],
+             "y-only": [[0.0], [1.0]]}[case]
+        y = [[1e200], [0.0]] if case == "y-only" else x
+        with pytest.raises(ValueError, match="at most .* in magnitude.*overflow float64"):
+            rbf_kernel(np.array(x), np.array(y), 1.0)
+
+    def test_default_gamma_refuses_features_whose_distances_overflow(self):
+        """It once warned of an overflow in ldexp and returned 0.0."""
+        with pytest.raises(ValueError, match="at most .* in magnitude.*overflow float64"):
+            default_gamma(np.array([[1e200], [-1e200]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_kernel_and_gamma_refuse_non_finite_features(self, value):
+        x = np.array([[0.0, 1.0], [value, 2.0]])
+        with pytest.raises(ValueError, match="features must be finite"):
+            rbf_kernel(x, x[:1], 1.0)
+        with pytest.raises(ValueError, match="features must be finite"):
+            default_gamma(x)
+
+    def test_features_checked_once_per_public_call(self, monkeypatch):
+        """fit_krr and predict_krr check their features once each, not once
+        per row block of the kernel."""
+        calls = []
+        check = weapo.endmodel._check_features
+        monkeypatch.setattr(weapo.endmodel, "_check_features",
+                            lambda features: calls.append(features.shape) or check(features))
+        x = np.random.default_rng(8).normal(size=(3 * BLOCK_ROWS + 5, 2))
+        model = fit_krr(x, np.sin(x[:, 0]))
+        assert calls == [x.shape]
+        predict_krr(model, x)
+        assert calls == [x.shape, x.shape]
 
     def test_singular_message_suggests_a_ridge(self):
         """300 distinct Gaussian points make K singular to working precision

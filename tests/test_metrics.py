@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weapo import UndefinedMetricError, evaluate_label_model, pr_auc, roc_auc
+from weapo.data import compress_votes
+from weapo.metrics import evaluate_patterns
 
 from oracles import (
     average_precision_rank_walk,
@@ -183,3 +187,92 @@ class TestEvaluateLabelModel:
             "n_neg": 1,
             "n_evaluated": 2,
         }
+
+
+def _outcome(evaluate, *args):
+    """The result of an evaluation with its floats as hex, or its error."""
+    try:
+        result = evaluate(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    floats = result.roc_auc.hex(), result.pr_auc.hex()
+    return (*floats, result.n_pos, result.n_neg, result.n_evaluated)
+
+
+def _both_ways(votes, pattern_scores, gold):
+    """``evaluate_patterns`` and ``evaluate_label_model`` on the gathered
+    scores, which must agree bit for bit, error messages included."""
+    pats = compress_votes(votes)
+    scores = pattern_scores(pats.rows.astype(np.float64))
+    by_pattern = _outcome(evaluate_patterns, scores, pats, gold)
+    by_record = _outcome(evaluate_label_model, scores[pats.inverse], votes.any(axis=1), gold)
+    assert by_pattern == by_record
+    return by_pattern
+
+
+@st.composite
+def pattern_cases(draw):
+    """Votes drawn from a few rows so that patterns repeat, gold labels,
+    and per-pattern scores that tie across different patterns: a weight
+    vector on a coarse grid (uniform among them), or a few score levels."""
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                         min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=60))
+    votes = np.array(rows, dtype=np.int8)[picks]
+    gold = np.array(draw(st.lists(st.sampled_from((-1, 1)), min_size=len(picks),
+                                  max_size=len(picks))))
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), float)
+        theta = weights / weights.sum() if weights.any() else np.full(m, 1.0 / m)
+        return votes, lambda rows: rows @ theta, gold
+    levels = draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=64, max_size=64))
+    return votes, lambda rows: np.array(levels[: len(rows)]), gold
+
+
+@settings(max_examples=400, deadline=None)
+@given(pattern_cases())
+def test_pattern_evaluation_equals_record_evaluation(case):
+    _both_ways(*case)
+
+
+class TestEvaluatePatterns:
+    @pytest.mark.parametrize("case", ["cross-pattern-ties", "uniform", "single-covered"])
+    def test_named_cases_agree(self, case):
+        rng = np.random.default_rng(7)
+        votes = (rng.random((200, 5)) < 0.3).astype(np.int8)
+        gold = rng.choice([-1, 1], size=200)
+        if case == "single-covered":
+            votes[:] = 0
+            votes[::3, 2] = 1
+            gold[:6] = [1, -1, 1, -1, 1, -1]
+        scorer = {
+            # Patterns with the same number of fired votes tie.
+            "cross-pattern-ties": lambda rows: rows.sum(axis=1) // 2,
+            "uniform": lambda rows: rows @ np.full(5, 0.2),
+            "single-covered": lambda rows: rows @ np.full(5, 0.2),
+        }[case]
+        result = _both_ways(votes, scorer, gold)
+        assert result[2] > 0 and result[3] > 0
+
+    @pytest.mark.parametrize("case", ["no-covered", "single-class"])
+    def test_errors_agree(self, case):
+        votes = np.array([[0, 0], [1, 0], [1, 1], [0, 0]], dtype=np.int8)
+        gold = np.array([1, 1, 1, -1])
+        if case == "no-covered":
+            votes[:] = 0
+        kind, message = _both_ways(votes, lambda rows: rows.sum(axis=1), gold)
+        assert kind is UndefinedMetricError
+        assert message == {
+            "no-covered": "no covered records",
+            "single-class": "covered subset is single-class (n_pos=2, n_neg=0)",
+        }[case]
+
+    def test_misaligned_inputs_rejected(self):
+        pats = compress_votes(np.array([[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="one value per pattern"):
+            evaluate_patterns(np.zeros(3), pats, np.array([1, -1]))
+        with pytest.raises(ValueError, match="one per record"):
+            evaluate_patterns(np.zeros(2), pats, np.array([1, -1, 1]))
+        with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
+            evaluate_patterns(np.zeros(2), pats, np.array([1, 0]))
