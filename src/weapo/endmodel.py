@@ -6,21 +6,21 @@ covered records keep their scores, uncovered records take one constant
 (default 0, i.e. treated as negative). The end model generalizes past
 coverage because it scores features, not votes.
 
-Memory: the fit holds one dense N x N float64 array, 8 * N**2 bytes
-(288 MB at N = 6000), plus temporaries of ``BLOCK_ROWS`` rows or columns.
-Only the upper triangle of the symmetric kernel system is built in it, by
-row blocks. The factorization reads the system from that triangle and
-writes the Cholesky factor L below it, so the strict upper triangle and a
-saved diagonal keep the system for the residual check. Before allocating
-it, ``fit_krr`` refuses a fit that needs more than
-``MEMORY_BUDGET_FRACTION`` of the memory the operating system reports
-available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
-so it never holds an N_test x N_train kernel.
+Memory: the fit holds only the lower triangle of the symmetric kernel
+system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
+float64 (150 MB at N = 6000), factored in place, plus N x ``BLOCK_ROWS``
+float64 of block temporaries or diagonal inverses. The residual check
+rebuilds the panels one at a time instead of keeping a copy of the
+system. Before allocating the panels, ``fit_krr`` refuses a fit that
+needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating
+system reports available. Prediction scores the test rows in blocks of
+``BLOCK_ROWS``, so it never holds an N_test x N_train kernel.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,89 +159,79 @@ def _blocks(n: int) -> list[slice]:
 
 
 def fit_bytes(n: int) -> int:
-    """Bytes an exact fit on ``n`` records holds: the N x N system plus
-    two N x ``BLOCK_ROWS`` block temporaries, the most that the kernel
-    build, each panel step of the factorization and the residual check
-    hold at once."""
-    return 8 * n * (n + 2 * min(n, BLOCK_ROWS))
+    """Bytes an exact fit on ``n`` records holds at its peak: the lower
+    triangle of the system as panels of b = min(n, ``BLOCK_ROWS``) rows,
+    at most n * (n + b) / 2 doubles, plus n x b doubles for either the
+    kernel build's cross product or the inverses of the diagonal factors,
+    plus two b x b temporaries of the factorization."""
+    b = min(n, BLOCK_ROWS)
+    return 8 * (n * (n + b) // 2 + n * b + 2 * b * b)
 
 
-def _ridge_system(features: np.ndarray, gamma: float, alpha: float) -> np.ndarray:
-    """The upper triangle of ``K + alpha * I`` in one new array, built
-    ``BLOCK_ROWS`` rows at a time so that no second N x N array is alive.
+def _ridge_panels(features: np.ndarray, gamma: float, alpha: float) -> Iterator[np.ndarray]:
+    """The lower triangle of ``K + alpha * I`` as ``BLOCK_ROWS``-row panels,
+    built one at a time: panel i holds block i's rows against the columns
+    from 0 to the end of block i, its diagonal block in full."""
+    for rows in _blocks(features.shape[0]):
+        panel = _kernel(features[rows], features[: rows.stop], gamma)
+        panel.flat[rows.start :: rows.stop + 1] += alpha
+        yield panel
 
-    Each row block is written from its own first column on: its diagonal
-    block in full and the strict upper triangle right of it. The entries
-    below the diagonal blocks are left unwritten; ``_cholesky_in_place``
-    writes them before it reads them.
+
+def _lower_inverse(factor: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive halving, so that
+    all of its work is matrix products."""
+    if len(factor) == 1:
+        return 1.0 / factor
+    half = len(factor) // 2
+    top = _lower_inverse(factor[:half, :half])
+    bottom = _lower_inverse(factor[half:, half:])
+    inverse = np.zeros_like(factor)
+    inverse[:half, :half] = top
+    inverse[half:, half:] = bottom
+    inverse[half:, :half] = -(bottom @ factor[half:, :half] @ top)
+    return inverse
+
+
+def _factor_panels(panels: list[np.ndarray]) -> list[np.ndarray]:
+    """Overwrite the panels of a symmetric positive-definite system with
+    its Cholesky factor L, one block row at a time, and return the inverse
+    of each diagonal block of L.
+
+    Block (i, j) of L, for j < i, is the system's block less the product
+    of the block rows i and j of L left of column block j, times the
+    transposed inverse of L_jj. The diagonal block is the Cholesky factor
+    of the system's block less its row of L times its transpose. Raises
+    ``np.linalg.LinAlgError`` when a diagonal block is not positive
+    definite.
     """
-    n = features.shape[0]
-    system = np.empty((n, n))
-    for rows in _blocks(n):
-        system[rows, rows.start :] = _kernel(
-            features[rows], features[rows.start :], gamma
-        )
-    system.flat[:: n + 1] += alpha
-    return system
+    inverses: list[np.ndarray] = []
+    # The last panel spans every column.
+    for rows, panel in zip(_blocks(panels[-1].shape[1]), panels):
+        for cols, done, inverse in zip(_blocks(rows.start), panels, inverses):
+            block = panel[:, cols]
+            block -= panel[:, : cols.start] @ done[:, : cols.start].T
+            block[...] = block @ inverse.T
+        left = panel[:, : rows.start]
+        factor = np.linalg.cholesky(panel[:, rows] - left @ left.T)
+        panel[:, rows] = factor
+        inverses.append(_lower_inverse(factor))
+    return inverses
 
 
-def _cholesky_in_place(a: np.ndarray) -> None:
-    """Write the Cholesky factor L of the symmetric positive-definite
-    system whose upper triangle is that of ``a`` into the lower triangle
-    of ``a``, left-looking by blocks of ``BLOCK_ROWS`` columns.
-
-    The system is read from the diagonal blocks and the strict upper
-    triangle only, which are left as they are; each entry below the
-    diagonal blocks is written before it is read. For each block of b
-    columns, the panel of the R rows below it is formed transposed, as a
-    b x R array from the upper triangle, and turned into L by one b x b
-    inverse of the block's factor and one GEMM. The step holds at most
-    two b x R temporaries.
-
-    Raises ``np.linalg.LinAlgError`` when a diagonal block is not
-    positive definite.
-    """
-    n = a.shape[0]
-    for cols in _blocks(n):
-        done = a[cols, : cols.start]  # this block's rows of L, left of it
-        factor = np.linalg.cholesky(a[cols, cols] - done @ done.T)
-        np.copyto(a[cols, cols], factor, where=np.tri(len(factor), dtype=bool))
-        if cols.stop < n:
-            # The panel below the block, transposed: the system's values
-            # right of the block, less the product of the rows of L done.
-            panel_t = done @ a[cols.stop :, : cols.start].T
-            np.subtract(a[cols, cols.stop :], panel_t, out=panel_t)
-            # L below the block is panel @ factor^-T: one b x b inverse,
-            # then one GEMM over all the rows below.
-            inverse = np.linalg.solve(factor, np.eye(len(factor)))
-            a[cols.stop :, cols] = (inverse @ panel_t).T
-
-
-def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs, with L in the lower triangle of ``a``, by
-    blocked forward and back substitution."""
+def _substitute(
+    panels: list[np.ndarray], inverses: list[np.ndarray], rhs: np.ndarray
+) -> np.ndarray:
+    """Solve L L^T x = rhs, with L in the panels, by forward and back
+    substitution over the panels with the inverses of the diagonal blocks."""
     x = rhs.copy()
-    blocks = _blocks(a.shape[0])
-    for rows in blocks:
-        x[rows] = np.linalg.solve(
-            np.tril(a[rows, rows]), x[rows] - a[rows, : rows.start] @ x[: rows.start]
-        )
-    for rows in reversed(blocks):
-        x[rows] = np.linalg.solve(
-            np.tril(a[rows, rows]).T, x[rows] - a[rows.stop :, rows].T @ x[rows.stop :]
-        )
+    steps = list(zip(_blocks(len(rhs)), panels, inverses))
+    for rows, panel, inverse in steps:
+        x[rows] = inverse @ (x[rows] - panel[:, : rows.start] @ x[: rows.start])
+    for rows, panel, inverse in reversed(steps):
+        x[rows] = inverse.T @ x[rows]
+        x[: rows.start] -= panel[:, : rows.start].T @ x[rows]
     return x
-
-
-def _symmetric_product(a: np.ndarray, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S @ x for the symmetric S whose strict upper triangle is that of
-    ``a`` and whose diagonal is ``diagonal``; ``a`` is read by row blocks."""
-    product = diagonal * x
-    for rows in _blocks(a.shape[0]):
-        upper = np.triu(a[rows, rows.start :], 1)
-        product[rows] += upper @ x[rows.start :]
-        product[rows.start :] += upper.T @ x[rows]
-    return product
 
 
 def fit_krr(
@@ -266,26 +256,28 @@ def fit_krr(
 
     Notes
     -----
-    The fit holds one dense N x N float64 array, 8 * N**2 bytes (288 MB
-    at N = 6000), plus two N x ``BLOCK_ROWS`` block temporaries
-    (``fit_bytes``). Before allocating it, the fit compares that size
-    with ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in
-    ``/proc/meminfo`` and raises ``ValueError`` naming N, the GiB needed
-    and the GiB available when it does not fit. The check is skipped
-    where that file cannot be read, and it does not see a cgroup memory
-    limit, so a container may still be killed below it.
+    The fit holds the lower triangle of the system ``K + alpha * I`` as
+    ``BLOCK_ROWS``-row panels, at most 4 * N * (N + ``BLOCK_ROWS``) bytes
+    (150 MB at N = 6000), plus N x ``BLOCK_ROWS`` float64 of block
+    temporaries or diagonal inverses (``fit_bytes``: 163 MB at N = 6000).
+    Before allocating the panels, the fit compares that size with
+    ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in ``/proc/meminfo``
+    and raises ``ValueError`` naming N, the GiB needed and the GiB
+    available when it does not fit. The check is skipped where that file
+    cannot be read, and it does not see a cgroup memory limit, so a
+    container may still be killed below it.
 
-    The upper triangle of the system ``K + alpha * I`` is built by row
-    blocks. A left-looking blocked Cholesky factorization (about N**3 / 3
-    flops) reads the system from it and writes the factor L below it,
-    each panel by one inverse of a small diagonal factor and one GEMM; the
-    strict upper triangle and a saved copy of the diagonal keep the
-    system itself. A diagonal block that is not positive definite means
-    the system is singular. numpy's factorization and solves do not check
-    their input for NaN or inf, so non-finite features, targets, ``gamma``
-    or ``alpha`` are rejected here, and so are features large enough
-    for their squared distances to overflow. The solve is verified
-    against the kept system: the residual norm must not exceed
+    Panel i holds block i's rows of the system up to the end of block i.
+    A blocked Cholesky factorization (about N**3 / 3 flops) overwrites
+    the panels with the factor L by block rows, each block left of the
+    diagonal by two GEMMs, one by the inverse of an earlier diagonal
+    factor; the substitutions reuse those inverses. A diagonal block that
+    is not positive definite means the system is singular. numpy's
+    factorization does not check its input for NaN or inf, so non-finite
+    features, targets, ``gamma`` or ``alpha`` are rejected here, and so
+    are features large enough for their squared distances to overflow.
+    The solve is verified against the system, its panels rebuilt one at a
+    time once the factor is freed: the residual norm must not exceed
     ``1e-8 * (1 + ||targets||)``.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -312,21 +304,24 @@ def fit_krr(
     if available is not None and needed > MEMORY_BUDGET_FRACTION * available:
         raise ValueError(
             f"the exact kernel fit on N = {n} training records needs "
-            f"{needed / 2**30:.2f} GiB (one N x N float64 array), more than "
-            f"{MEMORY_BUDGET_FRACTION:.0%} of the {available / 2**30:.2f} GiB "
-            "of memory available; train on fewer records"
+            f"{needed / 2**30:.2f} GiB (the lower triangle of the N x N float64 "
+            f"kernel system), more than {MEMORY_BUDGET_FRACTION:.0%} of the "
+            f"{available / 2**30:.2f} GiB of memory available; train on fewer records"
         )
-    system = _ridge_system(features, gamma, alpha)
-    diagonal = system.diagonal().copy()
+    panels = list(_ridge_panels(features, gamma, alpha))
     remedy = "use alpha > 0" if alpha == 0.0 else "use a larger alpha"
     try:
-        _cholesky_in_place(system)
-        coefficients = _cholesky_solve(system, targets)
+        inverses = _factor_panels(panels)
     except np.linalg.LinAlgError:
         raise ValueError(f"the kernel system is numerically singular; {remedy}") from None
-    residual = float(
-        np.linalg.norm(_symmetric_product(system, diagonal, coefficients) - targets)
-    )
+    coefficients = _substitute(panels, inverses, targets)
+    del panels, inverses
+    # The system is not kept: the check rebuilds its panels one at a time.
+    product = np.zeros(n)
+    for rows, panel in zip(_blocks(n), _ridge_panels(features, gamma, alpha)):
+        product[rows] += panel @ coefficients[: rows.stop]
+        product[: rows.start] += panel[:, : rows.start].T @ coefficients[rows]
+    residual = float(np.linalg.norm(product - targets))
     # Written so that a NaN residual fails too.
     if not residual <= 1e-8 * (1.0 + float(np.linalg.norm(targets))):
         raise ValueError(

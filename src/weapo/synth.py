@@ -185,7 +185,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
             noise = rng.standard_normal((size, feature_spec.dim))
             features[block] = mu[positive.astype(np.intp)] + feature_spec.sigma * noise
     width = len(str(max(spec.n - 1, 0)))
-    ids = tuple(f"r{i:0{width}d}" for i in range(spec.n))
+    ids = tuple(map(f"r%0{width}d".__mod__, range(spec.n)))
     return Dataset(ids=ids, votes_matrix=votes, features_matrix=features, gold=gold)
 
 

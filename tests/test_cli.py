@@ -927,7 +927,7 @@ class TestEndCommand:
         assert err.startswith(
             f"error: {feature_files['train']}: the exact kernel fit on N = 600 training records"
         )
-        assert "GiB" in err
+        assert "GiB (the lower triangle of the N x N float64 kernel system)" in err
         assert "Traceback" not in err
 
     def test_train_without_features(self, tmp_path, capsys):

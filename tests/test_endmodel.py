@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -179,75 +178,59 @@ class TestFitKrr:
         with pytest.raises(ValueError, match="at least one column"):
             fit_krr(np.empty((3, 0)), np.array([0.0, 0.5, 1.0]), gamma=gamma)
 
-    @staticmethod
-    def built_entries(n, block_rows):
-        """Where the system is built: each diagonal block in full and the
-        strict upper triangle, i.e. row i from the start of its block on."""
-        rows, cols = np.indices((n, n))
-        return cols >= rows // block_rows * block_rows
-
     def test_system_matches_identity_oracle_bitwise(self, monkeypatch):
-        """The system is built by row blocks, right of each block's start,
-        and the ridge added to its diagonal in place: every entry built is
-        exactly the plain kernel of those rows and columns with alpha on
-        the diagonal, and the factorization sees it."""
+        """The system is built as row-block panels of its lower triangle,
+        each from column 0 to the end of its block, and the ridge added to
+        its diagonal in place: every stored entry is exactly the plain
+        kernel of those rows and columns with alpha on the diagonal. The
+        residual check rebuilds the same panels."""
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2 * BLOCK_ROWS + 37, 3))
         t = rng.normal(size=len(x))
+        build = weapo.endmodel._ridge_panels
         seen = []
-        factor = weapo.endmodel._cholesky_in_place
 
-        def recording_factor(a):
-            seen.append(a.copy())
-            factor(a)
+        def recording_build(*args):
+            panels = list(build(*args))
+            seen.append([panel.copy() for panel in panels])
+            return panels
 
-        monkeypatch.setattr(weapo.endmodel, "_cholesky_in_place", recording_factor)
+        monkeypatch.setattr(weapo.endmodel, "_ridge_panels", recording_build)
         fit_krr(x, t, gamma=0.6, alpha=0.25)
-        kernel = np.zeros((len(x), len(x)))
-        for start in range(0, len(x), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            kernel[rows, start:] = rbf_kernel_three_temporaries(x[rows], x[start:], 0.6)
-        built = self.built_entries(len(x), BLOCK_ROWS)
-        assert len(seen) == 1
-        np.testing.assert_array_equal(
-            seen[0][built], ridge_system_with_identity(kernel, 0.25)[built], strict=True
-        )
+        assert len(seen) == 2 and len(seen[0]) == 3
+        for start, panel, rebuilt in zip(range(0, len(x), BLOCK_ROWS), *seen):
+            rows = slice(start, min(start + BLOCK_ROWS, len(x)))
+            expected = rbf_kernel_three_temporaries(x[rows], x[: rows.stop], 0.6)
+            expected[:, rows] = ridge_system_with_identity(expected[:, rows], 0.25)
+            np.testing.assert_array_equal(panel, expected, strict=True)
+            np.testing.assert_array_equal(rebuilt, expected, strict=True)
 
     @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 8], ids=lambda b: f"b{b}")
-    def test_entries_not_built_are_never_read(self, monkeypatch, block_rows):
-        """The factorization reads the system from the built upper
-        triangle and writes L below it before reading there: NaN and
-        +-inf in every entry not built change no coefficient bit and warn
-        nothing, and L is the Cholesky factor of the full system."""
+    def test_factor_matches_cholesky_of_full_system(self, monkeypatch, block_rows):
+        """The panels, factored in place, hold the Cholesky factor L of the
+        full system: below each diagonal block, and in each diagonal block
+        with zeros above its diagonal."""
         monkeypatch.setattr(weapo.endmodel, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(15)
         n = 2 * BLOCK_ROWS + 37
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
-        clean = fit_krr(x, t, gamma=0.6, alpha=0.25)
+        factor_panels = weapo.endmodel._factor_panels
+        factors = []
 
-        build = weapo.endmodel._ridge_system
-        factor = weapo.endmodel._cholesky_in_place
-        systems, factors = [], []
+        def recording_factor(panels):
+            inverses = factor_panels(panels)
+            factor = np.zeros((n, n))
+            for panel in panels:
+                factor[panel.shape[1] - len(panel) : panel.shape[1], : panel.shape[1]] = panel
+            factors.append(factor)
+            return inverses
 
-        def poisoned_build(features, gamma, alpha):
-            system = build(features, gamma, alpha)
-            unbuilt = ~self.built_entries(n, block_rows)
-            system[unbuilt] = rng.choice([np.nan, np.inf, -np.inf], size=unbuilt.sum())
-            systems.append(np.triu(system) + np.triu(system, 1).T)
-            return system
-
-        def recording_factor(a):
-            factor(a)
-            factors.append(np.tril(a))
-
-        monkeypatch.setattr(weapo.endmodel, "_ridge_system", poisoned_build)
-        monkeypatch.setattr(weapo.endmodel, "_cholesky_in_place", recording_factor)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            poisoned = fit_krr(x, t, gamma=0.6, alpha=0.25)
-        np.testing.assert_array_equal(poisoned.coefficients, clean.coefficients, strict=True)
-        expected = np.linalg.cholesky(systems[0])
+        monkeypatch.setattr(weapo.endmodel, "_factor_panels", recording_factor)
+        fit_krr(x, t, gamma=0.6, alpha=0.25)
+        system = ridge_system_with_identity(rbf_kernel_three_temporaries(x, x, 0.6), 0.25)
+        expected = np.linalg.cholesky(system)
+        assert len(factors) == 1
         assert np.abs(factors[0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29], ids=lambda n: f"n{n}")
@@ -469,16 +452,18 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_fit_holds_one_dense_array(self):
-        """The kernel system, factored in place, plus block temporaries of
-        N x BLOCK_ROWS; a solve that copies the system, or a kernel built
-        in one call, would hold two N x N arrays. The memory budget
-        ``fit_bytes`` prices this peak, up to a megabyte of vectors."""
+        """The lower triangle of the kernel system as row-block panels,
+        factored in place, plus N x BLOCK_ROWS of block temporaries or
+        diagonal inverses: about 0.7 * 8 * N**2 bytes at N = 2000. A stored
+        upper triangle, a solve that copies the system, or a kernel built
+        in one call would each cost another 0.5 to 1 * 8 * N**2. The memory
+        budget ``fit_bytes`` prices this peak, up to a megabyte of vectors."""
         n = 2000
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
         peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.5, alpha=1.0))
-        assert peak < 1.4 * n * n * 8
+        assert peak < 0.8 * n * n * 8
         assert peak < fit_bytes(n) + 2**20
 
     def test_prediction_never_holds_the_full_kernel(self):
@@ -496,7 +481,9 @@ class TestMemoryBudget:
         n = 50
         monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: 16 * n * n)
         with pytest.raises(
-            ValueError, match=r"N = 50 .* GiB \(one N x N float64 array\).* GiB of memory available"
+            ValueError,
+            match=r"N = 50 .* GiB \(the lower triangle of the N x N float64 kernel system\)"
+            r".* GiB of memory available",
         ):
             fit_krr(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
 
@@ -505,6 +492,18 @@ class TestMemoryBudget:
         available = int(fit_bytes(n) / MEMORY_BUDGET_FRACTION) + 1
         monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: available)
         model = fit_krr(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
+        assert model.coefficients.shape == (n,)
+
+    def test_fit_refused_by_the_full_square_price_now_runs(self, monkeypatch):
+        """A budget below the price of the whole N x N system plus two
+        N x BLOCK_ROWS temporaries, 8 * N * (N + 2 * BLOCK_ROWS) bytes, still
+        fits the lower triangle."""
+        n = 600
+        available = int(fit_bytes(n) / MEMORY_BUDGET_FRACTION) + 1
+        assert 8 * n * (n + 2 * BLOCK_ROWS) > MEMORY_BUDGET_FRACTION * available
+        monkeypatch.setattr(weapo.endmodel, "_available_memory_bytes", lambda: available)
+        rng = np.random.default_rng(16)
+        model = fit_krr(rng.normal(size=(n, 2)), rng.normal(size=n))
         assert model.coefficients.shape == (n,)
 
     def test_check_skipped_without_a_reading(self, monkeypatch):
