@@ -16,8 +16,8 @@ another given y = -1. The triplet model is the symmetric channel with
 rates (1 + a_j) / 2 and (1 - a_j) / 2; the oracle uses the generating
 law's ``tpr`` and ``fpr``. The scorer checks the width and names a vote
 vector of zero probability. Each model scores each vote pattern once
-(``_mv_patterns``, ``_ds_patterns``, ``_fs_patterns``); the public
-functions gather those scores to every record.
+(``_mv_patterns``, ``DSModel.pattern_scores``, ``FSModel.pattern_scores``);
+the public functions gather those scores to every record.
 
 The defaults of the fitting settings live in the fit signatures alone
 (the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from .data import Dataset, Prior, VotePatterns, compress_votes
-from .payload import check_keys, json_object, numbers
+from .payload import check_keys, json_object, json_scalars, numbers
 
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
@@ -93,15 +93,10 @@ class DSModel:
         return int(self.confusion.shape[0])
 
     def to_json_dict(self) -> dict[str, Any]:
-        diag = {
-            k: v
-            for k, v in self.diagnostics.items()
-            if isinstance(v, (int, float, bool, str))
-        }
         return {
             "class_prior": float(self.class_prior),
             "confusion": [[list(map(float, row)) for row in mat] for mat in self.confusion],
-            "diagnostics": diag,
+            "diagnostics": json_scalars(self.diagnostics),
         }
 
     @classmethod
@@ -123,6 +118,11 @@ class DSModel:
             confusion=confusion,
             diagnostics=json_object(payload, "diagnostics"),
         )
+
+    def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
+        """P(y = +1 | v) for each vote pattern v under the fitted naive-Bayes model."""
+        conf = self.confusion
+        return _naive_bayes_posteriors(patterns, self.class_prior, conf[:, 1, 1], conf[:, 0, 1])
 
 
 def _read_payload(
@@ -312,16 +312,10 @@ def _naive_bayes_posteriors(
     return _posterior(lp, ln)
 
 
-def _ds_patterns(model: DSModel, patterns: VotePatterns) -> np.ndarray:
-    """P(y = +1 | v) for each vote pattern v under the fitted naive-Bayes model."""
-    conf = model.confusion
-    return _naive_bayes_posteriors(patterns, model.class_prior, conf[:, 1, 1], conf[:, 0, 1])
-
-
 def ds_posteriors(model: DSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) for every record under the fitted naive-Bayes model."""
     pats = _patterns(votes)
-    return _ds_patterns(model, pats)[pats.inverse]
+    return model.pattern_scores(pats)[pats.inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,6 +346,13 @@ class FSModel:
         if not ((accuracies >= 0.0) & (accuracies < 1.0)).all():
             raise ValueError("fs accuracies must lie in [0, 1)")
         return cls(accuracies=accuracies, class_prior=prior)
+
+    def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
+        """P(y = +1 | v) for each vote pattern v; function j has accuracy (1 + a_j) / 2."""
+        a = self.accuracies
+        return _naive_bayes_posteriors(
+            patterns, self.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0
+        )
 
 
 def check_fs_settings(eps_clip: float | None = None) -> None:
@@ -417,13 +418,7 @@ def fs_fit(
     return fs_fit_from_moments(moments, prior, eps_clip=eps_clip)
 
 
-def _fs_patterns(model: FSModel, patterns: VotePatterns) -> np.ndarray:
-    """P(y = +1 | v) for each vote pattern v, each function a channel of accuracy (1 + a_j) / 2."""
-    a = model.accuracies
-    return _naive_bayes_posteriors(patterns, model.class_prior, (1.0 + a) / 2.0, (1.0 - a) / 2.0)
-
-
 def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
-    """``_fs_patterns`` for every record."""
+    """``FSModel.pattern_scores`` for every record."""
     pats = _patterns(votes)
-    return _fs_patterns(model, pats)[pats.inverse]
+    return model.pattern_scores(pats)[pats.inverse]

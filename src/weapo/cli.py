@@ -31,8 +31,6 @@ from . import __version__
 from .baselines import (
     DSModel,
     FSModel,
-    _ds_patterns,
-    _fs_patterns,
     _mv_patterns,
     check_ds_settings,
     check_fs_settings,
@@ -44,7 +42,7 @@ from .data import Dataset, DatasetFormatError, Prior, VotePatterns, coverage_mas
 from .data import load_dataset, save_dataset
 from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_patterns, pr_auc, roc_auc
-from .model import WeapoConfig, WeapoModel, _pattern_scores, fit
+from .model import WeapoConfig, WeapoModel, fit
 from .payload import check_keys, integer, read_json
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
@@ -62,6 +60,8 @@ _FLAG_READERS = {
 }
 # Keys a model file holds besides the model's own payload.
 ENVELOPE_KEYS = ("model_type", "version", "run")
+# The model_type of each fitted model class a model file can hold.
+_MODEL_CLASSES = {"weapo": WeapoModel, "ds": DSModel, "fs": FSModel}
 
 
 class CliUsageError(Exception):
@@ -177,19 +177,15 @@ def _scorer(payload: dict[str, Any]) -> tuple[int, Scorer]:
     fault of the payload raises ``ValueError``."""
     kind = payload.get("model_type")
     body = {key: value for key, value in payload.items() if key not in ENVELOPE_KEYS}
-    if kind == "weapo":
-        weapo = WeapoModel.from_json_dict(body)
-        return weapo.num_lfs, lambda patterns: _pattern_scores(weapo, patterns)
     if kind == "mv":
         check_keys(body, "mv model payload", ("num_lfs",))
         return integer(body, "num_lfs", minimum=1), _mv_patterns
-    if kind == "ds":
-        ds = DSModel.from_json_dict(body)
-        return ds.num_lfs, lambda patterns: _ds_patterns(ds, patterns)
-    if kind == "fs":
-        fs = FSModel.from_json_dict(body)
-        return fs.num_lfs, lambda patterns: _fs_patterns(fs, patterns)
-    raise ValueError(f"unknown model_type {kind!r} in model file")
+    # A model_type that is not a string is unknown too; a list is not even hashable.
+    cls = _MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown model_type {kind!r} in model file")
+    model = cls.from_json_dict(body)
+    return model.num_lfs, model.pattern_scores
 
 
 def _read_model(path: str) -> tuple[dict[str, Any], int, Scorer]:
@@ -369,7 +365,7 @@ def cmd_compare(args) -> int:
 
     def scorer(name: str) -> Scorer:
         if name == "oracle":
-            return oracle._score
+            return oracle.pattern_scores
         return _scorer(_fit_payload(name, train, settings))[1]
 
     rows: list[dict[str, Any]] = []

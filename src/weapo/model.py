@@ -22,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .data import Dataset, Prior, VotePatterns, coverage_mask
-from .payload import check_keys, json_object, numbers
+from .payload import check_keys, json_object, json_scalars, numbers
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,10 @@ class WeapoModel:
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-ready payload; theta round-trips at full precision."""
-        diag = {
-            k: v
-            for k, v in self.diagnostics.items()
-            if isinstance(v, (int, float, bool, str))
-        }
         return {
             "theta": [float(x) for x in self.theta],
             "config": asdict(self.config),
-            "diagnostics": diag,
+            "diagnostics": json_scalars(self.diagnostics),
         }
 
     @classmethod
@@ -100,29 +95,36 @@ class WeapoModel:
             diagnostics=json_object(payload, "diagnostics"),
         )
 
+    def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
+        """The score ``v . theta`` of each vote pattern v."""
+        width = patterns.rows.shape[1]
+        if width != self.num_lfs:
+            raise ValueError(
+                f"votes have {width} labeling functions, model expects {self.num_lfs}"
+            )
+        return patterns.rows.astype(np.float64) @ self.theta
+
 
 def project_simplex(weights: Sequence[float]) -> np.ndarray:
     """Euclidean projection onto the probability simplex.
 
     Sort-based algorithm: find the largest support size whose shifted
-    values stay positive, then clamp. O(M log M).
+    values stay positive, then clamp. O(M log M). Refuses weights of
+    magnitude 2**53 or more, where the test ``u > u - 1`` of one fails.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D array")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
+    if np.abs(w).max() >= 2.0**53:
+        raise ValueError("weights must be less than 2**53 in magnitude")
     u = np.sort(w)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, w.size + 1)
     support = np.nonzero(u * ks > css - 1.0)[0][-1]
     tau = (css[support] - 1.0) / (support + 1.0)
     return np.maximum(w - tau, 0.0)
-
-
-def _pattern_scores(model: WeapoModel, patterns: VotePatterns) -> np.ndarray:
-    """The score ``v . theta`` of each vote pattern v."""
-    return patterns.rows.astype(np.float64) @ model.theta
 
 
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -132,55 +134,53 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
     back to the records. Uncovered records score exactly 0 since all
     their vote bits are 0.
     """
-    if dataset.num_lfs != model.num_lfs:
-        raise ValueError(
-            f"dataset has {dataset.num_lfs} labeling functions, model expects {model.num_lfs}"
-        )
     pats = dataset.patterns
-    return _pattern_scores(model, pats)[pats.inverse], coverage_mask(dataset)
+    return model.pattern_scores(pats)[pats.inverse], coverage_mask(dataset)
 
 
-def _dual_search(a: np.ndarray, p: float, lam: float, w: float) -> tuple[np.ndarray, int]:
-    """Exact minimizer of ``lam*|theta|^2 + w*|a.theta - p|`` on the simplex.
+def _dual_search(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int]:
+    """Exact minimizer of ``|theta|^2 + ratio*|a.theta - p|`` on the simplex.
 
-    Requires ``w > 0``. Writing ``w*|r|`` as the maximum of ``mu*r`` over
-    ``|mu| <= w`` gives, for each dual value ``mu``, the minimizer
-    ``theta(mu) = project_simplex(-mu*a/(2*lam))``, and ``a.theta(mu)``
-    does not increase as ``mu`` grows. The optimum is ``theta(+w)`` when
-    ``a.theta(+w) >= p``, ``theta(-w)`` when ``a.theta(-w) <= p``, and
-    otherwise ``theta(mu)`` at the root of ``a.theta(mu) = p``. The root
-    is bisected until no float lies between the bracket ends, and the end
-    with the lower objective is kept. Returns theta and the number of
-    projections made.
+    Requires ``ratio > 0``; ``inf`` stands for a zero regularizer. Writing
+    ``ratio*|d|`` as the maximum of ``2*t*d`` over ``|t| <= ratio/2``
+    gives, for each dual value ``t``, the minimizer
+    ``theta(t) = project_simplex(-t*a)``, and ``a.theta(t)`` does not
+    increase as ``t`` grows. The optimum is ``theta(+ratio/2)`` when
+    ``a.theta(+ratio/2) >= p``, ``theta(-ratio/2)`` when
+    ``a.theta(-ratio/2) <= p``, and otherwise ``theta(t)`` at the root of
+    ``a.theta(t) = p``. The root is bisected until no float lies between
+    the bracket ends, and the end with the lower objective is kept.
+    Returns theta and the number of projections made.
 
-    ``lam == 0`` returns the minimum-norm minimizer, the ``lam -> 0+``
-    limit. When ``p`` lies outside ``[min a, max a]`` that is the uniform
-    weight on the entries of ``a`` nearest ``p``. Otherwise it is the
-    minimizer of ``|theta|^2 + w'*|a.theta - p|`` for any ``w'`` above the
-    dual value of the constraint ``a.theta = p``. That dual value is below
-    ``2 / gap`` in size, where ``gap`` is the smallest spacing between
-    distinct entries of ``a``: beyond it ``theta(mu)`` sits on the face of
-    the smallest (or largest) entries, whose mean score misses ``p``.
+    Past ``t = 2/gap``, where ``gap`` is the smallest spacing between
+    distinct entries of ``a`` (1 when they are all equal), ``theta(t)``
+    is the uniform weight on the smallest entries of ``a``, and below
+    ``-2/gap`` on the largest, so no ratio beyond ``4/gap`` changes theta.
+    The ratio is capped there; at the cap a ``p`` outside
+    ``(min a, max a)`` gets that face exactly, with no projection. The
+    capped search is the minimum-norm minimizer of ``|a.theta - p|``, the
+    limit of a vanishing regularizer.
     """
-    if lam == 0.0:
+    cap = 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
+    if ratio >= cap:
         if p <= a.min() or p >= a.max():
             face = a == (a.min() if p <= a.min() else a.max())
             return face / face.sum(), 0
-        lam, w = 1.0, 4.0 / float(np.diff(np.unique(a)).min())
+        ratio = cap
 
-    def theta_at(mu: float) -> np.ndarray:
-        return project_simplex((-mu / (2.0 * lam)) * a)
+    def theta_at(t: float) -> np.ndarray:
+        return project_simplex(-t * a)
 
     def value(th: np.ndarray) -> float:
-        return lam * float(th @ th) + w * abs(float(a @ th) - p)
+        return float(th @ th) + ratio * abs(float(a @ th) - p)
 
-    theta_hi = theta_at(w)
+    lo, hi = -ratio / 2.0, ratio / 2.0
+    theta_hi = theta_at(hi)
     if float(a @ theta_hi) >= p:
         return theta_hi, 1
-    theta_lo = theta_at(-w)
+    theta_lo = theta_at(lo)
     if float(a @ theta_lo) <= p:
         return theta_lo, 2
-    lo, hi = -w, w
     projections = 2
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
@@ -223,10 +223,13 @@ def fit(
     Deterministic: identical inputs produce bitwise-identical theta. On
     the simplex the hinge term is identically zero, so the objective
     reduces to ``lam*|theta|^2 + w*|a.theta - p|`` with ``a`` the mean
-    vote vector over all records, which ``_dual_search`` minimizes. Without
-    the prior term (``use_prior`` off or ``prior_weight == 0``) the
-    minimizer is the uniform vector. ``a`` is the count-weighted mean of
-    the rows of ``dataset.patterns``; ``num_slices`` counts its non-zero rows.
+    vote vector over all records. Divided by ``lam``, it depends on
+    ``lam`` and ``w`` only through ``w/lam`` (``inf`` when ``lam`` is 0),
+    which is all ``_dual_search`` takes; the reported terms use ``lam``
+    and ``w``. Without the prior term (``use_prior`` off or
+    ``prior_weight == 0``) the minimizer is the uniform vector. ``a`` is
+    the count-weighted mean of the rows of ``dataset.patterns``;
+    ``num_slices`` counts its non-zero rows.
     """
     cfg = config if config is not None else WeapoConfig()
     if cfg.use_prior and prior is None:
@@ -238,9 +241,8 @@ def fit(
     m = dataset.num_lfs
     mean_votes = (pats.counts @ pats.rows) / len(dataset)
     if cfg.use_prior and cfg.prior_weight > 0.0:
-        theta, projections = _dual_search(
-            mean_votes, prior.p_plus, cfg.lambda_reg, cfg.prior_weight
-        )
+        ratio = float(cfg.prior_weight) / float(cfg.lambda_reg) if cfg.lambda_reg else math.inf
+        theta, projections = _dual_search(mean_votes, prior.p_plus, ratio)
     else:
         theta, projections = np.full(m, 1.0 / m, dtype=np.float64), 0
     reg = cfg.lambda_reg * float(theta @ theta)

@@ -3,8 +3,8 @@
 ``read_json`` reads every JSON file weapo reads except datasets, and
 names the path in each error. ``check_keys``, ``numbers``, ``integer``
 and ``json_object`` check the value and name the offending key; a bool,
-string or null is never a number. ``not_utf8`` also serves the dataset
-loader.
+string or null is never a number. ``json_scalars`` picks the diagnostics
+a model file writes. ``not_utf8`` also serves the dataset loader.
 """
 
 from __future__ import annotations
@@ -107,3 +107,8 @@ def json_object(payload: dict[str, Any], key: str) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise ValueError(f"key {key!r} must be a JSON object")
     return dict(value)
+
+
+def json_scalars(values: dict[str, Any]) -> dict[str, Any]:
+    """The entries of ``values`` that are JSON scalars: int, float, bool or str."""
+    return {k: v for k, v in values.items() if isinstance(v, (int, float, bool, str))}

@@ -6,9 +6,9 @@ false-positive rates; optional features come from one of two Gaussians
 with a shared isotropic scale. Because the generating law is known
 exactly, Bayes-optimal posteriors and population vote moments are
 available in closed form for use as oracles. The Bayes oracle is the
-naive-Bayes posterior under the generating law, so it scores through the
-one naive-Bayes scorer of ``baselines`` that Dawid-Skene and the triplet
-method share, once per distinct vote pattern.
+naive-Bayes posterior under the generating law, so its ``pattern_scores``
+scores through the one naive-Bayes scorer of ``baselines`` that
+Dawid-Skene and the triplet method share, once per distinct vote pattern.
 
 Generation is columnar: records are drawn in fixed-size blocks, each
 from its own spawned Philox stream, so a run costs one stream set-up per
@@ -194,10 +194,10 @@ class OracleTable:
     """Closed-form Bayes posteriors P(y = +1 | votes) for a spec.
 
     The generating law is a naive-Bayes model with prior ``p_plus`` and
-    fire rates ``tpr`` and ``fpr``, so ``posterior`` and ``scores`` score
-    through the naive-Bayes scorer that Dawid-Skene and the triplet method
-    share; it checks the width and names a vote vector of zero
-    probability. ``posterior`` scores one vector as a one-row array.
+    fire rates ``tpr`` and ``fpr``, so ``pattern_scores`` scores through
+    the naive-Bayes scorer that Dawid-Skene and the triplet method share;
+    it checks the width and names a vote vector of zero probability.
+    ``posterior`` scores one vector as a one-row array.
     """
 
     spec: SyntheticSpec
@@ -212,14 +212,14 @@ class OracleTable:
         if not np.isin(row, (0, 1)).all():
             votes = tuple(row[0].tolist())
             raise ValueError(f"vote vector {votes} holds a value other than 0 or 1")
-        return float(self._score(compress_votes(row))[0])
+        return float(self.pattern_scores(compress_votes(row))[0])
 
     def scores(self, dataset: Dataset) -> np.ndarray:
         """Oracle posterior for every record of a compatible dataset."""
         pats = _patterns(dataset)
-        return self._score(pats)[pats.inverse]
+        return self.pattern_scores(pats)[pats.inverse]
 
-    def _score(self, patterns: VotePatterns) -> np.ndarray:
+    def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
         """The posterior of each vote pattern."""
         tpr, fpr = np.array(self.spec.tpr), np.array(self.spec.fpr)
         return _naive_bayes_posteriors(patterns, self.spec.p_plus, tpr, fpr)

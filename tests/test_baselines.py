@@ -22,9 +22,11 @@ from weapo import (
     fs_posteriors,
     generate,
     mv_scores,
+    oracle_posteriors,
     predict_dataset,
 )
 from weapo.baselines import FSModel
+from weapo.model import WeapoModel
 
 from oracles import dawid_skene_per_row, signed_second_moments
 
@@ -532,3 +534,21 @@ def test_dominating_pattern_never_scores_lower(case):
         scores["weapo"] = predict_dataset(model, dataset)[0]
     for name, values in scores.items():
         assert (values[:, None] >= values[None, :])[dominates].all(), name
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        WeapoModel(theta=np.full(3, 1 / 3), config=WeapoConfig()),
+        DSModel(class_prior=0.5, confusion=np.full((3, 2, 2), 0.5)),
+        FSModel(accuracies=np.full(3, 0.5), class_prior=0.5),
+        oracle_posteriors(SyntheticSpec(p_plus=0.5, tpr=(0.7,) * 3, fpr=(0.2,) * 3, n=0)),
+    ],
+    ids=["weapo", "ds", "fs", "oracle"],
+)
+def test_pattern_scores_name_both_widths(model):
+    """Every model's per-pattern scorer refuses votes of another width and
+    names both widths."""
+    patterns = make_dataset([(1, 0), (0, 1)]).patterns
+    with pytest.raises(ValueError, match=r"votes have 2 \w+( \w+)?, model expects 3"):
+        model.pattern_scores(patterns)

@@ -250,6 +250,19 @@ class TestFitCommand:
         theta = np.array(read_json(model_path)["theta"])
         np.testing.assert_allclose(theta, np.full(3, 1 / 3), atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "flags", [["--prior-weight", "1e17"], ["--lambda-reg", "1e-320"]], ids=["w", "lambda"]
+    )
+    def test_extreme_weapo_ratio_fits(self, informative_files, tmp_path, capsys, flags):
+        """A ratio w/lambda_reg far past the cap, or beyond the float range,
+        fits as the capped ratio does: theta on the simplex, no error."""
+        model_path = tmp_path / "model.json"
+        code = main(["fit", informative_files["train"], "--model", "weapo", "--prior", "0.3",
+                     *flags, "--out", str(model_path), "--quiet"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        theta = np.array(read_json(model_path)["theta"])
+        assert (theta >= 0.0).all() and abs(theta.sum() - 1.0) <= 1e-9
+
     def test_ds_runs_without_prior(self, informative_files, tmp_path):
         model_path = tmp_path / "ds.json"
         assert main(
@@ -708,8 +721,9 @@ class TestEvalCommand:
              "weapo theta must sum to 1, got 1.8"),
             ({"model_type": "mv", "num_lfs": 0}, "key 'num_lfs' must be an integer of at least 1"),
             ({"model_type": "nb"}, "unknown model_type 'nb' in model file"),
+            ({"model_type": ["weapo"]}, "unknown model_type ['weapo'] in model file"),
         ],
-        ids=["weapo-theta", "mv-num-lfs", "unknown-type"],
+        ids=["weapo-theta", "mv-num-lfs", "unknown-type", "list-type"],
     )
     def test_payload_error_names_the_model_file(self, tmp_path, capsys, payload, message):
         test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0)], gold=[1, -1])
@@ -1022,6 +1036,14 @@ class TestCompareCommand:
         oracle_roc = rows[-1]["roc_auc"]
         for row in rows[:-1]:
             assert oracle_roc >= row["roc_auc"] - 0.02
+
+    def test_huge_prior_weight(self, informative_files, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        code = main(["compare", informative_files["train"], informative_files["test"],
+                     "--models", "weapo,mv", "--prior", "0.3", "--prior-weight", "1e308",
+                     "--out", str(out), "--quiet"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert [row["error"] for row in read_json(out)["rows"]] == [None, None]
 
     def test_each_file_is_compressed_once(self, informative_files, tmp_path, monkeypatch):
         calls = []

@@ -22,8 +22,8 @@ def test_tree_against_itself_is_identical():
     code, summary = run_identity(ROOT)
     assert code == 0 and summary["identical"]
     assert summary["input_sets"] == ["end-krr-seed1", "tall-m8-seed1", "wide-m16-seed1"]
-    # 16 output files and 14 commands per input set; every command succeeded.
-    assert (summary["files"], summary["logs"]) == (48, 42)
+    # 20 output files and 18 commands per input set; every command succeeded.
+    assert (summary["files"], summary["logs"]) == (60, 54)
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["failed_in_head"] == []
 
@@ -42,6 +42,6 @@ def test_one_changed_output_digit_is_caught(tmp_path):
     assert summary["differing"] == sorted(
         f"{name}/out/eval-{model}.json"
         for name in summary["input_sets"]
-        for model in ("weapo", "weapo-noprior", "mv", "ds", "fs")
+        for model in ("weapo", "weapo-noprior", "mv", "ds", "fs", "weapo-lam0", "weapo-lam3")
     )
     assert summary["only_in_base"] == summary["only_in_head"] == []

@@ -73,6 +73,16 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex([])
 
+    def test_weights_from_2_to_53_rejected(self):
+        """From 2**53 on, the support test of one entry, ``u > u - 1``,
+        fails in float64; just below the bound the projection still works."""
+        below = np.nextafter(2.0**53, 0.0)
+        assert project_simplex([below, 0.0]).tolist() == [1.0, 0.0]
+        assert project_simplex([0.0, -below]).tolist() == [1.0, 0.0]
+        for weights in ([2.0**53, 0.0], [0.0, -(2.0**53)], [1e16, 0.0], [-1e16, -1e16]):
+            with pytest.raises(ValueError, match=r"less than 2\*\*53 in magnitude"):
+                project_simplex(weights)
+
 
 class TestScore:
     def test_half_weight(self):
@@ -257,7 +267,7 @@ class TestFit:
             p = float(rng.uniform(0.05, 0.95))
             model = fit(ds, Prior(p))
             mean_votes = ds.votes_matrix.astype(np.float64).mean(axis=0)
-            theta, _ = _dual_search(mean_votes, p, 1.0, 1.0)
+            theta, _ = _dual_search(mean_votes, p, 1.0)
             assert model.theta.tobytes() == theta.tobytes()
             assert model.diagnostics["num_slices"] == len(build_slices(ds).slices)
 
@@ -275,6 +285,110 @@ class TestFit:
             model = fit(ds, Prior(float(rng.uniform(0.1, 0.9))))
             assert (model.theta >= -1e-12).all()
             assert abs(model.theta.sum() - 1.0) <= 1e-9
+
+
+def random_fit_case(rng):
+    """A dataset of 2 to 8 functions of random firing rates, and its mean
+    vote vector ``a`` computed as ``fit`` computes it."""
+    m, n = int(rng.integers(2, 9)), int(rng.integers(20, 300))
+    votes = (rng.random((n, m)) < rng.uniform(0.05, 0.6, m)).astype(np.int8)
+    votes[0, 0] = 1
+    ds = Dataset(ids=tuple(f"r{i}" for i in range(n)), votes_matrix=votes)
+    return ds, (ds.patterns.counts @ ds.patterns.rows) / n
+
+
+def ratio_and_cap(a, lam, w):
+    """w/lam (inf at lam = 0), and 4/gap, past which theta no longer changes."""
+    return w / lam if lam else np.inf, 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
+
+
+def band(a, r):
+    """The priors between these two mean scores are the ones that move theta."""
+    return float(a @ project_simplex(-(r / 2) * a)), float(a @ project_simplex((r / 2) * a))
+
+
+class TestWhatTheFitReducesTo:
+    """theta depends on (lambda_reg, prior_weight) only through their ratio
+    w/lam, and on the prior only inside a band of mean scores."""
+
+    def test_theta_depends_on_lambda_and_weight_only_through_their_ratio(self):
+        """(lam, w) and (c*lam, c*w) give bitwise-equal theta whenever the
+        two ratios are the same float, for priors in the band and out of it."""
+        rng = np.random.default_rng(21)
+        pairs = 0
+        for _ in range(40):
+            ds, a = random_fit_case(rng)
+            lam, w = (float(x) for x in rng.uniform(0.1, 10.0, 2))
+            low, high = band(a, min(ratio_and_cap(a, lam, w)))
+            for p in (float(rng.uniform(low, high)), low / 2, (high + 1) / 2):
+                if not 0 < p < 1:
+                    continue
+                theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta
+                for c in (3.0, 0.1, 7.0, 1e-3, 1e3):
+                    if (c * w) / (c * lam) == w / lam:
+                        cfg = WeapoConfig(lambda_reg=c * lam, prior_weight=c * w)
+                        assert fit(ds, Prior(p), cfg).theta.tobytes() == theta.tobytes()
+                        pairs += 1
+        assert pairs >= 200
+
+    def test_outside_the_band_theta_is_the_closed_form(self):
+        """With r the capped ratio, every p at or below a.theta(+r/2) gives
+        project_simplex(-(r/2)*a) bitwise, and every p at or above
+        a.theta(-r/2) its mirror. Past the cap, a p outside [min a, max a]
+        gets the uniform weight on the nearest entries of a exactly."""
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            ds, a = random_fit_case(rng)
+            if np.unique(a).size < 2:
+                continue
+            for lam, w in ((1.0, 1.0), (1.0, 10.0), (0.5, 2.0), (0.0, 1.0), (1.0, 1e17)):
+                ratio, cap = ratio_and_cap(a, lam, w)
+                r = min(ratio, cap)
+                low, high = band(a, r)
+                cases = [(p, -1) for p in (low, low * 0.999, a.min() / 2)]
+                cases += [(p, 1) for p in (high, (high + 1) / 2, (a.max() + 1) / 2)]
+                for p, side in cases:
+                    if not 0 < p < 1:
+                        continue
+                    model = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w))
+                    nearest = a.min() if side < 0 else a.max()
+                    if ratio >= cap and (p - nearest) * side >= 0:
+                        expected = (a == nearest) / (a == nearest).sum()
+                    else:
+                        expected = project_simplex(side * (r / 2) * a)
+                    assert model.theta.tobytes() == expected.tobytes()
+
+    def test_inside_the_band_the_mean_score_meets_the_prior(self):
+        """Inside the band a.theta = p to a few ulps: the bisection ends
+        on adjacent dual values t, and a.theta(t) moves by at most M/4
+        times the change in t."""
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            ds, a = random_fit_case(rng)
+            for lam, w in ((1.0, 1.0), (1.0, 10.0), (3.0, 3.0), (0.0, 1.0)):
+                r = min(ratio_and_cap(a, lam, w))
+                low, high = band(a, r)
+                p = float(rng.uniform(low, high))
+                if not 0 < p < 1:
+                    continue
+                theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta
+                assert abs(float(a @ theta) - p) <= 4 * np.spacing(p) + 2 * np.spacing(r / 2)
+
+    def test_huge_ratios_and_zero_lambda_give_one_theta(self):
+        """w/lam = 1e17, 1e308, a ratio past the float range and lam = 0
+        all give the same theta, bitwise, in the band and outside it."""
+        rng = np.random.default_rng(24)
+        settings = ((1.0, 1e17), (1.0, 1e308), (1e-10, 1e300), (0.0, 1.0))
+        for _ in range(30):
+            ds, a = random_fit_case(rng)
+            for p in (float(rng.uniform(a.min(), a.max())), a.min() / 2, (a.max() + 1) / 2):
+                if not 0 < p < 1:
+                    continue
+                thetas = {
+                    fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta.tobytes()
+                    for lam, w in settings
+                }
+                assert len(thetas) == 1
 
 
 class TestFitSupervised:

@@ -13,7 +13,8 @@ at a few hundred records with seed 1 only, which takes seconds. On every
 input set both trees run the same commands:
 
 * ``synth --spec``;
-* ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs;
+* ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs, and of
+  weapo at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``;
 * ``compare`` of all five with ``--oracle``;
 * ``end`` with the weapo model, without and with ``--gamma 0.3 --alpha 0.5``.
 
@@ -46,6 +47,13 @@ from workloads import WORKLOADS, make_inputs  # noqa: E402
 MODELS = ("weapo", "weapo-noprior", "mv", "ds", "fs")
 # The models whose fit reads --prior; the others refuse the flag.
 PRIOR_MODELS = ("weapo", "ds", "fs")
+# Each fitted model file: its name, the model and its fitting flags. The
+# weapo fits past the defaults reach the capped dual search (lambda 0)
+# and a ratio w/lambda of 1 from other values.
+FITS = [(model, model, []) for model in MODELS] + [
+    ("weapo-lam0", "weapo", ["--lambda-reg", "0"]),
+    ("weapo-lam3", "weapo", ["--lambda-reg", "3", "--prior-weight", "3"]),
+]
 SEEDS = (1, 7)
 SMALL_N, SMALL_N_END = 400, 150
 
@@ -76,13 +84,13 @@ def commands(prior: float) -> list[tuple[str, list[str]]]:
     """The named commands run on one input set, with paths relative to it."""
     flag = ["--prior", repr(prior)]
     cmds = [("synth", ["synth", "--spec", "in/synth_spec.json", "--out", "out/synth.jsonl"])]
-    for model in MODELS:
-        cmds.append((f"fit-{model}", ["fit", "in/train.jsonl", "--model", model,
-                                      *(flag if model in PRIOR_MODELS else []),
-                                      "--out", f"out/fit-{model}.json"]))
-    for model in MODELS:
-        cmds.append((f"eval-{model}", ["eval", f"out/fit-{model}.json", "in/test.jsonl",
-                                       "--out", f"out/eval-{model}.json"]))
+    for name, model, extra in FITS:
+        cmds.append((f"fit-{name}", ["fit", "in/train.jsonl", "--model", model,
+                                     *(flag if model in PRIOR_MODELS else []), *extra,
+                                     "--out", f"out/fit-{name}.json"]))
+    for name, _, _ in FITS:
+        cmds.append((f"eval-{name}", ["eval", f"out/fit-{name}.json", "in/test.jsonl",
+                                      "--out", f"out/eval-{name}.json"]))
     cmds.append(("compare", ["compare", "in/train.jsonl", "in/test.jsonl", "--models",
                              ",".join(MODELS), *flag, "--oracle", "in/oracle_spec.json",
                              "--out", "out/compare.json"]))
