@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Any, Callable, Sequence
@@ -165,6 +166,12 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     else:
         model = fit(train, prior, replace(settings["weapo"], use_prior=name == "weapo"))
         name = "weapo"
+        if not math.isfinite(model.diagnostics["objective"]):
+            raise ValueError(
+                "the weapo objective overflows float64 at these --lambda-reg and "
+                "--prior-weight; divide both by the same power of two, which leaves "
+                "theta unchanged"
+            )
     return {"model_type": name, **model.to_json_dict()}
 
 

@@ -9,7 +9,8 @@ coverage because it scores features, not votes.
 Memory: the fit holds only the lower triangle of the symmetric kernel
 system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
 float64 (150 MB at N = 6000), factored in place, plus N x ``BLOCK_ROWS``
-float64 of block temporaries or diagonal inverses. The residual check
+float64 of diagonal inverses. A kernel block is built in the array it
+is returned in, with one cache-sized chunk buffer. The residual check
 rebuilds the panels one at a time instead of keeping a copy of the
 system. Before allocating the panels, ``fit_krr`` refuses a fit that
 needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating
@@ -32,6 +33,11 @@ MEMORY_BUDGET_FRACTION = 0.8
 # triangular solves and predict_krr. Each block temporary is at most
 # BLOCK_ROWS x N float64.
 BLOCK_ROWS = 256
+# Doubles per row chunk of the kernel's elementwise passes (256 KiB), so
+# that each chunk stays in cache from one pass to the next.
+KERNEL_CHUNK_DOUBLES = 2**15
+# Rows at which _lower_inverse stops halving and inverts directly.
+INVERSE_BASE_ROWS = 32
 
 
 def make_targets(
@@ -77,20 +83,24 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
 
 def _kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     """``rbf_kernel`` of checked 2-D float64 features, without the checks."""
-    # Built in place: at most this array and one cross-product array of
-    # the same shape are alive at once. ``x @ y.T`` stays one call so that
-    # numpy uses the symmetric BLAS product when ``x is y``.
-    sq = np.add.outer((x * x).sum(axis=1), (y * y).sum(axis=1))
-    cross = x @ y.T
-    cross *= 2.0
-    np.subtract(sq, cross, out=sq)
-    del cross
-    np.maximum(sq, 0.0, out=sq)
-    # A product beyond the float range saturates to -inf, a kernel value of 0.
-    with np.errstate(over="ignore"):
-        np.multiply(sq, -gamma, out=sq)
-    np.exp(sq, out=sq)
-    return sq
+    # ``x @ y.T`` is one call, into the array returned, so that numpy uses
+    # the symmetric BLAS product when ``x is y``. The rest runs over row
+    # chunks in cache, in the plain expression's order and rounding.
+    kernel = x @ y.T
+    x_sq, y_sq = (x * x).sum(axis=1), (y * y).sum(axis=1)
+    step = max(1, KERNEL_CHUNK_DOUBLES // max(len(y), 1))
+    buffer = np.empty((min(step, len(x)), len(y)))
+    for start in range(0, len(x), step):
+        chunk = kernel[start : start + step]
+        sq = np.add.outer(x_sq[start : start + step], y_sq, out=buffer[: len(chunk)])
+        chunk *= 2.0
+        np.subtract(sq, chunk, out=chunk)
+        np.maximum(chunk, 0.0, out=chunk)
+        # A product beyond the float range saturates to -inf, a kernel value of 0.
+        with np.errstate(over="ignore"):
+            np.multiply(chunk, -gamma, out=chunk)
+        np.exp(chunk, out=chunk)
+    return kernel
 
 
 def default_gamma(features: np.ndarray) -> float:
@@ -161,9 +171,9 @@ def _blocks(n: int) -> list[slice]:
 def fit_bytes(n: int) -> int:
     """Bytes an exact fit on ``n`` records holds at its peak: the lower
     triangle of the system as panels of b = min(n, ``BLOCK_ROWS``) rows,
-    at most n * (n + b) / 2 doubles, plus n x b doubles for either the
-    kernel build's cross product or the inverses of the diagonal factors,
-    plus two b x b temporaries of the factorization."""
+    at most n * (n + b) / 2 doubles, plus n x b doubles for the inverses
+    of the diagonal factors, plus two b x b temporaries of the
+    factorization; the kernel build's chunk buffer is not priced."""
     b = min(n, BLOCK_ROWS)
     return 8 * (n * (n + b) // 2 + n * b + 2 * b * b)
 
@@ -180,9 +190,10 @@ def _ridge_panels(features: np.ndarray, gamma: float, alpha: float) -> Iterator[
 
 def _lower_inverse(factor: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix by recursive halving, so that
-    all of its work is matrix products."""
-    if len(factor) == 1:
-        return 1.0 / factor
+    most of its work is matrix products, down to blocks of at most
+    ``INVERSE_BASE_ROWS`` rows, inverted directly."""
+    if len(factor) <= INVERSE_BASE_ROWS:
+        return np.tril(np.linalg.inv(factor))
     half = len(factor) // 2
     top = _lower_inverse(factor[:half, :half])
     bottom = _lower_inverse(factor[half:, half:])
@@ -258,9 +269,9 @@ def fit_krr(
     -----
     The fit holds the lower triangle of the system ``K + alpha * I`` as
     ``BLOCK_ROWS``-row panels, at most 4 * N * (N + ``BLOCK_ROWS``) bytes
-    (150 MB at N = 6000), plus N x ``BLOCK_ROWS`` float64 of block
-    temporaries or diagonal inverses (``fit_bytes``: 163 MB at N = 6000).
-    Before allocating the panels, the fit compares that size with
+    (150 MB at N = 6000), plus N x ``BLOCK_ROWS`` float64 of diagonal
+    inverses (``fit_bytes``: 163 MB at N = 6000); each panel is built in
+    place. Before allocating the panels, the fit compares that size with
     ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in ``/proc/meminfo``
     and raises ``ValueError`` naming N, the GiB needed and the GiB
     available when it does not fit. The check is skipped where that file
@@ -271,8 +282,9 @@ def fit_krr(
     A blocked Cholesky factorization (about N**3 / 3 flops) overwrites
     the panels with the factor L by block rows, each block left of the
     diagonal by two GEMMs, one by the inverse of an earlier diagonal
-    factor; the substitutions reuse those inverses. A diagonal block that
-    is not positive definite means the system is singular. numpy's
+    factor, inverted by halving down to ``INVERSE_BASE_ROWS`` rows; the
+    substitutions reuse those inverses. A diagonal block that is not
+    positive definite means the system is singular. numpy's
     factorization does not check its input for NaN or inf, so non-finite
     features, targets, ``gamma`` or ``alpha`` are rejected here, and so
     are features large enough for their squared distances to overflow.

@@ -110,7 +110,9 @@ def project_simplex(weights: Sequence[float]) -> np.ndarray:
 
     Sort-based algorithm: find the largest support size whose shifted
     values stay positive, then clamp. O(M log M). Refuses weights of
-    magnitude 2**53 or more, where the test ``u > u - 1`` of one fails.
+    magnitude 2**53 or more, where the test ``u > u - 1`` of one fails,
+    and weights large enough for the shift to round the result off the
+    simplex (a sum off 1 by more than 1e-9).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
@@ -124,7 +126,10 @@ def project_simplex(weights: Sequence[float]) -> np.ndarray:
     ks = np.arange(1, w.size + 1)
     support = np.nonzero(u * ks > css - 1.0)[0][-1]
     tau = (css[support] - 1.0) / (support + 1.0)
-    return np.maximum(w - tau, 0.0)
+    projection = np.maximum(w - tau, 0.0)
+    if abs(projection.sum() - 1.0) > 1e-9:
+        raise ValueError("weights too large in magnitude to project onto the simplex")
+    return projection
 
 
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

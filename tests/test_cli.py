@@ -263,6 +263,25 @@ class TestFitCommand:
         theta = np.array(read_json(model_path)["theta"])
         assert (theta >= 0.0).all() and abs(theta.sum() - 1.0) <= 1e-9
 
+    def test_overflowing_objective_names_the_flags(self, tmp_path, capsys):
+        """At lambda_reg = prior_weight = 1.7e308 the objective, their
+        weighted sum, overflows; the fit exits 1 naming both flags and
+        writes no file. Halving both fits the same theta."""
+        train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (1, 0), (0, 0)])
+        base = ["fit", train, "--model", "weapo", "--prior", "0.99", "--quiet"]
+        model_path = tmp_path / "m.json"
+        huge = ["--lambda-reg", "1.7e308", "--prior-weight", "1.7e308"]
+        assert main([*base, *huge, "--out", str(model_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the weapo objective overflows float64")
+        assert "--lambda-reg" in err and "--prior-weight" in err
+        assert not model_path.exists()
+        halved = ["--lambda-reg", "0.85e308", "--prior-weight", "0.85e308"]
+        assert main([*base, *halved, "--out", str(model_path)]) == 0
+        unit_path = tmp_path / "unit.json"
+        assert main([*base, "--out", str(unit_path)]) == 0
+        assert read_json(model_path)["theta"] == read_json(unit_path)["theta"]
+
     def test_ds_runs_without_prior(self, informative_files, tmp_path):
         model_path = tmp_path / "ds.json"
         assert main(

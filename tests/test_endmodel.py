@@ -27,6 +27,8 @@ from weapo import (
 )
 from weapo.endmodel import (
     BLOCK_ROWS,
+    INVERSE_BASE_ROWS,
+    KERNEL_CHUNK_DOUBLES,
     MEMORY_BUDGET_FRACTION,
     default_gamma,
     fit_bytes,
@@ -86,6 +88,32 @@ class TestRbfKernel:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(301, 4))
         y = x if same else rng.normal(size=(177, 4))
+        kernel = rbf_kernel(x, y, 0.37)
+        np.testing.assert_array_equal(
+            kernel, rbf_kernel_three_temporaries(x, y, 0.37), strict=True
+        )
+
+    @pytest.mark.parametrize(
+        "x_rows, y_rows, same",
+        [
+            # A chunk holds KERNEL_CHUNK_DOUBLES // y_rows rows: here one.
+            (3, KERNEL_CHUNK_DOUBLES // 2 + 1, False),
+            # Three full chunks and five rows more.
+            (3 * (KERNEL_CHUNK_DOUBLES // 1000) + 5, 1000, False),
+            (1, 1000, False),
+            # Twelve chunks of the symmetric product.
+            (600, 600, True),
+        ],
+        ids=["one-row-chunks", "partial-last-chunk", "one-row-x", "x-is-y-chunks"],
+    )
+    def test_chunked_build_matches_three_temporaries_bitwise(self, x_rows, y_rows, same):
+        """The elementwise passes run over row chunks of at most
+        KERNEL_CHUNK_DOUBLES entries: one row a chunk for a y that wide,
+        a partial last chunk, a single row, and ``x is y`` over several
+        chunks all round exactly as the plain expression does."""
+        rng = np.random.default_rng(x_rows + y_rows)
+        x = rng.normal(size=(x_rows, 4))
+        y = x if same else rng.normal(size=(y_rows, 4))
         kernel = rbf_kernel(x, y, 0.37)
         np.testing.assert_array_equal(
             kernel, rbf_kernel_three_temporaries(x, y, 0.37), strict=True
@@ -250,6 +278,44 @@ class TestFitKrr:
         bound = 4 * n * np.finfo(np.float64).eps * (1 + n / alpha)
         error = np.abs(model.coefficients - expected).max()
         assert error <= bound * np.abs(expected).max()
+
+    def test_coefficients_match_lu_oracle_at_default_blocks(self):
+        """At the default BLOCK_ROWS each diagonal factor is inverted by
+        halving down to INVERSE_BASE_ROWS rows, a path the 8-wide blocks
+        above never take; the bound is theirs."""
+        n = 2 * BLOCK_ROWS + 89
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        alpha = 0.05
+        model = fit_krr(x, t, gamma=0.4, alpha=alpha)
+        expected = krr_coefficients_lu(rbf_kernel_three_temporaries(x, x, 0.4), alpha, t)
+        bound = 4 * n * np.finfo(np.float64).eps * (1 + n / alpha)
+        error = np.abs(model.coefficients - expected).max()
+        assert error <= bound * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, INVERSE_BASE_ROWS - 1, INVERSE_BASE_ROWS, INVERSE_BASE_ROWS + 1,
+         64, 100, 255, 256],
+        ids=lambda n: f"n{n}",
+    )
+    def test_lower_inverse(self, n):
+        """Halving stops at INVERSE_BASE_ROWS rows, whose blocks are inverted
+        directly: the inverse of a Cholesky factor L of a kernel system is
+        exactly zero above the diagonal, and ``inverse @ L - I`` is within
+        n * eps * |inverse| * |L| in the infinity norm, the size of the
+        rounding error of a triangular inverse."""
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        factor = np.linalg.cholesky(
+            ridge_system_with_identity(rbf_kernel_three_temporaries(x, x, 0.4), 0.05)
+        )
+        inverse = weapo.endmodel._lower_inverse(factor)
+        assert inverse.shape == (n, n)
+        assert (np.triu(inverse, 1) == 0.0).all()
+        norms = np.abs(inverse).sum(axis=1).max() * np.abs(factor).sum(axis=1).max()
+        residual = np.abs(inverse @ factor - np.eye(n)).max()
+        assert residual <= n * np.finfo(np.float64).eps * norms
 
     def test_near_duplicates_rejected_at_zero_ridge(self):
         """Points 1e-6 to 1e-10 apart make K singular to working precision;
@@ -453,11 +519,11 @@ class TestMemory:
 
     def test_fit_holds_one_dense_array(self):
         """The lower triangle of the kernel system as row-block panels,
-        factored in place, plus N x BLOCK_ROWS of block temporaries or
-        diagonal inverses: about 0.7 * 8 * N**2 bytes at N = 2000. A stored
-        upper triangle, a solve that copies the system, or a kernel built
-        in one call would each cost another 0.5 to 1 * 8 * N**2. The memory
-        budget ``fit_bytes`` prices this peak, up to a megabyte of vectors."""
+        factored in place, plus N x BLOCK_ROWS of diagonal inverses: about
+        0.7 * 8 * N**2 bytes at N = 2000. A stored upper triangle, a solve
+        that copies the system, or a kernel built in one call would each
+        cost another 0.5 to 1 * 8 * N**2. The memory budget ``fit_bytes``
+        prices this peak, up to a megabyte of vectors."""
         n = 2000
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, 3))
@@ -474,6 +540,16 @@ class TestMemory:
         test = rng.normal(size=(n_test, 3))
         peak = self.traced_peak(lambda: predict_krr(model, test))
         assert peak < n_test * n_train * 8
+
+    def test_kernel_holds_one_output_array(self):
+        """``x @ y.T`` is formed in the array returned and the elementwise
+        passes reuse one chunk buffer of KERNEL_CHUNK_DOUBLES, so a
+        256 x 6000 block peaks near its own size; a squared-distance array
+        beside the cross product would double it."""
+        rng = np.random.default_rng(17)
+        x, y = rng.normal(size=(256, 4)), rng.normal(size=(6000, 4))
+        peak = self.traced_peak(lambda: weapo.endmodel._kernel(x, y, 0.3))
+        assert peak <= 1.1 * 256 * 6000 * 8
 
 
 class TestMemoryBudget:

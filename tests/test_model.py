@@ -83,6 +83,16 @@ class TestProjectSimplex:
             with pytest.raises(ValueError, match=r"less than 2\*\*53 in magnitude"):
                 project_simplex(weights)
 
+    @pytest.mark.parametrize(
+        "weights", [[1e14] * 3, [2.0**53 - 1] * 2], ids=["sum-0.984", "sum-2"]
+    )
+    def test_result_off_the_simplex_rejected(self, weights):
+        """Below 2**53, ``css - 1`` and its division by the support size can
+        still round the 1 away: these project to 0.328125 each and to
+        [1, 1]. A result whose sum is off 1 by more than 1e-9 is refused."""
+        with pytest.raises(ValueError, match="too large in magnitude to project"):
+            project_simplex(weights)
+
 
 class TestScore:
     def test_half_weight(self):
