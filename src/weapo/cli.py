@@ -43,7 +43,7 @@ from .data import Dataset, DatasetFormatError, Prior, VotePatterns, coverage_mas
 from .data import load_dataset, save_dataset
 from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
 from .metrics import UndefinedMetricError, evaluate_patterns, pr_auc, roc_auc
-from .model import WeapoConfig, WeapoModel, fit
+from .model import WeapoConfig, WeapoModel, _prior_band, fit
 from .payload import check_keys, integer, read_json
 from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
 
@@ -91,7 +91,7 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
-def _emit(payload: dict[str, Any], out: str | None) -> None:
+def _emit(payload: Any, out: str | None) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
@@ -172,6 +172,15 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
                 "--prior-weight; divide both by the same power of two, which leaves "
                 "theta unchanged"
             )
+        if model.config.use_prior and model.config.prior_weight > 0.0:
+            low, high = _prior_band(train, model.config)
+            side = "below" if prior.p_plus < low else "above" if prior.p_plus > high else None
+            if side is not None:
+                print(
+                    f"warning: prior {prior.p_plus} is {side} the band [{low:.4f}, {high:.4f}] "
+                    f"where it changes theta; every prior {side} it gives the same model",
+                    file=sys.stderr,
+                )
     return {"model_type": name, **model.to_json_dict()}
 
 
@@ -242,9 +251,7 @@ def cmd_fit(args) -> int:
         ]
     _emit(payload, args.out)
     if args.dump_edges is not None:
-        with open(args.dump_edges, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(edge_rows, indent=2))
-            fh.write("\n")
+        _emit(edge_rows, args.dump_edges)
     if not args.quiet:
         covered = int(coverage_mask(train).sum())
         rows = [[args.model, str(len(train)), str(covered), args.out or "-"]]

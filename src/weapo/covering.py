@@ -6,7 +6,8 @@ positive evidence can only raise the chance of the positive class. A
 *slice* groups the covered records that share a vote vector. The Hasse
 diagram is the transitive reduction of the covering order restricted to
 the observed vectors; each edge yields one linear constraint comparing
-slice mean scores. ``hasse_edges`` refuses more than
+slice mean scores, which ``ConstraintMatrix`` takes from the members of
+the ``SliceTable`` it is given. ``hasse_edges`` refuses more than
 ``MAX_HASSE_PATTERNS`` distinct vectors.
 """
 
@@ -19,8 +20,8 @@ import numpy as np
 
 from .data import Dataset, VoteVector
 
-# hasse_edges holds about 9 * K**2 bytes of dense arrays for K distinct
-# vectors: about 0.6 GB at this limit.
+# hasse_edges holds about 10 * K**2 bytes of dense arrays for K distinct
+# vectors: about 0.7 GB at this limit.
 MAX_HASSE_PATTERNS = 2**13
 
 
@@ -71,6 +72,11 @@ class HasseEdge:
     high: VoteVector
 
 
+def _dominates(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Strict elementwise dominance of ``high`` over ``low`` along the last axis."""
+    return (high >= low).all(axis=-1) & (high > low).any(axis=-1)
+
+
 def covers(v_high: Sequence[int], v_low: Sequence[int]) -> bool:
     """True when ``v_high`` strictly dominates ``v_low`` elementwise.
 
@@ -82,8 +88,7 @@ def covers(v_high: Sequence[int], v_low: Sequence[int]) -> bool:
         raise ValueError(
             f"vote vectors have different lengths ({len(v_high)} vs {len(v_low)})"
         )
-    ge = all(h >= l for h, l in zip(v_high, v_low))
-    return ge and any(h > l for h, l in zip(v_high, v_low))
+    return bool(_dominates(np.asarray(v_high), np.asarray(v_low)))
 
 
 def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
@@ -123,22 +128,20 @@ def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
     # far above the limit.
     # dom[a, b]: vector a strictly dominates vector b, built one row at a
     # time so the comparisons need O(K*M) scratch. The result is dense:
-    # about 9*K^2 bytes in all (dom, its float32 copy and the product),
-    # and the BLAS product takes O(K^3) time.
+    # about 10*K^2 bytes at the peak (dom, its float32 copy, the float32
+    # product and two_step), and the BLAS product takes O(K^3) time.
     dom = np.zeros((k, k), dtype=bool)
     for a in range(k):
-        ge = (u[a] >= u).all(axis=1)
-        gt = (u[a] > u).any(axis=1)
-        dom[a] = ge & gt
+        dom[a] = _dominates(u[a], u)
     # An edge survives the transitive reduction unless a 2-step path exists.
     f = dom.astype(np.float32)
     two_step = (f @ f) > 0
     keep = dom & ~two_step
-    edges = [
-        HasseEdge(low=unique[b], high=unique[a]) for a, b in zip(*np.nonzero(keep))
+    # Row-major order over keep.T walks the sorted ``unique`` by low, then
+    # by high, so the edges come out sorted by (low, high).
+    return [
+        HasseEdge(low=unique[b], high=unique[a]) for b, a in zip(*np.nonzero(keep.T))
     ]
-    edges.sort(key=lambda e: (e.low, e.high))
-    return edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,13 +152,16 @@ class ConstraintMatrix:
     edge ``low -> high``; feasible scorers satisfy ``apply(f) <= 0``. As a
     dense matrix it carries ``+1/|D_low|`` on the low slice members
     and ``-1/|D_high|`` on the high slice members, so each row sums to
-    zero.
+    zero. It reads each slice's members from ``table``, the
+    ``SliceTable`` it was built from, and stores no copy of them.
     """
 
-    num_records: int
+    table: SliceTable
     edges: tuple[HasseEdge, ...]
-    low_members: tuple[np.ndarray, ...]
-    high_members: tuple[np.ndarray, ...]
+
+    @property
+    def num_records(self) -> int:
+        return self.table.num_records
 
     @property
     def num_rows(self) -> int:
@@ -164,18 +170,16 @@ class ConstraintMatrix:
     def apply(self, scores: np.ndarray) -> np.ndarray:
         """Evaluate every row against a length-N score vector.
 
-        Computed as a difference of group means, which makes the product
-        with a constant vector exactly zero.
+        Computed as a difference of slice means, each taken once, which
+        makes the product with a constant vector exactly zero.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (self.num_records,):
             raise ValueError(
                 f"scores must have shape ({self.num_records},), got {scores.shape}"
             )
-        out = np.empty(self.num_rows, dtype=np.float64)
-        for r in range(self.num_rows):
-            out[r] = scores[self.low_members[r]].mean() - scores[self.high_members[r]].mean()
-        return out
+        means = {vec: scores[list(members)].mean() for vec, members in self.table.slices.items()}
+        return np.array([means[e.low] - means[e.high] for e in self.edges], dtype=np.float64)
 
 
 def constraint_matrix(slices: SliceTable, edges: Sequence[HasseEdge]) -> ConstraintMatrix:
@@ -184,17 +188,8 @@ def constraint_matrix(slices: SliceTable, edges: Sequence[HasseEdge]) -> Constra
     Raises ``ValueError`` if an edge endpoint does not appear in the slice
     table.
     """
-    low_members: list[np.ndarray] = []
-    high_members: list[np.ndarray] = []
     for edge in edges:
         for name, vec in (("low", edge.low), ("high", edge.high)):
             if vec not in slices.slices:
                 raise ValueError(f"edge {name} endpoint {vec} has no slice")
-        low_members.append(np.array(slices.slices[edge.low], dtype=np.intp))
-        high_members.append(np.array(slices.slices[edge.high], dtype=np.intp))
-    return ConstraintMatrix(
-        num_records=slices.num_records,
-        edges=tuple(edges),
-        low_members=tuple(low_members),
-        high_members=tuple(high_members),
-    )
+    return ConstraintMatrix(table=slices, edges=tuple(edges))

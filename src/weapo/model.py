@@ -143,6 +143,37 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
     return model.pattern_scores(pats)[pats.inverse], coverage_mask(dataset)
 
 
+def _ratio_cap(a: np.ndarray) -> float:
+    """The cap ``4/gap`` on ``w/lambda`` that ``_dual_search`` explains."""
+    return 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
+
+
+def _mean_votes_and_ratio(dataset: Dataset, cfg: WeapoConfig) -> tuple[np.ndarray, float]:
+    """All that the fit reads of its data and settings: the mean vote
+    vector ``a`` over all records and the ratio ``w/lambda`` (``inf`` at
+    ``lambda`` = 0)."""
+    pats = dataset.patterns
+    mean_votes = (pats.counts @ pats.rows) / len(dataset)
+    lam = float(cfg.lambda_reg)
+    return mean_votes, float(cfg.prior_weight) / lam if lam else math.inf
+
+
+def _prior_band(dataset: Dataset, cfg: WeapoConfig) -> tuple[float, float]:
+    """The priors ``[a.theta(+r/2), a.theta(-r/2)]`` that move theta.
+
+    ``r`` is ``w/lambda`` capped as in ``_dual_search`` and
+    ``theta(t) = project_simplex(-t*a)``; at the cap the band is
+    ``[min a, max a]``. Every prior below the band fits the same theta,
+    and so does every prior above it. Requires ``prior_weight > 0`` and a
+    dataset ``fit`` accepts.
+    """
+    a, ratio = _mean_votes_and_ratio(dataset, cfg)
+    if ratio >= _ratio_cap(a):
+        return float(a.min()), float(a.max())
+    t = ratio / 2.0
+    return float(a @ project_simplex(-t * a)), float(a @ project_simplex(t * a))
+
+
 def _dual_search(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``|theta|^2 + ratio*|a.theta - p|`` on the simplex.
 
@@ -166,7 +197,7 @@ def _dual_search(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int
     capped search is the minimum-norm minimizer of ``|a.theta - p|``, the
     limit of a vanishing regularizer.
     """
-    cap = 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
+    cap = _ratio_cap(a)
     if ratio >= cap:
         if p <= a.min() or p >= a.max():
             face = a == (a.min() if p <= a.min() else a.max())
@@ -244,9 +275,8 @@ def fit(
     if num_slices == 0:
         raise ValueError("dataset has no covered records")
     m = dataset.num_lfs
-    mean_votes = (pats.counts @ pats.rows) / len(dataset)
+    mean_votes, ratio = _mean_votes_and_ratio(dataset, cfg)
     if cfg.use_prior and cfg.prior_weight > 0.0:
-        ratio = float(cfg.prior_weight) / float(cfg.lambda_reg) if cfg.lambda_reg else math.inf
         theta, projections = _dual_search(mean_votes, prior.p_plus, ratio)
     else:
         theta, projections = np.full(m, 1.0 / m, dtype=np.float64), 0

@@ -58,6 +58,16 @@ def closure_of_edges(edge_pairs, vectors):
     }
 
 
+def slice_mean_differences(table, edges, scores):
+    """``mean(scores over D_low) - mean(scores over D_high)`` for each
+    edge, one edge at a time, as float64."""
+    return np.array(
+        [scores[list(table.slices[e.low])].mean() - scores[list(table.slices[e.high])].mean()
+         for e in edges],
+        dtype=np.float64,
+    )
+
+
 def roc_auc_by_pair_counting(scores, labels):
     """ROC-AUC as the literal fraction of correctly ordered pairs.
 

@@ -226,6 +226,23 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+# The band warning of a weapo fit on ``informative_files``' train file at
+# prior 0.3 and a ratio w/lambda_reg at or past the cap.
+CAPPED_BAND_WARNING = (
+    "warning: prior 0.3 is below the band [0.3485, 0.4898] where it changes theta; "
+    "every prior below it gives the same model\n"
+)
+# Mean vote vector a = (1/2, 1/4); at w/lambda_reg = 1 the band is
+# [a.theta(1/2), a.theta(-1/2)] = [23/64, 25/64], at the cap 4/gap = 16
+# (lambda_reg = 0 too) it is [min a, max a].
+BAND_ROWS = [(1, 1), (1, 0), (0, 0), (0, 0)]
+
+
+def band_warning(prior, side, band):
+    return (f"warning: prior {prior} is {side} the band {band} where it changes theta; "
+            f"every prior {side} it gives the same model\n")
+
+
 class TestFitCommand:
     def test_weapo_model_file_is_feasible(self, informative_files, tmp_path):
         model_path = tmp_path / "model.json"
@@ -255,13 +272,36 @@ class TestFitCommand:
     )
     def test_extreme_weapo_ratio_fits(self, informative_files, tmp_path, capsys, flags):
         """A ratio w/lambda_reg far past the cap, or beyond the float range,
-        fits as the capped ratio does: theta on the simplex, no error."""
+        fits as the capped ratio does: theta on the simplex, no error, and
+        the band of the cap, [min a, max a], in the warning."""
         model_path = tmp_path / "model.json"
         code = main(["fit", informative_files["train"], "--model", "weapo", "--prior", "0.3",
                      *flags, "--out", str(model_path), "--quiet"])
-        assert (code, capsys.readouterr().err) == (0, "")
+        assert (code, capsys.readouterr().err) == (0, CAPPED_BAND_WARNING)
         theta = np.array(read_json(model_path)["theta"])
         assert (theta >= 0.0).all() and abs(theta.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "flags, prior, expected",
+        [
+            ([], "0.5", band_warning("0.5", "above", "[0.3594, 0.3906]")),
+            ([], "0.2", band_warning("0.2", "below", "[0.3594, 0.3906]")),
+            ([], "0.375", ""),
+            (["--prior-weight", "16"], "0.55", band_warning("0.55", "above", "[0.2500, 0.5000]")),
+            (["--lambda-reg", "0"], "0.2", band_warning("0.2", "below", "[0.2500, 0.5000]")),
+            (["--lambda-reg", "0"], "0.375", ""),
+        ],
+        ids=["above", "below", "inside", "cap-above", "lambda0-below", "lambda0-inside"],
+    )
+    def test_prior_outside_the_band_warns(self, tmp_path, capsys, flags, prior, expected):
+        """One stderr line, whatever --quiet says, when the prior lies
+        outside the band, and none inside it."""
+        train = write_dataset(tmp_path / "t.jsonl", BAND_ROWS)
+        model_path = tmp_path / "m.json"
+        for quiet in ([], ["--quiet"]):
+            code = main(["fit", train, "--model", "weapo", "--prior", prior, *flags,
+                         "--out", str(model_path), *quiet])
+            assert (code, capsys.readouterr().err) == (0, expected)
 
     def test_overflowing_objective_names_the_flags(self, tmp_path, capsys):
         """At lambda_reg = prior_weight = 1.7e308 the objective, their
@@ -1061,8 +1101,20 @@ class TestCompareCommand:
         code = main(["compare", informative_files["train"], informative_files["test"],
                      "--models", "weapo,mv", "--prior", "0.3", "--prior-weight", "1e308",
                      "--out", str(out), "--quiet"])
-        assert (code, capsys.readouterr().err) == (0, "")
+        assert (code, capsys.readouterr().err) == (0, CAPPED_BAND_WARNING)
         assert [row["error"] for row in read_json(out)["rows"]] == [None, None]
+
+    @pytest.mark.parametrize("prior, expected", [
+        ("0.5", band_warning("0.5", "above", "[0.3594, 0.3906]")), ("0.375", ""),
+    ], ids=["above", "inside"])
+    def test_band_warning_for_the_weapo_row_only(self, tmp_path, capsys, prior, expected):
+        train = write_dataset(tmp_path / "train.jsonl", BAND_ROWS)
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0), (0, 1)], gold=[1, -1, -1])
+        out = tmp_path / "cmp.json"
+        code = main(["compare", train, test, "--models", "weapo,weapo-noprior,mv,ds",
+                     "--prior", prior, "--out", str(out), "--quiet"])
+        assert (code, capsys.readouterr().err) == (0, expected)
+        assert [row["error"] for row in read_json(out)["rows"]] == [None] * 4
 
     def test_each_file_is_compressed_once(self, informative_files, tmp_path, monkeypatch):
         calls = []

@@ -1,5 +1,7 @@
 """Covering order, Hasse edge reduction, and the constraint operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from weapo import (
 )
 from weapo.covering import HasseEdge
 
-from oracles import closure_of_edges, covering_pairs_brute
+from oracles import closure_of_edges, covering_pairs_brute, slice_mean_differences
 
 
 def make_dataset(vote_rows):
@@ -86,8 +88,24 @@ class TestHasseEdges:
             }
             vecs = {v for v in vecs if any(v)} or {(1,) * m}
             edges = hasse_edges(vecs)
-            closure = closure_of_edges({(e.low, e.high) for e in edges}, vecs)
-            assert closure == covering_pairs_brute(vecs)
+            pairs = [(e.low, e.high) for e in edges]
+            assert pairs == sorted(pairs)
+            assert closure_of_edges(set(pairs), vecs) == covering_pairs_brute(vecs)
+
+    def test_peak_memory_is_10_bytes_per_pair(self):
+        """dom, its float32 copy, the float32 product and two_step are alive
+        at once: 10 * K**2 bytes, the figure MAX_HASSE_PATTERNS is priced
+        at, plus the K vectors themselves."""
+        rng = np.random.default_rng(5)
+        rows = (rng.random((3000, 16)) < 0.3).astype(int).tolist()
+        vecs = sorted({tuple(r) for r in rows})[:1000]
+        tracemalloc.start()
+        try:
+            hasse_edges(vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * len(vecs) ** 2
 
     def test_pattern_limit(self, monkeypatch):
         """K at the limit is reduced; one more is refused with K and the
@@ -131,6 +149,8 @@ class TestConstraintMatrix:
         cm = constraint_matrix(table, hasse_edges(table.slices.keys()))
         scores = rng.normal(size=60)
         np.testing.assert_allclose(cm.apply(scores), dense_rows(cm) @ scores, atol=1e-12)
+        reference = slice_mean_differences(table, cm.edges, scores)
+        assert cm.apply(scores).tobytes() == reference.tobytes()
 
     def test_missing_endpoint_rejected(self):
         ds = make_dataset([(1, 1), (1, 0)])
