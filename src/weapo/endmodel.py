@@ -8,10 +8,10 @@ coverage because it scores features, not votes.
 
 Memory: the fit holds only the lower triangle of the symmetric kernel
 system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
-float64 (150 MB at N = 6000), factored in place, plus N x ``BLOCK_ROWS``
-float64 of diagonal inverses. A kernel block is built in the array it
-is returned in, with one cache-sized chunk buffer. The residual check
-rebuilds the panels one at a time instead of keeping a copy of the
+float64 (150 MB at N = 6000), factored in place: each diagonal block
+holds the inverse of its diagonal factor. A kernel block is built in the
+array it is returned in, with one cache-sized chunk buffer. The residual
+check rebuilds the panels one at a time instead of keeping a copy of the
 system. Before allocating the panels, ``fit_krr`` refuses a fit that
 needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating
 system reports available. Prediction scores the test rows in blocks of
@@ -171,11 +171,12 @@ def _blocks(n: int) -> list[slice]:
 def fit_bytes(n: int) -> int:
     """Bytes an exact fit on ``n`` records holds at its peak: the lower
     triangle of the system as panels of b = min(n, ``BLOCK_ROWS``) rows,
-    at most n * (n + b) / 2 doubles, plus n x b doubles for the inverses
-    of the diagonal factors, plus two b x b temporaries of the
-    factorization; the kernel build's chunk buffer is not priced."""
+    at most n * (n + b) / 2 doubles, each diagonal block holding the
+    inverse of its diagonal factor, plus four b x b temporaries of the
+    factorization, whose peak holds about three; the kernel build's
+    chunk buffer is not priced."""
     b = min(n, BLOCK_ROWS)
-    return 8 * (n * (n + b) // 2 + n * b + 2 * b * b)
+    return 8 * (n * (n + b) // 2 + 4 * b * b)
 
 
 def _ridge_panels(features: np.ndarray, gamma: float, alpha: float) -> Iterator[np.ndarray]:
@@ -204,43 +205,39 @@ def _lower_inverse(factor: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _factor_panels(panels: list[np.ndarray]) -> list[np.ndarray]:
+def _factor_panels(panels: list[np.ndarray]) -> None:
     """Overwrite the panels of a symmetric positive-definite system with
-    its Cholesky factor L, one block row at a time, and return the inverse
-    of each diagonal block of L.
+    its Cholesky factor L, one block row at a time, except that each
+    diagonal block holds the inverse of its diagonal factor L_jj, zero
+    above its diagonal.
 
     Block (i, j) of L, for j < i, is the system's block less the product
     of the block rows i and j of L left of column block j, times the
-    transposed inverse of L_jj. The diagonal block is the Cholesky factor
-    of the system's block less its row of L times its transpose. Raises
-    ``np.linalg.LinAlgError`` when a diagonal block is not positive
-    definite.
+    transposed inverse of L_jj. L_jj is the Cholesky factor of the
+    system's block less its row of L times its transpose; no later step
+    reads it but through its inverse. Raises ``np.linalg.LinAlgError``
+    when a diagonal block is not positive definite.
     """
-    inverses: list[np.ndarray] = []
     # The last panel spans every column.
     for rows, panel in zip(_blocks(panels[-1].shape[1]), panels):
-        for cols, done, inverse in zip(_blocks(rows.start), panels, inverses):
+        for cols, done in zip(_blocks(rows.start), panels):
             block = panel[:, cols]
             block -= panel[:, : cols.start] @ done[:, : cols.start].T
-            block[...] = block @ inverse.T
+            block[...] = block @ done[:, cols].T
         left = panel[:, : rows.start]
-        factor = np.linalg.cholesky(panel[:, rows] - left @ left.T)
-        panel[:, rows] = factor
-        inverses.append(_lower_inverse(factor))
-    return inverses
+        panel[:, rows] = _lower_inverse(np.linalg.cholesky(panel[:, rows] - left @ left.T))
 
 
-def _substitute(
-    panels: list[np.ndarray], inverses: list[np.ndarray], rhs: np.ndarray
-) -> np.ndarray:
-    """Solve L L^T x = rhs, with L in the panels, by forward and back
-    substitution over the panels with the inverses of the diagonal blocks."""
+def _substitute(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs, with L in the panels as ``_factor_panels``
+    leaves them, by forward and back substitution over the panels; each
+    diagonal block holds the inverse of its diagonal factor."""
     x = rhs.copy()
-    steps = list(zip(_blocks(len(rhs)), panels, inverses))
-    for rows, panel, inverse in steps:
-        x[rows] = inverse @ (x[rows] - panel[:, : rows.start] @ x[: rows.start])
-    for rows, panel, inverse in reversed(steps):
-        x[rows] = inverse.T @ x[rows]
+    steps = list(zip(_blocks(len(rhs)), panels))
+    for rows, panel in steps:
+        x[rows] = panel[:, rows] @ (x[rows] - panel[:, : rows.start] @ x[: rows.start])
+    for rows, panel in reversed(steps):
+        x[rows] = panel[:, rows].T @ x[rows]
         x[: rows.start] -= panel[:, : rows.start].T @ x[rows]
     return x
 
@@ -269,9 +266,9 @@ def fit_krr(
     -----
     The fit holds the lower triangle of the system ``K + alpha * I`` as
     ``BLOCK_ROWS``-row panels, at most 4 * N * (N + ``BLOCK_ROWS``) bytes
-    (150 MB at N = 6000), plus N x ``BLOCK_ROWS`` float64 of diagonal
-    inverses (``fit_bytes``: 163 MB at N = 6000); each panel is built in
-    place. Before allocating the panels, the fit compares that size with
+    (150 MB at N = 6000), plus the factorization's temporaries
+    (``fit_bytes``: 152 MB at N = 6000); each panel is built in place.
+    Before allocating the panels, the fit compares that size with
     ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in ``/proc/meminfo``
     and raises ``ValueError`` naming N, the GiB needed and the GiB
     available when it does not fit. The check is skipped where that file
@@ -282,10 +279,11 @@ def fit_krr(
     A blocked Cholesky factorization (about N**3 / 3 flops) overwrites
     the panels with the factor L by block rows, each block left of the
     diagonal by two GEMMs, one by the inverse of an earlier diagonal
-    factor, inverted by halving down to ``INVERSE_BASE_ROWS`` rows; the
-    substitutions reuse those inverses. A diagonal block that is not
-    positive definite means the system is singular. numpy's
-    factorization does not check its input for NaN or inf, so non-finite
+    factor, inverted by halving down to ``INVERSE_BASE_ROWS`` rows. Each
+    diagonal block holds that inverse in place of the factor, and the
+    substitutions reuse it. A diagonal block that is not positive
+    definite means the system is singular. numpy's factorization does
+    not check its input for NaN or inf, so non-finite
     features, targets, ``gamma`` or ``alpha`` are rejected here, and so
     are features large enough for their squared distances to overflow.
     The solve is verified against the system, its panels rebuilt one at a
@@ -323,11 +321,11 @@ def fit_krr(
     panels = list(_ridge_panels(features, gamma, alpha))
     remedy = "use alpha > 0" if alpha == 0.0 else "use a larger alpha"
     try:
-        inverses = _factor_panels(panels)
+        _factor_panels(panels)
     except np.linalg.LinAlgError:
         raise ValueError(f"the kernel system is numerically singular; {remedy}") from None
-    coefficients = _substitute(panels, inverses, targets)
-    del panels, inverses
+    coefficients = _substitute(panels, targets)
+    del panels
     # The system is not kept: the check rebuilds its panels one at a time.
     product = np.zeros(n)
     for rows, panel in zip(_blocks(n), _ridge_panels(features, gamma, alpha)):

@@ -234,32 +234,41 @@ class TestFitKrr:
             np.testing.assert_array_equal(rebuilt, expected, strict=True)
 
     @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 8], ids=lambda b: f"b{b}")
-    def test_factor_matches_cholesky_of_full_system(self, monkeypatch, block_rows):
+    def test_panels_hold_cholesky_factor_and_diagonal_inverses(self, monkeypatch, block_rows):
         """The panels, factored in place, hold the Cholesky factor L of the
-        full system: below each diagonal block, and in each diagonal block
-        with zeros above its diagonal."""
+        full system left of each diagonal block, and in each diagonal block
+        the inverse of that block of L: exactly zero above its diagonal,
+        and times the block of L within ``test_lower_inverse``'s bound,
+        n * eps * |inverse| * |L|, with n the columns up to the block's
+        end. That is the length of the sums that form the block; the
+        reference factors the whole system in another order, so its block
+        differs from the one inverted by their rounding too."""
         monkeypatch.setattr(weapo.endmodel, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(15)
         n = 2 * BLOCK_ROWS + 37
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
         factor_panels = weapo.endmodel._factor_panels
-        factors = []
+        recorded = []
 
         def recording_factor(panels):
-            inverses = factor_panels(panels)
-            factor = np.zeros((n, n))
-            for panel in panels:
-                factor[panel.shape[1] - len(panel) : panel.shape[1], : panel.shape[1]] = panel
-            factors.append(factor)
-            return inverses
+            factor_panels(panels)
+            recorded.append([panel.copy() for panel in panels])
 
         monkeypatch.setattr(weapo.endmodel, "_factor_panels", recording_factor)
         fit_krr(x, t, gamma=0.6, alpha=0.25)
         system = ridge_system_with_identity(rbf_kernel_three_temporaries(x, x, 0.6), 0.25)
         expected = np.linalg.cholesky(system)
-        assert len(factors) == 1
-        assert np.abs(factors[0] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert len(recorded) == 1 and len(recorded[0]) == -(-n // block_rows)
+        for panel in recorded[0]:
+            rows = slice(panel.shape[1] - len(panel), panel.shape[1])
+            error = np.abs(panel[:, : rows.start] - expected[rows, : rows.start]).max(initial=0.0)
+            assert error <= 1e-12 * np.abs(expected).max()
+            inverse, factor = panel[:, rows], expected[rows, rows]
+            assert (np.triu(inverse, 1) == 0.0).all()
+            norms = np.abs(inverse).sum(axis=1).max() * np.abs(factor).sum(axis=1).max()
+            residual = np.abs(inverse @ factor - np.eye(len(factor))).max()
+            assert residual <= rows.stop * np.finfo(np.float64).eps * norms
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29], ids=lambda n: f"n{n}")
     def test_coefficients_match_lu_oracle(self, monkeypatch, n):
@@ -517,20 +526,29 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_fit_holds_one_dense_array(self):
-        """The lower triangle of the kernel system as row-block panels,
-        factored in place, plus N x BLOCK_ROWS of diagonal inverses: about
-        0.7 * 8 * N**2 bytes at N = 2000. A stored upper triangle, a solve
-        that copies the system, or a kernel built in one call would each
-        cost another 0.5 to 1 * 8 * N**2. The memory budget ``fit_bytes``
-        prices this peak, up to a megabyte of vectors."""
-        n = 2000
+    @staticmethod
+    def traced_fit_peak(n):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
-        peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.5, alpha=1.0))
-        assert peak < 0.8 * n * n * 8
-        assert peak < fit_bytes(n) + 2**20
+        return TestMemory.traced_peak(lambda: fit_krr(x, t, gamma=0.5, alpha=1.0))
+
+    def test_fit_holds_one_dense_array(self):
+        """The lower triangle of the kernel system as row-block panels,
+        factored in place, each diagonal block overwritten by its inverse:
+        about 0.61 * 8 * N**2 bytes at N = 2000. A list of diagonal
+        inverses beside the panels costs 0.1 * 8 * N**2 more; a stored
+        upper triangle, a solve that copies the system, or a kernel built
+        in one call would each cost another 0.5 to 1 * 8 * N**2."""
+        n = 2000
+        assert self.traced_fit_peak(n) < 0.65 * n * n * 8
+
+    @pytest.mark.parametrize("n", [601, 2 * BLOCK_ROWS + 37, 2000], ids=lambda n: f"n{n}")
+    def test_fit_bytes_prices_the_peak(self, n):
+        """The memory budget ``fit_bytes`` prices the fit's peak up to its
+        O(N) vectors: the copy of the 3-wide features the model keeps and
+        four vectors of N doubles."""
+        assert self.traced_fit_peak(n) < fit_bytes(n) + 8 * n * (3 + 4)
 
     def test_prediction_never_holds_the_full_kernel(self):
         n_train, n_test = 300, 8 * BLOCK_ROWS

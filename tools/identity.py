@@ -17,7 +17,11 @@ input set both trees run the same commands:
   weapo at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``;
   the mv fit also writes the covering-order edges with ``--dump-edges``;
 * ``compare`` of all five with ``--oracle``;
-* ``end`` with the weapo model, without and with ``--gamma 0.3 --alpha 0.5``.
+* ``end`` with the weapo model, without and with ``--gamma 0.3 --alpha 0.5``;
+* ``fit_krr`` on the end-train features, with the gold labels as targets,
+  the default gamma and ``alpha = 1``, whose dual coefficients it writes
+  to ``out/krr-coefficients.npy``: ``end`` records only AUCs, which
+  would not show a change in the exact solve's last bits.
 
 Each tree runs in a directory of its own that holds a copy of the
 inputs, and every path on a command line is relative to it, so outputs
@@ -60,11 +64,21 @@ SEEDS = (1, 7)
 SMALL_N, SMALL_N_END = 400, 150
 
 # Runs the commands listed in the JSON file named by its argument through
-# ``weapo.cli.main`` in one process, and prints each one's stdout, stderr
-# and exit code as JSON.
+# ``weapo.cli.main`` in one process, ``krr-coefficients`` through
+# ``fit_krr``, and prints each one's stdout, stderr and exit code as JSON.
 RUNNER = """
 import contextlib, io, json, os, sys, traceback
+import numpy as np
 from weapo.cli import main
+from weapo.data import load_dataset
+from weapo.endmodel import fit_krr
+
+def krr_coefficients(train, out):
+    dataset = load_dataset(train)
+    model = fit_krr(dataset.features_matrix, dataset.gold.astype(np.float64), alpha=1.0)
+    np.save(out, model.coefficients, allow_pickle=False)
+    return 0
+
 logs = []
 with open(sys.argv[1], encoding="utf-8") as fh:
     jobs = json.load(fh)
@@ -73,7 +87,8 @@ for cwd, argv in jobs:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = (krr_coefficients(*argv[1:]) if argv[0] == "krr-coefficients"
+                    else main(argv))
         except Exception:
             traceback.print_exc()
             code = 1
@@ -99,6 +114,8 @@ def commands(prior: float) -> list[tuple[str, list[str]]]:
     for name, extra in (("end", []), ("end-gamma", ["--gamma", "0.3", "--alpha", "0.5"])):
         cmds.append((name, ["end", "out/fit-weapo.json", "in/end_train.jsonl",
                             "in/end_test.jsonl", *extra, "--out", f"out/{name}.json"]))
+    cmds.append(("krr-coefficients", ["krr-coefficients", "in/end_train.jsonl",
+                                      "out/krr-coefficients.npy"]))
     return cmds
 
 
