@@ -15,6 +15,11 @@ payload plus the keys in ``ENVELOPE_KEYS``; the model classes check the
 payload. ``eval``, ``end`` and ``compare`` check that their files agree
 on the number of labeling functions, and ``end`` on the feature width,
 before any fit or scoring.
+
+At load time the module imports only the standard library and
+``__version__``. Each command imports the weapo modules it uses when it
+runs, so ``--version``, ``--help`` and a usage error from argparse load
+no numpy, and ``fit`` never loads the end model or the generator.
 """
 
 from __future__ import annotations
@@ -23,29 +28,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeAlias
 
 from . import __version__
-from .baselines import (
-    DSModel,
-    FSModel,
-    _mv_patterns,
-    check_ds_settings,
-    check_fs_settings,
-    ds_fit,
-    fs_fit,
-)
-from .covering import hasse_edges
-from .data import Dataset, DatasetFormatError, Prior, VotePatterns, coverage_mask
-from .data import load_dataset, save_dataset
-from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
-from .metrics import UndefinedMetricError, evaluate_patterns, pr_auc, roc_auc
-from .model import WeapoConfig, WeapoModel, _prior_band, fit
-from .payload import check_keys, integer, read_json
-from .synth import SyntheticSpec, FeatureSpec, generate, oracle_posteriors
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .data import Dataset, VotePatterns
+    from .synth import SyntheticSpec
 
 MODEL_NAMES = ("weapo", "weapo-noprior", "mv", "ds", "fs")
 # The models that read each fitting flag; a flag given to none of them is
@@ -61,8 +52,6 @@ _FLAG_READERS = {
 }
 # Keys a model file holds besides the model's own payload.
 ENVELOPE_KEYS = ("model_type", "version", "run")
-# The model_type of each fitted model class a model file can hold.
-_MODEL_CLASSES = {"weapo": WeapoModel, "ds": DSModel, "fs": FSModel}
 
 
 class CliUsageError(Exception):
@@ -121,6 +110,10 @@ def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     given, whichever models are named, and then that some named model
     reads each flag given, before any file is read; return the settings
     ``_fit_payload`` uses."""
+    from .baselines import check_ds_settings, check_fs_settings
+    from .data import Prior
+    from .model import WeapoConfig
+
     for name in names:
         if name not in MODEL_NAMES:
             raise CliUsageError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
@@ -154,6 +147,9 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     if name == "mv":
         return {"model_type": "mv", "num_lfs": train.num_lfs}
     if name == "ds":
+        from .baselines import ds_fit
+        from .data import Prior
+
         model = ds_fit(train, prior if prior is not None else Prior(0.5), **settings["ds"])
         if not model.diagnostics["converged"]:
             print(
@@ -162,8 +158,14 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
                 file=sys.stderr,
             )
     elif name == "fs":
+        from .baselines import fs_fit
+
         model = fs_fit(train, prior, **settings["fs"])
     else:
+        from dataclasses import replace
+
+        from .model import _prior_band, fit
+
         model = fit(train, prior, replace(settings["weapo"], use_prior=name == "weapo"))
         name = "weapo"
         if not math.isfinite(model.diagnostics["objective"]):
@@ -184,7 +186,7 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     return {"model_type": name, **model.to_json_dict()}
 
 
-Scorer = Callable[[VotePatterns], np.ndarray]
+Scorer: TypeAlias = "Callable[[VotePatterns], np.ndarray]"
 
 
 def _scorer(payload: dict[str, Any]) -> tuple[int, Scorer]:
@@ -194,10 +196,18 @@ def _scorer(payload: dict[str, Any]) -> tuple[int, Scorer]:
     kind = payload.get("model_type")
     body = {key: value for key, value in payload.items() if key not in ENVELOPE_KEYS}
     if kind == "mv":
+        from .baselines import _mv_patterns
+        from .payload import check_keys, integer
+
         check_keys(body, "mv model payload", ("num_lfs",))
         return integer(body, "num_lfs", minimum=1), _mv_patterns
-    # A model_type that is not a string is unknown too; a list is not even hashable.
-    cls = _MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
+    from .baselines import DSModel, FSModel
+    from .model import WeapoModel
+
+    # The model_type of each fitted model class a model file can hold; one
+    # that is not a string is unknown too, as a list is not even hashable.
+    classes = {"weapo": WeapoModel, "ds": DSModel, "fs": FSModel}
+    cls = classes.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown model_type {kind!r} in model file")
     model = cls.from_json_dict(body)
@@ -208,6 +218,8 @@ def _read_model(path: str) -> tuple[dict[str, Any], int, Scorer]:
     """The payload of a model file, its number of labeling functions and
     its scorer; every fault of the file raises ``ValueError`` naming
     ``path``."""
+    from .payload import read_json
+
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file holds one JSON object")
@@ -227,6 +239,8 @@ def _same_width(unit: str, *files: tuple[str, int]) -> None:
 
 
 def cmd_fit(args) -> int:
+    from .data import coverage_mask, load_dataset
+
     settings = _fit_settings([args.model], args)
     train = load_dataset(args.train)
     payload = _fit_payload(args.model, train, settings)
@@ -238,20 +252,7 @@ def cmd_fit(args) -> int:
         "prior": args.prior,
         "out": args.out,
     }
-    # The edges are computed first, so a refused covering order leaves
-    # no model file behind.
-    if args.dump_edges is not None:
-        # A slice's size is the record count of its non-zero vote pattern.
-        rows, counts = train.patterns.rows.tolist(), train.patterns.counts.tolist()
-        sizes = {tuple(row): count for row, count in zip(rows, counts) if any(row)}
-        edge_rows = [
-            {"low": list(e.low), "high": list(e.high),
-             "d_low_size": sizes[e.low], "d_high_size": sizes[e.high]}
-            for e in hasse_edges(sizes)
-        ]
     _emit(payload, args.out)
-    if args.dump_edges is not None:
-        _emit(edge_rows, args.dump_edges)
     if not args.quiet:
         covered = int(coverage_mask(train).sum())
         rows = [[args.model, str(len(train)), str(covered), args.out or "-"]]
@@ -260,6 +261,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .data import load_dataset
+    from .metrics import evaluate_patterns
+
     payload, num_lfs, score = _read_model(args.model)
     test = load_dataset(args.test)
     _same_width("labeling functions", (args.model, num_lfs), (args.test, test.num_lfs))
@@ -294,6 +298,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_end(args) -> int:
+    import numpy as np
+
+    from .data import coverage_mask, load_dataset
+    from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
+    from .metrics import pr_auc, roc_auc
+
     check_krr_settings(args.gamma, args.alpha)
     payload, num_lfs, score = _read_model(args.model)
     train = load_dataset(args.train)
@@ -362,6 +372,9 @@ def cmd_end(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .data import load_dataset
+    from .metrics import evaluate_patterns
+
     names = [m for m in (args.models.split(",") if args.models else []) if m]
     if not names:
         raise CliUsageError("--models must name at least one model")
@@ -371,6 +384,8 @@ def cmd_compare(args) -> int:
     widths = [(args.train, train.num_lfs), (args.test, test.num_lfs)]
     oracle = None
     if args.oracle is not None:
+        from .synth import SyntheticSpec, oracle_posteriors
+
         spec = SyntheticSpec.load(args.oracle)
         widths.append((args.oracle, spec.num_lfs))
         oracle = oracle_posteriors(spec)
@@ -389,7 +404,7 @@ def cmd_compare(args) -> int:
             result = evaluate_patterns(scorer(name)(test.patterns), test.patterns, gold)
             row.update(result.to_json_dict())
             row["error"] = None
-        except (ValueError, UndefinedMetricError) as err:
+        except ValueError as err:
             row.update(
                 {"roc_auc": None, "pr_auc": None, "n_pos": None, "n_neg": None,
                  "n_evaluated": None, "error": str(err)}
@@ -426,6 +441,10 @@ def cmd_compare(args) -> int:
 def _resolve_spec(args) -> SyntheticSpec:
     """The spec from ``--spec`` or the inline flags. A fault of the spec
     file is a data error; a bad flag or flag value is a usage error."""
+    from dataclasses import replace
+
+    from .synth import FeatureSpec, SyntheticSpec
+
     inline = [args.n, args.p_plus, args.tpr, args.fpr]
     feature_flags = [args.mu_pos, args.mu_neg, args.sigma]
     if args.spec is not None:
@@ -462,6 +481,9 @@ def _resolve_spec(args) -> SyntheticSpec:
 
 
 def cmd_synth(args) -> int:
+    from .data import coverage_mask, save_dataset
+    from .synth import generate
+
     spec = _resolve_spec(args)
     dataset = generate(spec)
     save_dataset(dataset, args.out)
@@ -511,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--prior", type=float, default=None,
                        help="positive-class prior (required for weapo and fs)")
     p_fit.add_argument("--out", required=True, help="where to write the model JSON")
-    p_fit.add_argument("--dump-edges", default=None,
-                       help="also write the covering-order edges as JSON")
     p_fit.add_argument("--quiet", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -581,7 +601,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     # The JSON readers report nesting deeper than the stack with the file
     # or line; RecursionError from anywhere else is still a clean error.
-    except (DatasetFormatError, UndefinedMetricError, ValueError, OSError, RecursionError) as err:
+    # DatasetFormatError and UndefinedMetricError are ValueErrors.
+    except (ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

@@ -15,9 +15,7 @@ from weapo import (
     Dataset,
     Record,
     SyntheticSpec,
-    build_slices,
     generate,
-    hasse_edges,
     load_dataset,
     save_dataset,
 )
@@ -380,54 +378,6 @@ class TestFitCommand:
         )
         assert code == 1
         assert "M >= 3" in capsys.readouterr().err
-
-    def test_dump_edges(self, tmp_path):
-        train = write_dataset(
-            tmp_path / "t.jsonl", [(1, 0), (1, 1), (1, 1), (0, 0)]
-        )
-        edges_path = tmp_path / "edges.json"
-        assert main(
-            ["fit", train, "--model", "mv", "--out", str(tmp_path / "m.json"),
-             "--dump-edges", str(edges_path), "--quiet"]
-        ) == 0
-        edges = read_json(edges_path)
-        assert edges == [
-            {"low": [1, 0], "high": [1, 1], "d_low_size": 1, "d_high_size": 2}
-        ]
-
-    def test_dump_edges_match_the_slice_table_route(self, tmp_path):
-        """Slice sizes read from the vote patterns give the same file as
-        grouping record indices with build_slices."""
-        rng = np.random.default_rng(9)
-        rows = [tuple(r) for r in (rng.random((300, 5)) < 0.3).astype(int).tolist()]
-        train = write_dataset(tmp_path / "t.jsonl", rows)
-        edges_path = tmp_path / "edges.json"
-        assert main(
-            ["fit", train, "--model", "mv", "--out", str(tmp_path / "m.json"),
-             "--dump-edges", str(edges_path), "--quiet"]
-        ) == 0
-        slices = build_slices(load_dataset(train)).slices
-        expected = [
-            {"low": list(e.low), "high": list(e.high),
-             "d_low_size": len(slices[e.low]), "d_high_size": len(slices[e.high])}
-            for e in hasse_edges(slices.keys())
-        ]
-        assert edges_path.read_text() == json.dumps(expected, indent=2) + "\n"
-        assert not hasattr(weapo.cli, "build_slices")
-
-    def test_dump_edges_over_pattern_limit_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(weapo.covering, "MAX_HASSE_PATTERNS", 1)
-        train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (1, 1), (0, 1)])
-        model_path, edges_path = tmp_path / "m.json", tmp_path / "edges.json"
-        code = main(
-            ["fit", train, "--model", "mv", "--out", str(model_path),
-             "--dump-edges", str(edges_path), "--quiet"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "K = 3" in err and "limit of 1" in err
-        assert "Traceback" not in err
-        assert not model_path.exists() and not edges_path.exists()
 
     @pytest.mark.parametrize(
         "model, flags",
@@ -979,7 +929,7 @@ class TestEndCommand:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.7 GiB")
 
-        monkeypatch.setattr("weapo.cli.fit_krr", exhausted)
+        monkeypatch.setattr("weapo.endmodel.fit_krr", exhausted)
         code = main(
             ["end", feature_files["model"], feature_files["train"],
              feature_files["test"], "--quiet"]

@@ -22,8 +22,8 @@ def test_tree_against_itself_is_identical():
     code, summary = run_identity(ROOT)
     assert code == 0 and summary["identical"]
     assert summary["input_sets"] == ["end-krr-seed1", "tall-m8-seed1", "wide-m16-seed1"]
-    # 22 output files and 19 commands per input set; every command succeeded.
-    assert (summary["files"], summary["logs"]) == (66, 57)
+    # 21 output files and 19 commands per input set; every command succeeded.
+    assert (summary["files"], summary["logs"]) == (63, 57)
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["failed_in_head"] == []
 

@@ -15,7 +15,6 @@ input set both trees run the same commands:
 * ``synth --spec``;
 * ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs, and of
   weapo at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``;
-  the mv fit also writes the covering-order edges with ``--dump-edges``;
 * ``compare`` of all five with ``--oracle``;
 * ``end`` with the weapo model, without and with ``--gamma 0.3 --alpha 0.5``;
 * ``fit_krr`` on the end-train features, with the gold labels as targets,
@@ -55,8 +54,7 @@ PRIOR_MODELS = ("weapo", "ds", "fs")
 # Each fitted model file: its name, the model and its fitting flags. The
 # weapo fits past the defaults reach the capped dual search (lambda 0)
 # and a ratio w/lambda of 1 from other values.
-FITS = [(model, model, ["--dump-edges", "out/edges-mv.json"] if model == "mv" else [])
-        for model in MODELS] + [
+FITS = [(model, model, []) for model in MODELS] + [
     ("weapo-lam0", "weapo", ["--lambda-reg", "0"]),
     ("weapo-lam3", "weapo", ["--lambda-reg", "3", "--prior-weight", "3"]),
 ]
