@@ -28,7 +28,7 @@ _EXPORTS = {
              "load_dataset", "save_dataset"),
     "endmodel": ("fit_krr", "make_targets", "predict_krr"),
     "metrics": ("UndefinedMetricError", "evaluate_label_model", "pr_auc", "roc_auc"),
-    "model": ("WeapoConfig", "fit", "fit_supervised", "predict_dataset"),
+    "model": ("WeapoConfig", "fit", "predict_dataset"),
     "synth": ("FeatureSpec", "SyntheticSpec", "generate", "oracle_posteriors",
               "population_moments"),
 }

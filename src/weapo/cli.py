@@ -304,7 +304,7 @@ def cmd_end(args) -> int:
     from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
     from .metrics import pr_auc, roc_auc
 
-    check_krr_settings(args.gamma, args.alpha)
+    check_krr_settings(args.gamma, args.alpha, args.uncovered_target)
     payload, num_lfs, score = _read_model(args.model)
     train = load_dataset(args.train)
     test = load_dataset(args.test)

@@ -51,8 +51,7 @@ def make_targets(
     coverage = np.asarray(coverage)
     if scores.shape != coverage.shape or scores.ndim != 1:
         raise ValueError("scores and coverage must be aligned 1-D arrays")
-    if not math.isfinite(uncovered_target):
-        raise ValueError("uncovered_target must be finite")
+    check_krr_settings(uncovered_target=uncovered_target)
     targets = scores.copy()
     targets[~coverage.astype(bool)] = uncovered_target
     return targets
@@ -141,13 +140,35 @@ def _check_features(features: np.ndarray) -> None:
         )
 
 
-def check_krr_settings(gamma: float | None = None, alpha: float | None = None) -> None:
-    """Raise ``ValueError`` for a ``gamma`` or ``alpha`` of ``fit_krr`` out
-    of range; a setting left as None is not checked."""
+def _check_targets(targets: np.ndarray) -> None:
+    """Refuse finite targets whose squared norm could overflow float64.
+
+    The residual check takes the norms of the N targets and of the
+    residual; with every target at most ``sqrt(max / (4 N))`` in
+    magnitude, the sum of their squares stays at most ``max / 4``."""
+    limit = math.sqrt(np.finfo(np.float64).max / (4 * len(targets)))
+    largest = max(float(targets.max()), -float(targets.min()))
+    if largest > limit:
+        raise ValueError(
+            f"targets must be at most {limit:.3g} in magnitude at N = {len(targets)}, "
+            f"or their squared norm overflows float64; got {largest:.3g}"
+        )
+
+
+def check_krr_settings(
+    gamma: float | None = None,
+    alpha: float | None = None,
+    uncovered_target: float | None = None,
+) -> None:
+    """Raise ``ValueError`` for a ``gamma`` or ``alpha`` of ``fit_krr``, or
+    an ``uncovered_target`` of ``make_targets``, out of range; a setting
+    left as None is not checked."""
     if alpha is not None and not (np.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and non-negative")
     if gamma is not None and not (np.isfinite(gamma) and gamma > 0.0):
         raise ValueError("gamma must be finite and positive")
+    if uncovered_target is not None and not math.isfinite(uncovered_target):
+        raise ValueError("uncovered_target must be finite")
 
 
 def _available_memory_bytes() -> int | None:
@@ -285,7 +306,9 @@ def fit_krr(
     definite means the system is singular. numpy's factorization does
     not check its input for NaN or inf, so non-finite
     features, targets, ``gamma`` or ``alpha`` are rejected here, and so
-    are features large enough for their squared distances to overflow.
+    are features large enough for their squared distances to overflow and
+    targets larger in magnitude than ``sqrt(max / (4 N))``, with ``max``
+    the largest float64, for which the residual check's norms overflow.
     The solve is verified against the system, its panels rebuilt one at a
     time once the factor is freed: the residual norm must not exceed
     ``1e-8 * (1 + ||targets||)``.
@@ -301,6 +324,7 @@ def fit_krr(
     _check_features(features)
     if not np.isfinite(targets).all():
         raise ValueError("targets must be finite")
+    _check_targets(targets)
     check_krr_settings(gamma, alpha)
     if gamma is None:
         gamma = _default_gamma(features)

@@ -293,48 +293,3 @@ def fit(
     }
     return WeapoModel(theta=theta, config=cfg, diagnostics=diagnostics)
 
-
-def fit_supervised(dataset: Dataset, config: WeapoConfig | None = None) -> WeapoModel:
-    """Least-squares fit of the same simplex scorer against gold labels.
-
-    Minimizes the mean squared error between covered-record scores and
-    gold targets mapped to {0, 1}, over the probability simplex, by
-    projected gradient descent with a fixed ``1/L`` step. Serves as the
-    fully supervised skyline for the same model class. Stops once the
-    gradient mapping norm is at most 1e-6 or after 5000 steps.
-    """
-    cfg = config if config is not None else WeapoConfig()
-    mask = coverage_mask(dataset).astype(bool)
-    if not mask.any():
-        raise ValueError("dataset has no covered records")
-    missing = mask & (dataset.gold == 0)
-    if missing.any():
-        raise ValueError(f"covered record {dataset.ids[missing.argmax()]!r} has no gold label")
-    votes = dataset.votes_matrix[mask].astype(np.float64)
-    gold = dataset.gold[mask].astype(np.float64)
-    targets = (gold + 1.0) / 2.0
-    n = votes.shape[0]
-    gram = (2.0 / n) * (votes.T @ votes)
-    linear = (2.0 / n) * (votes.T @ targets)
-    lipschitz = float(np.linalg.eigvalsh(gram)[-1])
-    step = 1.0 / lipschitz
-    m = dataset.num_lfs
-    theta = np.full(m, 1.0 / m, dtype=np.float64)
-    grad_map_norm = np.inf
-    iterations = 0
-    for t in range(1, 5001):
-        iterations = t
-        grad = gram @ theta - linear
-        theta_next = project_simplex(theta - step * grad)
-        grad_map_norm = float(np.linalg.norm(theta - theta_next) / step)
-        theta = theta_next
-        if grad_map_norm <= 1e-6:
-            break
-    residual = votes @ theta - targets
-    diagnostics = {
-        "mse": float(residual @ residual / n),
-        "grad_map_norm": grad_map_norm,
-        "iterations": iterations,
-        "converged": grad_map_norm <= 1e-6,
-    }
-    return WeapoModel(theta=theta, config=cfg, diagnostics=diagnostics)

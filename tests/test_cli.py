@@ -860,6 +860,17 @@ class TestEndCommand:
         assert err.startswith("error: ") and "numerically singular; use alpha > 0" in err
         assert "distinct" not in err
 
+    def test_target_too_large_is_a_data_error(self, feature_files, capsys):
+        """The norms of the residual check would overflow: the fit refuses
+        the targets, naming the train file, with no warning or traceback."""
+        assert main(
+            ["end", feature_files["model"], feature_files["train"], feature_files["test"],
+             "--uncovered-target", "1e200", "--quiet"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {feature_files['train']}: targets must be at most ")
+        assert "Traceback" not in err
+
     def test_end_model_beats_chance_on_all_records(self, feature_files, tmp_path):
         out = tmp_path / "end.json"
         code = main(
@@ -917,6 +928,7 @@ class TestEndCommand:
         (["--gamma", "nan"], "gamma must be finite and positive"),
         (["--gamma", "0"], "gamma must be finite and positive"),
         (["--alpha", "-1"], "alpha must be finite and non-negative"),
+        (["--uncovered-target", "nan"], "uncovered_target must be finite"),
     ])
     def test_bad_setting_reported_before_reading(self, tmp_path, capsys, flags, message):
         """No file is read, so the message names none: the files here do

@@ -403,6 +403,22 @@ class TestExtremeNumbers:
         model = fit_krr(x, np.array([0.0, 1.0]), gamma=1.0, alpha=0.0)
         np.testing.assert_array_equal(predict_krr(model, x), [0.0, 1.0])
 
+    def test_fit_refuses_a_target_above_the_limit(self):
+        x = np.random.default_rng(9).normal(size=(30, 2))
+        targets = np.linspace(0.0, 1.0, 30)
+        targets[7] = -np.nextafter(math.sqrt(np.finfo(np.float64).max / (4 * 30)), np.inf)
+        with pytest.raises(ValueError, match="targets must be at most .* at N = 30.*overflows"):
+            fit_krr(x, targets)
+
+    def test_targets_at_the_limit_are_fitted(self):
+        """Every target at the limit, of either sign: the residual check's
+        norms stay finite and no overflow warning is raised."""
+        x = np.random.default_rng(10).normal(size=(30, 2))
+        limit = math.sqrt(np.finfo(np.float64).max / (4 * 30))
+        targets = np.where(np.arange(30) % 2 == 0, limit, -limit)
+        model = fit_krr(x, targets, alpha=1.0)
+        assert np.isfinite(model.coefficients).all()
+
     def test_default_gamma_of_huge_features_is_finite(self):
         """The squares var sums would overflow, though the variance does not."""
         x = np.random.default_rng(4).uniform(-4e153, 4e153, size=(1000, 1))

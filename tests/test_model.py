@@ -11,7 +11,6 @@ from weapo import (
     build_slices,
     constraint_matrix,
     fit,
-    fit_supervised,
     hasse_edges,
     predict_dataset,
 )
@@ -399,54 +398,6 @@ class TestWhatTheFitReducesTo:
                     for lam, w in settings
                 }
                 assert len(thetas) == 1
-
-
-class TestFitSupervised:
-    def test_recovers_generating_weights(self):
-        """Targets generated by a one-hot simplex scorer are recoverable."""
-        rng = np.random.default_rng(6)
-        records = []
-        for i in range(200):
-            votes = tuple(int(b) for b in rng.integers(0, 2, 3))
-            gold = 1 if votes[1] == 1 else -1
-            records.append(Record(id=f"s{i}", votes=votes, gold=gold))
-        model = fit_supervised(Dataset.from_records(records))
-        assert model.diagnostics["mse"] <= 1e-6
-        np.testing.assert_allclose(model.theta, [0.0, 1.0, 0.0], atol=1e-3)
-
-    def test_single_function_is_forced(self):
-        records = [
-            Record(id="a", votes=(1,), gold=-1),
-            Record(id="b", votes=(1,), gold=1),
-        ]
-        model = fit_supervised(Dataset.from_records(records))
-        np.testing.assert_allclose(model.theta, [1.0])
-
-    def test_always_firing_function_fits_all_positive(self):
-        records = [
-            Record(id=f"p{i}", votes=(1, i % 2), gold=1) for i in range(20)
-        ]
-        model = fit_supervised(Dataset.from_records(records))
-        assert model.diagnostics["mse"] <= 1e-6
-        assert model.theta[0] >= 0.99
-
-    def test_missing_gold_rejected(self):
-        records = [Record(id="a", votes=(1,), gold=1), Record(id="b", votes=(1,))]
-        with pytest.raises(ValueError, match="gold"):
-            fit_supervised(Dataset.from_records(records))
-
-    def test_gradient_mapping_small_at_convergence(self):
-        rng = np.random.default_rng(7)
-        records = [
-            Record(
-                id=f"g{i}",
-                votes=tuple(int(b) for b in rng.integers(0, 2, 4)),
-                gold=int(rng.choice([-1, 1])),
-            )
-            for i in range(100)
-        ]
-        model = fit_supervised(Dataset.from_records(records))
-        assert model.diagnostics["grad_map_norm"] <= 1e-6
 
 
 class TestPredictDataset:

@@ -22,6 +22,10 @@ input set both trees run the same commands:
   to ``out/krr-coefficients.npy``: ``end`` records only AUCs, which
   would not show a change in the exact solve's last bits.
 
+Both trees also run every ``demos/*.py`` of the checked tree, each as a
+process of its own with the tree's package first on ``PYTHONPATH``; the
+demos write no files, so their stdout, stderr and exit code are compared.
+
 Each tree runs in a directory of its own that holds a copy of the
 inputs, and every path on a command line is relative to it, so outputs
 that record their own paths match. The commands of one tree run in one
@@ -154,6 +158,20 @@ def run_tree(src: Path, rundir: Path, sets: dict) -> subprocess.Popen:
                             cwd=rundir, env=env, text=True, stdout=subprocess.PIPE)
 
 
+def run_demos(src: Path, rundir: Path) -> dict[str, bytes]:
+    """The stdout, stderr and exit code of every demo of the checked tree,
+    run one at a time with the package under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    found = {}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        result = subprocess.run([sys.executable, str(demo)], cwd=rundir, env=env,
+                                capture_output=True)
+        for key, value in (("stdout", result.stdout), ("stderr", result.stderr),
+                           ("exit", str(result.returncode).encode())):
+            found[f"demos/log/{demo.stem}.{key}"] = value
+    return found
+
+
 def collect(out: str, rundir: Path, sets: dict) -> dict[str, bytes]:
     """Every output file and command log of one tree, by relative name,
     from its runner's output ``out``."""
@@ -200,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
             if proc.returncode:
                 raise SystemExit(f"error: the {side} tree's commands did not run "
                                  f"(exit {proc.returncode})")
-        found = {side: collect(outs[side], workdir / side, sets) for side in procs}
+        found = {side: collect(outs[side], workdir / side, sets) | run_demos(src, workdir / side)
+                 for side, src in trees.items()}
     base_found, head_found = found["base"], found["head"]
     names = sorted(base_found.keys() | head_found.keys())
     summary = {
