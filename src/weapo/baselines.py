@@ -179,7 +179,7 @@ def check_ds_settings(
 
 def ds_fit(
     votes: Dataset | SignedVotes,
-    init_prior: Prior,
+    init_prior: Prior = Prior(0.5),
     max_iters: int = 1000,
     tol: float = 1e-6,
     smoothing: float = 1.0,
@@ -356,9 +356,10 @@ class FSModel:
 
 
 def check_fs_settings(eps_clip: float | None = None) -> None:
-    """Raise ``ValueError`` for an ``eps_clip`` out of range; None is not checked."""
-    if eps_clip is not None and not (math.isfinite(eps_clip) and 0.0 <= eps_clip < 1.0):
-        raise ValueError(f"eps_clip must be finite and in [0, 1), got {eps_clip!r}")
+    """Raise ``ValueError`` unless ``1 - eps_clip``, the largest accuracy a fit
+    gives, lies strictly in (0, 1), where ``FSModel`` reads it; None is not checked."""
+    if eps_clip is not None and not 0.0 < 1.0 - eps_clip < 1.0:
+        raise ValueError(f"eps_clip must leave 1 - eps_clip in (0, 1), got {eps_clip!r}")
 
 
 def fs_fit_from_moments(
@@ -378,7 +379,7 @@ def fs_fit_from_moments(
     Raises
     ------
     ValueError
-        If ``eps_clip`` is not finite or lies outside [0, 1), fewer than
+        If ``1 - eps_clip`` lies outside (0, 1), fewer than
         three functions are present, or some function has no admissible
         triplet.
     """

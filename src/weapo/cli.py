@@ -5,16 +5,18 @@ Every command prints a small human-readable table (suppressed by
 resolved configuration and the library version. Exit codes: 0 on
 success, 1 on data or model errors, 2 on usage errors.
 
-The CLI restates no library default: a flag that sets a library value
-defaults to None and is passed on only when given. ``fit`` and
-``compare`` check the model names, the prior requirement, ``--prior``
-and every fitting flag given in ``_fit_settings``, before any file is
-read. A model named twice, or a flag that no named model reads, is a
-usage error, not silently ignored. A model file holds the model's own
-payload plus the keys in ``ENVELOPE_KEYS``; the model classes check the
-payload. ``eval``, ``end`` and ``compare`` check that their files agree
-on the number of labeling functions, and ``end`` on the feature width,
-before any fit or scoring.
+The CLI restates one library default: ``--uncovered-target`` defaults to
+``make_targets``'s 0.0, which ``end`` records in its output. Every other
+flag that sets a library value defaults to None and is passed on only
+when given. ``fit`` and ``compare`` check the model names, the prior
+requirement, ``--prior`` and every fitting flag given in
+``_fit_settings``, before any file is read. A model named twice, or a
+flag that no named model reads, is a usage error, not silently ignored.
+A model file holds the model's own payload plus the keys in
+``ENVELOPE_KEYS``; the model classes check the payload. ``eval``,
+``end`` and ``compare`` check that their files agree on the number of
+labeling functions, and ``end`` on the feature width, before any fit or
+scoring.
 
 At load time the module imports only the standard library and
 ``__version__``. Each command imports the weapo modules it uses when it
@@ -148,9 +150,9 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
         return {"model_type": "mv", "num_lfs": train.num_lfs}
     if name == "ds":
         from .baselines import ds_fit
-        from .data import Prior
 
-        model = ds_fit(train, prior if prior is not None else Prior(0.5), **settings["ds"])
+        given = {} if prior is None else {"init_prior": prior}
+        model = ds_fit(train, **given, **settings["ds"])
         if not model.diagnostics["converged"]:
             print(
                 f"warning: ds: EM stopped at its iteration cap "

@@ -122,13 +122,14 @@ class Dataset:
         Finite dense features, present for every record or for none.
     gold : (N,) array over {-1, 0, +1}, optional
         Gold labels, 0 where a record has none; omitted means no labels.
-    lf_names : tuple of str, optional
+    lf_names : sequence of str, optional
         Human-readable labeling-function names, length M when present.
 
     Notes
     -----
     Validation happens at construction: vote values outside {0, 1}, gold
-    outside {-1, +1}, duplicate ids, or inconsistent widths all raise
+    outside {-1, +1}, duplicate ids, lf_names other than a sequence of
+    strings (a bare string included), or inconsistent widths all raise
     ``DatasetFormatError``. The arrays are stored read-only, so the cached
     pattern compression stays valid.
     """
@@ -151,8 +152,13 @@ class Dataset:
             raise DatasetFormatError(f"{len(ids)} ids for {n} vote rows")
         if not all(isinstance(i, str) for i in ids):
             raise DatasetFormatError("record ids must be strings")
-        if self.lf_names is not None and len(self.lf_names) != m:
-            raise DatasetFormatError(f"{len(self.lf_names)} lf_names for {m} labeling functions")
+        names = self.lf_names
+        if names is not None:
+            strings = isinstance(names, Sequence) and all(isinstance(s, str) for s in names)
+            if isinstance(names, str) or not strings:
+                raise DatasetFormatError("lf_names must be a sequence of strings")
+            if len(names) != m:
+                raise DatasetFormatError(f"{len(names)} lf_names for {m} labeling functions")
         bad = ~((votes == 0) | (votes == 1)).all(axis=1)
         if bad.any():
             raise DatasetFormatError(f"record {ids[bad.argmax()]!r} has a vote outside {{0, 1}}")
@@ -179,14 +185,14 @@ class Dataset:
         object.__setattr__(self, "votes_matrix", _frozen(votes.astype(np.int8)))
         object.__setattr__(self, "features_matrix", features)
         object.__setattr__(self, "gold", _frozen(gold.astype(np.int8)))
-        if self.lf_names is not None:
-            object.__setattr__(self, "lf_names", tuple(self.lf_names))
+        if names is not None:
+            object.__setattr__(self, "lf_names", tuple(names))
 
     @classmethod
     def from_records(
         cls,
         records: Iterable[Record],
-        lf_names: Iterable[str] | None = None,
+        lf_names: Sequence[str] | None = None,
     ) -> "Dataset":
         """Build a dataset, inferring the labeling-function count from the data."""
         recs = tuple(records)
@@ -223,7 +229,7 @@ class Dataset:
                 else None
             ),
             gold=np.array([rec.gold or 0 for rec in recs], dtype=np.int8),
-            lf_names=tuple(lf_names) if lf_names is not None else None,
+            lf_names=lf_names,
         )
 
     def __len__(self) -> int:

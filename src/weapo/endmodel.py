@@ -68,15 +68,15 @@ class KRRModel:
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * squared distance) for every row pair. Refuses
-    non-finite features and features whose squared distances overflow,
-    as ``fit_krr`` does."""
+    """exp(-gamma * squared distance) for every row pair. Refuses the
+    features and the ``gamma`` that ``fit_krr`` refuses."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"feature widths differ ({x.shape[1]} vs {y.shape[1]})")
     _check_features(x)
     _check_features(y)
+    check_krr_settings(gamma=gamma)
     return _kernel(x, y, gamma)
 
 
@@ -107,7 +107,7 @@ def default_gamma(features: np.ndarray) -> float:
 
     The variance is taken of the features scaled by a power of two, which
     is exact, so that the squares it sums cannot overflow. Refuses the
-    features ``rbf_kernel`` refuses."""
+    features ``rbf_kernel`` refuses and a bandwidth that overflows."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     _check_features(features)
     return _default_gamma(features)
@@ -119,7 +119,13 @@ def _default_gamma(features: np.ndarray) -> float:
     var = float(np.ldexp(np.ldexp(features, -exponent).var(), 2 * exponent))
     if var <= 0.0:
         return 1.0
-    return 1.0 / (features.shape[1] * var)
+    gamma = 1.0 / (features.shape[1] * var)
+    if not np.isfinite(gamma):
+        raise ValueError(
+            "the default gamma, 1 / (F * var(features)), overflows because the "
+            "feature variance is too small; give gamma"
+        )
+    return gamma
 
 
 def _check_features(features: np.ndarray) -> None:
@@ -326,13 +332,7 @@ def fit_krr(
         raise ValueError("targets must be finite")
     _check_targets(targets)
     check_krr_settings(gamma, alpha)
-    if gamma is None:
-        gamma = _default_gamma(features)
-        if not np.isfinite(gamma):
-            raise ValueError(
-                "the default gamma, 1 / (F * var(features)), overflows because the "
-                "feature variance is too small; give gamma"
-            )
+    gamma = _default_gamma(features) if gamma is None else gamma
     n = features.shape[0]
     needed, available = fit_bytes(n), _available_memory_bytes()
     if available is not None and needed > MEMORY_BUDGET_FRACTION * available:

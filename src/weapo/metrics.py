@@ -55,11 +55,11 @@ def _check_inputs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
 def _tied_blocks(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
     """ROC-AUC and average precision of items with finite ``scores`` that
-    hold ``pos[i]`` positive and ``neg[i]`` negative records; NaN where a
-    class they need is absent. ROC-AUC counts twice the correctly ordered
-    pairs as an exact integer (a tied pair counts one). Average precision
-    adds precision times the recall increment after each block, highest
-    score first, as a running sum.
+    hold ``pos[i]`` positive and ``neg[i]`` negative records, at least one
+    positive among them; ROC-AUC is NaN where no negative is. ROC-AUC
+    counts twice the correctly ordered pairs as an exact integer (a tied
+    pair counts one). Average precision adds precision times the recall
+    increment after each block, highest score first, as a running sum.
     """
     order = np.argsort(scores, kind="stable")
     ordered = scores[order]
@@ -69,9 +69,7 @@ def _tied_blocks(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[
     n_pos, n_neg = int(block_pos.sum()), int(block_neg.sum())
     below = np.cumsum(block_neg) - block_neg
     twice_pairs = 2 * int(block_pos @ below) + int(block_pos @ block_neg)
-    roc = twice_pairs / 2 / (n_pos * n_neg) if n_pos and n_neg else float("nan")
-    if not n_pos:
-        return roc, float("nan")
+    roc = twice_pairs / 2 / (n_pos * n_neg) if n_neg else float("nan")
     cum_pos = np.cumsum(block_pos[::-1])
     precision = cum_pos / np.cumsum((block_pos + block_neg)[::-1])
     return roc, float(np.cumsum(np.diff(cum_pos / n_pos, prepend=0.0) * precision)[-1])

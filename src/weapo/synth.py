@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -92,20 +92,12 @@ class SyntheticSpec:
         return len(self.tpr)
 
     def to_json_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "p_plus": self.p_plus,
-            "tpr": list(self.tpr),
-            "fpr": list(self.fpr),
-            "n": self.n,
-            "seed": self.seed,
-        }
-        if self.feature_spec is not None:
-            payload["feature_spec"] = {
-                "mu_pos": list(self.feature_spec.mu_pos),
-                "mu_neg": list(self.feature_spec.mu_neg),
-                "sigma": self.feature_spec.sigma,
-            }
-        return payload
+        """The fields, nested ones too, in declaration order, without those
+        that are None, and with tuples as lists, as ``from_json_dict`` reads."""
+        return asdict(self, dict_factory=lambda fields: {
+            key: list(value) if type(value) is tuple else value
+            for key, value in fields if value is not None
+        })
 
     @classmethod
     def from_json_dict(cls, payload: Any) -> "SyntheticSpec":

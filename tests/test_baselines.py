@@ -227,6 +227,12 @@ class TestDawidSkene:
             with pytest.raises(ValueError, match=name):
                 ds_fit(np.array([[1, -1]]), Prior(0.5), **settings_)
 
+    def test_initial_prior_defaults_to_one_half(self):
+        signed = np.random.default_rng(5).choice([-1, 1], size=(50, 3))
+        model, half = ds_fit(signed), ds_fit(signed, Prior(0.5))
+        assert model.class_prior == half.class_prior
+        assert (model.confusion == half.confusion).all()
+
     def test_json_round_trip(self):
         signed = np.random.default_rng(5).choice([-1, 1], size=(50, 3))
         model = ds_fit(signed, Prior(0.5))
@@ -332,7 +338,7 @@ class TestTripletMethod:
     def test_bad_inputs_rejected(self):
         moments = product_moments([0.8, 0.6, 0.5])
         signed = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
-        for eps_clip in (float("nan"), float("inf"), -1e-4, 1.0, 2.0):
+        for eps_clip in (float("nan"), float("inf"), -1e-4, 0.0, 1e-17, 1.0, 2.0):
             with pytest.raises(ValueError, match="eps_clip"):
                 fs_fit_from_moments(moments, Prior(0.5), eps_clip=eps_clip)
             with pytest.raises(ValueError, match="eps_clip"):

@@ -405,6 +405,31 @@ class TestFitCommand:
         assert "Traceback" not in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("eps_clip", ["0", "1e-17"])
+    def test_eps_clip_that_leaves_accuracy_one_refused_before_reading(
+        self, tmp_path, capsys, eps_clip
+    ):
+        """1 - eps_clip rounds to 1 here, an accuracy a model file may not hold."""
+        model_path = tmp_path / "m.json"
+        code = main(
+            ["fit", str(tmp_path / "nope.jsonl"), "--model", "fs", "--prior", "0.5",
+             "--eps-clip", eps_clip, "--out", str(model_path), "--quiet"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps_clip") and "nope" not in err
+        assert not model_path.exists()
+
+    def test_smallest_accepted_eps_clip_writes_a_readable_model(
+        self, informative_files, tmp_path
+    ):
+        model_path = str(tmp_path / "m.json")
+        assert main(
+            ["fit", informative_files["train"], "--model", "fs", "--prior", "0.5",
+             "--eps-clip", "1.2e-16", "--out", model_path, "--quiet"]
+        ) == 0
+        assert main(["eval", model_path, informative_files["test"], "--quiet"]) == 0
+
     @pytest.mark.parametrize(
         "model, flags",
         [

@@ -91,6 +91,38 @@ class TestValidation:
         with pytest.raises(DatasetFormatError, match="lf_names"):
             make_dataset([(1, 0)], lf_names=("only_one",))
 
+    @pytest.mark.parametrize("lf_names", [(1,), "ab", ("a", None), {"a", "b"}])
+    def test_lf_names_must_be_a_sequence_of_strings(self, lf_names):
+        """Refused at construction, as the loaders refuse them in a file;
+        a bare string was once split into its characters."""
+        with pytest.raises(DatasetFormatError, match="lf_names must be a sequence of strings"):
+            Dataset(ids=("a",), votes_matrix=np.ones((1, len(lf_names)), dtype=np.int8),
+                    lf_names=lf_names)
+        with pytest.raises(DatasetFormatError, match="lf_names must be a sequence of strings"):
+            make_dataset([(1,) * len(lf_names)], lf_names=lf_names)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"votes_matrix": np.ones(2)}, r"votes_matrix must be an \(N, M\) array"),
+            ({"votes_matrix": np.ones((2, 0))}, "num_lfs must be at least 1"),
+            ({"ids": ("a",)}, "1 ids for 2 vote rows"),
+            ({"gold": np.ones((2, 1))}, r"gold must have shape \(2,\), got \(2, 1\)"),
+            ({"gold": np.array([1, 2])}, r"record 'b' has gold outside \{-1, \+1\}"),
+            ({"features_matrix": np.ones(2)}, r"features must have shape \(2, F\)"),
+            ({"features_matrix": np.ones((3, 1))}, r"features must have shape \(2, F\)"),
+        ],
+    )
+    def test_constructor_refusals(self, columns, message):
+        """The loaders and from_records check these first, so only a
+        direct construction reaches the constructor's own checks."""
+        with pytest.raises(DatasetFormatError, match=message):
+            Dataset(**{"ids": ("a", "b"), "votes_matrix": np.ones((2, 2)), **columns})
+
+    def test_from_no_records_rejected(self):
+        with pytest.raises(DatasetFormatError, match="empty record list"):
+            Dataset.from_records([])
+
     def test_prior_range(self):
         Prior(0.5)
         for bad in (0.0, 1.0, -0.1, 1.7):

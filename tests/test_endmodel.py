@@ -431,6 +431,21 @@ class TestExtremeNumbers:
         with pytest.raises(ValueError, match="default gamma.*overflows.*give gamma"):
             fit_krr(x, np.linspace(0.0, 1.0, 20))
 
+    def test_public_default_gamma_refuses_what_fit_krr_refuses(self):
+        """It once returned inf for the features fit_krr refuses."""
+        x = np.random.default_rng(5).normal(size=(20, 2)) * 1e-160
+        with pytest.raises(ValueError, match="default gamma.*overflows.*give gamma"):
+            default_gamma(x)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan, np.inf])
+    def test_kernel_refuses_the_gamma_fit_krr_refuses(self, gamma):
+        """A gamma of -1 once gave kernel values of e."""
+        x = np.array([[0.0], [1.0]])
+        for fit_or_kernel in (lambda: fit_krr(x, np.array([0.0, 1.0]), gamma=gamma),
+                              lambda: rbf_kernel(x, x, gamma)):
+            with pytest.raises(ValueError, match="gamma must be finite and positive"):
+                fit_or_kernel()
+
     def test_huge_gamma_saturates_the_kernel_to_zero(self):
         x = np.array([[0.0], [1.0], [3.0]])
         kernel = rbf_kernel(x, x, 1e308)

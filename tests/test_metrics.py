@@ -175,6 +175,17 @@ class TestEvaluateLabelModel:
         with pytest.raises(ValueError, match="aligned"):
             evaluate_label_model(np.zeros(3), np.ones(2), np.array([1, -1, 1]))
 
+    def test_covered_record_without_gold_rejected(self):
+        with pytest.raises(ValueError, match=r"labels must take values in \{-1, \+1\}"):
+            evaluate_label_model(np.zeros(3), np.ones(3), np.array([1, -1, 0]))
+
+    def test_non_finite_covered_score_rejected(self):
+        """An uncovered record's score is never read, NaN or not."""
+        gold = np.array([1, -1, 1])
+        assert evaluate_label_model(np.array([1.0, 0.0, np.nan]), [1, 1, 0], gold).roc_auc == 1.0
+        with pytest.raises(ValueError, match="scores must be finite"):
+            evaluate_label_model(np.array([np.nan, 0.0, 1.0]), np.ones(3), gold)
+
     def test_json_payload(self):
         result = evaluate_label_model(
             np.array([0.9, 0.1]), np.array([1, 1]), np.array([1, -1])

@@ -280,6 +280,20 @@ class TestSpecPersistence:
         spec.save(path)
         assert SyntheticSpec.load(path) == spec
 
+    def test_json_dict_round_trip_in_memory(self):
+        spec = spec_3lf(feature_spec=FeatureSpec(mu_pos=(1.0,), mu_neg=(0.0,), sigma=0.7))
+        assert SyntheticSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    def test_file_text(self, tmp_path):
+        """The fields in declaration order, and no key for an absent feature spec."""
+        path = tmp_path / "spec.json"
+        SyntheticSpec.from_json_dict(VALID_SPEC_PAYLOAD).save(path)
+        text = '{"p_plus":0.5,"tpr":[0.9,0.8],"fpr":[0.1,0.2],"n":10,"seed":0'
+        assert path.read_text() == text + "}\n"
+        SyntheticSpec.from_json_dict({**VALID_SPEC_PAYLOAD, "feature_spec": FEATURES}).save(path)
+        features = '"feature_spec":{"mu_pos":[1.0],"mu_neg":[0.0],"sigma":1.0}'
+        assert path.read_text() == text + "," + features + "}\n"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="p_plus"):
             SyntheticSpec(p_plus=0.0, tpr=(0.5,), fpr=(0.5,), n=1)

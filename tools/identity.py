@@ -32,8 +32,10 @@ that record their own paths match. The commands of one tree run in one
 process through ``weapo.cli.main``, with stdout and stderr captured.
 Every output file is compared byte for byte, and so are the stdout,
 stderr and exit code of every command. The summary is one JSON object on
-stdout, which also lists the commands that failed on the checked tree;
-the exit code is 1 when anything differs and 0 otherwise.
+stdout. It also lists the commands and demos that failed on the checked
+tree, those of them that exit 0 on the base tree (``newly_failed``), and
+the lines of ``src/weapo/*.py`` in each tree (``src_lines``). The exit
+code is 1 when anything differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -172,6 +174,11 @@ def run_demos(src: Path, rundir: Path) -> dict[str, bytes]:
     return found
 
 
+def source_lines(src: Path) -> int:
+    """The lines of the package's modules under ``src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "weapo").glob("*.py"))
+
+
 def collect(out: str, rundir: Path, sets: dict) -> dict[str, bytes]:
     """Every output file and command log of one tree, by relative name,
     from its runner's output ``out``."""
@@ -220,18 +227,22 @@ def main(argv: list[str] | None = None) -> int:
                                  f"(exit {proc.returncode})")
         found = {side: collect(outs[side], workdir / side, sets) | run_demos(src, workdir / side)
                  for side, src in trees.items()}
+        src_lines = {side: source_lines(src) for side, src in trees.items()}
     base_found, head_found = found["base"], found["head"]
     names = sorted(base_found.keys() | head_found.keys())
+    failed = [name[: -len(".exit")] for name in names
+              if name.endswith(".exit") and head_found.get(name) != b"0"]
     summary = {
         "base": args.base or str(Path(args.base_src).resolve()),
         "head": str(ROOT),
         "input_sets": sorted(sets),
         "files": sum("/log/" not in name for name in names),
         "logs": sum(name.endswith(".exit") for name in names),
+        "src_lines": src_lines,
         # Commands that failed on the checked tree; identical failures
         # would show nothing else.
-        "failed_in_head": [name[: -len(".exit")] for name in names
-                           if name.endswith(".exit") and head_found.get(name) != b"0"],
+        "failed_in_head": failed,
+        "newly_failed": [name for name in failed if base_found.get(name + ".exit") == b"0"],
         "only_in_base": sorted(base_found.keys() - head_found.keys()),
         "only_in_head": sorted(head_found.keys() - base_found.keys()),
         "differing": [name for name in names
