@@ -6,9 +6,9 @@ Majority vote scores by the fraction of firing functions; Dawid-Skene
 fits per-function confusion matrices by EM under a naive-Bayes model;
 the triplet method recovers mean accuracies E[vote * y] from second
 moments in closed form. Each sees a record only through its vote
-pattern, so the fitting and posterior functions take a ``Dataset``,
-whose cached ``patterns`` they read, or a signed (N, M) array, which
-they check and compress.
+pattern, so the fits and posterior functions take a ``VotePatterns``
+table, a ``Dataset``, whose table they read, or a signed (N, M) array,
+which ``data.vote_patterns`` checks and compresses.
 
 Dawid-Skene, the triplet method and the Bayes oracle of ``synth`` share
 one naive-Bayes scorer: each function fires at one rate given y = +1 and
@@ -17,7 +17,7 @@ rates (1 + a_j) / 2 and (1 - a_j) / 2; the oracle uses the generating
 law's ``tpr`` and ``fpr``. The scorer checks the width and names a vote
 vector of zero probability. Each model scores each vote pattern once
 (``_mv_patterns``, ``DSModel.pattern_scores``, ``FSModel.pattern_scores``);
-the public functions gather those scores to every record.
+``data.record_scores`` gathers those scores to every record.
 
 The defaults of the fitting settings live in the fit signatures alone
 (the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Prior, VotePatterns, compress_votes
+from .data import Dataset, Prior, VotePatterns, record_scores, vote_patterns
 from .payload import check_keys, json_object, json_scalars, numbers
 
 SignedVotes = np.ndarray
@@ -57,21 +57,16 @@ def _mv_patterns(patterns: VotePatterns) -> np.ndarray:
 
 def mv_scores(dataset: Dataset) -> np.ndarray:
     """Majority-vote scores for every record, computed once per vote pattern."""
-    return _mv_patterns(dataset.patterns)[dataset.patterns.inverse]
+    return record_scores(_mv_patterns, dataset)
 
 
-def _patterns(votes: Dataset | SignedVotes) -> VotePatterns:
-    """The cached patterns of a dataset, or those of a checked signed array."""
-    if isinstance(votes, Dataset):
-        if len(votes) == 0:
-            raise ValueError("dataset has no records")
-        return votes.patterns
-    signed = np.asarray(votes)
-    if signed.ndim != 2 or signed.shape[0] == 0 or signed.shape[1] == 0:
-        raise ValueError("signed votes must be a non-empty (N, M) array")
-    if not np.isin(signed, (-1, 1)).all():
-        raise ValueError("signed votes must take values in {-1, +1}")
-    return compress_votes(signed)
+def _weighted(votes: Dataset | VotePatterns | SignedVotes) -> tuple[VotePatterns, float]:
+    """The table a fit reads and its total weight ``n``, which must be positive."""
+    pats = vote_patterns(votes)
+    n = float(pats.weights.sum())
+    if not n > 0.0:
+        raise ValueError("dataset has no records")
+    return pats, n
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +173,7 @@ def check_ds_settings(
 
 
 def ds_fit(
-    votes: Dataset | SignedVotes,
+    votes: Dataset | VotePatterns | SignedVotes,
     init_prior: Prior = Prior(0.5),
     max_iters: int = 1000,
     tol: float = 1e-6,
@@ -188,13 +183,14 @@ def ds_fit(
 
     Parameters
     ----------
-    votes : Dataset or (N, M) array over {-1, +1}
+    votes : VotePatterns, Dataset or (N, M) array over {-1, +1}
     init_prior : Prior
         Initial class prior; EM updates it along with the confusions.
     max_iters, tol : int, float
         EM stops when the objective improves by less than ``tol`` or
         after ``max_iters`` iterations. ``max_iters`` must be an integer
-        of at least 1 and ``tol`` finite and non-negative.
+        of at least 1 and ``tol`` finite and non-negative. The objective
+        sums over records, so ``tol`` scales with the total weight.
     smoothing : float
         Add-``smoothing`` Laplace counts in every re-estimation, which
         makes the fit the MAP under Beta(1 + smoothing, 1 + smoothing)
@@ -205,18 +201,18 @@ def ds_fit(
     Notes
     -----
     Records with the same votes share one responsibility, so EM runs
-    over the K distinct vote patterns, each weighted by its record count.
-    EM starts from majority vote: responsibilities start at the mean of
-    the per-record positive-vote fraction and the prior, and the first
+    over the table's rows, in key order, each with its weight. EM starts
+    from majority vote: responsibilities start at the mean of the
+    per-record positive-vote fraction and the prior, and the first
     parameter estimate is one M-step from there. After convergence the
     classes are canonicalized so the one with the larger
-    posterior-weighted mean signed vote is +1.
+    posterior-weighted mean signed vote is +1; when the two are within
+    1e-9, a tie the votes cannot break, the minority class is +1.
     """
-    pats = _patterns(votes)
+    pats, n = _weighted(votes)
     check_ds_settings(max_iters, tol, smoothing)
-    n, m = len(pats.inverse), pats.rows.shape[1]
     v01 = pats.rows.astype(np.float64)
-    weights = pats.counts.astype(np.float64)
+    weights = pats.weights
 
     def m_step(resp: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         # Exact ratios of counts stay in [0, 1]; the clip only removes
@@ -227,10 +223,8 @@ def ds_fit(
             (v01.T @ pos_weight + smoothing) / (total_pos + 2.0 * smoothing), 0.0, 1.0
         )
         neg_fire = np.clip(
-            (v01.T @ (weights * (1.0 - resp)) + smoothing)
-            / ((n - total_pos) + 2.0 * smoothing),
-            0.0,
-            1.0,
+            (v01.T @ (weights * (1.0 - resp)) + smoothing) / (n - total_pos + 2.0 * smoothing),
+            0.0, 1.0,
         )
         pi = min(max((total_pos + smoothing) / (n + 2.0 * smoothing), 0.0), 1.0)
         return float(pi), pos_fire, neg_fire
@@ -268,8 +262,7 @@ def ds_fit(
             converged = True
             break
 
-    # Canonicalize label switching: class +1 is the one whose
-    # posterior-weighted mean signed vote is larger.
+    # Canonicalize label switching, as the docstring says.
     resp = _posterior(lp, ln)
     mean_signed = (2.0 * v01 - 1.0).mean(axis=1)
     weight_pos = float(weights @ resp)
@@ -277,15 +270,13 @@ def ds_fit(
     if weight_pos > 0.0 and weight_neg > 0.0:
         side_pos = float((weights * resp) @ mean_signed) / weight_pos
         side_neg = float((weights * (1.0 - resp)) @ mean_signed) / weight_neg
-        if side_pos < side_neg:
+        gap = side_pos - side_neg
+        if gap < -1e-9 or (abs(gap) <= 1e-9 and pi > 0.5):
             pi = 1.0 - pi
             pos_fire, neg_fire = neg_fire.copy(), pos_fire.copy()
 
-    confusion = np.empty((m, 2, 2), dtype=np.float64)
-    confusion[:, 1, 1] = pos_fire
-    confusion[:, 1, 0] = 1.0 - pos_fire
-    confusion[:, 0, 1] = neg_fire
-    confusion[:, 0, 0] = 1.0 - neg_fire
+    fire = np.stack([neg_fire, pos_fire], axis=1)
+    confusion = np.stack([1.0 - fire, fire], axis=2)
     diagnostics: dict[str, Any] = {
         "objective": float(history[-1]),
         "log_likelihood": float(data_ll),
@@ -314,8 +305,7 @@ def _naive_bayes_posteriors(
 
 def ds_posteriors(model: DSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     """P(y = +1 | votes) for every record under the fitted naive-Bayes model."""
-    pats = _patterns(votes)
-    return model.pattern_scores(pats)[pats.inverse]
+    return record_scores(model.pattern_scores, votes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,36 +380,30 @@ def fs_fit_from_moments(
     m = moments.shape[0]
     if m < 3:
         raise ValueError("triplet method requires M >= 3")
+    k, l = np.triu_indices(m, 1)
+    admissible = np.abs(moments[k, l]) > eps_clip
     accuracies = np.empty(m, dtype=np.float64)
     for j in range(m):
-        others = [k for k in range(m) if k != j]
-        estimates = []
-        for a in range(len(others)):
-            for b in range(a + 1, len(others)):
-                k, l = others[a], others[b]
-                denom = moments[k, l]
-                if abs(denom) > eps_clip:
-                    estimates.append(
-                        math.sqrt(abs(moments[j, k] * moments[j, l] / denom))
-                    )
-        if not estimates:
+        use = admissible & (k != j) & (l != j)
+        if not use.any():
             raise ValueError(f"no admissible triplet for labeling function {j}")
+        ks, ls = k[use], l[use]
+        estimates = np.sqrt(np.abs(moments[j, ks] * moments[j, ls] / moments[ks, ls]))
         accuracies[j] = min(max(float(np.median(estimates)), 0.0), 1.0 - eps_clip)
     return FSModel(accuracies=accuracies, class_prior=prior.p_plus)
 
 
 def fs_fit(
-    votes: Dataset | SignedVotes, prior: Prior, eps_clip: float = FS_EPS_CLIP
+    votes: Dataset | VotePatterns | SignedVotes, prior: Prior, eps_clip: float = FS_EPS_CLIP
 ) -> FSModel:
-    """Triplet-method fit from data: empirical moments, then recovery."""
-    pats = _patterns(votes)
-    # Over count-weighted patterns; every sum is an integer, so exact.
+    """Triplet-method fit from data: the table's weighted moments, then recovery."""
+    pats, n = _weighted(votes)
+    # Over count weights every sum is an integer, so exact.
     signed = 2.0 * pats.rows - 1.0
-    moments = ((signed.T * pats.counts) @ signed) / len(pats.inverse)
+    moments = ((signed.T * pats.weights) @ signed) / n
     return fs_fit_from_moments(moments, prior, eps_clip=eps_clip)
 
 
 def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:
     """``FSModel.pattern_scores`` for every record."""
-    pats = _patterns(votes)
-    return model.pattern_scores(pats)[pats.inverse]
+    return record_scores(model.pattern_scores, votes)

@@ -42,10 +42,11 @@ if TYPE_CHECKING:
 
 MODEL_NAMES = ("weapo", "weapo-noprior", "mv", "ds", "fs")
 # The models that read each fitting flag; a flag given to none of them is
-# refused rather than ignored.
+# refused rather than ignored. weapo-noprior's theta is the uniform
+# vector whatever its settings, so it reads none.
 _FLAG_READERS = {
-    "lambda_reg": ("weapo", "weapo-noprior"),
-    "prior_weight": ("weapo", "weapo-noprior"),
+    "lambda_reg": ("weapo",),
+    "prior_weight": ("weapo",),
     "max_iters": ("ds",),
     "tol": ("ds",),
     "smoothing": ("ds",),
@@ -71,14 +72,8 @@ def _float_list(text: str) -> list[float]:
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in rows), default=0))
-        for i in range(len(headers))
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    for row in (headers, ["-" * w for w in widths], *rows):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
@@ -269,8 +264,8 @@ def cmd_eval(args) -> int:
     payload, num_lfs, score = _read_model(args.model)
     test = load_dataset(args.test)
     _same_width("labeling functions", (args.model, num_lfs), (args.test, test.num_lfs))
-    gold = _require_gold(test, args.test)
-    result = evaluate_patterns(score(test.patterns), test.patterns, gold)
+    _require_gold(test, args.test)
+    result = evaluate_patterns(score(test.patterns), test.patterns)
     out_payload = {
         "command": "eval",
         "version": __version__,
@@ -286,14 +281,8 @@ def cmd_eval(args) -> int:
     if not args.quiet:
         _print_table(
             ["model", "roc_auc", "pr_auc", "n_covered", "n_pos", "n_neg"],
-            [[
-                str(payload.get("model_type")),
-                f"{result.roc_auc:.4f}",
-                f"{result.pr_auc:.4f}",
-                str(result.n_evaluated),
-                str(result.n_pos),
-                str(result.n_neg),
-            ]],
+            [[str(payload.get("model_type")), f"{result.roc_auc:.4f}", f"{result.pr_auc:.4f}",
+              str(result.n_evaluated), str(result.n_pos), str(result.n_neg)]],
         )
     _emit(out_payload, args.out)
     return 0
@@ -302,7 +291,7 @@ def cmd_eval(args) -> int:
 def cmd_end(args) -> int:
     import numpy as np
 
-    from .data import coverage_mask, load_dataset
+    from .data import coverage_mask, load_dataset, record_scores
     from .endmodel import check_krr_settings, fit_krr, make_targets, predict_krr
     from .metrics import pr_auc, roc_auc
 
@@ -322,7 +311,7 @@ def cmd_end(args) -> int:
         (args.train, train.features_matrix.shape[1]), (args.test, test.features_matrix.shape[1]),
     )
     gold = _require_gold(test, args.test)
-    label_scores = score(train.patterns)[train.patterns.inverse]
+    label_scores = record_scores(score, train)
     targets = make_targets(label_scores, coverage_mask(train), args.uncovered_target)
     if np.ptp(targets) == 0.0:
         raise ValueError(
@@ -362,12 +351,7 @@ def cmd_end(args) -> int:
     if not args.quiet:
         _print_table(
             ["label_model", "roc_auc", "pr_auc", "n_test"],
-            [[
-                str(payload.get("model_type")),
-                f"{roc:.4f}",
-                f"{pr:.4f}",
-                str(len(test)),
-            ]],
+            [[str(payload.get("model_type")), f"{roc:.4f}", f"{pr:.4f}", str(len(test))]],
         )
     _emit(out_payload, args.out)
     return 0
@@ -392,7 +376,7 @@ def cmd_compare(args) -> int:
         widths.append((args.oracle, spec.num_lfs))
         oracle = oracle_posteriors(spec)
     _same_width("labeling functions", *widths)
-    gold = _require_gold(test, args.test)
+    _require_gold(test, args.test)
 
     def scorer(name: str) -> Scorer:
         if name == "oracle":
@@ -401,17 +385,13 @@ def cmd_compare(args) -> int:
 
     rows: list[dict[str, Any]] = []
     for name in names + (["oracle"] if oracle is not None else []):
-        row: dict[str, Any] = {"model": name}
         try:
-            result = evaluate_patterns(scorer(name)(test.patterns), test.patterns, gold)
-            row.update(result.to_json_dict())
-            row["error"] = None
+            result = evaluate_patterns(scorer(name)(test.patterns), test.patterns).to_json_dict()
+            error = None
         except ValueError as err:
-            row.update(
-                {"roc_auc": None, "pr_auc": None, "n_pos": None, "n_neg": None,
-                 "n_evaluated": None, "error": str(err)}
-            )
-        rows.append(row)
+            result = dict.fromkeys(("roc_auc", "pr_auc", "n_pos", "n_neg", "n_evaluated"))
+            error = str(err)
+        rows.append({"model": name, **result, "error": error})
     out_payload = {
         "command": "compare",
         "version": __version__,

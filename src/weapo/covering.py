@@ -29,9 +29,9 @@ MAX_HASSE_PATTERNS = 2**13
 class SliceTable:
     """Covered records grouped by exact vote vector.
 
-    ``slices`` maps each observed non-zero vote vector to the indices of
-    records carrying it, in dataset order; ``uncovered`` lists the indices
-    of all-abstain records. Together they partition ``range(num_records)``.
+    ``slices`` maps each non-zero vote vector, in key order, to the indices
+    of records carrying it, in dataset order; ``uncovered`` holds those of
+    all-abstain records. Together they partition ``range(num_records)``.
     """
 
     slices: dict[VoteVector, tuple[int, ...]]
@@ -49,18 +49,14 @@ def build_slices(dataset: Dataset) -> SliceTable:
     Returns
     -------
     SliceTable
-        Slice keys appear in first-occurrence order; member index lists
-        follow dataset record order.
+        Slice keys appear in key order (lexicographic, function 0
+        first); member index lists follow dataset record order.
     """
     pats = dataset.patterns
-    members = np.split(np.argsort(pats.inverse, kind="stable"), np.cumsum(pats.counts)[:-1])
-    slices: dict[VoteVector, tuple[int, ...]] = {}
-    uncovered: tuple[int, ...] = ()
-    for row, group in zip(pats.rows.tolist(), members):
-        if any(row):
-            slices[tuple(row)] = tuple(group.tolist())
-        else:
-            uncovered = tuple(group.tolist())
+    bounds = np.cumsum(pats.weights[:-1], dtype=np.intp)
+    members = np.split(np.argsort(pats.inverse, kind="stable"), bounds)
+    slices = {tuple(row): tuple(group.tolist()) for row, group in zip(pats.rows.tolist(), members)}
+    uncovered = slices.pop((0,) * dataset.num_lfs, ())
     return SliceTable(slices=slices, uncovered=uncovered, num_records=len(dataset))
 
 

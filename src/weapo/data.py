@@ -8,9 +8,8 @@ build a dataset by hand; nothing in the package iterates over records.
 
 Because every function either fires or abstains, each label model sees a
 record only through its vote row. ``Dataset.patterns`` compresses the
-rows once into the K distinct patterns, their counts and a per-record
-inverse; models score each pattern once, and ``eval`` and ``compare``
-evaluate those scores with each pattern's class counts.
+rows once into the table every fit and metric reads: the K distinct
+patterns in key order, their record and class counts, and an inverse.
 
 ``load_dataset`` and ``save_dataset`` read and write JSON Lines files.
 """
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -64,24 +63,29 @@ class Prior:
 
 @dataclass(frozen=True, eq=False)
 class VotePatterns:
-    """The distinct rows of a vote matrix, in first-occurrence order.
+    """Distinct 0/1 vote rows in key order, each with its weights.
 
-    ``rows`` is (K, M) int8 over {0, 1}, ``counts[k]`` is the number of
-    records whose votes equal ``rows[k]``, and ``rows[inverse]`` rebuilds
-    the (N, M) matrix.
+    ``rows`` is (K, M) int8, sorted lexicographically, function 0 first.
+    ``weights`` (float64) holds each row's record count, or a probability,
+    and ``pos`` and ``neg`` the part of it labelled +1 and -1. Fits read
+    ``rows`` and ``weights``, metrics ``rows``, ``pos`` and ``neg``, and
+    ``rows[inverse]`` rebuilds the votes (None: a table of no records).
     """
 
     rows: np.ndarray
-    counts: np.ndarray
-    inverse: np.ndarray
+    weights: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    inverse: np.ndarray | None
 
 
-def compress_votes(votes: np.ndarray) -> VotePatterns:
-    """Compress an (N, M) matrix whose entries are positive where a vote fired.
+def compress_votes(votes: np.ndarray, gold: np.ndarray | None = None) -> VotePatterns:
+    """Compress an (N, M) matrix whose entries are positive where a vote
+    fired; ``gold`` (+1, -1 or 0 per record) fills ``pos`` and ``neg``.
 
     Each row is packed to bits and keyed as big-endian unsigned integers:
-    one word of 1, 2, 4 or 8 bytes, or 8-byte words past M = 64. One stable
-    ``np.lexsort`` of the keys groups equal rows, first occurrence first.
+    one word of 1, 2, 4 or 8 bytes, or 8-byte words past M = 64. One
+    ``np.lexsort`` of the keys, first word first, sorts them in key order.
     """
     bits = np.asarray(votes) > 0
     nbytes = -(-bits.shape[1] // 8)
@@ -89,17 +93,19 @@ def compress_votes(votes: np.ndarray) -> VotePatterns:
     packed = np.zeros((len(bits), -(-nbytes // word) * word), dtype=np.uint8)
     packed[:, :nbytes] = np.packbits(bits, axis=1)
     keys = packed.view(f">u{word}")
-    order = np.lexsort(keys.T)
+    order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     starts = np.ones(len(bits), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     group = np.empty_like(order)
     group[order] = np.cumsum(starts) - 1
-    by_first = np.argsort(order[starts])
+    gold = np.zeros(len(bits), dtype=np.int8) if gold is None else np.asarray(gold)
     return VotePatterns(
-        rows=bits[order[starts][by_first]].astype(np.int8),
-        counts=np.bincount(group, minlength=len(by_first))[by_first],
-        inverse=np.argsort(by_first)[group],
+        rows=bits[order[starts]].astype(np.int8),
+        weights=np.bincount(group).astype(np.float64),
+        pos=np.bincount(group, weights=gold > 0),
+        neg=np.bincount(group, weights=gold < 0),
+        inverse=group,
     )
 
 
@@ -266,8 +272,34 @@ class Dataset:
 
     @cached_property
     def patterns(self) -> VotePatterns:
-        """The distinct vote rows, computed once per dataset."""
-        return compress_votes(self.votes_matrix)
+        """The table of the vote rows and gold labels, computed once per dataset."""
+        return compress_votes(self.votes_matrix, self.gold)
+
+
+def vote_patterns(votes: Dataset | VotePatterns | np.ndarray) -> VotePatterns:
+    """The table a fit or scorer reads: a table as it is, the cached
+    patterns of a dataset, or those of a checked signed (N, M) array over
+    {-1, +1}, which have no labels."""
+    if isinstance(votes, VotePatterns):
+        return votes
+    if isinstance(votes, Dataset):
+        return votes.patterns
+    signed = np.asarray(votes)
+    if signed.ndim != 2 or signed.shape[0] == 0 or signed.shape[1] == 0:
+        raise ValueError("signed votes must be a non-empty (N, M) array")
+    if not np.isin(signed, (-1, 1)).all():
+        raise ValueError("signed votes must take values in {-1, +1}")
+    return compress_votes(signed)
+
+
+def record_scores(
+    score: Callable[[VotePatterns], np.ndarray], votes: Dataset | VotePatterns | np.ndarray
+) -> np.ndarray:
+    """The ``score`` of each row of the table of ``votes``, gathered to its records."""
+    pats = vote_patterns(votes)
+    if pats.inverse is None or pats.inverse.size == 0:
+        raise ValueError("dataset has no records")
+    return score(pats)[pats.inverse]
 
 
 def coverage_mask(dataset: Dataset) -> np.ndarray:

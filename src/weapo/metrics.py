@@ -7,8 +7,9 @@ reordering within a tie cannot change the value. Both metrics are
 undefined on single-class data and raise instead of guessing.
 
 Both come from one sort that merges equal scores into tied blocks. An
-item is a record, or in ``evaluate_patterns`` a vote pattern with the
-class counts of its records: the blocks, and so the values, are equal.
+item is a record, or in ``evaluate_patterns`` a row of the weighted vote
+table with its class weights: the blocks of a table of counts, and so
+the values, are those of its records.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class EvalResult:
 
     roc_auc: float
     pr_auc: float
-    n_pos: int
-    n_neg: int
-    n_evaluated: int
+    n_pos: int | float
+    n_neg: int | float
+    n_evaluated: int | float
 
     def to_json_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -55,24 +56,28 @@ def _check_inputs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
 def _tied_blocks(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
     """ROC-AUC and average precision of items with finite ``scores`` that
-    hold ``pos[i]`` positive and ``neg[i]`` negative records, at least one
-    positive among them; ROC-AUC is NaN where no negative is. ROC-AUC
-    counts twice the correctly ordered pairs as an exact integer (a tied
+    hold positive weight ``pos[i]`` and negative weight ``neg[i]``, some
+    positive weight among them; ROC-AUC is NaN where no negative is.
+    ROC-AUC counts twice the weight of correctly ordered pairs (a tied
     pair counts one). Average precision adds precision times the recall
     increment after each block, highest score first, as a running sum.
+    Sums run in float64, which holds whole-number weights exactly while
+    ``2 * n_pos * n_neg`` stays below 2**53; larger totals are refused.
     """
     order = np.argsort(scores, kind="stable")
     ordered = scores[order]
     starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
-    block_pos = np.add.reduceat(np.asarray(pos, dtype=np.int64)[order], starts)
-    block_neg = np.add.reduceat(np.asarray(neg, dtype=np.int64)[order], starts)
-    n_pos, n_neg = int(block_pos.sum()), int(block_neg.sum())
+    block_pos = np.add.reduceat(np.asarray(pos, dtype=np.float64)[order], starts)
+    block_neg = np.add.reduceat(np.asarray(neg, dtype=np.float64)[order], starts)
+    n_pos, n_neg = block_pos.sum(), block_neg.sum()
+    if 2.0 * n_pos * n_neg >= 2.0**53:
+        raise ValueError(f"too many pairs to count exactly (n_pos={n_pos:g}, n_neg={n_neg:g})")
     below = np.cumsum(block_neg) - block_neg
-    twice_pairs = 2 * int(block_pos @ below) + int(block_pos @ block_neg)
+    twice_pairs = 2.0 * (block_pos @ below) + block_pos @ block_neg
     roc = twice_pairs / 2 / (n_pos * n_neg) if n_neg else float("nan")
     cum_pos = np.cumsum(block_pos[::-1])
     precision = cum_pos / np.cumsum((block_pos + block_neg)[::-1])
-    return roc, float(np.cumsum(np.diff(cum_pos / n_pos, prepend=0.0) * precision)[-1])
+    return float(roc), float(np.cumsum(np.diff(cum_pos / n_pos, prepend=0.0) * precision)[-1])
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -102,11 +107,12 @@ def _evaluate(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> EvalResul
     """The checks and metrics of the covered items, in ``_tied_blocks`` terms."""
     if scores.size == 0:
         raise UndefinedMetricError("no covered records")
-    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    # A whole class weight, such as a count of records, is reported as an int.
+    n_pos, n_neg = (int(w) if w.is_integer() else w for w in map(float, (pos.sum(), neg.sum())))
     if n_pos == 0 or n_neg == 0:
         counts = f"n_pos={n_pos}, n_neg={n_neg}"
         raise UndefinedMetricError(f"covered subset is single-class ({counts})")
-    if not (pos | neg).all():
+    if not ((pos > 0) | (neg > 0)).all():
         raise ValueError("labels must take values in {-1, +1}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
@@ -128,18 +134,12 @@ def evaluate_label_model(scores: np.ndarray, coverage: np.ndarray, gold: np.ndar
     return _evaluate(scores[mask], gold[mask] == 1, gold[mask] == -1)
 
 
-def evaluate_patterns(scores: np.ndarray, patterns: VotePatterns, gold: np.ndarray) -> EvalResult:
-    """``evaluate_label_model`` of the records whose vote patterns are
-    ``patterns``, from one score per pattern, with the same result and
-    errors. A pattern is covered when a vote in it fired, and ``gold``
-    holds a label in {-1, +1} for every record."""
-    scores, gold = np.asarray(scores, dtype=np.float64), np.asarray(gold)
-    if scores.shape != patterns.counts.shape or gold.shape != patterns.inverse.shape:
-        raise ValueError("scores must hold one value per pattern and gold one per record")
-    if not ((gold == 1) | (gold == -1)).all():
-        raise ValueError("labels must take values in {-1, +1}")
-    # Column 0 counts each pattern's negatives, column 1 its positives.
-    counts = np.bincount(2 * patterns.inverse + (gold == 1), minlength=2 * scores.size)
-    covered = patterns.rows.any(axis=1)
-    neg, pos = counts.reshape(-1, 2)[covered].T
-    return _evaluate(scores[covered], pos, neg)
+def evaluate_patterns(scores: np.ndarray, table: VotePatterns) -> EvalResult:
+    """``evaluate_label_model`` of the labelled records of a vote table, from
+    one score per row and the rows' class weights; on a dataset whose
+    records all have a label, the result and the errors are the same."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != table.pos.shape:
+        raise ValueError("scores must hold one value per pattern")
+    kept = table.rows.any(axis=1) & (table.pos + table.neg > 0)
+    return _evaluate(scores[kept], table.pos[kept], table.neg[kept])

@@ -7,7 +7,8 @@ deviation between the mean score and the known positive prior. Each
 covering constraint compares ``u_low . theta`` with ``u_high . theta``,
 where ``u_low - u_high`` lies in ``{0, -1}^M``; with ``theta >= 0`` every
 one holds by construction, so the hinge term is identically zero. What
-remains depends on the data only through the mean vote vector ``a``, and
+remains depends on the data only through the mean vote vector ``a``,
+the weighted mean of the rows of the vote table ``VotePatterns``, and
 ``fit`` minimizes it exactly by a 1-D search over the dual variable of
 the prior term.
 """
@@ -21,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .data import Dataset, Prior, VotePatterns, coverage_mask
+from .data import Dataset, Prior, VotePatterns, coverage_mask, record_scores, vote_patterns
 from .payload import check_keys, json_object, json_scalars, numbers
 
 
@@ -139,8 +140,7 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
     back to the records. Uncovered records score exactly 0 since all
     their vote bits are 0.
     """
-    pats = dataset.patterns
-    return model.pattern_scores(pats)[pats.inverse], coverage_mask(dataset)
+    return record_scores(model.pattern_scores, dataset), coverage_mask(dataset)
 
 
 def _ratio_cap(a: np.ndarray) -> float:
@@ -148,17 +148,16 @@ def _ratio_cap(a: np.ndarray) -> float:
     return 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
 
 
-def _mean_votes_and_ratio(dataset: Dataset, cfg: WeapoConfig) -> tuple[np.ndarray, float]:
-    """All that the fit reads of its data and settings: the mean vote
-    vector ``a`` over all records and the ratio ``w/lambda`` (``inf`` at
+def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.ndarray, float]:
+    """All that the fit reads of its data and settings: the weighted mean
+    ``a`` of the table's rows and the ratio ``w/lambda`` (``inf`` at
     ``lambda`` = 0)."""
-    pats = dataset.patterns
-    mean_votes = (pats.counts @ pats.rows) / len(dataset)
+    mean_votes = (table.weights @ table.rows) / table.weights.sum()
     lam = float(cfg.lambda_reg)
     return mean_votes, float(cfg.prior_weight) / lam if lam else math.inf
 
 
-def _prior_band(dataset: Dataset, cfg: WeapoConfig) -> tuple[float, float]:
+def _prior_band(dataset: Dataset | VotePatterns, cfg: WeapoConfig) -> tuple[float, float]:
     """The priors ``[a.theta(+r/2), a.theta(-r/2)]`` that move theta.
 
     ``r`` is ``w/lambda`` capped as in ``_dual_search`` and
@@ -167,7 +166,7 @@ def _prior_band(dataset: Dataset, cfg: WeapoConfig) -> tuple[float, float]:
     and so does every prior above it. Requires ``prior_weight > 0`` and a
     dataset ``fit`` accepts.
     """
-    a, ratio = _mean_votes_and_ratio(dataset, cfg)
+    a, ratio = _mean_votes_and_ratio(vote_patterns(dataset), cfg)
     if ratio >= _ratio_cap(a):
         return float(a.min()), float(a.max())
     t = ratio / 2.0
@@ -232,7 +231,7 @@ def _dual_search(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int
 
 
 def fit(
-    dataset: Dataset,
+    dataset: Dataset | VotePatterns,
     prior: Prior | None = None,
     config: WeapoConfig | None = None,
 ) -> WeapoModel:
@@ -240,7 +239,7 @@ def fit(
 
     Parameters
     ----------
-    dataset : Dataset
+    dataset : Dataset or VotePatterns
         Must contain at least one covered record. Gold labels are ignored.
     prior : Prior, optional
         Required when ``config.use_prior`` is set.
@@ -264,18 +263,18 @@ def fit(
     which is all ``_dual_search`` takes; the reported terms use ``lam``
     and ``w``. Without the prior term (``use_prior`` off or
     ``prior_weight == 0``) the minimizer is the uniform vector. ``a`` is
-    the count-weighted mean of the rows of ``dataset.patterns``;
-    ``num_slices`` counts its non-zero rows.
+    the weighted mean of the rows of the vote table (``dataset.patterns``
+    for a dataset); ``num_slices`` counts its non-zero rows.
     """
     cfg = config if config is not None else WeapoConfig()
     if cfg.use_prior and prior is None:
         raise ValueError("config.use_prior is set but no prior was given")
-    pats = dataset.patterns
+    pats = vote_patterns(dataset)
     num_slices = int(pats.rows.any(axis=1).sum())
     if num_slices == 0:
         raise ValueError("dataset has no covered records")
-    m = dataset.num_lfs
-    mean_votes, ratio = _mean_votes_and_ratio(dataset, cfg)
+    m = pats.rows.shape[1]
+    mean_votes, ratio = _mean_votes_and_ratio(pats, cfg)
     if cfg.use_prior and cfg.prior_weight > 0.0:
         theta, projections = _dual_search(mean_votes, prior.p_plus, ratio)
     else:

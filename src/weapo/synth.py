@@ -27,8 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import _naive_bayes_posteriors, _patterns
-from .data import Dataset, VotePatterns, VoteVector, compress_votes
+from .baselines import _naive_bayes_posteriors
+from .data import Dataset, VotePatterns, VoteVector, compress_votes, record_scores
 from .payload import check_keys, integer, numbers, read_json
 
 BLOCK_SIZE = 4096
@@ -82,10 +82,12 @@ class SyntheticSpec:
         for name, rates in (("tpr", self.tpr), ("fpr", self.fpr)):
             if any(not (0.0 <= r <= 1.0) for r in rates):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     @property
     def num_lfs(self) -> int:
@@ -208,8 +210,7 @@ class OracleTable:
 
     def scores(self, dataset: Dataset) -> np.ndarray:
         """Oracle posterior for every record of a compatible dataset."""
-        pats = _patterns(dataset)
-        return self.pattern_scores(pats)[pats.inverse]
+        return record_scores(self.pattern_scores, dataset)
 
     def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
         """The posterior of each vote pattern."""

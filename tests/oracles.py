@@ -248,7 +248,8 @@ def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0)
     Follows the model the package fits (abstain-as-negative naive Bayes
     with add-``smoothing`` counts, start from a blend of each record's
     positive-vote fraction and the prior, stop when the penalized
-    objective rises by less than ``tol``, then canonicalize the classes)
+    objective rises by less than ``tol``, then canonicalize the classes,
+    the minority class +1 when their mean signed votes are within 1e-9)
     with scalar loops and ``math`` only. Returns the class prior,
     ``pos_fire[j] = P(vote_j = +1 | y = +1)``, ``neg_fire[j] = P(vote_j =
     +1 | y = -1)`` and the number of iterations.
@@ -318,7 +319,8 @@ def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0)
     if w_pos > 0 and w_neg > 0:
         side_pos = sum(r * s for r, s in zip(resp, mean_signed)) / w_pos
         side_neg = sum((1 - r) * s for r, s in zip(resp, mean_signed)) / w_neg
-        if side_pos < side_neg:
+        gap = side_pos - side_neg
+        if gap < -1e-9 or (abs(gap) <= 1e-9 and pi > 0.5):
             pi, pos, neg = 1.0 - pi, neg, pos
     return pi, pos, neg, iterations
 
@@ -356,9 +358,9 @@ def compress_votes_void(votes):
     """Vote-pattern compression keyed by one void byte string per row.
 
     Each row is packed to bits and viewed as a fixed-width ``np.void``
-    key; ``np.unique`` on those keys (a stable sort, so ``first`` holds
-    first occurrences) gives the distinct rows, which are then put in
-    first-occurrence order. Returns ``(rows, counts, inverse)``.
+    key; ``np.unique`` on those keys compares them byte by byte, so it
+    gives the distinct rows in lexicographic order, function 0 first.
+    Returns ``(rows, counts, inverse)``, the counts as float64 weights.
     """
     bits = np.asarray(votes) > 0
     packed = np.packbits(bits, axis=1)
@@ -366,10 +368,7 @@ def compress_votes_void(votes):
     _, first, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return bits[first[order]].astype(np.int8), counts[order], rank[inverse]
+    return bits[first].astype(np.int8), counts.astype(np.float64), inverse
 
 
 _PER_LINE_RECORD_KEYS = frozenset(("id", "votes", "features", "label"))

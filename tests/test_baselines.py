@@ -26,6 +26,7 @@ from weapo import (
     predict_dataset,
 )
 from weapo.baselines import FSModel
+from weapo.data import VotePatterns
 from weapo.model import WeapoModel
 
 from oracles import dawid_skene_per_row, signed_second_moments
@@ -285,6 +286,28 @@ class TestDawidSkeneOverPatterns:
             smoothing = (1.0, 0.5, 2.0)[trial % 3]
             model = ds_fit(signed, Prior(p), smoothing=smoothing)
             pi, pos, neg, iterations = dawid_skene_per_row(signed, p, smoothing=smoothing)
+            assert model.diagnostics["iterations"] == iterations
+            assert abs(model.class_prior - pi) <= 1e-12
+            assert np.abs(model.confusion[:, 1, 1] - pos).max() <= 1e-12
+            assert np.abs(model.confusion[:, 0, 1] - neg).max() <= 1e-12
+
+    def test_tied_sides_make_the_minority_class_positive(self):
+        """Trial 4 above: rows (1, 1, -1, 1) x60 and (1, 1, 1, -1) x81 have
+        the same mean signed vote, so the two classes' posterior-weighted
+        means are equal in exact arithmetic, and rounding used to pick the
+        class. Within 1e-9 the minority class is +1, in either pattern
+        order, as in the per-row reference."""
+        rows = np.array([[1, 1, -1, 1], [1, 1, 1, -1]])
+        weights = np.array([60.0, 81.0])
+        p = 0.30535560549425184
+        pi, pos, neg, iterations = dawid_skene_per_row(
+            rows[[1] * 3 + [0] * 60 + [1] * 78], p, smoothing=0.5
+        )
+        assert pi < 0.5
+        for order in ([0, 1], [1, 0]):
+            table = VotePatterns(rows=(rows[order] > 0).astype(np.int8), weights=weights[order],
+                                 pos=np.zeros(2), neg=np.zeros(2), inverse=None)
+            model = ds_fit(table, Prior(p), smoothing=0.5)
             assert model.diagnostics["iterations"] == iterations
             assert abs(model.class_prior - pi) <= 1e-12
             assert np.abs(model.confusion[:, 1, 1] - pos).max() <= 1e-12

@@ -443,6 +443,8 @@ class TestFitCommand:
             ("ds", ["--eps-clip", "0.5"]),
             ("fs", ["--prior", "0.5", "--tol", "1e-3"]),
             ("weapo", ["--prior", "0.5", "--max-iters", "5"]),
+            ("weapo-noprior", ["--prior-weight", "7"]),
+            ("weapo-noprior", ["--lambda-reg", "5"]),
         ],
     )
     def test_flag_no_named_model_reads_is_usage_error(self, tmp_path, capsys, model, flags):
@@ -1083,6 +1085,37 @@ class TestCompareCommand:
         for row in rows[:-1]:
             assert oracle_roc >= row["roc_auc"] - 0.02
 
+    def test_noprior_rows_equal_majority_vote(self, informative_files, tmp_path):
+        """weapo-noprior's theta is uniform, so its scores order the patterns
+        as the fraction of firing functions does, and every metric is mv's."""
+        out = tmp_path / "cmp.json"
+        assert main(["compare", informative_files["train"], informative_files["test"],
+                     "--models", "weapo-noprior,mv", "--out", str(out), "--quiet"]) == 0
+        noprior, mv = read_json(out)["rows"]
+        assert noprior["error"] is None
+        assert {**noprior, "model": "mv"} == mv
+
+    def test_record_order_changes_no_row(self, informative_files, tmp_path):
+        """Files whose records are permuted, ids and all, give the same rows."""
+        rng = np.random.default_rng(5)
+        shuffled = {}
+        for split in ("train", "test"):
+            data = load_dataset(informative_files[split])
+            order = rng.permutation(len(data))
+            shuffled[split] = str(tmp_path / f"shuffled-{split}.jsonl")
+            save_dataset(Dataset(ids=tuple(data.ids[i] for i in order),
+                                 votes_matrix=data.votes_matrix[order],
+                                 gold=data.gold[order]), shuffled[split])
+        rows = []
+        for files in (informative_files, shuffled):
+            out = tmp_path / "cmp.json"
+            assert main(["compare", files["train"], files["test"], "--models",
+                         "weapo,weapo-noprior,mv,ds,fs", "--prior", "0.5",
+                         "--oracle", informative_files["oracle"], "--out", str(out),
+                         "--quiet"]) == 0
+            rows.append(read_json(out)["rows"])
+        assert rows[0] == rows[1]
+
     def test_huge_prior_weight(self, informative_files, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         code = main(["compare", informative_files["train"], informative_files["test"],
@@ -1107,12 +1140,11 @@ class TestCompareCommand:
         calls = []
         original = weapo.data.compress_votes
 
-        def counting(votes):
+        def counting(votes, gold=None):
             calls.append(np.shape(votes))
-            return original(votes)
+            return original(votes, gold)
 
         monkeypatch.setattr(weapo.data, "compress_votes", counting)
-        monkeypatch.setattr(weapo.baselines, "compress_votes", counting)
         code = main(
             ["compare", informative_files["train"], informative_files["test"],
              "--models", "weapo,weapo-noprior,mv,ds,fs", "--prior", "0.5",

@@ -175,24 +175,32 @@ class TestColumns:
         with pytest.raises(ValueError):
             ds.votes_matrix[0, 0] = 0
 
-    def test_compression_rebuilds_votes_in_first_occurrence_order(self):
+    def test_compression_rebuilds_votes_in_key_order(self):
+        """Rows come out distinct and sorted, function 0 first, with the
+        record count and the counts of each label as float64 weights."""
         rng = np.random.default_rng(2)
         for _ in range(50):
             n = int(rng.integers(1, 200))
             m = int(rng.integers(1, 20))
             votes = (rng.random((int(rng.integers(1, 12)), m)) < 0.4).astype(np.int8)
             votes = votes[rng.integers(0, len(votes), size=n)]
-            pats = compress_votes(votes)
+            gold = rng.choice([-1, 0, 1], size=n)
+            pats = compress_votes(votes, gold)
             np.testing.assert_array_equal(pats.rows[pats.inverse], votes)
-            np.testing.assert_array_equal(pats.counts, np.bincount(pats.inverse))
-            firsts = [int(np.flatnonzero(pats.inverse == k)[0]) for k in range(len(pats.rows))]
-            assert firsts == sorted(firsts)
-            assert len({tuple(r) for r in pats.rows.tolist()}) == len(pats.rows)
+            for weights, kept in ((pats.weights, np.ones(n, bool)), (pats.pos, gold == 1),
+                                  (pats.neg, gold == -1)):
+                assert weights.dtype == np.float64
+                np.testing.assert_array_equal(
+                    weights, np.bincount(pats.inverse[kept], minlength=len(pats.rows))
+                )
+            rows = [tuple(r) for r in pats.rows.tolist()]
+            assert rows == sorted(set(rows))
 
-    def test_signed_votes_compress_by_sign(self):
+    def test_signed_votes_compress_by_sign_in_key_order(self):
         pats = compress_votes(np.array([[1, -1], [-1, -1], [1, -1]]))
-        np.testing.assert_array_equal(pats.rows, [[1, 0], [0, 0]])
-        np.testing.assert_array_equal(pats.inverse, [0, 1, 0])
+        np.testing.assert_array_equal(pats.rows, [[0, 0], [1, 0]])
+        np.testing.assert_array_equal(pats.inverse, [1, 0, 1])
+        np.testing.assert_array_equal(pats.pos + pats.neg, [0.0, 0.0])
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 64, 65, 100])
     @pytest.mark.parametrize("signed", [False, True], ids=["01", "signed"])
@@ -215,7 +223,7 @@ class TestColumns:
             if signed:
                 votes = 2 * votes - 1
             pats = compress_votes(votes)
-            for got, want in zip((pats.rows, pats.counts, pats.inverse),
+            for got, want in zip((pats.rows, pats.weights, pats.inverse),
                                  compress_votes_void(votes)):
                 np.testing.assert_array_equal(got, want, strict=True)
 
@@ -246,7 +254,7 @@ class TestSlices:
                 seen.extend(members)
             assert sorted(seen) == list(range(n))
 
-    def test_first_occurrence_order_matches_dict_reference(self):
+    def test_key_order_matches_sorted_dict_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             rows = [tuple(r) for r in (rng.random((60, 3)) < 0.4).astype(int).tolist()]
@@ -255,7 +263,7 @@ class TestSlices:
                 if any(row):
                     expected.setdefault(row, []).append(i)
             table = build_slices(make_dataset(rows))
-            assert list(table.slices) == list(expected)
+            assert list(table.slices) == sorted(expected)
             assert table.slices == {k: tuple(v) for k, v in expected.items()}
             assert table.uncovered == tuple(i for i, row in enumerate(rows) if not any(row))
 

@@ -1,5 +1,7 @@
 """Ranking metrics against hand values and brute-force pair counting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,9 +215,9 @@ def _outcome(evaluate, *args):
 def _both_ways(votes, pattern_scores, gold):
     """``evaluate_patterns`` and ``evaluate_label_model`` on the gathered
     scores, which must agree bit for bit, error messages included."""
-    pats = compress_votes(votes)
+    pats = compress_votes(votes, gold)
     scores = pattern_scores(pats.rows.astype(np.float64))
-    by_pattern = _outcome(evaluate_patterns, scores, pats, gold)
+    by_pattern = _outcome(evaluate_patterns, scores, pats)
     by_record = _outcome(evaluate_label_model, scores[pats.inverse], votes.any(axis=1), gold)
     assert by_pattern == by_record
     return by_pattern
@@ -279,11 +281,33 @@ class TestEvaluatePatterns:
             "single-class": "covered subset is single-class (n_pos=2, n_neg=0)",
         }[case]
 
+    def test_records_without_a_label_are_left_out(self):
+        """The table counts only labelled records in its class weights."""
+        rng = np.random.default_rng(9)
+        votes = (rng.random((300, 4)) < 0.3).astype(np.int8)
+        gold = rng.choice([-1, 0, 1], size=300)
+        pats = compress_votes(votes, gold)
+        scores = pats.rows @ np.array([0.1, 0.2, 0.3, 0.4])
+        labelled = gold != 0
+        assert _outcome(evaluate_patterns, scores, pats) == _outcome(
+            evaluate_label_model, scores[pats.inverse][labelled], votes.any(axis=1)[labelled],
+            gold[labelled],
+        )
+
+    def test_pair_count_limit(self):
+        """Whole weights sum exactly in float64 while 2 * n_pos * n_neg stays
+        below 2**53; at that bound the table is refused."""
+        pats = compress_votes(np.array([[1, 0], [1, 1]]))
+        half = 2.0**26
+        pos = np.array([1.0, half - 1])
+        below = dataclasses.replace(pats, pos=pos, neg=np.array([half - 1, 0]))
+        result = evaluate_patterns(np.array([0.0, 1.0]), below)
+        assert (result.n_pos, result.n_neg, result.roc_auc) == (2**26, 2**26 - 1, 1 - 2**-27)
+        at = dataclasses.replace(pats, pos=pos, neg=np.array([half, 0]))
+        with pytest.raises(ValueError, match="too many pairs to count exactly"):
+            evaluate_patterns(np.array([0.0, 1.0]), at)
+
     def test_misaligned_inputs_rejected(self):
-        pats = compress_votes(np.array([[1, 0], [0, 1]]))
+        pats = compress_votes(np.array([[1, 0], [0, 1]]), np.array([1, -1]))
         with pytest.raises(ValueError, match="one value per pattern"):
-            evaluate_patterns(np.zeros(3), pats, np.array([1, -1]))
-        with pytest.raises(ValueError, match="one per record"):
-            evaluate_patterns(np.zeros(2), pats, np.array([1, -1, 1]))
-        with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
-            evaluate_patterns(np.zeros(2), pats, np.array([1, 0]))
+            evaluate_patterns(np.zeros(3), pats)

@@ -303,7 +303,7 @@ def random_fit_case(rng):
     votes = (rng.random((n, m)) < rng.uniform(0.05, 0.6, m)).astype(np.int8)
     votes[0, 0] = 1
     ds = Dataset(ids=tuple(f"r{i}" for i in range(n)), votes_matrix=votes)
-    return ds, (ds.patterns.counts @ ds.patterns.rows) / n
+    return ds, (ds.patterns.weights @ ds.patterns.rows) / n
 
 
 def ratio_and_cap(a, lam, w):

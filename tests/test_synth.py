@@ -1,6 +1,7 @@
 """Synthetic generator, closed-form oracle, and population moments."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,17 @@ class TestSpecPersistence:
             FeatureSpec(mu_pos=(float("nan"),), mu_neg=(0.0,), sigma=1.0)
         with pytest.raises(ValueError, match="finite"):
             FeatureSpec(mu_pos=(1.0,), mu_neg=(float("-inf"),), sigma=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("seed", 1.0), ("n", 4.0), ("n", False), ("n", np.int64(4)),
+    ])
+    def test_n_and_seed_must_be_ints(self, field, value):
+        """What the spec file would not hold as a JSON integer is refused
+        here, not written (``"seed":true``, which ``load`` refuses) or left
+        for ``generate`` to fail on."""
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec_3lf(**{field: value})
 
     def test_json_integers_load_as_rates(self):
         spec = SyntheticSpec.from_json_dict(
