@@ -352,6 +352,17 @@ def check_fs_settings(eps_clip: float | None = None) -> None:
         raise ValueError(f"eps_clip must leave 1 - eps_clip in (0, 1), got {eps_clip!r}")
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit: NaN if
+    any entry is NaN, else the mean of the middle one or two sorted
+    entries. ``np.median`` itself imports ``numpy.ma`` on its first call."""
+    s = np.sort(x)
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    h = s.size // 2
+    return float(np.mean(s[h - 1 + s.size % 2 : h + 1]))
+
+
 def fs_fit_from_moments(
     moments: np.ndarray,
     prior: Prior,
@@ -389,7 +400,7 @@ def fs_fit_from_moments(
             raise ValueError(f"no admissible triplet for labeling function {j}")
         ks, ls = k[use], l[use]
         estimates = np.sqrt(np.abs(moments[j, ks] * moments[j, ls] / moments[ks, ls]))
-        accuracies[j] = min(max(float(np.median(estimates)), 0.0), 1.0 - eps_clip)
+        accuracies[j] = min(max(_median(estimates), 0.0), 1.0 - eps_clip)
     return FSModel(accuracies=accuracies, class_prior=prior.p_plus)
 
 

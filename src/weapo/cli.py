@@ -22,6 +22,10 @@ At load time the module imports only the standard library and
 ``__version__``. Each command imports the weapo modules it uses when it
 runs, so ``--version``, ``--help`` and a usage error from argparse load
 no numpy, and ``fit`` never loads the end model or the generator.
+
+``run``, the ``weapo`` console script, ends the process without
+interpreter teardown once the output is flushed; output that cannot be
+written is an error with exit code 1. ``main`` only returns the code.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeAlias
 
 from . import __version__
 
@@ -593,8 +598,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-def run() -> None:
-    raise SystemExit(main())
+def run() -> NoReturn:
+    """The console-script entry point: ``main``, then flush stdout and
+    stderr and end the process with ``os._exit``. Every file a command
+    writes is closed by then, so module teardown, the final collection
+    and BLAS thread shutdown are skipped. A command that succeeded but
+    whose output could not be flushed (a full device, a closed pipe, no
+    stdout at all) exits 1 with one ``error:`` line."""
+    code = main()
+    for name in ("stdout", "stderr"):
+        stream = getattr(sys, name)
+        try:
+            if stream is None:
+                raise OSError("the stream is closed")
+            stream.flush()
+        except OSError as err:
+            # A failed command has reported its own error already.
+            if code == 0 and sys.stderr is not None:
+                try:
+                    print(f"error: cannot write to {name}: {err}", file=sys.stderr, flush=True)
+                except OSError:
+                    pass
+            code = code or 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

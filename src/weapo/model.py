@@ -144,8 +144,13 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
 
 
 def _ratio_cap(a: np.ndarray) -> float:
-    """The cap ``4/gap`` on ``w/lambda`` that ``_dual_search`` explains."""
-    return 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
+    """The cap ``4/gap`` on ``w/lambda`` that ``_dual_search`` explains.
+
+    ``gap`` is the smallest positive step of the sorted finite ``a``, the
+    smallest spacing of its distinct entries; ``np.unique`` would give the
+    same, but its first call imports ``numpy.ma``."""
+    gaps = np.diff(np.sort(a))
+    return 4.0 / float(gaps[gaps > 0.0].min(initial=1.0))
 
 
 def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.ndarray, float]:

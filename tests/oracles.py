@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way: nested
 loops, explicit rank walks, dense grid searches. Nothing is shared with
 the package under test, so agreement between the two is evidence rather
 than tautology; the reference loader shares only the ``Dataset`` it
-returns and its constructor's checks, and ``objective`` sums hinge
-penalties through the package's ``ConstraintMatrix.apply``.
+returns and its constructor's checks, and ``objective`` and
+``objective_values`` sum hinge penalties through the package's
+``ConstraintMatrix.apply``.
 """
 
 from __future__ import annotations
@@ -192,15 +193,23 @@ def min_on_simplex_grid(fun, m, steps):
 
 
 def min_on_2simplex_line(fun, steps):
-    """1-D scan of the 2-simplex: theta = (1 - t, t) for t on a fine grid."""
+    """1-D scan of the 2-simplex: theta = (1 - t, t) for t on a fine grid.
+
+    ``fun`` maps a (k, 2) array of such thetas to their k values; the grid
+    is evaluated 10 000 points at a time. Returns the first minimizer and
+    its value.
+    """
     best_theta = None
     best_value = np.inf
-    for t in np.linspace(0.0, 1.0, steps + 1):
-        theta = np.array([1.0 - t, t])
-        value = fun(theta)
-        if value < best_value:
-            best_value = value
-            best_theta = theta
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    for start in range(0, grid.size, 10_000):
+        t = grid[start : start + 10_000]
+        thetas = np.column_stack([1.0 - t, t])
+        values = fun(thetas)
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_value = float(values[i])
+            best_theta = thetas[i]
     return best_theta, best_value
 
 
@@ -240,6 +249,34 @@ def objective(
         prior_dev = 0.0
     total = reg + hinge + cfg.prior_weight * prior_dev
     return total, {"reg": reg, "hinge": hinge, "prior": prior_dev}
+
+
+def objective_values(
+    thetas: np.ndarray,
+    constraints: ConstraintMatrix,
+    dataset: Dataset,
+    prior: Prior | None = None,
+    config: WeapoConfig | None = None,
+) -> np.ndarray:
+    """``objective``'s total at each row of the (k, M) array ``thetas``.
+
+    The scores, every constraint's value and the mean score are linear in
+    theta, so each is taken once per labeling function, the constraints
+    through ``ConstraintMatrix.apply``, and combined for all rows at once.
+    The totals equal ``objective``'s up to rounding.
+    """
+    cfg = config if config is not None else WeapoConfig()
+    if cfg.use_prior and prior is None:
+        raise ValueError("config.use_prior is set but no prior was given")
+    thetas = np.asarray(thetas, dtype=np.float64)
+    votes = dataset.votes_matrix.astype(np.float64)
+    reg = cfg.lambda_reg * (thetas * thetas).sum(axis=1)
+    hinge = 0.0
+    if constraints.num_rows:
+        per_function = np.array([constraints.apply(column) for column in votes.T])
+        hinge = np.maximum(thetas @ per_function, 0.0).sum(axis=1)
+    prior_dev = np.abs(thetas @ votes.mean(axis=0) - prior.p_plus) if cfg.use_prior else 0.0
+    return reg + hinge + cfg.prior_weight * prior_dev
 
 
 def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0):

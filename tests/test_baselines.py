@@ -25,7 +25,7 @@ from weapo import (
     oracle_posteriors,
     predict_dataset,
 )
-from weapo.baselines import FSModel
+from weapo.baselines import FSModel, _median
 from weapo.data import VotePatterns
 from weapo.model import WeapoModel
 
@@ -462,6 +462,19 @@ class TestTripletMethod:
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):
                 FSModel.from_json_dict({**payload, **change})
+
+    def test_median_is_bitwise_numpy_median(self):
+        """The triplet method's median equals ``np.median`` bit for bit, on
+        odd and even lengths with repeats, both signed zeros and NaN."""
+        rng = np.random.default_rng(27)
+        pool = np.array([0.0, -0.0, 0.25, 0.5, 1.0, 2.0])
+        for n in range(1, 41):
+            for _ in range(25):
+                drawn = rng.random(n).round(int(rng.integers(1, 4)))
+                x = np.where(rng.random(n) < 0.5, rng.choice(pool, n), drawn)
+                if rng.random() < 0.3:
+                    x[rng.integers(n)] = np.nan
+                assert np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 def _outcome(fn, *args):

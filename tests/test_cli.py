@@ -1393,3 +1393,99 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["bogus"]) == 2
+
+
+class TestEntryPoint:
+    """``run``, the console script, in processes of its own: it ends the
+    process that calls it, so it is never called in this one. stdout is
+    block-buffered in the child, as on a terminal-less launch, unless a
+    case sets ``PYTHONUNBUFFERED``."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    ENTRY = "from weapo.cli import run; run()"
+
+    @classmethod
+    def launch(cls, argv, cwd, stdout=subprocess.PIPE, prelude="", unbuffered=False):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(cls.SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, "-c", prelude + cls.ENTRY, *argv], cwd=cwd,
+                              env=env, stdout=stdout, stderr=subprocess.PIPE)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A featured train/test pair and a weapo model fitted on the train."""
+        root = tmp_path_factory.mktemp("entry")
+        law = ["--n", "300", "--p-plus", "0.4", "--tpr", "0.75,0.65,0.55",
+               "--fpr", "0.15,0.1,0.05", "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1"]
+        for split, seed in (("train", 1), ("test", 2)):
+            assert main(["synth", *law, "--seed", str(seed),
+                         "--out", str(root / f"{split}.jsonl"), "--quiet"]) == 0
+        assert main(["fit", str(root / "train.jsonl"), "--model", "weapo", "--prior", "0.4",
+                     "--out", str(root / "model.json"), "--quiet"]) == 0
+        return root
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full-device", "closed-pipe", "no-stdout"])
+    def test_failed_stdout_write_is_one_clean_error(self, inputs, sink, unbuffered):
+        """The table and JSON of ``eval`` cannot reach stdout: exit 1 with
+        one ``error:`` line, not an interpreter traceback or exit 120."""
+        argv = ["eval", "model.json", "test.jsonl"]
+        if sink == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "wb") as full:
+                result = self.launch(argv, inputs, stdout=full, unbuffered=unbuffered)
+        elif sink == "closed-pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = self.launch(argv, inputs, stdout=write_end, unbuffered=unbuffered)
+            finally:
+                os.close(write_end)
+        else:
+            result = self.launch(argv, inputs, prelude="import sys; sys.stdout = None; ",
+                                 unbuffered=unbuffered)
+        lines = result.stderr.decode().splitlines()
+        assert result.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_run_writes_what_main_writes(self, inputs, tmp_path, monkeypatch, capsys):
+        """Each command, a usage error and a data error, run through ``run``
+        with stdout piped, writes the same files, stdout, stderr and exit
+        code as ``main`` in this process."""
+        law = ["--n", "200", "--p-plus", "0.3", "--tpr", "0.7,0.6,0.5", "--fpr", "0.1,0.05,0.08",
+               "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1", "--seed", "5"]
+        train, test = str(inputs / "train.jsonl"), str(inputs / "test.jsonl")
+        commands = [
+            ["synth", *law, "--out", "synth.jsonl"],
+            ["fit", train, "--model", "weapo", "--prior", "0.4", "--out", "model.json"],
+            ["eval", "model.json", test, "--out", "eval.json"],
+            ["eval", "model.json", test],
+            ["compare", train, test, "--models", "weapo,weapo-noprior,mv,ds,fs",
+             "--prior", "0.4", "--oracle", train + ".oracle.json", "--out", "compare.json"],
+            ["compare", train, test, "--models", "weapo,mv", "--prior", "0.4"],
+            ["end", "model.json", train, test, "--out", "end.json"],
+            ["fit", train, "--model", "weapo", "--out", "usage.json"],
+            ["eval", train, test],
+        ]
+        by_run, by_main = tmp_path / "run", tmp_path / "main"
+        by_run.mkdir()
+        by_main.mkdir()
+        monkeypatch.chdir(by_main)
+        codes = []
+        for argv in commands:
+            result = self.launch(argv, by_run)
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert result.returncode == code, argv
+            assert result.stdout.decode() == captured.out, argv
+            assert result.stderr.decode() == captured.err, argv
+            codes.append(code)
+        assert codes == [0] * 7 + [2, 1]
+        written = sorted(path.name for path in by_main.iterdir())
+        assert written == sorted(path.name for path in by_run.iterdir())
+        assert len(written) == 7
+        for name in written:
+            assert (by_run / name).read_bytes() == (by_main / name).read_bytes(), name

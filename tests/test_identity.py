@@ -22,9 +22,10 @@ def test_tree_against_itself_is_identical():
     code, summary = run_identity(ROOT)
     assert code == 0 and summary["identical"]
     assert summary["input_sets"] == ["end-krr-seed1", "tall-m8-seed1", "wide-m16-seed1"]
-    # 21 output files and 19 commands per input set, and the 3 demos,
-    # which write no files; every command and demo succeeded.
-    assert (summary["files"], summary["logs"]) == (63, 60)
+    # 23 output files and 21 commands per input set, two of them through
+    # the entry point, and the 3 demos, which write no files; every
+    # command and demo succeeded.
+    assert (summary["files"], summary["logs"]) == (69, 66)
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["failed_in_head"] == summary["newly_failed"] == []
     assert summary["src_lines"]["base"] == summary["src_lines"]["head"] > 0
@@ -32,7 +33,7 @@ def test_tree_against_itself_is_identical():
 
 def test_one_changed_output_digit_is_caught(tmp_path):
     """A copy whose eval reports one more record than it read differs in
-    exactly the eval outputs."""
+    exactly the eval outputs, in-process and through the entry point."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "weapo" / "cli.py"
     text = cli.read_text(encoding="utf-8")
@@ -44,7 +45,8 @@ def test_one_changed_output_digit_is_caught(tmp_path):
     assert summary["differing"] == sorted(
         f"{name}/out/eval-{model}.json"
         for name in summary["input_sets"]
-        for model in ("weapo", "weapo-noprior", "mv", "ds", "fs", "weapo-lam0", "weapo-lam3")
+        for model in ("weapo", "weapo-noprior", "mv", "ds", "fs", "weapo-lam0", "weapo-lam3",
+                      "entry")
     )
     assert summary["only_in_base"] == summary["only_in_head"] == []
 

@@ -14,9 +14,9 @@ from weapo import (
     hasse_edges,
     predict_dataset,
 )
-from weapo.model import WeapoModel, _dual_search, project_simplex
+from weapo.model import WeapoModel, _dual_search, _ratio_cap, project_simplex
 
-from oracles import min_on_2simplex_line, min_on_simplex_grid, objective
+from oracles import min_on_2simplex_line, min_on_simplex_grid, objective, objective_values
 
 
 def make_dataset(vote_rows):
@@ -156,6 +156,22 @@ class TestObjective:
         with pytest.raises(ValueError, match="prior"):
             objective(np.array([1.0]), constraints_for(ds), ds, None, WeapoConfig())
 
+    def test_batch_oracle_matches_one_theta_at_a_time(self):
+        """``objective_values`` over a batch of thetas, off the simplex too,
+        so the hinge is positive, equals ``objective`` row by row."""
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            m = int(rng.integers(1, 6))
+            ds = make_dataset([tuple(r) for r in rng.integers(0, 2, (40, m))])
+            cm = constraints_for(ds)
+            prior = Prior(float(rng.uniform(0.05, 0.95)))
+            cfg = WeapoConfig(lambda_reg=float(rng.uniform(0.0, 2.0)),
+                              prior_weight=float(rng.uniform(0.0, 3.0)))
+            thetas = rng.normal(size=(30, m))
+            expected = [objective(theta, cm, ds, prior, cfg)[0] for theta in thetas]
+            np.testing.assert_allclose(objective_values(thetas, cm, ds, prior, cfg), expected,
+                                       rtol=1e-12, atol=1e-12)
+
 
 class TestFit:
     def test_no_prior_returns_uniform(self):
@@ -198,7 +214,7 @@ class TestFit:
         np.testing.assert_allclose(model.theta, [5 / 13, 8 / 13], atol=1e-12)
         cm = constraints_for(ds)
         _, line_value = min_on_2simplex_line(
-            lambda th: objective(th, cm, ds, Prior(0.4), WeapoConfig())[0], 200000
+            lambda thetas: objective_values(thetas, cm, ds, Prior(0.4), WeapoConfig()), 200000
         )
         assert model.diagnostics["objective"] <= line_value + 1e-12
 
@@ -398,6 +414,19 @@ class TestWhatTheFitReducesTo:
                     for lam, w in settings
                 }
                 assert len(thetas) == 1
+
+    def test_ratio_cap_is_bitwise_the_distinct_gap_formula(self):
+        """``_ratio_cap`` equals ``4 / np.diff(np.unique(a)).min(initial=1.0)``
+        bit for bit, on odd and even lengths with repeats and both signed
+        zeros."""
+        rng = np.random.default_rng(27)
+        pool = np.array([0.0, -0.0, 1e-300, 0.25, 1.0 / 3.0, 0.5, 1.0])
+        for n in range(1, 41):
+            for _ in range(25):
+                drawn = rng.random(n).round(int(rng.integers(1, 4)))
+                a = np.where(rng.random(n) < 0.5, rng.choice(pool, n), drawn)
+                expected = 4.0 / np.diff(np.unique(a)).min(initial=1.0)
+                assert np.float64(_ratio_cap(a)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestPredictDataset:

@@ -1,6 +1,7 @@
 """What each launch imports: a command loads only the weapo modules it
-uses, and ``import weapo``, ``--version``, ``--help`` and argparse's
-usage errors load no numpy. Each check runs a fresh interpreter, since
+uses, ``import weapo``, ``--version``, ``--help`` and argparse's
+usage errors load no numpy, and fitting and comparing load no
+``numpy.ma``. Each check runs a fresh interpreter, since
 this one has every module loaded already."""
 
 import json
@@ -86,6 +87,20 @@ def test_command_loads_only_its_modules(files, argv, unused):
     code, modules = launch([*argv, "--quiet"], cwd=files)
     assert code == 0
     assert {f"weapo.{name}" for name in unused} & modules == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "train.jsonl", "--model", "weapo", "--prior", "0.4", "--out", "again.json"],
+    ["fit", "train.jsonl", "--model", "fs", "--prior", "0.4", "--out", "fs.json"],
+    ["compare", "train.jsonl", "test.jsonl", "--models", "weapo,weapo-noprior,mv,ds,fs",
+     "--prior", "0.4", "--oracle", "train.jsonl.oracle.json", "--out", "compare.json"],
+], ids=["fit-weapo", "fit-fs", "compare"])
+def test_fit_and_compare_load_no_masked_arrays(files, argv):
+    """``np.unique`` and ``np.median`` import ``numpy.ma`` on their first
+    call; the fits and the comparison use neither."""
+    code, modules = launch([*argv, "--quiet"], cwd=files)
+    assert code == 0
+    assert {name for name in modules if name == "numpy.ma" or name.startswith("numpy.ma.")} == set()
 
 
 def test_names_resolve_to_their_modules():

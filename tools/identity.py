@@ -25,6 +25,11 @@ input set both trees run the same commands:
 Both trees also run every ``demos/*.py`` of the checked tree, each as a
 process of its own with the tree's package first on ``PYTHONPATH``; the
 demos write no files, so their stdout, stderr and exit code are compared.
+On the seed-1 input set of each workload they also run ``eval`` of the
+weapo model and the ``compare`` above without ``--quiet``, each as a
+process of its own through the ``weapo`` console script's entry point
+with stdout piped and block-buffered, so the way that entry point ends a
+process is checked too.
 
 Each tree runs in a directory of its own that holds a copy of the
 inputs, and every path on a command line is relative to it, so outputs
@@ -66,6 +71,9 @@ FITS = [(model, model, []) for model in MODELS] + [
 ]
 SEEDS = (1, 7)
 SMALL_N, SMALL_N_END = 400, 150
+
+# The ``weapo`` console script, run without installing the package.
+ENTRY = "from weapo.cli import run; run()"
 
 # Runs the commands listed in the JSON file named by its argument through
 # ``weapo.cli.main`` in one process, ``krr-coefficients`` through
@@ -123,6 +131,18 @@ def commands(prior: float) -> list[tuple[str, list[str]]]:
     return cmds
 
 
+def entry_commands(prior: float) -> list[tuple[str, list[str]]]:
+    """The named commands run through the entry point on one input set,
+    after ``commands``, whose weapo model they read."""
+    return [
+        ("eval-entry", ["eval", "out/fit-weapo.json", "in/test.jsonl",
+                        "--out", "out/eval-entry.json"]),
+        ("compare-entry", ["compare", "in/train.jsonl", "in/test.jsonl", "--models",
+                           ",".join(MODELS), "--prior", repr(prior), "--oracle",
+                           "in/oracle_spec.json", "--out", "out/compare-entry.json"]),
+    ]
+
+
 def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float]]:
     """Draw every input set under ``workdir``; map its name to its
     directory and the prior its commands pass."""
@@ -160,6 +180,12 @@ def run_tree(src: Path, rundir: Path, sets: dict) -> subprocess.Popen:
                             cwd=rundir, env=env, text=True, stdout=subprocess.PIPE)
 
 
+def logged(name: str, result: subprocess.CompletedProcess) -> dict[str, bytes]:
+    """The stdout, stderr and exit code of one finished process, by name."""
+    return {f"{name}.stdout": result.stdout, f"{name}.stderr": result.stderr,
+            f"{name}.exit": str(result.returncode).encode()}
+
+
 def run_demos(src: Path, rundir: Path) -> dict[str, bytes]:
     """The stdout, stderr and exit code of every demo of the checked tree,
     run one at a time with the package under ``src``."""
@@ -168,9 +194,23 @@ def run_demos(src: Path, rundir: Path) -> dict[str, bytes]:
     for demo in sorted((ROOT / "demos").glob("*.py")):
         result = subprocess.run([sys.executable, str(demo)], cwd=rundir, env=env,
                                 capture_output=True)
-        for key, value in (("stdout", result.stdout), ("stderr", result.stderr),
-                           ("exit", str(result.returncode).encode())):
-            found[f"demos/log/{demo.stem}.{key}"] = value
+        found |= logged(f"demos/log/{demo.stem}", result)
+    return found
+
+
+def run_entry_point(src: Path, rundir: Path, sets: dict) -> dict[str, bytes]:
+    """Run ``entry_commands`` on the seed-1 set of each workload, one
+    process each through the entry point with the package under ``src``;
+    return their logs. Their files land in the set's ``out``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    found = {}
+    for name, (_, prior) in sets.items():
+        if name.endswith(f"-seed{SEEDS[0]}"):
+            for command, argv in entry_commands(prior):
+                result = subprocess.run([sys.executable, "-c", ENTRY, *argv],
+                                        cwd=rundir / name, env=env, capture_output=True)
+                found |= logged(f"{name}/log/{command}", result)
     return found
 
 
@@ -225,8 +265,11 @@ def main(argv: list[str] | None = None) -> int:
             if proc.returncode:
                 raise SystemExit(f"error: the {side} tree's commands did not run "
                                  f"(exit {proc.returncode})")
-        found = {side: collect(outs[side], workdir / side, sets) | run_demos(src, workdir / side)
-                 for side, src in trees.items()}
+        found = {}
+        for side, src in trees.items():
+            entry = run_entry_point(src, workdir / side, sets)
+            found[side] = (collect(outs[side], workdir / side, sets) | entry
+                           | run_demos(src, workdir / side))
         src_lines = {side: source_lines(src) for side, src in trees.items()}
     base_found, head_found = found["base"], found["head"]
     names = sorted(base_found.keys() | head_found.keys())
