@@ -493,8 +493,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops an OSError of its help and version text, and writes it
+    # to stderr when stdout is None: let it fail as other output does.
+    def _print_message(self, message: str, file: Any = None) -> None:
+        if file is sys.stderr:
+            super()._print_message(message, file)
+        elif file is not None:
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weapo",
         description="Label models for positive-only weak supervision",
     )
@@ -581,6 +591,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
+    except OSError as err:
+        print(f"error: cannot write to stdout: {err}", file=sys.stderr)
+        return 1
     try:
         return int(args.func(args))
     except CliUsageError as err:

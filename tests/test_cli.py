@@ -1405,13 +1405,14 @@ class TestEntryPoint:
     ENTRY = "from weapo.cli import run; run()"
 
     @classmethod
-    def launch(cls, argv, cwd, stdout=subprocess.PIPE, prelude="", unbuffered=False):
+    def launch(cls, argv, cwd, stdout=subprocess.PIPE, prelude="", unbuffered=False,
+               input=None):
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(cls.SRC)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run([sys.executable, "-c", prelude + cls.ENTRY, *argv], cwd=cwd,
-                              env=env, stdout=stdout, stderr=subprocess.PIPE)
+                              env=env, input=input, stdout=stdout, stderr=subprocess.PIPE)
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -1426,12 +1427,20 @@ class TestEntryPoint:
                      "--out", str(root / "model.json"), "--quiet"]) == 0
         return root
 
+    SINKS = ("full-device", "closed-pipe", "no-stdout")
+
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("sink", ["full-device", "closed-pipe", "no-stdout"])
-    def test_failed_stdout_write_is_one_clean_error(self, inputs, sink, unbuffered):
-        """The table and JSON of ``eval`` cannot reach stdout: exit 1 with
-        one ``error:`` line, not an interpreter traceback or exit 120."""
-        argv = ["eval", "model.json", "test.jsonl"]
+    @pytest.mark.parametrize(
+        "argv, sink",
+        [pytest.param(["eval", "model.json", "test.jsonl"], sink, id=sink) for sink in SINKS]
+        + [pytest.param([flag], sink, id=f"{flag[2:]}-{sink}")
+           for sink in SINKS for flag in ("--version", "--help")],
+    )
+    def test_failed_stdout_write_is_one_clean_error(self, inputs, argv, sink, unbuffered):
+        """The table and JSON of ``eval``, or the text of ``--version`` or
+        ``--help``, cannot reach stdout: exit 1 with one ``error:`` line,
+        not an interpreter traceback, exit 120, or exit 0 with nothing
+        written."""
         if sink == "full-device":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full on this system")
@@ -1450,6 +1459,24 @@ class TestEntryPoint:
         lines = result.stderr.decode().splitlines()
         assert result.returncode == 1
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_fit_reads_a_dataset_from_a_pipe(self, inputs, tmp_path):
+        """``fit /dev/stdin``, fed through a pipe a copy of train.jsonl in
+        another layout, writes the model that ``fit train.jsonl`` writes."""
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin on this system")
+        with open(inputs / "train.jsonl", "r", encoding="utf-8") as fh:
+            spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in fh).encode()
+        models = {}
+        for train, stdin in ((str(inputs / "train.jsonl"), None), ("/dev/stdin", spaced)):
+            cwd = tmp_path / ("disk" if stdin is None else "pipe")
+            cwd.mkdir()
+            result = self.launch(["fit", train, "--model", "mv", "--out", "model.json",
+                                  "--quiet"], cwd, input=stdin)
+            assert result.returncode == 0, result.stderr.decode()
+            models[train] = read_json(cwd / "model.json")
+        disk = models[str(inputs / "train.jsonl")]
+        assert models["/dev/stdin"] == {**disk, "run": {**disk["run"], "train": "/dev/stdin"}}
 
     def test_run_writes_what_main_writes(self, inputs, tmp_path, monkeypatch, capsys):
         """Each command, a usage error and a data error, run through ``run``

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import re
 from unittest import mock
 
@@ -360,19 +361,20 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('"features":[true]', "features must be a list of finite numbers"),
-            ('"features":[NaN]', "features must be a list of finite numbers"),
-            ('"features":[1,2]', "record has 2 features, expected 1"),
-            ('"features":null', "features must be a list of finite numbers"),
+            ('"features":[true]', "line 2: features must be a list of finite numbers"),
+            ('"features":[NaN]', "record 'b' has non-finite features"),
+            ('"features":[1,2]', "line 2: record has 2 features, expected 1"),
+            ('"features":null', "line 2: features must be a list of finite numbers"),
         ],
         ids=["bool", "nan", "width", "null"],
     )
     def test_strict_feature_contract(self, tmp_path, line, message):
+        """Type and width faults are named by line, a value fault by record id."""
         path = tmp_path / "d.jsonl"
         path.write_text(
             '{"id":"a","votes":[1,0],"features":[0.5]}\n{"id":"b","votes":[1,0],' + line + "}\n"
         )
-        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: line 2: {message}"):
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: {message}$"):
             load_dataset(str(path))
 
     def test_strict_meta_contract(self, tmp_path):
@@ -387,6 +389,20 @@ class TestPersistence:
                 DatasetFormatError, match=f"^{re.escape(str(path))}: line 1: {message}"
             ):
                 load_dataset(str(path))
+
+    @pytest.mark.parametrize("names", ['"ab"', '["a",2]'], ids=["string", "non-string"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "spaced"])
+    def test_meta_lf_names_refused_by_dataset(self, tmp_path, names, canonical):
+        """Either reader passes the meta line's lf_names to Dataset, which
+        refuses them with its own message."""
+        record = '{"id":"r","votes":[1,0]}' if canonical else '{"id": "r", "votes": [1, 0]}'
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"meta":{"num_lfs":2,"lf_names":' + names + "}}\n" + record + "\n")
+        with mock.patch.object(data, "_read_values", wraps=data._read_values) as json_reader:
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(str(path))
+        assert str(got.value) == f"{path}: lf_names must be a sequence of strings"
+        assert json_reader.called is not canonical
 
     def test_duplicate_id_names_the_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -655,7 +671,8 @@ def test_canonical_files_skip_the_json_reader(tmp_path, ds):
 
 class TestCanonicalLayoutEdits:
     """One edit to a canonical file: the loader gives the per-line
-    oracle's dataset, or its message after the file's path."""
+    oracle's dataset, or its message after the file's path. A value fault
+    the oracle names by line, the loader names by record id (``message``)."""
 
     LINES = (
         '{"meta":{"num_lfs":2}}',
@@ -665,36 +682,48 @@ class TestCanonicalLayoutEdits:
     )
 
     @pytest.mark.parametrize(
-        "lineno, old, new, canonical",
+        "lineno, old, new, canonical, message",
         [
-            (None, None, None, True),
-            (2, '"votes":', '"votes": ', False),
-            (3, '"id":"b","votes":[0,1]', '"votes":[0,1],"id":"b"', False),
-            (2, "0.5", "-0", False),
-            (3, "2.0", "1E5", True),
-            (3, "2.0", "1e999", False),
-            (2, '"a"', '"\\u00e9"', False),
-            (4, '"c"', '"\\\\c"', False),
-            (3, "[0,1]", "[0,2]", False),
-            (3, "[0,1]", "[0,1,1]", False),
-            (2, "[0.5,-1.25]", "[0.5]", False),
-            (4, "[-0.0,3.5]", "[-0.0,3.5,7.0]", False),
-            (3, '"b"', '"a"', False),
-            (1, "2", "3", False),
-            (2, ',"label":1', ',"label":0', False),
-            (2, ',"label":1', ',"label":1.0', False),
+            (None, None, None, True, None),
+            (2, '"votes":', '"votes": ', False, None),
+            (3, '"id":"b","votes":[0,1]', '"votes":[0,1],"id":"b"', False, None),
+            (2, "0.5", "-0", False, None),
+            (3, "2.0", "1E5", True, None),
+            (3, "2.0", "1e999", True, "record 'b' has non-finite features"),
+            (2, '"a"', '"\\u00e9"', False, None),
+            (4, '"c"', '"\\\\c"', False, None),
+            (3, "[0,1]", "[0,2]", False, "record 'b' has a vote outside {0, 1}"),
+            (3, "[0,1]", "[0,1,1]", False, None),
+            (2, "[0.5,-1.25]", "[0.5]", False, None),
+            (4, "[-0.0,3.5]", "[-0.0,3.5,7.0]", False, None),
+            (3, '"b"', '"a"', False, None),
+            (1, "2", "3", False, None),
+            (2, ',"label":1', ',"label":0', False, None),
+            (2, ',"label":1', ',"label":1.0', False, None),
         ],
         ids=["none", "space", "swapped-keys", "minus-zero-integer", "upper-exponent",
              "overflow", "escaped-id", "escaped-backslash", "vote-2", "vote-width",
              "short-features", "long-features", "duplicate-id", "num-lfs", "label-0",
              "label-float"],
     )
-    def test_edit_loads_as_oracle(self, tmp_path, lineno, old, new, canonical):
+    def test_edit_loads_as_oracle(self, tmp_path, lineno, old, new, canonical, message):
         lines = list(self.LINES)
         if lineno is not None:
             assert old in lines[lineno - 1]
             lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
-        self.check(tmp_path, ("\n".join(lines) + "\n").encode("utf-8"), canonical)
+        content = ("\n".join(lines) + "\n").encode("utf-8")
+        if message is None:
+            self.check(tmp_path, content, canonical)
+            return
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(DatasetFormatError, match=r"^line \d+: "):
+            load_dataset_per_line(str(path))
+        with mock.patch.object(data, "_read_values", wraps=data._read_values) as json_reader:
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(str(path))
+        assert str(got.value) == f"{path}: {message}"
+        assert json_reader.called is not canonical
 
     @pytest.mark.parametrize(
         "transform",
@@ -707,9 +736,10 @@ class TestCanonicalLayoutEdits:
             lambda text: text.split("\n", 1)[1],
             lambda text: text.replace('{"meta":{"num_lfs":2}}', '{"meta":{"lf_names":["x","y"]}}'),
             lambda text: text.replace('{"num_lfs":2}', '{"num_lfs":2,"lf_names":["x"]}'),
+            lambda text: text.replace('"a"', '"a\u2028\x85\x1cb"').replace(":[", ": ["),
         ],
         ids=["no-final-newline", "bom", "crlf", "blank-line", "ragged-features", "no-meta",
-             "meta-without-num-lfs", "lf-names-length"],
+             "meta-without-num-lfs", "lf-names-length", "line-separators-in-id"],
     )
     def test_file_edit_loads_as_oracle(self, tmp_path, transform):
         text = "\n".join(self.LINES) + "\n"
@@ -733,3 +763,43 @@ class TestCanonicalLayoutEdits:
             loaded = load_dataset(str(path))
         _same_dataset(loaded, expected)
         assert json_reader.called is not canonical
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this system")
+class TestSingleRead:
+    """A pipe can be read only once. Read through ``/dev/fd``, it loads as
+    the same bytes on disk do, or fails with the same message, in every
+    layout and whichever reader refuses it."""
+
+    TEXT = "\n".join(TestCanonicalLayoutEdits.LINES) + "\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (TEXT, None),
+            ("".join(json.dumps(json.loads(line)) + "\n"
+                     for line in TestCanonicalLayoutEdits.LINES), None),
+            (TEXT.replace("[0,1]", "[0,2]", 1), "record 'b' has a vote outside {0, 1}"),
+        ],
+        ids=["canonical", "spaced", "vote-2"],
+    )
+    def test_pipe_loads_as_file(self, tmp_path, text, message):
+        content = text.encode("utf-8")
+        disk = tmp_path / "d.jsonl"
+        disk.write_bytes(content)
+        read_end, write_end = os.pipe()
+        # The file is far smaller than a pipe's buffer, so this write does
+        # not wait for the reader.
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(content)
+        pipe = f"/dev/fd/{read_end}"
+        try:
+            if message is None:
+                _same_dataset(load_dataset(pipe), load_dataset(str(disk)))
+                return
+            for path in (str(disk), pipe):
+                with pytest.raises(DatasetFormatError) as got:
+                    load_dataset(path)
+                assert str(got.value) == f"{path}: {message}"
+        finally:
+            os.close(read_end)
