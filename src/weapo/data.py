@@ -224,8 +224,6 @@ class Dataset:
                     f"record {rec.id!r} has {len(rec.features)} features, "
                     f"expected {feature_dim}"
                 )
-            if rec.gold not in (None, -1, 1):
-                raise DatasetFormatError(f"record {rec.id!r} has gold outside {{-1, +1}}")
         return cls(
             ids=tuple(rec.id for rec in recs),
             votes_matrix=np.array([rec.votes for rec in recs]).reshape(len(recs), m),
@@ -236,7 +234,7 @@ class Dataset:
                 if has_features
                 else None
             ),
-            gold=np.array([rec.gold or 0 for rec in recs], dtype=np.int8),
+            gold=np.array([rec.gold or 0 for rec in recs]),
             lf_names=lf_names,
         )
 

@@ -1,27 +1,29 @@
 """Feature-space end model trained on label-model scores.
 
 Kernel ridge regression with an RBF kernel, solved exactly by a blocked
-Cholesky factorization. Training targets come from the label model:
-covered records keep their scores, uncovered records take one constant
-(default 0, i.e. treated as negative). The end model generalizes past
-coverage because it scores features, not votes.
+Cholesky factorization in float32 and iterative refinement to float64
+accuracy, or in float64 where that falls short. Training targets come
+from the label model: covered records keep their scores, uncovered
+records take one constant (default 0, i.e. treated as negative). The end
+model generalizes past coverage because it scores features, not votes.
 
 Memory: the fit holds only the lower triangle of the symmetric kernel
 system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
-float64 (150 MB at N = 6000), factored in place: each diagonal block
-holds the inverse of its diagonal factor. A kernel block is built in the
-array it is returned in, with one cache-sized chunk buffer. The residual
-check rebuilds the panels one at a time instead of keeping a copy of the
-system. Before allocating the panels, ``fit_krr`` refuses a fit that
-needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating
-system reports available. Prediction scores the test rows in blocks of
+entries, factored in place: each diagonal block holds the inverse of its
+diagonal factor. The panels are float32 (75 MB at N = 6000), or float64
+(150 MB) when the float32 attempt falls short. Each refinement pass
+rebuilds the system in float64 row chunks instead of keeping a copy of
+it. A kernel block is built in the array it is returned in, with one
+cache-sized chunk buffer. Before allocating the panels, ``fit_krr``
+refuses a fit whose float64 attempt needs more than
+``MEMORY_BUDGET_FRACTION`` of the memory the operating system reports
+available. Prediction scores the test rows in blocks of
 ``BLOCK_ROWS``, so it never holds an N_test x N_train kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,10 @@ BLOCK_ROWS = 256
 KERNEL_CHUNK_DOUBLES = 2**15
 # Rows at which _lower_inverse stops halving and inverts directly.
 INVERSE_BASE_ROWS = 32
+# Rows per float64 chunk of the system when it is built for a panel or
+# rebuilt for a residual: a small fraction of a panel, and few enough
+# chunks that the per-call cost of _kernel stays small.
+_CHUNK_ROWS = 32
 
 
 def make_targets(
@@ -149,9 +155,9 @@ def _check_features(features: np.ndarray) -> None:
 def _check_targets(targets: np.ndarray) -> None:
     """Refuse finite targets whose squared norm could overflow float64.
 
-    The residual check takes the norms of the N targets and of the
-    residual; with every target at most ``sqrt(max / (4 N))`` in
-    magnitude, the sum of their squares stays at most ``max / 4``."""
+    The fit takes the norms of the N targets and of each residual; with
+    every target at most ``sqrt(max / (4 N))`` in magnitude, the sum of
+    their squares stays at most ``max / 4``."""
     limit = math.sqrt(np.finfo(np.float64).max / (4 * len(targets)))
     largest = max(float(targets.max()), -float(targets.min()))
     if largest > limit:
@@ -196,24 +202,44 @@ def _blocks(n: int) -> list[slice]:
 
 
 def fit_bytes(n: int) -> int:
-    """Bytes an exact fit on ``n`` records holds at its peak: the lower
-    triangle of the system as panels of b = min(n, ``BLOCK_ROWS``) rows,
-    at most n * (n + b) / 2 doubles, each diagonal block holding the
-    inverse of its diagonal factor, plus four b x b temporaries of the
-    factorization, whose peak holds about three; the kernel build's
-    chunk buffer is not priced."""
+    """Bytes an exact fit on ``n`` records holds at its peak, that of its
+    float64 attempt: the lower triangle of the system as panels of b =
+    min(n, ``BLOCK_ROWS``) rows, at most n * (n + b) / 2 doubles, each
+    diagonal block holding the inverse of its diagonal factor, plus four
+    b x b temporaries of the factorization, whose peak holds about three;
+    the kernel's row chunks are not priced. The float32 attempt, made
+    first, holds about half of it."""
     b = min(n, BLOCK_ROWS)
     return 8 * (n * (n + b) // 2 + 4 * b * b)
 
 
-def _ridge_panels(features: np.ndarray, gamma: float, alpha: float) -> Iterator[np.ndarray]:
-    """The lower triangle of ``K + alpha * I`` as ``BLOCK_ROWS``-row panels,
-    built one at a time: panel i holds block i's rows against the columns
-    from 0 to the end of block i, its diagonal block in full."""
+def _system_rows(
+    features: np.ndarray, gamma: float, alpha: float, rows: slice, width: int
+) -> np.ndarray:
+    """Rows ``rows`` of ``K + alpha * I`` over its first ``width`` columns,
+    in float64; ``rows`` must end at or before ``width``."""
+    system = _kernel(features[rows], features[:width], gamma)
+    system.flat[rows.start :: width + 1] += alpha
+    return system
+
+
+def _ridge_panels(
+    features: np.ndarray, gamma: float, alpha: float, dtype: type
+) -> list[np.ndarray]:
+    """The lower triangle of ``K + alpha * I`` as ``BLOCK_ROWS``-row panels
+    of ``dtype``: panel i holds block i's rows against the columns from 0
+    to the end of block i, its diagonal block in full. Each panel is built
+    in float64 row chunks, each rounded into the panel as it is built, so
+    that a float32 panel is exactly the float64 one rounded."""
+    panels = []
     for rows in _blocks(features.shape[0]):
-        panel = _kernel(features[rows], features[: rows.stop], gamma)
-        panel.flat[rows.start :: rows.stop + 1] += alpha
-        yield panel
+        panel = np.empty((rows.stop - rows.start, rows.stop), dtype)
+        for start in range(rows.start, rows.stop, _CHUNK_ROWS):
+            chunk = slice(start, min(start + _CHUNK_ROWS, rows.stop))
+            system = _system_rows(features, gamma, alpha, chunk, rows.stop)
+            panel[start - rows.start : chunk.stop - rows.start] = system
+        panels.append(panel)
+    return panels
 
 
 def _lower_inverse(factor: np.ndarray) -> np.ndarray:
@@ -269,6 +295,66 @@ def _substitute(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _system_product(
+    features: np.ndarray, gamma: float, alpha: float, x: np.ndarray
+) -> np.ndarray:
+    """``(K + alpha * I) @ x`` in float64, from the lower triangle of the
+    system rebuilt in row chunks of ``_CHUNK_ROWS``, each used as it stands
+    and transposed."""
+    product = np.zeros(len(x))
+    for start in range(0, len(x), _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, len(x)))
+        chunk = _system_rows(features, gamma, alpha, rows, rows.stop)
+        product[rows] += chunk @ x[: rows.stop]
+        product[: rows.start] += chunk[:, : rows.start].T @ x[rows]
+    return product
+
+
+def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """``_substitute`` in the panels' precision, for a float64 ``rhs``. A
+    float32 solve is scaled by the power of two that brings the largest
+    entry of ``rhs`` into [0.5, 1), so that neither large targets nor
+    small residuals leave float32's range."""
+    if panels[0].dtype == np.float64:
+        return _substitute(panels, rhs)
+    _, exponent = np.frexp(np.abs(rhs).max())
+    scaled = np.ldexp(rhs, -exponent).astype(panels[0].dtype)
+    return np.ldexp(_substitute(panels, scaled).astype(np.float64), exponent)
+
+
+def _solve_refined(
+    features: np.ndarray, targets: np.ndarray, gamma: float, alpha: float,
+    dtype: type, bound: float,
+) -> tuple[np.ndarray, float] | None:
+    """Factor ``K + alpha * I`` in ``dtype`` and refine its solve as
+    ``fit_krr``'s Notes say, until the residual's norm is also at most
+    ``bound``: the x of the smallest residual and that residual's norm, or
+    None when the factorization breaks down. ``N + alpha`` bounds the
+    system's infinity norm, since 0 <= K <= 1. An unstable factorization's
+    overflow or NaN shows in the residual, not as a warning."""
+    n = len(targets)
+    tolerance = math.sqrt(n) * (n + alpha) * np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        panels = _ridge_panels(features, gamma, alpha, dtype)
+        try:
+            _factor_panels(panels)
+        except np.linalg.LinAlgError:
+            return None
+        best, best_size = None, math.inf
+        x = _solve_factored(panels, targets)
+        while True:
+            residual = targets - _system_product(features, gamma, alpha, x)
+            size = float(np.abs(residual).max())
+            if best is not None and not size < best_size:
+                break
+            shrunk = 4.0 * size <= best_size
+            best, best_size = (x, float(np.linalg.norm(residual))), size
+            if (size <= tolerance * np.abs(x).max() and best[1] <= bound) or not shrunk:
+                break
+            x = x + _solve_factored(panels, residual)
+        return best
+
+
 def fit_krr(
     features: np.ndarray,
     targets: np.ndarray,
@@ -292,10 +378,12 @@ def fit_krr(
     Notes
     -----
     The fit holds the lower triangle of the system ``K + alpha * I`` as
-    ``BLOCK_ROWS``-row panels, at most 4 * N * (N + ``BLOCK_ROWS``) bytes
-    (150 MB at N = 6000), plus the factorization's temporaries
-    (``fit_bytes``: 152 MB at N = 6000); each panel is built in place.
-    Before allocating the panels, the fit compares that size with
+    ``BLOCK_ROWS``-row panels, in float32 at most 2 * N * (N +
+    ``BLOCK_ROWS``) bytes (75 MB at N = 6000). When the float32 attempt
+    falls short, the fit frees them and repeats in float64: at most 4 * N
+    * (N + ``BLOCK_ROWS``) bytes (150 MB), plus the factorization's
+    temporaries (``fit_bytes``: 152 MB at N = 6000). Before allocating
+    any panel, the fit compares that float64 size with
     ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in ``/proc/meminfo``
     and raises ``ValueError`` naming N, the GiB needed and the GiB
     available when it does not fit. The check is skipped where that file
@@ -314,10 +402,27 @@ def fit_krr(
     features, targets, ``gamma`` or ``alpha`` are rejected here, and so
     are features large enough for their squared distances to overflow and
     targets larger in magnitude than ``sqrt(max / (4 N))``, with ``max``
-    the largest float64, for which the residual check's norms overflow.
-    The solve is verified against the system, its panels rebuilt one at a
-    time once the factor is freed: the residual norm must not exceed
-    ``1e-8 * (1 + ||targets||)``.
+    the largest float64, for which the residual norms overflow.
+
+    The solve is LAPACK DSPOSV's mixed-precision method (Langou et al.,
+    SC 2006). Each panel is built in float64 row chunks of
+    ``_CHUNK_ROWS`` and rounded, so the float32 system is exactly the
+    float64 one rounded. After the first solve, each pass forms the
+    residual ``r = targets - (K + alpha * I) x`` in float64, the system
+    rebuilt in row chunks, and adds the factored solve of r; a float32
+    solve first scales its right-hand side by a power of two, so that
+    neither targets near the limit above nor small residuals leave
+    float32's range. Refinement stops when ``|r| <= sqrt(N) * (N + alpha)
+    * eps * |x|`` in the infinity norm, DSPOSV's test, or at the first
+    pass that shrinks the residual less than 4-fold, and keeps the x of
+    the smallest residual. A result is accepted when its residual norm is
+    at most ``1e-8 * (1 + ||targets||)``; a float32 attempt also refines
+    until it is. The fit repeats in float64 when alpha overflows float32,
+    when the float32 factorization breaks down, or when its result is not
+    accepted. A float64 solve that meets DSPOSV's test at once is returned
+    as it stands, accepted or refused as a single solve. At ``alpha = 1``
+    on spread-out features the float32 attempt takes three residual
+    passes.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
@@ -342,22 +447,21 @@ def fit_krr(
             f"kernel system), more than {MEMORY_BUDGET_FRACTION:.0%} of the "
             f"{available / 2**30:.2f} GiB of memory available; train on fewer records"
         )
-    panels = list(_ridge_panels(features, gamma, alpha))
     remedy = "use alpha > 0" if alpha == 0.0 else "use a larger alpha"
-    try:
-        _factor_panels(panels)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"the kernel system is numerically singular; {remedy}") from None
-    coefficients = _substitute(panels, targets)
-    del panels
-    # The system is not kept: the check rebuilds its panels one at a time.
-    product = np.zeros(n)
-    for rows, panel in zip(_blocks(n), _ridge_panels(features, gamma, alpha)):
-        product[rows] += panel @ coefficients[: rows.stop]
-        product[: rows.start] += panel[:, : rows.start].T @ coefficients[rows]
-    residual = float(np.linalg.norm(product - targets))
+    bound = 1e-8 * (1.0 + float(np.linalg.norm(targets)))
+    solved = None
+    # float32 holds K + alpha * I unless alpha overflows it.
+    if alpha + 1.0 <= float(np.finfo(np.float32).max):
+        solved = _solve_refined(features, targets, gamma, alpha, np.float32, bound)
+    if solved is None or not solved[1] <= bound:
+        # DSPOSV's test alone ends it, so a float64 solve that meets the test
+        # at once is accepted or refused as one solve.
+        solved = _solve_refined(features, targets, gamma, alpha, np.float64, math.inf)
+    if solved is None:
+        raise ValueError(f"the kernel system is numerically singular; {remedy}")
+    coefficients, residual = solved
     # Written so that a NaN residual fails too.
-    if not residual <= 1e-8 * (1.0 + float(np.linalg.norm(targets))):
+    if not residual <= bound:
         raise ValueError(
             f"kernel solve residual {residual:.3e} too large; "
             f"the system is numerically singular; {remedy}"

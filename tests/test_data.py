@@ -59,8 +59,20 @@ class TestValidation:
             Dataset.from_records([Record(id="a", votes=(1, 2))])
 
     def test_gold_value_rejected(self):
-        with pytest.raises(DatasetFormatError, match="gold outside"):
-            Dataset.from_records([Record(id="a", votes=(1,), gold=0)])
+        """The constructor checks gold; a non-integer is refused, not
+        truncated by a cast."""
+        for gold in (2, 1.5):
+            with pytest.raises(DatasetFormatError, match=r"^record 'a' has gold outside \{-1, \+1\}$"):
+                Dataset.from_records([Record(id="a", votes=(1,), gold=gold)])
+
+    def test_gold_zero_means_no_label(self):
+        """As in the constructor, gold 0 is a record without a label."""
+        def build(gold):
+            return Dataset.from_records(
+                [Record(id="a", votes=(1,), gold=gold), Record(id="b", votes=(0,), gold=1)]
+            )
+
+        assert build(0) == build(None)
 
     def test_mixed_feature_presence_rejected(self):
         """All records carry features or none do, in either order."""
@@ -115,8 +127,9 @@ class TestValidation:
         ],
     )
     def test_constructor_refusals(self, columns, message):
-        """The loaders and from_records check these first, so only a
-        direct construction reaches the constructor's own checks."""
+        """The loaders and from_records check these widths first, so only
+        a direct construction reaches the constructor's own width checks;
+        a gold value is checked here alone, whatever built the dataset."""
         with pytest.raises(DatasetFormatError, match=message):
             Dataset(**{"ids": ("a", "b"), "votes_matrix": np.ones((2, 2)), **columns})
 

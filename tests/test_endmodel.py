@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ from weapo.endmodel import (
     fit_bytes,
     rbf_kernel,
 )
+
+
+def record_precisions(monkeypatch):
+    """The panel dtypes ``fit_krr`` factors, in order, recorded from here on."""
+    factor_panels = weapo.endmodel._factor_panels
+    precisions = []
+
+    def recording_factor(panels):
+        precisions.append(panels[0].dtype.type)
+        factor_panels(panels)
+
+    monkeypatch.setattr(weapo.endmodel, "_factor_panels", recording_factor)
+    return precisions
 
 
 class TestMakeTargets:
@@ -208,33 +222,70 @@ class TestFitKrr:
 
     def test_system_matches_identity_oracle_bitwise(self, monkeypatch):
         """The system is built as row-block panels of its lower triangle,
-        each from column 0 to the end of its block, and the ridge added to
-        its diagonal in place: every stored entry is exactly the plain
-        kernel of those rows and columns with alpha on the diagonal. The
-        residual check rebuilds the same panels."""
+        each from column 0 to the end of its block, in float64 row chunks
+        with the ridge added to their diagonal in place, each rounded into
+        a float32 panel: every stored entry is exactly the plain kernel of
+        those rows and columns with alpha on the diagonal, rounded to
+        float32. Each residual pass rebuilds the lower triangle in float64
+        row chunks, every one exactly that plain kernel."""
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2 * BLOCK_ROWS + 37, 3))
         t = rng.normal(size=len(x))
         build = weapo.endmodel._ridge_panels
-        seen = []
+        system_rows = weapo.endmodel._system_rows
+        product = weapo.endmodel._system_product
+        seen, chunks, passes = [], [], []
 
         def recording_build(*args):
-            panels = list(build(*args))
+            panels = build(*args)
             seen.append([panel.copy() for panel in panels])
             return panels
 
-        monkeypatch.setattr(weapo.endmodel, "_ridge_panels", recording_build)
-        fit_krr(x, t, gamma=0.6, alpha=0.25)
-        assert len(seen) == 2 and len(seen[0]) == 3
-        for start, panel, rebuilt in zip(range(0, len(x), BLOCK_ROWS), *seen):
-            rows = slice(start, min(start + BLOCK_ROWS, len(x)))
-            expected = rbf_kernel_three_temporaries(x[rows], x[: rows.stop], 0.6)
-            expected[:, rows] = ridge_system_with_identity(expected[:, rows], 0.25)
-            np.testing.assert_array_equal(panel, expected, strict=True)
-            np.testing.assert_array_equal(rebuilt, expected, strict=True)
+        def recording_rows(features, gamma, alpha, rows, width):
+            system = system_rows(features, gamma, alpha, rows, width)
+            chunks.append((rows, width, system.copy()))
+            return system
 
-    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 8], ids=lambda b: f"b{b}")
-    def test_panels_hold_cholesky_factor_and_diagonal_inverses(self, monkeypatch, block_rows):
+        def recording_product(*args):
+            passes.append(len(chunks))
+            return product(*args)
+
+        monkeypatch.setattr(weapo.endmodel, "_ridge_panels", recording_build)
+        monkeypatch.setattr(weapo.endmodel, "_system_rows", recording_rows)
+        monkeypatch.setattr(weapo.endmodel, "_system_product", recording_product)
+        fit_krr(x, t, gamma=0.6, alpha=0.25)
+
+        def expected_rows(rows, width):
+            expected = rbf_kernel_three_temporaries(x[rows], x[:width], 0.6)
+            expected[:, rows] = ridge_system_with_identity(expected[:, rows], 0.25)
+            return expected
+
+        assert len(seen) == 1 and len(seen[0]) == 3 and len(passes) >= 2
+        for start, panel in zip(range(0, len(x), BLOCK_ROWS), seen[0]):
+            rows = slice(start, min(start + BLOCK_ROWS, len(x)))
+            expected = expected_rows(rows, rows.stop).astype(np.float32)
+            np.testing.assert_array_equal(panel, expected, strict=True)
+        for rows, width, system in chunks:
+            np.testing.assert_array_equal(system, expected_rows(rows, width), strict=True)
+        first_pass = chunks[passes[0] : passes[1]]
+        chunk = weapo.endmodel._CHUNK_ROWS
+        assert [(rows.start, rows.stop) for rows, width, _ in first_pass] == [
+            (start, min(start + chunk, len(x))) for start in range(0, len(x), chunk)
+        ]
+        assert all(width == rows.stop for rows, width, _ in first_pass)
+
+    @pytest.mark.parametrize(
+        "block_rows, dtype",
+        [
+            pytest.param(BLOCK_ROWS, np.float64, id=f"b{BLOCK_ROWS}"),
+            pytest.param(8, np.float64, id="b8"),
+            pytest.param(BLOCK_ROWS, np.float32, id=f"b{BLOCK_ROWS}-float32"),
+            pytest.param(8, np.float32, id="b8-float32"),
+        ],
+    )
+    def test_panels_hold_cholesky_factor_and_diagonal_inverses(
+        self, monkeypatch, block_rows, dtype
+    ):
         """The panels, factored in place, hold the Cholesky factor L of the
         full system left of each diagonal block, and in each diagonal block
         the inverse of that block of L: exactly zero above its diagonal,
@@ -242,7 +293,14 @@ class TestFitKrr:
         n * eps * |inverse| * |L|, with n the columns up to the block's
         end. That is the length of the sums that form the block; the
         reference factors the whole system in another order, so its block
-        differs from the one inverted by their rounding too."""
+        differs from the one inverted by their rounding too.
+
+        Each precision is checked on its own system, float64 or float64
+        rounded to float32, with its own eps; the factor's bound is 1e-12
+        in float64 and as many float32 eps. The factorization in the other
+        precision is made to break down, so that the float64 attempt runs
+        at the alpha these bounds were set for: an alpha small enough to
+        reach it unforced leaves the system too ill-conditioned for them."""
         monkeypatch.setattr(weapo.endmodel, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(15)
         n = 2 * BLOCK_ROWS + 37
@@ -252,23 +310,28 @@ class TestFitKrr:
         recorded = []
 
         def recording_factor(panels):
+            if panels[0].dtype != dtype:
+                raise np.linalg.LinAlgError("the precision not under test")
             factor_panels(panels)
             recorded.append([panel.copy() for panel in panels])
 
         monkeypatch.setattr(weapo.endmodel, "_factor_panels", recording_factor)
         fit_krr(x, t, gamma=0.6, alpha=0.25)
         system = ridge_system_with_identity(rbf_kernel_three_temporaries(x, x, 0.6), 0.25)
-        expected = np.linalg.cholesky(system)
+        expected = np.linalg.cholesky(system.astype(dtype).astype(np.float64))
+        eps = np.finfo(dtype).eps
         assert len(recorded) == 1 and len(recorded[0]) == -(-n // block_rows)
         for panel in recorded[0]:
+            assert panel.dtype == dtype
+            panel = panel.astype(np.float64)
             rows = slice(panel.shape[1] - len(panel), panel.shape[1])
             error = np.abs(panel[:, : rows.start] - expected[rows, : rows.start]).max(initial=0.0)
-            assert error <= 1e-12 * np.abs(expected).max()
+            assert error <= 1e-12 * (eps / np.finfo(np.float64).eps) * np.abs(expected).max()
             inverse, factor = panel[:, rows], expected[rows, rows]
             assert (np.triu(inverse, 1) == 0.0).all()
             norms = np.abs(inverse).sum(axis=1).max() * np.abs(factor).sum(axis=1).max()
             residual = np.abs(inverse @ factor - np.eye(len(factor))).max()
-            assert residual <= rows.stop * np.finfo(np.float64).eps * norms
+            assert residual <= rows.stop * eps * norms
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29], ids=lambda n: f"n{n}")
     def test_coefficients_match_lu_oracle(self, monkeypatch, n):
@@ -278,6 +341,7 @@ class TestFitKrr:
         in [alpha, N + alpha], so the two coefficient vectors agree to
         4 * N * eps * (1 + N / alpha) relative to their size."""
         monkeypatch.setattr(weapo.endmodel, "BLOCK_ROWS", 8)
+        precisions = record_precisions(monkeypatch)
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
@@ -287,11 +351,13 @@ class TestFitKrr:
         bound = 4 * n * np.finfo(np.float64).eps * (1 + n / alpha)
         error = np.abs(model.coefficients - expected).max()
         assert error <= bound * np.abs(expected).max()
+        assert precisions == [np.float32]
 
-    def test_coefficients_match_lu_oracle_at_default_blocks(self):
+    def test_coefficients_match_lu_oracle_at_default_blocks(self, monkeypatch):
         """At the default BLOCK_ROWS each diagonal factor is inverted by
         halving down to INVERSE_BASE_ROWS rows, a path the 8-wide blocks
         above never take; the bound is theirs."""
+        precisions = record_precisions(monkeypatch)
         n = 2 * BLOCK_ROWS + 89
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 3))
@@ -302,6 +368,42 @@ class TestFitKrr:
         bound = 4 * n * np.finfo(np.float64).eps * (1 + n / alpha)
         error = np.abs(model.coefficients - expected).max()
         assert error <= bound * np.abs(expected).max()
+        assert precisions == [np.float32]
+
+    def test_float64_attempt_returns_the_float64_solve_bitwise(self, monkeypatch):
+        """At an alpha this small the float32 refinement stalls, and the
+        float64 attempt's first solve passes the refinement's test: the
+        coefficients are exactly those of the float64 panels of the plain
+        kernel, factored and substituted once."""
+        precisions = record_precisions(monkeypatch)
+        rng = np.random.default_rng(10)
+        n = 2 * BLOCK_ROWS + 37
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        model = fit_krr(x, t, gamma=0.6, alpha=1e-4)
+        assert precisions == [np.float32, np.float64]
+        panels = []
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, min(start + BLOCK_ROWS, n))
+            panel = rbf_kernel_three_temporaries(x[rows], x[: rows.stop], 0.6)
+            panel[:, rows] = ridge_system_with_identity(panel[:, rows], 1e-4)
+            panels.append(panel)
+        weapo.endmodel._factor_panels(panels)
+        expected = weapo.endmodel._substitute(panels, t)
+        np.testing.assert_array_equal(model.coefficients, expected, strict=True)
+
+    def test_alpha_beyond_float32_takes_float64_without_a_warning(self, monkeypatch):
+        """K + alpha * I overflows float32 for alpha = 1e300; the fit goes
+        straight to float64, with no overflow warning on the way."""
+        precisions = record_precisions(monkeypatch)
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(40, 2))
+        t = rng.normal(size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_krr(x, t, gamma=0.5, alpha=1e300)
+        assert precisions == [np.float64]
+        np.testing.assert_allclose(model.coefficients, t / 1e300, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "n",
@@ -573,6 +675,28 @@ class TestMemory:
         in one call would each cost another 0.5 to 1 * 8 * N**2."""
         n = 2000
         assert self.traced_fit_peak(n) < 0.65 * n * n * 8
+
+    def test_default_fit_holds_float32_panels(self):
+        """A default fit factors the system in float32, half the bytes of
+        the float64 panels ``fit_bytes`` prices, and rebuilds it for each
+        residual in float64 row chunks of a few rows. At N = 3 * BLOCK_ROWS
+        + 5 the float32 panels are 0.30 of ``fit_bytes`` and the
+        factorization's float32 temporaries 0.25; the float64 panels alone,
+        the bound, are 0.6 of it."""
+        n = 3 * BLOCK_ROWS + 5
+        assert self.traced_fit_peak(n) < 0.6 * fit_bytes(n)
+
+    def test_float64_attempt_after_float32_within_fit_bytes(self, monkeypatch):
+        """The float32 panels are freed before the float64 attempt builds
+        its own, so a fit that takes both stays within ``fit_bytes``."""
+        precisions = record_precisions(monkeypatch)
+        rng = np.random.default_rng(10)
+        n = 2 * BLOCK_ROWS + 37
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.6, alpha=1e-4))
+        assert precisions == [np.float32, np.float64]
+        assert peak < fit_bytes(n)
 
     @pytest.mark.parametrize("n", [601, 2 * BLOCK_ROWS + 37, 2000], ids=lambda n: f"n{n}")
     def test_fit_bytes_prices_the_peak(self, n):
