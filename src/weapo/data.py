@@ -303,8 +303,9 @@ def record_scores(
 
 
 def coverage_mask(dataset: Dataset) -> np.ndarray:
-    """Binary (N,) mask: 1 where at least one labeling function fired."""
-    return dataset.votes_matrix.any(axis=1).astype(np.int8)
+    """Boolean (N,) mask, true where at least one labeling function fired;
+    ``x[coverage_mask(dataset)]`` selects the covered records of ``x``."""
+    return dataset.votes_matrix.any(axis=1)
 
 
 def _parse_meta(obj: dict) -> tuple[int | None, Any]:

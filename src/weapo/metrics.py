@@ -123,7 +123,8 @@ def evaluate_label_model(scores: np.ndarray, coverage: np.ndarray, gold: np.ndar
     """Score quality on the covered subset only.
 
     ``scores``, ``coverage`` and ``gold`` are aligned 1-D arrays: scores
-    for all records, the 0/1 coverage mask, and gold labels in {-1, +1}.
+    for all records, the coverage mask (bool, as ``coverage_mask`` gives,
+    or 0/1), and gold labels in {-1, +1}.
     Raises ``UndefinedMetricError`` when no record is covered or the
     covered subset is single-class, naming the covered class counts.
     """

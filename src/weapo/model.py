@@ -9,8 +9,8 @@ where ``u_low - u_high`` lies in ``{0, -1}^M``; with ``theta >= 0`` every
 one holds by construction, so the hinge term is identically zero. What
 remains depends on the data only through the mean vote vector ``a``,
 the weighted mean of the rows of the vote table ``VotePatterns``, and
-``fit`` minimizes it exactly by a 1-D search over the dual variable of
-the prior term.
+``fit`` minimizes it in closed form: the mean score along the dual path
+of the prior term is piecewise linear, so its root is one division.
 """
 
 from __future__ import annotations
@@ -134,23 +134,13 @@ def project_simplex(weights: Sequence[float]) -> np.ndarray:
 
 
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Scores for every record plus the coverage mask.
+    """Scores for every record plus the boolean coverage mask.
 
     Each distinct vote row is scored once and the scores are gathered
     back to the records. Uncovered records score exactly 0 since all
     their vote bits are 0.
     """
     return record_scores(model.pattern_scores, dataset), coverage_mask(dataset)
-
-
-def _ratio_cap(a: np.ndarray) -> float:
-    """The cap ``4/gap`` on ``w/lambda`` that ``_dual_search`` explains.
-
-    ``gap`` is the smallest positive step of the sorted finite ``a``, the
-    smallest spacing of its distinct entries; ``np.unique`` would give the
-    same, but its first call imports ``numpy.ma``."""
-    gaps = np.diff(np.sort(a))
-    return 4.0 / float(gaps[gaps > 0.0].min(initial=1.0))
 
 
 def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.ndarray, float]:
@@ -165,74 +155,75 @@ def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.nda
 def _prior_band(dataset: Dataset | VotePatterns, cfg: WeapoConfig) -> tuple[float, float]:
     """The priors ``[a.theta(+r/2), a.theta(-r/2)]`` that move theta.
 
-    ``r`` is ``w/lambda`` capped as in ``_dual_search`` and
-    ``theta(t) = project_simplex(-t*a)``; at the cap the band is
-    ``[min a, max a]``. Every prior below the band fits the same theta,
-    and so does every prior above it. Requires ``prior_weight > 0`` and a
-    dataset ``fit`` accepts.
+    ``r`` is ``w/lambda`` and ``theta(t) = project_simplex(-t*a)``, whose
+    mean scores ``_descent`` gives in closed form; from the last finite
+    breakpoint on, a band end is ``min a`` or ``max a`` exactly. Every
+    prior below the band fits the same theta, and so does every prior
+    above it. Requires ``prior_weight > 0`` and a dataset ``fit`` accepts.
     """
     a, ratio = _mean_votes_and_ratio(vote_patterns(dataset), cfg)
-    if ratio >= _ratio_cap(a):
-        return float(a.min()), float(a.max())
-    t = ratio / 2.0
-    return float(a @ project_simplex(-t * a)), float(a @ project_simplex(t * a))
+    # A target of -inf lies below every mean score, so only g(r/2) is asked.
+    low, _ = _descent(a, -math.inf, ratio / 2.0)
+    high, _ = _descent(-a, -math.inf, ratio / 2.0)
+    return low, -high
 
 
-def _dual_search(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int]:
+def _descent(b: np.ndarray, q: float, t_max: float) -> tuple[float, float]:
+    """Where ``g(t) = b.project_simplex(-t*b)`` meets ``q`` on ``[0, t_max]``.
+
+    ``t_max`` may be ``inf``. With b sorted, the projection's support is
+    its k smallest entries, on which ``g(t) = m_k - t*v_k``: ``m_k`` is
+    their mean and ``v_k`` k times their variance, summed from the
+    deviations. The k-th entry leaves the support at the breakpoint
+    ``t_k = 1/sum_{i<=k}(b_(k) - b_(i))``, so equal entries leave
+    together, and g falls piecewise linearly from ``mean(b)`` to ``min b``
+    at the last finite breakpoint, past which theta is the uniform weight
+    on the entries equal to ``min b`` (Duchi et al., ICML 2008).
+
+    Returns ``g(t_max)``, never below ``min b``, and the dual value of the
+    minimizer: ``t_max`` when ``q <= g(t_max)``, ``inf`` for the face when
+    ``t_max`` is also at or past the last breakpoint (or all entries are
+    equal), and otherwise ``(m_k - q)/v_k`` on the piece that brackets q.
+    """
+    s = np.sort(b)
+    k = np.arange(1.0, s.size + 1.0)
+    mean = np.cumsum(s) / k
+    kvar = np.square(np.tril(s - mean[:, None])).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        breaks = 1.0 / np.tril(s[:, None] - s).sum(axis=1)
+    tied = int(np.isinf(breaks).sum())
+    if tied == s.size or t_max >= breaks[tied]:
+        end, at_end = float(s[0]), math.inf
+    else:
+        j = int((breaks > t_max).sum()) - 1
+        end, at_end = max(float(mean[j] - t_max * kvar[j]), float(s[0])), t_max
+    if q <= end or tied == s.size:
+        return end, at_end
+    tops = mean[tied:] - np.append(breaks[tied + 1 :], 0.0) * kvar[tied:]
+    j = tied + min(int(np.searchsorted(tops, q)), tops.size - 1)
+    return end, min(float((mean[j] - q) / kvar[j]), t_max)
+
+
+def _closed_form(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``|theta|^2 + ratio*|a.theta - p|`` on the simplex.
 
     Requires ``ratio > 0``; ``inf`` stands for a zero regularizer. Writing
     ``ratio*|d|`` as the maximum of ``2*t*d`` over ``|t| <= ratio/2``
     gives, for each dual value ``t``, the minimizer
-    ``theta(t) = project_simplex(-t*a)``, and ``a.theta(t)`` does not
-    increase as ``t`` grows. The optimum is ``theta(+ratio/2)`` when
-    ``a.theta(+ratio/2) >= p``, ``theta(-ratio/2)`` when
-    ``a.theta(-ratio/2) <= p``, and otherwise ``theta(t)`` at the root of
-    ``a.theta(t) = p``. The root is bisected until no float lies between
-    the bracket ends, and the end with the lower objective is kept.
-    Returns theta and the number of projections made.
-
-    Past ``t = 2/gap``, where ``gap`` is the smallest spacing between
-    distinct entries of ``a`` (1 when they are all equal), ``theta(t)``
-    is the uniform weight on the smallest entries of ``a``, and below
-    ``-2/gap`` on the largest, so no ratio beyond ``4/gap`` changes theta.
-    The ratio is capped there; at the cap a ``p`` outside
-    ``(min a, max a)`` gets that face exactly, with no projection. The
-    capped search is the minimum-norm minimizer of ``|a.theta - p|``, the
-    limit of a vanishing regularizer.
+    ``theta(t) = project_simplex(-t*a)``, and the optimum is ``theta(t)``
+    at the root of ``a.theta(t) = p`` clamped to ``|t| <= ratio/2``. A
+    prior above the mean of a needs ``t < 0``: the mirror case of ``-a``
+    and ``-p``. At a face, a ``p`` outside ``(min a, max a)`` gets the
+    uniform weight on the entries of a nearest it exactly, with no
+    projection: the minimum-norm minimizer of ``|a.theta - p|``. Returns
+    theta and the number of projections made.
     """
-    cap = _ratio_cap(a)
-    if ratio >= cap:
-        if p <= a.min() or p >= a.max():
-            face = a == (a.min() if p <= a.min() else a.max())
-            return face / face.sum(), 0
-        ratio = cap
-
-    def theta_at(t: float) -> np.ndarray:
-        return project_simplex(-t * a)
-
-    def value(th: np.ndarray) -> float:
-        return float(th @ th) + ratio * abs(float(a @ th) - p)
-
-    lo, hi = -ratio / 2.0, ratio / 2.0
-    theta_hi = theta_at(hi)
-    if float(a @ theta_hi) >= p:
-        return theta_hi, 1
-    theta_lo = theta_at(lo)
-    if float(a @ theta_lo) <= p:
-        return theta_lo, 2
-    projections = 2
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        theta_mid = theta_at(mid)
-        projections += 1
-        if float(a @ theta_mid) >= p:
-            lo, theta_lo = mid, theta_mid
-        else:
-            hi, theta_hi = mid, theta_mid
-    if value(theta_hi) < value(theta_lo):
-        return theta_hi, projections
-    return theta_lo, projections
+    side = 1.0 if p <= a.mean() else -1.0
+    _, t = _descent(side * a, side * p, ratio / 2.0)
+    if t == math.inf:
+        face = a == (a.min() if side > 0 else a.max())
+        return face / face.sum(), 0
+    return project_simplex(-(side * t) * a), 1
 
 
 def fit(
@@ -240,7 +231,7 @@ def fit(
     prior: Prior | None = None,
     config: WeapoConfig | None = None,
 ) -> WeapoModel:
-    """Fit aggregation weights exactly by a 1-D dual search.
+    """Fit aggregation weights exactly, in closed form.
 
     Parameters
     ----------
@@ -254,9 +245,11 @@ def fit(
     -------
     WeapoModel
         The exact minimizer. ``diagnostics`` carries the objective with
-        its per-term breakdown, the number of simplex projections made
-        (``iterations``), ``converged`` (always true), and the number of
-        distinct covered vote vectors (``num_slices``).
+        its per-term breakdown (``hinge`` is always 0.0), the number of
+        simplex projections made (``iterations``: 0 at a face of the
+        simplex or without the prior term, else 1), ``converged`` (always
+        true), and the number of distinct covered vote vectors
+        (``num_slices``).
 
     Notes
     -----
@@ -265,7 +258,7 @@ def fit(
     reduces to ``lam*|theta|^2 + w*|a.theta - p|`` with ``a`` the mean
     vote vector over all records. Divided by ``lam``, it depends on
     ``lam`` and ``w`` only through ``w/lam`` (``inf`` when ``lam`` is 0),
-    which is all ``_dual_search`` takes; the reported terms use ``lam``
+    which is all ``_closed_form`` takes; the reported terms use ``lam``
     and ``w``. Without the prior term (``use_prior`` off or
     ``prior_weight == 0``) the minimizer is the uniform vector. ``a`` is
     the weighted mean of the rows of the vote table (``dataset.patterns``
@@ -281,7 +274,7 @@ def fit(
     m = pats.rows.shape[1]
     mean_votes, ratio = _mean_votes_and_ratio(pats, cfg)
     if cfg.use_prior and cfg.prior_weight > 0.0:
-        theta, projections = _dual_search(mean_votes, prior.p_plus, ratio)
+        theta, projections = _closed_form(mean_votes, prior.p_plus, ratio)
     else:
         theta, projections = np.full(m, 1.0 / m, dtype=np.float64), 0
     reg = cfg.lambda_reg * float(theta @ theta)

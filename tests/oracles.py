@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from itertools import chain, combinations
 from typing import NoReturn
 
@@ -277,6 +278,46 @@ def objective_values(
         hinge = np.maximum(thetas @ per_function, 0.0).sum(axis=1)
     prior_dev = np.abs(thetas @ votes.mean(axis=0) - prior.p_plus) if cfg.use_prior else 0.0
     return reg + hinge + cfg.prior_weight * prior_dev
+
+
+def weapo_by_supports(a, p, ratio):
+    """The minimizer of ``|theta|^2 + ratio*|a.theta - p|`` on the simplex,
+    in exact rational arithmetic, by enumerating supports.
+
+    ``ratio`` is positive, or ``inf`` for a zero regularizer, where the
+    minimizer is the least-norm theta of least ``|a.theta - p|``. On a
+    support S of size k, stationarity gives ``theta_S = 1/k +
+    t*(mean_S - a_S)`` for the dual value t of the prior term, with
+    ``|t| <= ratio/2``, and ``a.theta = mean_S - t*k*Var_S``. So the
+    minimizer is, for some S, the point where ``a.theta = p`` (the uniform
+    weight on S when ``Var_S`` is 0) or the point at ``t = +-ratio/2``.
+    Every such candidate in the simplex is scored and the least objective
+    kept; the objective is strictly convex, so that one is the minimizer.
+    Returns theta as float64.
+    """
+    a = [Fraction(float(x)) for x in a]
+    p = Fraction(float(p))
+    finite = math.isfinite(ratio)
+    best, best_key = None, None
+    for size in range(1, len(a) + 1):
+        for support in combinations(range(len(a)), size):
+            mean = sum(a[j] for j in support) / size
+            k_var = sum((a[j] - mean) ** 2 for j in support)
+            duals = [(mean - p) / k_var if k_var else Fraction(0)]
+            if finite:
+                duals += [Fraction(ratio) / 2, -Fraction(ratio) / 2]
+            for t in duals:
+                theta = [Fraction(0)] * len(a)
+                for j in support:
+                    theta[j] = Fraction(1, size) + t * (mean - a[j])
+                if min(theta) < 0:
+                    continue
+                norm = sum(x * x for x in theta)
+                deviation = abs(sum(x * y for x, y in zip(a, theta)) - p)
+                key = (norm + Fraction(ratio) * deviation,) if finite else (deviation, norm)
+                if best_key is None or key < best_key:
+                    best, best_key = theta, key
+    return np.array([float(x) for x in best])
 
 
 def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0):

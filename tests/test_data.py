@@ -289,6 +289,15 @@ class TestSlices:
         np.testing.assert_array_equal(coverage_mask(make_dataset([(0, 0)] * 3)), [0, 0, 0])
         np.testing.assert_array_equal(coverage_mask(make_dataset([(1, 1)] * 3)), [1, 1, 1])
 
+    def test_coverage_mask_indexing_selects_the_covered_records(self):
+        """The mask is boolean, so indexing with it keeps exactly the
+        covered records rather than gathering rows 0 and 1."""
+        ds = make_dataset([(0, 0), (1, 0), (0, 0), (0, 1), (1, 1)])
+        mask = coverage_mask(ds)
+        assert mask.dtype == np.bool_
+        assert [ds.ids[i] for i in np.arange(len(ds))[mask]] == ["r1", "r3", "r4"]
+        np.testing.assert_array_equal(ds.votes_matrix[mask], [(1, 0), (0, 1), (1, 1)])
+
 
 class TestPersistence:
     def test_load_two_lines(self, tmp_path):

@@ -22,10 +22,10 @@ def test_tree_against_itself_is_identical():
     code, summary = run_identity(ROOT)
     assert code == 0 and summary["identical"]
     assert summary["input_sets"] == ["end-krr-seed1", "tall-m8-seed1", "wide-m16-seed1"]
-    # 23 output files and 21 commands per input set, two of them through
+    # 25 output files and 23 commands per input set, two of them through
     # the entry point, and the 3 demos, which write no files; every
     # command and demo succeeded.
-    assert (summary["files"], summary["logs"]) == (69, 66)
+    assert (summary["files"], summary["logs"]) == (75, 72)
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["failed_in_head"] == summary["newly_failed"] == []
     assert summary["src_lines"]["base"] == summary["src_lines"]["head"] > 0
@@ -46,7 +46,7 @@ def test_one_changed_output_digit_is_caught(tmp_path):
         f"{name}/out/eval-{model}.json"
         for name in summary["input_sets"]
         for model in ("weapo", "weapo-noprior", "mv", "ds", "fs", "weapo-lam0", "weapo-lam3",
-                      "entry")
+                      "weapo-inband", "entry")
     )
     assert summary["only_in_base"] == summary["only_in_head"] == []
 

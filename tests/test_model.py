@@ -1,7 +1,11 @@
-"""Simplex scorer, objective terms, and the exact dual-search fit."""
+"""Simplex scorer, objective terms, and the exact closed-form fit."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weapo import (
     Dataset,
@@ -14,9 +18,15 @@ from weapo import (
     hasse_edges,
     predict_dataset,
 )
-from weapo.model import WeapoModel, _dual_search, _ratio_cap, project_simplex
+from weapo.model import WeapoModel, _closed_form, _prior_band, project_simplex
 
-from oracles import min_on_2simplex_line, min_on_simplex_grid, objective, objective_values
+from oracles import (
+    min_on_2simplex_line,
+    min_on_simplex_grid,
+    objective,
+    objective_values,
+    weapo_by_supports,
+)
 
 
 def make_dataset(vote_rows):
@@ -279,8 +289,8 @@ class TestFit:
             fit(empty, Prior(0.5))
 
     def test_pattern_mean_equals_per_record_mean(self):
-        """theta is bitwise the dual search over the per-record mean vote
-        vector, and num_slices counts the slices of the covering module."""
+        """theta is bitwise the closed-form solve over the per-record mean
+        vote vector, and num_slices counts the slices of the covering module."""
         rng = np.random.default_rng(12)
         for _ in range(30):
             k, m, n = int(rng.integers(1, 10)), int(rng.integers(1, 7)), int(rng.integers(2, 300))
@@ -292,7 +302,7 @@ class TestFit:
             p = float(rng.uniform(0.05, 0.95))
             model = fit(ds, Prior(p))
             mean_votes = ds.votes_matrix.astype(np.float64).mean(axis=0)
-            theta, _ = _dual_search(mean_votes, p, 1.0)
+            theta, _ = _closed_form(mean_votes, p, 1.0)
             assert model.theta.tobytes() == theta.tobytes()
             assert model.diagnostics["num_slices"] == len(build_slices(ds).slices)
 
@@ -322,14 +332,21 @@ def random_fit_case(rng):
     return ds, (ds.patterns.weights @ ds.patterns.rows) / n
 
 
-def ratio_and_cap(a, lam, w):
-    """w/lam (inf at lam = 0), and 4/gap, past which theta no longer changes."""
-    return w / lam if lam else np.inf, 4.0 / float(np.diff(np.unique(a)).min(initial=1.0))
+def ratio_and_cap(a, lam, w, side):
+    """w/lam (inf at lam = 0), and twice the last breakpoint of
+    project_simplex(side*t*a) over t >= 0, 1/(k*gap) for the k entries of
+    a nearest side*inf and their gap to the next: from r = cap on, theta
+    at t = r/2 is the uniform weight on those k entries (cap 0 when all
+    entries are equal)."""
+    nearest = a.max() if side > 0 else a.min()
+    gaps = np.abs(a[a != nearest] - nearest)
+    cap = 2.0 / ((a == nearest).sum() * gaps.min()) if gaps.size else 0.0
+    return (w / lam if lam else np.inf), cap
 
 
-def band(a, r):
+def band(ds, lam, w):
     """The priors between these two mean scores are the ones that move theta."""
-    return float(a @ project_simplex(-(r / 2) * a)), float(a @ project_simplex((r / 2) * a))
+    return _prior_band(ds, WeapoConfig(lambda_reg=lam, prior_weight=w))
 
 
 class TestWhatTheFitReducesTo:
@@ -344,7 +361,7 @@ class TestWhatTheFitReducesTo:
         for _ in range(40):
             ds, a = random_fit_case(rng)
             lam, w = (float(x) for x in rng.uniform(0.1, 10.0, 2))
-            low, high = band(a, min(ratio_and_cap(a, lam, w)))
+            low, high = band(ds, lam, w)
             for p in (float(rng.uniform(low, high)), low / 2, (high + 1) / 2):
                 if not 0 < p < 1:
                     continue
@@ -357,47 +374,71 @@ class TestWhatTheFitReducesTo:
         assert pairs >= 200
 
     def test_outside_the_band_theta_is_the_closed_form(self):
-        """With r the capped ratio, every p at or below a.theta(+r/2) gives
-        project_simplex(-(r/2)*a) bitwise, and every p at or above
-        a.theta(-r/2) its mirror. Past the cap, a p outside [min a, max a]
-        gets the uniform weight on the nearest entries of a exactly."""
+        """Every p at or below the band's low end gives
+        project_simplex(-(r/2)*a) bitwise, in one projection, and every p
+        at or above its high end the mirror. From r = cap on, that is the
+        uniform weight on the nearest entries of a exactly, with no
+        projection."""
         rng = np.random.default_rng(22)
         for _ in range(40):
             ds, a = random_fit_case(rng)
             if np.unique(a).size < 2:
                 continue
             for lam, w in ((1.0, 1.0), (1.0, 10.0), (0.5, 2.0), (0.0, 1.0), (1.0, 1e17)):
-                ratio, cap = ratio_and_cap(a, lam, w)
-                r = min(ratio, cap)
-                low, high = band(a, r)
+                low, high = band(ds, lam, w)
                 cases = [(p, -1) for p in (low, low * 0.999, a.min() / 2)]
                 cases += [(p, 1) for p in (high, (high + 1) / 2, (a.max() + 1) / 2)]
                 for p, side in cases:
                     if not 0 < p < 1:
                         continue
                     model = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w))
-                    nearest = a.min() if side < 0 else a.max()
-                    if ratio >= cap and (p - nearest) * side >= 0:
-                        expected = (a == nearest) / (a == nearest).sum()
+                    ratio, cap = ratio_and_cap(a, lam, w, side)
+                    nearest = a.max() if side > 0 else a.min()
+                    if ratio >= cap:
+                        expected, projections = (a == nearest) / (a == nearest).sum(), 0
                     else:
-                        expected = project_simplex(side * (r / 2) * a)
+                        expected, projections = project_simplex(side * (ratio / 2) * a), 1
                     assert model.theta.tobytes() == expected.tobytes()
+                    assert model.diagnostics["iterations"] == projections
+
+    def test_band_ends_are_the_mean_scores_at_the_clamped_dual_values(self):
+        """Below the cap each band end is a.theta(-+r/2) to a few ulps of its
+        exact value, mean_S + side*(r/2)*k*Var_S in rational arithmetic on
+        the support S of that theta; from the cap on it is min a or max a
+        exactly."""
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            ds, a = random_fit_case(rng)
+            for lam, w in ((1.0, 1.0), (1.0, 10.0), (3.0, 100.0), (0.0, 1.0), (1.0, 1e17)):
+                for end, side in zip(band(ds, lam, w), (-1, 1)):
+                    ratio, cap = ratio_and_cap(a, lam, w, side)
+                    if ratio >= cap:
+                        assert end == (a.max() if side > 0 else a.min())
+                        continue
+                    theta = project_simplex(side * (ratio / 2) * a)
+                    support = [Fraction(float(x)) for x in a[theta > 0]]
+                    mean = sum(support) / len(support)
+                    k_var = sum((x - mean) ** 2 for x in support)
+                    exact = float(mean + side * Fraction(ratio / 2) * k_var)
+                    assert abs(end - exact) <= 4 * np.spacing(exact)
 
     def test_inside_the_band_the_mean_score_meets_the_prior(self):
-        """Inside the band a.theta = p to a few ulps: the bisection ends
-        on adjacent dual values t, and a.theta(t) moves by at most M/4
-        times the change in t."""
+        """Inside the band a.theta = p to a few ulps: the dual value t is one
+        division on the piece that holds the root, theta one projection at
+        it, and |t| is at most r/2 with r capped at the larger cap."""
         rng = np.random.default_rng(23)
         for _ in range(40):
             ds, a = random_fit_case(rng)
             for lam, w in ((1.0, 1.0), (1.0, 10.0), (3.0, 3.0), (0.0, 1.0)):
-                r = min(ratio_and_cap(a, lam, w))
-                low, high = band(a, r)
+                (ratio, cap_low), (_, cap_high) = (ratio_and_cap(a, lam, w, s) for s in (-1, 1))
+                r = min(ratio, max(cap_low, cap_high))
+                low, high = band(ds, lam, w)
                 p = float(rng.uniform(low, high))
                 if not 0 < p < 1:
                     continue
-                theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta
-                assert abs(float(a @ theta) - p) <= 4 * np.spacing(p) + 2 * np.spacing(r / 2)
+                model = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w))
+                assert abs(float(a @ model.theta) - p) <= 4 * np.spacing(p) + 2 * np.spacing(r / 2)
+                assert model.diagnostics["iterations"] == 1
 
     def test_huge_ratios_and_zero_lambda_give_one_theta(self):
         """w/lam = 1e17, 1e308, a ratio past the float range and lam = 0
@@ -415,18 +456,56 @@ class TestWhatTheFitReducesTo:
                 }
                 assert len(thetas) == 1
 
-    def test_ratio_cap_is_bitwise_the_distinct_gap_formula(self):
-        """``_ratio_cap`` equals ``4 / np.diff(np.unique(a)).min(initial=1.0)``
-        bit for bit, on odd and even lengths with repeats and both signed
-        zeros."""
-        rng = np.random.default_rng(27)
-        pool = np.array([0.0, -0.0, 1e-300, 0.25, 1.0 / 3.0, 0.5, 1.0])
-        for n in range(1, 41):
-            for _ in range(25):
-                drawn = rng.random(n).round(int(rng.integers(1, 4)))
-                a = np.where(rng.random(n) < 0.5, rng.choice(pool, n), drawn)
-                expected = 4.0 / np.diff(np.unique(a)).min(initial=1.0)
-                assert np.float64(_ratio_cap(a)).tobytes() == np.float64(expected).tobytes()
+
+@st.composite
+def oracle_cases(draw):
+    """A small vote matrix, a ratio w/lam, and a prior that is drawn
+    uniformly, an entry of the mean vote vector a, a band end or a value
+    outside [min a, max a]. Few records make tied entries of a common."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    votes = np.array(draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n)),
+                     dtype=np.int8).reshape(n, m)
+    votes[0, 0] = 1
+    ds = Dataset(ids=tuple(f"r{i}" for i in range(n)), votes_matrix=votes)
+    a = (ds.patterns.weights @ ds.patterns.rows) / n
+    lam, w = draw(st.one_of(
+        st.sampled_from([(0.0, 1.0), (1.0, 1e17), (1.0, 1e308)]),
+        st.tuples(st.just(1.0), st.floats(0.01, 1e4)),
+    ))
+    low, high = band(ds, lam, w)
+    ends = [low, high, a.min() / 2, (a.max() + 1) / 2, *(float(x) for x in a)]
+    p = draw(st.one_of(st.floats(0.001, 0.999), st.sampled_from(ends)))
+    assume(0 < p < 1)
+    return ds, a, p, lam, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_fit_is_the_exact_minimizer(case):
+    """theta matches the support-enumerating oracle within 1e-12, with tied
+    entries of a, priors at the band's ends and past [min a, max a], and
+    ratios up to a zero regularizer."""
+    ds, a, p, lam, w = case
+    theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta
+    expected = weapo_by_supports(a, p, w / lam if lam else np.inf)
+    np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0, 1),
+             min_size=1, max_size=10),
+    st.floats(-100, 100),
+)
+def test_mean_score_is_linear_on_each_support(a, t):
+    """On the support S of theta(t) = project_simplex(-t*a), of size k,
+    a.theta(t) = mean_S - t*k*Var_S."""
+    a = np.array(a)
+    theta = project_simplex(-t * a)
+    support = a[theta > 0]
+    k_var = float(((support - support.mean()) ** 2).sum())
+    expected = support.mean() - t * k_var
+    assert abs(float(a @ theta) - expected) <= 1e-12 * (1 + abs(t))
 
 
 class TestPredictDataset:

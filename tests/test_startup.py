@@ -89,15 +89,32 @@ def test_command_loads_only_its_modules(files, argv, unused):
     assert {f"weapo.{name}" for name in unused} & modules == set()
 
 
+# A weapo fit whose prior lies inside the band, so that it takes the root
+# of the dual path rather than a face: the prior 0.4 above lies above
+# every firing rate of the train file.
+IN_BAND = ["fit", "train.jsonl", "--model", "weapo", "--lambda-reg", "0", "--prior", "0.3",
+           "--out", "inband.json"]
+
+
+def test_the_in_band_fit_takes_the_root(files, capsys, monkeypatch):
+    """No band warning, and one projection at the root, not a face."""
+    monkeypatch.chdir(files)
+    assert main([*IN_BAND, "--quiet"]) == 0
+    assert "band" not in capsys.readouterr().err
+    assert json.loads((files / "inband.json").read_text())["diagnostics"]["iterations"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "train.jsonl", "--model", "weapo", "--prior", "0.4", "--out", "again.json"],
+    IN_BAND,
     ["fit", "train.jsonl", "--model", "fs", "--prior", "0.4", "--out", "fs.json"],
     ["compare", "train.jsonl", "test.jsonl", "--models", "weapo,weapo-noprior,mv,ds,fs",
      "--prior", "0.4", "--oracle", "train.jsonl.oracle.json", "--out", "compare.json"],
-], ids=["fit-weapo", "fit-fs", "compare"])
+], ids=["fit-weapo", "fit-weapo-in-band", "fit-fs", "compare"])
 def test_fit_and_compare_load_no_masked_arrays(files, argv):
     """``np.unique`` and ``np.median`` import ``numpy.ma`` on their first
-    call; the fits and the comparison use neither."""
+    call; the fits, in the band and on a face, and the comparison use
+    neither."""
     code, modules = launch([*argv, "--quiet"], cwd=files)
     assert code == 0
     assert {name for name in modules if name == "numpy.ma" or name.startswith("numpy.ma.")} == set()

@@ -15,6 +15,9 @@ input set both trees run the same commands:
 * ``synth --spec``;
 * ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs, and of
   weapo at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``;
+* ``fit`` and ``eval`` of weapo at ``--lambda-reg 0`` with a prior inside
+  its band: the midpoint of the train votes' mean firing rate and their
+  largest one;
 * ``compare`` of all five with ``--oracle``;
 * ``end`` with the weapo model, without and with ``--gamma 0.3 --alpha 0.5``;
 * ``fit_krr`` on the end-train features, with the gold labels as targets,
@@ -63,11 +66,13 @@ MODELS = ("weapo", "weapo-noprior", "mv", "ds", "fs")
 # The models whose fit reads --prior; the others refuse the flag.
 PRIOR_MODELS = ("weapo", "ds", "fs")
 # Each fitted model file: its name, the model and its fitting flags. The
-# weapo fits past the defaults reach the capped dual search (lambda 0)
-# and a ratio w/lambda of 1 from other values.
+# law's prior lies above the band of every weapo fit at it, so those fits
+# land on a face; ``weapo-inband`` passes the prior inside the band
+# instead, where the fit takes the root of the dual path.
 FITS = [(model, model, []) for model in MODELS] + [
     ("weapo-lam0", "weapo", ["--lambda-reg", "0"]),
     ("weapo-lam3", "weapo", ["--lambda-reg", "3", "--prior-weight", "3"]),
+    ("weapo-inband", "weapo", ["--lambda-reg", "0"]),
 ]
 SEEDS = (1, 7)
 SMALL_N, SMALL_N_END = 400, 150
@@ -109,13 +114,15 @@ json.dump(logs, sys.__stdout__)
 """
 
 
-def commands(prior: float) -> list[tuple[str, list[str]]]:
-    """The named commands run on one input set, with paths relative to it."""
+def commands(prior: float, inside: float) -> list[tuple[str, list[str]]]:
+    """The named commands run on one input set, with paths relative to it;
+    ``inside`` is the prior of ``weapo-inband``."""
     flag = ["--prior", repr(prior)]
     cmds = [("synth", ["synth", "--spec", "in/synth_spec.json", "--out", "out/synth.jsonl"])]
     for name, model, extra in FITS:
+        given = ["--prior", repr(inside)] if name == "weapo-inband" else flag
         cmds.append((f"fit-{name}", ["fit", "in/train.jsonl", "--model", model,
-                                     *(flag if model in PRIOR_MODELS else []), *extra,
+                                     *(given if model in PRIOR_MODELS else []), *extra,
                                      "--out", f"out/fit-{name}.json"]))
     for name, _, _ in FITS:
         cmds.append((f"eval-{name}", ["eval", f"out/fit-{name}.json", "in/test.jsonl",
@@ -143,9 +150,9 @@ def entry_commands(prior: float) -> list[tuple[str, list[str]]]:
     ]
 
 
-def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float]]:
+def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float, float]]:
     """Draw every input set under ``workdir``; map its name to its
-    directory and the prior its commands pass."""
+    directory, the prior its commands pass and the in-band prior."""
     sets = {}
     for workload in WORKLOADS.values():
         if small:
@@ -162,7 +169,8 @@ def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float]]:
                                  (inputs.end_test_path, "end_test.jsonl")):
                 if not (drawn / target).exists():
                     shutil.copyfile(path, drawn / target)
-            sets[name] = (drawn, workload.law.p_plus)
+            rates = inputs.train.votes.mean(axis=0)
+            sets[name] = (drawn, workload.law.p_plus, float(rates.mean() + rates.max()) / 2)
     return sets
 
 
@@ -170,10 +178,10 @@ def run_tree(src: Path, rundir: Path, sets: dict) -> subprocess.Popen:
     """Start one process that runs every command of every input set with
     the package under ``src``, in a copy of the inputs under ``rundir``."""
     jobs = []
-    for name, (drawn, prior) in sets.items():
+    for name, (drawn, *priors) in sets.items():
         shutil.copytree(drawn, rundir / name / "in")
         (rundir / name / "out").mkdir()
-        jobs += [(str(rundir / name), argv) for _, argv in commands(prior)]
+        jobs += [(str(rundir / name), argv) for _, argv in commands(*priors)]
     (rundir / "jobs.json").write_text(json.dumps(jobs), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen([sys.executable, "-c", RUNNER, str(rundir / "jobs.json")],
@@ -205,7 +213,7 @@ def run_entry_point(src: Path, rundir: Path, sets: dict) -> dict[str, bytes]:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)
     found = {}
-    for name, (_, prior) in sets.items():
+    for name, (_, prior, _) in sets.items():
         if name.endswith(f"-seed{SEEDS[0]}"):
             for command, argv in entry_commands(prior):
                 result = subprocess.run([sys.executable, "-c", ENTRY, *argv],
@@ -224,10 +232,10 @@ def collect(out: str, rundir: Path, sets: dict) -> dict[str, bytes]:
     from its runner's output ``out``."""
     logs = json.loads(out)
     found = {}
-    for name, (_, prior) in sets.items():
+    for name, (_, *priors) in sets.items():
         for path in sorted((rundir / name / "out").rglob("*")):
             found[str(path.relative_to(rundir))] = path.read_bytes()
-        for command, _ in commands(prior):
+        for command, _ in commands(*priors):
             log = logs.pop(0)
             for key in ("stdout", "stderr", "exit"):
                 found[f"{name}/log/{command}.{key}"] = str(log[key]).encode()
