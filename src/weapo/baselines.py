@@ -196,7 +196,9 @@ def ds_fit(
         makes the fit the MAP under Beta(1 + smoothing, 1 + smoothing)
         priors; it must be finite and non-negative. The recorded
         objective history includes the matching log-prior terms and is
-        therefore non-decreasing.
+        therefore non-decreasing. A smoothing so large that ``n +
+        2 * smoothing`` or the starting objective overflows float64 is
+        refused before any EM step.
 
     Notes
     -----
@@ -211,6 +213,9 @@ def ds_fit(
     """
     pats, n = _weighted(votes)
     check_ds_settings(max_iters, tol, smoothing)
+    overflow = f"smoothing {smoothing!r} is too large: the Dawid-Skene objective overflows"
+    if not math.isfinite(n + 2.0 * smoothing):
+        raise ValueError(overflow)
     v01 = pats.rows.astype(np.float64)
     weights = pats.weights
 
@@ -249,6 +254,8 @@ def ds_fit(
         return data_term + penalty, data_term, lp, ln
 
     objective, data_ll, lp, ln = objective_at(pi, pos_fire, neg_fire)
+    if not math.isfinite(objective):
+        raise ValueError(overflow)
     history = [objective]
     converged = False
     iterations = 0

@@ -277,8 +277,9 @@ def _factor_panels(panels: list[np.ndarray]) -> None:
             block = panel[:, cols]
             block -= panel[:, : cols.start] @ done[:, : cols.start].T
             block[...] = block @ done[:, cols].T
-        left = panel[:, : rows.start]
-        panel[:, rows] = _lower_inverse(np.linalg.cholesky(panel[:, rows] - left @ left.T))
+        diagonal, left = panel[:, rows], panel[:, : rows.start]
+        diagonal -= left @ left.T
+        diagonal[...] = _lower_inverse(np.linalg.cholesky(diagonal))
 
 
 def _substitute(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:

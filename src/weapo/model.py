@@ -10,7 +10,8 @@ one holds by construction, so the hinge term is identically zero. What
 remains depends on the data only through the mean vote vector ``a``,
 the weighted mean of the rows of the vote table ``VotePatterns``, and
 ``fit`` minimizes it in closed form: the mean score along the dual path
-of the prior term is piecewise linear, so its root is one division.
+of the prior term is piecewise linear, so its root is one division, and
+theta is read off the piece that holds it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Real
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -106,33 +107,6 @@ class WeapoModel:
         return patterns.rows.astype(np.float64) @ self.theta
 
 
-def project_simplex(weights: Sequence[float]) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
-
-    Sort-based algorithm: find the largest support size whose shifted
-    values stay positive, then clamp. O(M log M). Refuses weights of
-    magnitude 2**53 or more, where the test ``u > u - 1`` of one fails,
-    and weights large enough for the shift to round the result off the
-    simplex (a sum off 1 by more than 1e-9).
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D array")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.abs(w).max() >= 2.0**53:
-        raise ValueError("weights must be less than 2**53 in magnitude")
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, w.size + 1)
-    support = np.nonzero(u * ks > css - 1.0)[0][-1]
-    tau = (css[support] - 1.0) / (support + 1.0)
-    projection = np.maximum(w - tau, 0.0)
-    if abs(projection.sum() - 1.0) > 1e-9:
-        raise ValueError("weights too large in magnitude to project onto the simplex")
-    return projection
-
-
 def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Scores for every record plus the boolean coverage mask.
 
@@ -155,11 +129,12 @@ def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.nda
 def _prior_band(dataset: Dataset | VotePatterns, cfg: WeapoConfig) -> tuple[float, float]:
     """The priors ``[a.theta(+r/2), a.theta(-r/2)]`` that move theta.
 
-    ``r`` is ``w/lambda`` and ``theta(t) = project_simplex(-t*a)``, whose
-    mean scores ``_descent`` gives in closed form; from the last finite
-    breakpoint on, a band end is ``min a`` or ``max a`` exactly. Every
-    prior below the band fits the same theta, and so does every prior
-    above it. Requires ``prior_weight > 0`` and a dataset ``fit`` accepts.
+    ``r`` is ``w/lambda`` and ``theta(t)`` the minimizer at the dual value
+    t, whose mean scores ``_descent`` gives in closed form; from the last
+    finite breakpoint on, a band end is ``min a`` or ``max a`` exactly.
+    Every prior below the band fits the same theta, and so does every
+    prior above it. Requires ``prior_weight > 0`` and a dataset ``fit``
+    accepts.
     """
     a, ratio = _mean_votes_and_ratio(vote_patterns(dataset), cfg)
     # A target of -inf lies below every mean score, so only g(r/2) is asked.
@@ -168,22 +143,25 @@ def _prior_band(dataset: Dataset | VotePatterns, cfg: WeapoConfig) -> tuple[floa
     return low, -high
 
 
-def _descent(b: np.ndarray, q: float, t_max: float) -> tuple[float, float]:
-    """Where ``g(t) = b.project_simplex(-t*b)`` meets ``q`` on ``[0, t_max]``.
+def _descent(b: np.ndarray, q: float, t_max: float) -> tuple[float, tuple | None]:
+    """Where ``g(t) = b.theta(t)`` meets ``q`` on ``[0, t_max]``, with
+    ``theta(t)`` the Euclidean projection of ``-t*b`` onto the simplex.
 
-    ``t_max`` may be ``inf``. With b sorted, the projection's support is
-    its k smallest entries, on which ``g(t) = m_k - t*v_k``: ``m_k`` is
-    their mean and ``v_k`` k times their variance, summed from the
-    deviations. The k-th entry leaves the support at the breakpoint
-    ``t_k = 1/sum_{i<=k}(b_(k) - b_(i))``, so equal entries leave
-    together, and g falls piecewise linearly from ``mean(b)`` to ``min b``
-    at the last finite breakpoint, past which theta is the uniform weight
-    on the entries equal to ``min b`` (Duchi et al., ICML 2008).
+    ``t_max`` may be ``inf``. With b sorted, the support of theta(t) is
+    its k smallest entries, where ``theta_j = 1/k + t*(m_k - b_j)`` and
+    ``g(t) = m_k - t*v_k``: ``m_k`` is their mean and ``v_k`` k times
+    their variance, summed from the deviations. The k-th entry leaves the
+    support at the breakpoint ``t_k = 1/sum_{i<=k}(b_(k) - b_(i))``, so
+    equal entries leave together, and g falls piecewise linearly from
+    ``mean(b)`` to ``min b`` at the last finite breakpoint, past which
+    theta is the uniform weight on the entries equal to ``min b`` (Duchi
+    et al., ICML 2008).
 
-    Returns ``g(t_max)``, never below ``min b``, and the dual value of the
-    minimizer: ``t_max`` when ``q <= g(t_max)``, ``inf`` for the face when
-    ``t_max`` is also at or past the last breakpoint (or all entries are
-    equal), and otherwise ``(m_k - q)/v_k`` on the piece that brackets q.
+    Returns ``g(t_max)``, never below ``min b``, and the minimizer's piece
+    ``(t, k, m_k)``: t is ``t_max`` when ``q <= g(t_max)``, else
+    ``(m_k - q)/v_k`` on the piece that brackets q. At the face, past the
+    last breakpoint with ``q <= g(t_max)`` or with all entries equal, the
+    piece is None.
     """
     s = np.sort(b)
     k = np.arange(1.0, s.size + 1.0)
@@ -193,15 +171,16 @@ def _descent(b: np.ndarray, q: float, t_max: float) -> tuple[float, float]:
         breaks = 1.0 / np.tril(s[:, None] - s).sum(axis=1)
     tied = int(np.isinf(breaks).sum())
     if tied == s.size or t_max >= breaks[tied]:
-        end, at_end = float(s[0]), math.inf
+        end, at_end = float(s[0]), None
     else:
         j = int((breaks > t_max).sum()) - 1
-        end, at_end = max(float(mean[j] - t_max * kvar[j]), float(s[0])), t_max
+        end = max(float(mean[j] - t_max * kvar[j]), float(s[0]))
+        at_end = t_max, j + 1, float(mean[j])
     if q <= end or tied == s.size:
         return end, at_end
     tops = mean[tied:] - np.append(breaks[tied + 1 :], 0.0) * kvar[tied:]
     j = tied + min(int(np.searchsorted(tops, q)), tops.size - 1)
-    return end, min(float((mean[j] - q) / kvar[j]), t_max)
+    return end, (min(float((mean[j] - q) / kvar[j]), t_max), j + 1, float(mean[j]))
 
 
 def _closed_form(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int]:
@@ -209,21 +188,29 @@ def _closed_form(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int
 
     Requires ``ratio > 0``; ``inf`` stands for a zero regularizer. Writing
     ``ratio*|d|`` as the maximum of ``2*t*d`` over ``|t| <= ratio/2``
-    gives, for each dual value ``t``, the minimizer
-    ``theta(t) = project_simplex(-t*a)``, and the optimum is ``theta(t)``
-    at the root of ``a.theta(t) = p`` clamped to ``|t| <= ratio/2``. A
-    prior above the mean of a needs ``t < 0``: the mirror case of ``-a``
+    gives, for each dual value ``t``, the minimizer ``theta(t)`` of
+    ``_descent``, and the optimum is ``theta(t)`` at the root of
+    ``a.theta(t) = p`` clamped to ``|t| <= ratio/2``, read off its piece.
+    A prior above the mean of a needs ``t < 0``: the mirror case of ``-a``
     and ``-p``. At a face, a ``p`` outside ``(min a, max a)`` gets the
-    uniform weight on the entries of a nearest it exactly, with no
-    projection: the minimum-norm minimizer of ``|a.theta - p|``. Returns
-    theta and the number of projections made.
+    uniform weight on the entries of a nearest it exactly: the
+    minimum-norm minimizer of ``|a.theta - p|``. Returns theta and the
+    number of pieces read, 0 or 1. Where two entries of a differ by about
+    1e-9 or less and t lies near the last breakpoint, t magnifies the
+    rounding of ``m_k - a_j``: a theta whose sum is off 1 by more than
+    1e-9 is refused.
     """
     side = 1.0 if p <= a.mean() else -1.0
-    _, t = _descent(side * a, side * p, ratio / 2.0)
-    if t == math.inf:
+    _, piece = _descent(side * a, side * p, ratio / 2.0)
+    if piece is None:
         face = a == (a.min() if side > 0 else a.max())
         return face / face.sum(), 0
-    return project_simplex(-(side * t) * a), 1
+    t, k, mean = piece
+    theta = np.maximum(1.0 / k + t * (mean - side * a), 0.0)
+    if abs(float(theta.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"weapo theta sums to {float(theta.sum())!r}, not 1: firing rates "
+                         "within about 1e-9 of each other; use a larger lambda_reg")
+    return theta, 1
 
 
 def fit(
@@ -246,10 +233,11 @@ def fit(
     WeapoModel
         The exact minimizer. ``diagnostics`` carries the objective with
         its per-term breakdown (``hinge`` is always 0.0), the number of
-        simplex projections made (``iterations``: 0 at a face of the
-        simplex or without the prior term, else 1), ``converged`` (always
-        true), and the number of distinct covered vote vectors
-        (``num_slices``).
+        pieces of the dual path theta was read off (``iterations``: 0 at
+        a face of the simplex or without the prior term, else 1),
+        ``converged`` (always true), and the number of distinct covered
+        vote vectors (``num_slices``). Raises ``ValueError`` when firing
+        rates too close to resolve would give a theta off the simplex.
 
     Notes
     -----

@@ -320,6 +320,22 @@ def weapo_by_supports(a, p, ratio):
     return np.array([float(x) for x in best])
 
 
+def simplex_projection_by_bisection(w):
+    """The Euclidean projection of ``w`` onto the probability simplex,
+    ``max(w_j - tau, 0)`` with tau the root of ``sum_j max(w_j - tau, 0)
+    = 1``, found by bisection: the sum falls as tau grows, from at least
+    1 at ``min w - 1`` to 0 at ``max w``, and the bracket is halved until
+    its midpoint rounds to one of its ends. Returns float64."""
+    w = [float(x) for x in w]
+    low, high = min(w) - 1.0, max(w)
+    while low < (mid := (low + high) / 2) < high:
+        if sum(max(x - mid, 0.0) for x in w) > 1.0:
+            low = mid
+        else:
+            high = mid
+    return np.array([max(x - low, 0.0) for x in w])
+
+
 def dawid_skene_per_row(signed, p_init, max_iters=1000, tol=1e-6, smoothing=1.0):
     """Dawid-Skene EM over every row, one record at a time.
 

@@ -228,6 +228,18 @@ class TestDawidSkene:
             with pytest.raises(ValueError, match=name):
                 ds_fit(np.array([[1, -1]]), Prior(0.5), **settings_)
 
+    def test_smoothing_that_overflows_the_objective_is_refused(self):
+        """On 50 records of 3 functions, smoothing 1e306 fits. At 4e307 the
+        starting objective's log-prior terms overflow to -inf, and at 1e308
+        so does ``n + 2 * smoothing``, which would zero the class prior:
+        both are refused by name before any EM step."""
+        signed = np.where(np.random.default_rng(0).random((50, 3)) < 0.4, 1, -1)
+        model = ds_fit(signed, smoothing=1e306)
+        assert np.isfinite(model.diagnostics["objective_history"]).all()
+        for smoothing in (4e307, 1e308):
+            with pytest.raises(ValueError, match=r"smoothing .* too large: .* overflows"):
+                ds_fit(signed, smoothing=smoothing)
+
     def test_initial_prior_defaults_to_one_half(self):
         signed = np.random.default_rng(5).choice([-1, 1], size=(50, 3))
         model, half = ds_fit(signed), ds_fit(signed, Prior(0.5))

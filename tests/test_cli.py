@@ -379,6 +379,20 @@ class TestFitCommand:
         assert code == 1
         assert "M >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("smoothing", ["4e307", "1e308"])
+    def test_ds_smoothing_that_overflows_is_refused(self, tmp_path, capsys, smoothing):
+        """A smoothing whose objective overflows float64 is named, not run
+        for every EM step or failed with a bare math error."""
+        votes = (np.random.default_rng(0).random((50, 3)) < 0.4).astype(int)
+        train = write_dataset(tmp_path / "train.jsonl", votes.tolist())
+        model_path = tmp_path / "m.json"
+        code = main(["fit", train, "--model", "ds", "--smoothing", smoothing,
+                     "--out", str(model_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: smoothing") and "too large" in err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize(
         "model, flags",
         [
@@ -1169,6 +1183,19 @@ class TestCompareCommand:
         rows = {r["model"]: r for r in read_json(out)["rows"]}
         assert "M >= 3" in rows["fs"]["error"]
         assert rows["fs"]["roc_auc"] is None
+        assert rows["mv"]["error"] is None
+
+    def test_ds_smoothing_that_overflows_reported_inline(self, tmp_path):
+        votes = (np.random.default_rng(0).random((50, 3)) < 0.4).astype(int).tolist()
+        train = write_dataset(tmp_path / "train.jsonl", votes)
+        test = write_dataset(tmp_path / "test.jsonl", votes, gold=[1, -1] * 25)
+        out = tmp_path / "cmp.json"
+        code = main(["compare", train, test, "--models", "ds,mv", "--smoothing", "4e307",
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        rows = {r["model"]: r for r in read_json(out)["rows"]}
+        assert rows["ds"]["error"].startswith("smoothing 4e+307 is too large")
+        assert rows["ds"]["roc_auc"] is None
         assert rows["mv"]["error"] is None
 
     @pytest.mark.parametrize("case", ["no-covered", "single-class"])

@@ -681,10 +681,22 @@ class TestMemory:
         the float64 panels ``fit_bytes`` prices, and rebuilds it for each
         residual in float64 row chunks of a few rows. At N = 3 * BLOCK_ROWS
         + 5 the float32 panels are 0.30 of ``fit_bytes`` and the
-        factorization's float32 temporaries 0.25; the float64 panels alone,
+        factorization's float32 temporaries 0.20; the float64 panels alone,
         the bound, are 0.6 of it."""
         n = 3 * BLOCK_ROWS + 5
         assert self.traced_fit_peak(n) < 0.6 * fit_bytes(n)
+
+    def test_factorization_updates_each_diagonal_block_in_place(self):
+        """The float32 factorization at N = 3 * BLOCK_ROWS + 5 holds about
+        0.20 of ``fit_bytes`` beside its panels: the update product of one
+        diagonal block and the copies inside ``cholesky`` and the inverse.
+        A diagonal block formed as a new array beside that product adds
+        one more block, 0.25."""
+        n = 3 * BLOCK_ROWS + 5
+        x = np.random.default_rng(12).normal(size=(n, 3))
+        panels = weapo.endmodel._ridge_panels(x, 0.5, 1.0, np.float32)
+        peak = self.traced_peak(lambda: weapo.endmodel._factor_panels(panels))
+        assert peak < 0.22 * fit_bytes(n)
 
     def test_float64_attempt_after_float32_within_fit_bytes(self, monkeypatch):
         """The float32 panels are freed before the float64 attempt builds

@@ -1,5 +1,7 @@
-"""The output-identity tool in its small-input mode."""
+"""The output-identity tool in its small-input mode, and its summary
+helpers on hand-made file maps."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -8,6 +10,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "identity.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_identity(base: Path, tool: Path = TOOL) -> tuple[int, dict]:
@@ -49,6 +58,32 @@ def test_one_changed_output_digit_is_caught(tmp_path):
                       "weapo-inband", "entry")
     )
     assert summary["only_in_base"] == summary["only_in_head"] == []
+    assert summary["theta_max_abs_diff"] == {}
+
+
+def test_theta_max_abs_diff_reads_only_theta_lists_of_one_length():
+    """Only differing files whose JSON object holds a theta list of the
+    same length in both trees are measured; logs, other JSON and theta
+    lists of two lengths are skipped."""
+    def fit_file(theta, objective=0.5):
+        return json.dumps({"theta": theta, "diagnostics": {"objective": objective}}).encode()
+
+    base = {"a/out/fit-weapo.json": fit_file([0.25, 0.75]),
+            "a/out/fit-weapo-lam0.json": fit_file([0.5, 0.5]),
+            "a/out/fit-weapo-lam3.json": fit_file([0.5, 0.5]),
+            "a/out/fit-wide.json": fit_file([1.0]),
+            "a/out/eval-weapo.json": b'{"roc_auc": 0.5}',
+            "a/log/fit-weapo.stdout": b"wrote a/out/fit-weapo.json\n",
+            "a/log/fit-weapo.exit": b"0"}
+    head = dict(base, **{"a/out/fit-weapo.json": fit_file([0.25 + 2**-52, 0.75 - 2**-50]),
+                         "a/out/fit-weapo-lam0.json": fit_file([0.5, 0.5], objective=0.25),
+                         "a/out/fit-wide.json": fit_file([0.5, 0.5]),
+                         "a/out/eval-weapo.json": b'{"roc_auc": 0.75}',
+                         "a/log/fit-weapo.stdout": b"",
+                         "a/log/fit-weapo.exit": b"1"})
+    differing = sorted(name for name in base if base[name] != head[name])
+    assert load_tool().theta_max_abs_diff(base, head, differing) == {
+        "a/out/fit-weapo.json": 2**-50, "a/out/fit-weapo-lam0.json": 0.0}
 
 
 def test_a_command_that_fails_only_in_the_checked_tree_is_newly_failed(tmp_path):

@@ -18,13 +18,15 @@ from weapo import (
     hasse_edges,
     predict_dataset,
 )
-from weapo.model import WeapoModel, _closed_form, _prior_band, project_simplex
+from weapo.data import VotePatterns
+from weapo.model import WeapoModel, _closed_form, _prior_band
 
 from oracles import (
     min_on_2simplex_line,
     min_on_simplex_grid,
     objective,
     objective_values,
+    simplex_projection_by_bisection,
     weapo_by_supports,
 )
 
@@ -41,8 +43,12 @@ def constraints_for(dataset):
 
 
 class TestProjectSimplex:
+    """The Euclidean projection onto the simplex that the fit's tests take
+    as their reference, ``simplex_projection_by_bisection``, against its
+    defining properties and a grid search."""
+
     def test_feasible_point_unchanged(self):
-        np.testing.assert_allclose(project_simplex([0.3, 0.7]), [0.3, 0.7])
+        np.testing.assert_allclose(simplex_projection_by_bisection([0.3, 0.7]), [0.3, 0.7])
 
     def test_vertex_projection(self):
         """Grid search over the 2-simplex agrees that [2, 0] maps to [1, 0]."""
@@ -50,19 +56,20 @@ class TestProjectSimplex:
         grid_best, _ = min_on_simplex_grid(
             lambda th: float(((th - target) ** 2).sum()), 2, 2000
         )
-        np.testing.assert_allclose(project_simplex(target), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(simplex_projection_by_bisection(target), [1.0, 0.0],
+                                   atol=1e-12)
         np.testing.assert_allclose(grid_best, [1.0, 0.0], atol=1e-3)
 
     def test_constant_input_maps_to_uniform(self):
         for c in (-3.0, 0.0, 0.4, 100.0):
-            np.testing.assert_allclose(project_simplex([c, c, c]), np.full(3, 1 / 3))
+            np.testing.assert_allclose(simplex_projection_by_bisection([c, c, c]),
+                                       np.full(3, 1 / 3))
 
     def test_output_always_feasible(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             m = int(rng.integers(1, 12))
-            w = rng.normal(scale=5.0, size=m)
-            p = project_simplex(w)
+            p = simplex_projection_by_bisection(rng.normal(scale=5.0, size=m))
             assert (p >= 0.0).all()
             assert abs(p.sum() - 1.0) <= 1e-9
 
@@ -71,7 +78,7 @@ class TestProjectSimplex:
         rng = np.random.default_rng(1)
         for _ in range(10):
             w = rng.normal(scale=2.0, size=3)
-            p = project_simplex(w)
+            p = simplex_projection_by_bisection(w)
             d_proj = float(((p - w) ** 2).sum())
             _, d_grid = min_on_simplex_grid(
                 lambda th: float(((th - w) ** 2).sum()), 3, 120
@@ -80,27 +87,7 @@ class TestProjectSimplex:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            project_simplex([])
-
-    def test_weights_from_2_to_53_rejected(self):
-        """From 2**53 on, the support test of one entry, ``u > u - 1``,
-        fails in float64; just below the bound the projection still works."""
-        below = np.nextafter(2.0**53, 0.0)
-        assert project_simplex([below, 0.0]).tolist() == [1.0, 0.0]
-        assert project_simplex([0.0, -below]).tolist() == [1.0, 0.0]
-        for weights in ([2.0**53, 0.0], [0.0, -(2.0**53)], [1e16, 0.0], [-1e16, -1e16]):
-            with pytest.raises(ValueError, match=r"less than 2\*\*53 in magnitude"):
-                project_simplex(weights)
-
-    @pytest.mark.parametrize(
-        "weights", [[1e14] * 3, [2.0**53 - 1] * 2], ids=["sum-0.984", "sum-2"]
-    )
-    def test_result_off_the_simplex_rejected(self, weights):
-        """Below 2**53, ``css - 1`` and its division by the support size can
-        still round the 1 away: these project to 0.328125 each and to
-        [1, 1]. A result whose sum is off 1 by more than 1e-9 is refused."""
-        with pytest.raises(ValueError, match="too large in magnitude to project"):
-            project_simplex(weights)
+            simplex_projection_by_bisection([])
 
 
 class TestScore:
@@ -157,7 +144,7 @@ class TestObjective:
             m = int(rng.integers(1, 7))
             ds = make_dataset([tuple(r) for r in rng.integers(0, 2, (60, m))])
             cm = constraints_for(ds)
-            theta = project_simplex(rng.normal(size=m))
+            theta = rng.dirichlet(np.ones(m))
             _, terms = objective(theta, cm, ds, None, WeapoConfig(use_prior=False))
             assert terms["hinge"] <= 1e-12
 
@@ -333,11 +320,11 @@ def random_fit_case(rng):
 
 
 def ratio_and_cap(a, lam, w, side):
-    """w/lam (inf at lam = 0), and twice the last breakpoint of
-    project_simplex(side*t*a) over t >= 0, 1/(k*gap) for the k entries of
-    a nearest side*inf and their gap to the next: from r = cap on, theta
-    at t = r/2 is the uniform weight on those k entries (cap 0 when all
-    entries are equal)."""
+    """w/lam (inf at lam = 0), and twice the last breakpoint of the
+    projection of side*t*a onto the simplex over t >= 0, 1/(k*gap) for the
+    k entries of a nearest side*inf and their gap to the next: from
+    r = cap on, theta at t = r/2 is the uniform weight on those k entries
+    (cap 0 when all entries are equal)."""
     nearest = a.max() if side > 0 else a.min()
     gaps = np.abs(a[a != nearest] - nearest)
     cap = 2.0 / ((a == nearest).sum() * gaps.min()) if gaps.size else 0.0
@@ -347,6 +334,34 @@ def ratio_and_cap(a, lam, w, side):
 def band(ds, lam, w):
     """The priors between these two mean scores are the ones that move theta."""
     return _prior_band(ds, WeapoConfig(lambda_reg=lam, prior_weight=w))
+
+
+def theta_outside_band(ds, a, lam, w, side):
+    """The theta of the priors in (0, 1) at or past one end of the band,
+    the low end for side -1 and the high end for side +1, or None when
+    there are none, after three checks: every such prior gives the same
+    theta bytes; below r = cap, where it is read off a piece of the dual
+    path, it is the support-enumerating oracle's within 1e-12; and from
+    r = cap on it is exactly the uniform weight on the entries of a
+    nearest side*inf, that oracle's minimizer too."""
+    low, high = band(ds, lam, w)
+    priors = (low, low * 0.999, a.min() / 2) if side < 0 else (
+        high, (high + 1) / 2, (a.max() + 1) / 2)
+    cfg = WeapoConfig(lambda_reg=lam, prior_weight=w)
+    fits = [(p, fit(ds, Prior(p), cfg)) for p in priors if 0 < p < 1]
+    if not fits:
+        return None
+    theta = fits[0][1].theta
+    assert {model.theta.tobytes() for _, model in fits} == {theta.tobytes()}
+    ratio, cap = ratio_and_cap(a, lam, w, side)
+    if ratio < cap:
+        expected = weapo_by_supports(a, fits[0][0], ratio)
+        np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
+    else:
+        face = a == (a.max() if side > 0 else a.min())
+        assert theta.tobytes() == (face / face.sum()).tobytes()
+    assert {model.diagnostics["iterations"] for _, model in fits} == {int(ratio < cap)}
+    return theta
 
 
 class TestWhatTheFitReducesTo:
@@ -374,32 +389,20 @@ class TestWhatTheFitReducesTo:
         assert pairs >= 200
 
     def test_outside_the_band_theta_is_the_closed_form(self):
-        """Every p at or below the band's low end gives
-        project_simplex(-(r/2)*a) bitwise, in one projection, and every p
-        at or above its high end the mirror. From r = cap on, that is the
-        uniform weight on the nearest entries of a exactly, with no
-        projection."""
+        """Every p at or below the band's low end gives one theta, bitwise,
+        the exact minimizer, read off one piece of the dual path, and every
+        p at or above its high end the mirror. From r = cap on, that is
+        the uniform weight on the nearest entries of a exactly."""
         rng = np.random.default_rng(22)
+        sides = 0
         for _ in range(40):
             ds, a = random_fit_case(rng)
             if np.unique(a).size < 2:
                 continue
             for lam, w in ((1.0, 1.0), (1.0, 10.0), (0.5, 2.0), (0.0, 1.0), (1.0, 1e17)):
-                low, high = band(ds, lam, w)
-                cases = [(p, -1) for p in (low, low * 0.999, a.min() / 2)]
-                cases += [(p, 1) for p in (high, (high + 1) / 2, (a.max() + 1) / 2)]
-                for p, side in cases:
-                    if not 0 < p < 1:
-                        continue
-                    model = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w))
-                    ratio, cap = ratio_and_cap(a, lam, w, side)
-                    nearest = a.max() if side > 0 else a.min()
-                    if ratio >= cap:
-                        expected, projections = (a == nearest) / (a == nearest).sum(), 0
-                    else:
-                        expected, projections = project_simplex(side * (ratio / 2) * a), 1
-                    assert model.theta.tobytes() == expected.tobytes()
-                    assert model.diagnostics["iterations"] == projections
+                for side in (-1, 1):
+                    sides += theta_outside_band(ds, a, lam, w, side) is not None
+        assert sides >= 300
 
     def test_band_ends_are_the_mean_scores_at_the_clamped_dual_values(self):
         """Below the cap each band end is a.theta(-+r/2) to a few ulps of its
@@ -412,10 +415,10 @@ class TestWhatTheFitReducesTo:
             for lam, w in ((1.0, 1.0), (1.0, 10.0), (3.0, 100.0), (0.0, 1.0), (1.0, 1e17)):
                 for end, side in zip(band(ds, lam, w), (-1, 1)):
                     ratio, cap = ratio_and_cap(a, lam, w, side)
+                    theta = theta_outside_band(ds, a, lam, w, side)
                     if ratio >= cap:
                         assert end == (a.max() if side > 0 else a.min())
                         continue
-                    theta = project_simplex(side * (ratio / 2) * a)
                     support = [Fraction(float(x)) for x in a[theta > 0]]
                     mean = sum(support) / len(support)
                     k_var = sum((x - mean) ** 2 for x in support)
@@ -424,8 +427,8 @@ class TestWhatTheFitReducesTo:
 
     def test_inside_the_band_the_mean_score_meets_the_prior(self):
         """Inside the band a.theta = p to a few ulps: the dual value t is one
-        division on the piece that holds the root, theta one projection at
-        it, and |t| is at most r/2 with r capped at the larger cap."""
+        division on the piece that holds the root, theta is read off that
+        piece, and |t| is at most r/2 with r capped at the larger cap."""
         rng = np.random.default_rng(23)
         for _ in range(40):
             ds, a = random_fit_case(rng)
@@ -456,18 +459,40 @@ class TestWhatTheFitReducesTo:
                 }
                 assert len(thetas) == 1
 
+    def test_rates_too_close_to_resolve_are_refused(self):
+        """Firing rates 0.3 and 0.3 + 1e-13 at lam = 0, with the prior just
+        inside the band, put t near the last breakpoint, where rounding
+        would leave theta's sum off 1 by 2.2e-4: the fit refuses with the
+        remedy, which works."""
+        table = VotePatterns(rows=np.array([[0, 0], [1, 0], [1, 1]], dtype=np.int8),
+                             weights=np.array([0.7 - 1e-13, 1e-13, 0.3]),
+                             pos=np.zeros(3), neg=np.zeros(3), inverse=None)
+        a = table.weights @ table.rows / table.weights.sum()
+        assert 0 < a[0] - a[1] <= 1e-13
+        prior = Prior(float(a.max() - 3e-14))
+        with pytest.raises(ValueError, match="within about 1e-9 of each other; use a larger"):
+            fit(table, prior, WeapoConfig(lambda_reg=0.0))
+        theta = fit(table, prior, WeapoConfig(lambda_reg=1.0)).theta
+        assert (theta >= 0).all() and abs(theta.sum() - 1.0) <= 1e-9
 
-@st.composite
-def oracle_cases(draw):
-    """A small vote matrix, a ratio w/lam, and a prior that is drawn
-    uniformly, an entry of the mean vote vector a, a band end or a value
-    outside [min a, max a]. Few records make tied entries of a common."""
+
+def small_vote_matrix(draw):
+    """A dataset of at most 12 records and 7 functions, and its mean vote
+    vector a. Few records make tied entries of a common."""
     m, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
     votes = np.array(draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n)),
                      dtype=np.int8).reshape(n, m)
     votes[0, 0] = 1
     ds = Dataset(ids=tuple(f"r{i}" for i in range(n)), votes_matrix=votes)
-    a = (ds.patterns.weights @ ds.patterns.rows) / n
+    return ds, (ds.patterns.weights @ ds.patterns.rows) / n
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small vote matrix, a ratio w/lam, and a prior that is drawn
+    uniformly, an entry of the mean vote vector a, a band end or a value
+    outside [min a, max a]."""
+    ds, a = small_vote_matrix(draw)
     lam, w = draw(st.one_of(
         st.sampled_from([(0.0, 1.0), (1.0, 1e17), (1.0, 1e308)]),
         st.tuples(st.just(1.0), st.floats(0.01, 1e4)),
@@ -491,6 +516,31 @@ def test_fit_is_the_exact_minimizer(case):
     np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
 
 
+@st.composite
+def outside_band_cases(draw):
+    """A small vote matrix, a finite ratio r, a side, -1 below the band or
+    +1 above it, and a prior at or past that end of the band."""
+    ds, a = small_vote_matrix(draw)
+    r = draw(st.floats(0.01, 1e3))
+    side = draw(st.sampled_from([-1, 1]))
+    low, high = band(ds, 1.0, r)
+    p = draw(st.sampled_from([low, low / 2] if side < 0 else [high, (high + 1) / 2]))
+    assume(0 < p < 1)
+    return ds, a, p, r, side
+
+
+@settings(max_examples=150, deadline=None)
+@given(outside_band_cases())
+def test_outside_the_band_theta_is_the_projection(case):
+    """Below the band theta is the Euclidean projection of -(r/2)*a onto
+    the simplex and above it that of +(r/2)*a, within 1e-12 of a bisection
+    that shares no code with the fit, with tied entries of a."""
+    ds, a, p, r, side = case
+    theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=1.0, prior_weight=r)).theta
+    expected = simplex_projection_by_bisection(side * (r / 2) * a)
+    np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0, 1),
@@ -498,10 +548,10 @@ def test_fit_is_the_exact_minimizer(case):
     st.floats(-100, 100),
 )
 def test_mean_score_is_linear_on_each_support(a, t):
-    """On the support S of theta(t) = project_simplex(-t*a), of size k,
-    a.theta(t) = mean_S - t*k*Var_S."""
+    """On the support S of theta(t), the Euclidean projection of -t*a onto
+    the simplex, of size k, a.theta(t) = mean_S - t*k*Var_S."""
     a = np.array(a)
-    theta = project_simplex(-t * a)
+    theta = simplex_projection_by_bisection(-t * a)
     support = a[theta > 0]
     k_var = float(((support - support.mean()) ** 2).sum())
     expected = support.mean() - t * k_var

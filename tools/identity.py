@@ -42,8 +42,10 @@ Every output file is compared byte for byte, and so are the stdout,
 stderr and exit code of every command. The summary is one JSON object on
 stdout. It also lists the commands and demos that failed on the checked
 tree, those of them that exit 0 on the base tree (``newly_failed``), and
-the lines of ``src/weapo/*.py`` in each tree (``src_lines``). The exit
-code is 1 when anything differs and 0 otherwise.
+the lines of ``src/weapo/*.py`` in each tree (``src_lines``), and for
+each differing file that holds a JSON ``theta`` list in both trees, the
+largest absolute difference of its entries (``theta_max_abs_diff``). The
+exit code is 1 when anything differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -242,6 +244,22 @@ def collect(out: str, rundir: Path, sets: dict) -> dict[str, bytes]:
     return found
 
 
+def theta_max_abs_diff(base: dict[str, bytes], head: dict[str, bytes],
+                       names: list[str]) -> dict[str, float]:
+    """For each of ``names`` whose content in both maps is a JSON object
+    with ``theta`` lists of one length, the largest ``|head - base|`` over
+    their entries."""
+    moved = {}
+    for name in names:
+        try:
+            old, new = (json.loads(found[name])["theta"] for found in (base, head))
+            if len(old) == len(new):
+                moved[name] = max((abs(b - a) for a, b in zip(old, new)), default=0.0)
+        except (ValueError, TypeError, KeyError):
+            pass
+    return moved
+
+
 def base_tree(args, workdir: Path) -> Path:
     """The root of the base source tree: ``--base-src``, or ``--base``
     exported with ``git archive``."""
@@ -300,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
                       if name in base_found and name in head_found
                       and base_found[name] != head_found[name]],
     }
+    summary["theta_max_abs_diff"] = theta_max_abs_diff(base_found, head_found,
+                                                       summary["differing"])
     summary["identical"] = not (summary["only_in_base"] or summary["only_in_head"]
                                 or summary["differing"])
     print(json.dumps(summary, indent=2))
