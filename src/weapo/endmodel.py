@@ -11,19 +11,20 @@ Memory: the fit holds only the lower triangle of the symmetric kernel
 system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
 entries, factored in place: each diagonal block holds the inverse of its
 diagonal factor. The panels are float32 (75 MB at N = 6000), or float64
-(150 MB) when the float32 attempt falls short. Each refinement pass
-rebuilds the system in float64 row chunks instead of keeping a copy of
-it. A kernel block is built in the array it is returned in, with one
-cache-sized chunk buffer. Before allocating the panels, ``fit_krr``
-refuses a fit whose float64 attempt needs more than
+(150 MB) when the float32 attempt falls short. Their build and each
+refinement pass read the system from one source of float64 row chunks,
+so no copy of it is kept. A kernel block is built in the array it is
+returned in, with one cache-sized chunk buffer. Before allocating the
+panels, ``fit_krr`` refuses a fit whose float64 attempt needs more than
 ``MEMORY_BUDGET_FRACTION`` of the memory the operating system reports
-available. Prediction scores the test rows in blocks of
-``BLOCK_ROWS``, so it never holds an N_test x N_train kernel.
+available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
+so it never holds an N_test x N_train kernel.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,8 @@ BLOCK_ROWS = 256
 KERNEL_CHUNK_DOUBLES = 2**15
 # Rows at which _lower_inverse stops halving and inverts directly.
 INVERSE_BASE_ROWS = 32
-# Rows per float64 chunk of the system when it is built for a panel or
-# rebuilt for a residual: a small fraction of a panel, and few enough
-# chunks that the per-call cost of _kernel stays small.
+# Rows per float64 chunk of the system, built for the panels and for each
+# residual: few enough chunks that the per-call cost of _kernel stays small.
 _CHUNK_ROWS = 32
 
 
@@ -83,16 +83,17 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     _check_features(x)
     _check_features(y)
     check_krr_settings(gamma=gamma)
-    return _kernel(x, y, gamma)
+    return _kernel(x, y, (x * x).sum(axis=1), (y * y).sum(axis=1), gamma)
 
 
-def _kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """``rbf_kernel`` of checked 2-D float64 features, without the checks."""
+def _kernel(x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray,
+            gamma: float) -> np.ndarray:
+    """``rbf_kernel`` of checked 2-D float64 features and their rows' squared
+    norms ``x_sq`` and ``y_sq``, without the checks."""
     # ``x @ y.T`` is one call, into the array returned, so that numpy uses
     # the symmetric BLAS product when ``x is y``. The rest runs over row
     # chunks in cache, in the plain expression's order and rounding.
     kernel = x @ y.T
-    x_sq, y_sq = (x * x).sum(axis=1), (y * y).sum(axis=1)
     step = max(1, KERNEL_CHUNK_DOUBLES // max(len(y), 1))
     buffer = np.empty((min(step, len(x)), len(y)))
     for start in range(0, len(x), step):
@@ -204,41 +205,43 @@ def _blocks(n: int) -> list[slice]:
 def fit_bytes(n: int) -> int:
     """Bytes an exact fit on ``n`` records holds at its peak, that of its
     float64 attempt: the lower triangle of the system as panels of b =
-    min(n, ``BLOCK_ROWS``) rows, at most n * (n + b) / 2 doubles, each
-    diagonal block holding the inverse of its diagonal factor, plus four
-    b x b temporaries of the factorization, whose peak holds about three;
-    the kernel's row chunks are not priced. The float32 attempt, made
-    first, holds about half of it."""
+    min(n, ``BLOCK_ROWS``) rows, each with its diagonal block in full, at
+    most n * (n + b) / 2 doubles, plus four b x b temporaries of the
+    factorization, whose peak holds about three; the system's row chunks
+    are not priced. The float32 attempt, made first, holds about half."""
     b = min(n, BLOCK_ROWS)
     return 8 * (n * (n + b) // 2 + 4 * b * b)
 
 
-def _system_rows(
-    features: np.ndarray, gamma: float, alpha: float, rows: slice, width: int
-) -> np.ndarray:
-    """Rows ``rows`` of ``K + alpha * I`` over its first ``width`` columns,
-    in float64; ``rows`` must end at or before ``width``."""
-    system = _kernel(features[rows], features[:width], gamma)
-    system.flat[rows.start :: width + 1] += alpha
-    return system
+def _system_chunks(features: np.ndarray, gamma: float,
+                   alpha: float) -> Iterator[tuple[slice, np.ndarray]]:
+    """The lower triangle of ``K + alpha * I``, diagonal included, in
+    float64 chunks of ``_CHUNK_ROWS`` rows within each ``BLOCK_ROWS``
+    block: yields each chunk's rows and the chunk over the columns before
+    its end. The features' squared norms are taken once per pass."""
+    sq = (features * features).sum(axis=1)
+    for block in _blocks(len(features)):
+        for start in range(block.start, block.stop, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, block.stop))
+            chunk = _kernel(features[rows], features[: rows.stop], sq[rows], sq[: rows.stop],
+                            gamma)
+            chunk.flat[start :: rows.stop + 1] += alpha
+            yield rows, chunk
 
 
 def _ridge_panels(
     features: np.ndarray, gamma: float, alpha: float, dtype: type
 ) -> list[np.ndarray]:
-    """The lower triangle of ``K + alpha * I`` as ``BLOCK_ROWS``-row panels
-    of ``dtype``: panel i holds block i's rows against the columns from 0
-    to the end of block i, its diagonal block in full. Each panel is built
-    in float64 row chunks, each rounded into the panel as it is built, so
-    that a float32 panel is exactly the float64 one rounded."""
-    panels = []
-    for rows in _blocks(features.shape[0]):
-        panel = np.empty((rows.stop - rows.start, rows.stop), dtype)
-        for start in range(rows.start, rows.stop, _CHUNK_ROWS):
-            chunk = slice(start, min(start + _CHUNK_ROWS, rows.stop))
-            system = _system_rows(features, gamma, alpha, chunk, rows.stop)
-            panel[start - rows.start : chunk.stop - rows.start] = system
-        panels.append(panel)
+    """The lower triangle of ``K + alpha * I`` in ``BLOCK_ROWS``-row panels
+    of ``dtype``, zero above the diagonal: panel i holds block i's rows up
+    to the end of block i. Each chunk of ``_system_chunks`` is rounded into
+    its panel, so a float32 panel is exactly the float64 one rounded."""
+    panels = [np.zeros((rows.stop - rows.start, rows.stop), dtype)
+              for rows in _blocks(features.shape[0])]
+    for rows, chunk in _system_chunks(features, gamma, alpha):
+        chunk[:, rows.start :] = np.tril(chunk[:, rows.start :])
+        block, offset = divmod(rows.start, BLOCK_ROWS)
+        panels[block][offset : offset + len(chunk), : rows.stop] = chunk
     return panels
 
 
@@ -299,13 +302,10 @@ def _substitute(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
 def _system_product(
     features: np.ndarray, gamma: float, alpha: float, x: np.ndarray
 ) -> np.ndarray:
-    """``(K + alpha * I) @ x`` in float64, from the lower triangle of the
-    system rebuilt in row chunks of ``_CHUNK_ROWS``, each used as it stands
-    and transposed."""
+    """``(K + alpha * I) @ x`` in float64, from the chunks of
+    ``_system_chunks``, each used as it stands and transposed."""
     product = np.zeros(len(x))
-    for start in range(0, len(x), _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, len(x)))
-        chunk = _system_rows(features, gamma, alpha, rows, rows.stop)
+    for rows, chunk in _system_chunks(features, gamma, alpha):
         product[rows] += chunk @ x[: rows.stop]
         product[: rows.start] += chunk[:, : rows.start].T @ x[rows]
     return product
@@ -391,39 +391,38 @@ def fit_krr(
     cannot be read, and it does not see a cgroup memory limit, so a
     container may still be killed below it.
 
-    Panel i holds block i's rows of the system up to the end of block i.
-    A blocked Cholesky factorization (about N**3 / 3 flops) overwrites
-    the panels with the factor L by block rows, each block left of the
-    diagonal by two GEMMs, one by the inverse of an earlier diagonal
-    factor, inverted by halving down to ``INVERSE_BASE_ROWS`` rows. Each
-    diagonal block holds that inverse in place of the factor, and the
-    substitutions reuse it. A diagonal block that is not positive
-    definite means the system is singular. numpy's factorization does
-    not check its input for NaN or inf, so non-finite
+    Panel i holds block i's rows of the system up to the end of block i,
+    zero above its diagonal. A blocked Cholesky factorization
+    (about N**3 / 3 flops) overwrites the panels with the factor L by
+    block rows, each block left of the diagonal by two GEMMs, one by the
+    inverse of an earlier diagonal factor, inverted by halving down to
+    ``INVERSE_BASE_ROWS`` rows. Each diagonal block holds that inverse in
+    place of the factor, and the substitutions reuse it. A diagonal block
+    that is not positive definite means the system is singular. numpy's
+    factorization does not check its input for NaN or inf, so non-finite
     features, targets, ``gamma`` or ``alpha`` are rejected here, and so
     are features large enough for their squared distances to overflow and
     targets larger in magnitude than ``sqrt(max / (4 N))``, with ``max``
     the largest float64, for which the residual norms overflow.
 
-    The solve is LAPACK DSPOSV's mixed-precision method (Langou et al.,
-    SC 2006). Each panel is built in float64 row chunks of
-    ``_CHUNK_ROWS`` and rounded, so the float32 system is exactly the
-    float64 one rounded. After the first solve, each pass forms the
-    residual ``r = targets - (K + alpha * I) x`` in float64, the system
-    rebuilt in row chunks, and adds the factored solve of r; a float32
-    solve first scales its right-hand side by a power of two, so that
-    neither targets near the limit above nor small residuals leave
-    float32's range. Refinement stops when ``|r| <= sqrt(N) * (N + alpha)
-    * eps * |x|`` in the infinity norm, DSPOSV's test, or at the first
-    pass that shrinks the residual less than 4-fold, and keeps the x of
-    the smallest residual. A result is accepted when its residual norm is
-    at most ``1e-8 * (1 + ||targets||)``; a float32 attempt also refines
-    until it is. The fit repeats in float64 when alpha overflows float32,
-    when the float32 factorization breaks down, or when its result is not
-    accepted. A float64 solve that meets DSPOSV's test at once is returned
-    as it stands, accepted or refused as a single solve. At ``alpha = 1``
-    on spread-out features the float32 attempt takes three residual
-    passes.
+    The solve is LAPACK DSPOSV's mixed-precision method (Langou
+    et al., SC 2006). The panels are the float64 system's row chunks of
+    ``_CHUNK_ROWS``, rounded, so the float32 system is exactly the float64
+    one rounded. After the first solve, each pass forms the residual
+    ``r = targets - (K + alpha * I) x`` in float64 from the same chunks
+    and adds the factored solve of r; a float32 solve first scales its
+    right-hand side by a power of two, so that neither targets near the
+    limit above nor small residuals leave float32's range. Refinement
+    stops when ``|r| <= sqrt(N) * (N + alpha) * eps * |x|`` in the
+    infinity norm, DSPOSV's test, or at the first pass that shrinks the
+    residual less than 4-fold, and keeps the x of the smallest residual. A
+    result is accepted when its residual norm is at most
+    ``1e-8 * (1 + ||targets||)``; a float32 attempt also refines until it
+    is. The fit repeats in float64 when alpha overflows float32, when the
+    float32 factorization breaks down, or when its result is not accepted.
+    A float64 solve that meets DSPOSV's test at once is returned as it
+    stands, accepted or refused as a single solve. At ``alpha = 1`` on
+    spread-out features the float32 attempt takes three residual passes.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
@@ -487,10 +486,11 @@ def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
     # As in fit_krr: a NaN or inf would pass through as a NaN score.
     _check_features(features)
     predictions = np.empty(features.shape[0])
+    sq, support_sq = ((z * z).sum(axis=1) for z in (features, model.support))
     for rows in _blocks(features.shape[0]):
         # One expression, so each block's kernel is freed before the next.
         predictions[rows] = (
-            _kernel(features[rows], model.support, model.gamma)
+            _kernel(features[rows], model.support, sq[rows], support_sq, model.gamma)
             @ model.coefficients
         )
     return predictions

@@ -221,18 +221,17 @@ class TestFitKrr:
             fit_krr(np.empty((3, 0)), np.array([0.0, 0.5, 1.0]), gamma=gamma)
 
     def test_system_matches_identity_oracle_bitwise(self, monkeypatch):
-        """The system is built as row-block panels of its lower triangle,
-        each from column 0 to the end of its block, in float64 row chunks
-        with the ridge added to their diagonal in place, each rounded into
-        a float32 panel: every stored entry is exactly the plain kernel of
-        those rows and columns with alpha on the diagonal, rounded to
-        float32. Each residual pass rebuilds the lower triangle in float64
-        row chunks, every one exactly that plain kernel."""
+        """The build and every residual pass read the system from one
+        generator of float64 row chunks of its lower triangle, each from
+        column 0 to the chunk's end, with the ridge added to its diagonal
+        in place: every chunk is exactly the plain kernel of those rows and
+        columns with alpha on the diagonal. Each row-block panel holds that
+        system rounded to float32 in its lower triangle and zero above."""
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2 * BLOCK_ROWS + 37, 3))
         t = rng.normal(size=len(x))
         build = weapo.endmodel._ridge_panels
-        system_rows = weapo.endmodel._system_rows
+        system_chunks = weapo.endmodel._system_chunks
         product = weapo.endmodel._system_product
         seen, chunks, passes = [], [], []
 
@@ -241,38 +240,70 @@ class TestFitKrr:
             seen.append([panel.copy() for panel in panels])
             return panels
 
-        def recording_rows(features, gamma, alpha, rows, width):
-            system = system_rows(features, gamma, alpha, rows, width)
-            chunks.append((rows, width, system.copy()))
-            return system
+        def recording_chunks(*args):
+            for rows, chunk in system_chunks(*args):
+                chunks.append((rows, chunk.copy()))
+                yield rows, chunk
 
         def recording_product(*args):
             passes.append(len(chunks))
             return product(*args)
 
         monkeypatch.setattr(weapo.endmodel, "_ridge_panels", recording_build)
-        monkeypatch.setattr(weapo.endmodel, "_system_rows", recording_rows)
+        monkeypatch.setattr(weapo.endmodel, "_system_chunks", recording_chunks)
         monkeypatch.setattr(weapo.endmodel, "_system_product", recording_product)
         fit_krr(x, t, gamma=0.6, alpha=0.25)
 
-        def expected_rows(rows, width):
-            expected = rbf_kernel_three_temporaries(x[rows], x[:width], 0.6)
+        def expected_rows(rows):
+            expected = rbf_kernel_three_temporaries(x[rows], x[: rows.stop], 0.6)
             expected[:, rows] = ridge_system_with_identity(expected[:, rows], 0.25)
             return expected
 
         assert len(seen) == 1 and len(seen[0]) == 3 and len(passes) >= 2
         for start, panel in zip(range(0, len(x), BLOCK_ROWS), seen[0]):
             rows = slice(start, min(start + BLOCK_ROWS, len(x)))
-            expected = expected_rows(rows, rows.stop).astype(np.float32)
-            np.testing.assert_array_equal(panel, expected, strict=True)
-        for rows, width, system in chunks:
-            np.testing.assert_array_equal(system, expected_rows(rows, width), strict=True)
+            lower = np.tril(np.ones(panel.shape, dtype=bool), k=start)
+            expected = expected_rows(rows).astype(np.float32)
+            np.testing.assert_array_equal(panel[lower], expected[lower], strict=True)
+            assert (panel[~lower] == 0.0).all()
+        for rows, system in chunks:
+            np.testing.assert_array_equal(system, expected_rows(rows), strict=True)
         first_pass = chunks[passes[0] : passes[1]]
         chunk = weapo.endmodel._CHUNK_ROWS
-        assert [(rows.start, rows.stop) for rows, width, _ in first_pass] == [
+        assert [(rows.start, rows.stop) for rows, _ in first_pass] == [
             (start, min(start + chunk, len(x))) for start in range(0, len(x), chunk)
         ]
-        assert all(width == rows.stop for rows, width, _ in first_pass)
+
+    def test_each_pass_evaluates_the_lower_triangle_once(self, monkeypatch):
+        """The panel build and every residual pass evaluate the same
+        entries: the lower triangle, diagonal included, once, and of the
+        strict upper half only that of each chunk's own square on the
+        diagonal, which a chunk of rows reaching to its own end spans;
+        none of the rest of a diagonal block's upper half."""
+        n = 2 * BLOCK_ROWS + 37
+        chunk = weapo.endmodel._CHUNK_ROWS
+        squares = [min(chunk, n - start) for start in range(0, n, chunk)]
+        kernel, passes = weapo.endmodel._kernel, []
+
+        def counting_kernel(x, y, *rest):
+            passes[-1] += len(x) * len(y)
+            return kernel(x, y, *rest)
+
+        def starting_pass(stage):
+            def started(*args):
+                passes.append(0)
+                return stage(*args)
+            return started
+
+        for name in ("_ridge_panels", "_system_product"):
+            stage = getattr(weapo.endmodel, name)
+            monkeypatch.setattr(weapo.endmodel, name, starting_pass(stage))
+        monkeypatch.setattr(weapo.endmodel, "_kernel", counting_kernel)
+        rng = np.random.default_rng(10)
+        fit_krr(rng.normal(size=(n, 3)), rng.normal(size=n), gamma=0.6, alpha=0.25)
+        assert len(passes) >= 2
+        per_pass = n * (n + 1) // 2 + sum(c * (c - 1) // 2 for c in squares)
+        assert passes == [per_pass] * len(passes)
 
     @pytest.mark.parametrize(
         "block_rows, dtype",
@@ -733,7 +764,8 @@ class TestMemory:
         beside the cross product would double it."""
         rng = np.random.default_rng(17)
         x, y = rng.normal(size=(256, 4)), rng.normal(size=(6000, 4))
-        peak = self.traced_peak(lambda: weapo.endmodel._kernel(x, y, 0.3))
+        x_sq, y_sq = (x * x).sum(axis=1), (y * y).sum(axis=1)
+        peak = self.traced_peak(lambda: weapo.endmodel._kernel(x, y, x_sq, y_sq, 0.3))
         assert peak <= 1.1 * 256 * 6000 * 8
 
 

@@ -23,7 +23,10 @@ input set both trees run the same commands:
 * ``fit_krr`` on the end-train features, with the gold labels as targets,
   the default gamma and ``alpha = 1``, whose dual coefficients it writes
   to ``out/krr-coefficients.npy``: ``end`` records only AUCs, which
-  would not show a change in the exact solve's last bits.
+  would not show a change in the exact solve's last bits. The same fit
+  at ``alpha = 1e-4`` writes ``out/krr-coefficients-alpha1e-4.npy``; on
+  the full input sets its float32 attempt falls short, so that file
+  checks the float64 panels.
 
 Both trees also run every ``demos/*.py`` of the checked tree, each as a
 process of its own with the tree's package first on ``PYTHONPATH``; the
@@ -92,9 +95,10 @@ from weapo.cli import main
 from weapo.data import load_dataset
 from weapo.endmodel import fit_krr
 
-def krr_coefficients(train, out):
+def krr_coefficients(train, out, alpha):
     dataset = load_dataset(train)
-    model = fit_krr(dataset.features_matrix, dataset.gold.astype(np.float64), alpha=1.0)
+    model = fit_krr(dataset.features_matrix, dataset.gold.astype(np.float64),
+                    alpha=float(alpha))
     np.save(out, model.coefficients, allow_pickle=False)
     return 0
 
@@ -135,8 +139,9 @@ def commands(prior: float, inside: float) -> list[tuple[str, list[str]]]:
     for name, extra in (("end", []), ("end-gamma", ["--gamma", "0.3", "--alpha", "0.5"])):
         cmds.append((name, ["end", "out/fit-weapo.json", "in/end_train.jsonl",
                             "in/end_test.jsonl", *extra, "--out", f"out/{name}.json"]))
-    cmds.append(("krr-coefficients", ["krr-coefficients", "in/end_train.jsonl",
-                                      "out/krr-coefficients.npy"]))
+    for name, alpha in (("krr-coefficients", "1.0"), ("krr-coefficients-alpha1e-4", "1e-4")):
+        cmds.append((name, ["krr-coefficients", "in/end_train.jsonl", f"out/{name}.npy",
+                            alpha]))
     return cmds
 
 
