@@ -112,7 +112,6 @@ def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     given, whichever models are named, and then that some named model
     reads each flag given, before any file is read; return the settings
     ``_fit_payload`` uses."""
-    from .baselines import check_ds_settings, check_fs_settings
     from .data import Prior
     from .model import WeapoConfig
 
@@ -125,13 +124,17 @@ def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     needs_prior = sorted({"weapo", "fs"} & set(names))
     if needs_prior and args.prior is None:
         raise CliUsageError(f"--prior is required for model(s): {', '.join(needs_prior)}")
-    check_ds_settings(args.max_iters, args.tol, args.smoothing)
-    check_fs_settings(args.eps_clip)
+    ds_flags, fs_flags = _given(args, "max_iters", "tol", "smoothing"), _given(args, "eps_clip")
+    if ds_flags or fs_flags:  # a fit given none of them loads no baselines
+        from .baselines import check_ds_settings, check_fs_settings
+
+        check_ds_settings(**ds_flags)
+        check_fs_settings(**fs_flags)
     settings = {
         "prior": None if args.prior is None else Prior(args.prior),
         "weapo": WeapoConfig(**_given(args, "lambda_reg", "prior_weight")),
-        "ds": _given(args, "max_iters", "tol", "smoothing"),
-        "fs": _given(args, "eps_clip"),
+        "ds": ds_flags,
+        "fs": fs_flags,
     }
     for flag, readers in _FLAG_READERS.items():
         if getattr(args, flag) is not None and not set(readers) & set(names):
@@ -203,14 +206,14 @@ def _scorer(payload: dict[str, Any]) -> tuple[int, Scorer]:
 
         check_keys(body, "mv model payload", ("num_lfs",))
         return integer(body, "num_lfs", minimum=1), _mv_patterns
-    from .baselines import DSModel, FSModel
-    from .model import WeapoModel
-
-    # The model_type of each fitted model class a model file can hold; one
-    # that is not a string is unknown too, as a list is not even hashable.
-    classes = {"weapo": WeapoModel, "ds": DSModel, "fs": FSModel}
-    cls = classes.get(kind) if isinstance(kind, str) else None
-    if cls is None:
+    # Only the module of the model_type read is imported.
+    if kind == "weapo":
+        from .model import WeapoModel as cls
+    elif kind == "ds":
+        from .baselines import DSModel as cls
+    elif kind == "fs":
+        from .baselines import FSModel as cls
+    else:
         raise ValueError(f"unknown model_type {kind!r} in model file")
     model = cls.from_json_dict(body)
     return model.num_lfs, model.pattern_scores

@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
@@ -501,87 +501,100 @@ def _dataset_from_values(values: list, blank_lines: list[int]) -> Dataset:
 # A feature number as ``repr(float)`` writes it: JSON number syntax with a
 # fraction or an exponent, so json parses it with ``float()`` too. The
 # integer form is left to json, which reads ``-0`` as +0.0.
-_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-# The first record of a canonical body, any widths; group 1 holds its
-# features.
-_FIRST_RECORD = re.compile(
-    r'\{"id":"[^"\\\x00-\x1f]*","votes":\[[01](?:,[01])*\]'
-    rf'(?:,"features":\[((?:{_FLOAT}(?:,{_FLOAT})*)?)\])?(?:,"label":-?1)?\}}\n'
-)
-_GOLD_OF_LABEL = {None: 0, "1": 1, "-1": -1}
-"""Gold of a record by its label text; None where it has no label."""
+_FLOAT = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 
 
-def _record_pattern(num_lfs: int, num_features: int | None) -> re.Pattern:
-    """One whole canonical record line with ``num_lfs`` votes and
-    ``num_features`` features (None: no features key). The groups are the
-    id, the votes, the features when present, and the label, as text.
-    Each vote and feature is written out: faster than a counted repeat."""
-    features = ""
-    if num_features is not None:
-        features = rf',"features":\[({",".join([_FLOAT] * num_features)})\]'
-    return re.compile(
-        rf'\{{"id":"([^"\\\x00-\x1f]*)","votes":\[({",".join(["[01]"] * num_lfs)})\]'
-        rf'{features}(?:,"label":(-?1))?\}}\n'
-    )
+def _differ(body: np.ndarray, at: np.ndarray, text: bytes) -> bool:
+    """Whether some ``body[at[i] : at[i] + len(text)]`` is not ``text``."""
+    windows = np.lib.stride_tricks.sliding_window_view(body, len(text))[at]
+    return bool((windows != np.frombuffer(text, dtype=np.uint8)).any())
 
 
-def _canonical_dataset(text: str) -> Dataset | None:
-    """The dataset of text in the canonical layout, or None for any other.
+def _spans(body: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The bytes ``body[begin[i] : stop[i]]`` of ascending disjoint spans, concatenated."""
+    edges = np.column_stack((begin, stop)).ravel()
+    inside = np.arange(len(edges) + 1) % 2 == 1
+    return body[np.repeat(inside, np.diff(edges, prepend=0, append=len(body)))]
 
-    The canonical layout is what ``save_dataset`` writes: a meta line with
-    ``num_lfs``, then one line per record with compact separators, keys in
-    the order ``id``, ``votes``, ``features``, ``label``, an id without
-    escapes or control characters, votes of single 0/1 digits, features in
-    float form with the same width on every line, and a newline after
-    every line. One regex pass splits the body into text columns, and the
-    ``Dataset`` constructor checks their values.
-    """
-    meta_end = text.find("\n")
-    if meta_end < 0:
+
+def _feature_matrix(body: np.ndarray, opens: np.ndarray, closes: np.ndarray) -> np.ndarray | None:
+    """The floats between ``[`` at ``opens`` and ``]`` at ``closes``, or None
+    unless each row holds as many in ``repr`` form as the first. A regex
+    ``sub`` checks them: ``fullmatch`` keeps state per repetition, 20x the text."""
+    text = _spans(body, opens + 1, closes + 1).tobytes()
+    n, width = len(opens), text.count(b",", 0, closes[0] - opens[0]) + (closes[0] > opens[0] + 1)
+    if text.count(b"]") != n or re.sub(b",".join([_FLOAT] * width) + rb"\]", b"", text):
+        return None
+    numbers = text.replace(b"]", b",").split(b",")[:-1]
+    return np.fromiter(map(float, numbers), np.float64, count=n * width).reshape(n, width)
+
+
+def _canonical_dataset(data: bytes) -> Dataset | None:
+    """The dataset of a file's bytes in the canonical layout ``save_dataset``
+    writes, or None for any other: a meta line with ``num_lfs``, then one
+    line per record with compact separators, keys in the order ``id``,
+    ``votes``, ``features``, ``label``, an id without escapes or control
+    characters, 0/1 digit votes, float-form features of one width, and a
+    newline after every line. The bytes are read column-wise: each line is
+    cut from its end (tail, features, fixed-width votes, whose first quote
+    closes the id), a gathered window per line checks each fixed part, all
+    ids are cut out with one gather, one decode and one split, and the
+    ``Dataset`` constructor checks the values."""
+    meta_end = data.find(b"\n")
+    if meta_end < 0 or not data.endswith(b"\n"):
         return None
     try:
-        meta = json.loads(text[:meta_end])
-        if type(meta) is not dict or "meta" not in meta:
-            return None
-        num_lfs, lf_names = _parse_meta(meta)
-    except (ValueError, RecursionError):
+        num_lfs, lf_names = _parse_meta(json.loads(data[:meta_end].decode("utf-8")))
+    except (KeyError, TypeError, ValueError, RecursionError):  # not JSON with a meta key
         return None
     if num_lfs is None:
         return None
-    num_features = None
-    if meta_end + 1 < len(text):
-        # A file in another layout costs this one failed match.
-        first = _FIRST_RECORD.match(text, meta_end + 1)
-        if first is None:
-            return None
-        if first[1] is not None:
-            num_features = first[1].count(",") + 1 if first[1] else 0
-    pattern = _record_pattern(num_lfs, num_features)
-    # split gives the text before the first record, each record's groups,
-    # and the text between records and after the last: the records tile
-    # the body when the first is the meta line and the others are empty.
-    parts = pattern.split(text)
-    step = pattern.groups + 1
-    if len(parts[0]) != meta_end + 1 or any(parts[step::step]):
+    body = np.frombuffer(data, dtype=np.uint8)[meta_end + 1 :]
+    if not len(body):
+        return Dataset(ids=(), votes_matrix=np.empty((0, num_lfs)), lf_names=lf_names)
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.append(0, ends[:-1] + 1)
+    segment = b'","votes":[' + b",".join([b"0"] * num_lfs) + b"]"
+    if (ends - starts < 8 + len(segment)).any():
         return None
-    ids, vote_text, labels = parts[1::step], parts[2::step], parts[step - 1::step]
-    n = len(ids)
-    digits = np.frombuffer(",".join(vote_text).encode("ascii"), dtype=np.uint8)[::2]
-    features = None
-    if num_features == 0:
-        features = np.empty((n, 0))
-    elif num_features is not None:
-        numbers = ",".join(parts[3::step]).split(",")
-        features = np.fromiter(map(float, numbers), np.float64, count=n * num_features)
-        features = features.reshape(n, num_features)
-    return Dataset(
-        ids=ids,
-        votes_matrix=(digits - ord("0")).reshape(n, num_lfs),
-        features_matrix=features,
-        gold=np.fromiter(map(_GOLD_OF_LABEL.__getitem__, labels), np.int8, count=n),
-        lf_names=lf_names,
-    )
+    # A line ends in "}", ',"label":1}' or ',"label":-1}', from closes on.
+    labelled = body[ends - 2] == ord("1")
+    negative = labelled & (body[ends - 3] == ord("-"))
+    closes = ends - 1 - 10 * labelled - negative
+    featured = b'],"features":[' in data[meta_end : meta_end + 1 + ends[0]]
+    if featured:
+        opens = np.flatnonzero(body == ord("["))
+        opens = opens[np.maximum(np.searchsorted(opens, closes - 1) - 1, 0)]
+    id_ends = (opens - 12 if featured else closes) - len(segment)
+    # Each gather runs once the checks before it keep it inside its line.
+    if (
+        (id_ends < starts + 7).any()
+        or (body[ends - 1] != ord("}")).any()
+        or _differ(body, closes[labelled], b',"label":')
+        or _differ(body, starts, b'{"id":"')
+        or featured and (body[closes - 1] != ord("]")).any()
+        or featured and _differ(body, opens - 12, b',"features":[')
+    ):
+        return None
+    votes = np.lib.stride_tricks.sliding_window_view(body, len(segment))[id_ends]
+    digits = votes[:, 11::2] - ord("0")
+    votes[:, 11::2] = ord("0")
+    # Each id with its closing quote, which no id holds.
+    id_text = _spans(body, starts + 7, id_ends + 1)
+    features = _feature_matrix(body, opens, closes - 1) if featured else None
+    if (
+        (digits > 1).any()
+        or (votes != np.frombuffer(segment, dtype=np.uint8)).any()
+        or ((id_text < 0x20) | (id_text == ord("\\"))).any()
+        or np.count_nonzero(id_text == ord('"')) != len(ends)
+        or featured and features is None
+    ):
+        return None
+    # Every byte outside the ids is ASCII by now, so a byte that is not UTF-8
+    # fails here as it would in the whole file: same byte, same reason.
+    ids = id_text.tobytes().decode("utf-8")[:-1].split('"')
+    return Dataset(ids=ids, votes_matrix=digits, features_matrix=features,
+                   gold=labelled - 2 * negative, lf_names=lf_names)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -596,11 +609,11 @@ def load_dataset(path: str) -> Dataset:
     non-integer label are errors. Blank lines and whitespace around a
     line's object are allowed.
 
-    The file is opened and read once, so ``path`` may be a pipe. Text in
-    the canonical layout ``save_dataset`` writes is read in one regex pass
-    (see ``_canonical_dataset``), any other by the JSON reader: one
-    ``raw_decode`` per line, then checks column by column. Both give the
-    same dataset. The cyclic garbage collector is paused while either
+    The file is opened and read once, so ``path`` may be a pipe. A file in
+    the canonical layout ``save_dataset`` writes is read column-wise over
+    its bytes (see ``_canonical_dataset``), any other by the JSON reader:
+    one ``raw_decode`` per line, then checks column by column. Both give
+    the same dataset. The cyclic garbage collector is paused while either
     runs: they make many new containers and no cycles, so a collection
     would only re-scan them.
 
@@ -618,13 +631,16 @@ def load_dataset(path: str) -> Dataset:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        dataset = _canonical_dataset(text)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:  # line ends as text mode reads them
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        dataset = _canonical_dataset(data)
         if dataset is None:
             # Only "\n" ends a line, not U+2028 and the others str.splitlines
             # splits at; io.StringIO would copy the text at 4 bytes a character.
-            lines = (line[0] for line in re.finditer(r".*\n|.+", text))
+            lines = (line[0] for line in re.finditer(r".*\n|.+", data.decode("utf-8")))
+            del data
             dataset = _dataset_from_values(*_read_values(lines))
         return dataset
     except DatasetFormatError as err:
@@ -646,26 +662,23 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     Output is canonical (fixed key order, compact separators, shortest
     round-tripping float repr), so saving the same dataset twice produces
     byte-identical files. The text of each distinct vote row is built
-    once and shared by every record carrying it.
+    once and shared by every record carrying it; the file is one write.
     """
     pats = dataset.patterns
     vote_text = [',"votes":' + _json_list(row) for row in pats.rows.tolist()]
     features = (
         [',"features":' + _json_list(row) for row in dataset.features_matrix.tolist()]
         if dataset.features_matrix is not None
-        else None
+        else repeat("")
     )
     label_text = {-1: ',"label":-1', 0: "", 1: ',"label":1'}
     meta: dict = {"num_lfs": dataset.num_lfs}
     if dataset.lf_names is not None:
         meta["lf_names"] = list(dataset.lf_names)
+    records = zip(dataset.ids, pats.inverse.tolist(), features, dataset.gold.tolist())
+    lines = [json.dumps({"meta": meta}, separators=(",", ":")) + "\n"] + [
+        f'{{"id":{encode_basestring_ascii(rid)}{vote_text[k]}{feature}{label_text[g]}}}\n'
+        for rid, k, feature, g in records
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": meta}, separators=(",", ":")) + "\n")
-        for i, (rid, k, g) in enumerate(
-            zip(dataset.ids, pats.inverse.tolist(), dataset.gold.tolist())
-        ):
-            fh.write(
-                '{"id":' + encode_basestring_ascii(rid) + vote_text[k]
-                + (features[i] if features is not None else "")
-                + label_text[g] + "}\n"
-            )
+        fh.write("".join(lines))

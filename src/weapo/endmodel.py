@@ -276,12 +276,15 @@ def _factor_panels(panels: list[np.ndarray]) -> None:
     """
     # The last panel spans every column.
     for rows, panel in zip(_blocks(panels[-1].shape[1]), panels):
+        # One buffer for the row's update products (every block but the last is b wide).
+        out = np.empty((len(panel), len(panels[0])), dtype=panel.dtype)
         for cols, done in zip(_blocks(rows.start), panels):
             block = panel[:, cols]
-            block -= panel[:, : cols.start] @ done[:, : cols.start].T
-            block[...] = block @ done[:, cols].T
+            block -= np.matmul(panel[:, : cols.start], done[:, : cols.start].T, out=out)
+            block[...] = np.matmul(block, done[:, cols].T, out=out)
         diagonal, left = panel[:, rows], panel[:, : rows.start]
-        diagonal -= left @ left.T
+        diagonal -= np.matmul(left, left.T, out=out[:, : len(panel)])
+        del out
         diagonal[...] = _lower_inverse(np.linalg.cholesky(diagonal))
 
 

@@ -1,9 +1,13 @@
 """Dataset construction, slicing, and JSONL round-trips."""
 
 import gc
+import importlib.util
 import json
 import os
 import re
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -722,11 +726,26 @@ class TestCanonicalLayoutEdits:
             (1, "2", "3", False, None),
             (2, ',"label":1', ',"label":0', False, None),
             (2, ',"label":1', ',"label":1.0', False, None),
+            (3, "[2.0,1e-05]", "[2.0]1e-05]", False, None),
+            (3, "[2.0,1e-05]", "[2.0,1e-05]]", False, None),
+            (3, "[2.0,1e-05]", "[2.0,[1e-05]", False, None),
+            (3, "[2.0,1e-05]", "[2.0,,1e-05]", False, None),
+            (3, "[2.0,1e-05]", "[2.0,1e-05,]", False, None),
+            (3, "[2.0,1e-05]", "[02.0,1e-05]", False, None),
+            (3, "[2.0,1e-05]", "[.2,1e-05]", False, None),
+            (3, "[2.0,1e-05]", "[+2.0,1e-05]", False, None),
+            (3, '"features"', '"featurez"', False, None),
+            (3, '[0,1],"features":[2.0,1e-05]', '0,"features":1]', False, None),
+            # After the first record's "]", a digit would read as the start
+            # of the second record's first number.
+            (2, "[0.5,-1.25]", "[0.5,-1.25]1", False, None),
         ],
         ids=["none", "space", "swapped-keys", "minus-zero-integer", "upper-exponent",
              "overflow", "escaped-id", "escaped-backslash", "vote-2", "vote-width",
              "short-features", "long-features", "duplicate-id", "num-lfs", "label-0",
-             "label-float"],
+             "label-float", "bracket-inside", "bracket-after", "open-inside", "empty-number",
+             "trailing-comma", "leading-zero", "no-integer-part", "plus-sign", "features-key",
+             "no-open-bracket", "text-after-features"],
     )
     def test_edit_loads_as_oracle(self, tmp_path, lineno, old, new, canonical, message):
         lines = list(self.LINES)
@@ -825,3 +844,162 @@ class TestSingleRead:
                 assert str(got.value) == f"{path}: {message}"
         finally:
             os.close(read_end)
+
+
+def _perfbench_workloads():
+    """The benchmark's own input generator, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while it builds the classes.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestColumnwiseReader:
+    """The canonical layout is read column-wise over the file's bytes. A
+    file that reader takes gives the per-line oracle's dataset without the
+    JSON reader; one it refuses goes to the JSON reader, which gives the
+    oracle's dataset or its message."""
+
+    LINES = (
+        '{"meta":{"num_lfs":3}}',
+        '{"id":"a","votes":[1,0,1],"label":1}',
+        '{"id":"b","votes":[0,0,0],"label":-1}',
+        '{"id":"c","votes":[0,1,1]}',
+    )
+
+    @pytest.mark.parametrize(
+        "new_id, canonical",
+        [
+            ("é", True),
+            ("𝄞", True),
+            ("a b", True),
+            ("\x7f", True),
+            ("", True),
+            ("]", True),
+            ("}", True),
+            ("x]}[{", True),
+            (r'\",\"votes\":[', False),
+            (r',\"label\":1}', False),
+        ],
+        ids=["e-acute", "clef", "line-separator", "delete", "empty", "bracket", "brace",
+             "brackets", "votes-key", "label-tail"],
+    )
+    def test_ids_load_as_oracle(self, tmp_path, new_id, canonical):
+        """Raw UTF-8 ids, U+007F and the empty id take the column-wise
+        reader; an id holding a quote is escaped, so its file is not
+        canonical."""
+        lines = list(self.LINES)
+        lines[2] = lines[2].replace('"b"', f'"{new_id}"')
+        TestCanonicalLayoutEdits().check(tmp_path, ("\n".join(lines) + "\n").encode(), canonical)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[0,0,0]", "[0,0,0"),
+            (',"label":-1', ',"label":0'),
+            ("}", "} "),
+            ('"b"', '"b\x01"'),
+            ('"b"', '"b\\\\"'),
+            ('"b"', '"b"b"'),
+            ("[0,0,0]", '[0,0,0],"features":[1.5]'),
+            ('"label":-1', '"label": -1'),
+            ('"label":-1', '"label":-2'),
+            ('"label":-1', '"label":--1'),
+            ("[0,0,0]", "[0, 0,0]"),
+            ('{"id"', '{ "id"'),
+            ('{"id"', '{"ix"'),
+            ('{"id"', '["id"'),
+            ('"label"', '"lable"'),
+            ("-1}", "-1]"),
+            ("-1}", "-1}}"),
+            ('{"id":"b"', '{"id":'),
+        ],
+        ids=["dropped-bracket", "label-0", "trailing-space", "control-byte", "backslash",
+             "quote", "features-after-none", "label-space", "label-2", "label-minus-minus",
+             "vote-space", "brace-space", "id-key", "open-bracket", "label-key", "close-bracket",
+             "close-twice", "id-too-short"],
+    )
+    def test_single_edits_load_as_oracle(self, tmp_path, old, new):
+        """Each edit to a record of a vote-only file makes it other than
+        canonical: the JSON reader gives the oracle's dataset or message."""
+        lines = list(self.LINES)
+        assert old in lines[2]
+        lines[2] = lines[2].replace(old, new, 1)
+        TestCanonicalLayoutEdits().check(tmp_path, ("\n".join(lines) + "\n").encode(), False)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\n".join(LINES), "\n".join(LINES[:1]) + "\n\n", "\n".join(LINES[:1]) + "\nab\n"],
+        ids=["no-final-newline", "blank-line", "short-line"],
+    )
+    def test_file_edits_load_as_oracle(self, tmp_path, text):
+        TestCanonicalLayoutEdits().check(tmp_path, text.encode(), False)
+
+    @pytest.mark.parametrize(
+        "raw_id, reason",
+        [(b"\xff", "0xff: invalid start byte"), (b"a\xc3", "0xc3: invalid continuation byte"),
+         (b"\xed\xa0\x80", "0xed: invalid continuation byte")],
+        ids=["start-byte", "cut-sequence", "surrogate"],
+    )
+    def test_id_not_utf8_names_the_byte(self, tmp_path, raw_id, reason):
+        """A byte that is not UTF-8 in the id of a canonical file is named
+        as it is in any other file."""
+        path = tmp_path / "d.jsonl"
+        path.write_bytes("\n".join(self.LINES).encode().replace(b'"b"', b'"' + raw_id + b'"')
+                         + b"\n")
+        with pytest.raises(DatasetFormatError) as got:
+            load_dataset(str(path))
+        assert str(got.value) == f"{path}: not UTF-8 text (byte {reason})"
+
+    def test_empty_features_on_every_line_only(self, tmp_path):
+        """``"features":[]`` is canonical when every record has it."""
+        lines = [line.replace("[0.5,-1.25]", "[]").replace("[2.0,1e-05]", "[]")
+                 .replace("[-0.0,3.5]", "[]") for line in TestCanonicalLayoutEdits.LINES]
+        check = TestCanonicalLayoutEdits().check
+        check(tmp_path, ("\n".join(lines) + "\n").encode(), True)
+        lines[3] = lines[3].replace("[]", "[]]")
+        check(tmp_path, ("\n".join(lines) + "\n").encode(), False)
+
+    @pytest.mark.parametrize("name", ["tall-m8", "wide-m16", "end-krr"])
+    @pytest.mark.parametrize("with_features", [False, True], ids=["votes", "features"])
+    def test_benchmark_files_skip_the_json_reader(self, tmp_path, name, with_features):
+        """Files as the benchmark writes them, at a few hundred records,
+        never reach the JSON reader: its speed is what the benchmark times."""
+        workloads = _perfbench_workloads()
+        sample = workloads.draw(workloads.WORKLOADS[name].law, 300, np.random.default_rng(5))
+        path = tmp_path / "bench.jsonl"
+        workloads.write_jsonl(path, sample, with_features)
+        with mock.patch.object(data, "_read_values", wraps=data._read_values) as json_reader:
+            loaded = load_dataset(str(path))
+        assert not json_reader.called
+        _same_dataset(loaded, load_dataset_per_line(str(path)))
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        """The peak of a load, per record of a 2e4-record file with ids like
+        ``r000123``, 8 votes and a label (53.5 bytes a line). Before the
+        constructor runs: the file's bytes (1x); the ids, a 56-byte string
+        and a list pointer each (1.2x); four int64 line columns (0.6x); the
+        27-byte votes windows (0.5x); digits, ids text and its decoding
+        (0.45x): 3.75x. Then the constructor's duplicate-id set, which
+        CPython grows to 2**17 slots of 16 bytes beside the 2**15 it
+        replaces (2.45x), and the ids tuple (0.15x): 6.35x in all, so 7x
+        bounds it. The per-record regex reader this replaced held 7.9x, and
+        an N x 27 int64 index array would add 4x."""
+        rng = np.random.default_rng(3)
+        n = 20_000
+        ds = Dataset(ids=[f"r{i:06d}" for i in range(n)],
+                     votes_matrix=rng.integers(0, 2, size=(n, 8)),
+                     gold=rng.choice([-1, 1], size=n))
+        path = tmp_path / "tall.jsonl"
+        save_dataset(ds, str(path))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == ds
+        assert peak < 7 * path.stat().st_size

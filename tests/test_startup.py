@@ -77,11 +77,11 @@ def files(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, unused", [
     (["fit", "train.jsonl", "--model", "weapo", "--prior", "0.4", "--out", "again.json"],
-     {"endmodel", "synth", "covering", "metrics"}),
+     {"endmodel", "synth", "covering", "metrics", "baselines"}),
     (["eval", "model.json", "test.jsonl", "--out", "eval.json"],
-     {"endmodel", "synth", "covering"}),
+     {"endmodel", "synth", "covering", "baselines"}),
     (["end", "model.json", "train.jsonl", "test.jsonl", "--out", "end.json"],
-     {"synth", "covering"}),
+     {"synth", "covering", "baselines"}),
 ], ids=["fit-weapo", "eval", "end"])
 def test_command_loads_only_its_modules(files, argv, unused):
     code, modules = launch([*argv, "--quiet"], cwd=files)
