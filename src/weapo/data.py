@@ -519,14 +519,15 @@ def _spans(body: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 def _feature_matrix(body: np.ndarray, opens: np.ndarray, closes: np.ndarray) -> np.ndarray | None:
     """The floats between ``[`` at ``opens`` and ``]`` at ``closes``, or None
-    unless each row holds as many in ``repr`` form as the first. A regex
-    ``sub`` checks them: ``fullmatch`` keeps state per repetition, 20x the text."""
+    unless each row holds as many in ``repr`` form as the first. A regex ``sub``
+    checks them (``fullmatch`` keeps state per repetition, 20x the text), and
+    one numpy parse, by ``float``'s own parser, reads them with no object each."""
     text = _spans(body, opens + 1, closes + 1).tobytes()
     n, width = len(opens), text.count(b",", 0, closes[0] - opens[0]) + (closes[0] > opens[0] + 1)
     if text.count(b"]") != n or re.sub(b",".join([_FLOAT] * width) + rb"\]", b"", text):
         return None
-    numbers = text.replace(b"]", b",").split(b",")[:-1]
-    return np.fromiter(map(float, numbers), np.float64, count=n * width).reshape(n, width)
+    floats = np.fromstring(text.replace(b"]", b","), np.float64, n * width, sep=",")
+    return floats.reshape(n, width)
 
 
 def _canonical_dataset(data: bytes) -> Dataset | None:

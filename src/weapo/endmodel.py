@@ -12,13 +12,15 @@ system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
 entries, factored in place: each diagonal block holds the inverse of its
 diagonal factor. The panels are float32 (75 MB at N = 6000), or float64
 (150 MB) when the float32 attempt falls short. Their build and each
-refinement pass read the system from one source of float64 row chunks,
-so no copy of it is kept. A kernel block is built in the array it is
-returned in, with one cache-sized chunk buffer. Before allocating the
-panels, ``fit_krr`` refuses a fit whose float64 attempt needs more than
-``MEMORY_BUDGET_FRACTION`` of the memory the operating system reports
-available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
-so it never holds an N_test x N_train kernel.
+refinement pass read the system from one source of float64 row chunks, each
+formed in one buffer that the pass allocates once (1.8 MB at N = 6000).
+``fit_bytes`` prices the float64 panels, the factorization's temporaries and
+that buffer, 154 MB at N = 6000, where ``end`` peaks at 108 MB resident: the
+float32 panels, about 30 MB of interpreter and numpy, 3 MB of BLAS buffers.
+Before allocating the panels, ``fit_krr`` refuses a fit whose float64 attempt
+needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating system
+reports available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
+each in one reused buffer, so it never holds an N_test x N_train kernel.
 """
 
 from __future__ import annotations
@@ -86,16 +88,24 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     return _kernel(x, y, (x * x).sum(axis=1), (y * y).sum(axis=1), gamma)
 
 
+def _kernel_doubles(rows: int, cols: int) -> int:
+    """Doubles of a ``_kernel`` buffer for up to ``rows`` x ``cols`` entries and their scratch."""
+    return rows * cols + min(rows * cols, max(KERNEL_CHUNK_DOUBLES, cols))
+
+
 def _kernel(x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray,
-            gamma: float) -> np.ndarray:
+            gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """``rbf_kernel`` of checked 2-D float64 features and their rows' squared
-    norms ``x_sq`` and ``y_sq``, without the checks."""
-    # ``x @ y.T`` is one call, into the array returned, so that numpy uses
+    norms ``x_sq`` and ``y_sq``, without the checks, as the head of the flat
+    buffer ``out`` (new if None) of ``_kernel_doubles`` entries, its tail scratch."""
+    # ``x @ y.T`` is one call, into the kernel returned, so that numpy uses
     # the symmetric BLAS product when ``x is y``. The rest runs over row
     # chunks in cache, in the plain expression's order and rounding.
-    kernel = x @ y.T
     step = max(1, KERNEL_CHUNK_DOUBLES // max(len(y), 1))
-    buffer = np.empty((min(step, len(x)), len(y)))
+    scratch = (min(step, len(x)), len(y))
+    out = np.empty(_kernel_doubles(len(x), len(y))) if out is None else out
+    kernel = np.matmul(x, y.T, out=out[: len(x) * len(y)].reshape(len(x), len(y)))
+    buffer = out[kernel.size :][: scratch[0] * scratch[1]].reshape(scratch)
     for start in range(0, len(x), step):
         chunk = kernel[start : start + step]
         sq = np.add.outer(x_sq[start : start + step], y_sq, out=buffer[: len(chunk)])
@@ -207,10 +217,10 @@ def fit_bytes(n: int) -> int:
     float64 attempt: the lower triangle of the system as panels of b =
     min(n, ``BLOCK_ROWS``) rows, each with its diagonal block in full, at
     most n * (n + b) / 2 doubles, plus four b x b temporaries of the
-    factorization, whose peak holds about three; the system's row chunks
-    are not priced. The float32 attempt, made first, holds about half."""
+    factorization, whose peak holds about three, and the chunk buffer of
+    each pass over the system. The float32 attempt holds about half."""
     b = min(n, BLOCK_ROWS)
-    return 8 * (n * (n + b) // 2 + 4 * b * b)
+    return 8 * (n * (n + b) // 2 + 4 * b * b + _kernel_doubles(min(n, _CHUNK_ROWS), n))
 
 
 def _system_chunks(features: np.ndarray, gamma: float,
@@ -218,13 +228,15 @@ def _system_chunks(features: np.ndarray, gamma: float,
     """The lower triangle of ``K + alpha * I``, diagonal included, in
     float64 chunks of ``_CHUNK_ROWS`` rows within each ``BLOCK_ROWS``
     block: yields each chunk's rows and the chunk over the columns before
-    its end. The features' squared norms are taken once per pass."""
+    its end, each overwriting the last in one buffer. The features' squared
+    norms are taken once per pass."""
     sq = (features * features).sum(axis=1)
+    out = np.empty(_kernel_doubles(min(len(features), _CHUNK_ROWS), len(features)))
     for block in _blocks(len(features)):
         for start in range(block.start, block.stop, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, block.stop))
             chunk = _kernel(features[rows], features[: rows.stop], sq[rows], sq[: rows.stop],
-                            gamma)
+                            gamma, out)
             chunk.flat[start :: rows.stop + 1] += alpha
             yield rows, chunk
 
@@ -386,7 +398,9 @@ def fit_krr(
     ``BLOCK_ROWS``) bytes (75 MB at N = 6000). When the float32 attempt
     falls short, the fit frees them and repeats in float64: at most 4 * N
     * (N + ``BLOCK_ROWS``) bytes (150 MB), plus the factorization's
-    temporaries (``fit_bytes``: 152 MB at N = 6000). Before allocating
+    temporaries and each pass's one chunk buffer (``fit_bytes``: 154 MB at
+    N = 6000); at N = 6000 ``end`` peaks at 108 MB resident, 75 of them the
+    float32 panels, the rest interpreter, numpy and BLAS. Before allocating
     any panel, the fit compares that float64 size with
     ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in ``/proc/meminfo``
     and raises ``ValueError`` naming N, the GiB needed and the GiB
@@ -479,7 +493,7 @@ def fit_krr(
 
 def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
     """Kernel expansion over the support points, ``BLOCK_ROWS`` test rows
-    at a time."""
+    at a time, each block's kernel in one buffer that all blocks reuse."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[1] != model.support.shape[1]:
         raise ValueError(
@@ -490,10 +504,10 @@ def predict_krr(model: KRRModel, features: np.ndarray) -> np.ndarray:
     _check_features(features)
     predictions = np.empty(features.shape[0])
     sq, support_sq = ((z * z).sum(axis=1) for z in (features, model.support))
+    out = np.empty(_kernel_doubles(min(len(features), BLOCK_ROWS), len(model.support)))
     for rows in _blocks(features.shape[0]):
-        # One expression, so each block's kernel is freed before the next.
         predictions[rows] = (
-            _kernel(features[rows], model.support, sq[rows], support_sq, model.gamma)
+            _kernel(features[rows], model.support, sq[rows], support_sq, model.gamma, out)
             @ model.coefficients
         )
     return predictions

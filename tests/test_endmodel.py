@@ -729,17 +729,49 @@ class TestMemory:
         peak = self.traced_peak(lambda: weapo.endmodel._factor_panels(panels))
         assert peak < 0.22 * fit_bytes(n)
 
-    def test_float64_attempt_after_float32_within_fit_bytes(self, monkeypatch):
-        """The float32 panels are freed before the float64 attempt builds
-        its own, so a fit that takes both stays within ``fit_bytes``."""
+    @pytest.mark.parametrize(
+        "alpha, expected",
+        [(0.25, [np.float32]), (1e-4, [np.float32, np.float64])],
+        ids=["float32", "float64-fallback"],
+    )
+    def test_fit_within_fit_bytes(self, monkeypatch, alpha, expected):
+        """A fit stays within ``fit_bytes``, the chunk buffer of its passes
+        included, whether its float32 attempt serves it alone or its float32
+        panels are freed before the float64 attempt builds its own."""
         precisions = record_precisions(monkeypatch)
         rng = np.random.default_rng(10)
         n = 2 * BLOCK_ROWS + 37
         x = rng.normal(size=(n, 3))
         t = rng.normal(size=n)
-        peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.6, alpha=1e-4))
-        assert precisions == [np.float32, np.float64]
+        peak = self.traced_peak(lambda: fit_krr(x, t, gamma=0.6, alpha=alpha))
+        assert precisions == expected
         assert peak < fit_bytes(n)
+
+    def test_each_pass_forms_its_kernels_in_one_buffer(self, monkeypatch):
+        """Every chunk of one pass over the system, and every block of one
+        prediction, is formed in the same buffer, allocated once per pass
+        with room for ``_CHUNK_ROWS`` (or ``BLOCK_ROWS``) rows and their
+        scratch, and not in a new array each."""
+        rng = np.random.default_rng(19)
+        n = 2 * BLOCK_ROWS + 37
+        x = rng.normal(size=(n, 3))
+        chunk_rows = weapo.endmodel._CHUNK_ROWS
+        bases = [chunk.base for _, chunk in weapo.endmodel._system_chunks(x, 0.6, 0.25)]
+        assert len(bases) == len(range(0, n, chunk_rows))
+        assert all(base is bases[0] for base in bases)
+        assert bases[0].shape == (weapo.endmodel._kernel_doubles(chunk_rows, n),)
+        kernel, blocks = weapo.endmodel._kernel, []
+
+        def recording_kernel(*args):
+            blocks.append(kernel(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(weapo.endmodel, "_kernel", recording_kernel)
+        model = fit_krr(x[:300], rng.normal(size=300), gamma=0.5, alpha=1.0)
+        blocks.clear()
+        predict_krr(model, rng.normal(size=(n, 3)))
+        assert len(blocks) == 3 and all(block.base is blocks[0].base for block in blocks)
+        assert blocks[0].base.shape == (weapo.endmodel._kernel_doubles(BLOCK_ROWS, 300),)
 
     @pytest.mark.parametrize("n", [601, 2 * BLOCK_ROWS + 37, 2000], ids=lambda n: f"n{n}")
     def test_fit_bytes_prices_the_peak(self, n):

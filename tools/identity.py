@@ -26,7 +26,9 @@ input set both trees run the same commands:
   would not show a change in the exact solve's last bits. The same fit
   at ``alpha = 1e-4`` writes ``out/krr-coefficients-alpha1e-4.npy``; on
   the full input sets its float32 attempt falls short, so that file
-  checks the float64 panels.
+  checks the float64 panels. The ``alpha = 1`` model's ``predict_krr``
+  of the end-test features goes to ``out/krr-predictions.npy``, which the
+  AUCs of ``end`` would not show either.
 
 Both trees also run every ``demos/*.py`` of the checked tree, each as a
 process of its own with the tree's package first on ``PYTHONPATH``; the
@@ -87,19 +89,23 @@ ENTRY = "from weapo.cli import run; run()"
 
 # Runs the commands listed in the JSON file named by its argument through
 # ``weapo.cli.main`` in one process, ``krr-coefficients`` through
-# ``fit_krr``, and prints each one's stdout, stderr and exit code as JSON.
+# ``fit_krr`` and, given a test file, ``predict_krr``, and prints each
+# one's stdout, stderr and exit code as JSON.
 RUNNER = """
 import contextlib, io, json, os, sys, traceback
 import numpy as np
 from weapo.cli import main
 from weapo.data import load_dataset
-from weapo.endmodel import fit_krr
+from weapo.endmodel import fit_krr, predict_krr
 
-def krr_coefficients(train, out, alpha):
+def krr_coefficients(train, out, alpha, test=None, predictions=None):
     dataset = load_dataset(train)
     model = fit_krr(dataset.features_matrix, dataset.gold.astype(np.float64),
                     alpha=float(alpha))
     np.save(out, model.coefficients, allow_pickle=False)
+    if test is not None:
+        np.save(predictions, predict_krr(model, load_dataset(test).features_matrix),
+                allow_pickle=False)
     return 0
 
 logs = []
@@ -139,9 +145,12 @@ def commands(prior: float, inside: float) -> list[tuple[str, list[str]]]:
     for name, extra in (("end", []), ("end-gamma", ["--gamma", "0.3", "--alpha", "0.5"])):
         cmds.append((name, ["end", "out/fit-weapo.json", "in/end_train.jsonl",
                             "in/end_test.jsonl", *extra, "--out", f"out/{name}.json"]))
-    for name, alpha in (("krr-coefficients", "1.0"), ("krr-coefficients-alpha1e-4", "1e-4")):
+    for name, alpha, predicted in (
+        ("krr-coefficients", "1.0", ["in/end_test.jsonl", "out/krr-predictions.npy"]),
+        ("krr-coefficients-alpha1e-4", "1e-4", []),
+    ):
         cmds.append((name, ["krr-coefficients", "in/end_train.jsonl", f"out/{name}.npy",
-                            alpha]))
+                            alpha, *predicted]))
     return cmds
 
 
