@@ -32,14 +32,16 @@ rows = [
 dataset = Dataset.from_records([Record(id=i, votes=v) for i, v in rows])
 
 # %% [markdown]
-# Records sharing a vote vector form a slice. The all-zero vector is
-# excluded: with no evidence at all there is nothing to constrain.
+# Records sharing a vote vector form a slice: one row of the dataset's
+# vote table, which counts the records that carry it. The all-zero
+# vector is excluded: with no evidence at all there is nothing to
+# constrain.
 
 # %%
 table = build_slices(dataset)
-print("slices (vote vector -> record positions):")
-for votes, members in table.slices.items():
-    print(f"  {votes} -> {members}")
+print("slices (vote vector -> record count):")
+for votes, row in table.slices.items():
+    print(f"  {votes} -> {int(table.patterns.weights[row])}")
 
 # %%
 print("covers((1,1,0), (1,0,0)) =", covers((1, 1, 0), (1, 0, 0)))

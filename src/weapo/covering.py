@@ -3,12 +3,12 @@
 Vote vector ``v2`` covers ``v1`` when ``v2`` fires everywhere ``v1`` does
 and strictly more somewhere: under positive-only voting, the extra
 positive evidence can only raise the chance of the positive class. A
-*slice* groups the covered records that share a vote vector. The Hasse
-diagram is the transitive reduction of the covering order restricted to
-the observed vectors; each edge yields one linear constraint comparing
-slice mean scores, which ``ConstraintMatrix`` takes from the members of
-the ``SliceTable`` it is given. ``hasse_edges`` refuses more than
-``MAX_HASSE_PATTERNS`` distinct vectors.
+*slice* groups the covered records that share a vote vector: a non-zero
+row of the dataset's ``VotePatterns``. The Hasse diagram is the transitive
+reduction of the covering order restricted to the observed vectors; each
+edge yields one linear constraint comparing slice mean scores, which
+``ConstraintMatrix`` takes from the table's ``inverse`` and ``weights``.
+``hasse_edges`` refuses more than ``MAX_HASSE_PATTERNS`` distinct vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, VoteVector
+from .data import Dataset, VotePatterns, VoteVector
 
 # hasse_edges holds about 10 * K**2 bytes of dense arrays for K distinct
 # vectors: about 0.7 GB at this limit.
@@ -27,37 +27,26 @@ MAX_HASSE_PATTERNS = 2**13
 
 @dataclass(frozen=True)
 class SliceTable:
-    """Covered records grouped by exact vote vector.
+    """Covered records grouped by exact vote vector, as rows of a vote table.
 
-    ``slices`` maps each non-zero vote vector, in key order, to the indices
-    of records carrying it, in dataset order; ``uncovered`` holds those of
-    all-abstain records. Together they partition ``range(num_records)``.
+    ``patterns`` is the dataset's ``VotePatterns``. ``slices`` maps each
+    non-zero vote vector, in key order, to its row ``k`` in ``patterns``:
+    the slice's records are those whose ``patterns.inverse`` is ``k``, and
+    ``patterns.weights[k]`` counts them.
     """
 
-    slices: dict[VoteVector, tuple[int, ...]]
-    uncovered: tuple[int, ...]
-    num_records: int
+    patterns: VotePatterns
+    slices: dict[VoteVector, int]
 
 
 def build_slices(dataset: Dataset) -> SliceTable:
-    """Group covered records by vote vector.
-
-    Parameters
-    ----------
-    dataset : Dataset
-
-    Returns
-    -------
-    SliceTable
-        Slice keys appear in key order (lexicographic, function 0
-        first); member index lists follow dataset record order.
-    """
+    """The slices of ``dataset``: its non-zero vote rows, in key order
+    (lexicographic, function 0 first), each keyed to its row index."""
     pats = dataset.patterns
-    bounds = np.cumsum(pats.weights[:-1], dtype=np.intp)
-    members = np.split(np.argsort(pats.inverse, kind="stable"), bounds)
-    slices = {tuple(row): tuple(group.tolist()) for row, group in zip(pats.rows.tolist(), members)}
-    uncovered = slices.pop((0,) * dataset.num_lfs, ())
-    return SliceTable(slices=slices, uncovered=uncovered, num_records=len(dataset))
+    return SliceTable(
+        patterns=pats,
+        slices={tuple(row): k for k, row in enumerate(pats.rows.tolist()) if any(row)},
+    )
 
 
 @dataclass(frozen=True)
@@ -90,21 +79,11 @@ def covers(v_high: Sequence[int], v_low: Sequence[int]) -> bool:
 def hasse_edges(vectors: Iterable[VoteVector]) -> list[HasseEdge]:
     """Transitive reduction of the covering order on a set of vote vectors.
 
-    Parameters
-    ----------
-    vectors : iterable of VoteVector
-        Observed vote vectors; duplicates are ignored. All must share one
-        length.
-
-    Returns
-    -------
-    list of HasseEdge
-        Edges ``low -> high`` such that ``high`` covers ``low`` and no
-        third observed vector sits strictly between them. Sorted by
-        ``(low, high)`` so the output is deterministic.
-
-    Raises ``ValueError`` on mixed lengths or at more than
-    ``MAX_HASSE_PATTERNS`` distinct vectors.
+    ``vectors`` are the observed vote vectors, all of one length;
+    duplicates are ignored. The edges ``low -> high`` are those where
+    ``high`` covers ``low`` and no third observed vector sits strictly
+    between them, sorted by ``(low, high)``. Raises ``ValueError`` on mixed
+    lengths or at more than ``MAX_HASSE_PATTERNS`` distinct vectors.
     """
     unique = sorted({tuple(int(b) for b in v) for v in vectors})
     if len(unique) <= 1:
@@ -148,8 +127,8 @@ class ConstraintMatrix:
     edge ``low -> high``; feasible scorers satisfy ``apply(f) <= 0``. As a
     dense matrix it carries ``+1/|D_low|`` on the low slice members
     and ``-1/|D_high|`` on the high slice members, so each row sums to
-    zero. It reads each slice's members from ``table``, the
-    ``SliceTable`` it was built from, and stores no copy of them.
+    zero. It reads the slices from ``table``, the ``SliceTable`` it was
+    built from.
     """
 
     table: SliceTable
@@ -157,7 +136,7 @@ class ConstraintMatrix:
 
     @property
     def num_records(self) -> int:
-        return self.table.num_records
+        return len(self.table.patterns.inverse)
 
     @property
     def num_rows(self) -> int:
@@ -166,16 +145,17 @@ class ConstraintMatrix:
     def apply(self, scores: np.ndarray) -> np.ndarray:
         """Evaluate every row against a length-N score vector.
 
-        Computed as a difference of slice means, each taken once, which
-        makes the product with a constant vector exactly zero.
+        Each slice mean is one sum of the scores in record order divided by
+        the slice's record count, so a constant vector maps exactly to zero.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (self.num_records,):
             raise ValueError(
                 f"scores must have shape ({self.num_records},), got {scores.shape}"
             )
-        means = {vec: scores[list(members)].mean() for vec, members in self.table.slices.items()}
-        return np.array([means[e.low] - means[e.high] for e in self.edges], dtype=np.float64)
+        pats, row = self.table.patterns, self.table.slices
+        means = np.bincount(pats.inverse, scores, minlength=len(pats.weights)) / pats.weights
+        return means[[row[e.low] for e in self.edges]] - means[[row[e.high] for e in self.edges]]
 
 
 def constraint_matrix(slices: SliceTable, edges: Sequence[HasseEdge]) -> ConstraintMatrix:

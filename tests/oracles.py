@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way: nested
 loops, explicit rank walks, dense grid searches. Nothing is shared with
 the package under test, so agreement between the two is evidence rather
 than tautology; the reference loader shares only the ``Dataset`` it
-returns and its constructor's checks, and ``objective`` and
+returns and its constructor's checks, ``slice_mean_differences`` reads
+only a ``Dataset``'s votes matrix, and ``objective`` and
 ``objective_values`` sum hinge penalties through the package's
 ``ConstraintMatrix.apply``.
 """
@@ -60,14 +61,25 @@ def closure_of_edges(edge_pairs, vectors):
     }
 
 
-def slice_mean_differences(table, edges, scores):
+def slice_mean_differences(dataset, edges, scores):
     """``mean(scores over D_low) - mean(scores over D_high)`` for each
-    edge, one edge at a time, as float64."""
-    return np.array(
-        [scores[list(table.slices[e.low])].mean() - scores[list(table.slices[e.high])].mean()
-         for e in edges],
-        dtype=np.float64,
-    )
+    edge, one edge at a time, as float64.
+
+    A slice's records are found by comparing every row of
+    ``dataset.votes_matrix`` with the edge's end, and their scores are
+    summed with a plain float loop in record order.
+    """
+    rows = [tuple(int(b) for b in row) for row in dataset.votes_matrix.tolist()]
+
+    def mean(vector):
+        total, count = 0.0, 0
+        for row, score in zip(rows, scores):
+            if row == vector:
+                total += float(score)
+                count += 1
+        return total / count
+
+    return np.array([mean(e.low) - mean(e.high) for e in edges], dtype=np.float64)
 
 
 def roc_auc_by_pair_counting(scores, labels):

@@ -1,4 +1,4 @@
-"""Covering order, Hasse edge reduction, and the constraint operator."""
+"""Slices, covering order, Hasse edge reduction, and the constraint operator."""
 
 import tracemalloc
 
@@ -23,6 +23,34 @@ def make_dataset(vote_rows):
     return Dataset.from_records(
         [Record(id=f"r{i}", votes=tuple(v)) for i, v in enumerate(vote_rows)]
     )
+
+
+class TestSlices:
+    def test_grouping_by_hand(self):
+        ds = make_dataset([(1, 0), (0, 0), (1, 0), (1, 1)])
+        table = build_slices(ds)
+        assert table.patterns is ds.patterns
+        assert table.slices == {(1, 0): 1, (1, 1): 2}
+        np.testing.assert_array_equal(table.patterns.weights, [1.0, 2.0, 1.0])
+
+    def test_all_abstain_dataset(self):
+        assert build_slices(make_dataset([(0, 0), (0, 0)])).slices == {}
+
+    def test_key_order_matches_sorted_count_reference(self):
+        """Keys are the sorted non-zero rows; each names the row of the
+        table that holds it, whose weight is its record count."""
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            rows = [tuple(r) for r in (rng.random((60, 3)) < 0.4).astype(int).tolist()]
+            expected: dict = {}
+            for row in rows:
+                if any(row):
+                    expected[row] = expected.get(row, 0) + 1
+            table = build_slices(make_dataset(rows))
+            assert list(table.slices) == sorted(expected)
+            for key, k in table.slices.items():
+                assert tuple(table.patterns.rows[k].tolist()) == key
+                assert table.patterns.weights[k] == expected[key]
 
 
 class TestCovers:
@@ -143,14 +171,19 @@ class TestConstraintMatrix:
         assert (out == 0.0).all()
 
     def test_apply_matches_dense(self):
+        """apply is bitwise the loop-sum oracle. The second input gives
+        every slice 8 or more records, where numpy's pairwise sums can
+        differ from a sequential one in the last bits."""
         rng = np.random.default_rng(3)
-        ds = make_dataset([tuple(r) for r in rng.integers(0, 2, (60, 4))])
-        table = build_slices(ds)
-        cm = constraint_matrix(table, hasse_edges(table.slices.keys()))
-        scores = rng.normal(size=60)
-        np.testing.assert_allclose(cm.apply(scores), dense_rows(cm) @ scores, atol=1e-12)
-        reference = slice_mean_differences(table, cm.edges, scores)
-        assert cm.apply(scores).tobytes() == reference.tobytes()
+        for n, m, smallest in ((60, 4, 1), (2000, 3, 8)):
+            ds = make_dataset([tuple(r) for r in rng.integers(0, 2, (n, m))])
+            table = build_slices(ds)
+            assert min(table.patterns.weights[k] for k in table.slices.values()) >= smallest
+            cm = constraint_matrix(table, hasse_edges(table.slices.keys()))
+            scores = rng.normal(size=n)
+            np.testing.assert_allclose(cm.apply(scores), dense_rows(cm) @ scores, atol=1e-12)
+            reference = slice_mean_differences(ds, cm.edges, scores)
+            assert cm.apply(scores).tobytes() == reference.tobytes()
 
     def test_missing_endpoint_rejected(self):
         ds = make_dataset([(1, 1), (1, 0)])

@@ -1,4 +1,4 @@
-"""Dataset construction, slicing, and JSONL round-trips."""
+"""Dataset construction, vote compression, coverage, and JSONL round-trips."""
 
 import gc
 import importlib.util
@@ -21,7 +21,6 @@ from weapo import (
     DatasetFormatError,
     Prior,
     Record,
-    build_slices,
     coverage_mask,
     load_dataset,
     save_dataset,
@@ -247,44 +246,6 @@ class TestColumns:
 
 
 class TestSlices:
-    def test_grouping_and_uncovered(self):
-        ds = make_dataset([(1, 0), (0, 0), (1, 0), (1, 1)])
-        table = build_slices(ds)
-        assert table.slices == {(1, 0): (0, 2), (1, 1): (3,)}
-        assert table.uncovered == (1,)
-        assert table.num_records == 4
-
-    def test_all_abstain_dataset(self):
-        table = build_slices(make_dataset([(0, 0), (0, 0)]))
-        assert table.slices == {}
-        assert table.uncovered == (0, 1)
-
-    def test_partition_property(self):
-        """Slice members plus uncovered indices exactly tile the dataset."""
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(1, 80))
-            m = int(rng.integers(1, 6))
-            ds = make_dataset([tuple(row) for row in rng.integers(0, 2, (n, m))])
-            table = build_slices(ds)
-            seen = list(table.uncovered)
-            for members in table.slices.values():
-                seen.extend(members)
-            assert sorted(seen) == list(range(n))
-
-    def test_key_order_matches_sorted_dict_reference(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            rows = [tuple(r) for r in (rng.random((60, 3)) < 0.4).astype(int).tolist()]
-            expected: dict = {}
-            for i, row in enumerate(rows):
-                if any(row):
-                    expected.setdefault(row, []).append(i)
-            table = build_slices(make_dataset(rows))
-            assert list(table.slices) == sorted(expected)
-            assert table.slices == {k: tuple(v) for k, v in expected.items()}
-            assert table.uncovered == tuple(i for i, row in enumerate(rows) if not any(row))
-
     def test_coverage_mask_values(self):
         ds = make_dataset([(1, 0), (0, 0), (1, 1)])
         np.testing.assert_array_equal(coverage_mask(ds), [1, 0, 1])

@@ -61,14 +61,16 @@ def test_no_numpy_before_a_command_runs(argv, code):
     assert numpy_modules(modules) == set()
 
 
+LAW = ["--n", "200", "--p-plus", "0.4", "--tpr", "0.75,0.65,0.55",
+       "--fpr", "0.15,0.1,0.05", "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1.0"]
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """A featured train/test pair and a weapo model fitted on the train."""
     root = tmp_path_factory.mktemp("startup")
-    law = ["--n", "200", "--p-plus", "0.4", "--tpr", "0.75,0.65,0.55",
-           "--fpr", "0.15,0.1,0.05", "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1.0"]
     for split, seed in (("train", 1), ("test", 2)):
-        assert main(["synth", *law, "--seed", str(seed), "--out", f"{root}/{split}.jsonl",
+        assert main(["synth", *LAW, "--seed", str(seed), "--out", f"{root}/{split}.jsonl",
                      "--quiet"]) == 0
     assert main(["fit", f"{root}/train.jsonl", "--model", "weapo", "--prior", "0.4",
                  "--out", f"{root}/model.json", "--quiet"]) == 0
@@ -82,8 +84,16 @@ def files(tmp_path_factory):
      {"endmodel", "synth", "covering", "baselines"}),
     (["end", "model.json", "train.jsonl", "test.jsonl", "--out", "end.json"],
      {"synth", "covering", "baselines"}),
-], ids=["fit-weapo", "eval", "end"])
+    (["synth", *LAW, "--seed", "3", "--out", "synth.jsonl"],
+     {"endmodel", "covering", "metrics", "model"}),
+    (["fit", "train.jsonl", "--model", "ds", "--out", "ds.json"],
+     {"endmodel", "synth", "covering", "metrics"}),
+    (["compare", "train.jsonl", "test.jsonl", "--models", "weapo,weapo-noprior,mv,ds,fs",
+      "--prior", "0.4", "--oracle", "train.jsonl.oracle.json", "--out", "compare.json"],
+     {"endmodel", "covering"}),
+], ids=["fit-weapo", "eval", "end", "synth", "fit-ds", "compare"])
 def test_command_loads_only_its_modules(files, argv, unused):
+    """No command loads ``weapo.covering``: every fit reads the vote table alone."""
     code, modules = launch([*argv, "--quiet"], cwd=files)
     assert code == 0
     assert {f"weapo.{name}" for name in unused} & modules == set()
