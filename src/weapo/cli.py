@@ -1,9 +1,10 @@
 """Command-line interface: fit, eval, end, compare, synth.
 
-Every command prints a small human-readable table (suppressed by
-``--quiet``) and emits a machine-readable JSON payload carrying the
-resolved configuration and the library version. Exit codes: 0 on
-success, 1 on data or model errors, 2 on usage errors.
+Every command ends in ``_report``: it writes a JSON payload carrying the
+resolved configuration and the library version (to ``--out``, or stdout),
+then prints a small table unless ``--quiet`` is given, so a command whose
+payload cannot be written prints no table. Exit codes: 0 on success, 1 on
+data or model errors, 2 on usage errors.
 
 The CLI restates one library default: ``--uncovered-target`` defaults to
 ``make_targets``'s 0.0, which ``end`` records in its output. Every other
@@ -76,20 +77,24 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    for row in (headers, ["-" * w for w in widths], *rows):
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-
-
-def _emit(payload: Any, out: str | None) -> None:
+def _report(args, payload: dict[str, Any], out: str | None, headers: list[str],
+            table: Callable[[], list[list[str]]]) -> int:
+    """How every command ends: the JSON payload to ``out`` (stdout when
+    None), then, unless ``--quiet``, the table of ``headers`` and of the
+    rows ``table`` returns, which is called only then. A payload that
+    cannot be written raises before any table is printed."""
     text = json.dumps(payload, indent=2, allow_nan=False)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
+    if out is None:
         print(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    if not args.quiet:
+        rows = table()
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        for row in (headers, ["-" * w for w in widths], *rows):
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return 0
 
 
 def _require_gold(dataset: Dataset, path: str) -> np.ndarray:
@@ -257,12 +262,10 @@ def cmd_fit(args) -> int:
         "prior": args.prior,
         "out": args.out,
     }
-    _emit(payload, args.out)
-    if not args.quiet:
-        covered = int(coverage_mask(train).sum())
-        rows = [[args.model, str(len(train)), str(covered), args.out or "-"]]
-        _print_table(["model", "n_train", "n_covered", "out"], rows)
-    return 0
+    return _report(
+        args, payload, args.out, ["model", "n_train", "n_covered", "out"],
+        lambda: [[args.model, str(len(train)), str(coverage_mask(train).sum()), args.out]],
+    )
 
 
 def cmd_eval(args) -> int:
@@ -286,14 +289,11 @@ def cmd_eval(args) -> int:
         "result": result.to_json_dict(),
         "n_records": len(test),
     }
-    if not args.quiet:
-        _print_table(
-            ["model", "roc_auc", "pr_auc", "n_covered", "n_pos", "n_neg"],
-            [[str(payload.get("model_type")), f"{result.roc_auc:.4f}", f"{result.pr_auc:.4f}",
-              str(result.n_evaluated), str(result.n_pos), str(result.n_neg)]],
-        )
-    _emit(out_payload, args.out)
-    return 0
+    return _report(
+        args, out_payload, args.out, ["model", "roc_auc", "pr_auc", "n_covered", "n_pos", "n_neg"],
+        lambda: [[str(payload.get("model_type")), f"{result.roc_auc:.4f}", f"{result.pr_auc:.4f}",
+                  str(result.n_evaluated), str(result.n_pos), str(result.n_neg)]],
+    )
 
 
 def cmd_end(args) -> int:
@@ -356,20 +356,17 @@ def cmd_end(args) -> int:
             "n_evaluated": len(test),
         },
     }
-    if not args.quiet:
-        _print_table(
-            ["label_model", "roc_auc", "pr_auc", "n_test"],
-            [[str(payload.get("model_type")), f"{roc:.4f}", f"{pr:.4f}", str(len(test))]],
-        )
-    _emit(out_payload, args.out)
-    return 0
+    return _report(
+        args, out_payload, args.out, ["label_model", "roc_auc", "pr_auc", "n_test"],
+        lambda: [[str(payload.get("model_type")), f"{roc:.4f}", f"{pr:.4f}", str(len(test))]],
+    )
 
 
 def cmd_compare(args) -> int:
     from .data import load_dataset
     from .metrics import evaluate_patterns
 
-    names = [m for m in (args.models.split(",") if args.models else []) if m]
+    names = [m for m in args.models.split(",") if m]
     if not names:
         raise CliUsageError("--models must name at least one model")
     settings = _fit_settings(names, args)
@@ -392,14 +389,18 @@ def cmd_compare(args) -> int:
         return _scorer(_fit_payload(name, train, settings))[1]
 
     rows: list[dict[str, Any]] = []
+    table: list[list[str]] = []
     for name in names + (["oracle"] if oracle is not None else []):
         try:
-            result = evaluate_patterns(scorer(name)(test.patterns), test.patterns).to_json_dict()
-            error = None
+            result = evaluate_patterns(scorer(name)(test.patterns), test.patterns)
         except ValueError as err:
-            result = dict.fromkeys(("roc_auc", "pr_auc", "n_pos", "n_neg", "n_evaluated"))
-            error = str(err)
-        rows.append({"model": name, **result, "error": error})
+            empty = dict.fromkeys(("roc_auc", "pr_auc", "n_pos", "n_neg", "n_evaluated"))
+            rows.append({"model": name, **empty, "error": str(err)})
+            table.append([name, "-", "-", f"error: {err}"])
+        else:
+            rows.append({"model": name, **result.to_json_dict(), "error": None})
+            table.append([name, f"{result.roc_auc:.4f}", f"{result.pr_auc:.4f}",
+                          str(result.n_evaluated)])
     out_payload = {
         "command": "compare",
         "version": __version__,
@@ -413,19 +414,8 @@ def cmd_compare(args) -> int:
         },
         "rows": rows,
     }
-    if not args.quiet:
-        table_rows = []
-        for row in rows:
-            if row["error"] is None:
-                table_rows.append(
-                    [row["model"], f"{row['roc_auc']:.4f}", f"{row['pr_auc']:.4f}",
-                     str(row["n_evaluated"])]
-                )
-            else:
-                table_rows.append([row["model"], "-", "-", f"error: {row['error']}"])
-        _print_table(["model", "roc_auc", "pr_auc", "n_covered"], table_rows)
-    _emit(out_payload, args.out)
-    return 0
+    return _report(args, out_payload, args.out, ["model", "roc_auc", "pr_auc", "n_covered"],
+                   lambda: table)
 
 
 def _resolve_spec(args) -> SyntheticSpec:
@@ -484,16 +474,11 @@ def cmd_synth(args) -> int:
         "version": __version__,
         "config": {"spec": spec.to_json_dict(), "out": args.out, "oracle": oracle_path},
     }
-    _emit(run_payload, args.out + ".run.json")
-    if not args.quiet:
-        covered = int(coverage_mask(dataset).sum())
-        positives = int((dataset.gold == 1).sum())
-        _print_table(
-            ["n", "num_lfs", "covered", "positives", "out"],
-            [[str(len(dataset)), str(dataset.num_lfs), str(covered),
-              str(positives), args.out]],
-        )
-    return 0
+    return _report(
+        args, run_payload, args.out + ".run.json", ["n", "num_lfs", "covered", "positives", "out"],
+        lambda: [[str(len(dataset)), str(dataset.num_lfs), str(coverage_mask(dataset).sum()),
+                  str((dataset.gold == 1).sum()), args.out]],
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -514,9 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"weapo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags every command shares.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quiet", action="store_true", help="print no table")
     # Fitting flags shared by fit and compare. None means "not given": the
     # flag is not passed on, and the library's own default applies.
-    fitting = argparse.ArgumentParser(add_help=False)
+    fitting = argparse.ArgumentParser(add_help=False, parents=[common])
+    fitting.add_argument("--prior", type=float, default=None,
+                         help="positive-class prior (required for weapo and fs)")
     fitting.add_argument("--lambda-reg", type=float, default=None)
     fitting.add_argument("--prior-weight", type=float, default=None)
     fitting.add_argument("--max-iters", type=int, default=None,
@@ -530,20 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fit a label model on a training dataset")
     p_fit.add_argument("train", help="training dataset (JSONL)")
     p_fit.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p_fit.add_argument("--prior", type=float, default=None,
-                       help="positive-class prior (required for weapo and fs)")
     p_fit.add_argument("--out", required=True, help="where to write the model JSON")
-    p_fit.add_argument("--quiet", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_eval = sub.add_parser("eval", help="evaluate a fitted model on covered test records")
+    p_eval = sub.add_parser("eval", parents=[common],
+                            help="evaluate a fitted model on covered test records")
     p_eval.add_argument("model", help="model JSON from fit")
     p_eval.add_argument("test", help="test dataset with gold labels")
     p_eval.add_argument("--out", default=None, help="write the result JSON here")
-    p_eval.add_argument("--quiet", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_end = sub.add_parser("end", help="train the feature end model and evaluate it")
+    p_end = sub.add_parser("end", parents=[common],
+                           help="train the feature end model and evaluate it")
     p_end.add_argument("model", help="label-model JSON from fit")
     p_end.add_argument("train", help="training dataset with features")
     p_end.add_argument("test", help="test dataset with features and gold labels")
@@ -552,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_end.add_argument("--alpha", type=float, default=None, help="ridge strength")
     p_end.add_argument("--uncovered-target", type=float, default=0.0)
     p_end.add_argument("--out", default=None)
-    p_end.add_argument("--quiet", action="store_true")
     p_end.set_defaults(func=cmd_end)
 
     p_cmp = sub.add_parser("compare", parents=[fitting],
@@ -561,14 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("test")
     p_cmp.add_argument("--models", required=True,
                        help="comma-separated subset of: " + ", ".join(MODEL_NAMES))
-    p_cmp.add_argument("--prior", type=float, default=None)
     p_cmp.add_argument("--oracle", default=None,
                        help="synthetic spec JSON; adds a Bayes-oracle row")
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--quiet", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset plus its oracle")
+    p_synth = sub.add_parser("synth", parents=[common],
+                             help="generate a synthetic dataset plus its oracle")
     p_synth.add_argument("--out", required=True, help="dataset output path (JSONL)")
     p_synth.add_argument("--spec", default=None, help="generator spec JSON")
     p_synth.add_argument("--n", type=int, default=None)
@@ -579,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--mu-neg", type=_float_list, default=None)
     p_synth.add_argument("--sigma", type=float, default=None)
     p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--quiet", action="store_true")
     p_synth.set_defaults(func=cmd_synth)
 
     return parser

@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import _naive_bayes_posteriors
 from .data import Dataset, VotePatterns, VoteVector, compress_votes, record_scores
 from .payload import check_keys, integer, numbers, read_json
 
@@ -214,6 +213,9 @@ class OracleTable:
 
     def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
         """The posterior of each vote pattern."""
+        # Imported here, so that generating a dataset loads no baselines.
+        from .baselines import _naive_bayes_posteriors
+
         tpr, fpr = np.array(self.spec.tpr), np.array(self.spec.fpr)
         return _naive_bayes_posteriors(patterns, self.spec.p_plus, tpr, fpr)
 

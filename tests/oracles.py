@@ -7,7 +7,9 @@ than tautology; the reference loader shares only the ``Dataset`` it
 returns and its constructor's checks, ``slice_mean_differences`` reads
 only a ``Dataset``'s votes matrix, and ``objective`` and
 ``objective_values`` sum hinge penalties through the package's
-``ConstraintMatrix.apply``.
+``ConstraintMatrix.apply``. ``make_dataset``, the tests' builder of small
+vote-only datasets, is no reference: it builds through the package's
+``Dataset.from_records``.
 """
 
 from __future__ import annotations
@@ -15,13 +17,21 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NoReturn
 
 import numpy as np
 
-from weapo import Dataset, DatasetFormatError, Prior, WeapoConfig
+from weapo import Dataset, DatasetFormatError, Prior, Record, WeapoConfig
 from weapo.covering import ConstraintMatrix
+
+
+def make_dataset(vote_rows, **kwargs) -> Dataset:
+    """A dataset of one record a vote row, with ids ``r0``, ``r1``, ...;
+    ``kwargs`` go to ``Dataset.from_records``."""
+    return Dataset.from_records(
+        [Record(id=f"r{i}", votes=tuple(v)) for i, v in enumerate(vote_rows)], **kwargs
+    )
 
 
 def covering_pairs_brute(vectors):
@@ -501,70 +511,27 @@ def _per_line_meta(obj: dict, lineno: int) -> tuple[int | None, tuple[str, ...] 
     return num_lfs, names
 
 
-class _PerLineColumns:
-    """Record objects of one file, checked column by column.
-
-    Each check runs over a whole column; only when it fails does a loop
-    look for the first offending record, whose line number it reports.
-    """
-
-    def __init__(self, objs: list[dict], linenos: list[int]) -> None:
-        self.objs = objs
-        self.linenos = linenos
-
-    def fail(self, index: int, message: str) -> NoReturn:
-        raise DatasetFormatError(f"line {self.linenos[index]}: {message}")
-
-    def required(self, key: str, kind: type, message: str) -> list:
-        values = [obj.get(key) for obj in self.objs]
-        if not set(map(type, values)) <= {kind}:
-            i = next(i for i, v in enumerate(values) if type(v) is not kind)
-            self.fail(i, f"missing key {key!r}" if key not in self.objs[i] else message)
-        return values
-
-    def optional(self, key: str) -> tuple[np.ndarray, list]:
-        present = np.array([key in obj for obj in self.objs], dtype=bool)
-        return present, [obj[key] for obj in self.objs if key in obj]
-
-    def matrix(
-        self, rows: list, width: int | None, kinds: set[type], dtype: type, noun: str
-    ) -> np.ndarray:
-        """Stack one list of numbers per record into an array, or name the
-        first bad line. ``width`` is the required row length (the first
-        row's when None).
-        """
-        message = f"{noun} must be a list of " + (
-            "0/1 integers" if kinds == {int} else "finite numbers"
-        )
-        if not set(map(type, rows)) <= {list}:
-            self.fail(next(i for i, r in enumerate(rows) if type(r) is not list), message)
-        if width is None:
-            width = len(rows[0]) if rows else 0
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        if (lengths != width).any():
-            i = int((lengths != width).argmax())
-            self.fail(i, f"record has {lengths[i]} {noun}, expected {width}")
-        if not set(map(type, chain.from_iterable(rows))) <= kinds:
-            bad = next(i for i, r in enumerate(rows) if not set(map(type, r)) <= kinds)
-            self.fail(bad, message)
-        try:
-            return np.array(rows, dtype=dtype).reshape(len(rows), width)
-        except OverflowError:
-            for i, row in enumerate(rows):
-                try:
-                    np.array(row, dtype=dtype)
-                except OverflowError:
-                    self.fail(i, message)
-            raise
+def _finite_number(value: int | float) -> bool:
+    """Whether a JSON number is a finite float; an integer too large for a
+    float is not."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def load_dataset_per_line(path: str) -> Dataset:
     """Read a dataset from a JSON Lines file, one ``json.loads`` per line.
 
-    The loader of ``weapo.data`` as it was before it parsed each line with
-    ``raw_decode`` and checked record shapes by column, kept verbatim. Its
-    errors name the line but not the file, except those of the
-    ``Dataset`` constructor, the one piece it shares with the package.
+    The reference for ``weapo.data.load_dataset``. Every line is parsed
+    before any record is checked; then each check is one plain loop over
+    the records, in the order ``load_dataset`` documents: record shape;
+    id; votes (a list, its width, its elements' types, their range);
+    label (its type, its value); features (on every record or on none, a
+    list, its width, its elements' types, their finiteness). The first
+    record a check refuses is named by its line. Its errors name the file
+    only where the ``Dataset`` constructor, the one piece it shares with
+    the package, refuses.
 
     The first line may be a meta object ``{"meta": {"num_lfs": M,
     "lf_names": [...]}}``; every other line is one record object with keys
@@ -581,64 +548,93 @@ def load_dataset_per_line(path: str) -> Dataset:
         vote or feature widths, or out-of-range values, each with the
         offending line number; on duplicate ids with the id.
     """
-    objs: list[dict] = []
-    linenos: list[int] = []
-    declared_m: int | None = None
-    lf_names: tuple[str, ...] | None = None
+    records: list[tuple[int, object]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as err:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({err.msg})") from None
             # json raises RecursionError on input nested deeper than the stack.
             except RecursionError as err:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON ({err})") from None
-            if type(obj) is not dict:
-                raise DatasetFormatError(f"line {lineno}: expected a JSON object")
-            if not obj.keys() <= _PER_LINE_RECORD_KEYS:
-                if "meta" not in obj:
-                    unknown = sorted(obj.keys() - _PER_LINE_RECORD_KEYS)[0]
-                    raise DatasetFormatError(f"line {lineno}: unknown record key {unknown!r}")
-                if lineno != 1:
-                    raise DatasetFormatError(f"line {lineno}: meta only allowed on line 1")
-                declared_m, lf_names = _per_line_meta(obj, lineno)
-                continue
-            objs.append(obj)
-            linenos.append(lineno)
-    if declared_m is None and not objs:
+    declared_m: int | None = None
+    lf_names: tuple[str, ...] | None = None
+    if records and records[0][0] == 1 and type(records[0][1]) is dict and "meta" in records[0][1]:
+        declared_m, lf_names = _per_line_meta(records.pop(0)[1], 1)
+    if declared_m is None and not records:
         raise DatasetFormatError(f"{path}: no records and no meta line")
-    cols = _PerLineColumns(objs, linenos)
-    n = len(objs)
-    ids = cols.required("id", str, "id must be a string")
-    vote_rows = cols.required("votes", list, "votes must be a list of 0/1 integers")
-    votes = cols.matrix(vote_rows, declared_m, {int}, np.int8, "votes")
-    bad = ~((votes == 0) | (votes == 1)).all(axis=1)
-    if bad.any():
-        cols.fail(int(bad.argmax()), "votes must be a list of 0/1 integers")
-    labelled, labels = cols.optional("label")
-    gold = np.zeros(n, dtype=np.int8)
-    if labels:
-        where = np.flatnonzero(labelled)
-        if not set(map(type, labels)) <= {int}:
-            cols.fail(where[next(i for i, g in enumerate(labels) if type(g) is not int)],
-                      "label must be the integer -1 or 1")
-        bad = [g not in (-1, 1) for g in labels]
-        if any(bad):
-            cols.fail(where[bad.index(True)], "label must be the integer -1 or 1")
-        gold[labelled] = labels
-    featured, feature_rows = cols.optional("features")
+
+    def fail(index: int, message: str) -> NoReturn:
+        raise DatasetFormatError(f"line {records[index][0]}: {message}")
+
+    objs = [obj for _, obj in records]
+    for i, obj in enumerate(objs):
+        if type(obj) is not dict:
+            fail(i, "expected a JSON object")
+        if not obj.keys() <= _PER_LINE_RECORD_KEYS:
+            if "meta" in obj:
+                fail(i, "meta only allowed on line 1")
+            fail(i, f"unknown record key {sorted(obj.keys() - _PER_LINE_RECORD_KEYS)[0]!r}")
+
+    for i, obj in enumerate(objs):
+        if "id" not in obj:
+            fail(i, "missing key 'id'")
+        if type(obj["id"]) is not str:
+            fail(i, "id must be a string")
+    ids = [obj["id"] for obj in objs]
+
+    message = "votes must be a list of 0/1 integers"
+    for i, obj in enumerate(objs):
+        if "votes" not in obj:
+            fail(i, "missing key 'votes'")
+        if type(obj["votes"]) is not list:
+            fail(i, message)
+    width = declared_m if declared_m is not None else len(objs[0]["votes"])
+    for i, obj in enumerate(objs):
+        if len(obj["votes"]) != width:
+            fail(i, f"record has {len(obj['votes'])} votes, expected {width}")
+    for i, obj in enumerate(objs):
+        if any(type(vote) is not int for vote in obj["votes"]):
+            fail(i, message)
+    for i, obj in enumerate(objs):
+        if any(vote not in (0, 1) for vote in obj["votes"]):
+            fail(i, message)
+    votes = np.array([obj["votes"] for obj in objs], dtype=np.int8).reshape(len(objs), width)
+
+    message = "label must be the integer -1 or 1"
+    for i, obj in enumerate(objs):
+        if "label" in obj and type(obj["label"]) is not int:
+            fail(i, message)
+    for i, obj in enumerate(objs):
+        if obj.get("label", 1) not in (-1, 1):
+            fail(i, message)
+    gold = np.array([obj.get("label", 0) for obj in objs], dtype=np.int8)
+
     features = None
-    if feature_rows:
-        if not featured.all():
-            cols.fail(int((featured != featured[0]).argmax()),
-                      "record disagrees with the rest of the dataset on feature presence")
-        features = cols.matrix(feature_rows, None, {int, float}, np.float64, "features")
-        bad = ~np.isfinite(features).all(axis=1)
-        if bad.any():
-            cols.fail(int(bad.argmax()), "features must be a list of finite numbers")
+    featured = ["features" in obj for obj in objs]
+    if any(featured):
+        for i, has in enumerate(featured):
+            if has != featured[0]:
+                fail(i, "record disagrees with the rest of the dataset on feature presence")
+        message = "features must be a list of finite numbers"
+        for i, obj in enumerate(objs):
+            if type(obj["features"]) is not list:
+                fail(i, message)
+        width = len(objs[0]["features"])
+        for i, obj in enumerate(objs):
+            if len(obj["features"]) != width:
+                fail(i, f"record has {len(obj['features'])} features, expected {width}")
+        for i, obj in enumerate(objs):
+            if any(type(value) not in (int, float) for value in obj["features"]):
+                fail(i, message)
+        for i, obj in enumerate(objs):
+            if not all(map(_finite_number, obj["features"])):
+                fail(i, message)
+        features = np.array([obj["features"] for obj in objs], dtype=np.float64)
+        features = features.reshape(len(objs), width)
     try:
         return Dataset(
             ids=tuple(ids),

@@ -9,7 +9,6 @@ from weapo import (
     DSModel,
     Dataset,
     Prior,
-    Record,
     SyntheticSpec,
     WeapoConfig,
     convert_abstain,
@@ -29,13 +28,7 @@ from weapo.baselines import FSModel, _median
 from weapo.data import VotePatterns
 from weapo.model import WeapoModel
 
-from oracles import dawid_skene_per_row, signed_second_moments
-
-
-def make_dataset(vote_rows):
-    return Dataset.from_records(
-        [Record(id=f"r{i}", votes=tuple(v)) for i, v in enumerate(vote_rows)]
-    )
+from oracles import dawid_skene_per_row, make_dataset, signed_second_moments
 
 
 def product_moments(accuracies):

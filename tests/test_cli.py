@@ -1360,6 +1360,70 @@ class TestCompareCommand:
         assert "--prior" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A featured train/test pair and a weapo model fitted on the train."""
+    root = tmp_path_factory.mktemp("entry")
+    law = ["--n", "300", "--p-plus", "0.4", "--tpr", "0.75,0.65,0.55",
+           "--fpr", "0.15,0.1,0.05", "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1"]
+    for split, seed in (("train", 1), ("test", 2)):
+        assert main(["synth", *law, "--seed", str(seed),
+                     "--out", str(root / f"{split}.jsonl"), "--quiet"]) == 0
+    assert main(["fit", str(root / "train.jsonl"), "--model", "weapo", "--prior", "0.4",
+                 "--out", str(root / "model.json"), "--quiet"]) == 0
+    return root
+
+
+class TestEnding:
+    """Every command ends one way: its JSON payload, then its table."""
+
+    # Each command with the path its payload goes to; synth writes its run
+    # payload next to the dataset.
+    COMMANDS = {
+        "synth": (["synth", "--n", "50", "--p-plus", "0.3", "--tpr", "0.7,0.6",
+                   "--fpr", "0.1,0.05", "--seed", "3", "--out", "s.jsonl"], "s.jsonl.run.json"),
+        "fit": (["fit", "train.jsonl", "--model", "mv", "--out", "mv.json"], "mv.json"),
+        "eval": (["eval", "model.json", "test.jsonl", "--out", "eval.json"], "eval.json"),
+        "end": (["end", "model.json", "train.jsonl", "test.jsonl", "--out", "end.json"],
+                "end.json"),
+        "compare": (["compare", "train.jsonl", "test.jsonl", "--models", "mv,ds",
+                     "--out", "compare.json"], "compare.json"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_payload_prints_no_table(self, inputs, tmp_path, monkeypatch, capsys,
+                                                command):
+        """A directory where the payload goes: exit 1, one ``error:`` line
+        and nothing on stdout, not the table of a result that was lost."""
+        for path in inputs.iterdir():
+            (tmp_path / path.name).symlink_to(path)
+        argv, payload = self.COMMANDS[command]
+        (tmp_path / payload).mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("command", ["eval", "end", "compare"])
+    def test_payload_on_stdout_comes_before_the_table(self, inputs, monkeypatch, capsys,
+                                                      command):
+        """Without ``--out`` and ``--quiet`` stdout holds the JSON payload,
+        then the table: its header, its rule and one row a model."""
+        argv = self.COMMANDS[command][0][:-2]
+        monkeypatch.chdir(inputs)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        payload, end = json.JSONDecoder().raw_decode(out)
+        assert payload["command"] == command and payload["config"]["out"] is None
+        table = out[end:].splitlines()
+        assert table[0] == ""
+        assert table[1].split()[1:3] == ["roc_auc", "pr_auc"]
+        assert set(table[2]) == {"-", " "}
+        assert len(table) == 3 + (2 if command == "compare" else 1)
+
+
 class TestTopLevel:
     def test_import_leaves_out_scipy_stats(self):
         """weapo depends on numpy only: neither ``import weapo`` nor
@@ -1440,19 +1504,6 @@ class TestEntryPoint:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run([sys.executable, "-c", prelude + cls.ENTRY, *argv], cwd=cwd,
                               env=env, input=input, stdout=stdout, stderr=subprocess.PIPE)
-
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        """A featured train/test pair and a weapo model fitted on the train."""
-        root = tmp_path_factory.mktemp("entry")
-        law = ["--n", "300", "--p-plus", "0.4", "--tpr", "0.75,0.65,0.55",
-               "--fpr", "0.15,0.1,0.05", "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1"]
-        for split, seed in (("train", 1), ("test", 2)):
-            assert main(["synth", *law, "--seed", str(seed),
-                         "--out", str(root / f"{split}.jsonl"), "--quiet"]) == 0
-        assert main(["fit", str(root / "train.jsonl"), "--model", "weapo", "--prior", "0.4",
-                     "--out", str(root / "model.json"), "--quiet"]) == 0
-        return root
 
     SINKS = ("full-device", "closed-pipe", "no-stdout")
 

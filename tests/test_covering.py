@@ -7,8 +7,6 @@ import pytest
 
 import weapo
 from weapo import (
-    Dataset,
-    Record,
     build_slices,
     constraint_matrix,
     covers,
@@ -16,13 +14,7 @@ from weapo import (
 )
 from weapo.covering import HasseEdge
 
-from oracles import closure_of_edges, covering_pairs_brute, slice_mean_differences
-
-
-def make_dataset(vote_rows):
-    return Dataset.from_records(
-        [Record(id=f"r{i}", votes=tuple(v)) for i, v in enumerate(vote_rows)]
-    )
+from oracles import closure_of_edges, covering_pairs_brute, make_dataset, slice_mean_differences
 
 
 class TestSlices:

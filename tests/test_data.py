@@ -26,13 +26,7 @@ from weapo import (
     save_dataset,
 )
 from weapo.data import compress_votes
-from oracles import compress_votes_void, load_dataset_per_line
-
-
-def make_dataset(vote_rows, **kwargs):
-    return Dataset.from_records(
-        [Record(id=f"r{i}", votes=tuple(v)) for i, v in enumerate(vote_rows)], **kwargs
-    )
+from oracles import compress_votes_void, load_dataset_per_line, make_dataset
 
 
 class TestValidation:

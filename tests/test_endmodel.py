@@ -423,6 +423,52 @@ class TestFitKrr:
         expected = weapo.endmodel._substitute(panels, t)
         np.testing.assert_array_equal(model.coefficients, expected, strict=True)
 
+    @pytest.mark.parametrize("scaled", [1, 2], ids=["first-correction", "second-correction"])
+    def test_refinement_keeps_the_iterate_before_a_growing_residual(self, monkeypatch, scaled):
+        """A float32 correction tripled overshoots, so the residual grows:
+        the refinement stops there and returns the iterate before it and
+        that iterate's residual norm, bitwise. Before the first correction
+        the residual exceeds fit_krr's bound, so the fit repeats in float64;
+        before the second it meets the bound, so the float32 result stands."""
+        rng = np.random.default_rng(7)
+        n = 300
+        x = rng.normal(size=(n, 3))
+        t = rng.normal(size=n)
+        gamma, alpha = 0.4, 1.0
+        bound = 1e-8 * (1.0 + float(np.linalg.norm(t)))
+        float64_solve = weapo.endmodel._solve_refined(x, t, gamma, alpha, np.float64, math.inf)
+        solve_factored = weapo.endmodel._solve_factored
+        iterates = []
+
+        def overshooting(panels, rhs):
+            step = solve_factored(panels, rhs)
+            if panels[0].dtype == np.float32:
+                if len(iterates) == scaled:
+                    step = 3.0 * step
+                iterates.append(iterates[-1] + step if iterates else step)
+            return step
+
+        monkeypatch.setattr(weapo.endmodel, "_solve_factored", overshooting)
+        coefficients, norm = weapo.endmodel._solve_refined(x, t, gamma, alpha, np.float32, bound)
+        assert len(iterates) == scaled + 1
+        kept = iterates[scaled - 1]
+        residual = t - weapo.endmodel._system_product(x, gamma, alpha, kept)
+        grown = t - weapo.endmodel._system_product(x, gamma, alpha, iterates[-1])
+        assert np.abs(grown).max() > np.abs(residual).max()
+        assert coefficients.tobytes() == kept.tobytes()
+        assert norm == float(np.linalg.norm(residual))
+        assert (norm <= bound) is (scaled == 2)
+
+        iterates.clear()
+        precisions = record_precisions(monkeypatch)
+        model = fit_krr(x, t, gamma=gamma, alpha=alpha)
+        if norm <= bound:
+            assert precisions == [np.float32]
+            assert model.coefficients.tobytes() == kept.tobytes()
+        else:
+            assert precisions == [np.float32, np.float64]
+            assert model.coefficients.tobytes() == float64_solve[0].tobytes()
+
     def test_alpha_beyond_float32_takes_float64_without_a_warning(self, monkeypatch):
         """K + alpha * I overflows float32 for alpha = 1e300; the fit goes
         straight to float64, with no overflow warning on the way."""

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weapo import (
     Dataset,
     Prior,
-    Record,
     WeapoConfig,
     build_slices,
     constraint_matrix,
@@ -22,6 +21,7 @@ from weapo.data import VotePatterns
 from weapo.model import WeapoModel, _closed_form, _prior_band
 
 from oracles import (
+    make_dataset,
     min_on_2simplex_line,
     min_on_simplex_grid,
     objective,
@@ -29,12 +29,6 @@ from oracles import (
     simplex_projection_by_bisection,
     weapo_by_supports,
 )
-
-
-def make_dataset(vote_rows):
-    return Dataset.from_records(
-        [Record(id=f"r{i}", votes=tuple(v)) for i, v in enumerate(vote_rows)]
-    )
 
 
 def constraints_for(dataset):

@@ -85,7 +85,7 @@ def files(tmp_path_factory):
     (["end", "model.json", "train.jsonl", "test.jsonl", "--out", "end.json"],
      {"synth", "covering", "baselines"}),
     (["synth", *LAW, "--seed", "3", "--out", "synth.jsonl"],
-     {"endmodel", "covering", "metrics", "model"}),
+     {"endmodel", "covering", "metrics", "model", "baselines"}),
     (["fit", "train.jsonl", "--model", "ds", "--out", "ds.json"],
      {"endmodel", "synth", "covering", "metrics"}),
     (["compare", "train.jsonl", "test.jsonl", "--models", "weapo,weapo-noprior,mv,ds,fs",
