@@ -17,7 +17,10 @@ A model file holds the model's own payload plus the keys in
 ``ENVELOPE_KEYS``; the model classes check the payload. ``eval``,
 ``end`` and ``compare`` check that their files agree on the number of
 labeling functions, and ``end`` on the feature width, before any fit or
-scoring.
+scoring. ``synth`` turns its inline generator flags into the payload a
+spec file holds and reads both with ``SyntheticSpec.from_json_dict``, so
+a bad rate, mean, sigma or seed gets one message however it is given: a
+usage error from a flag, a data error naming the file from a spec file.
 
 At load time the module imports only the standard library and
 ``__version__``. Each command imports the weapo modules it uses when it
@@ -46,19 +49,18 @@ if TYPE_CHECKING:
     from .data import Dataset, VotePatterns
     from .synth import SyntheticSpec
 
-MODEL_NAMES = ("weapo", "weapo-noprior", "mv", "ds", "fs")
-# The models that read each fitting flag; a flag given to none of them is
-# refused rather than ignored. weapo-noprior's theta is the uniform
-# vector whatever its settings, so it reads none.
-_FLAG_READERS = {
-    "lambda_reg": ("weapo",),
-    "prior_weight": ("weapo",),
-    "max_iters": ("ds",),
-    "tol": ("ds",),
-    "smoothing": ("ds",),
-    "eps_clip": ("fs",),
-    "prior": ("weapo", "ds", "fs"),
+# Each label model and the fitting flags its fit reads besides --prior,
+# which weapo, ds and fs read; a flag that no named model reads is refused
+# rather than ignored. weapo-noprior's theta is the uniform vector
+# whatever its settings, so it reads none.
+_FLAGS = {
+    "weapo": ("lambda_reg", "prior_weight"),
+    "weapo-noprior": (),
+    "mv": (),
+    "ds": ("max_iters", "tol", "smoothing"),
+    "fs": ("eps_clip",),
 }
+MODEL_NAMES = tuple(_FLAGS)
 # Keys a model file holds besides the model's own payload.
 ENVELOPE_KEYS = ("model_type", "version", "run")
 
@@ -116,7 +118,8 @@ def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     """Check the model names, the prior requirement, every fitting flag
     given, whichever models are named, and then that some named model
     reads each flag given, before any file is read; return the settings
-    ``_fit_payload`` uses."""
+    ``_fit_payload`` uses: the prior, and by model name the keyword
+    arguments of the flags given that its fit reads."""
     from .data import Prior
     from .model import WeapoConfig
 
@@ -129,25 +132,22 @@ def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     needs_prior = sorted({"weapo", "fs"} & set(names))
     if needs_prior and args.prior is None:
         raise CliUsageError(f"--prior is required for model(s): {', '.join(needs_prior)}")
-    ds_flags, fs_flags = _given(args, "max_iters", "tol", "smoothing"), _given(args, "eps_clip")
-    if ds_flags or fs_flags:  # a fit given none of them loads no baselines
+    settings = {name: _given(args, *flags) for name, flags in _FLAGS.items()}
+    if settings["ds"] or settings["fs"]:  # a fit given none of them loads no baselines
         from .baselines import check_ds_settings, check_fs_settings
 
-        check_ds_settings(**ds_flags)
-        check_fs_settings(**fs_flags)
-    settings = {
-        "prior": None if args.prior is None else Prior(args.prior),
-        "weapo": WeapoConfig(**_given(args, "lambda_reg", "prior_weight")),
-        "ds": ds_flags,
-        "fs": fs_flags,
-    }
-    for flag, readers in _FLAG_READERS.items():
-        if getattr(args, flag) is not None and not set(readers) & set(names):
+        check_ds_settings(**settings["ds"])
+        check_fs_settings(**settings["fs"])
+    prior = None if args.prior is None else Prior(args.prior)
+    WeapoConfig(**settings["weapo"])
+    readers = {flag: (name,) for name, flags in _FLAGS.items() for flag in flags}
+    for flag, models in {**readers, "prior": ("weapo", "ds", "fs")}.items():
+        if getattr(args, flag) is not None and not set(models) & set(names):
             raise CliUsageError(
-                f"--{flag.replace('_', '-')} applies only to {', '.join(readers)}; "
+                f"--{flag.replace('_', '-')} applies only to {', '.join(models)}; "
                 "no model named reads it"
             )
-    return settings
+    return {**settings, "prior": prior}
 
 
 def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[str, Any]:
@@ -172,11 +172,9 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
 
         model = fs_fit(train, prior, **settings["fs"])
     else:
-        from dataclasses import replace
+        from .model import WeapoConfig, _prior_band, fit
 
-        from .model import _prior_band, fit
-
-        model = fit(train, prior, replace(settings["weapo"], use_prior=name == "weapo"))
+        model = fit(train, prior, WeapoConfig(**settings["weapo"], use_prior=name == "weapo"))
         name = "weapo"
         if not math.isfinite(model.diagnostics["objective"]):
             raise ValueError(
@@ -419,19 +417,19 @@ def cmd_compare(args) -> int:
 
 
 def _resolve_spec(args) -> SyntheticSpec:
-    """The spec from ``--spec`` or the inline flags. A fault of the spec
-    file is a data error; a bad flag or flag value is a usage error."""
-    from dataclasses import replace
-
-    from .synth import FeatureSpec, SyntheticSpec
+    """The spec from ``--spec`` or the inline flags, with any ``--seed``,
+    read by ``SyntheticSpec.from_json_dict``. A spec file is read whole, its
+    own seed too, before ``--seed`` applies, so each fault of the file is a
+    data error; a bad flag or flag value is a usage error."""
+    from .synth import SyntheticSpec
 
     inline = [args.n, args.p_plus, args.tpr, args.fpr]
     feature_flags = [args.mu_pos, args.mu_neg, args.sigma]
     if args.spec is not None:
         if any(v is not None for v in inline + feature_flags):
             raise CliUsageError("--spec cannot be combined with inline generator flags")
-        spec = SyntheticSpec.load(args.spec)
-        if spec.n < 1:
+        payload = SyntheticSpec.load(args.spec).to_json_dict()
+        if payload["n"] < 1:
             raise ValueError(f"{args.spec}: key 'n' must be an integer of at least 1")
     elif any(v is None for v in inline):
         raise CliUsageError("either --spec or all of --n/--p-plus/--tpr/--fpr are required")
@@ -439,25 +437,18 @@ def _resolve_spec(args) -> SyntheticSpec:
         raise CliUsageError("--n must be at least 1")
     elif any(v is None for v in feature_flags) and any(v is not None for v in feature_flags):
         raise CliUsageError("--mu-pos, --mu-neg, and --sigma must be given together")
+    else:
+        payload = {"p_plus": args.p_plus, "tpr": args.tpr, "fpr": args.fpr, "n": args.n,
+                   "seed": SyntheticSpec.seed}
+        if args.sigma is not None:
+            payload["feature_spec"] = {"mu_pos": args.mu_pos, "mu_neg": args.mu_neg,
+                                       "sigma": args.sigma}
+    if args.seed is not None:
+        payload["seed"] = args.seed
     try:
-        if args.spec is None:
-            feature_spec = None
-            if args.sigma is not None:
-                feature_spec = FeatureSpec(
-                    mu_pos=tuple(args.mu_pos), mu_neg=tuple(args.mu_neg), sigma=args.sigma
-                )
-            spec = SyntheticSpec(
-                p_plus=args.p_plus,
-                tpr=tuple(args.tpr),
-                fpr=tuple(args.fpr),
-                n=args.n,
-                feature_spec=feature_spec,
-            )
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+        return SyntheticSpec.from_json_dict(payload)
     except ValueError as err:
         raise CliUsageError(str(err)) from None
-    return spec
 
 
 def cmd_synth(args) -> int:

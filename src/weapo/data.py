@@ -443,7 +443,6 @@ class _Columns:
                     np.fromiter(row, dtype, count=width)
                 except OverflowError:
                     self.fail(i, message)
-            raise
         return flat.reshape(len(rows), width)
 
 

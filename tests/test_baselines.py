@@ -373,6 +373,8 @@ class TestTripletMethod:
                 fs_fit(signed, Prior(0.5), eps_clip=eps_clip)
         with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
             fs_fit(np.array([[0, 1, 1]]), Prior(0.5))
+        with pytest.raises(ValueError, match="^moments must be a square matrix$"):
+            fs_fit_from_moments(np.ones((3, 4)), Prior(0.5))
 
     def test_no_admissible_triplet_rejected(self):
         with pytest.raises(ValueError, match="no admissible triplet"):

@@ -166,6 +166,44 @@ class TestSynthCommand:
         assert out.read_bytes() == reference.read_bytes()
 
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["default-seed", "seed"])
+    @pytest.mark.parametrize("features", [False, True], ids=["votes", "features"])
+    def test_inline_flags_write_what_the_same_spec_file_writes(self, tmp_path, features, seed):
+        """Inline flags and ``--spec`` on a file of the same spec write the
+        same dataset and oracle bytes, with and without features and
+        ``--seed``; the file holds the default seed, 0."""
+        spec = {"p_plus": 0.3, "tpr": [0.9, 0.6, 0.55], "fpr": [0.1, 0.2, 0.05], "n": 300,
+                "seed": 0}
+        flags = ["--n", "300", "--p-plus", "0.3", "--tpr", "0.9,0.6,0.55",
+                 "--fpr", "0.1,0.2,0.05"]
+        if features:
+            spec["feature_spec"] = {"mu_pos": [1.5, -0.5], "mu_neg": [-1.0, 0.25], "sigma": 0.75}
+            flags += ["--mu-pos=1.5,-0.5", "--mu-neg=-1.0,0.25", "--sigma", "0.75"]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        inline, from_file = tmp_path / "inline.jsonl", tmp_path / "file.jsonl"
+        assert main(["synth", "--out", str(inline), *flags, *seed, "--quiet"]) == 0
+        assert main(["synth", "--out", str(from_file), "--spec", str(spec_path), *seed,
+                     "--quiet"]) == 0
+        for suffix in ("", ".oracle.json"):
+            assert (Path(f"{inline}{suffix}").read_bytes()
+                    == Path(f"{from_file}{suffix}").read_bytes())
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param("a,b", "not a comma-separated float list: 'a,b'", id="not-floats"),
+            pytest.param(",", "empty list", id="empty"),
+        ],
+    )
+    def test_bad_float_list_is_usage_error(self, tmp_path, capsys, value, message):
+        out = tmp_path / "x.jsonl"
+        argv = ["synth", "--out", str(out), "--n", "10", "--p-plus", "0.5",
+                f"--tpr={value}", "--fpr", "0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --tpr: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -208,6 +246,11 @@ class TestSynthCommand:
             pytest.param(
                 '{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": 0, "m": 1}',
                 "unknown spec key 'm'", id="unknown-key",
+            ),
+            pytest.param(
+                '{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": 0, '
+                '"feature_spec": {"mu_pos": [], "mu_neg": [], "sigma": 1}}',
+                "feature dimension must be at least 1", id="no-feature-dimension",
             ),
         ],
     )
@@ -497,6 +540,15 @@ class TestFitCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no records" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_file_without_records_or_meta_line_is_data_error(self, tmp_path, capsys, text):
+        train = tmp_path / "empty.jsonl"
+        train.write_text(text, encoding="utf-8")
+        code = main(["fit", str(train), "--model", "mv", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {train}: no records and no meta line\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_meta_line_without_num_lfs_is_named(self, tmp_path, capsys):

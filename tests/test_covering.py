@@ -127,6 +127,10 @@ class TestHasseEdges:
             tracemalloc.stop()
         assert peak <= 10.5 * len(vecs) ** 2
 
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"^vote vectors have mixed lengths: \[2, 3\]$"):
+            hasse_edges([(1, 0), (1, 1, 0)])
+
     def test_pattern_limit(self, monkeypatch):
         """K at the limit is reduced; one more is refused with K and the
         limit named. The limit keeps the path counts exact in float32."""
@@ -182,6 +186,12 @@ class TestConstraintMatrix:
         table = build_slices(ds)
         with pytest.raises(ValueError, match="has no slice"):
             constraint_matrix(table, [HasseEdge(low=(0, 1), high=(1, 1))])
+
+    def test_apply_refuses_scores_of_another_length(self):
+        ds = make_dataset([(1, 1), (1, 0), (0, 0)])
+        cm = constraint_matrix(build_slices(ds), [HasseEdge(low=(1, 0), high=(1, 1))])
+        with pytest.raises(ValueError, match=r"^scores must have shape \(3,\), got \(2,\)$"):
+            cm.apply(np.zeros(2))
 
     def test_empty_edges_vacuous(self):
         ds = make_dataset([(1, 0)])

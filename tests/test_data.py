@@ -213,6 +213,11 @@ class TestColumns:
         np.testing.assert_array_equal(pats.inverse, [1, 0, 1])
         np.testing.assert_array_equal(pats.pos + pats.neg, [0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)], ids=["no-rows", "no-columns", "1-d"])
+    def test_vote_patterns_refuses_an_empty_or_flat_array(self, shape):
+        with pytest.raises(ValueError, match=r"^signed votes must be a non-empty \(N, M\) array$"):
+            data.vote_patterns(np.ones(shape, dtype=np.int8))
+
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 64, 65, 100])
     @pytest.mark.parametrize("signed", [False, True], ids=["01", "signed"])
     def test_integer_keys_match_void_keys_bitwise(self, m, signed):
@@ -364,6 +369,7 @@ class TestPersistence:
             ('{"meta":{"num_lfs":2,"names":["a","b"]}}', "unknown meta key 'names'"),
             ('{"meta":{"num_lfs":true}}', "meta num_lfs must be a positive integer"),
             ('{"meta":{"num_lfs":2},"id":"x"}', "the meta line holds only the meta key"),
+            ('{"meta":5}', "meta must be an object"),
         ):
             path.write_text(meta + '\n{"id":"r","votes":[1,0]}\n')
             with pytest.raises(

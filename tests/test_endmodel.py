@@ -676,6 +676,14 @@ class TestExtremeNumbers:
             fit_krr(x, np.random.default_rng(7).normal(size=300), alpha=0.0)
         assert "distinct" not in str(err.value)
 
+    def test_residual_above_the_bound_is_refused(self):
+        """Three points 1e-3 apart factor at alpha 0, but the refined solve's
+        residual stays above the bound: the last check refuses it."""
+        with pytest.raises(ValueError, match=r"^kernel solve residual \S+ too large; the system "
+                                             r"is numerically singular; use alpha > 0$"):
+            fit_krr(np.array([[0.0], [1e-3], [2e-3]]), np.array([1.0, -1.0, 0.5]),
+                    gamma=1.0, alpha=0.0)
+
 
 class TestChunkedPrediction:
     @pytest.fixture

@@ -78,6 +78,11 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="finite"):
             roc_auc([np.nan, 0.2], [1, -1])
 
+    def test_misaligned_inputs_rejected(self):
+        message = "scores and labels must be 1-D arrays of equal length"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            roc_auc([0.1, 0.2, 0.3], [1, -1])
+
 
 class TestPrAuc:
     def test_perfect_separation(self):

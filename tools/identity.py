@@ -12,9 +12,12 @@ wide-m16 and end-krr with seeds 1 and 7. ``--small`` draws each workload
 at a few hundred records with seed 1 only, which takes seconds. On every
 input set both trees run the same commands:
 
-* ``synth --spec``;
-* ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs, and of
-  weapo at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``;
+* ``synth --spec``, and ``synth`` of the same spec given as inline flags
+  in the ``--flag=value`` form;
+* ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs; of weapo
+  at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``; of ds
+  at ``--max-iters 300 --tol 1e-8 --smoothing 0.5``; and of fs at
+  ``--eps-clip 1e-3``;
 * ``fit`` and ``eval`` of weapo at ``--lambda-reg 0`` with a prior inside
   its band: the midpoint of the train votes' mean firing rate and their
   largest one;
@@ -79,6 +82,8 @@ PRIOR_MODELS = ("weapo", "ds", "fs")
 FITS = [(model, model, []) for model in MODELS] + [
     ("weapo-lam0", "weapo", ["--lambda-reg", "0"]),
     ("weapo-lam3", "weapo", ["--lambda-reg", "3", "--prior-weight", "3"]),
+    ("ds-flags", "ds", ["--max-iters", "300", "--tol", "1e-8", "--smoothing", "0.5"]),
+    ("fs-clip", "fs", ["--eps-clip", "1e-3"]),
     ("weapo-inband", "weapo", ["--lambda-reg", "0"]),
 ]
 SEEDS = (1, 7)
@@ -126,11 +131,23 @@ json.dump(logs, sys.__stdout__)
 """
 
 
-def commands(prior: float, inside: float) -> list[tuple[str, list[str]]]:
+def inline_flags(spec: dict) -> list[str]:
+    """``synth``'s inline flags for a spec payload, as ``--flag=value``, so
+    that a list starting with ``-`` is not read as an option."""
+    values = {key: spec[key] for key in ("n", "p_plus", "tpr", "fpr", "seed")}
+    values |= spec.get("feature_spec", {})
+    return [f"--{key.replace('_', '-')}="
+            + (",".join(map(repr, value)) if type(value) is list else repr(value))
+            for key, value in values.items()]
+
+
+def commands(prior: float, inside: float, spec: dict) -> list[tuple[str, list[str]]]:
     """The named commands run on one input set, with paths relative to it;
-    ``inside`` is the prior of ``weapo-inband``."""
+    ``inside`` is the prior of ``weapo-inband`` and ``spec`` the payload of
+    the set's ``synth_spec.json``."""
     flag = ["--prior", repr(prior)]
-    cmds = [("synth", ["synth", "--spec", "in/synth_spec.json", "--out", "out/synth.jsonl"])]
+    cmds = [("synth", ["synth", "--spec", "in/synth_spec.json", "--out", "out/synth.jsonl"]),
+            ("synth-inline", ["synth", *inline_flags(spec), "--out", "out/synth-inline.jsonl"])]
     for name, model, extra in FITS:
         given = ["--prior", repr(inside)] if name == "weapo-inband" else flag
         cmds.append((f"fit-{name}", ["fit", "in/train.jsonl", "--model", model,
@@ -166,9 +183,10 @@ def entry_commands(prior: float) -> list[tuple[str, list[str]]]:
     ]
 
 
-def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float, float]]:
+def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float, float, dict]]:
     """Draw every input set under ``workdir``; map its name to its
-    directory, the prior its commands pass and the in-band prior."""
+    directory, the prior its commands pass, the in-band prior and its
+    synth spec payload."""
     sets = {}
     for workload in WORKLOADS.values():
         if small:
@@ -186,7 +204,9 @@ def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float, flo
                 if not (drawn / target).exists():
                     shutil.copyfile(path, drawn / target)
             rates = inputs.train.votes.mean(axis=0)
-            sets[name] = (drawn, workload.law.p_plus, float(rates.mean() + rates.max()) / 2)
+            spec = json.loads((drawn / "synth_spec.json").read_text(encoding="utf-8"))
+            sets[name] = (drawn, workload.law.p_plus, float(rates.mean() + rates.max()) / 2,
+                          spec)
     return sets
 
 
@@ -194,10 +214,10 @@ def run_tree(src: Path, rundir: Path, sets: dict) -> subprocess.Popen:
     """Start one process that runs every command of every input set with
     the package under ``src``, in a copy of the inputs under ``rundir``."""
     jobs = []
-    for name, (drawn, *priors) in sets.items():
+    for name, (drawn, *params) in sets.items():
         shutil.copytree(drawn, rundir / name / "in")
         (rundir / name / "out").mkdir()
-        jobs += [(str(rundir / name), argv) for _, argv in commands(*priors)]
+        jobs += [(str(rundir / name), argv) for _, argv in commands(*params)]
     (rundir / "jobs.json").write_text(json.dumps(jobs), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen([sys.executable, "-c", RUNNER, str(rundir / "jobs.json")],
@@ -229,7 +249,7 @@ def run_entry_point(src: Path, rundir: Path, sets: dict) -> dict[str, bytes]:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)
     found = {}
-    for name, (_, prior, _) in sets.items():
+    for name, (_, prior, *_) in sets.items():
         if name.endswith(f"-seed{SEEDS[0]}"):
             for command, argv in entry_commands(prior):
                 result = subprocess.run([sys.executable, "-c", ENTRY, *argv],
@@ -248,10 +268,10 @@ def collect(out: str, rundir: Path, sets: dict) -> dict[str, bytes]:
     from its runner's output ``out``."""
     logs = json.loads(out)
     found = {}
-    for name, (_, *priors) in sets.items():
+    for name, (_, *params) in sets.items():
         for path in sorted((rundir / name / "out").rglob("*")):
             found[str(path.relative_to(rundir))] = path.read_bytes()
-        for command, _ in commands(*priors):
+        for command, _ in commands(*params):
             log = logs.pop(0)
             for key in ("stdout", "stderr", "exit"):
                 found[f"{name}/log/{command}.{key}"] = str(log[key]).encode()
