@@ -10,7 +10,7 @@ seeded synthetic benchmarks with closed-form Bayes oracles.
 
 The top level holds the names the README, the demos and the acceptance
 tests use; every other public name is imported from its module, e.g.
-``weapo.endmodel.rbf_kernel``. Loading the package imports no module
+``weapo.endmodel.KRRModel``. Loading the package imports no module
 and so no numpy: each name, and each module as ``weapo.<module>``, is
 imported on its first use.
 """

@@ -69,14 +69,19 @@ class CliUsageError(Exception):
     """Bad flag combination or missing required argument."""
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _comma_list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    """The argparse type of a comma-separated list of ``item`` values, none empty."""
+    def read(text: str) -> list:
+        parts = text.split(",")
+        if "" in (part.strip() for part in parts):
+            raise argparse.ArgumentTypeError(
+                f"empty item in {text!r}" if text.replace(",", "").strip() else "empty list")
+        try:
+            return [item(part) for part in parts]
+        except ValueError:
+            message = f"not a comma-separated {item.__name__} list: {text!r}"
+            raise argparse.ArgumentTypeError(message)
+    return read
 
 
 def _report(args, payload: dict[str, Any], out: str | None, headers: list[str],
@@ -364,9 +369,7 @@ def cmd_compare(args) -> int:
     from .data import load_dataset
     from .metrics import evaluate_patterns
 
-    names = [m for m in args.models.split(",") if m]
-    if not names:
-        raise CliUsageError("--models must name at least one model")
+    names = args.models
     settings = _fit_settings(names, args)
     train = load_dataset(args.train)
     test = load_dataset(args.test)
@@ -537,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fit several models and tabulate test metrics")
     p_cmp.add_argument("train")
     p_cmp.add_argument("test")
-    p_cmp.add_argument("--models", required=True,
+    p_cmp.add_argument("--models", required=True, type=_comma_list(str),
                        help="comma-separated subset of: " + ", ".join(MODEL_NAMES))
     p_cmp.add_argument("--oracle", default=None,
                        help="synthetic spec JSON; adds a Bayes-oracle row")
@@ -550,10 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--spec", default=None, help="generator spec JSON")
     p_synth.add_argument("--n", type=int, default=None)
     p_synth.add_argument("--p-plus", type=float, default=None)
-    p_synth.add_argument("--tpr", type=_float_list, default=None)
-    p_synth.add_argument("--fpr", type=_float_list, default=None)
-    p_synth.add_argument("--mu-pos", type=_float_list, default=None)
-    p_synth.add_argument("--mu-neg", type=_float_list, default=None)
+    p_synth.add_argument("--tpr", type=_comma_list(float), default=None)
+    p_synth.add_argument("--fpr", type=_comma_list(float), default=None)
+    p_synth.add_argument("--mu-pos", type=_comma_list(float), default=None)
+    p_synth.add_argument("--mu-neg", type=_comma_list(float), default=None)
     p_synth.add_argument("--sigma", type=float, default=None)
     p_synth.add_argument("--seed", type=int, default=None)
     p_synth.set_defaults(func=cmd_synth)

@@ -309,7 +309,8 @@ def coverage_mask(dataset: Dataset) -> np.ndarray:
 
 
 def _parse_meta(obj: dict) -> tuple[int | None, Any]:
-    """The declared ``num_lfs`` and unchecked ``lf_names`` of the meta line."""
+    """The declared ``num_lfs`` and the ``lf_names`` of the meta line, which
+    ``Dataset`` checks; a key given as null is a fault, not a key left out."""
     meta = obj["meta"]
     if len(obj) != 1:
         raise DatasetFormatError("line 1: the meta line holds only the meta key")
@@ -318,10 +319,12 @@ def _parse_meta(obj: dict) -> tuple[int | None, Any]:
     if not meta.keys() <= _META_KEYS:
         unknown = sorted(meta.keys() - _META_KEYS)[0]
         raise DatasetFormatError(f"line 1: unknown meta key {unknown!r}")
-    num_lfs = meta.get("num_lfs")
-    if num_lfs is not None and (type(num_lfs) is not int or num_lfs < 1):
+    num_lfs, lf_names = meta.get("num_lfs"), meta.get("lf_names")
+    if "num_lfs" in meta and (type(num_lfs) is not int or num_lfs < 1):
         raise DatasetFormatError("line 1: meta num_lfs must be a positive integer")
-    return num_lfs, meta.get("lf_names")
+    if "lf_names" in meta and lf_names is None:
+        raise DatasetFormatError("line 1: meta lf_names must be a list of strings")
+    return num_lfs, lf_names
 
 
 _raw_decode = json.JSONDecoder().raw_decode

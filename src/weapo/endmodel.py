@@ -10,13 +10,11 @@ model generalizes past coverage because it scores features, not votes.
 Memory: the fit holds only the lower triangle of the symmetric kernel
 system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
 entries, factored in place: each diagonal block holds the inverse of its
-diagonal factor. The panels are float32 (75 MB at N = 6000), or float64
-(150 MB) when the float32 attempt falls short. Their build and each
-refinement pass read the system from one source of float64 row chunks, each
-formed in one buffer that the pass allocates once (1.8 MB at N = 6000).
-``fit_bytes`` prices the float64 panels, the factorization's temporaries and
-that buffer, 154 MB at N = 6000, where ``end`` peaks at 108 MB resident: the
-float32 panels, about 30 MB of interpreter and numpy, 3 MB of BLAS buffers.
+diagonal factor. The panels are float32, or float64 when the float32
+attempt falls short. Their build and each refinement pass read the system
+from one source of float64 row chunks, each formed in one buffer that the
+pass allocates once. ``fit_bytes`` prices the float64 panels, the
+factorization's temporaries and that buffer.
 Before allocating the panels, ``fit_krr`` refuses a fit whose float64 attempt
 needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating system
 reports available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
@@ -75,35 +73,22 @@ class KRRModel:
     alpha: float
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * squared distance) for every row pair. Refuses the
-    features and the ``gamma`` that ``fit_krr`` refuses."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"feature widths differ ({x.shape[1]} vs {y.shape[1]})")
-    _check_features(x)
-    _check_features(y)
-    check_krr_settings(gamma=gamma)
-    return _kernel(x, y, (x * x).sum(axis=1), (y * y).sum(axis=1), gamma)
-
-
 def _kernel_doubles(rows: int, cols: int) -> int:
     """Doubles of a ``_kernel`` buffer for up to ``rows`` x ``cols`` entries and their scratch."""
     return rows * cols + min(rows * cols, max(KERNEL_CHUNK_DOUBLES, cols))
 
 
 def _kernel(x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray,
-            gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``rbf_kernel`` of checked 2-D float64 features and their rows' squared
-    norms ``x_sq`` and ``y_sq``, without the checks, as the head of the flat
-    buffer ``out`` (new if None) of ``_kernel_doubles`` entries, its tail scratch."""
+            gamma: float, out: np.ndarray) -> np.ndarray:
+    """exp(-gamma * squared distance) for every row pair of checked 2-D
+    float64 features, from their rows' squared norms ``x_sq`` and ``y_sq``,
+    as the head of the flat buffer ``out`` of ``_kernel_doubles`` entries,
+    its tail scratch."""
     # ``x @ y.T`` is one call, into the kernel returned, so that numpy uses
     # the symmetric BLAS product when ``x is y``. The rest runs over row
     # chunks in cache, in the plain expression's order and rounding.
     step = max(1, KERNEL_CHUNK_DOUBLES // max(len(y), 1))
     scratch = (min(step, len(x)), len(y))
-    out = np.empty(_kernel_doubles(len(x), len(y))) if out is None else out
     kernel = np.matmul(x, y.T, out=out[: len(x) * len(y)].reshape(len(x), len(y)))
     buffer = out[kernel.size :][: scratch[0] * scratch[1]].reshape(scratch)
     for start in range(0, len(x), step):
@@ -119,19 +104,13 @@ def _kernel(x: np.ndarray, y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray,
     return kernel
 
 
-def default_gamma(features: np.ndarray) -> float:
-    """Median-free bandwidth heuristic: 1 / (F * var(features)).
+def _default_gamma(features: np.ndarray) -> float:
+    """Median-free bandwidth heuristic of checked 2-D float64 features:
+    1 / (F * var(features)), or 1 for constant features.
 
     The variance is taken of the features scaled by a power of two, which
-    is exact, so that the squares it sums cannot overflow. Refuses the
-    features ``rbf_kernel`` refuses and a bandwidth that overflows."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    _check_features(features)
-    return _default_gamma(features)
-
-
-def _default_gamma(features: np.ndarray) -> float:
-    """``default_gamma`` of checked 2-D float64 features, without the checks."""
+    is exact, so that the squares it sums cannot overflow. Refuses a
+    bandwidth that overflows."""
     _, exponent = np.frexp(np.abs(features).max())
     var = float(np.ldexp(np.ldexp(features, -exponent).var(), 2 * exponent))
     if var <= 0.0:
@@ -149,7 +128,7 @@ def _check_features(features: np.ndarray) -> None:
     """Refuse non-finite features and features whose squared distances
     could overflow float64.
 
-    ``rbf_kernel`` forms ``|x|^2 + |y|^2 - 2 x.y``; with every entry at
+    ``_kernel`` forms ``|x|^2 + |y|^2 - 2 x.y``; with every entry at
     most ``sqrt(max / (4 F))`` in magnitude, each term and the squared
     distance stay finite."""
     if not np.isfinite(features).all():
@@ -395,18 +374,15 @@ def fit_krr(
     -----
     The fit holds the lower triangle of the system ``K + alpha * I`` as
     ``BLOCK_ROWS``-row panels, in float32 at most 2 * N * (N +
-    ``BLOCK_ROWS``) bytes (75 MB at N = 6000). When the float32 attempt
-    falls short, the fit frees them and repeats in float64: at most 4 * N
-    * (N + ``BLOCK_ROWS``) bytes (150 MB), plus the factorization's
-    temporaries and each pass's one chunk buffer (``fit_bytes``: 154 MB at
-    N = 6000); at N = 6000 ``end`` peaks at 108 MB resident, 75 of them the
-    float32 panels, the rest interpreter, numpy and BLAS. Before allocating
-    any panel, the fit compares that float64 size with
-    ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable`` in ``/proc/meminfo``
-    and raises ``ValueError`` naming N, the GiB needed and the GiB
-    available when it does not fit. The check is skipped where that file
-    cannot be read, and it does not see a cgroup memory limit, so a
-    container may still be killed below it.
+    ``BLOCK_ROWS``) bytes. When the float32 attempt falls short, the fit
+    frees them and repeats in float64: at most 4 * N * (N + ``BLOCK_ROWS``)
+    bytes, plus the factorization's temporaries and each pass's one chunk
+    buffer (``fit_bytes``). Before allocating any panel, the fit compares
+    that float64 size with ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable``
+    in ``/proc/meminfo`` and raises ``ValueError`` naming N, the GiB needed
+    and the GiB available when it does not fit. The check is skipped where
+    that file cannot be read, and it does not see a cgroup memory limit, so
+    a container may still be killed below it.
 
     Panel i holds block i's rows of the system up to the end of block i,
     zero above its diagonal. A blocked Cholesky factorization
@@ -438,8 +414,7 @@ def fit_krr(
     is. The fit repeats in float64 when alpha overflows float32, when the
     float32 factorization breaks down, or when its result is not accepted.
     A float64 solve that meets DSPOSV's test at once is returned as it
-    stands, accepted or refused as a single solve. At ``alpha = 1`` on
-    spread-out features the float32 attempt takes three residual passes.
+    stands, accepted or refused as a single solve.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)

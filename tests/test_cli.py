@@ -15,13 +15,13 @@ from weapo import (
     Dataset,
     Record,
     SyntheticSpec,
+    fit_krr,
     generate,
     load_dataset,
     save_dataset,
 )
 from weapo.cli import build_parser, main
 from weapo.metrics import UndefinedMetricError, evaluate_label_model
-from weapo.endmodel import default_gamma
 
 
 def write_dataset(path, vote_rows, gold=None, features=None):
@@ -194,6 +194,9 @@ class TestSynthCommand:
         [
             pytest.param("a,b", "not a comma-separated float list: 'a,b'", id="not-floats"),
             pytest.param(",", "empty list", id="empty"),
+            pytest.param("0.5,,0.6", "empty item in '0.5,,0.6'", id="empty-item"),
+            pytest.param("0.5,", "empty item in '0.5,'", id="empty-last-item"),
+            pytest.param(" ,0.5", "empty item in ' ,0.5'", id="blank-first-item"),
         ],
     )
     def test_bad_float_list_is_usage_error(self, tmp_path, capsys, value, message):
@@ -994,7 +997,7 @@ class TestEndCommand:
         assert main(base + ["--out", str(tmp_path / "default.json")]) == 0
         default = read_json(tmp_path / "default.json")
         features = load_dataset(feature_files["train"]).features_matrix
-        assert default["config"]["gamma"] == default_gamma(features)
+        assert default["config"]["gamma"] == fit_krr(features, np.zeros(len(features))).gamma
         assert default["config"]["alpha"] == 1.0
         explicit_flags = ["--gamma", repr(default["config"]["gamma"]), "--alpha", "1.0"]
         out = str(tmp_path / "explicit.json")
@@ -1003,7 +1006,7 @@ class TestEndCommand:
         assert explicit["config"]["gamma"] == default["config"]["gamma"]
         assert explicit["config"]["alpha"] == default["config"]["alpha"]
         assert explicit["result"] == default["result"]
-        assert not hasattr(weapo.cli, "default_gamma")
+        assert not hasattr(weapo.cli, "_default_gamma")
 
     @pytest.mark.parametrize(
         "flags", [["--gamma", "nan"], ["--alpha", "inf"], ["--uncovered-target", "nan"]]
@@ -1342,6 +1345,19 @@ class TestCompareCommand:
         )
         assert code == 2
         assert "--models" in capsys.readouterr().err
+
+    def test_empty_item_in_model_list_is_usage_error(self, informative_files, tmp_path,
+                                                     capsys):
+        """An empty name is refused, not dropped from the rows."""
+        out = tmp_path / "cmp.json"
+        code = main(
+            ["compare", informative_files["train"], informative_files["test"],
+             "--models", "mv,,ds", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --models: empty item in 'mv,,ds'\n")
+        assert not out.exists()
 
     def test_unknown_model_is_usage_error(self, informative_files):
         code = main(

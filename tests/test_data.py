@@ -166,6 +166,7 @@ class TestColumns:
             gold=np.array([1, 0]),
         )
         assert a == same and not a != same
+        assert (a == "x") is False and a != object()
         for other in (
             Dataset(ids=("a", "c"), votes_matrix=a.votes_matrix,
                     features_matrix=a.features_matrix, gold=a.gold),
@@ -370,12 +371,16 @@ class TestPersistence:
             ('{"meta":{"num_lfs":true}}', "meta num_lfs must be a positive integer"),
             ('{"meta":{"num_lfs":2},"id":"x"}', "the meta line holds only the meta key"),
             ('{"meta":5}', "meta must be an object"),
+            ('{"meta":{"num_lfs":null}}', "meta num_lfs must be a positive integer"),
+            ('{"meta":{"num_lfs":2,"lf_names":null}}', "meta lf_names must be a list of strings"),
         ):
             path.write_text(meta + '\n{"id":"r","votes":[1,0]}\n')
             with pytest.raises(
                 DatasetFormatError, match=f"^{re.escape(str(path))}: line 1: {message}"
             ):
                 load_dataset(str(path))
+            with pytest.raises(DatasetFormatError, match=f"^line 1: {message}"):
+                load_dataset_per_line(str(path))
 
     @pytest.mark.parametrize("names", ['"ab"', '["a",2]'], ids=["string", "non-string"])
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "spaced"])

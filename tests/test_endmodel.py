@@ -31,10 +31,14 @@ from weapo.endmodel import (
     INVERSE_BASE_ROWS,
     KERNEL_CHUNK_DOUBLES,
     MEMORY_BUDGET_FRACTION,
-    default_gamma,
     fit_bytes,
-    rbf_kernel,
 )
+
+
+def kernel(x, y, gamma):
+    """``_kernel`` of 2-D float64 features, in a buffer of ``_kernel_doubles`` entries."""
+    out = np.empty(weapo.endmodel._kernel_doubles(len(x), len(y)))
+    return weapo.endmodel._kernel(x, y, (x * x).sum(axis=1), (y * y).sum(axis=1), gamma, out)
 
 
 def record_precisions(monkeypatch):
@@ -80,20 +84,16 @@ class TestMakeTargets:
 class TestRbfKernel:
     def test_unit_diagonal(self):
         x = np.random.default_rng(0).normal(size=(10, 3))
-        np.testing.assert_allclose(np.diag(rbf_kernel(x, x, 0.5)), 1.0, atol=1e-15)
+        np.testing.assert_allclose(np.diag(kernel(x, x, 0.5)), 1.0, atol=1e-15)
 
     def test_known_entry(self):
-        k = rbf_kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), 0.5)
+        k = kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), 0.5)
         assert k[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_symmetry(self):
         x = np.random.default_rng(1).normal(size=(8, 2))
-        k = rbf_kernel(x, x, 1.3)
+        k = kernel(x, x, 1.3)
         np.testing.assert_allclose(k, k.T, atol=1e-15)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="widths differ"):
-            rbf_kernel(np.zeros((2, 3)), np.zeros((2, 2)), 1.0)
 
     @pytest.mark.parametrize("same", [True, False], ids=["x-is-y", "distinct"])
     def test_in_place_build_matches_three_temporaries_bitwise(self, same):
@@ -102,9 +102,8 @@ class TestRbfKernel:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(301, 4))
         y = x if same else rng.normal(size=(177, 4))
-        kernel = rbf_kernel(x, y, 0.37)
         np.testing.assert_array_equal(
-            kernel, rbf_kernel_three_temporaries(x, y, 0.37), strict=True
+            kernel(x, y, 0.37), rbf_kernel_three_temporaries(x, y, 0.37), strict=True
         )
 
     @pytest.mark.parametrize(
@@ -128,19 +127,18 @@ class TestRbfKernel:
         rng = np.random.default_rng(x_rows + y_rows)
         x = rng.normal(size=(x_rows, 4))
         y = x if same else rng.normal(size=(y_rows, 4))
-        kernel = rbf_kernel(x, y, 0.37)
         np.testing.assert_array_equal(
-            kernel, rbf_kernel_three_temporaries(x, y, 0.37), strict=True
+            kernel(x, y, 0.37), rbf_kernel_three_temporaries(x, y, 0.37), strict=True
         )
 
 
 class TestDefaultGamma:
     def test_inverse_scale(self):
         features = np.array([[0.0, 0.0], [2.0, 2.0]])
-        assert default_gamma(features) == pytest.approx(1.0 / (2 * 1.0))
+        assert fit_krr(features, np.zeros(2)).gamma == pytest.approx(1.0 / (2 * 1.0))
 
     def test_constant_features_fall_back(self):
-        assert default_gamma(np.ones((5, 3))) == 1.0
+        assert fit_krr(np.ones((5, 3)), np.zeros(5)).gamma == 1.0
 
 
 class TestFitKrr:
@@ -601,7 +599,7 @@ class TestExtremeNumbers:
     def test_default_gamma_of_huge_features_is_finite(self):
         """The squares var sums would overflow, though the variance does not."""
         x = np.random.default_rng(4).uniform(-4e153, 4e153, size=(1000, 1))
-        gamma = default_gamma(x)
+        gamma = fit_krr(x, np.zeros(1000)).gamma
         assert 0.0 < gamma < math.inf
         assert gamma == pytest.approx(1.0 / float((x / 1e153).var()) * 1e-306, rel=1e-12)
 
@@ -610,50 +608,18 @@ class TestExtremeNumbers:
         with pytest.raises(ValueError, match="default gamma.*overflows.*give gamma"):
             fit_krr(x, np.linspace(0.0, 1.0, 20))
 
-    def test_public_default_gamma_refuses_what_fit_krr_refuses(self):
-        """It once returned inf for the features fit_krr refuses."""
-        x = np.random.default_rng(5).normal(size=(20, 2)) * 1e-160
-        with pytest.raises(ValueError, match="default gamma.*overflows.*give gamma"):
-            default_gamma(x)
-
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan, np.inf])
     def test_kernel_refuses_the_gamma_fit_krr_refuses(self, gamma):
         """A gamma of -1 once gave kernel values of e."""
         x = np.array([[0.0], [1.0]])
-        for fit_or_kernel in (lambda: fit_krr(x, np.array([0.0, 1.0]), gamma=gamma),
-                              lambda: rbf_kernel(x, x, gamma)):
-            with pytest.raises(ValueError, match="gamma must be finite and positive"):
-                fit_or_kernel()
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            fit_krr(x, np.array([0.0, 1.0]), gamma=gamma)
 
     def test_huge_gamma_saturates_the_kernel_to_zero(self):
         x = np.array([[0.0], [1.0], [3.0]])
-        kernel = rbf_kernel(x, x, 1e308)
-        np.testing.assert_array_equal(kernel, np.eye(3))
+        np.testing.assert_array_equal(kernel(x, x, 1e308), np.eye(3))
         model = fit_krr(x, np.array([0.0, 1.0, 0.5]), gamma=1e308, alpha=0.0)
         np.testing.assert_array_equal(model.coefficients, [0.0, 1.0, 0.5])
-
-    @pytest.mark.parametrize("case", ["spread", "equal-rows", "y-only"])
-    def test_kernel_refuses_features_whose_distances_overflow(self, case):
-        """Called directly, as fit_krr's caller would, with fit_krr's message
-        and no RuntimeWarning; two equal rows near 1e200 once gave NaN."""
-        x = {"spread": [[1e200], [-1e200]], "equal-rows": [[1e200], [1e200]],
-             "y-only": [[0.0], [1.0]]}[case]
-        y = [[1e200], [0.0]] if case == "y-only" else x
-        with pytest.raises(ValueError, match="at most .* in magnitude.*overflow float64"):
-            rbf_kernel(np.array(x), np.array(y), 1.0)
-
-    def test_default_gamma_refuses_features_whose_distances_overflow(self):
-        """It once warned of an overflow in ldexp and returned 0.0."""
-        with pytest.raises(ValueError, match="at most .* in magnitude.*overflow float64"):
-            default_gamma(np.array([[1e200], [-1e200]]))
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_kernel_and_gamma_refuse_non_finite_features(self, value):
-        x = np.array([[0.0, 1.0], [value, 2.0]])
-        with pytest.raises(ValueError, match="features must be finite"):
-            rbf_kernel(x, x[:1], 1.0)
-        with pytest.raises(ValueError, match="features must be finite"):
-            default_gamma(x)
 
     def test_features_checked_once_per_public_call(self, monkeypatch):
         """fit_krr and predict_krr check their features once each, not once
@@ -851,7 +817,8 @@ class TestMemory:
         rng = np.random.default_rng(17)
         x, y = rng.normal(size=(256, 4)), rng.normal(size=(6000, 4))
         x_sq, y_sq = (x * x).sum(axis=1), (y * y).sum(axis=1)
-        peak = self.traced_peak(lambda: weapo.endmodel._kernel(x, y, x_sq, y_sq, 0.3))
+        peak = self.traced_peak(lambda: weapo.endmodel._kernel(
+            x, y, x_sq, y_sq, 0.3, np.empty(weapo.endmodel._kernel_doubles(256, 6000))))
         assert peak <= 1.1 * 256 * 6000 * 8
 
 

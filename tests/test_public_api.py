@@ -1,5 +1,6 @@
 """The names ``weapo`` exports and the README code that uses them."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -61,6 +62,19 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from weapo import *", namespace)
     assert PUBLIC_NAMES <= namespace.keys()
+
+
+def test_readme_module_names_exist():
+    """Each name README says is imported from a module is an attribute of
+    the ``weapo.<module>`` its clause names."""
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Other public names are imported from their modules: (.*?)\. ", readme)
+    for clause in sentence.group(1).split("; "):
+        names, module = re.match(r"(.*?) from `weapo\.(\w+)`", clause).groups()
+        listed = re.findall(r"`(\w+)`", names)
+        assert listed
+        for name in listed:
+            assert hasattr(importlib.import_module(f"weapo.{module}"), name), (module, name)
 
 
 def readme_python_blocks():

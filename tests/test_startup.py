@@ -137,10 +137,17 @@ def test_names_resolve_to_their_modules():
 
 def test_submodule_resolves_after_a_bare_import():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import weapo; print(weapo.endmodel.rbf_kernel.__module__)"
+    code = "import weapo; print(weapo.endmodel.fit_krr.__module__)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "weapo.endmodel\n"
+
+
+def test_module_resolves_after_its_attribute_is_dropped(monkeypatch):
+    """``weapo.<module>`` that is not bound on the package is imported by
+    its ``__getattr__``, which returns the module already loaded."""
+    monkeypatch.delattr(weapo, "covering", raising=False)
+    assert weapo.covering is sys.modules["weapo.covering"]
 
 
 def test_unknown_name_is_attribute_error():
