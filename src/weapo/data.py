@@ -345,7 +345,7 @@ def _loads(line: str, lineno: int) -> Any:
 
 
 def _read_values(lines: Iterable[str]) -> tuple[list, list[int]]:
-    """The JSON value of every non-blank line, and the numbers of the blank lines.
+    """The JSON value of every non-blank line, and the number of that line.
 
     Each line costs one ``raw_decode``, whose value is taken when only the
     line end follows it. Any other line (blank, whitespace around the
@@ -354,44 +354,37 @@ def _read_values(lines: Iterable[str]) -> tuple[list, list[int]]:
     raises the error that names the line.
     """
     values: list = []
-    append = values.append
-    blank_lines: list[int] = []
+    linenos: list[int] = []
     decode = _raw_decode
     for lineno, line in enumerate(lines, start=1):
         try:
             value, end = decode(line)
             if line[end:] in _LINE_ENDS:
-                append(value)
+                values.append(value)
+                linenos.append(lineno)
                 continue
         except (ValueError, RecursionError):
             pass
-        if line.isspace():
-            blank_lines.append(lineno)
-        else:
-            append(_loads(line, lineno))
-    return values, blank_lines
+        if not line.isspace():
+            values.append(_loads(line, lineno))
+            linenos.append(lineno)
+    return values, linenos
 
 
 class _Columns:
     """Record objects of one file, checked column by column.
 
     Each check runs over a whole column; only when it fails does a loop
-    look for the first offending record, whose line number it reports.
-    ``objs[i]`` sits on the i-th non-blank line from ``first_line`` on.
+    look for the first offending record, whose line number it reports:
+    ``objs[i]`` sits on line ``linenos[i]``.
     """
 
-    def __init__(self, objs: list, first_line: int, blank_lines: list[int]) -> None:
+    def __init__(self, objs: list, linenos: list[int]) -> None:
         self.objs = objs
-        self.first_line = first_line
-        self.blank_lines = blank_lines
+        self.linenos = linenos
 
     def fail(self, index: int, message: str) -> NoReturn:
-        lineno = self.first_line + index
-        # Blank lines are ascending and none precedes first_line.
-        for blank in self.blank_lines:
-            if blank <= lineno:
-                lineno += 1
-        raise DatasetFormatError(f"line {lineno}: {message}")
+        raise DatasetFormatError(f"line {self.linenos[index]}: {message}")
 
     def check_shape(self) -> None:
         """Every record is a JSON object whose keys are record keys."""
@@ -430,7 +423,7 @@ class _Columns:
         if not set(map(type, rows)) <= {list}:
             self.fail(next(i for i, r in enumerate(rows) if type(r) is not list), message)
         if width is None:
-            width = len(rows[0]) if rows else 0
+            width = len(rows[0])
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         if (lengths != width).any():
             i = int((lengths != width).argmax())
@@ -449,25 +442,23 @@ class _Columns:
         return flat.reshape(len(rows), width)
 
 
-def _dataset_from_values(values: list, blank_lines: list[int]) -> Dataset:
-    """Check the JSON values of a file's non-blank lines and build the dataset."""
+def _dataset_from_values(values: list, linenos: list[int]) -> Dataset:
+    """Build the dataset from the JSON values of a file's non-blank lines,
+    ``values[i]`` on line ``linenos[i]``, once the meta line leaves both."""
     declared_m: int | None = None
     lf_names: Any = None
-    first_line = 1
     if (
-        values
-        and blank_lines[:1] != [1]
+        linenos[:1] == [1]
         and type(values[0]) is dict
         and "meta" in values[0]
     ):
         declared_m, lf_names = _parse_meta(values[0])
-        del values[0]
-        first_line = 2
-    if declared_m is None and not values:
-        if first_line == 2:
+        del values[0], linenos[0]
+        if declared_m is None and not values:
             raise DatasetFormatError("line 1: the meta line lacks num_lfs and no records follow")
+    elif not values:
         raise DatasetFormatError("no records and no meta line")
-    cols = _Columns(values, first_line, blank_lines)
+    cols = _Columns(values, linenos)
     cols.check_shape()
     n = len(values)
     ids = cols.required("id", str, "id must be a string")
@@ -557,9 +548,10 @@ def _canonical_dataset(data: bytes) -> Dataset | None:
         return Dataset(ids=(), votes_matrix=np.empty((0, num_lfs)), lf_names=lf_names)
     ends = np.flatnonzero(body == ord("\n"))
     starts = np.append(0, ends[:-1] + 1)
-    segment = b'","votes":[' + b",".join([b"0"] * num_lfs) + b"]"
-    if (ends - starts < 8 + len(segment)).any():
+    # A line holds at least {"id":", the votes text and }; build that text only then.
+    if (ends - starts < 19 + 2 * num_lfs).any():
         return None
+    segment = b'","votes":[' + b"0," * (num_lfs - 1) + b"0]"
     # A line ends in "}", ',"label":1}' or ',"label":-1}', from closes on.
     labelled = body[ends - 2] == ord("1")
     negative = labelled & (body[ends - 3] == ord("-"))
@@ -610,7 +602,8 @@ def load_dataset(path: str) -> Dataset:
     record or on none) and ``label`` (the integer -1 or 1). Any other key,
     a JSON ``true``/``false`` or ``null`` where a number belongs, and a
     non-integer label are errors. Blank lines and whitespace around a
-    line's object are allowed.
+    line's object are allowed; a line number in a message counts every
+    line, blank lines included.
 
     The file is opened and read once, so ``path`` may be a pipe. A file in
     the canonical layout ``save_dataset`` writes is read column-wise over

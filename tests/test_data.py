@@ -522,24 +522,23 @@ class TestAgainstPerLineOracle:
         '{"id":"c","votes":[1,1]}',
     )
 
-    @pytest.mark.parametrize(
-        "lineno, line",
-        [
-            (3, '{"id":"b","votes":[0,1]}{"id":"x","votes":[0,1]}'),
-            (3, '{"id":"b","votes":[0,1]} {"id":"x","votes":[0,1]}'),
-            (3, '{"id":"b","votes":[0,'),
-            (1, '\ufeff{"meta":{"num_lfs":2}}'),
-            (2, '{"meta":{"num_lfs":2}}'),
-            (3, '{"id":"b","votes":' + "[" * 100_000 + "1" + "]" * 100_000 + "}"),
-            (4, '{"id":"c","votes":[1,true]}'),
-            (4, '[1, 1]'),
-            (4, 'null'),
-            (2, '{"id":"a","votes":[1,0],"label":2}'),
-            (3, '{"id":"b","votes":[0,1],"features":[0.5]}'),
-        ],
-        ids=["two-objects", "two-objects-spaced", "truncated", "bom", "meta-on-line-2",
-             "nested-1e5", "bool-vote", "not-an-object", "null", "label-2", "features-on-one"],
-    )
+    # Each fault line, by name, with the line it replaces or, for a meta
+    # object, goes before.
+    FAULTS = {
+        "two-objects": (3, '{"id":"b","votes":[0,1]}{"id":"x","votes":[0,1]}'),
+        "two-objects-spaced": (3, '{"id":"b","votes":[0,1]} {"id":"x","votes":[0,1]}'),
+        "truncated": (3, '{"id":"b","votes":[0,'),
+        "bom": (1, '\ufeff{"meta":{"num_lfs":2}}'),
+        "meta-on-line-2": (2, '{"meta":{"num_lfs":2}}'),
+        "nested-1e5": (3, '{"id":"b","votes":' + "[" * 100_000 + "1" + "]" * 100_000 + "}"),
+        "bool-vote": (4, '{"id":"c","votes":[1,true]}'),
+        "not-an-object": (4, '[1, 1]'),
+        "null": (4, 'null'),
+        "label-2": (2, '{"id":"a","votes":[1,0],"label":2}'),
+        "features-on-one": (3, '{"id":"b","votes":[0,1],"features":[0.5]}'),
+    }
+
+    @pytest.mark.parametrize("lineno, line", list(FAULTS.values()), ids=list(FAULTS))
     def test_same_line_same_message(self, tmp_path, lineno, line):
         lines = list(self.GOOD)
         if lineno == 2 and line.startswith('{"meta"'):
@@ -551,6 +550,28 @@ class TestAgainstPerLineOracle:
         with pytest.raises(DatasetFormatError) as expected:
             load_dataset_per_line(str(path))
         assert str(expected.value).startswith(f"line {lineno}: ")
+        with pytest.raises(DatasetFormatError) as got:
+            load_dataset(str(path))
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([line for name, (_, line) in FAULTS.items()
+                            if name not in ("bom", "meta-on-line-2", "nested-1e5")]),
+           st.integers(2, len(GOOD)), st.data())
+    def test_fault_after_blank_lines_same_message(self, tmp_path, fault, lineno, data):
+        """A fault on any record line, after blank and whitespace-only
+        lines anywhere past line 1 and with LF or CRLF line ends, is named
+        on the line the per-line oracle names, with the same message."""
+        out = []
+        for number, line in enumerate(self.GOOD, start=1):
+            out.append(fault if number == lineno else line)
+            out.extend(data.draw(st.lists(_layout_spaces, max_size=2)))
+        ends = [data.draw(st.sampled_from(("\n", "\r\n"))) for _ in out]
+        path = tmp_path / "d.jsonl"
+        path.write_bytes("".join(map(str.__add__, out, ends)).encode("utf-8"))
+        with pytest.raises(DatasetFormatError) as expected:
+            load_dataset_per_line(str(path))
         with pytest.raises(DatasetFormatError) as got:
             load_dataset(str(path))
         assert str(got.value) == f"{path}: {expected.value}"
@@ -941,6 +962,22 @@ class TestColumnwiseReader:
             loaded = load_dataset(str(path))
         assert not json_reader.called
         _same_dataset(loaded, load_dataset_per_line(str(path)))
+
+    def test_declared_width_costs_no_memory_before_a_line_holds_it(self, tmp_path):
+        """A two-line file whose meta line declares a million functions is
+        refused in a few KB: the votes text of that width, 2 MB, is built
+        only once every line is long enough to hold it."""
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"meta":{"num_lfs":1000000}}\n{"id":"a","votes":[1]}\n')
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == f"{path}: line 2: record has 1 votes, expected 1000000"
+        assert peak < 2**20
 
     def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
         """The peak of a load, per record of a 2e4-record file with ids like

@@ -21,6 +21,11 @@ input set both trees run the same commands:
 * ``fit`` and ``eval`` of weapo at ``--lambda-reg 0`` with a prior inside
   its band: the midpoint of the train votes' mean firing rate and their
   largest one;
+* ``eval`` of weapo on ``in/test-layout.jsonl``: every line of the test
+  file re-dumped with ``json.dumps``'s default separators, a blank line
+  after the meta line and CRLF line ends. Every other input is in the
+  canonical layout ``save_dataset`` writes, which the JSON reader of
+  ``load_dataset`` never sees, so this one checks that reader;
 * ``compare`` of all five with ``--oracle``;
 * ``end`` with the weapo model, without and with ``--gamma 0.3 --alpha 0.5``;
 * ``fit_krr`` on the end-train features, with the gold labels as targets,
@@ -156,6 +161,8 @@ def commands(prior: float, inside: float, spec: dict) -> list[tuple[str, list[st
     for name, _, _ in FITS:
         cmds.append((f"eval-{name}", ["eval", f"out/fit-{name}.json", "in/test.jsonl",
                                       "--out", f"out/eval-{name}.json"]))
+    cmds.append(("eval-layout", ["eval", "out/fit-weapo.json", "in/test-layout.jsonl",
+                                 "--out", "out/eval-layout.json"]))
     cmds.append(("compare", ["compare", "in/train.jsonl", "in/test.jsonl", "--models",
                              ",".join(MODELS), *flag, "--oracle", "in/oracle_spec.json",
                              "--out", "out/compare.json"]))
@@ -203,6 +210,11 @@ def write_inputs(workdir: Path, small: bool) -> dict[str, tuple[Path, float, flo
                                  (inputs.end_test_path, "end_test.jsonl")):
                 if not (drawn / target).exists():
                     shutil.copyfile(path, drawn / target)
+            # The test file outside the canonical layout, so the JSON reader reads it.
+            lines = (drawn / "test.jsonl").read_text(encoding="utf-8").splitlines()
+            layout = [json.dumps(json.loads(line)) for line in lines]
+            layout.insert(1, "")
+            (drawn / "test-layout.jsonl").write_bytes("\r\n".join(layout + [""]).encode())
             rates = inputs.train.votes.mean(axis=0)
             spec = json.loads((drawn / "synth_spec.json").read_text(encoding="utf-8"))
             sets[name] = (drawn, workload.law.p_plus, float(rates.mean() + rates.max()) / 2,
