@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Prior, VotePatterns, record_scores, vote_patterns
+from .data import Dataset, Prior, VotePatterns, _weighted, record_scores
 from .payload import check_keys, json_object, json_scalars, numbers
 
 SignedVotes = np.ndarray
@@ -58,15 +58,6 @@ def _mv_patterns(patterns: VotePatterns) -> np.ndarray:
 def mv_scores(dataset: Dataset) -> np.ndarray:
     """Majority-vote scores for every record, computed once per vote pattern."""
     return record_scores(_mv_patterns, dataset)
-
-
-def _weighted(votes: Dataset | VotePatterns | SignedVotes) -> tuple[VotePatterns, float]:
-    """The table a fit reads and its total weight ``n``, which must be positive."""
-    pats = vote_patterns(votes)
-    n = float(pats.weights.sum())
-    if not n > 0.0:
-        raise ValueError("dataset has no records")
-    return pats, n
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,6 +34,8 @@ VoteVector = tuple[int, ...]
 
 _RECORD_KEYS = frozenset(("id", "votes", "features", "label"))
 _META_KEYS = frozenset(("num_lfs", "lf_names"))
+# The most 8-byte cells one numpy array holds: 2**60 - 1 on 64-bit hosts.
+MAX_CELLS = int(np.iinfo(np.intp).max) // 8
 
 
 class DatasetFormatError(ValueError):
@@ -84,13 +86,13 @@ def compress_votes(votes: np.ndarray, gold: np.ndarray | None = None) -> VotePat
     fired; ``gold`` (+1, -1 or 0 per record) fills ``pos`` and ``neg``.
 
     Each row is packed to bits and keyed as big-endian unsigned integers:
-    one word of 1, 2, 4 or 8 bytes, or 8-byte words past M = 64. One
-    ``np.lexsort`` of the keys, first word first, sorts them in key order.
+    one word of 1, 2, 4 or 8 bytes (zero at M = 0), or 8-byte words past
+    M = 64. One ``np.lexsort``, first word first, sorts the keys in key order.
     """
     bits = np.asarray(votes) > 0
     nbytes = -(-bits.shape[1] // 8)
     word = min(8, 1 << (nbytes - 1).bit_length())
-    packed = np.zeros((len(bits), -(-nbytes // word) * word), dtype=np.uint8)
+    packed = np.zeros((len(bits), max(-(-nbytes // word), 1) * word), dtype=np.uint8)
     packed[:, :nbytes] = np.packbits(bits, axis=1)
     keys = packed.view(f">u{word}")
     order = np.lexsort(keys.T[::-1])
@@ -292,6 +294,16 @@ def vote_patterns(votes: Dataset | VotePatterns | np.ndarray) -> VotePatterns:
     return compress_votes(signed)
 
 
+def _weighted(votes: Dataset | VotePatterns | np.ndarray) -> tuple[VotePatterns, float]:
+    """The table a fit reads and its total weight ``n``, which must be positive and finite."""
+    pats = vote_patterns(votes)
+    n = float(pats.weights.sum())
+    if not 0.0 < n < np.inf:
+        raise ValueError("dataset has no records" if n == 0.0 else
+                         f"vote table total weight must be positive and finite, got {n!r}")
+    return pats, n
+
+
 def record_scores(
     score: Callable[[VotePatterns], np.ndarray], votes: Dataset | VotePatterns | np.ndarray
 ) -> np.ndarray:
@@ -320,8 +332,9 @@ def _parse_meta(obj: dict) -> tuple[int | None, Any]:
         unknown = sorted(meta.keys() - _META_KEYS)[0]
         raise DatasetFormatError(f"line 1: unknown meta key {unknown!r}")
     num_lfs, lf_names = meta.get("num_lfs"), meta.get("lf_names")
-    if "num_lfs" in meta and (type(num_lfs) is not int or num_lfs < 1):
-        raise DatasetFormatError("line 1: meta num_lfs must be a positive integer")
+    if "num_lfs" in meta and (type(num_lfs) is not int or not 0 < num_lfs <= MAX_CELLS):
+        raise DatasetFormatError(
+            f"line 1: meta num_lfs must be a positive integer of at most {MAX_CELLS}")
     if "lf_names" in meta and lf_names is None:
         raise DatasetFormatError("line 1: meta lf_names must be a list of strings")
     return num_lfs, lf_names
@@ -466,15 +479,14 @@ def _dataset_from_values(values: list, linenos: list[int]) -> Dataset:
     votes = cols.matrix(vote_rows, declared_m, {int}, np.int8, "votes")
     labelled, labels = cols.optional("label")
     gold = np.zeros(n, dtype=np.int8)
-    if labels:
-        where = np.flatnonzero(labelled)
-        if not set(map(type, labels)) <= {int}:
-            cols.fail(where[next(i for i, g in enumerate(labels) if type(g) is not int)],
-                      "label must be the integer -1 or 1")
-        if not set(labels) <= {-1, 1}:
-            cols.fail(where[next(i for i, g in enumerate(labels) if g not in (-1, 1))],
-                      "label must be the integer -1 or 1")
-        gold[labelled] = labels
+    where = np.flatnonzero(labelled)
+    if not set(map(type, labels)) <= {int}:
+        cols.fail(where[next(i for i, g in enumerate(labels) if type(g) is not int)],
+                  "label must be the integer -1 or 1")
+    if not set(labels) <= {-1, 1}:
+        cols.fail(where[next(i for i, g in enumerate(labels) if g not in (-1, 1))],
+                  "label must be the integer -1 or 1")
+    gold[labelled] = labels
     featured, feature_rows = cols.optional("features")
     features = None
     if feature_rows:

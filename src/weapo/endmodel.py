@@ -306,12 +306,10 @@ def _system_product(
 
 
 def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """``_substitute`` in the panels' precision, for a float64 ``rhs``. A
-    float32 solve is scaled by the power of two that brings the largest
-    entry of ``rhs`` into [0.5, 1), so that neither large targets nor
-    small residuals leave float32's range."""
-    if panels[0].dtype == np.float64:
-        return _substitute(panels, rhs)
+    """``_substitute`` in the panels' precision, for a float64 ``rhs``
+    scaled by the power of two that brings its largest entry into [0.5,
+    1): exact in float64 but for subnormals, and neither large targets
+    nor small residuals leave float32's range in float32 panels."""
     _, exponent = np.frexp(np.abs(rhs).max())
     scaled = np.ldexp(rhs, -exponent).astype(panels[0].dtype)
     return np.ldexp(_substitute(panels, scaled).astype(np.float64), exponent)
@@ -403,9 +401,9 @@ def fit_krr(
     ``_CHUNK_ROWS``, rounded, so the float32 system is exactly the float64
     one rounded. After the first solve, each pass forms the residual
     ``r = targets - (K + alpha * I) x`` in float64 from the same chunks
-    and adds the factored solve of r; a float32 solve first scales its
-    right-hand side by a power of two, so that neither targets near the
-    limit above nor small residuals leave float32's range. Refinement
+    and adds the factored solve of r; every factored solve scales its
+    right-hand side by a power of two, exact in float64, so that neither
+    large targets nor small residuals leave float32's range. Refinement
     stops when ``|r| <= sqrt(N) * (N + alpha) * eps * |x|`` in the
     infinity norm, DSPOSV's test, or at the first pass that shrinks the
     residual less than 4-fold, and keeps the x of the smallest residual. A

@@ -23,7 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Prior, VotePatterns, coverage_mask, record_scores, vote_patterns
+from .data import (Dataset, Prior, VotePatterns, _weighted, coverage_mask, record_scores,
+                   vote_patterns)
 from .payload import check_keys, json_object, json_scalars, numbers
 
 
@@ -119,9 +120,10 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
 
 def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.ndarray, float]:
     """All that the fit reads of its data and settings: the weighted mean
-    ``a`` of the table's rows and the ratio ``w/lambda`` (``inf`` at
-    ``lambda`` = 0)."""
-    mean_votes = (table.weights @ table.rows) / table.weights.sum()
+    ``a`` of the rows of the table, read through ``data._weighted``, and
+    the ratio ``w/lambda`` (``inf`` at ``lambda`` = 0)."""
+    table, n = _weighted(table)
+    mean_votes = (table.weights @ table.rows) / n
     lam = float(cfg.lambda_reg)
     return mean_votes, float(cfg.prior_weight) / lam if lam else math.inf
 
@@ -207,7 +209,7 @@ def _closed_form(a: np.ndarray, p: float, ratio: float) -> tuple[np.ndarray, int
         return face / face.sum(), 0
     t, k, mean = piece
     theta = np.maximum(1.0 / k + t * (mean - side * a), 0.0)
-    if abs(float(theta.sum()) - 1.0) > 1e-9:
+    if not abs(float(theta.sum()) - 1.0) <= 1e-9:
         raise ValueError(f"weapo theta sums to {float(theta.sum())!r}, not 1: firing rates "
                          "within about 1e-9 of each other; use a larger lambda_reg")
     return theta, 1
@@ -223,7 +225,8 @@ def fit(
     Parameters
     ----------
     dataset : Dataset or VotePatterns
-        Must contain at least one covered record. Gold labels are ignored.
+        Must contain at least one covered record; its vote table's total
+        weight must be positive and finite. Gold labels are ignored.
     prior : Prior, optional
         Required when ``config.use_prior`` is set.
     config : WeapoConfig, optional

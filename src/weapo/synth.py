@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, VotePatterns, VoteVector, compress_votes, record_scores
+from .data import MAX_CELLS, Dataset, VotePatterns, VoteVector, compress_votes, record_scores
 from .payload import check_keys, integer, numbers, read_json
 
 BLOCK_SIZE = 4096
@@ -63,7 +63,7 @@ class SyntheticSpec:
 
     ``tpr[j]`` is P(vote_j = 1 | y = +1) and ``fpr[j]`` is
     P(vote_j = 1 | y = -1). All probabilities live in [0, 1]; the class
-    prior is strictly interior.
+    prior is strictly interior, and ``n`` at most ``MAX_CELLS // max(M, F)``.
     """
 
     p_plus: float
@@ -87,6 +87,9 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+        width = max(self.num_lfs, self.feature_spec.dim if self.feature_spec else 0)
+        if self.n > MAX_CELLS // width:
+            raise ValueError(f"n must be at most {MAX_CELLS // width} at max(M, F) = {width}")
 
     @property
     def num_lfs(self) -> int:
@@ -189,19 +192,15 @@ class OracleTable:
     The generating law is a naive-Bayes model with prior ``p_plus`` and
     fire rates ``tpr`` and ``fpr``, so ``pattern_scores`` scores through
     the naive-Bayes scorer that Dawid-Skene and the triplet method share;
-    it checks the width and names a vote vector of zero probability.
-    ``posterior`` scores one vector as a one-row array.
+    it refuses another width (``votes have 2 columns, model expects 3``)
+    and names a vote vector of zero probability, for ``posterior`` too.
     """
 
     spec: SyntheticSpec
 
     def posterior(self, votes: VoteVector) -> float:
-        """The posterior of one 0/1 vote vector."""
+        """The posterior of one 0/1 vote vector, scored as a one-row table."""
         row = np.asarray(votes).reshape(1, -1)
-        if row.shape[1] != self.spec.num_lfs:
-            raise ValueError(
-                f"vote vector has length {row.shape[1]}, spec has {self.spec.num_lfs}"
-            )
         if not np.isin(row, (0, 1)).all():
             votes = tuple(row[0].tolist())
             raise ValueError(f"vote vector {votes} holds a value other than 0 or 1")

@@ -501,8 +501,10 @@ def _per_line_meta(obj: dict, lineno: int) -> tuple[int | None, tuple[str, ...] 
         unknown = sorted(meta.keys() - _PER_LINE_META_KEYS)[0]
         raise DatasetFormatError(f"line {lineno}: unknown meta key {unknown!r}")
     num_lfs = meta.get("num_lfs")
-    if "num_lfs" in meta and (type(num_lfs) is not int or num_lfs < 1):
-        raise DatasetFormatError(f"line {lineno}: meta num_lfs must be a positive integer")
+    most = int(np.iinfo(np.intp).max) // 8
+    if "num_lfs" in meta and (type(num_lfs) is not int or not 1 <= num_lfs <= most):
+        raise DatasetFormatError(
+            f"line {lineno}: meta num_lfs must be a positive integer of at most {most}")
     names = meta.get("lf_names")
     if "lf_names" in meta:
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):

@@ -21,6 +21,7 @@ from weapo import (
     save_dataset,
 )
 from weapo.cli import build_parser, main
+from weapo.data import MAX_CELLS
 from weapo.metrics import UndefinedMetricError, evaluate_label_model
 
 
@@ -216,6 +217,9 @@ class TestSynthCommand:
                          "mu_pos and mu_neg must have the same dimension", id="mu-width"),
             pytest.param(["--mu-pos", "1", "--mu-neg", "1", "--sigma", "nan"],
                          "sigma must be finite and positive", id="sigma-nan"),
+            pytest.param(["--n", "20000000000000000000"],
+                         f"n must be at most {MAX_CELLS} at max(M, F) = 1",
+                         id="n-beyond-numpy"),
         ],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -244,6 +248,9 @@ class TestSynthCommand:
                          "'n'", id="float-n"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 0, "seed": 0}',
                          "key 'n' must be an integer of at least 1", id="zero-n"),
+            pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 100000000000000000000, '
+                         '"seed": 0}', f"n must be at most {MAX_CELLS} at max(M, F) = 1",
+                         id="n-beyond-numpy"),
             pytest.param('{"p_plus": 0.5, "tpr": [0.9], "fpr": [0.1], "n": 10, "seed": true}',
                          "'seed'", id="bool-seed"),
             pytest.param(

@@ -382,6 +382,25 @@ class TestPersistence:
             with pytest.raises(DatasetFormatError, match=f"^line 1: {message}"):
                 load_dataset_per_line(str(path))
 
+    @pytest.mark.parametrize("tail", ["\n", "\n\n"], ids=["only-line", "blank-line-after"])
+    def test_meta_num_lfs_beyond_numpy_arrays_refused_at_line_1(self, tmp_path, tail):
+        """A meta line may declare at most ``MAX_CELLS`` functions, the width
+        of a float64 array numpy holds: more is refused by name at line 1,
+        by the loader and the per-line oracle alike, whether the file is
+        only the meta line or has a blank line after it."""
+        path = tmp_path / "d.jsonl"
+        message = f"line 1: meta num_lfs must be a positive integer of at most {data.MAX_CELLS}"
+        for num_lfs in (10**30, 2**63, data.MAX_CELLS + 1):
+            path.write_text('{"meta":{"num_lfs":%d}}%s' % (num_lfs, tail))
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(str(path))
+            assert str(got.value) == f"{path}: {message}"
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset_per_line(str(path))
+            assert str(got.value) == message
+        path.write_text('{"meta":{"num_lfs":%d}}%s' % (data.MAX_CELLS, tail))
+        assert load_dataset(str(path)).num_lfs == data.MAX_CELLS
+
     @pytest.mark.parametrize("names", ['"ab"', '["a",2]'], ids=["string", "non-string"])
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "spaced"])
     def test_meta_lf_names_refused_by_dataset(self, tmp_path, names, canonical):

@@ -421,6 +421,23 @@ class TestFitKrr:
         expected = weapo.endmodel._substitute(panels, t)
         np.testing.assert_array_equal(model.coefficients, expected, strict=True)
 
+    @pytest.mark.parametrize("power", [-700, -64, 0, 64, 700])
+    def test_float64_factored_solve_is_the_substitution_bitwise(self, power):
+        """The factored solve scales its right-hand side by a power of two,
+        which is exact in float64: on the float64 panels of a 300-row system
+        (two blocks) it equals the plain substitution bit for bit, for
+        right-hand sides of magnitude 2**-700 to 2**700."""
+        rng = np.random.default_rng(300)
+        n = 300
+        x = rng.normal(size=(n, 3))
+        panels = weapo.endmodel._ridge_panels(x, 0.4, 1e-4, np.float64)
+        assert len(panels) == 2
+        weapo.endmodel._factor_panels(panels)
+        rhs = np.ldexp(rng.normal(size=n), power)
+        expected = weapo.endmodel._substitute(panels, rhs)
+        got = weapo.endmodel._solve_factored(panels, rhs)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("scaled", [1, 2], ids=["first-correction", "second-correction"])
     def test_refinement_keeps_the_iterate_before_a_growing_residual(self, monkeypatch, scaled):
         """A float32 correction tripled overshoots, so the residual grows:

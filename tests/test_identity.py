@@ -38,6 +38,10 @@ def test_tree_against_itself_is_identical():
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["failed_in_head"] == summary["newly_failed"] == []
     assert summary["src_lines"]["base"] == summary["src_lines"]["head"] > 0
+    by_module = summary["src_lines_by_module"]
+    assert by_module["base"] == by_module["head"] and "cli.py" in by_module["head"]
+    for side in ("base", "head"):
+        assert sum(by_module[side].values()) == summary["src_lines"][side]
 
 
 def test_one_changed_output_digit_is_caught(tmp_path):
@@ -88,7 +92,8 @@ def test_theta_max_abs_diff_reads_only_theta_lists_of_one_length():
 
 def test_a_command_that_fails_only_in_the_checked_tree_is_newly_failed(tmp_path):
     """A copied repo whose ``cmd_end`` raises, checked against this tree,
-    lists both end commands of every input set as newly failed."""
+    lists both end commands of every input set as newly failed, and its
+    one added line in ``cli.py`` and no other module."""
     ignore = shutil.ignore_patterns("__pycache__")
     for part in ("src", "tools", "perfbench", "demos"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
@@ -105,3 +110,7 @@ def test_a_command_that_fails_only_in_the_checked_tree_is_newly_failed(tmp_path)
     assert summary["newly_failed"] == summary["failed_in_head"]
     assert sorted(summary["newly_failed"]) == expected
     assert summary["src_lines"]["head"] == summary["src_lines"]["base"] + 1
+    base, head = summary["src_lines_by_module"]["base"], summary["src_lines_by_module"]["head"]
+    assert base.keys() == head.keys()
+    assert {name: head[name] - base[name] for name in head if head[name] != base[name]} == {
+        "cli.py": 1}

@@ -26,6 +26,7 @@ from weapo import (
     roc_auc,
     save_dataset,
 )
+from weapo.data import MAX_CELLS
 from weapo.synth import BLOCK_SIZE
 
 
@@ -91,6 +92,23 @@ class TestGenerate:
         ds = generate(spec_3lf(n=0))
         assert len(ds) == 0
 
+    @pytest.mark.parametrize("m, dim", [(8, None), (2, 16)], ids=["votes", "features"])
+    def test_n_beyond_numpy_arrays_is_refused_by_name(self, m, dim):
+        """``n`` may be at most ``MAX_CELLS // max(M, F)``, so that no array
+        of ``generate`` passes numpy's size limit: one more record is refused
+        by the spec, naming n, and at the bound ``generate`` runs out of
+        memory rather than into numpy's own limit."""
+        features = None if dim is None else FeatureSpec((0.0,) * dim, (1.0,) * dim, 1.0)
+        law = dict(p_plus=0.3, tpr=(0.5,) * m, fpr=(0.1,) * m, feature_spec=features)
+        width = max(m, dim or 0)
+        most = MAX_CELLS // width
+        for n in (most + 1, 2**62):
+            with pytest.raises(ValueError) as got:
+                SyntheticSpec(n=n, **law)
+            assert str(got.value) == f"n must be at most {most} at max(M, F) = {width}"
+        with pytest.raises(MemoryError):
+            generate(SyntheticSpec(n=most, **law))
+
     def test_whole_blocks_do_not_depend_on_n(self):
         """Each block draws from its own stream, so the complete blocks of a
         short run reappear unchanged in a longer one."""
@@ -140,9 +158,13 @@ class TestOracleTable:
             oracle.posterior((0,))
 
     def test_length_mismatch_rejected(self):
+        """The width check is the shared naive-Bayes scorer's, for an empty
+        vote vector too."""
         oracle = oracle_posteriors(spec_3lf())
-        with pytest.raises(ValueError, match="length"):
-            oracle.posterior((1, 0))
+        for votes in ((1, 0), ()):
+            with pytest.raises(ValueError,
+                               match=f"^votes have {len(votes)} columns, model expects 3$"):
+                oracle.posterior(votes)
 
     def test_non_binary_vote_rejected(self):
         oracle = oracle_posteriors(spec_3lf())

@@ -136,6 +136,29 @@ def test_function_order_permutes_the_converged_dawid_skene_fit(seed):
     assert np.abs(other.confusion - model.confusion[functions]).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "total, message",
+    [
+        (0.0, "dataset has no records"),
+        (np.nan, "vote table total weight must be positive and finite, got nan"),
+        (np.inf, "vote table total weight must be positive and finite, got inf"),
+        (-1.0, "vote table total weight must be positive and finite, got -1.0"),
+    ],
+    ids=["zero", "nan", "inf", "negative"],
+)
+def test_every_fit_refuses_a_table_of_no_positive_finite_weight(total, message):
+    """weapo, ds and fs read their table through one accessor, which refuses
+    a total weight that is not positive and finite with one message for
+    each kind: weapo's mean votes would be NaN, and ds and fs would refuse
+    with a message about something else."""
+    counts = synthetic(0, n=500).patterns
+    weights = np.zeros_like(counts.weights)
+    weights[-1] = total
+    table = dataclasses.replace(counts, weights=weights, inverse=None)
+    assert table.rows.any()
+    assert fitted(table) == {"weapo": message, "ds": message, "fs": message}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_weights_scaled_to_probabilities_fit_and_evaluate_as_counts(seed):
     """A table of counts and the same table with every weight divided by

@@ -55,10 +55,11 @@ Every output file is compared byte for byte, and so are the stdout,
 stderr and exit code of every command. The summary is one JSON object on
 stdout. It also lists the commands and demos that failed on the checked
 tree, those of them that exit 0 on the base tree (``newly_failed``), and
-the lines of ``src/weapo/*.py`` in each tree (``src_lines``), and for
-each differing file that holds a JSON ``theta`` list in both trees, the
-largest absolute difference of its entries (``theta_max_abs_diff``). The
-exit code is 1 when anything differs and 0 otherwise.
+the lines of ``src/weapo/*.py`` in each tree, in all (``src_lines``) and
+by module (``src_lines_by_module``), and for each differing file that
+holds a JSON ``theta`` list in both trees, the largest absolute
+difference of its entries (``theta_max_abs_diff``). The exit code is 1
+when anything differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -270,9 +271,11 @@ def run_entry_point(src: Path, rundir: Path, sets: dict) -> dict[str, bytes]:
     return found
 
 
-def source_lines(src: Path) -> int:
-    """The lines of the package's modules under ``src``, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (src / "weapo").glob("*.py"))
+def source_lines(src: Path) -> dict[str, int]:
+    """The lines of each of the package's modules under ``src``, by file
+    name, as ``wc -l`` counts them."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((src / "weapo").glob("*.py"))}
 
 
 def collect(out: str, rundir: Path, sets: dict) -> dict[str, bytes]:
@@ -342,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
             entry = run_entry_point(src, workdir / side, sets)
             found[side] = (collect(outs[side], workdir / side, sets) | entry
                            | run_demos(src, workdir / side))
-        src_lines = {side: source_lines(src) for side, src in trees.items()}
+        by_module = {side: source_lines(src) for side, src in trees.items()}
     base_found, head_found = found["base"], found["head"]
     names = sorted(base_found.keys() | head_found.keys())
     failed = [name[: -len(".exit")] for name in names
@@ -353,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
         "input_sets": sorted(sets),
         "files": sum("/log/" not in name for name in names),
         "logs": sum(name.endswith(".exit") for name in names),
-        "src_lines": src_lines,
+        "src_lines": {side: sum(lines.values()) for side, lines in by_module.items()},
+        "src_lines_by_module": by_module,
         # Commands that failed on the checked tree; identical failures
         # would show nothing else.
         "failed_in_head": failed,
