@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import Dataset, Prior, VotePatterns, _weighted, record_scores
+from .data import Dataset, Prior, VotePatterns, _check_width, _weighted, record_scores
 from .payload import check_keys, json_object, json_scalars, numbers
 
 SignedVotes = np.ndarray
@@ -289,10 +289,7 @@ def _naive_bayes_posteriors(
     pats: VotePatterns, pi: float, pos_fire: np.ndarray, neg_fire: np.ndarray
 ) -> np.ndarray:
     """P(y = +1 | v) for each vote pattern v of ``pats``."""
-    if pats.rows.shape[1] != pos_fire.shape[0]:
-        raise ValueError(
-            f"votes have {pats.rows.shape[1]} columns, model expects {pos_fire.shape[0]}"
-        )
+    _check_width(pats, pos_fire.shape[0])
     lp, ln = _class_log_likelihoods(pats.rows, pi, pos_fire, neg_fire)
     impossible = np.isneginf(lp) & np.isneginf(ln)
     if impossible.any():

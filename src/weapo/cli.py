@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeAlias
@@ -54,7 +53,7 @@ if TYPE_CHECKING:
 # rather than ignored. weapo-noprior's theta is the uniform vector
 # whatever its settings, so it reads none.
 _FLAGS = {
-    "weapo": ("lambda_reg", "prior_weight"),
+    "weapo": ("lambda_reg",),
     "weapo-noprior": (),
     "mv": (),
     "ds": ("max_iters", "tol", "smoothing"),
@@ -181,13 +180,7 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
 
         model = fit(train, prior, WeapoConfig(**settings["weapo"], use_prior=name == "weapo"))
         name = "weapo"
-        if not math.isfinite(model.diagnostics["objective"]):
-            raise ValueError(
-                "the weapo objective overflows float64 at these --lambda-reg and "
-                "--prior-weight; divide both by the same power of two, which leaves "
-                "theta unchanged"
-            )
-        if model.config.use_prior and model.config.prior_weight > 0.0:
+        if model.config.use_prior:
             low, high = _prior_band(train, model.config)
             side = "below" if prior.p_plus < low else "above" if prior.p_plus > high else None
             if side is not None:
@@ -502,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     fitting.add_argument("--prior", type=float, default=None,
                          help="positive-class prior (required for weapo and fs)")
     fitting.add_argument("--lambda-reg", type=float, default=None)
-    fitting.add_argument("--prior-weight", type=float, default=None)
     fitting.add_argument("--max-iters", type=int, default=None,
                          help="Dawid-Skene EM iteration cap")
     fitting.add_argument("--tol", type=float, default=None,

@@ -304,6 +304,12 @@ def _weighted(votes: Dataset | VotePatterns | np.ndarray) -> tuple[VotePatterns,
     return pats, n
 
 
+def _check_width(patterns: VotePatterns, expected: int) -> None:
+    """The check of every scorer: the table's rows are ``expected`` votes wide."""
+    if patterns.rows.shape[1] != expected:
+        raise ValueError(f"votes have {patterns.rows.shape[1]} columns, model expects {expected}")
+
+
 def record_scores(
     score: Callable[[VotePatterns], np.ndarray], votes: Dataset | VotePatterns | np.ndarray
 ) -> np.ndarray:

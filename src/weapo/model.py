@@ -17,14 +17,15 @@ theta is read off the piece that holds it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Real
 from typing import Any
 
 import numpy as np
 
-from .data import (Dataset, Prior, VotePatterns, _weighted, coverage_mask, record_scores,
-                   vote_patterns)
+from .data import (Dataset, Prior, VotePatterns, _check_width, _weighted, coverage_mask,
+                   record_scores, vote_patterns)
 from .payload import check_keys, json_object, json_scalars, numbers
 
 
@@ -32,23 +33,21 @@ from .payload import check_keys, json_object, json_scalars, numbers
 class WeapoConfig:
     """Objective settings.
 
-    ``lambda_reg`` scales the squared-norm regularizer, ``prior_weight``
-    the absolute prior-deviation term (used only when ``use_prior``). Both
-    must be finite, non-negative real numbers and ``use_prior`` a bool;
-    a bool is not accepted as a number.
+    ``lambda_reg`` scales the squared-norm regularizer against the
+    absolute prior-deviation term, whose weight is 1; ``use_prior`` turns
+    that term on. ``lambda_reg`` must be a finite, non-negative real
+    number and ``use_prior`` a bool; a bool is not accepted as a number.
     """
 
     lambda_reg: float = 1.0
     use_prior: bool = True
-    prior_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("lambda_reg", "prior_weight"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+        lam = self.lambda_reg
+        if isinstance(lam, bool) or not isinstance(lam, Real):
+            raise ValueError(f"lambda_reg must be a number, got {lam!r}")
+        if not 0.0 <= lam <= sys.float_info.max:  # an int past the float range too
+            raise ValueError("lambda_reg must be finite and non-negative")
         if not isinstance(self.use_prior, bool):
             raise ValueError(f"use_prior must be true or false, got {self.use_prior!r}")
 
@@ -100,11 +99,7 @@ class WeapoModel:
 
     def pattern_scores(self, patterns: VotePatterns) -> np.ndarray:
         """The score ``v . theta`` of each vote pattern v."""
-        width = patterns.rows.shape[1]
-        if width != self.num_lfs:
-            raise ValueError(
-                f"votes have {width} labeling functions, model expects {self.num_lfs}"
-            )
+        _check_width(patterns, self.num_lfs)
         return patterns.rows.astype(np.float64) @ self.theta
 
 
@@ -121,22 +116,21 @@ def predict_dataset(model: WeapoModel, dataset: Dataset) -> tuple[np.ndarray, np
 def _mean_votes_and_ratio(table: VotePatterns, cfg: WeapoConfig) -> tuple[np.ndarray, float]:
     """All that the fit reads of its data and settings: the weighted mean
     ``a`` of the rows of the table, read through ``data._weighted``, and
-    the ratio ``w/lambda`` (``inf`` at ``lambda`` = 0)."""
+    the ratio ``1/lambda`` (``inf`` at ``lambda`` = 0)."""
     table, n = _weighted(table)
     mean_votes = (table.weights @ table.rows) / n
     lam = float(cfg.lambda_reg)
-    return mean_votes, float(cfg.prior_weight) / lam if lam else math.inf
+    return mean_votes, 1.0 / lam if lam else math.inf
 
 
 def _prior_band(dataset: Dataset | VotePatterns, cfg: WeapoConfig) -> tuple[float, float]:
     """The priors ``[a.theta(+r/2), a.theta(-r/2)]`` that move theta.
 
-    ``r`` is ``w/lambda`` and ``theta(t)`` the minimizer at the dual value
+    ``r`` is ``1/lambda`` and ``theta(t)`` the minimizer at the dual value
     t, whose mean scores ``_descent`` gives in closed form; from the last
     finite breakpoint on, a band end is ``min a`` or ``max a`` exactly.
     Every prior below the band fits the same theta, and so does every
-    prior above it. Requires ``prior_weight > 0`` and a dataset ``fit``
-    accepts.
+    prior above it. Requires a dataset ``fit`` accepts.
     """
     a, ratio = _mean_votes_and_ratio(vote_patterns(dataset), cfg)
     # A target of -inf lies below every mean score, so only g(r/2) is asked.
@@ -246,14 +240,14 @@ def fit(
     -----
     Deterministic: identical inputs produce bitwise-identical theta. On
     the simplex the hinge term is identically zero, so the objective
-    reduces to ``lam*|theta|^2 + w*|a.theta - p|`` with ``a`` the mean
-    vote vector over all records. Divided by ``lam``, it depends on
-    ``lam`` and ``w`` only through ``w/lam`` (``inf`` when ``lam`` is 0),
-    which is all ``_closed_form`` takes; the reported terms use ``lam``
-    and ``w``. Without the prior term (``use_prior`` off or
-    ``prior_weight == 0``) the minimizer is the uniform vector. ``a`` is
-    the weighted mean of the rows of the vote table (``dataset.patterns``
-    for a dataset); ``num_slices`` counts its non-zero rows.
+    reduces to ``lam*|theta|^2 + |a.theta - p|`` with ``a`` the mean
+    vote vector over all records. Divided by ``lam``, it is
+    ``|theta|^2 + (1/lam)*|a.theta - p|`` (``1/lam`` is ``inf`` when
+    ``lam`` is 0), and that ratio is all ``_closed_form`` takes; the
+    reported terms use ``lam``. Without the prior term (``use_prior``
+    off) the minimizer is the uniform vector. ``a`` is the weighted mean
+    of the rows of the vote table (``dataset.patterns`` for a dataset);
+    ``num_slices`` counts its non-zero rows.
     """
     cfg = config if config is not None else WeapoConfig()
     if cfg.use_prior and prior is None:
@@ -264,14 +258,14 @@ def fit(
         raise ValueError("dataset has no covered records")
     m = pats.rows.shape[1]
     mean_votes, ratio = _mean_votes_and_ratio(pats, cfg)
-    if cfg.use_prior and cfg.prior_weight > 0.0:
+    if cfg.use_prior:
         theta, projections = _closed_form(mean_votes, prior.p_plus, ratio)
     else:
         theta, projections = np.full(m, 1.0 / m, dtype=np.float64), 0
     reg = cfg.lambda_reg * float(theta @ theta)
     prior_dev = abs(float(mean_votes @ theta) - prior.p_plus) if cfg.use_prior else 0.0
     diagnostics: dict[str, Any] = {
-        "objective": reg + cfg.prior_weight * prior_dev,
+        "objective": reg + prior_dev,
         "reg": reg,
         "hinge": 0.0,
         "prior": prior_dev,

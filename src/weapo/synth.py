@@ -199,8 +199,12 @@ class OracleTable:
     spec: SyntheticSpec
 
     def posterior(self, votes: VoteVector) -> float:
-        """The posterior of one 0/1 vote vector, scored as a one-row table."""
-        row = np.asarray(votes).reshape(1, -1)
+        """The posterior of one 0/1 vote vector, scored as a one-row table;
+        an array that is not one-dimensional is refused, not flattened."""
+        row = np.asarray(votes)
+        if row.ndim != 1:
+            raise ValueError(f"a vote vector must be one-dimensional, got shape {row.shape}")
+        row = row.reshape(1, -1)
         if not np.isin(row, (0, 1)).all():
             votes = tuple(row[0].tolist())
             raise ValueError(f"vote vector {votes} holds a value other than 0 or 1")

@@ -249,8 +249,7 @@ def objective(
 
     Returns ``(total, terms)`` with ``terms`` holding the regularizer,
     the summed hinge penalties, and the raw prior deviation (0 when the
-    prior term is disabled). ``total`` is ``reg + hinge +
-    prior_weight * prior``.
+    prior term is disabled). ``total`` is ``reg + hinge + prior``.
     """
     cfg = config if config is not None else WeapoConfig()
     theta = np.asarray(theta, dtype=np.float64)
@@ -270,7 +269,7 @@ def objective(
         prior_dev = abs(float(f.mean()) - prior.p_plus)
     else:
         prior_dev = 0.0
-    total = reg + hinge + cfg.prior_weight * prior_dev
+    total = reg + hinge + prior_dev
     return total, {"reg": reg, "hinge": hinge, "prior": prior_dev}
 
 
@@ -299,7 +298,7 @@ def objective_values(
         per_function = np.array([constraints.apply(column) for column in votes.T])
         hinge = np.maximum(thetas @ per_function, 0.0).sum(axis=1)
     prior_dev = np.abs(thetas @ votes.mean(axis=0) - prior.p_plus) if cfg.use_prior else 0.0
-    return reg + hinge + cfg.prior_weight * prior_dev
+    return reg + hinge + prior_dev
 
 
 def weapo_by_supports(a, p, ratio):

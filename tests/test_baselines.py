@@ -596,8 +596,8 @@ def test_dominating_pattern_never_scores_lower(case):
     ids=["weapo", "ds", "fs", "oracle"],
 )
 def test_pattern_scores_name_both_widths(model):
-    """Every model's per-pattern scorer refuses votes of another width and
-    names both widths."""
+    """Every model's per-pattern scorer refuses votes of another width with
+    one message that names both widths."""
     patterns = make_dataset([(1, 0), (0, 1)]).patterns
-    with pytest.raises(ValueError, match=r"votes have 2 \w+( \w+)?, model expects 3"):
+    with pytest.raises(ValueError, match=r"^votes have 2 columns, model expects 3$"):
         model.pattern_scores(patterns)

@@ -278,12 +278,12 @@ class TestSynthCommand:
 
 
 # The band warning of a weapo fit on ``informative_files``' train file at
-# prior 0.3 and a ratio w/lambda_reg at or past the cap.
+# prior 0.3 and a ratio 1/lambda_reg at or past the cap.
 CAPPED_BAND_WARNING = (
     "warning: prior 0.3 is below the band [0.3485, 0.4898] where it changes theta; "
     "every prior below it gives the same model\n"
 )
-# Mean vote vector a = (1/2, 1/4); at w/lambda_reg = 1 the band is
+# Mean vote vector a = (1/2, 1/4); at 1/lambda_reg = 1 the band is
 # [a.theta(1/2), a.theta(-1/2)] = [23/64, 25/64], at the cap 4/gap = 16
 # (lambda_reg = 0 too) it is [min a, max a].
 BAND_ROWS = [(1, 1), (1, 0), (0, 0), (0, 0)]
@@ -319,10 +319,11 @@ class TestFitCommand:
         np.testing.assert_allclose(theta, np.full(3, 1 / 3), atol=1e-6)
 
     @pytest.mark.parametrize(
-        "flags", [["--prior-weight", "1e17"], ["--lambda-reg", "1e-320"]], ids=["w", "lambda"]
+        "flags", [["--lambda-reg", "1e-17"], ["--lambda-reg", "1e-320"]],
+        ids=["past-cap", "lambda"]
     )
     def test_extreme_weapo_ratio_fits(self, informative_files, tmp_path, capsys, flags):
-        """A ratio w/lambda_reg far past the cap, or beyond the float range,
+        """A ratio 1/lambda_reg far past the cap, or beyond the float range,
         fits as the capped ratio does: theta on the simplex, no error, and
         the band of the cap, [min a, max a], in the warning."""
         model_path = tmp_path / "model.json"
@@ -338,7 +339,8 @@ class TestFitCommand:
             ([], "0.5", band_warning("0.5", "above", "[0.3594, 0.3906]")),
             ([], "0.2", band_warning("0.2", "below", "[0.3594, 0.3906]")),
             ([], "0.375", ""),
-            (["--prior-weight", "16"], "0.55", band_warning("0.55", "above", "[0.2500, 0.5000]")),
+            (["--lambda-reg", "0.0625"], "0.55",
+             band_warning("0.55", "above", "[0.2500, 0.5000]")),
             (["--lambda-reg", "0"], "0.2", band_warning("0.2", "below", "[0.2500, 0.5000]")),
             (["--lambda-reg", "0"], "0.375", ""),
         ],
@@ -354,24 +356,27 @@ class TestFitCommand:
                          "--out", str(model_path), *quiet])
             assert (code, capsys.readouterr().err) == (0, expected)
 
-    def test_overflowing_objective_names_the_flags(self, tmp_path, capsys):
-        """At lambda_reg = prior_weight = 1.7e308 the objective, their
-        weighted sum, overflows; the fit exits 1 naming both flags and
-        writes no file. Halving both fits the same theta."""
+    def test_huge_lambda_reg_gives_a_finite_objective(self, tmp_path, capsys):
+        """At lambda_reg = 1.7e308 the objective stays finite: its
+        regularizer is at most lambda_reg and its prior deviation below 1.
+        The fit exits 0 and reports the objective as their sum."""
         train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (1, 0), (0, 0)])
-        base = ["fit", train, "--model", "weapo", "--prior", "0.99", "--quiet"]
         model_path = tmp_path / "m.json"
-        huge = ["--lambda-reg", "1.7e308", "--prior-weight", "1.7e308"]
-        assert main([*base, *huge, "--out", str(model_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the weapo objective overflows float64")
-        assert "--lambda-reg" in err and "--prior-weight" in err
+        assert main(["fit", train, "--model", "weapo", "--prior", "0.99", "--lambda-reg",
+                     "1.7e308", "--out", str(model_path), "--quiet"]) == 0
+        diagnostics = read_json(model_path)["diagnostics"]
+        assert np.isfinite(diagnostics["objective"])
+        assert diagnostics["objective"] == diagnostics["reg"] + diagnostics["prior"]
+
+    def test_retired_prior_weight_flag_is_a_usage_error(self, tmp_path, capsys):
+        """The prior term's weight is fixed at 1; lambda_reg alone sets it
+        against the regularizer, and --prior-weight is no flag."""
+        train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (0, 1)])
+        model_path = tmp_path / "m.json"
+        assert main(["fit", train, "--model", "weapo", "--prior", "0.3", "--prior-weight", "2",
+                     "--out", str(model_path), "--quiet"]) == 2
+        assert "unrecognized arguments: --prior-weight 2" in capsys.readouterr().err
         assert not model_path.exists()
-        halved = ["--lambda-reg", "0.85e308", "--prior-weight", "0.85e308"]
-        assert main([*base, *halved, "--out", str(model_path)]) == 0
-        unit_path = tmp_path / "unit.json"
-        assert main([*base, "--out", str(unit_path)]) == 0
-        assert read_json(model_path)["theta"] == read_json(unit_path)["theta"]
 
     def test_ds_runs_without_prior(self, informative_files, tmp_path):
         model_path = tmp_path / "ds.json"
@@ -506,11 +511,11 @@ class TestFitCommand:
             ("mv", ["--prior", "0.3"]),
             ("weapo-noprior", ["--prior", "0.3"]),
             ("weapo-noprior", ["--smoothing", "2"]),
-            ("ds", ["--prior-weight", "2"]),
+            ("ds", ["--lambda-reg", "2"]),
             ("ds", ["--eps-clip", "0.5"]),
             ("fs", ["--prior", "0.5", "--tol", "1e-3"]),
             ("weapo", ["--prior", "0.5", "--max-iters", "5"]),
-            ("weapo-noprior", ["--prior-weight", "7"]),
+            ("weapo-noprior", ["--lambda-reg", "7"]),
             ("weapo-noprior", ["--lambda-reg", "5"]),
         ],
     )
@@ -636,7 +641,7 @@ class TestEvalCommand:
         "payload",
         [
             {"model_type": "weapo", "theta": [0.5, 0.25, 0.25],
-             "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+             "config": {"lambda_reg": 1.0, "use_prior": True}},
             {"model_type": "mv", "num_lfs": 3},
             {"model_type": "ds", "class_prior": 0.5, "confusion": [[[0.5, 0.5]] * 2] * 3},
             {"model_type": "fs", "class_prior": 0.5, "accuracies": [0.5, 0.5, 0.5]},
@@ -658,7 +663,7 @@ class TestEvalCommand:
         model.write_text(json.dumps({
             "model_type": "weapo",
             "theta": [0.5, 0.5],
-            "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0,
+            "config": {"lambda_reg": 1.0, "use_prior": True,
                        "max_iters": 5000},
         }))
         assert main(["eval", str(model), test, "--quiet"]) == 1
@@ -677,10 +682,10 @@ class TestEvalCommand:
         "payload, message",
         [
             ({"model_type": "weapo", "theta": [0.9, 0.9],
-              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+              "config": {"lambda_reg": 1.0, "use_prior": True}},
              "sum to 1"),
             ({"model_type": "weapo", "theta": [0.5, 0.5, 0.0],
-              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+              "config": {"lambda_reg": 1.0, "use_prior": True}},
              "labeling functions"),
             ({"model_type": "ds", "class_prior": 0.5,
               "confusion": [[[0.5, 0.5], [2.0, -1.0]], [[0.5, 0.5], [0.5, 0.5]]]},
@@ -692,22 +697,25 @@ class TestEvalCommand:
              "class_prior"),
             ([0.5, 0.5], "one JSON object"),
             ({"model_type": "weapo", "theta": [0.5, 0.5],
-              "config": {"lambda_reg": "abc", "use_prior": True, "prior_weight": 1.0}},
+              "config": {"lambda_reg": "abc", "use_prior": True}},
              "lambda_reg"),
             ({"model_type": "weapo", "theta": [0.5, 0.5],
-              "config": {"lambda_reg": None, "use_prior": True, "prior_weight": 1.0}},
+              "config": {"lambda_reg": None, "use_prior": True}},
              "lambda_reg"),
             ({"model_type": "weapo", "theta": [0.5, 0.5],
-              "config": {"lambda_reg": 1.0, "use_prior": "yes", "prior_weight": 1.0}},
+              "config": {"lambda_reg": 10**400, "use_prior": True}},
+             "lambda_reg must be finite and non-negative"),
+            ({"model_type": "weapo", "theta": [0.5, 0.5],
+              "config": {"lambda_reg": 1.0, "use_prior": "yes"}},
              "use_prior"),
             ({"model_type": "weapo", "theta": [0.5, 0.5],
-              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": True}},
-             "prior_weight"),
-            ({"model_type": "weapo", "theta": ["0.5", "0.5"],
               "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+             r"model\.json: unknown weapo config key 'prior_weight'\n$"),
+            ({"model_type": "weapo", "theta": ["0.5", "0.5"],
+              "config": {"lambda_reg": 1.0, "use_prior": True}},
              "theta"),
             ({"model_type": "weapo", "theta": [0.5, 0.5],
-              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0},
+              "config": {"lambda_reg": 1.0, "use_prior": True},
               "diagnostics": [1, 2]},
              "diagnostics"),
             ({"model_type": "ds", "class_prior": 0.5,
@@ -725,7 +733,8 @@ class TestEvalCommand:
              r"model\.json: invalid JSON \(Exceeds the limit \(4300 digits\)"),
         ],
         ids=["weapo", "weapo-width", "ds", "ds-rows", "fs", "not-an-object",
-             "lambda-reg-string", "lambda-reg-null", "use-prior-string", "prior-weight-bool",
+             "lambda-reg-string", "lambda-reg-null", "lambda-reg-beyond-float",
+             "use-prior-string", "prior-weight-key",
              "theta-strings", "weapo-diagnostics-list", "ds-diagnostics-list",
              "ds-prior-string", "fs-accuracies-strings", "mv-float-num-lfs", "unknown-key",
              "integer-too-long"],
@@ -829,7 +838,7 @@ class TestEvalCommand:
         "payload, message",
         [
             ({"model_type": "weapo", "theta": [0.9, 0.9],
-              "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0}},
+              "config": {"lambda_reg": 1.0, "use_prior": True}},
              "weapo theta must sum to 1, got 1.8"),
             ({"model_type": "mv", "num_lfs": 0}, "key 'num_lfs' must be an integer of at least 1"),
             ({"model_type": "nb"}, "unknown model_type 'nb' in model file"),
@@ -900,7 +909,7 @@ class TestEndCommand:
         model = tmp_path / "m.json"
         model.write_text(json.dumps({
             "model_type": "weapo", "theta": [0.9, 0.9, 0.9],
-            "config": {"lambda_reg": 1.0, "use_prior": True, "prior_weight": 1.0},
+            "config": {"lambda_reg": 1.0, "use_prior": True},
         }))
         out = tmp_path / "end.json"
         assert main(
@@ -1193,9 +1202,11 @@ class TestCompareCommand:
         assert rows[0] == rows[1]
 
     def test_huge_prior_weight(self, informative_files, tmp_path, capsys):
+        """The prior term weighs 1/lambda_reg = 1e308 against the
+        regularizer: the weapo row fits as the capped ratio does."""
         out = tmp_path / "cmp.json"
         code = main(["compare", informative_files["train"], informative_files["test"],
-                     "--models", "weapo,mv", "--prior", "0.3", "--prior-weight", "1e308",
+                     "--models", "weapo,mv", "--prior", "0.3", "--lambda-reg", "1e-308",
                      "--out", str(out), "--quiet"])
         assert (code, capsys.readouterr().err) == (0, CAPPED_BAND_WARNING)
         assert [row["error"] for row in read_json(out)["rows"]] == [None, None]
@@ -1529,7 +1540,7 @@ class TestTopLevel:
         """The CLI restates no library default: a flag left out is None
         and is not passed on."""
         parser = build_parser()
-        fitting = ("lambda_reg", "prior_weight", "max_iters", "tol", "smoothing", "eps_clip")
+        fitting = ("lambda_reg", "max_iters", "tol", "smoothing", "eps_clip")
         for argv in (["fit", "t.jsonl", "--model", "mv", "--out", "m.json"],
                      ["compare", "t.jsonl", "u.jsonl", "--models", "mv"]):
             args = parser.parse_args(argv)

@@ -36,6 +36,7 @@ def test_tree_against_itself_is_identical():
     # command and demo succeeded.
     assert (summary["files"], summary["logs"]) == (105, 93)
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
+    assert summary["json_diff_paths"] == {}
     assert summary["failed_in_head"] == summary["newly_failed"] == []
     assert summary["src_lines"]["base"] == summary["src_lines"]["head"] > 0
     by_module = summary["src_lines_by_module"]
@@ -63,6 +64,7 @@ def test_one_changed_output_digit_is_caught(tmp_path):
     )
     assert summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["theta_max_abs_diff"] == {}
+    assert summary["json_diff_paths"] == {name: ["n_records"] for name in summary["differing"]}
 
 
 def test_theta_max_abs_diff_reads_only_theta_lists_of_one_length():
@@ -88,6 +90,28 @@ def test_theta_max_abs_diff_reads_only_theta_lists_of_one_length():
     differing = sorted(name for name in base if base[name] != head[name])
     assert load_tool().theta_max_abs_diff(base, head, differing) == {
         "a/out/fit-weapo.json": 2**-50, "a/out/fit-weapo-lam0.json": 0.0}
+
+
+def test_json_diff_paths_name_each_differing_key():
+    """Only differing ``.json`` files that parse in both trees are walked;
+    a key in one tree only, a changed leaf, a changed type and lists of
+    two lengths are named by their dotted paths."""
+    fit_file = {"theta": [0.5, 0.5], "config": {"lambda_reg": 1.0, "use_prior": True}}
+    base = {"a/out/fit-weapo.json": json.dumps(
+                {**fit_file, "config": {**fit_file["config"], "prior_weight": 1.0}}).encode(),
+            "a/out/eval-weapo.json": b'{"result": {"roc_auc": 0.5, "n": 1}, "rows": [1, 2]}',
+            "a/out/fit-ds.json": b'{"theta": [0.5, 0.5]}',
+            "a/out/krr.json": b"[1.0]",
+            "a/log/compare.stdout": b'{"rows": []}'}
+    head = {"a/out/fit-weapo.json": json.dumps(fit_file).encode(),
+            "a/out/eval-weapo.json": b'{"result": {"roc_auc": 0.75, "n": 1.0}, "rows": [1]}',
+            "a/out/fit-ds.json": b"not json",
+            "a/out/krr.json": b"[2.0]",
+            "a/log/compare.stdout": b'{"rows": [1]}'}
+    assert load_tool().json_diff_paths(base, head, sorted(base)) == {
+        "a/out/fit-weapo.json": ["config.prior_weight"],
+        "a/out/eval-weapo.json": ["result.n", "result.roc_auc", "rows"],
+        "a/out/krr.json": ["0"]}
 
 
 def test_a_command_that_fails_only_in_the_checked_tree_is_newly_failed(tmp_path):

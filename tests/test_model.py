@@ -99,7 +99,7 @@ class TestScore:
 
     def test_length_mismatch(self):
         model = WeapoModel(theta=np.array([0.5, 0.25, 0.25]), config=WeapoConfig())
-        with pytest.raises(ValueError, match="labeling functions"):
+        with pytest.raises(ValueError, match="^votes have 2 columns, model expects 3$"):
             predict_dataset(model, make_dataset([(1, 0)]))
 
 
@@ -156,8 +156,8 @@ class TestObjective:
             ds = make_dataset([tuple(r) for r in rng.integers(0, 2, (40, m))])
             cm = constraints_for(ds)
             prior = Prior(float(rng.uniform(0.05, 0.95)))
-            cfg = WeapoConfig(lambda_reg=float(rng.uniform(0.0, 2.0)),
-                              prior_weight=float(rng.uniform(0.0, 3.0)))
+            lam, w = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 3.0))
+            cfg = WeapoConfig(lambda_reg=lam / w)
             thetas = rng.normal(size=(30, m))
             expected = [objective(theta, cm, ds, prior, cfg)[0] for theta in thetas]
             np.testing.assert_allclose(objective_values(thetas, cm, ds, prior, cfg), expected,
@@ -220,10 +220,8 @@ class TestFit:
             votes[0, 0] = 1
             ds = make_dataset([tuple(r) for r in votes])
             prior = Prior(float(rng.uniform(0.05, 0.95)))
-            cfg = WeapoConfig(
-                lambda_reg=float(rng.choice([0.0, 0.1, 1.0])),
-                prior_weight=float(rng.uniform(0.5, 3.0)),
-            )
+            lam, w = float(rng.choice([0.0, 0.1, 1.0])), float(rng.uniform(0.5, 3.0))
+            cfg = WeapoConfig(lambda_reg=lam / w)
             model = fit(ds, prior, cfg)
             cm = constraints_for(ds)
             total, terms = objective(model.theta, cm, ds, prior, cfg)
@@ -313,8 +311,8 @@ def random_fit_case(rng):
     return ds, (ds.patterns.weights @ ds.patterns.rows) / n
 
 
-def ratio_and_cap(a, lam, w, side):
-    """w/lam (inf at lam = 0), and twice the last breakpoint of the
+def ratio_and_cap(a, lam, side):
+    """1/lam (inf at lam = 0), and twice the last breakpoint of the
     projection of side*t*a onto the simplex over t >= 0, 1/(k*gap) for the
     k entries of a nearest side*inf and their gap to the next: from
     r = cap on, theta at t = r/2 is the uniform weight on those k entries
@@ -322,15 +320,15 @@ def ratio_and_cap(a, lam, w, side):
     nearest = a.max() if side > 0 else a.min()
     gaps = np.abs(a[a != nearest] - nearest)
     cap = 2.0 / ((a == nearest).sum() * gaps.min()) if gaps.size else 0.0
-    return (w / lam if lam else np.inf), cap
+    return (1.0 / lam if lam else np.inf), cap
 
 
-def band(ds, lam, w):
+def band(ds, lam):
     """The priors between these two mean scores are the ones that move theta."""
-    return _prior_band(ds, WeapoConfig(lambda_reg=lam, prior_weight=w))
+    return _prior_band(ds, WeapoConfig(lambda_reg=lam))
 
 
-def theta_outside_band(ds, a, lam, w, side):
+def theta_outside_band(ds, a, lam, side):
     """The theta of the priors in (0, 1) at or past one end of the band,
     the low end for side -1 and the high end for side +1, or None when
     there are none, after three checks: every such prior gives the same
@@ -338,16 +336,16 @@ def theta_outside_band(ds, a, lam, w, side):
     path, it is the support-enumerating oracle's within 1e-12; and from
     r = cap on it is exactly the uniform weight on the entries of a
     nearest side*inf, that oracle's minimizer too."""
-    low, high = band(ds, lam, w)
+    low, high = band(ds, lam)
     priors = (low, low * 0.999, a.min() / 2) if side < 0 else (
         high, (high + 1) / 2, (a.max() + 1) / 2)
-    cfg = WeapoConfig(lambda_reg=lam, prior_weight=w)
+    cfg = WeapoConfig(lambda_reg=lam)
     fits = [(p, fit(ds, Prior(p), cfg)) for p in priors if 0 < p < 1]
     if not fits:
         return None
     theta = fits[0][1].theta
     assert {model.theta.tobytes() for _, model in fits} == {theta.tobytes()}
-    ratio, cap = ratio_and_cap(a, lam, w, side)
+    ratio, cap = ratio_and_cap(a, lam, side)
     if ratio < cap:
         expected = weapo_by_supports(a, fits[0][0], ratio)
         np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
@@ -359,28 +357,8 @@ def theta_outside_band(ds, a, lam, w, side):
 
 
 class TestWhatTheFitReducesTo:
-    """theta depends on (lambda_reg, prior_weight) only through their ratio
-    w/lam, and on the prior only inside a band of mean scores."""
-
-    def test_theta_depends_on_lambda_and_weight_only_through_their_ratio(self):
-        """(lam, w) and (c*lam, c*w) give bitwise-equal theta whenever the
-        two ratios are the same float, for priors in the band and out of it."""
-        rng = np.random.default_rng(21)
-        pairs = 0
-        for _ in range(40):
-            ds, a = random_fit_case(rng)
-            lam, w = (float(x) for x in rng.uniform(0.1, 10.0, 2))
-            low, high = band(ds, lam, w)
-            for p in (float(rng.uniform(low, high)), low / 2, (high + 1) / 2):
-                if not 0 < p < 1:
-                    continue
-                theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta
-                for c in (3.0, 0.1, 7.0, 1e-3, 1e3):
-                    if (c * w) / (c * lam) == w / lam:
-                        cfg = WeapoConfig(lambda_reg=c * lam, prior_weight=c * w)
-                        assert fit(ds, Prior(p), cfg).theta.tobytes() == theta.tobytes()
-                        pairs += 1
-        assert pairs >= 200
+    """theta depends on lambda_reg only through the ratio 1/lam, and on the
+    prior only inside a band of mean scores."""
 
     def test_outside_the_band_theta_is_the_closed_form(self):
         """Every p at or below the band's low end gives one theta, bitwise,
@@ -393,9 +371,9 @@ class TestWhatTheFitReducesTo:
             ds, a = random_fit_case(rng)
             if np.unique(a).size < 2:
                 continue
-            for lam, w in ((1.0, 1.0), (1.0, 10.0), (0.5, 2.0), (0.0, 1.0), (1.0, 1e17)):
+            for lam in (1.0, 0.1, 0.25, 0.0, 1e-17):
                 for side in (-1, 1):
-                    sides += theta_outside_band(ds, a, lam, w, side) is not None
+                    sides += theta_outside_band(ds, a, lam, side) is not None
         assert sides >= 300
 
     def test_band_ends_are_the_mean_scores_at_the_clamped_dual_values(self):
@@ -406,10 +384,10 @@ class TestWhatTheFitReducesTo:
         rng = np.random.default_rng(25)
         for _ in range(40):
             ds, a = random_fit_case(rng)
-            for lam, w in ((1.0, 1.0), (1.0, 10.0), (3.0, 100.0), (0.0, 1.0), (1.0, 1e17)):
-                for end, side in zip(band(ds, lam, w), (-1, 1)):
-                    ratio, cap = ratio_and_cap(a, lam, w, side)
-                    theta = theta_outside_band(ds, a, lam, w, side)
+            for lam in (1.0, 0.1, 0.03, 0.0, 1e-17):
+                for end, side in zip(band(ds, lam), (-1, 1)):
+                    ratio, cap = ratio_and_cap(a, lam, side)
+                    theta = theta_outside_band(ds, a, lam, side)
                     if ratio >= cap:
                         assert end == (a.max() if side > 0 else a.min())
                         continue
@@ -426,30 +404,30 @@ class TestWhatTheFitReducesTo:
         rng = np.random.default_rng(23)
         for _ in range(40):
             ds, a = random_fit_case(rng)
-            for lam, w in ((1.0, 1.0), (1.0, 10.0), (3.0, 3.0), (0.0, 1.0)):
-                (ratio, cap_low), (_, cap_high) = (ratio_and_cap(a, lam, w, s) for s in (-1, 1))
+            for lam in (1.0, 0.1, 1.0, 0.0):
+                (ratio, cap_low), (_, cap_high) = (ratio_and_cap(a, lam, s) for s in (-1, 1))
                 r = min(ratio, max(cap_low, cap_high))
-                low, high = band(ds, lam, w)
+                low, high = band(ds, lam)
                 p = float(rng.uniform(low, high))
                 if not 0 < p < 1:
                     continue
-                model = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w))
+                model = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam))
                 assert abs(float(a @ model.theta) - p) <= 4 * np.spacing(p) + 2 * np.spacing(r / 2)
                 assert model.diagnostics["iterations"] == 1
 
     def test_huge_ratios_and_zero_lambda_give_one_theta(self):
-        """w/lam = 1e17, 1e308, a ratio past the float range and lam = 0
+        """1/lam = 1e17, 1e308, a ratio past the float range and lam = 0
         all give the same theta, bitwise, in the band and outside it."""
         rng = np.random.default_rng(24)
-        settings = ((1.0, 1e17), (1.0, 1e308), (1e-10, 1e300), (0.0, 1.0))
+        settings = (1e-17, 1e-308, 1e-310, 0.0)
         for _ in range(30):
             ds, a = random_fit_case(rng)
             for p in (float(rng.uniform(a.min(), a.max())), a.min() / 2, (a.max() + 1) / 2):
                 if not 0 < p < 1:
                     continue
                 thetas = {
-                    fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta.tobytes()
-                    for lam, w in settings
+                    fit(ds, Prior(p), WeapoConfig(lambda_reg=lam)).theta.tobytes()
+                    for lam in settings
                 }
                 assert len(thetas) == 1
 
@@ -483,19 +461,19 @@ def small_vote_matrix(draw):
 
 @st.composite
 def oracle_cases(draw):
-    """A small vote matrix, a ratio w/lam, and a prior that is drawn
+    """A small vote matrix, a lambda_reg lam, and a prior that is drawn
     uniformly, an entry of the mean vote vector a, a band end or a value
     outside [min a, max a]."""
     ds, a = small_vote_matrix(draw)
-    lam, w = draw(st.one_of(
-        st.sampled_from([(0.0, 1.0), (1.0, 1e17), (1.0, 1e308)]),
-        st.tuples(st.just(1.0), st.floats(0.01, 1e4)),
+    lam = draw(st.one_of(
+        st.sampled_from([0.0, 1e-17, 1e-308]),
+        st.floats(0.01, 1e4).map(lambda w: 1.0 / w),
     ))
-    low, high = band(ds, lam, w)
+    low, high = band(ds, lam)
     ends = [low, high, a.min() / 2, (a.max() + 1) / 2, *(float(x) for x in a)]
     p = draw(st.one_of(st.floats(0.001, 0.999), st.sampled_from(ends)))
     assume(0 < p < 1)
-    return ds, a, p, lam, w
+    return ds, a, p, lam
 
 
 @settings(max_examples=150, deadline=None)
@@ -504,23 +482,23 @@ def test_fit_is_the_exact_minimizer(case):
     """theta matches the support-enumerating oracle within 1e-12, with tied
     entries of a, priors at the band's ends and past [min a, max a], and
     ratios up to a zero regularizer."""
-    ds, a, p, lam, w = case
-    theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam, prior_weight=w)).theta
-    expected = weapo_by_supports(a, p, w / lam if lam else np.inf)
+    ds, a, p, lam = case
+    theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam)).theta
+    expected = weapo_by_supports(a, p, 1.0 / lam if lam else np.inf)
     np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
 
 
 @st.composite
 def outside_band_cases(draw):
-    """A small vote matrix, a finite ratio r, a side, -1 below the band or
-    +1 above it, and a prior at or past that end of the band."""
+    """A small vote matrix, a finite ratio r = 1/lam, a side, -1 below the
+    band or +1 above it, and a prior at or past that end of the band."""
     ds, a = small_vote_matrix(draw)
-    r = draw(st.floats(0.01, 1e3))
+    lam = draw(st.floats(0.01, 1e3).map(lambda w: 1.0 / w))
     side = draw(st.sampled_from([-1, 1]))
-    low, high = band(ds, 1.0, r)
+    low, high = band(ds, lam)
     p = draw(st.sampled_from([low, low / 2] if side < 0 else [high, (high + 1) / 2]))
     assume(0 < p < 1)
-    return ds, a, p, r, side
+    return ds, a, p, lam, side
 
 
 @settings(max_examples=150, deadline=None)
@@ -529,8 +507,9 @@ def test_outside_the_band_theta_is_the_projection(case):
     """Below the band theta is the Euclidean projection of -(r/2)*a onto
     the simplex and above it that of +(r/2)*a, within 1e-12 of a bisection
     that shares no code with the fit, with tied entries of a."""
-    ds, a, p, r, side = case
-    theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=1.0, prior_weight=r)).theta
+    ds, a, p, lam, side = case
+    theta = fit(ds, Prior(p), WeapoConfig(lambda_reg=lam)).theta
+    r = 1.0 / lam
     expected = simplex_projection_by_bisection(side * (r / 2) * a)
     np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
 
@@ -568,7 +547,7 @@ class TestPredictDataset:
 
     def test_width_mismatch(self):
         model = WeapoModel(theta=np.array([1.0]), config=WeapoConfig())
-        with pytest.raises(ValueError, match="labeling functions"):
+        with pytest.raises(ValueError, match="^votes have 2 columns, model expects 1$"):
             predict_dataset(model, make_dataset([(1, 0)]))
 
 
@@ -587,14 +566,18 @@ class TestSerialization:
             ({"lambda_reg": "abc"}, "lambda_reg"),
             ({"lambda_reg": None}, "lambda_reg"),
             ({"lambda_reg": True}, "lambda_reg"),
-            ({"prior_weight": True}, "prior_weight"),
+            ({"lambda_reg": 10**400}, "lambda_reg must be finite"),
+            ({"lambda_reg": float("nan")}, "lambda_reg must be finite"),
             ({"use_prior": "yes"}, "use_prior"),
             ({"use_prior": 1}, "use_prior"),
         ]
         for change, message in bad_cases:
             with pytest.raises(ValueError, match=message):
                 WeapoConfig(**change)
-        assert WeapoConfig(lambda_reg=2, prior_weight=np.float64(0.5)).lambda_reg == 2
+        assert WeapoConfig(lambda_reg=2).lambda_reg == 2
+        assert WeapoConfig(lambda_reg=np.float64(0.5)).lambda_reg == 0.5
+        with pytest.raises(TypeError, match="prior_weight"):
+            WeapoConfig(prior_weight=1.0)
 
     def test_malformed_payload_rejected(self):
         """Values must be JSON numbers, objects must be objects, and no
@@ -606,7 +589,7 @@ class TestSerialization:
             ({"theta": [True, False]}, "theta"),
             ({"config": {"lambda_reg": "abc"}}, "lambda_reg"),
             ({"config": {"use_prior": "yes"}}, "use_prior"),
-            ({"config": {"prior_weight": True}}, "prior_weight"),
+            ({"config": {"prior_weight": 1.0}}, "^unknown weapo config key 'prior_weight'$"),
             ({"config": [1.0, True, 1.0]}, "config"),
             ({"diagnostics": [1, 2]}, "diagnostics"),
             ({"model_type": "weapo"}, "'model_type'"),

@@ -166,6 +166,16 @@ class TestOracleTable:
                                match=f"^votes have {len(votes)} columns, model expects 3$"):
                 oracle.posterior(votes)
 
+    def test_vote_vector_must_be_one_dimensional(self):
+        """A nested or scalar vote vector is refused, not flattened; a tuple
+        and a 1-D numpy row are scored alike."""
+        oracle = oracle_posteriors(spec_3lf())
+        for votes, shape in ((((1,), (0,), (1,)), (3, 1)), ([[1, 0, 1]], (1, 3)), (1, ())):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"must be one-dimensional, got shape {shape}")):
+                oracle.posterior(votes)
+        assert oracle.posterior((1, 0, 1)) == oracle.posterior(np.array([1, 0, 1], np.int8))
+
     def test_non_binary_vote_rejected(self):
         oracle = oracle_posteriors(spec_3lf())
         with pytest.raises(ValueError, match=r"vote vector \(2, 0, 1\) holds a value other"):

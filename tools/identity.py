@@ -15,9 +15,9 @@ input set both trees run the same commands:
 * ``synth --spec``, and ``synth`` of the same spec given as inline flags
   in the ``--flag=value`` form;
 * ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs; of weapo
-  at ``--lambda-reg 0`` and at ``--lambda-reg 3 --prior-weight 3``; of ds
-  at ``--max-iters 300 --tol 1e-8 --smoothing 0.5``; and of fs at
-  ``--eps-clip 1e-3``;
+  at ``--lambda-reg 0`` and at ``--lambda-reg 3``, a ratio 1/lambda_reg
+  other than the default's 1; of ds at ``--max-iters 300 --tol 1e-8
+  --smoothing 0.5``; and of fs at ``--eps-clip 1e-3``;
 * ``fit`` and ``eval`` of weapo at ``--lambda-reg 0`` with a prior inside
   its band: the midpoint of the train votes' mean firing rate and their
   largest one;
@@ -58,8 +58,11 @@ tree, those of them that exit 0 on the base tree (``newly_failed``), and
 the lines of ``src/weapo/*.py`` in each tree, in all (``src_lines``) and
 by module (``src_lines_by_module``), and for each differing file that
 holds a JSON ``theta`` list in both trees, the largest absolute
-difference of its entries (``theta_max_abs_diff``). The exit code is 1
-when anything differs and 0 otherwise.
+difference of its entries (``theta_max_abs_diff``). For each differing
+``.json`` file that holds one JSON value in both trees, it lists the
+sorted dotted paths of the keys and list indices whose values differ
+(``json_diff_paths``). The exit code is 1 when anything differs and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -87,7 +91,7 @@ PRIOR_MODELS = ("weapo", "ds", "fs")
 # instead, where the fit takes the root of the dual path.
 FITS = [(model, model, []) for model in MODELS] + [
     ("weapo-lam0", "weapo", ["--lambda-reg", "0"]),
-    ("weapo-lam3", "weapo", ["--lambda-reg", "3", "--prior-weight", "3"]),
+    ("weapo-lam3", "weapo", ["--lambda-reg", "3"]),
     ("ds-flags", "ds", ["--max-iters", "300", "--tol", "1e-8", "--smoothing", "0.5"]),
     ("fs-clip", "fs", ["--eps-clip", "1e-3"]),
     ("weapo-inband", "weapo", ["--lambda-reg", "0"]),
@@ -309,6 +313,41 @@ def theta_max_abs_diff(base: dict[str, bytes], head: dict[str, bytes],
     return moved
 
 
+def diff_paths(old: Any, new: Any, prefix: tuple[str, ...] = ()) -> list[str]:
+    """The dotted paths below ``prefix`` at which two JSON values differ:
+    a key of one object only, or lists of two lengths, or leaves that
+    differ in type or value. Objects are walked by key and lists of one
+    length by index."""
+    if type(old) is dict and type(new) is dict:
+        found = []
+        for key in old.keys() | new.keys():
+            if key in old and key in new:
+                found += diff_paths(old[key], new[key], (*prefix, key))
+            else:
+                found.append(".".join((*prefix, key)))
+        return found
+    if type(old) is list and type(new) is list and len(old) == len(new):
+        return [path for index, pair in enumerate(zip(old, new))
+                for path in diff_paths(*pair, (*prefix, str(index)))]
+    return [] if type(old) is type(new) and old == new else [".".join(prefix)]
+
+
+def json_diff_paths(base: dict[str, bytes], head: dict[str, bytes],
+                    names: list[str]) -> dict[str, list[str]]:
+    """For each ``.json`` file of ``names`` that holds one JSON value in
+    both maps, the sorted paths of ``diff_paths``; the empty path is the
+    whole value."""
+    paths = {}
+    for name in names:
+        if name.endswith(".json"):
+            try:
+                old, new = (json.loads(found[name]) for found in (base, head))
+            except ValueError:
+                continue
+            paths[name] = sorted(diff_paths(old, new))
+    return paths
+
+
 def base_tree(args, workdir: Path) -> Path:
     """The root of the base source tree: ``--base-src``, or ``--base``
     exported with ``git archive``."""
@@ -370,6 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     summary["theta_max_abs_diff"] = theta_max_abs_diff(base_found, head_found,
                                                        summary["differing"])
+    summary["json_diff_paths"] = json_diff_paths(base_found, head_found, summary["differing"])
     summary["identical"] = not (summary["only_in_base"] or summary["only_in_head"]
                                 or summary["differing"])
     print(json.dumps(summary, indent=2))
