@@ -19,10 +19,10 @@ vector of zero probability. Each model scores each vote pattern once
 (``_mv_patterns``, ``DSModel.pattern_scores``, ``FSModel.pattern_scores``);
 ``data.record_scores`` gathers those scores to every record.
 
-The defaults of the fitting settings live in the fit signatures alone
-(the triplet method's shared clip in ``FS_EPS_CLIP``), and their range
-checks in ``check_ds_settings`` and ``check_fs_settings``, which the
-fits and the CLI both call.
+The defaults of Dawid-Skene's fitting settings live in its fit signature
+alone, and their range checks in ``check_ds_settings``, which the fit and
+the CLI both call. The triplet method reads no setting: it clips at the
+constant ``FS_EPS_CLIP``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .payload import check_keys, json_object, json_scalars, numbers
 SignedVotes = np.ndarray
 """(N, M) array over {-1, +1}; produced by ``convert_abstain``."""
 
-# The triplet method's default clip: it discards denominator moments of at
-# most this size and keeps estimates this far below accuracy 1.
+# The triplet method's clip: it discards denominator moments of at most
+# this size and keeps estimates this far below accuracy 1.
 FS_EPS_CLIP = 1e-4
 
 
@@ -340,13 +340,6 @@ class FSModel:
         )
 
 
-def check_fs_settings(eps_clip: float | None = None) -> None:
-    """Raise ``ValueError`` unless ``1 - eps_clip``, the largest accuracy a fit
-    gives, lies strictly in (0, 1), where ``FSModel`` reads it; None is not checked."""
-    if eps_clip is not None and not 0.0 < 1.0 - eps_clip < 1.0:
-        raise ValueError(f"eps_clip must leave 1 - eps_clip in (0, 1), got {eps_clip!r}")
-
-
 def _median(x: np.ndarray) -> float:
     """``np.median`` of a non-empty 1-D float array, bit for bit: NaN if
     any entry is NaN, else the mean of the middle one or two sorted
@@ -358,28 +351,22 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(s[h - 1 + s.size % 2 : h + 1]))
 
 
-def fs_fit_from_moments(
-    moments: np.ndarray,
-    prior: Prior,
-    eps_clip: float = FS_EPS_CLIP,
-) -> FSModel:
+def fs_fit_from_moments(moments: np.ndarray, prior: Prior) -> FSModel:
     """Recover mean accuracies from a second-moment matrix.
 
     For each function j, every pair (k, l) of other functions gives the
     candidate ``sqrt(|M_jk * M_jl / M_kl|)``; candidates whose denominator
-    moment is at most ``eps_clip`` in magnitude are discarded, and the
+    moment is at most ``FS_EPS_CLIP`` in magnitude are discarded, and the
     estimate is the median of the rest, clipped into
-    ``[0, 1 - eps_clip]``. Signs are fixed positive: better-than-random
+    ``[0, 1 - FS_EPS_CLIP]``. Signs are fixed positive: better-than-random
     functions are assumed.
 
     Raises
     ------
     ValueError
-        If ``1 - eps_clip`` lies outside (0, 1), fewer than
-        three functions are present, or some function has no admissible
-        triplet.
+        If fewer than three functions are present, or some function has
+        no admissible triplet.
     """
-    check_fs_settings(eps_clip)
     moments = np.asarray(moments, dtype=np.float64)
     if moments.ndim != 2 or moments.shape[0] != moments.shape[1]:
         raise ValueError("moments must be a square matrix")
@@ -387,7 +374,7 @@ def fs_fit_from_moments(
     if m < 3:
         raise ValueError("triplet method requires M >= 3")
     k, l = np.triu_indices(m, 1)
-    admissible = np.abs(moments[k, l]) > eps_clip
+    admissible = np.abs(moments[k, l]) > FS_EPS_CLIP
     accuracies = np.empty(m, dtype=np.float64)
     for j in range(m):
         use = admissible & (k != j) & (l != j)
@@ -395,19 +382,17 @@ def fs_fit_from_moments(
             raise ValueError(f"no admissible triplet for labeling function {j}")
         ks, ls = k[use], l[use]
         estimates = np.sqrt(np.abs(moments[j, ks] * moments[j, ls] / moments[ks, ls]))
-        accuracies[j] = min(max(_median(estimates), 0.0), 1.0 - eps_clip)
+        accuracies[j] = min(max(_median(estimates), 0.0), 1.0 - FS_EPS_CLIP)
     return FSModel(accuracies=accuracies, class_prior=prior.p_plus)
 
 
-def fs_fit(
-    votes: Dataset | VotePatterns | SignedVotes, prior: Prior, eps_clip: float = FS_EPS_CLIP
-) -> FSModel:
+def fs_fit(votes: Dataset | VotePatterns | SignedVotes, prior: Prior) -> FSModel:
     """Triplet-method fit from data: the table's weighted moments, then recovery."""
     pats, n = _weighted(votes)
     # Over count weights every sum is an integer, so exact.
     signed = 2.0 * pats.rows - 1.0
     moments = ((signed.T * pats.weights) @ signed) / n
-    return fs_fit_from_moments(moments, prior, eps_clip=eps_clip)
+    return fs_fit_from_moments(moments, prior)
 
 
 def fs_posteriors(model: FSModel, votes: Dataset | SignedVotes) -> np.ndarray:

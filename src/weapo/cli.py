@@ -51,13 +51,13 @@ if TYPE_CHECKING:
 # Each label model and the fitting flags its fit reads besides --prior,
 # which weapo, ds and fs read; a flag that no named model reads is refused
 # rather than ignored. weapo-noprior's theta is the uniform vector
-# whatever its settings, so it reads none.
+# whatever its settings, and fs clips at the constant FS_EPS_CLIP.
 _FLAGS = {
     "weapo": ("lambda_reg",),
     "weapo-noprior": (),
     "mv": (),
     "ds": ("max_iters", "tol", "smoothing"),
-    "fs": ("eps_clip",),
+    "fs": (),
 }
 MODEL_NAMES = tuple(_FLAGS)
 # Keys a model file holds besides the model's own payload.
@@ -120,10 +120,11 @@ def _given(args, *names: str) -> dict[str, Any]:
 
 def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     """Check the model names, the prior requirement, every fitting flag
-    given, whichever models are named, and then that some named model
-    reads each flag given, before any file is read; return the settings
-    ``_fit_payload`` uses: the prior, and by model name the keyword
-    arguments of the flags given that its fit reads."""
+    given (ds's in ``check_ds_settings``, weapo's in ``WeapoConfig``; fs
+    reads none), whichever models are named, and then that some named
+    model reads each flag given, before any file is read; return the
+    settings ``_fit_payload`` uses: the prior, and by model name the
+    keyword arguments of the flags given that its fit reads."""
     from .data import Prior
     from .model import WeapoConfig
 
@@ -137,11 +138,10 @@ def _fit_settings(names: Sequence[str], args) -> dict[str, Any]:
     if needs_prior and args.prior is None:
         raise CliUsageError(f"--prior is required for model(s): {', '.join(needs_prior)}")
     settings = {name: _given(args, *flags) for name, flags in _FLAGS.items()}
-    if settings["ds"] or settings["fs"]:  # a fit given none of them loads no baselines
-        from .baselines import check_ds_settings, check_fs_settings
+    if settings["ds"]:  # a fit given no ds flag loads no baselines
+        from .baselines import check_ds_settings
 
         check_ds_settings(**settings["ds"])
-        check_fs_settings(**settings["fs"])
     prior = None if args.prior is None else Prior(args.prior)
     WeapoConfig(**settings["weapo"])
     readers = {flag: (name,) for name, flags in _FLAGS.items() for flag in flags}
@@ -174,7 +174,7 @@ def _fit_payload(name: str, train: Dataset, settings: dict[str, Any]) -> dict[st
     elif name == "fs":
         from .baselines import fs_fit
 
-        model = fs_fit(train, prior, **settings["fs"])
+        model = fs_fit(train, prior)
     else:
         from .model import WeapoConfig, _prior_band, fit
 
@@ -315,6 +315,9 @@ def cmd_end(args) -> int:
         (args.train, train.features_matrix.shape[1]), (args.test, test.features_matrix.shape[1]),
     )
     gold = _require_gold(test, args.test)
+    if gold.min() == gold.max():
+        raise ValueError(f"{args.test}: every gold label is {gold[0]:+d}; "
+                         "the end model's ROC-AUC needs both classes")
     label_scores = record_scores(score, train)
     targets = make_targets(label_scores, coverage_mask(train), args.uncovered_target)
     if np.ptp(targets) == 0.0:
@@ -500,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     fitting.add_argument("--tol", type=float, default=None,
                          help="Dawid-Skene EM stopping tolerance")
     fitting.add_argument("--smoothing", type=float, default=None)
-    fitting.add_argument("--eps-clip", type=float, default=None)
 
     p_fit = sub.add_parser("fit", parents=[fitting],
                            help="fit a label model on a training dataset")

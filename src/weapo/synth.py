@@ -179,7 +179,10 @@ def generate(spec: SyntheticSpec) -> Dataset:
         votes[block] = rng.random((size, m)) < np.where(positive[:, None], tpr, fpr)
         if features is not None:
             noise = rng.standard_normal((size, feature_spec.dim))
-            features[block] = mu[positive.astype(np.intp)] + feature_spec.sigma * noise
+            with np.errstate(over="ignore"):
+                features[block] = mu[positive.astype(np.intp)] + feature_spec.sigma * noise
+            if not np.isfinite(features[block]).all():
+                raise ValueError("a feature draw overflows float64; use smaller means or sigma")
     width = len(str(max(spec.n - 1, 0)))
     ids = tuple(map(f"r%0{width}d".__mod__, range(spec.n)))
     return Dataset(ids=ids, votes_matrix=votes, features_matrix=features, gold=gold)

@@ -24,7 +24,7 @@ from weapo import (
     oracle_posteriors,
     predict_dataset,
 )
-from weapo.baselines import FSModel, _median
+from weapo.baselines import FS_EPS_CLIP, FSModel, _median
 from weapo.data import VotePatterns
 from weapo.model import WeapoModel
 
@@ -364,13 +364,6 @@ class TestTripletMethod:
             fs_fit_from_moments(np.eye(2), Prior(0.5))
 
     def test_bad_inputs_rejected(self):
-        moments = product_moments([0.8, 0.6, 0.5])
-        signed = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
-        for eps_clip in (float("nan"), float("inf"), -1e-4, 0.0, 1e-17, 1.0, 2.0):
-            with pytest.raises(ValueError, match="eps_clip"):
-                fs_fit_from_moments(moments, Prior(0.5), eps_clip=eps_clip)
-            with pytest.raises(ValueError, match="eps_clip"):
-                fs_fit(signed, Prior(0.5), eps_clip=eps_clip)
         with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
             fs_fit(np.array([[0, 1, 1]]), Prior(0.5))
         with pytest.raises(ValueError, match="^moments must be a square matrix$"):
@@ -384,6 +377,21 @@ class TestTripletMethod:
         moments = np.array([[1.0, 0.99, 0.99], [0.99, 1.0, 0.8], [0.99, 0.8, 1.0]])
         model = fs_fit_from_moments(moments, Prior(0.5))
         assert (model.accuracies <= 1.0 - 1e-4 + 1e-15).all()
+
+    def test_clip_constant_at_its_boundary(self):
+        """A denominator moment of exactly FS_EPS_CLIP is discarded and the
+        next float above it kept; an estimate above 1 - FS_EPS_CLIP comes
+        out exactly 1 - FS_EPS_CLIP."""
+        def moments(denominator):
+            # Function 0's only triplet divides by M_12; functions 1 and 2
+            # each have a triplet through the large moments M_01 and M_02.
+            return np.array([[1.0, 0.5, 0.5], [0.5, 1.0, denominator],
+                             [0.5, denominator, 1.0]])
+
+        with pytest.raises(ValueError, match="no admissible triplet for labeling function 0"):
+            fs_fit_from_moments(moments(FS_EPS_CLIP), Prior(0.5))
+        kept = fs_fit_from_moments(moments(np.nextafter(FS_EPS_CLIP, 1.0)), Prior(0.5))
+        assert kept.accuracies[0] == 1.0 - FS_EPS_CLIP
 
     def test_sampled_recovery(self):
         a = np.array([0.8, 0.6, 0.5])

@@ -368,14 +368,20 @@ class TestFitCommand:
         assert np.isfinite(diagnostics["objective"])
         assert diagnostics["objective"] == diagnostics["reg"] + diagnostics["prior"]
 
-    def test_retired_prior_weight_flag_is_a_usage_error(self, tmp_path, capsys):
-        """The prior term's weight is fixed at 1; lambda_reg alone sets it
-        against the regularizer, and --prior-weight is no flag."""
-        train = write_dataset(tmp_path / "t.jsonl", [(1, 0), (0, 1)])
+    @pytest.mark.parametrize(
+        "model, flag, value",
+        [("weapo", "--prior-weight", "2"), ("fs", "--eps-clip", "1e-3")],
+        ids=["prior-weight", "eps-clip"],
+    )
+    def test_retired_fitting_flag_is_a_usage_error(self, tmp_path, capsys, model, flag, value):
+        """The prior term's weight is fixed at 1, so lambda_reg alone sets
+        it against the regularizer; the triplet method clips at the
+        constant FS_EPS_CLIP. Neither setting is a flag."""
+        train = write_dataset(tmp_path / "t.jsonl", [(1, 0, 0), (0, 1, 1)])
         model_path = tmp_path / "m.json"
-        assert main(["fit", train, "--model", "weapo", "--prior", "0.3", "--prior-weight", "2",
+        assert main(["fit", train, "--model", model, "--prior", "0.5", flag, value,
                      "--out", str(model_path), "--quiet"]) == 2
-        assert "unrecognized arguments: --prior-weight 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_ds_runs_without_prior(self, informative_files, tmp_path):
@@ -458,7 +464,7 @@ class TestFitCommand:
             ("ds", ["--smoothing", "inf"]),
             ("ds", ["--tol", "nan"]),
             ("ds", ["--max-iters", "-3"]),
-            ("fs", ["--eps-clip", "nan"]),
+            ("weapo", ["--lambda-reg", "nan"]),
             ("mv", ["--smoothing", "nan"]),
             ("mv", ["--lambda-reg", "-1"]),
         ],
@@ -477,42 +483,17 @@ class TestFitCommand:
         assert "Traceback" not in err
         assert not model_path.exists()
 
-    @pytest.mark.parametrize("eps_clip", ["0", "1e-17"])
-    def test_eps_clip_that_leaves_accuracy_one_refused_before_reading(
-        self, tmp_path, capsys, eps_clip
-    ):
-        """1 - eps_clip rounds to 1 here, an accuracy a model file may not hold."""
-        model_path = tmp_path / "m.json"
-        code = main(
-            ["fit", str(tmp_path / "nope.jsonl"), "--model", "fs", "--prior", "0.5",
-             "--eps-clip", eps_clip, "--out", str(model_path), "--quiet"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: eps_clip") and "nope" not in err
-        assert not model_path.exists()
-
-    def test_smallest_accepted_eps_clip_writes_a_readable_model(
-        self, informative_files, tmp_path
-    ):
-        model_path = str(tmp_path / "m.json")
-        assert main(
-            ["fit", informative_files["train"], "--model", "fs", "--prior", "0.5",
-             "--eps-clip", "1.2e-16", "--out", model_path, "--quiet"]
-        ) == 0
-        assert main(["eval", model_path, informative_files["test"], "--quiet"]) == 0
-
     @pytest.mark.parametrize(
         "model, flags",
         [
             ("mv", ["--max-iters", "5"]),
             ("mv", ["--lambda-reg", "3"]),
-            ("mv", ["--eps-clip", "0.5"]),
+            ("mv", ["--smoothing", "2"]),
             ("mv", ["--prior", "0.3"]),
             ("weapo-noprior", ["--prior", "0.3"]),
             ("weapo-noprior", ["--smoothing", "2"]),
             ("ds", ["--lambda-reg", "2"]),
-            ("ds", ["--eps-clip", "0.5"]),
+            ("fs", ["--prior", "0.5", "--lambda-reg", "2"]),
             ("fs", ["--prior", "0.5", "--tol", "1e-3"]),
             ("weapo", ["--prior", "0.5", "--max-iters", "5"]),
             ("weapo-noprior", ["--lambda-reg", "7"]),
@@ -1049,6 +1030,29 @@ class TestEndCommand:
         assert main(["end", *missing, *flags, "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("label", [1, -1])
+    def test_single_class_test_file_refused_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, label
+    ):
+        """A test file of one class has no ROC-AUC: end names it and exits
+        before it builds or solves the kernel system."""
+        def never(*args, **kwargs):
+            raise AssertionError("fit_krr was called")
+
+        monkeypatch.setattr("weapo.endmodel.fit_krr", never)
+        votes, features = [(1, 0), (0, 1), (1, 1), (0, 0)] * 5, np.arange(40.0).reshape(20, 2)
+        train = write_dataset(tmp_path / "train.jsonl", votes, [1, -1] * 10, features)
+        test = write_dataset(tmp_path / "test.jsonl", votes, [label] * 20, features)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"model_type": "mv", "num_lfs": 2}))
+        out = tmp_path / "end.json"
+        assert main(["end", str(model), train, test, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {test}: every gold label is {label:+d}; "
+            "the end model's ROC-AUC needs both classes\n"
+        )
+        assert not out.exists()
+
     def test_out_of_memory_is_clean_error(self, feature_files, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.7 GiB")
@@ -1136,9 +1140,9 @@ class TestEndCommand:
         )
         test = write_dataset(
             tmp_path / "test.jsonl",
-            [(1, 1)],
-            gold=[1],
-            features=[(0.5, 0.5)],
+            [(1, 1), (0, 0)],
+            gold=[1, -1],
+            features=[(0.5, 0.5), (0.0, 0.0)],
         )
         model = tmp_path / "mv.json"
         assert main(
@@ -1390,7 +1394,7 @@ class TestCompareCommand:
             ("ds,mv", ["--smoothing", "nan"], "smoothing"),
             ("weapo,mv", ["--prior", "1.5"], "p_plus"),
             ("weapo,mv", ["--prior", "0.5", "--lambda-reg", "-1"], "lambda_reg"),
-            ("fs,mv", ["--prior", "0.5", "--eps-clip", "2"], "eps_clip"),
+            ("ds,mv", ["--tol", "nan"], "tol"),
             ("mv", ["--max-iters", "0"], "max_iters"),
         ],
     )
@@ -1412,10 +1416,10 @@ class TestCompareCommand:
         out = tmp_path / "cmp.json"
         code = main(
             ["compare", str(tmp_path / "nope.jsonl"), str(tmp_path / "nope-test.jsonl"),
-             "--models", "mv,ds", "--eps-clip", "0.5", "--out", str(out), "--quiet"]
+             "--models", "mv,ds", "--lambda-reg", "2", "--out", str(out), "--quiet"]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: --eps-clip applies only to fs;")
+        assert capsys.readouterr().err.startswith("error: --lambda-reg applies only to weapo;")
         assert not out.exists()
 
     def test_flag_read_by_one_named_model_is_accepted(self, informative_files, tmp_path):
@@ -1540,7 +1544,7 @@ class TestTopLevel:
         """The CLI restates no library default: a flag left out is None
         and is not passed on."""
         parser = build_parser()
-        fitting = ("lambda_reg", "max_iters", "tol", "smoothing", "eps_clip")
+        fitting = ("lambda_reg", "max_iters", "tol", "smoothing")
         for argv in (["fit", "t.jsonl", "--model", "mv", "--out", "m.json"],
                      ["compare", "t.jsonl", "u.jsonl", "--models", "mv"]):
             args = parser.parse_args(argv)

@@ -31,10 +31,10 @@ def test_tree_against_itself_is_identical():
     code, summary = run_identity(ROOT)
     assert code == 0 and summary["identical"]
     assert summary["input_sets"] == ["end-krr-seed1", "tall-m8-seed1", "wide-m16-seed1"]
-    # 35 output files and 30 commands per input set, two of them through
+    # 33 output files and 28 commands per input set, two of them through
     # the entry point, and the 3 demos, which write no files; every
     # command and demo succeeded.
-    assert (summary["files"], summary["logs"]) == (105, 93)
+    assert (summary["files"], summary["logs"]) == (99, 87)
     assert summary["differing"] == summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["json_diff_paths"] == {}
     assert summary["failed_in_head"] == summary["newly_failed"] == []
@@ -60,7 +60,7 @@ def test_one_changed_output_digit_is_caught(tmp_path):
         f"{name}/out/eval-{model}.json"
         for name in summary["input_sets"]
         for model in ("weapo", "weapo-noprior", "mv", "ds", "fs", "weapo-lam0", "weapo-lam3",
-                      "ds-flags", "fs-clip", "weapo-inband", "layout", "entry")
+                      "ds-flags", "weapo-inband", "layout", "entry")
     )
     assert summary["only_in_base"] == summary["only_in_head"] == []
     assert summary["theta_max_abs_diff"] == {}

@@ -109,6 +109,14 @@ class TestGenerate:
         with pytest.raises(MemoryError):
             generate(SyntheticSpec(n=most, **law))
 
+    def test_feature_draw_that_overflows_is_refused(self):
+        """Means and sigma that each pass the spec's checks can still draw
+        a feature beyond float64: refused by name, with no numpy warning."""
+        features = FeatureSpec(mu_pos=(1e308,), mu_neg=(-1e308,), sigma=1e308)
+        with pytest.raises(ValueError) as got:
+            generate(spec_3lf(n=3, feature_spec=features))
+        assert str(got.value) == "a feature draw overflows float64; use smaller means or sigma"
+
     def test_whole_blocks_do_not_depend_on_n(self):
         """Each block draws from its own stream, so the complete blocks of a
         short run reappear unchanged in a longer one."""

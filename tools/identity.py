@@ -16,8 +16,8 @@ input set both trees run the same commands:
   in the ``--flag=value`` form;
 * ``fit`` and ``eval`` of weapo, weapo-noprior, mv, ds and fs; of weapo
   at ``--lambda-reg 0`` and at ``--lambda-reg 3``, a ratio 1/lambda_reg
-  other than the default's 1; of ds at ``--max-iters 300 --tol 1e-8
-  --smoothing 0.5``; and of fs at ``--eps-clip 1e-3``;
+  other than the default's 1; and of ds at ``--max-iters 300 --tol 1e-8
+  --smoothing 0.5``;
 * ``fit`` and ``eval`` of weapo at ``--lambda-reg 0`` with a prior inside
   its band: the midpoint of the train votes' mean firing rate and their
   largest one;
@@ -93,7 +93,6 @@ FITS = [(model, model, []) for model in MODELS] + [
     ("weapo-lam0", "weapo", ["--lambda-reg", "0"]),
     ("weapo-lam3", "weapo", ["--lambda-reg", "3"]),
     ("ds-flags", "ds", ["--max-iters", "300", "--tol", "1e-8", "--smoothing", "0.5"]),
-    ("fs-clip", "fs", ["--eps-clip", "1e-3"]),
     ("weapo-inband", "weapo", ["--lambda-reg", "0"]),
 ]
 SEEDS = (1, 7)
