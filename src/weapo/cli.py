@@ -266,13 +266,18 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     from .data import load_dataset
-    from .metrics import evaluate_patterns
+    from .metrics import UndefinedMetricError, evaluate_patterns
 
     payload, num_lfs, score = _read_model(args.model)
     test = load_dataset(args.test)
     _same_width("labeling functions", (args.model, num_lfs), (args.test, test.num_lfs))
     _require_gold(test, args.test)
-    result = evaluate_patterns(score(test.patterns), test.patterns)
+    scores = score(test.patterns)
+    # No covered record, or one class among them, is a fault of the test file.
+    try:
+        result = evaluate_patterns(scores, test.patterns)
+    except UndefinedMetricError as err:
+        raise ValueError(f"{args.test}: {err}") from None
     out_payload = {
         "command": "eval",
         "version": __version__,

@@ -1,21 +1,26 @@
 """Feature-space end model trained on label-model scores.
 
-Kernel ridge regression with an RBF kernel, solved exactly by a blocked
-Cholesky factorization in float32 and iterative refinement to float64
-accuracy, or in float64 where that falls short. Training targets come
+Kernel ridge regression with an RBF kernel, solved exactly: an inner solve
+of the kernel system is refined with float64 residuals to float64
+accuracy. The inner solve is tried in three forms, in order: a rank-m
+pivoted partial Cholesky factor of K used through the Woodbury identity,
+when m <= N // 6 captures K to within alpha in trace; a blocked Cholesky
+factorization in float32; and one in float64. Training targets come
 from the label model: covered records keep their scores, uncovered
 records take one constant (default 0, i.e. treated as negative). The end
 model generalizes past coverage because it scores features, not votes.
 
-Memory: the fit holds only the lower triangle of the symmetric kernel
-system, as ``BLOCK_ROWS``-row panels of at most N * (N + BLOCK_ROWS) / 2
-entries, factored in place: each diagonal block holds the inverse of its
-diagonal factor. The panels are float32, or float64 when the float32
-attempt falls short. Their build and each refinement pass read the system
-from one source of float64 row chunks, each formed in one buffer that the
-pass allocates once. ``fit_bytes`` prices the float64 panels, the
-factorization's temporaries and that buffer.
-Before allocating the panels, ``fit_krr`` refuses a fit whose float64 attempt
+Memory: the low-rank solve holds the factor's float32 rows, at most
+4 * N * (N // 6) bytes, and an m x m system. The panel solves hold only
+the lower triangle of the symmetric kernel system, as ``BLOCK_ROWS``-row
+panels of at most N * (N + BLOCK_ROWS) / 2 entries, factored in place:
+each diagonal block holds the inverse of its diagonal factor. The panels
+are float32, or float64 when the float32 attempt falls short. Their build
+and each refinement pass read the system from one source of float64 row
+chunks, each formed in one buffer that the pass allocates once.
+``fit_bytes`` prices the float64 panels, the factorization's temporaries
+and that buffer, which bounds the other two attempts.
+Before any attempt, ``fit_krr`` refuses a fit whose float64 attempt
 needs more than ``MEMORY_BUDGET_FRACTION`` of the memory the operating system
 reports available. Prediction scores the test rows in blocks of ``BLOCK_ROWS``,
 each in one reused buffer, so it never holds an N_test x N_train kernel.
@@ -24,7 +29,7 @@ each in one reused buffer, so it never holds an N_test x N_train kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +202,10 @@ def fit_bytes(n: int) -> int:
     min(n, ``BLOCK_ROWS``) rows, each with its diagonal block in full, at
     most n * (n + b) / 2 doubles, plus four b x b temporaries of the
     factorization, whose peak holds about three, and the chunk buffer of
-    each pass over the system. The float32 attempt holds about half."""
+    each pass over the system. This prices every fit: the float32 attempt
+    holds about half, and the low-rank one its factor's float32 rows, at
+    most 4 * n * (n // 6) bytes, an m x m float64 system of m <= n // 6 and
+    one block of kernel rows, about 1.1 * n**2 + 2048 * n bytes in all."""
     b = min(n, BLOCK_ROWS)
     return 8 * (n * (n + b) // 2 + 4 * b * b + _kernel_doubles(min(n, _CHUNK_ROWS), n))
 
@@ -315,37 +323,147 @@ def _solve_factored(panels: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     return np.ldexp(_substitute(panels, scaled).astype(np.float64), exponent)
 
 
-def _solve_refined(
-    features: np.ndarray, targets: np.ndarray, gamma: float, alpha: float,
-    dtype: type, bound: float,
-) -> tuple[np.ndarray, float] | None:
-    """Factor ``K + alpha * I`` in ``dtype`` and refine its solve as
-    ``fit_krr``'s Notes say, until the residual's norm is also at most
-    ``bound``: the x of the smallest residual and that residual's norm, or
-    None when the factorization breaks down. ``N + alpha`` bounds the
-    system's infinity norm, since 0 <= K <= 1. An unstable factorization's
-    overflow or NaN shows in the residual, not as a warning."""
-    n = len(targets)
-    tolerance = math.sqrt(n) * (n + alpha) * np.finfo(np.float64).eps
-    with np.errstate(over="ignore", invalid="ignore"):
-        panels = _ridge_panels(features, gamma, alpha, dtype)
+# An inner solve: an approximate (K + alpha * I)^-1 r for a float64 r.
+Solve = Callable[[np.ndarray], np.ndarray]
+
+
+def _panel_solver(features: np.ndarray, gamma: float, alpha: float, dtype: type) -> Solve | None:
+    """The solve of ``K + alpha * I`` factored in ``dtype`` panels, as
+    ``_solve_factored`` gives it, or None when the factorization breaks
+    down."""
+    panels = _ridge_panels(features, gamma, alpha, dtype)
+    try:
+        _factor_panels(panels)
+    except np.linalg.LinAlgError:
+        return None
+    return lambda rhs: _solve_factored(panels, rhs)
+
+
+def _block_factor(schur: np.ndarray, floor: float) -> tuple[list[int], np.ndarray]:
+    """Greedy pivoted Cholesky factorization of a block's Schur complement:
+    the pivots in the order taken, each the largest remaining diagonal
+    entry, the first on ties, while that entry exceeds ``floor``, and the
+    lower Cholesky factor of ``schur`` on them."""
+    diagonal = schur.diagonal().copy()
+    columns = np.zeros_like(schur)
+    pivots: list[int] = []
+    for step in range(len(schur)):
+        pivot = int(np.argmax(diagonal))
+        column = schur[:, pivot] - columns[:, :step] @ columns[pivot, :step]
+        if not column[pivot] > floor:
+            break
+        columns[:, step] = column / math.sqrt(column[pivot])
+        diagonal -= columns[:, step] ** 2
+        diagonal[pivot] = -math.inf
+        pivots.append(pivot)
+    return pivots, np.tril(columns[pivots, : len(pivots)])
+
+
+def _pivoted_cholesky(features: np.ndarray, gamma: float, alpha: float) -> np.ndarray | None:
+    """A greedy pivoted partial Cholesky factor G of K, with K ~ G^T G and
+    the trace of K - G^T G at most ``alpha``: the m x N float32 rows of G,
+    or None when m would pass N // 6 or a block finds no pivot.
+
+    The pivots come in blocks of at most ``BLOCK_ROWS``, and of at most
+    the rows left below the cap: the entries of largest residual diagonal,
+    that of K - G^T G, lowest index first on ties (a stable sort). A
+    block's kernel rows are formed in one buffer that every block reuses,
+    less the product of the rows of G already found, in float32, and
+    ``_block_factor`` keeps the block's pivots whose residual exceeds
+    alpha / N. Their rows of G fill an array of N // 6 rows, of which only
+    those written are resident."""
+    n = len(features)
+    limit = n // 6
+    sq = (features * features).sum(axis=1)
+    # The kernel's diagonal is 1.
+    residual = np.ones(n)
+    factor = np.empty((limit, n), np.float32)
+    out = np.empty(_kernel_doubles(min(limit, BLOCK_ROWS), n))
+    rank = 0
+    while not residual.sum() <= alpha:
+        size = min(BLOCK_ROWS, limit - rank)
+        if size == 0:
+            return None
+        pivots = np.argsort(-residual, kind="stable")[:size]
+        rows = _kernel(features[pivots], features, sq[pivots], sq, gamma, out)
+        # In chunks, so that each product is a few rows of float32.
+        for start in range(0, size if rank else 0, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            rows[chunk] -= factor[:rank, pivots[chunk]].T @ factor[:rank]
+        kept, lower = _block_factor(rows[:, pivots], alpha / n)
+        if not kept:
+            return None
+        # The new rows of G are L^-1 times the kept pivots' rows.
+        weights = np.zeros((len(kept), size))
+        weights[:, kept] = _lower_inverse(lower)
+        for start in range(0, len(kept), _CHUNK_ROWS):
+            new = weights[start : start + _CHUNK_ROWS] @ rows
+            factor[rank + start : rank + start + len(new)] = new
+            residual -= np.square(new, out=new).sum(axis=0)
+        rank += len(kept)
+        np.maximum(residual, 0.0, out=residual)
+    return factor[:rank]
+
+
+def _low_rank_solver(features: np.ndarray, gamma: float, alpha: float) -> Solve | None:
+    """The solve of ``alpha * I + G^T G``, with G the factor of
+    ``_pivoted_cholesky``, by the Woodbury identity: ``(r - G^T (alpha * I
+    + G G^T)^-1 G r) / alpha``, with the m x m system ``alpha * I + G G^T``
+    factored in float64 panels by ``_factor_panels``. The products with G
+    are float32, of r scaled by a power of two as in ``_solve_factored``.
+    None at alpha = 0, when ``_pivoted_cholesky`` gives up, or when the
+    m x m system fails to factor."""
+    if alpha == 0.0:
+        return None
+    factor = _pivoted_cholesky(features, gamma, alpha)
+    if factor is None:
+        return None
+    system = []
+    for block in _blocks(len(factor)):
+        panel = (factor[block] @ factor[: block.stop].T).astype(np.float64)
+        panel.flat[block.start :: block.stop + 1] += alpha
+        system.append(panel)
+    if system:
         try:
-            _factor_panels(panels)
+            _factor_panels(system)
         except np.linalg.LinAlgError:
             return None
-        best, best_size = None, math.inf
-        x = _solve_factored(panels, targets)
-        while True:
-            residual = targets - _system_product(features, gamma, alpha, x)
-            size = float(np.abs(residual).max())
-            if best is not None and not size < best_size:
-                break
-            shrunk = 4.0 * size <= best_size
-            best, best_size = (x, float(np.linalg.norm(residual))), size
-            if (size <= tolerance * np.abs(x).max() and best[1] <= bound) or not shrunk:
-                break
-            x = x + _solve_factored(panels, residual)
-        return best
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        _, exponent = np.frexp(np.abs(rhs).max())
+        scaled = np.ldexp(rhs, -exponent)
+        inner = _substitute(system, (factor @ scaled.astype(np.float32)).astype(np.float64))
+        return np.ldexp((scaled - factor.T @ inner.astype(np.float32)) / alpha, exponent)
+
+    return solve
+
+
+def _solve_refined(
+    features: np.ndarray, targets: np.ndarray, gamma: float, alpha: float,
+    solve: Solve | None, bound: float,
+) -> tuple[np.ndarray, float] | None:
+    """Refine the inner solve ``solve`` of ``K + alpha * I`` as
+    ``fit_krr``'s Notes say, until the residual's norm is also at most
+    ``bound``: the x of the smallest residual and that residual's norm, or
+    None when the attempt gave no inner solve. ``N + alpha`` bounds the
+    system's infinity norm, since 0 <= K <= 1."""
+    if solve is None:
+        return None
+    n = len(targets)
+    tolerance = math.sqrt(n) * (n + alpha) * np.finfo(np.float64).eps
+    best, best_size = None, math.inf
+    x = solve(targets)
+    while True:
+        residual = targets - _system_product(features, gamma, alpha, x)
+        size = float(np.abs(residual).max())
+        if best is not None and not size < best_size:
+            break
+        shrunk = 4.0 * size <= best_size
+        best, best_size = (x, float(np.linalg.norm(residual))), size
+        if (size <= tolerance * np.abs(x).max() and best[1] <= bound) or not shrunk:
+            break
+        x = x + solve(residual)
+    return best
 
 
 def fit_krr(
@@ -354,7 +472,8 @@ def fit_krr(
     gamma: float | None = None,
     alpha: float = 1.0,
 ) -> KRRModel:
-    """Solve (K + alpha * I) c = targets by a blocked Cholesky factorization.
+    """Solve (K + alpha * I) c = targets exactly, refining the solve of a
+    low-rank or a blocked Cholesky factorization.
 
     Parameters
     ----------
@@ -370,17 +489,30 @@ def fit_krr(
 
     Notes
     -----
-    The fit holds the lower triangle of the system ``K + alpha * I`` as
+    The solve is LAPACK DSPOSV's mixed-precision method (Langou et al.,
+    SC 2006): an inner solve of the system ``K + alpha * I``, refined with
+    float64 residuals. Three inner solves are tried in order.
+
+    The low-rank solve comes first (``_low_rank_solver``): a greedy
+    pivoted partial Cholesky factor G of K (Chen, Epperly, Tropp & Webber,
+    arXiv:2207.06503), of m float32 rows of N entries, with the trace of
+    K - G^T G at most alpha, makes ``alpha * I + G^T G`` a preconditioner
+    of the system (Frangella, Tropp & Udell, SIMAX 2023); its solve by the
+    Woodbury identity costs O(N * m) a pass. The pivots are taken in
+    blocks of ``BLOCK_ROWS``, each block's kernel rows in one reused
+    buffer. The attempt gives up at alpha = 0 and when m would pass
+    N // 6, so it holds at most 4 * N * (N // 6) bytes of factor rows.
+
+    The panel solves follow. They hold the lower triangle of the system as
     ``BLOCK_ROWS``-row panels, in float32 at most 2 * N * (N +
-    ``BLOCK_ROWS``) bytes. When the float32 attempt falls short, the fit
-    frees them and repeats in float64: at most 4 * N * (N + ``BLOCK_ROWS``)
-    bytes, plus the factorization's temporaries and each pass's one chunk
-    buffer (``fit_bytes``). Before allocating any panel, the fit compares
-    that float64 size with ``MEMORY_BUDGET_FRACTION`` of ``MemAvailable``
-    in ``/proc/meminfo`` and raises ``ValueError`` naming N, the GiB needed
-    and the GiB available when it does not fit. The check is skipped where
-    that file cannot be read, and it does not see a cgroup memory limit, so
-    a container may still be killed below it.
+    ``BLOCK_ROWS``) bytes, and in float64 at most 4 * N * (N +
+    ``BLOCK_ROWS``) bytes, plus the factorization's temporaries and each
+    pass's one chunk buffer (``fit_bytes``). Before any attempt, the fit
+    compares that float64 size with ``MEMORY_BUDGET_FRACTION`` of
+    ``MemAvailable`` in ``/proc/meminfo`` and raises ``ValueError`` naming
+    N, the GiB needed and the GiB available when it does not fit. The
+    check is skipped where that file cannot be read, and it does not see
+    a cgroup memory limit, so a container may still be killed below it.
 
     Panel i holds block i's rows of the system up to the end of block i,
     zero above its diagonal. A blocked Cholesky factorization
@@ -394,25 +526,24 @@ def fit_krr(
     features, targets, ``gamma`` or ``alpha`` are rejected here, and so
     are features large enough for their squared distances to overflow and
     targets larger in magnitude than ``sqrt(max / (4 N))``, with ``max``
-    the largest float64, for which the residual norms overflow.
+    the largest float64, for which the residual norms overflow. The
+    panels are the float64 system's row chunks of ``_CHUNK_ROWS``,
+    rounded, so the float32 system is exactly the float64 one rounded.
 
-    The solve is LAPACK DSPOSV's mixed-precision method (Langou
-    et al., SC 2006). The panels are the float64 system's row chunks of
-    ``_CHUNK_ROWS``, rounded, so the float32 system is exactly the float64
-    one rounded. After the first solve, each pass forms the residual
-    ``r = targets - (K + alpha * I) x`` in float64 from the same chunks
-    and adds the factored solve of r; every factored solve scales its
-    right-hand side by a power of two, exact in float64, so that neither
-    large targets nor small residuals leave float32's range. Refinement
-    stops when ``|r| <= sqrt(N) * (N + alpha) * eps * |x|`` in the
-    infinity norm, DSPOSV's test, or at the first pass that shrinks the
-    residual less than 4-fold, and keeps the x of the smallest residual. A
-    result is accepted when its residual norm is at most
-    ``1e-8 * (1 + ||targets||)``; a float32 attempt also refines until it
-    is. The fit repeats in float64 when alpha overflows float32, when the
-    float32 factorization breaks down, or when its result is not accepted.
-    A float64 solve that meets DSPOSV's test at once is returned as it
-    stands, accepted or refused as a single solve.
+    After the first inner solve, each pass forms the residual ``r =
+    targets - (K + alpha * I) x`` in float64 from the same chunks and adds
+    the inner solve of r; every inner solve scales its right-hand side by
+    a power of two, exact in float64, so that neither large targets nor
+    small residuals leave float32's range. Refinement stops when ``|r| <=
+    sqrt(N) * (N + alpha) * eps * |x|`` in the infinity norm, DSPOSV's
+    test, or at the first pass that shrinks the residual less than
+    4-fold, and keeps the x of the smallest residual. A result is accepted
+    when its residual norm is at most ``1e-8 * (1 + ||targets||)``; the
+    low-rank and float32 attempts also refine until it is. The fit moves
+    on to the next attempt when one gives no inner solve or its result is
+    not accepted; the float32 attempt is skipped when alpha overflows
+    float32. A float64 solve that meets DSPOSV's test at once is returned
+    as it stands, accepted or refused as a single solve.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
@@ -439,14 +570,20 @@ def fit_krr(
         )
     remedy = "use alpha > 0" if alpha == 0.0 else "use a larger alpha"
     bound = 1e-8 * (1.0 + float(np.linalg.norm(targets)))
-    solved = None
-    # float32 holds K + alpha * I unless alpha overflows it.
-    if alpha + 1.0 <= float(np.finfo(np.float32).max):
-        solved = _solve_refined(features, targets, gamma, alpha, np.float32, bound)
-    if solved is None or not solved[1] <= bound:
-        # DSPOSV's test alone ends it, so a float64 solve that meets the test
-        # at once is accepted or refused as one solve.
-        solved = _solve_refined(features, targets, gamma, alpha, np.float64, math.inf)
+    # An unstable solve's overflow or NaN shows in the residual, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = _solve_refined(features, targets, gamma, alpha,
+                                _low_rank_solver(features, gamma, alpha), bound)
+        # float32 holds K + alpha * I unless alpha overflows it.
+        if (solved is None or not solved[1] <= bound) and (
+                alpha + 1.0 <= float(np.finfo(np.float32).max)):
+            solved = _solve_refined(features, targets, gamma, alpha,
+                                    _panel_solver(features, gamma, alpha, np.float32), bound)
+        if solved is None or not solved[1] <= bound:
+            # DSPOSV's test alone ends it, so a float64 solve that meets the
+            # test at once is accepted or refused as one solve.
+            solved = _solve_refined(features, targets, gamma, alpha,
+                                    _panel_solver(features, gamma, alpha, np.float64), math.inf)
     if solved is None:
         raise ValueError(f"the kernel system is numerically singular; {remedy}")
     coefficients, residual = solved

@@ -609,6 +609,15 @@ class TestEvalCommand:
         assert main(["eval", model, test, "--quiet"]) == 1
         assert "no covered records" in capsys.readouterr().err
 
+    def test_single_class_covered_subset_names_the_test_file(self, tmp_path, capsys):
+        train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
+        test = write_dataset(tmp_path / "test.jsonl", [(1, 1), (1, 0), (0, 0)], gold=[1, 1, -1])
+        model = self.fit_mv(tmp_path, train)
+        assert main(["eval", model, test, "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {test}: covered subset is single-class (n_pos=2, n_neg=0)\n"
+        )
+
     def test_width_mismatch(self, tmp_path, capsys):
         train = write_dataset(tmp_path / "train.jsonl", [(1, 1), (1, 0)])
         test = write_dataset(

@@ -43,15 +43,43 @@ def kernel(x, y, gamma):
 
 def record_precisions(monkeypatch):
     """The panel dtypes ``fit_krr`` factors, in order, recorded from here on."""
-    factor_panels = weapo.endmodel._factor_panels
+    panel_solver = weapo.endmodel._panel_solver
     precisions = []
 
-    def recording_factor(panels):
-        precisions.append(panels[0].dtype.type)
-        factor_panels(panels)
+    def recording_solver(features, gamma, alpha, dtype):
+        precisions.append(dtype)
+        return panel_solver(features, gamma, alpha, dtype)
 
-    monkeypatch.setattr(weapo.endmodel, "_factor_panels", recording_factor)
+    monkeypatch.setattr(weapo.endmodel, "_panel_solver", recording_solver)
     return precisions
+
+
+def record_attempts(monkeypatch):
+    """The inner solves ``fit_krr`` attempts, in order, recorded from here
+    on: each as ``(name, built)``, with name "low-rank" or the panels'
+    dtype, and built False for an attempt that gives up."""
+    low_rank, panel = weapo.endmodel._low_rank_solver, weapo.endmodel._panel_solver
+    attempts = []
+
+    def recording_low_rank(*args):
+        solve = low_rank(*args)
+        attempts.append(("low-rank", solve is not None))
+        return solve
+
+    def recording_panel(features, gamma, alpha, dtype):
+        solve = panel(features, gamma, alpha, dtype)
+        attempts.append((np.dtype(dtype).name, solve is not None))
+        return solve
+
+    monkeypatch.setattr(weapo.endmodel, "_low_rank_solver", recording_low_rank)
+    monkeypatch.setattr(weapo.endmodel, "_panel_solver", recording_panel)
+    return attempts
+
+
+def panels_only(monkeypatch):
+    """Make ``fit_krr`` skip its low-rank attempt, so that its panel
+    attempts run as they do where that attempt gives up."""
+    monkeypatch.setattr(weapo.endmodel, "_low_rank_solver", lambda *args: None)
 
 
 class TestMakeTargets:
@@ -293,6 +321,7 @@ class TestFitKrr:
                 return stage(*args)
             return started
 
+        panels_only(monkeypatch)
         for name in ("_ridge_panels", "_system_product"):
             stage = getattr(weapo.endmodel, name)
             monkeypatch.setattr(weapo.endmodel, name, starting_pass(stage))
@@ -451,7 +480,13 @@ class TestFitKrr:
         t = rng.normal(size=n)
         gamma, alpha = 0.4, 1.0
         bound = 1e-8 * (1.0 + float(np.linalg.norm(t)))
-        float64_solve = weapo.endmodel._solve_refined(x, t, gamma, alpha, np.float64, math.inf)
+        panels_only(monkeypatch)
+
+        def refined(dtype, bound):
+            solve = weapo.endmodel._panel_solver(x, gamma, alpha, dtype)
+            return weapo.endmodel._solve_refined(x, t, gamma, alpha, solve, bound)
+
+        float64_solve = refined(np.float64, math.inf)
         solve_factored = weapo.endmodel._solve_factored
         iterates = []
 
@@ -464,7 +499,7 @@ class TestFitKrr:
             return step
 
         monkeypatch.setattr(weapo.endmodel, "_solve_factored", overshooting)
-        coefficients, norm = weapo.endmodel._solve_refined(x, t, gamma, alpha, np.float32, bound)
+        coefficients, norm = refined(np.float32, bound)
         assert len(iterates) == scaled + 1
         kept = iterates[scaled - 1]
         residual = t - weapo.endmodel._system_product(x, gamma, alpha, kept)
@@ -487,6 +522,7 @@ class TestFitKrr:
     def test_alpha_beyond_float32_takes_float64_without_a_warning(self, monkeypatch):
         """K + alpha * I overflows float32 for alpha = 1e300; the fit goes
         straight to float64, with no overflow warning on the way."""
+        panels_only(monkeypatch)
         precisions = record_precisions(monkeypatch)
         rng = np.random.default_rng(18)
         x = rng.normal(size=(40, 2))
@@ -734,23 +770,26 @@ class TestMemory:
         t = rng.normal(size=n)
         return TestMemory.traced_peak(lambda: fit_krr(x, t, gamma=0.5, alpha=1.0))
 
-    def test_fit_holds_one_dense_array(self):
+    def test_fit_holds_one_dense_array(self, monkeypatch):
         """The lower triangle of the kernel system as row-block panels,
         factored in place, each diagonal block overwritten by its inverse:
         about 0.61 * 8 * N**2 bytes at N = 2000. A list of diagonal
         inverses beside the panels costs 0.1 * 8 * N**2 more; a stored
         upper triangle, a solve that copies the system, or a kernel built
         in one call would each cost another 0.5 to 1 * 8 * N**2."""
+        panels_only(monkeypatch)
         n = 2000
         assert self.traced_fit_peak(n) < 0.65 * n * n * 8
 
-    def test_default_fit_holds_float32_panels(self):
-        """A default fit factors the system in float32, half the bytes of
-        the float64 panels ``fit_bytes`` prices, and rebuilds it for each
-        residual in float64 row chunks of a few rows. At N = 3 * BLOCK_ROWS
+    def test_default_fit_holds_float32_panels(self, monkeypatch):
+        """A default fit whose low-rank attempt gives up factors the system
+        in float32, half the bytes of the float64 panels ``fit_bytes``
+        prices, and rebuilds it for each residual in float64 row chunks of
+        a few rows. At N = 3 * BLOCK_ROWS
         + 5 the float32 panels are 0.30 of ``fit_bytes`` and the
         factorization's float32 temporaries 0.20; the float64 panels alone,
         the bound, are 0.6 of it."""
+        panels_only(monkeypatch)
         n = 3 * BLOCK_ROWS + 5
         assert self.traced_fit_peak(n) < 0.6 * fit_bytes(n)
 
@@ -811,10 +850,11 @@ class TestMemory:
         assert blocks[0].base.shape == (weapo.endmodel._kernel_doubles(BLOCK_ROWS, 300),)
 
     @pytest.mark.parametrize("n", [601, 2 * BLOCK_ROWS + 37, 2000], ids=lambda n: f"n{n}")
-    def test_fit_bytes_prices_the_peak(self, n):
-        """The memory budget ``fit_bytes`` prices the fit's peak up to its
-        O(N) vectors: the copy of the 3-wide features the model keeps and
-        four vectors of N doubles."""
+    def test_fit_bytes_prices_the_peak(self, monkeypatch, n):
+        """The memory budget ``fit_bytes`` prices the panel fit's peak up to
+        its O(N) vectors: the copy of the 3-wide features the model keeps
+        and four vectors of N doubles."""
+        panels_only(monkeypatch)
         assert self.traced_fit_peak(n) < fit_bytes(n) + 8 * n * (3 + 4)
 
     def test_prediction_never_holds_the_full_kernel(self):
@@ -896,6 +936,169 @@ class TestMemoryBudget:
 
         monkeypatch.setattr(weapo.endmodel, "open", unreadable, raising=False)
         assert weapo.endmodel._available_memory_bytes() is None
+
+
+class TestLowRankSolver:
+    """The first attempt of ``fit_krr``: refinement on a pivoted partial
+    Cholesky factor of K, used through the Woodbury identity."""
+
+    N = 3000
+
+    @staticmethod
+    def dataset(seed, n=N):
+        """Features of 4 standard normal columns and 0/1 targets of a noisy
+        linear rule; at gamma 0.15 and alpha 1 their kernel needs a rank
+        of about 370, below the cap of N // 6 = 500."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 4))
+        return x, (x[:, 0] - x[:, 1] + rng.normal(size=n) > 0).astype(np.float64)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agrees_with_the_float64_panels(self, monkeypatch, seed):
+        """Both results meet DSPOSV's test on the same float64 system, so the
+        coefficients agree within 1e-9 relative and the predictions rank
+        a test set alike."""
+        x, t = self.dataset(seed)
+        test, test_t = self.dataset(seed + 100)
+        attempts = record_attempts(monkeypatch)
+        model = fit_krr(x, t, gamma=0.15)
+        assert attempts == [("low-rank", True)]
+        panel = weapo.endmodel._panel_solver
+        panels_only(monkeypatch)
+        monkeypatch.setattr(
+            weapo.endmodel, "_panel_solver",
+            lambda *args: None if args[-1] is np.float32 else panel(*args))
+        exact = fit_krr(x, t, gamma=0.15)
+        assert attempts[1:] == [("float64", True)]
+        error = np.abs(model.coefficients - exact.coefficients).max()
+        assert error <= 1e-9 * np.abs(exact.coefficients).max()
+        gold = np.where(test_t > 0, 1, -1)
+        assert roc_auc(predict_krr(model, test), gold) == roc_auc(predict_krr(exact, test), gold)
+
+    def test_alpha_zero_never_pivots(self, monkeypatch):
+        """Interpolation has no ridge for the Woodbury identity to divide
+        by: the low-rank attempt gives up before forming any kernel row."""
+        pivoted = []
+        monkeypatch.setattr(weapo.endmodel, "_pivoted_cholesky", lambda *args: pivoted.append(1))
+        attempts = record_attempts(monkeypatch)
+        rng = np.random.default_rng(4)
+        fit_krr(rng.normal(size=(30, 2)), rng.normal(size=30), gamma=0.7, alpha=0.0)
+        assert pivoted == []
+        assert attempts[0] == ("low-rank", False) and attempts[1] == ("float32", True)
+
+    def test_rank_past_the_cap_falls_back(self, monkeypatch):
+        """At gamma 5 a 600-record set needs more than N // 6 = 100 pivots:
+        the blocks stop at the cap, no factor row past it is stored, and
+        the fit is the panel fit, bit for bit."""
+        rng = np.random.default_rng(20)
+        n = 600
+        x, t = rng.normal(size=(n, 2)), rng.normal(size=n)
+        block_factor, kept = weapo.endmodel._block_factor, []
+
+        def recording_block_factor(*args):
+            pivots, lower = block_factor(*args)
+            kept.append(len(pivots))
+            return pivots, lower
+
+        monkeypatch.setattr(weapo.endmodel, "_block_factor", recording_block_factor)
+        attempts = record_attempts(monkeypatch)
+        model = fit_krr(x, t, gamma=5.0)
+        assert attempts == [("low-rank", False), ("float32", True)]
+        assert sum(kept) == n // 6
+        panels_only(monkeypatch)
+        expected = fit_krr(x, t, gamma=5.0)
+        assert model.coefficients.tobytes() == expected.coefficients.tobytes()
+
+    @pytest.mark.parametrize("copies", [1, 3], ids=["distinct", "each-point-thrice"])
+    def test_two_fits_are_bitwise_equal(self, monkeypatch, copies):
+        """Every residual diagonal is 1 at the first block, and a point
+        given three times ties with its copies at every block: a stable
+        sort takes the lowest indices, so the first block's kernel rows are
+        those of the first BLOCK_ROWS records, and a second fit repeats the
+        first bit for bit."""
+        x, t = self.dataset(5, self.N // copies)
+        x, t = np.tile(x, (copies, 1)), np.tile(t, copies)
+        kernel, first_rows = weapo.endmodel._kernel, []
+
+        def recording_kernel(rows, *rest):
+            if not first_rows:
+                first_rows.append(rows.copy())
+            return kernel(rows, *rest)
+
+        monkeypatch.setattr(weapo.endmodel, "_kernel", recording_kernel)
+        attempts = record_attempts(monkeypatch)
+        model = fit_krr(x, t, gamma=0.15)
+        assert attempts == [("low-rank", True)]
+        np.testing.assert_array_equal(first_rows[0], x[:BLOCK_ROWS], strict=True)
+        again = fit_krr(x, t, gamma=0.15)
+        assert model.coefficients.tobytes() == again.coefficients.tobytes()
+
+    def test_alpha_past_the_trace_needs_no_pivot(self, monkeypatch):
+        """The residual diagonal sums to N = 40 <= alpha at once: the solve
+        is r / alpha, refined like any other, with no panel and no
+        overflow warning."""
+        attempts = record_attempts(monkeypatch)
+        rng = np.random.default_rng(18)
+        x, t = rng.normal(size=(40, 2)), rng.normal(size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_krr(x, t, gamma=0.5, alpha=1e300)
+        assert attempts == [("low-rank", True)]
+        np.testing.assert_allclose(model.coefficients, t / 1e300, rtol=1e-12)
+
+    def test_block_factor_skips_a_pivot_in_the_span(self):
+        """A duplicate's residual is 0 once its twin is a pivot: it is never
+        taken, and the factor is the Cholesky factor of the Schur
+        complement on the pivots kept, the first of two equal diagonal
+        entries first."""
+        x = np.array([[0.0], [1.0], [0.0], [2.5]])
+        schur = rbf_kernel_three_temporaries(x, x, 0.5)
+        pivots, lower = weapo.endmodel._block_factor(schur, 1e-12)
+        assert pivots[0] == 0 and sorted(pivots) == [0, 1, 3]
+        np.testing.assert_allclose(lower @ lower.T, schur[np.ix_(pivots, pivots)], atol=1e-15)
+        assert (np.triu(lower, 1) == 0.0).all()
+
+    def test_traced_peak_within_the_design_bound(self, monkeypatch):
+        """The float32 factor rows, allocated for the cap m = N // 6, take
+        4 * N * m bytes, the m x m float64 system and its factor at most
+        16 * m**2, and the buffer of one block of kernel rows
+        8 * _kernel_doubles(BLOCK_ROWS, N); that bound lies within
+        ``fit_bytes``, the price of the float64 panels."""
+        x, t = self.dataset(1)
+        n, m = len(x), len(x) // 6
+        bound = 4 * n * m + 16 * m * m + 8 * weapo.endmodel._kernel_doubles(BLOCK_ROWS, n)
+        assert bound < fit_bytes(n)
+        attempts = record_attempts(monkeypatch)
+        peak = TestMemory.traced_peak(lambda: fit_krr(x, t, gamma=0.15))
+        assert attempts == [("low-rank", True)]
+        assert peak < bound
+
+
+class TestSolverChoice:
+    def test_each_byte_identity_case_takes_its_solver(self, tmp_path, monkeypatch):
+        """The three ``end`` runs whose output must not depend on the BLAS
+        thread count, on 700 featured records with 2 features: the default
+        alpha takes the low-rank solve, ``--gamma 5`` needs more than
+        N // 6 pivots and takes the float32 panels, and ``--alpha 1e-4``
+        ends in the float64 panels."""
+        from weapo.cli import main
+
+        law = ["--p-plus", "0.3", "--tpr", "0.7,0.6,0.5", "--fpr", "0.1,0.05,0.08",
+               "--mu-pos", "1,1", "--mu-neg=-1,-1", "--sigma", "1"]
+        paths = {name: str(tmp_path / name) for name in ("train.jsonl", "test.jsonl", "mv.json")}
+        for name, n, seed in (("train.jsonl", "700", "3"), ("test.jsonl", "300", "4")):
+            assert main(["synth", *law, "--n", n, "--seed", seed, "--out", paths[name],
+                         "--quiet"]) == 0
+        assert main(["fit", paths["train.jsonl"], "--model", "mv", "--out", paths["mv.json"],
+                     "--quiet"]) == 0
+        attempts = record_attempts(monkeypatch)
+        taken = []
+        for flags in ([], ["--gamma", "5"], ["--alpha", "1e-4"]):
+            attempts.clear()
+            assert main(["end", paths["mv.json"], paths["train.jsonl"], paths["test.jsonl"],
+                         *flags, "--quiet"]) == 0
+            taken.append(attempts[-1])
+        assert taken == [("low-rank", True), ("float32", True), ("float64", True)]
 
 
 class TestPipeline:

@@ -31,12 +31,17 @@ input set both trees run the same commands:
 * ``fit_krr`` on the end-train features, with the gold labels as targets,
   the default gamma and ``alpha = 1``, whose dual coefficients it writes
   to ``out/krr-coefficients.npy``: ``end`` records only AUCs, which
-  would not show a change in the exact solve's last bits. The same fit
-  at ``alpha = 1e-4`` writes ``out/krr-coefficients-alpha1e-4.npy``; on
-  the full input sets its float32 attempt falls short, so that file
-  checks the float64 panels. The ``alpha = 1`` model's ``predict_krr``
-  of the end-test features goes to ``out/krr-predictions.npy``, which the
-  AUCs of ``end`` would not show either.
+  would not show a change in the exact solve's last bits. At ``alpha =
+  1`` the fit on end-krr's 6000 records, both seeds, takes the low-rank
+  solve; on the 2000 records of tall-m8 and wide-m16 that attempt needs
+  more than N // 6 pivots and gives up, so the file checks the float32
+  panels, as it does on every ``--small`` set. The same fit at ``alpha =
+  1e-4`` writes ``out/krr-coefficients-alpha1e-4.npy``; on the full
+  input sets the low-rank attempt gives up and the float32 attempt falls
+  short, so that file checks the float64 panels. The ``alpha = 1``
+  model's ``predict_krr`` of the end-test features goes to
+  ``out/krr-predictions.npy``, which the AUCs of ``end`` would not show
+  either.
 
 Both trees also run every ``demos/*.py`` of the checked tree, each as a
 process of its own with the tree's package first on ``PYTHONPATH``; the
